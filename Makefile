@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race verify-race bench scaling load fuzz golden resume-smoke cluster-smoke disk-chaos verify clean
+.PHONY: build test vet race verify-race bench scaling loc load fuzz golden resume-smoke cluster-smoke disk-chaos verify clean
 
 build:
 	$(GO) build ./...
@@ -18,17 +18,26 @@ race:
 # detector, with the instrumented (metrics-on) hot paths exercised.
 verify-race: race
 
-# bench runs the parallel-campaign benchmark (-count=3, min/median)
-# plus the metrics hot-path allocation check, and appends both to
-# BENCH_<host>.json. BENCHTIME=5x (etc.) for more iterations.
+# bench runs the repository's benchmark (bench/README.md: four
+# workloads over both stacks) and appends one JSON line per run to
+# BENCH_<host>.jsonl; `bash bench/run.sh -compare a.jsonl b.jsonl`
+# reads two such records back.
 bench:
-	./scripts/bench.sh
+	bash bench/run.sh -out "BENCH_$$(uname -n | tr -c 'A-Za-z0-9' '_' | sed 's/_*$$//').jsonl"
 
-# scaling is the CI scaling gate: one bench pass (count=1), mutex and
-# block profiles of the parallelism=8 row, and — on multicore hosts —
-# a hard >= 1.5x check of speedup_p8_over_p1.
+# scaling is the CI scaling gate: one BenchmarkCampaignParallel pass,
+# mutex and block profiles of the parallelism=8 row, and — on multicore
+# hosts — a hard >= 1.5x check of parallel=8 over parallel=1 tests/sec.
 scaling:
 	./scripts/scaling_ci.sh
+
+# loc prints the size every simplicity change is judged by: non-test Go
+# lines per internal/ package and for the whole module, bench/ excluded.
+loc:
+	@for d in internal/*/; do \
+		printf '%-22s %6d\n' "$${d%/}" "$$(find "$$d" -name '*.go' -not -name '*_test.go' | xargs cat | wc -l)"; \
+	done
+	@printf '%-22s %6d\n' total "$$(find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' | xargs cat | wc -l)"
 
 # load runs a short closed-loop conload smoke against the in-process
 # fbgroup profile and prints the JSON summary (same run CI performs).

@@ -1,8 +1,8 @@
 // Command conload generates load against a consistency service and
 // reports latency and throughput. It drives either a running consvc
 // instance over the JSON HTTP API (-addr) or an in-process simulated
-// profile (-inproc), which needs no server and is what scripts/bench.sh
-// and the CI smoke step use.
+// profile (-inproc), which needs no server and is what `make load` and
+// the CI smoke step use.
 //
 // Each simulated user runs its own request loop, fanning out across the
 // client sites given by -sites and mixing writes and reads per

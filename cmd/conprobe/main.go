@@ -44,8 +44,8 @@ import (
 var errAbortAfter = errors.New("abort-after limit reached")
 
 func main() {
-	// Interrupt cancels the campaign; collected traces are still flushed
-	// before exit.
+	// Interrupt cancels the campaign; -trace output streams as tests
+	// complete, so collected traces are still flushed before exit.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 	if err := run(ctx, os.Args[1:], os.Stdout); err != nil {
@@ -66,7 +66,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		rotate    = fs.Int("rotate", 0, "rotate agent locations cyclically by this many positions")
 		formats   = cliflags.FormatFlags(fs)
 		htmlOut   = fs.Bool("html", false, "emit one self-contained HTML page with SVG figures")
-		simShards = fs.Int("sim-shards", 1, "run the campaign as N concurrent simulation shards (legacy; prefer -parallelism)")
 		parallel  = fs.Int("parallelism", 0, "run the campaign on the concurrent lane engine with this many workers (0 = sequential single world)")
 		lanesN    = fs.Int("lanes", 0, "lane count for -parallelism; fixes the partition and hence the output (default 8)")
 		alternate = fs.Int("alternate", 1, "interleave Test 1/Test 2 in this many alternating blocks (the paper's four-day alternation)")
@@ -151,13 +150,17 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 			}
 		}
 	}
+	laneEngine := *parallel > 0 || *lanesN > 0
 	if *ckptPath != "" {
 		if *svcName == "all" {
 			return fmt.Errorf("-checkpoint needs a single -service")
 		}
-		if *parallel <= 0 && *lanesN <= 0 {
+		if !laneEngine {
 			return fmt.Errorf("-checkpoint requires the lane engine; set -parallelism or -lanes")
 		}
+	}
+	if *abortAfter > 0 && !laneEngine {
+		return fmt.Errorf("-abort-after requires the lane engine; set -parallelism or -lanes")
 	}
 	if *resumeRun && *ckptPath == "" {
 		return fmt.Errorf("-resume requires -checkpoint")
@@ -224,7 +227,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 			}
 		}
 		var progress func(int, int)
-		if *paper && *simShards == 1 {
+		if *paper {
 			progress = func(n, total int) {
 				if n%100 == 0 {
 					fmt.Fprintf(os.Stderr, "conprobe: %s %d/%d tests\n", name, n, total)
@@ -232,7 +235,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 			}
 		}
 		var rep *analysis.Report
-		if *parallel > 0 || *lanesN > 0 {
+		if laneEngine {
 			// Lane engine: traces stream to the JSONL writer as they
 			// complete and the analysis aggregates incrementally per lane,
 			// so nothing has to be retained in memory. Checkpointing and
@@ -322,16 +325,12 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 				Breaker:          breakerCfg,
 				Metrics:          reg.Scope("conprobe").With("service", name),
 			}
-			res, err := probe.SimulateSharded(opts, *simShards)
+			if tw != nil {
+				opts.TraceSink = tw.Write
+			}
+			res, err := probe.SimulateContext(ctx, opts)
 			if err != nil {
 				return err
-			}
-			if tw != nil {
-				for _, tr := range res.Traces {
-					if err := tw.Write(tr); err != nil {
-						return err
-					}
-				}
 			}
 			rep = analysis.Analyze(res.Service, res.Traces)
 		}

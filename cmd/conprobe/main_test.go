@@ -3,10 +3,13 @@ package main
 import (
 	"bytes"
 	"context"
+	"errors"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"conprobe/internal/trace"
 )
@@ -122,7 +125,7 @@ func TestRunProfileNeedsSingleService(t *testing.T) {
 
 func TestRunMarkdownAndShards(t *testing.T) {
 	var out bytes.Buffer
-	err := run(context.Background(), []string{"-service", "fbgroup", "-test1", "4", "-test2", "0", "-sim-shards", "2", "-md"}, &out)
+	err := run(context.Background(), []string{"-service", "fbgroup", "-test1", "4", "-test2", "0", "-parallelism", "2", "-md"}, &out)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +133,7 @@ func TestRunMarkdownAndShards(t *testing.T) {
 		t.Fatalf("markdown output: %s", out.String())
 	}
 	if !strings.Contains(out.String(), "4 Test 1 + 0 Test 2") {
-		t.Fatalf("sharded counts wrong: %s", out.String())
+		t.Fatalf("lane-merged counts wrong: %s", out.String())
 	}
 }
 
@@ -162,5 +165,70 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	var out bytes.Buffer
 	if err := run(context.Background(), []string{"-definitely-not-a-flag"}, &out); err == nil {
 		t.Fatal("bad flag accepted")
+	}
+	// The second campaign engine and its flag are gone.
+	if err := run(context.Background(), []string{"-service", "blogger", "-test1", "1", "-sim-shards", "2"}, &out); err == nil {
+		t.Fatal("-sim-shards accepted")
+	}
+}
+
+// Flags that only the lane engine implements are rejected without it,
+// not silently ignored.
+func TestRunEngineOnlyFlagsNeedEngine(t *testing.T) {
+	for _, extra := range [][]string{
+		{"-abort-after", "2"},
+		{"-checkpoint", filepath.Join(t.TempDir(), "c.ckpt")},
+	} {
+		args := append([]string{"-service", "blogger", "-test1", "3", "-test2", "0"}, extra...)
+		var out bytes.Buffer
+		err := run(context.Background(), args, &out)
+		if err == nil || !strings.Contains(err.Error(), "requires the lane engine") {
+			t.Errorf("%v on the sequential path: err = %v, want \"requires the lane engine\"", extra, err)
+		}
+	}
+}
+
+// An interrupt on the default (sequential) path must reach the campaign:
+// run returns context.Canceled well before the campaign could finish,
+// and the -trace file holds every test completed so far, readable.
+func TestRunSequentialInterruptKeepsTraces(t *testing.T) {
+	const total = 100000 // tens of seconds if the interrupt were swallowed
+	path := filepath.Join(t.TempDir(), "t.jsonl")
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	done := make(chan error, 1)
+	go func() {
+		var out bytes.Buffer
+		done <- run(ctx, []string{"-service", "fbgroup", "-test1", strconv.Itoa(total), "-test2", "0", "-trace", path}, &out)
+	}()
+	// Interrupt once traces have started streaming to the file.
+	for deadline := time.Now().Add(30 * time.Second); ; time.Sleep(time.Millisecond) {
+		if st, err := os.Stat(path); err == nil && st.Size() > 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("no trace reached the -trace file")
+		}
+	}
+	cancel()
+	select {
+	case err := <-done:
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("err = %v, want context.Canceled", err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("run did not return after the interrupt")
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	traces, err := trace.NewReader(f).ReadAll()
+	if err != nil {
+		t.Fatalf("partial trace file unreadable: %v", err)
+	}
+	if len(traces) == 0 || len(traces) >= total {
+		t.Fatalf("partial trace file holds %d traces, want some but not all %d", len(traces), total)
 	}
 }

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"os"
 	"path/filepath"
 	"strings"
@@ -27,9 +28,9 @@ func traceFileN(t *testing.T, n int, svcs ...string) string {
 	defer f.Close()
 	w := trace.NewWriter(f)
 	for _, svc := range svcs {
-		res, err := probe.SimulateSharded(probe.SimulateOptions{
+		res, err := probe.SimulateConcurrent(context.Background(), probe.SimulateOptions{
 			Service: svc, Test1Count: n, Test2Count: n, Seed: 5,
-		}, 4)
+		}, probe.EngineOptions{Lanes: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -123,12 +124,14 @@ func TestVerifyUsageErrors(t *testing.T) {
 
 // TestShippedExpectationsHold runs a moderate campaign for every service
 // against the expectations file shipped in docs/ — the same regression
-// gate EXPERIMENTS.md relies on.
+// gate EXPERIMENTS.md relies on. The expectations are paper-scale: a
+// campaign must be long enough that fbgroup's scripted nine-test Tokyo
+// partition stays under its 5% content-divergence ceiling.
 func TestShippedExpectationsHold(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-service campaign")
 	}
-	traces := traceFileN(t, 48, service.ProfileNames()...)
+	traces := traceFileN(t, 240, service.ProfileNames()...)
 	var out bytes.Buffer
 	code, err := run([]string{"-expect", "../../docs/expectations.json", traces}, nil, &out)
 	if err != nil {

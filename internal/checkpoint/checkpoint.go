@@ -286,9 +286,6 @@ type Config struct {
 	// FS is the filesystem the journal lives on; nil means the real
 	// one. Storage-fault drills pass a diskfault FS.
 	FS diskfault.FS
-	// Mode is the permission for the journal and its rotation temp
-	// files; zero means wal.DefaultFileMode.
-	Mode os.FileMode
 }
 
 func (c Config) fs() diskfault.FS {
@@ -296,13 +293,6 @@ func (c Config) fs() diskfault.FS {
 		return diskfault.OS
 	}
 	return c.FS
-}
-
-func (c Config) mode() os.FileMode {
-	if c.Mode == 0 {
-		return wal.DefaultFileMode
-	}
-	return c.Mode
 }
 
 // Writer journals a running campaign. It owns its own per-lane
@@ -477,10 +467,10 @@ func (w *Writer) rotate() error {
 	fsys := w.cfg.fs()
 	tmpPath := w.path + ".tmp"
 	flags := os.O_RDWR | os.O_CREATE | os.O_EXCL
-	tmp, err := fsys.OpenFile(tmpPath, flags, w.cfg.mode())
+	tmp, err := fsys.OpenFile(tmpPath, flags, wal.DefaultFileMode)
 	if os.IsExist(err) {
 		_ = fsys.Remove(tmpPath)
-		tmp, err = fsys.OpenFile(tmpPath, flags, w.cfg.mode())
+		tmp, err = fsys.OpenFile(tmpPath, flags, wal.DefaultFileMode)
 	}
 	if err != nil {
 		return fmt.Errorf("checkpoint: rotating %s: %w", w.path, err)

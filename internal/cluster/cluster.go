@@ -202,27 +202,17 @@ type Config struct {
 	// term log) lives on; nil means the real one. Storage-fault drills
 	// pass a diskfault.Injector's FS.
 	FS diskfault.FS
-	// FileMode is the permission for newly created durable files; zero
-	// means wal.DefaultFileMode.
-	FileMode os.FileMode
 	// Metrics, when non-nil, surfaces storage-fault counters
 	// (wal_quarantined_segments, fsync_poisoned_total).
 	Metrics *obs.Scope
-	// RPCTimeout bounds each individual peer RPC issued by the default
-	// HTTP transport (default 5s). Without it a hung peer would pin the
-	// in-flight pull/snapshot guards until the client-wide timeout, and
-	// heartbeat/vote responses would straggle in uselessly late.
-	RPCTimeout time.Duration
 	// Seed keys the deterministic election jitter (detrand); same seed,
 	// node ID and draw count give the same timeout.
 	Seed int64
 	// Clock supplies time for timers and lag bookkeeping (default real
 	// time). The test harness substitutes a virtual clock.
 	Clock vtime.Clock
-	// HTTPClient issues replication requests (default: 10s timeout).
-	HTTPClient *http.Client
-	// Transport overrides the peer RPC transport (default: HTTP via
-	// HTTPClient). The test harness substitutes an in-process one.
+	// Transport overrides the peer RPC transport (default: JSON over
+	// HTTP). The test harness substitutes an in-process one.
 	Transport Transport
 	// OnEvent observes protocol transitions; called under the node's
 	// lock, so it must only record and return.
@@ -447,14 +437,8 @@ func NewNode(svc service.Service, cfg Config) (*Node, error) {
 	if cfg.Clock == nil {
 		cfg.Clock = vtime.Real{}
 	}
-	if cfg.RPCTimeout <= 0 {
-		cfg.RPCTimeout = 5 * time.Second
-	}
-	if cfg.HTTPClient == nil {
-		cfg.HTTPClient = &http.Client{Timeout: 10 * time.Second}
-	}
 	if cfg.Transport == nil {
-		cfg.Transport = &httpTransport{hc: cfg.HTTPClient, timeout: cfg.RPCTimeout}
+		cfg.Transport = &httpTransport{hc: &http.Client{Timeout: httpClientTimeout}}
 	}
 	n := &Node{
 		cfg:       cfg,
@@ -537,11 +521,7 @@ func (n *Node) markerPresent(path string) bool {
 // here must fail the boot (the pre-quarantine behavior was fail-stop,
 // and fail-stop is the safe fallback).
 func (n *Node) writeMarker(path string) error {
-	mode := n.cfg.FileMode
-	if mode == 0 {
-		mode = wal.DefaultFileMode
-	}
-	f, err := n.fs().OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, mode)
+	f, err := n.fs().OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, wal.DefaultFileMode)
 	if err != nil {
 		return err
 	}
@@ -643,7 +623,6 @@ func (n *Node) recover() error {
 	walOpts := wal.Options{
 		NoSync:     n.cfg.NoSync,
 		FS:         n.cfg.FS,
-		Mode:       n.cfg.FileMode,
 		Quarantine: true,
 		Metrics:    n.cfg.Metrics,
 	}
@@ -1136,7 +1115,7 @@ func (n *Node) compactLocked() error {
 		if err != nil {
 			return err
 		}
-		if err := wal.WriteSnapshotFS(n.cfg.FS, n.snapPath(), payload, n.cfg.FileMode); err != nil {
+		if err := wal.WriteSnapshotFS(n.cfg.FS, n.snapPath(), payload, wal.DefaultFileMode); err != nil {
 			return err
 		}
 		if err := n.log.Truncate(); err != nil {

@@ -866,7 +866,7 @@ func (n *Node) installSnapshotLocked(pay snapPayload) {
 	if n.log != nil {
 		payload, merr := json.Marshal(n.snapshotLocked())
 		if merr == nil {
-			if werr := wal.WriteSnapshotFS(n.cfg.FS, n.snapPath(), payload, n.cfg.FileMode); werr == nil {
+			if werr := wal.WriteSnapshotFS(n.cfg.FS, n.snapPath(), payload, wal.DefaultFileMode); werr == nil {
 				_ = n.log.Truncate()
 				durable = true
 			}

@@ -148,21 +148,30 @@ type Transport interface {
 
 // httpTransport is the production Transport: JSON over HTTP, one
 // goroutine per in-flight call. Every RPC carries its own deadline
-// (Config.RPCTimeout) independent of the client-wide timeout: a hung
-// peer must fail the call promptly, because pull and snapshot transfers
-// run under in-flight guards (one at a time) and a stuck vote or
-// heartbeat response is useless once the election or lease round it
-// belongs to has moved on.
+// (rpcTimeout) independent of the client-wide timeout: a hung peer must
+// fail the call promptly, because pull and snapshot transfers run under
+// in-flight guards (one at a time) and a stuck vote or heartbeat
+// response is useless once the election or lease round it belongs to
+// has moved on.
 type httpTransport struct {
-	hc      *http.Client
+	hc *http.Client
+	// timeout overrides rpcTimeout when positive (tests shorten it).
 	timeout time.Duration
 }
+
+const (
+	// rpcTimeout bounds each individual peer RPC.
+	rpcTimeout = 5 * time.Second
+	// httpClientTimeout is the client-wide ceiling on a replication
+	// request, deadline or not.
+	httpClientTimeout = 10 * time.Second
+)
 
 // rpcContext returns the per-RPC deadline context.
 func (t *httpTransport) rpcContext() (context.Context, context.CancelFunc) {
 	timeout := t.timeout
 	if timeout <= 0 {
-		timeout = 5 * time.Second
+		timeout = rpcTimeout
 	}
 	return context.WithTimeout(context.Background(), timeout)
 }

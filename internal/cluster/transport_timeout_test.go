@@ -9,10 +9,11 @@ import (
 
 // TestRPCDeadlinePinnedOnEveryMethod pins the per-RPC deadline on all
 // four transport methods: a peer that accepts the connection and then
-// hangs must fail the call within Config.RPCTimeout (plus scheduling
-// slack), not the client-wide timeout and not never. Pull and snapshot
-// transfers run under in-flight guards — one at a time — so a single
-// hung peer would otherwise pin replication for the guard's lifetime.
+// hangs must fail the call within the transport's RPC timeout (plus
+// scheduling slack), not the client-wide timeout and not never. Pull
+// and snapshot transfers run under in-flight guards — one at a time —
+// so a single hung peer would otherwise pin replication for the
+// guard's lifetime.
 func TestRPCDeadlinePinnedOnEveryMethod(t *testing.T) {
 	hang := make(chan struct{})
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -64,8 +65,8 @@ func TestRPCDeadlinePinnedOnEveryMethod(t *testing.T) {
 	}
 }
 
-// TestRPCDeadlineDefaultsWhenUnset: a zero RPCTimeout still bounds the
-// call (the transport falls back to its 5s default rather than hanging
+// TestRPCDeadlineDefaultsWhenUnset: a transport built without a test
+// override still bounds the call (the 5s rpcTimeout rather than hanging
 // forever). Verified structurally: rpcContext must return a context
 // with a deadline.
 func TestRPCDeadlineDefaultsWhenUnset(t *testing.T) {

@@ -125,8 +125,7 @@ type laneResult struct {
 // identical whatever Parallelism is — worker scheduling decides only
 // when a lane runs, never what it computes. The traces differ from
 // sequential Simulate output (lane worlds draw from derived seeds), but
-// are samples from the same generator, exactly like SimulateSharded's
-// shards.
+// are samples from the same generator.
 //
 // Cancelling ctx stops every lane at its next operation boundary.
 // Partial results: on error or cancellation the returned Result is

@@ -328,12 +328,19 @@ func (w *simWorld) runSteps(ctx context.Context, steps []scheduleStep) (*Result,
 // seconds of wall-clock time. SimulateConcurrent partitions the same
 // campaign across lanes for multi-core wall-clock scaling.
 func Simulate(opts SimulateOptions) (*Result, error) {
+	return SimulateContext(context.Background(), opts)
+}
+
+// SimulateContext is Simulate under ctx: cancellation stops the campaign
+// at its next operation boundary, and the returned Result is non-nil and
+// carries every complete trace collected so far.
+func SimulateContext(ctx context.Context, opts SimulateOptions) (*Result, error) {
 	opts = opts.withDefaults()
 	w, err := buildWorld(opts)
 	if err != nil {
 		return nil, err
 	}
-	res, runErr := w.runSteps(context.Background(), w.runner.schedule())
+	res, runErr := w.runSteps(ctx, w.runner.schedule())
 	if runErr != nil {
 		return res, fmt.Errorf("campaign %s: %w", opts.Service, runErr)
 	}

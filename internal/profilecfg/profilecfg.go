@@ -227,15 +227,6 @@ func Load(r io.Reader) (service.Profile, error) {
 	return l.Profile, err
 }
 
-// LoadFull reads a profile plus its extra topology links and optional
-// fault-injection config (nil when the profile declares none).
-//
-// Deprecated: use LoadAll, which also surfaces the chaos schedule.
-func LoadFull(r io.Reader) (service.Profile, []Link, *faultinject.Config, error) {
-	l, err := LoadAll(r)
-	return l.Profile, l.Links, l.Faults, err
-}
-
 // Loaded bundles everything a profile file can declare.
 type Loaded struct {
 	Profile service.Profile

@@ -152,7 +152,7 @@ func TestLoadedProfileRunsCampaign(t *testing.T) {
 	}
 }
 
-func TestLoadFullWithTopology(t *testing.T) {
+func TestLoadAllWithTopology(t *testing.T) {
 	in := `{
 	  "name": "austral",
 	  "store": {"mode": "eventual", "sites": ["dc-syd", "dc-gru"], "propagation_base": "500ms"},
@@ -164,10 +164,11 @@ func TestLoadFullWithTopology(t *testing.T) {
 	    {"a": "dc-syd", "b": "dc-gru", "rtt": "310ms"}
 	  ]
 	}`
-	p, links, _, err := LoadFull(strings.NewReader(in))
+	l, err := LoadAll(strings.NewReader(in))
 	if err != nil {
 		t.Fatal(err)
 	}
+	p, links := l.Profile, l.Links
 	if p.Name != "austral" || len(links) != 4 {
 		t.Fatalf("profile %s links %d", p.Name, len(links))
 	}
@@ -196,7 +197,7 @@ func TestLoadFullWithTopology(t *testing.T) {
 	}
 }
 
-func TestLoadFullFaultInjection(t *testing.T) {
+func TestLoadAllFaultInjection(t *testing.T) {
 	in := `{
 	  "name": "x",
 	  "store": {"mode": "strong", "sites": ["dc-a"]},
@@ -209,10 +210,11 @@ func TestLoadFullFaultInjection(t *testing.T) {
 	    "outages": [{"start": "1m", "end": "2m"}]
 	  }
 	}`
-	_, _, faults, err := LoadFull(strings.NewReader(in))
+	l, err := LoadAll(strings.NewReader(in))
 	if err != nil {
 		t.Fatal(err)
 	}
+	faults := l.Faults
 	if faults == nil {
 		t.Fatal("fault_injection block not loaded")
 	}
@@ -230,26 +232,26 @@ func TestLoadFullFaultInjection(t *testing.T) {
 	}
 }
 
-func TestLoadFullRejectsBadFaultRate(t *testing.T) {
+func TestLoadAllRejectsBadFaultRate(t *testing.T) {
 	in := `{
 	  "name": "x",
 	  "store": {"mode": "strong", "sites": ["dc-a"]},
 	  "routing": {"oregon": "dc-a"},
 	  "fault_injection": {"read_fail_rate": 1.5}
 	}`
-	if _, _, _, err := LoadFull(strings.NewReader(in)); err == nil {
+	if _, err := LoadAll(strings.NewReader(in)); err == nil {
 		t.Fatal("out-of-range fault rate accepted")
 	}
 }
 
-func TestLoadFullRejectsBadLink(t *testing.T) {
+func TestLoadAllRejectsBadLink(t *testing.T) {
 	in := `{
 	  "name": "x",
 	  "store": {"mode": "strong", "sites": ["dc-a"]},
 	  "routing": {"oregon": "dc-a"},
 	  "topology": [{"a": "oregon", "b": "", "rtt": "1ms"}]
 	}`
-	if _, _, _, err := LoadFull(strings.NewReader(in)); err == nil {
+	if _, err := LoadAll(strings.NewReader(in)); err == nil {
 		t.Fatal("bad link accepted")
 	}
 }

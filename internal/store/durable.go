@@ -44,9 +44,6 @@ type Durable struct {
 	// write-path faults (torn writes, failed fsyncs, ENOSPC) poison the
 	// affected shard so no unsynced write is ever acked.
 	FS diskfault.FS
-	// FileMode is the permission for newly created durable files; zero
-	// means wal.DefaultFileMode.
-	FileMode os.FileMode
 	// Metrics, when non-nil, surfaces storage-fault counters.
 	Metrics *obs.Scope
 }
@@ -167,7 +164,7 @@ func (c *Cluster) openDurable(cfg Durable) error {
 		return err
 	}
 	sort.Strings(existing)
-	opts := wal.Options{NoSync: cfg.NoSync, FS: cfg.FS, Mode: cfg.FileMode, Metrics: cfg.Metrics}
+	opts := wal.Options{NoSync: cfg.NoSync, FS: cfg.FS, Metrics: cfg.Metrics}
 	logsByPath := make(map[string]*wal.Log, len(existing))
 	closeAll := func() {
 		for _, l := range logsByPath {
@@ -419,7 +416,7 @@ func (d *durableState) snapshotLocked() error {
 	if err != nil {
 		return err
 	}
-	if err := wal.WriteSnapshotFS(d.cfg.FS, filepath.Join(d.cfg.Dir, snapName), payload, d.cfg.FileMode); err != nil {
+	if err := wal.WriteSnapshotFS(d.cfg.FS, filepath.Join(d.cfg.Dir, snapName), payload, wal.DefaultFileMode); err != nil {
 		return err
 	}
 	for _, l := range d.logs {

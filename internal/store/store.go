@@ -24,12 +24,12 @@
 // keyed by entry ID, so writes and deliveries for different keys proceed
 // in parallel. Replication is batched per (destination site, shard):
 // each shard keeps a min-heap of pending deliveries ordered by
-// (due time, schedule order) and a single re-armable drainer timer, so
-// propagation drains in O(batches) timer events instead of one event per
-// entry. Reads merge the shards into an arrival-order timeline sorted by
-// (apply time, ArrivalSeq) — the same order the pre-shard store produced
-// by appending under one lock — and cache the rendered timeline until
-// any shard's generation counter moves.
+// (due time, schedule order), drained by the cluster-wide timer wheel
+// (wheel.go), so propagation drains in O(batches) timer events instead
+// of one event per entry. Reads merge the shards into an arrival-order
+// timeline sorted by (apply time, ArrivalSeq) — the same order the
+// pre-shard store produced by appending under one lock — and cache the
+// rendered timeline until any shard's generation counter moves.
 package store
 
 import (
@@ -213,19 +213,6 @@ type Config struct {
 	// DefaultShards). Campaign output is independent of the shard count;
 	// it only tunes contention under parallel load.
 	Shards int
-	// DisableReadCache turns off the rendered-timeline cache, forcing
-	// every Read to re-merge and re-sort the shards. Used to benchmark
-	// the cache and as a paranoia knob; output is identical either way.
-	DisableReadCache bool
-	// DisableTimerWheel reverts replication drains to one re-armable
-	// timer per (site, shard) instead of the cluster-wide timer wheel.
-	// Deliveries apply at identical instants either way; the knob exists
-	// for A/B benchmarks and equivalence tests.
-	DisableTimerWheel bool
-	// DisableCutoffCache turns off the cutoff-keyed OrderHybrid read
-	// cache, reverting to re-partitioning and re-sorting the timeline on
-	// every hybrid read. Output is identical either way.
-	DisableCutoffCache bool
 	// Durable, when non-nil, makes the cluster crash-safe: accepted
 	// writes are fsynced to a per-shard WAL before WriteEntry returns,
 	// resets are journaled, and NewCluster replays snapshot+WAL from
@@ -253,8 +240,7 @@ type Cluster struct {
 
 	replicas map[simnet.Site]*replica
 
-	// wheel is the cluster-wide delivery timer wheel (see wheel.go);
-	// unused when cfg.DisableTimerWheel reverts to per-shard timers.
+	// wheel is the cluster-wide delivery timer wheel (see wheel.go).
 	wheel timerWheel
 
 	// durable is non-nil when Config.Durable requested persistence.
@@ -269,8 +255,8 @@ type replica struct {
 }
 
 // shard holds one lock stripe of a replica: its slice of the applied
-// log, the apply-time index, and the pending-delivery queue drained in
-// batches by a single re-armable timer.
+// log, the apply-time index, and the pending-delivery queue the timer
+// wheel drains in batches.
 type shard struct {
 	mu sync.Mutex
 	// gen counts applied mutations (applies and resets); the timeline
@@ -279,12 +265,6 @@ type shard struct {
 	recs      []appliedEntry
 	appliedAt map[string]time.Time
 	pending   deliveryQueue
-	timer     vtime.Timer
-	timerAt   time.Time
-	// timerGen identifies the currently armed timer; a drain only clears
-	// sh.timer when its own generation still matches, so a timer armed
-	// while the drain was blocked on sh.mu is never orphaned.
-	timerGen uint64
 	// wheelAt is the due time of the shard's live registration in the
 	// cluster timer wheel (zero when unregistered). Guarded by the
 	// wheel's mutex, not sh.mu.
@@ -508,7 +488,7 @@ func (c *Cluster) WriteEntry(dc simnet.Site, in Entry) (Entry, error) {
 		}
 	case Eventual:
 		if d := c.localDelay(e.ID, dc); d > 0 {
-			c.enqueue(origin, dc, e, now, now.Add(d))
+			c.enqueue(origin, dc, e, now.Add(d))
 		} else {
 			c.apply(origin, e, now)
 		}
@@ -552,96 +532,17 @@ func (c *Cluster) schedulePropagation(src, dst simnet.Site, e Entry, now time.Ti
 			delay += time.Duration(k.Str("jitter").Intn(int64(j)))
 		}
 	}
-	c.enqueue(c.replicas[dst], src, e, now, now.Add(delay))
+	c.enqueue(c.replicas[dst], src, e, now.Add(delay))
 }
 
 // enqueue adds a delivery due at `at` to the destination shard's pending
-// heap and registers its head with the timer wheel (or re-arms the
-// per-shard drainer timer when the wheel is disabled).
-func (c *Cluster) enqueue(r *replica, src simnet.Site, e Entry, now, at time.Time) {
+// heap and registers its head with the timer wheel.
+func (c *Cluster) enqueue(r *replica, src simnet.Site, e Entry, at time.Time) {
 	sh := r.shard(e.ID)
 	sh.mu.Lock()
 	heap.Push(&sh.pending, pendingDelivery{at: at, seq: c.schedSeq.Add(1), src: src, e: e})
-	if c.cfg.DisableTimerWheel {
-		c.reconcileTimerLocked(r, sh, now)
-	} else {
-		c.wheelSchedule(r, sh, sh.pending[0].at)
-	}
+	c.wheelSchedule(r, sh, sh.pending[0].at)
 	sh.mu.Unlock()
-}
-
-// reconcileTimerLocked makes the shard's drainer timer match the head of
-// the pending heap: one timer per shard, armed at the earliest due time.
-// Caller holds sh.mu.
-func (c *Cluster) reconcileTimerLocked(r *replica, sh *shard, now time.Time) {
-	if len(sh.pending) == 0 {
-		if sh.timer != nil {
-			sh.timer.Stop()
-			sh.timer = nil
-		}
-		return
-	}
-	head := sh.pending[0].at
-	if sh.timer != nil {
-		if sh.timerAt.Equal(head) {
-			return
-		}
-		sh.timer.Stop()
-	}
-	sh.timerAt = head
-	sh.timerGen++
-	gen := sh.timerGen
-	sh.timer = c.clock.AfterFunc(head.Sub(now), func() { c.drain(r, sh, gen) })
-}
-
-// drain applies every pending delivery that has come due, in
-// (due time, schedule order). Deliveries blocked by a partition are
-// re-queued one RetryInterval out; deliveries from before a Reset are
-// dropped. One drain applies a whole batch under a single lock
-// acquisition.
-func (c *Cluster) drain(r *replica, sh *shard, gen uint64) {
-	now := c.clock.Now()
-	sh.mu.Lock()
-	for len(sh.pending) > 0 && !sh.pending[0].at.After(now) {
-		d := heap.Pop(&sh.pending).(pendingDelivery)
-		// Load the epoch per iteration, under sh.mu: a Reset racing this
-		// drain may have enqueued (via concurrent writes) new-epoch
-		// deliveries that must not be dropped against a pre-lock snapshot.
-		if d.e.epoch != c.epoch.Load() {
-			continue // stale delivery from before a Reset
-		}
-		if !c.net.Reachable(d.src, r.site) {
-			d.at = now.Add(c.cfg.RetryInterval)
-			heap.Push(&sh.pending, d)
-			continue
-		}
-		c.applyLocked(sh, d.e, now)
-	}
-	// Only clear the timer reference if it is still ours: an enqueue may
-	// have re-armed a newer timer while this drain waited on sh.mu, and
-	// that one must stay stoppable by Reset/reconcile.
-	if sh.timerGen == gen {
-		sh.timer = nil
-	}
-	c.reconcileTimerLocked(r, sh, now)
-	sh.mu.Unlock()
-}
-
-// deliver applies e at dst immediately if reachable, otherwise queues a
-// retry. The replication path batches deliveries through the per-shard
-// pending heaps; this direct form is kept for tests that inject
-// deliveries by hand.
-func (c *Cluster) deliver(src, dst simnet.Site, e Entry) {
-	r, ok := c.replicas[dst]
-	if !ok {
-		return
-	}
-	now := c.clock.Now()
-	if !c.net.Reachable(src, dst) {
-		c.enqueue(r, src, e, now, now.Add(c.cfg.RetryInterval))
-		return
-	}
-	c.apply(r, e, now)
 }
 
 // apply records e at the shard owning its ID.
@@ -706,29 +607,6 @@ func sortApplied(recs []appliedEntry) {
 		}
 		return recs[i].e.ArrivalSeq < recs[j].e.ArrivalSeq
 	})
-}
-
-// mergeShards snapshots every shard under its lock and merges them into
-// one arrival-order timeline. All shard locks are held together so the
-// snapshot is atomic across the replica, exactly like the pre-shard
-// single-lock read.
-func (r *replica) mergeShards() []appliedEntry {
-	for _, sh := range r.shards {
-		sh.mu.Lock()
-	}
-	total := 0
-	for _, sh := range r.shards {
-		total += len(sh.recs)
-	}
-	recs := make([]appliedEntry, 0, total)
-	for _, sh := range r.shards {
-		recs = append(recs, sh.recs...)
-	}
-	for i := len(r.shards) - 1; i >= 0; i-- {
-		r.shards[i].mu.Unlock()
-	}
-	sortApplied(recs)
-	return recs
 }
 
 // refreshLocked brings the cached timelines up to date. It collects only
@@ -836,15 +714,7 @@ func mergePolicySorted(a, b []Entry, p TimestampPolicy) []Entry {
 // needSorted, its policy-sorted rendering. The returned slices are
 // immutable once published; Read extracts copies without holding the
 // cache lock.
-func (r *replica) timeline(c *Cluster, needSorted bool) (merged []appliedEntry, sorted []Entry) {
-	p := c.cfg.Policy
-	if c.cfg.DisableReadCache {
-		merged = r.mergeShards()
-		if needSorted {
-			sorted = sortEntriesByPolicy(merged, p)
-		}
-		return merged, sorted
-	}
+func (r *replica) timeline(p TimestampPolicy, needSorted bool) (merged []appliedEntry, sorted []Entry) {
 	cc := &r.cache
 	cc.mu.Lock()
 	defer cc.mu.Unlock()
@@ -884,35 +754,19 @@ func (c *Cluster) Read(dc simnet.Site) ([]Entry, error) {
 	}
 	switch order {
 	case OrderArrival:
-		merged, _ := r.timeline(c, false)
+		merged, _ := r.timeline(c.cfg.Policy, false)
 		out := make([]Entry, len(merged))
 		for i, rec := range merged {
 			out[i] = rec.e
 		}
 		return out, nil
 	case OrderTimestamp:
-		_, sorted := r.timeline(c, true)
+		_, sorted := r.timeline(c.cfg.Policy, true)
 		out := make([]Entry, len(sorted))
 		copy(out, sorted)
 		return out, nil
 	default: // OrderHybrid
-		cutoff := c.clock.Now().Add(-c.cfg.NormalizeAfter)
-		if !c.cfg.DisableReadCache && !c.cfg.DisableCutoffCache {
-			return r.hybridTimeline(c, cutoff), nil
-		}
-		merged, _ := r.timeline(c, false)
-		normalized := make([]Entry, 0, len(merged))
-		var fresh []Entry
-		for _, rec := range merged {
-			if rec.e.CreatedAt.Before(cutoff) {
-				normalized = append(normalized, rec.e)
-			} else {
-				fresh = append(fresh, rec.e)
-			}
-		}
-		less := c.cfg.Policy.less
-		sort.SliceStable(normalized, func(i, j int) bool { return less(normalized[i], normalized[j]) })
-		return append(normalized, fresh...), nil
+		return r.hybridTimeline(c.cfg.Policy, c.clock.Now().Add(-c.cfg.NormalizeAfter)), nil
 	}
 }
 
@@ -932,15 +786,15 @@ func (c *Cluster) Read(dc simnet.Site) ([]Entry, error) {
 // The rendered slice is memoized per (generation snapshot, cutoff);
 // under the discrete-event clock many consecutive reads share a virtual
 // instant and hit it outright.
-func (r *replica) hybridTimeline(c *Cluster, cutoff time.Time) []Entry {
+func (r *replica) hybridTimeline(p TimestampPolicy, cutoff time.Time) []Entry {
 	cc := &r.cache
 	cc.mu.Lock()
 	if cc.gens == nil || !r.gensCurrent(cc.gens) {
-		r.refreshLocked(c.cfg.Policy)
+		r.refreshLocked(p)
 	}
 	if cc.hybrid == nil || !cc.hybridCutoff.Equal(cutoff) {
 		if cc.sorted == nil {
-			cc.sorted = sortEntriesByPolicy(cc.merged, c.cfg.Policy)
+			cc.sorted = sortEntriesByPolicy(cc.merged, p)
 		}
 		merged, sorted := cc.merged, cc.sorted
 		i := sort.Search(len(merged), func(i int) bool { return !merged[i].at.Before(cutoff) })
@@ -978,7 +832,7 @@ func (c *Cluster) Len(dc simnet.Site) int {
 
 // Reset clears every replica and starts a new epoch: propagations still
 // in flight from before the Reset are dropped, their pending queues
-// emptied and drainer timers stopped.
+// emptied and wheel registrations dropped.
 func (c *Cluster) Reset() {
 	c.resetMu.Lock()
 	defer c.resetMu.Unlock()
@@ -1018,10 +872,6 @@ func (c *Cluster) resetTo(epoch uint64) {
 			sh.recs = nil
 			sh.appliedAt = make(map[string]time.Time)
 			sh.pending = nil
-			if sh.timer != nil {
-				sh.timer.Stop()
-				sh.timer = nil
-			}
 			c.wheelUnregister(sh)
 			sh.gen.Add(1)
 			sh.mu.Unlock()

@@ -236,7 +236,7 @@ func TestDuplicateDeliveryIdempotent(t *testing.T) {
 		}
 		s.Sleep(time.Second)
 		// Manually re-deliver.
-		c.deliver(simnet.DCWest, simnet.DCAsia, e)
+		c.apply(c.replicas[simnet.DCAsia], e, s.Now())
 		if c.Len(simnet.DCAsia) != 1 {
 			t.Errorf("duplicate delivery created %d entries", c.Len(simnet.DCAsia))
 		}

@@ -9,9 +9,9 @@ import (
 )
 
 // timerWheel coalesces every shard's pending-delivery deadline into one
-// cluster-wide schedule backed by a single clock timer. The per-shard
-// drainer timers it replaces cost one timer event — and, under vtime,
-// one transient goroutine — per (site, shard) head movement; the wheel
+// cluster-wide schedule backed by a single clock timer. One drainer
+// timer per shard would cost one timer event — and, under vtime, one
+// transient goroutine — per (site, shard) head movement; the wheel
 // arms exactly one timer at the globally earliest due time and drains
 // every due shard from that one event, in deterministic (due time,
 // registration order).
@@ -19,9 +19,10 @@ import (
 // Registrations are lazy: a shard that re-registers at an earlier time
 // simply pushes a second heap entry and the superseded one is discarded
 // when popped (its time no longer matches the shard's live registration
-// in shard.wheelAt). Firing therefore applies deliveries at exactly the
-// instants the per-shard timers would have — the wheel changes how many
-// timer events exist, never when a delivery lands.
+// in shard.wheelAt). Firing therefore applies each delivery at exactly
+// its due instant — the wheel changes how many timer events exist, never
+// when a delivery lands (testdata/delivery_*.golden, recorded from the
+// one-timer-per-shard scheme it replaced, pins that).
 type timerWheel struct {
 	mu    sync.Mutex
 	queue wheelQueue
@@ -143,14 +144,19 @@ func (c *Cluster) wheelFire(gen uint64) {
 	w.mu.Unlock()
 }
 
-// drainShard applies every due pending delivery of one shard, exactly
-// like the per-shard timer drain, then re-registers the shard for its
-// next deadline.
+// drainShard applies every pending delivery of one shard that has come
+// due, in (due time, schedule order) under a single lock acquisition,
+// then re-registers the shard for its next deadline. Deliveries blocked
+// by a partition are re-queued one RetryInterval out; deliveries from
+// before a Reset are dropped.
 func (c *Cluster) drainShard(r *replica, sh *shard) {
 	now := c.clock.Now()
 	sh.mu.Lock()
 	for len(sh.pending) > 0 && !sh.pending[0].at.After(now) {
 		d := heap.Pop(&sh.pending).(pendingDelivery)
+		// Load the epoch per iteration, under sh.mu: a Reset racing this
+		// drain may have enqueued (via concurrent writes) new-epoch
+		// deliveries that must not be dropped against a pre-lock snapshot.
 		if d.e.epoch != c.epoch.Load() {
 			continue // stale delivery from before a Reset
 		}

@@ -3,6 +3,9 @@ package store
 import (
 	"fmt"
 	"math/rand"
+	"os"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -11,10 +14,57 @@ import (
 	"conprobe/internal/vtime"
 )
 
+// referenceRead renders dc's timeline from shard state alone, the way
+// the store did before the timeline and cutoff caches: snapshot every
+// shard under its lock, merge into (apply time, ArrivalSeq) order, then
+// sort by policy or partition at the normalize cutoff as the read order
+// asks. Nothing is cached or incremental, so it is the oracle the cached
+// render paths are compared against.
+func referenceRead(c *Cluster, dc simnet.Site) []Entry {
+	r := c.replicas[dc]
+	for _, sh := range r.shards {
+		sh.mu.Lock()
+	}
+	var recs []appliedEntry
+	for _, sh := range r.shards {
+		recs = append(recs, sh.recs...)
+	}
+	for _, sh := range r.shards {
+		sh.mu.Unlock()
+	}
+	sortApplied(recs)
+	hybrid := c.cfg.Order == OrderHybrid && c.hybridOn.Load()
+	cutoff := c.clock.Now().Add(-c.cfg.NormalizeAfter)
+	var head, fresh []Entry // policy-ordered prefix, arrival-ordered rest
+	for _, rec := range recs {
+		if c.cfg.Order == OrderArrival || hybrid && !rec.e.CreatedAt.Before(cutoff) {
+			fresh = append(fresh, rec.e)
+		} else {
+			head = append(head, rec.e)
+		}
+	}
+	sort.SliceStable(head, func(i, j int) bool { return c.cfg.Policy.less(head[i], head[j]) })
+	return append(head, fresh...)
+}
+
+// readChecked is c.Read held against referenceRead.
+func readChecked(t *testing.T, c *Cluster, dc simnet.Site) []Entry {
+	t.Helper()
+	got, err := c.Read(dc)
+	if err != nil {
+		t.Error(err)
+	}
+	if want := referenceRead(c, dc); !slices.Equal(got, want) {
+		t.Errorf("Read(%s) = %v, reference %v", dc, idsOf(got), idsOf(want))
+	}
+	return got
+}
+
 // runDeliveryScenario drives a workload shaped to stress the delivery
 // scheduler — jittered propagation, a partition that forces retry
 // re-arms, a Reset mid-run, and probes at every replica between
-// writes — and returns a transcript of everything observed.
+// writes, each read held against referenceRead — and returns a
+// transcript of everything observed.
 func runDeliveryScenario(t *testing.T, cfg Config, seed int64) string {
 	t.Helper()
 	sites := []simnet.Site{simnet.DCWest, simnet.DCEast, simnet.DCAsia}
@@ -41,18 +91,12 @@ func runDeliveryScenario(t *testing.T, cfg Config, seed int64) string {
 					net.Heal(simnet.DCWest, simnet.DCAsia)
 				}
 				for _, s := range sites {
-					tl, err := c.Read(s)
-					if err != nil {
-						t.Error(err)
-						return
-					}
-					fmt.Fprintf(&sb, "%d/%d %s %v\n", round, i, s, idsOf(tl))
+					fmt.Fprintf(&sb, "%d/%d %s %v\n", round, i, s, idsOf(readChecked(t, c, s)))
 				}
 			}
 			sim.Sleep(30 * time.Second) // quiesce through retries
 			for _, s := range sites {
-				tl, _ := c.Read(s)
-				fmt.Fprintf(&sb, "%d/end %s %v\n", round, s, idsOf(tl))
+				fmt.Fprintf(&sb, "%d/end %s %v\n", round, s, idsOf(readChecked(t, c, s)))
 			}
 			c.Reset()
 		}
@@ -61,14 +105,23 @@ func runDeliveryScenario(t *testing.T, cfg Config, seed int64) string {
 	return sb.String()
 }
 
-// TestTimerWheelMatchesPerShardTimers pins the delivery refactor's
-// contract: the cluster-wide timer wheel delivers every pending entry
-// at exactly the instant the old one-timer-per-shard scheme did, so
-// the observable replica timelines — including partition retries and
-// Reset epochs — are byte-identical with the wheel on and off.
-func TestTimerWheelMatchesPerShardTimers(t *testing.T) {
+// TestTimerWheelMatchesRecordedPerShardTimers pins the delivery
+// scheduler's contract: the cluster-wide timer wheel delivers every
+// pending entry at exactly the instant the one-timer-per-shard scheme it
+// replaced did, so the observable replica timelines — including
+// partition retries and Reset epochs — are byte-identical to that
+// scheme's. The per-shard timers are gone from the store, so their side
+// is testdata/delivery_<order>.golden: this scenario's transcript as
+// the last commit that had them (37ac457, behind a Config switch)
+// produced it. The files cannot be re-recorded from the wheel; a
+// mismatch is a scheduling change, not a stale golden.
+func TestTimerWheelMatchesRecordedPerShardTimers(t *testing.T) {
 	for _, order := range []OrderKind{OrderArrival, OrderHybrid} {
-		cfg := Config{
+		perShard, err := os.ReadFile("testdata/delivery_" + order.String() + ".golden")
+		if err != nil {
+			t.Fatal(err)
+		}
+		wheel := runDeliveryScenario(t, Config{
 			Mode:              Eventual,
 			Order:             order,
 			NormalizeAfter:    time.Second,
@@ -78,22 +131,20 @@ func TestTimerWheelMatchesPerShardTimers(t *testing.T) {
 			PropagationJitter: 300 * time.Millisecond,
 			RetryInterval:     200 * time.Millisecond,
 			Shards:            4,
-		}
-		wheel := runDeliveryScenario(t, cfg, 31)
-		cfg.DisableTimerWheel = true
-		perShard := runDeliveryScenario(t, cfg, 31)
-		if wheel != perShard {
-			t.Errorf("order=%v: timer-wheel transcript differs from per-shard timers", order)
+		}, 31)
+		if wheel != string(perShard) {
+			t.Errorf("order=%v: timer-wheel transcript differs from the recorded per-shard-timer transcript", order)
 		}
 	}
 }
 
 // TestCutoffCacheMatchesUncached pins the OrderHybrid read cache keyed
 // by the normalize cutoff: serving the memoized partition+sort result
-// must be indistinguishable from recomputing it on every read, across
-// cutoff movement, fresh suffix growth and cache invalidation.
+// must be indistinguishable from recomputing it on every read
+// (referenceRead, inside the scenario), across cutoff movement, fresh
+// suffix growth and cache invalidation.
 func TestCutoffCacheMatchesUncached(t *testing.T) {
-	cfg := Config{
+	runDeliveryScenario(t, Config{
 		Mode:              Eventual,
 		Order:             OrderHybrid,
 		NormalizeAfter:    time.Second,
@@ -101,11 +152,5 @@ func TestCutoffCacheMatchesUncached(t *testing.T) {
 		PropagationJitter: 250 * time.Millisecond,
 		RetryInterval:     200 * time.Millisecond,
 		Shards:            4,
-	}
-	cached := runDeliveryScenario(t, cfg, 13)
-	cfg.DisableCutoffCache = true
-	uncached := runDeliveryScenario(t, cfg, 13)
-	if cached != uncached {
-		t.Error("cutoff-cached transcript differs from uncached")
-	}
+	}, 13)
 }

@@ -63,8 +63,7 @@ func putFrameHeader(frame, payload []byte) {
 // torn tail; capping record size turns it into a positioned error.
 const MaxRecordBytes = 64 << 20
 
-// DefaultFileMode is the permission new log and snapshot files get when
-// Options.Mode is zero.
+// DefaultFileMode is the permission new log and snapshot files get.
 const DefaultFileMode os.FileMode = 0o644
 
 // ErrPoisoned marks a log unusable after a failed fsync (or a failed
@@ -98,9 +97,6 @@ type Options struct {
 	// FS is the filesystem the log runs on; nil means the real one.
 	// Fault drills pass a diskfault.Injector's FS.
 	FS diskfault.FS
-	// Mode is the permission for a newly created log file; zero means
-	// DefaultFileMode.
-	Mode os.FileMode
 	// Quarantine survives mid-log corruption instead of refusing to
 	// open: the damaged file is renamed to a .corrupt sidecar, the log
 	// reopens empty, and Replay.Quarantined reports it. Only callers
@@ -120,13 +116,6 @@ func (o Options) fs() diskfault.FS {
 		return diskfault.OS
 	}
 	return o.FS
-}
-
-func (o Options) mode() os.FileMode {
-	if o.Mode == 0 {
-		return DefaultFileMode
-	}
-	return o.Mode
 }
 
 // Replay is the outcome of reading a log back on Open.
@@ -171,7 +160,7 @@ type Log struct {
 // empty with Replay.Quarantined set.
 func Open(path string, opts Options) (*Log, Replay, error) {
 	fsys := opts.fs()
-	f, err := fsys.OpenFile(path, os.O_RDWR|os.O_CREATE, opts.mode())
+	f, err := fsys.OpenFile(path, os.O_RDWR|os.O_CREATE, DefaultFileMode)
 	if err != nil {
 		return nil, Replay{}, err
 	}
@@ -188,7 +177,7 @@ func Open(path string, opts Options) (*Log, Replay, error) {
 		}
 		opts.Metrics.Counter("wal_quarantined_segments",
 			"Damaged WAL or snapshot files set aside as .corrupt sidecars.").Inc()
-		if f, err = fsys.OpenFile(path, os.O_RDWR|os.O_CREATE, opts.mode()); err != nil {
+		if f, err = fsys.OpenFile(path, os.O_RDWR|os.O_CREATE, DefaultFileMode); err != nil {
 			return nil, Replay{}, err
 		}
 		rep = Replay{

@@ -24,7 +24,7 @@ echo "== cluster smoke"
 echo "== disk chaos (short sweep)"
 DISKCHAOS_SEEDS=${DISKCHAOS_SEEDS:-"1 2"} ./scripts/disk_chaos.sh
 
-echo "== bench: BenchmarkCampaignParallel"
-./scripts/bench.sh
+echo "== bench: bench/run.sh"
+make bench
 
 echo "verify: OK"
