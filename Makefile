@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race verify-race bench scaling loc load fuzz golden resume-smoke cluster-smoke disk-chaos verify clean
+.PHONY: build test vet race verify-race bench scaling loc load fuzz golden resume-smoke paper-check cluster-smoke disk-chaos verify clean
 
 build:
 	$(GO) build ./...
@@ -50,6 +50,12 @@ load:
 # report byte-identical to an uninterrupted run.
 resume-smoke:
 	./scripts/resume_smoke.sh
+
+# paper-check reruns the headline experiment (all four services at the
+# paper's Tables I/II scale, ~15 s) and diffs it against the committed
+# report EXPERIMENTS.md quotes, so the two cannot drift apart.
+paper-check:
+	$(GO) run ./cmd/conprobe -service all -paper -seed 1 2>/dev/null | diff - docs/paper_scale_run.txt
 
 # cluster-smoke boots a leader and two followers on localhost, writes
 # through the leader, checks follower catch-up and 421 leader

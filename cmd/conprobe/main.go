@@ -66,8 +66,8 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		rotate    = fs.Int("rotate", 0, "rotate agent locations cyclically by this many positions")
 		formats   = cliflags.FormatFlags(fs)
 		htmlOut   = fs.Bool("html", false, "emit one self-contained HTML page with SVG figures")
-		parallel  = fs.Int("parallelism", 0, "run the campaign on the concurrent lane engine with this many workers (0 = sequential single world)")
-		lanesN    = fs.Int("lanes", 0, "lane count for -parallelism; fixes the partition and hence the output (default 8)")
+		parallel  = fs.Int("parallelism", 0, "simulate this many lanes concurrently (0 = GOMAXPROCS); a throughput knob: for a fixed -lanes it never changes the output")
+		lanesN    = fs.Int("lanes", 0, "lane count; fixes the partition and hence the output (default 1, or 8 when -parallelism is set)")
 		alternate = fs.Int("alternate", 1, "interleave Test 1/Test 2 in this many alternating blocks (the paper's four-day alternation)")
 		profPath  = fs.String("profile", "", "JSON profile overriding the service's behavior (campaign parameters still come from -service)")
 		dumpProf  = fs.Bool("dump-profile", false, "print the -service profile as JSON and exit (template for -profile)")
@@ -79,7 +79,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		metricsJSON = fs.Bool("metrics-json", false, "append a JSON snapshot of the campaign's engine metrics to the output")
 		pprofAddr   = cliflags.Pprof(fs)
 
-		ckptPath   = fs.String("checkpoint", "", "journal campaign progress to this file (requires -parallelism/-lanes and a single -service)")
+		ckptPath   = fs.String("checkpoint", "", "journal campaign progress to this file (requires a single -service)")
 		ckptEvery  = fs.Int("checkpoint-every", 0, "journal appends between compactions (default 64)")
 		resumeRun  = fs.Bool("resume", false, "resume the campaign journaled in -checkpoint instead of starting fresh")
 		abortAfter = fs.Int("abort-after", 0, "abort the campaign after this many completed tests (crash drill for -checkpoint; 0 = disabled)")
@@ -150,17 +150,14 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 			}
 		}
 	}
-	laneEngine := *parallel > 0 || *lanesN > 0
-	if *ckptPath != "" {
-		if *svcName == "all" {
-			return fmt.Errorf("-checkpoint needs a single -service")
-		}
-		if !laneEngine {
-			return fmt.Errorf("-checkpoint requires the lane engine; set -parallelism or -lanes")
-		}
+	// The lane count is part of the campaign's identity: one world unless
+	// asked otherwise, the engine's default (8) when only -parallelism is.
+	lanes := *lanesN
+	if *lanesN <= 0 && *parallel <= 0 {
+		lanes = 1
 	}
-	if *abortAfter > 0 && !laneEngine {
-		return fmt.Errorf("-abort-after requires the lane engine; set -parallelism or -lanes")
+	if *ckptPath != "" && *svcName == "all" {
+		return fmt.Errorf("-checkpoint needs a single -service")
 	}
 	if *resumeRun && *ckptPath == "" {
 		return fmt.Errorf("-resume requires -checkpoint")
@@ -219,96 +216,25 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	var htmlReports []*analysis.Report
 	for _, name := range names {
 		t1, t2 := *test1, *test2
+		var progress func(int, int)
 		if *paper {
 			var err error
 			t1, t2, err = probe.PaperTestCounts(name)
 			if err != nil {
 				return err
 			}
-		}
-		var progress func(int, int)
-		if *paper {
 			progress = func(n, total int) {
 				if n%100 == 0 {
 					fmt.Fprintf(os.Stderr, "conprobe: %s %d/%d tests\n", name, n, total)
 				}
 			}
 		}
-		var rep *analysis.Report
-		if laneEngine {
-			// Lane engine: traces stream to the JSONL writer as they
-			// complete and the analysis aggregates incrementally per lane,
-			// so nothing has to be retained in memory. Checkpointing and
-			// resume ride on the same path via the library facade.
-			runOpts := conprobe.Options{
-				Workload: conprobe.Workload{
-					Service:          name,
-					Test1Count:       t1,
-					Test2Count:       t2,
-					Seed:             *seed,
-					Wrap:             wrap,
-					Rotate:           *rotate,
-					Profile:          customProfile,
-					AlternateBlocks:  *alternate,
-					ConfigureNetwork: configureNet,
-				},
-				Engine: conprobe.Engine{
-					Lanes:         *lanesN,
-					Parallelism:   *parallel,
-					Progress:      progress,
-					DiscardTraces: true,
-				},
-				Resilience: conprobe.Resilience{
-					Retry:   retryPolicy,
-					Breaker: breakerCfg,
-				},
-				Durability: conprobe.Durability{
-					Checkpoint:      *ckptPath,
-					CheckpointEvery: *ckptEvery,
-					Resume:          *resumeRun,
-				},
-				Telemetry: conprobe.Telemetry{
-					Metrics: reg.Scope("conprobe").With("service", name),
-				},
-				Faults: faults,
-				Chaos:  chaosSched,
-			}
-			if diskInj != nil {
-				runOpts.Durability.FS = diskInj.FS()
-				runOpts.Disks = map[string]*conprobe.DiskInjector{"checkpoint": diskInj}
-			}
-			if tw != nil {
-				runOpts.Engine.OnTrace = tw.Write
-			}
-			if *abortAfter > 0 {
-				n := 0
-				write := runOpts.Engine.OnTrace
-				runOpts.Engine.OnTrace = func(tr *trace.TestTrace) error {
-					if write != nil {
-						if err := write(tr); err != nil {
-							return err
-						}
-					}
-					n++
-					if n >= *abortAfter {
-						return errAbortAfter
-					}
-					return nil
-				}
-			}
-			res, err := conprobe.Run(ctx, runOpts)
-			if errors.Is(err, errAbortAfter) {
-				return fmt.Errorf("aborted after %d completed tests (crash drill); continue with -resume", *abortAfter)
-			}
-			if err != nil {
-				return err
-			}
-			for _, w := range res.Warnings {
-				fmt.Fprintln(os.Stderr, "conprobe: warning:", w)
-			}
-			rep = res.Report
-		} else {
-			opts := probe.SimulateOptions{
+		// Traces stream to the JSONL writer as they complete and the
+		// analysis aggregates incrementally per lane, so nothing has to be
+		// retained in memory. Checkpointing and resume ride on the same
+		// path via the library facade.
+		runOpts := conprobe.Options{
+			Workload: conprobe.Workload{
 				Service:          name,
 				Test1Count:       t1,
 				Test2Count:       t2,
@@ -318,36 +244,66 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 				Profile:          customProfile,
 				AlternateBlocks:  *alternate,
 				ConfigureNetwork: configureNet,
-				Progress:         progress,
-				Faults:           faults,
-				Chaos:            chaosSched,
-				Retry:            retryPolicy,
-				Breaker:          breakerCfg,
-				Metrics:          reg.Scope("conprobe").With("service", name),
-			}
+			},
+			Engine: conprobe.Engine{
+				Lanes:         lanes,
+				Parallelism:   *parallel,
+				Progress:      progress,
+				DiscardTraces: true,
+			},
+			Resilience: conprobe.Resilience{
+				Retry:   retryPolicy,
+				Breaker: breakerCfg,
+			},
+			Durability: conprobe.Durability{
+				Checkpoint:      *ckptPath,
+				CheckpointEvery: *ckptEvery,
+				Resume:          *resumeRun,
+			},
+			Telemetry: conprobe.Telemetry{
+				Metrics: reg.Scope("conprobe").With("service", name),
+			},
+			Faults: faults,
+			Chaos:  chaosSched,
+		}
+		if diskInj != nil {
+			runOpts.Durability.FS = diskInj.FS()
+			runOpts.Disks = map[string]*conprobe.DiskInjector{"checkpoint": diskInj}
+		}
+		completed := 0
+		runOpts.Engine.OnTrace = func(tr *trace.TestTrace) error {
 			if tw != nil {
-				opts.TraceSink = tw.Write
+				if err := tw.Write(tr); err != nil {
+					return err
+				}
 			}
-			res, err := probe.SimulateContext(ctx, opts)
-			if err != nil {
-				return err
+			completed++
+			if *abortAfter > 0 && completed >= *abortAfter {
+				return errAbortAfter
 			}
-			rep = analysis.Analyze(res.Service, res.Traces)
+			return nil
 		}
-		if *htmlOut {
-			htmlReports = append(htmlReports, rep)
-			continue
+		res, err := conprobe.Run(ctx, runOpts)
+		if errors.Is(err, errAbortAfter) {
+			return fmt.Errorf("aborted after %d completed tests (crash drill); continue with -resume", *abortAfter)
 		}
-		var err error
+		if err != nil {
+			return err
+		}
+		for _, w := range res.Warnings {
+			fmt.Fprintln(os.Stderr, "conprobe: warning:", w)
+		}
 		switch {
+		case *htmlOut:
+			htmlReports = append(htmlReports, res.Report)
 		case *formats.JSON:
-			err = report.WriteJSON(out, rep)
+			err = report.WriteJSON(out, res.Report)
 		case *formats.CSV:
-			err = report.WriteCSV(out, rep)
+			err = report.WriteCSV(out, res.Report)
 		case *formats.MD:
-			err = report.WriteMarkdown(out, rep)
+			err = report.WriteMarkdown(out, res.Report)
 		default:
-			err = report.WriteReport(out, rep)
+			err = report.WriteReport(out, res.Report)
 		}
 		if err != nil {
 			return err

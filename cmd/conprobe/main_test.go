@@ -6,6 +6,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -172,19 +173,67 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	}
 }
 
-// Flags that only the lane engine implements are rejected without it,
-// not silently ignored.
-func TestRunEngineOnlyFlagsNeedEngine(t *testing.T) {
-	for _, extra := range [][]string{
-		{"-abort-after", "2"},
-		{"-checkpoint", filepath.Join(t.TempDir(), "c.ckpt")},
-	} {
-		args := append([]string{"-service", "blogger", "-test1", "3", "-test2", "0"}, extra...)
-		var out bytes.Buffer
-		err := run(context.Background(), args, &out)
-		if err == nil || !strings.Contains(err.Error(), "requires the lane engine") {
-			t.Errorf("%v on the sequential path: err = %v, want \"requires the lane engine\"", extra, err)
+// runOutput runs the CLI with args plus a -trace file and returns the
+// report bytes and the trace file's bytes.
+func runOutput(t *testing.T, args ...string) (report, traces []byte) {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "t.jsonl")
+	var out bytes.Buffer
+	if err := run(context.Background(), append(args, "-trace", path), &out); err != nil {
+		t.Fatalf("%v: %v", args, err)
+	}
+	traces, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out.Bytes(), traces
+}
+
+// There is one campaign path: no engine flag means one lane, and says
+// so byte for byte in every report format and in the -trace file.
+func TestRunDefaultIsOneLane(t *testing.T) {
+	base := []string{"-service", "all", "-test1", "3", "-test2", "3", "-seed", "3", "-alternate", "2",
+		"-inject-read-fail", "0.2", "-retries", "3"}
+	for _, format := range []string{"", "-json", "-csv", "-md", "-html"} {
+		args := slices.Clip(base)
+		if format != "" {
+			args = append(args, format)
 		}
+		wantRep, wantTr := runOutput(t, args...)
+		gotRep, gotTr := runOutput(t, append(slices.Clip(args), "-lanes", "1", "-parallelism", "1")...)
+		if len(wantRep) == 0 || len(wantTr) == 0 {
+			t.Fatalf("format %q: empty output", format)
+		}
+		if !bytes.Equal(gotRep, wantRep) {
+			t.Errorf("format %q: report differs between default flags and -lanes 1 -parallelism 1", format)
+		}
+		if !bytes.Equal(gotTr, wantTr) {
+			t.Errorf("format %q: -trace file differs between default flags and -lanes 1 -parallelism 1", format)
+		}
+	}
+}
+
+// Checkpoint, crash drill and resume need no engine flag: the resumed
+// default-path campaign reproduces the uninterrupted report exactly.
+func TestRunResumeWithoutEngineFlags(t *testing.T) {
+	common := slices.Clip([]string{"-service", "fbfeed", "-test1", "4", "-test2", "4", "-seed", "5", "-json",
+		"-inject-read-fail", "0.15", "-retries", "2", "-breaker-threshold", "3", "-breaker-open", "90s"})
+	var want bytes.Buffer
+	if err := run(context.Background(), common, &want); err != nil {
+		t.Fatal(err)
+	}
+	ckpt := filepath.Join(t.TempDir(), "c.ckpt")
+	var out bytes.Buffer
+	err := run(context.Background(), append(common, "-checkpoint", ckpt, "-abort-after", "3"), &out)
+	if err == nil || !strings.Contains(err.Error(), "aborted after 3 completed tests") {
+		t.Fatalf("crash drill: err = %v, want the abort-after error", err)
+	}
+	out.Reset()
+	if err := run(context.Background(), append(common, "-checkpoint", ckpt, "-resume"), &out); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(out.Bytes(), want.Bytes()) {
+		t.Fatalf("resumed report differs from the uninterrupted one:\n%s\nwant:\n%s", out.Bytes(), want.Bytes())
 	}
 }
 

@@ -260,8 +260,6 @@ type Workload struct {
 	// Seed drives every random choice (network jitter, clock skews,
 	// service behavior); a fixed seed reproduces a campaign exactly.
 	Seed int64
-	// MaxSkew bounds the agents' random clock offsets (default 2s).
-	MaxSkew time.Duration
 	// Start is the virtual start time (default 2026-01-01T00:00Z). It
 	// anchors the campaign epoch: chaos-schedule and fault-injection
 	// window offsets are relative to it.
@@ -320,8 +318,6 @@ type Resilience struct {
 	// Breaker adds a per-agent circuit breaker to the resilience
 	// middleware (implies Retry; a nil Retry uses the default policy).
 	Breaker *BreakerConfig
-	// OpDeadline bounds each operation's total time across retries.
-	OpDeadline time.Duration
 }
 
 // Durability journals the campaign for crash-safe resume.
@@ -432,8 +428,8 @@ type RunResult struct {
 //
 // Determinism: for a fixed Workload and Engine.Lanes, Run's output is
 // identical at any Engine.Parallelism. The lanes' worlds draw from
-// seeds derived per lane, so the lane count is part of the campaign's
-// identity.
+// seeds derived per lane (a single lane is one world on Workload.Seed
+// itself), so the lane count is part of the campaign's identity.
 func Run(ctx context.Context, opts Options) (*RunResult, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -451,7 +447,6 @@ func Run(ctx context.Context, opts Options) (*RunResult, error) {
 		Test1Count:       w.Test1Count,
 		Test2Count:       w.Test2Count,
 		Seed:             w.Seed,
-		MaxSkew:          w.MaxSkew,
 		Start:            w.Start,
 		AlternateBlocks:  w.AlternateBlocks,
 		Rotate:           w.Rotate,
@@ -465,7 +460,6 @@ func Run(ctx context.Context, opts Options) (*RunResult, error) {
 		DiskPaths:        diskPaths(opts),
 		Retry:            opts.Resilience.Retry,
 		Breaker:          opts.Resilience.Breaker,
-		OpDeadline:       opts.Resilience.OpDeadline,
 		Progress:         opts.Engine.Progress,
 		DiscardTraces:    opts.Engine.DiscardTraces,
 		Metrics:          opts.Telemetry.Metrics,

@@ -34,8 +34,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
-	"path/filepath"
 	"sort"
 	"sync"
 	"time"
@@ -288,13 +288,6 @@ type Config struct {
 	FS diskfault.FS
 }
 
-func (c Config) fs() diskfault.FS {
-	if c.FS == nil {
-		return diskfault.OS
-	}
-	return c.FS
-}
-
 // Writer journals a running campaign. It owns its own per-lane
 // aggregators (fed on Append), so the engine's streaming analysis and
 // the journal can never disagree about a lane's folded state. Append is
@@ -459,69 +452,44 @@ func (w *Writer) Degraded() error {
 }
 
 // rotate compacts the journal: meta, retained traces and the current
-// lane records are written to a temporary file which atomically
-// replaces the journal. The temp file is created O_EXCL under a fixed
-// name — a half-written temp from a crashed rotation is removed and
-// rewritten, never adopted by rename.
+// lane records atomically replace it (wal.ReplaceFileFS: O_EXCL temp,
+// fsync, rename, directory fsync).
 func (w *Writer) rotate() error {
-	fsys := w.cfg.fs()
-	tmpPath := w.path + ".tmp"
-	flags := os.O_RDWR | os.O_CREATE | os.O_EXCL
-	tmp, err := fsys.OpenFile(tmpPath, flags, wal.DefaultFileMode)
-	if os.IsExist(err) {
-		_ = fsys.Remove(tmpPath)
-		tmp, err = fsys.OpenFile(tmpPath, flags, wal.DefaultFileMode)
+	fsys := w.cfg.FS
+	if fsys == nil {
+		fsys = diskfault.OS
 	}
-	if err != nil {
-		return fmt.Errorf("checkpoint: rotating %s: %w", w.path, err)
-	}
-	defer fsys.Remove(tmpPath)
-	bw := bufio.NewWriter(tmp)
-	write := func(p *payload) error {
-		line, err := encodeLine(p)
-		if err != nil {
+	err := wal.ReplaceFileFS(fsys, w.path, 0, func(tmp io.Writer) error {
+		bw := bufio.NewWriter(tmp)
+		write := func(p *payload) error {
+			line, err := encodeLine(p)
+			if err != nil {
+				return err
+			}
+			_, err = bw.Write(line)
 			return err
 		}
-		_, err = bw.Write(line)
-		return err
-	}
-	werr := write(&payload{Kind: "meta", Meta: &w.meta})
-	for _, tr := range w.traces {
-		if werr != nil {
-			break
+		if err := write(&payload{Kind: "meta", Meta: &w.meta}); err != nil {
+			return err
 		}
-		werr = write(&payload{Kind: "trace", Trace: tr})
-	}
-	lanes := make([]int, 0, len(w.lanes))
-	for lane := range w.lanes {
-		lanes = append(lanes, lane)
-	}
-	sort.Ints(lanes)
-	for _, lane := range lanes {
-		if werr != nil {
-			break
+		for _, tr := range w.traces {
+			if err := write(&payload{Kind: "trace", Trace: tr}); err != nil {
+				return err
+			}
 		}
-		werr = write(&payload{Kind: "lane", Lane: w.lanes[lane]})
-	}
-	if werr == nil {
-		werr = bw.Flush()
-	}
-	if werr == nil {
-		werr = tmp.Sync()
-	}
-	if cerr := tmp.Close(); werr == nil {
-		werr = cerr
-	}
-	if werr != nil {
-		return fmt.Errorf("checkpoint: rotating %s: %w", w.path, werr)
-	}
-	if err := fsys.Rename(tmpPath, w.path); err != nil {
-		return fmt.Errorf("checkpoint: rotating %s: %w", w.path, err)
-	}
-	// The rename is only durable once the directory entry is: a crash
-	// after an unsynced rename can resurrect the pre-compaction journal
-	// or, worse, leave neither name pointing at a complete file.
-	if err := wal.SyncDirFS(w.cfg.FS, filepath.Dir(w.path)); err != nil {
+		lanes := make([]int, 0, len(w.lanes))
+		for lane := range w.lanes {
+			lanes = append(lanes, lane)
+		}
+		sort.Ints(lanes)
+		for _, lane := range lanes {
+			if err := write(&payload{Kind: "lane", Lane: w.lanes[lane]}); err != nil {
+				return err
+			}
+		}
+		return bw.Flush()
+	})
+	if err != nil {
 		return fmt.Errorf("checkpoint: rotating %s: %w", w.path, err)
 	}
 	old := w.f

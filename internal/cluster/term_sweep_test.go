@@ -5,6 +5,9 @@ import (
 	"path/filepath"
 	"testing"
 	"time"
+
+	"conprobe/internal/diskfault"
+	"conprobe/internal/wal"
 )
 
 // passiveVoter builds a node that participates in vote RPCs but whose
@@ -120,5 +123,46 @@ func TestTermRecordDoubleVoteAfterRestart(t *testing.T) {
 	}
 	if resp := restarted.HandleVote(voteReq(4, "B")); !resp.Granted {
 		t.Fatalf("restarted voter refused a fresh term-4 vote: %+v", resp)
+	}
+}
+
+// TestTermCompactionFailureKeepsVote fails the on-open compaction of a
+// two-record term log — disk full, then a crash before the rename — and
+// boots again on a healthy disk: the persisted vote must still be there.
+// An empty, clean-looking term.log after one that held a record would
+// arm no vote-hold and let the node vote twice in term 5.
+func TestTermCompactionFailureKeepsVote(t *testing.T) {
+	for _, kind := range []diskfault.Kind{diskfault.KindENOSPC, diskfault.KindCrashRename} {
+		t.Run(string(kind), func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "term.log")
+			ts, _, _, err := openTermStore(path, wal.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := termRecord{Term: 5, VotedFor: "b"}
+			for _, rec := range []termRecord{{Term: 4, VotedFor: "a"}, want} {
+				if err := ts.save(rec); err != nil {
+					t.Fatal(err)
+				}
+			}
+			ts.close()
+
+			inj := diskfault.New(nil)
+			if err := inj.Arm(diskfault.Fault{Kind: kind, Path: "term.log"}); err != nil {
+				t.Fatal(err)
+			}
+			if _, _, _, err := openTermStore(path, wal.Options{FS: inj.FS()}); err == nil {
+				t.Fatal("compaction succeeded under the fault; the drill is void")
+			}
+
+			ts, last, quarantined, err := openTermStore(path, wal.Options{})
+			if err != nil {
+				t.Fatalf("boot after the failed compaction: %v", err)
+			}
+			defer ts.close()
+			if last != want || quarantined {
+				t.Fatalf("after a failed compaction: last = %+v quarantined = %t, want %+v on a clean log", last, quarantined, want)
+			}
+		})
 	}
 }

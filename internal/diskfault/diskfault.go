@@ -31,6 +31,8 @@ import (
 	"io"
 	"io/fs"
 	"os"
+	"slices"
+	"strings"
 	"sync"
 	"syscall"
 
@@ -68,13 +70,7 @@ func Kinds() []Kind {
 }
 
 // Valid reports whether k names a known fault kind.
-func (k Kind) Valid() bool {
-	switch k {
-	case KindTorn, KindFsyncGate, KindBitFlip, KindENOSPC, KindDirSyncOmit, KindCrashRename:
-		return true
-	}
-	return false
-}
+func (k Kind) Valid() bool { return slices.Contains(Kinds(), k) }
 
 // File is the handle surface the durable layers need. *os.File
 // implements it; faulty implementations wrap one.
@@ -221,10 +217,10 @@ func (in *Injector) match(kinds []Kind, path string) *Fault {
 	in.mu.Lock()
 	defer in.mu.Unlock()
 	for _, a := range in.faults {
-		if a.spent || !containsKind(kinds, a.Kind) {
+		if a.spent || !slices.Contains(kinds, a.Kind) {
 			continue
 		}
-		if a.Path != "" && !contains(path, a.Path) {
+		if !strings.Contains(path, a.Path) {
 			continue
 		}
 		if a.remaining > 0 {
@@ -246,27 +242,6 @@ func (in *Injector) fired(k Kind) {
 	if c := in.byKind[k]; c != nil {
 		c.Inc()
 	}
-}
-
-func containsKind(ks []Kind, k Kind) bool {
-	for _, c := range ks {
-		if c == k {
-			return true
-		}
-	}
-	return false
-}
-
-func contains(s, sub string) bool {
-	if sub == "" {
-		return true
-	}
-	for i := 0; i+len(sub) <= len(s); i++ {
-		if s[i:i+len(sub)] == sub {
-			return true
-		}
-	}
-	return false
 }
 
 var (

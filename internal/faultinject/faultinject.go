@@ -168,12 +168,6 @@ type Stats struct {
 	OverloadFailures int
 }
 
-// Total sums all injected faults.
-func (s Stats) Total() int {
-	return s.WriteFailures + s.ReadFailures + s.LatencySpikes +
-		s.Timeouts + s.TruncatedReads + s.OutageFailures + s.OverloadFailures
-}
-
 // Injector wraps a Service with the configured fault mix.
 type Injector struct {
 	inner service.Service
@@ -185,13 +179,13 @@ type Injector struct {
 	round    uint64            // current test ID (0 outside campaigns)
 	readSeq  map[string]uint64 // per-(round, reader) read counter
 	writeSeq map[string]uint64 // per-(round, post-ID) attempt counter
-	stats    Stats
 	metrics  injectorMetrics
 }
 
-// injectorMetrics mirrors Stats as kind-labeled counters. The handles
-// are always non-nil: New initializes them from a nil scope (live,
-// unregistered) and Instrument rebinds them to a registry.
+// injectorMetrics are the injected-fault counters, labeled by kind;
+// Stats reads them back. The handles are always non-nil: New
+// initializes them from a nil scope (live, unregistered) and Instrument
+// rebinds them to a registry.
 type injectorMetrics struct {
 	writeFailures    *obs.Counter
 	readFailures     *obs.Counter
@@ -257,16 +251,16 @@ func (in *Injector) Name() string { return in.inner.Name() }
 
 // Stats returns a snapshot of injected-fault counts.
 func (in *Injector) Stats() Stats {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	return in.stats
-}
-
-// count applies f to the stats under the lock.
-func (in *Injector) count(f func(*Stats)) {
-	in.mu.Lock()
-	f(&in.stats)
-	in.mu.Unlock()
+	m := &in.metrics
+	return Stats{
+		WriteFailures:    int(m.writeFailures.Value()),
+		ReadFailures:     int(m.readFailures.Value()),
+		LatencySpikes:    int(m.latencySpikes.Value()),
+		Timeouts:         int(m.timeouts.Value()),
+		TruncatedReads:   int(m.truncatedReads.Value()),
+		OutageFailures:   int(m.outageFailures.Value()),
+		OverloadFailures: int(m.overloadFailures.Value()),
+	}
 }
 
 // inOutage reports whether the current offset falls in an outage window.
@@ -349,31 +343,26 @@ func (in *Injector) nextReadSeq(reader string) uint64 {
 // overload shed, timeout stall, latency spike, then the flat failure
 // roll. It returns a non-nil error when the operation must fail without
 // reaching the inner service.
-func (in *Injector) preamble(k detrand.Key, from simnet.Site, op string, failRate float64, onFail func(*Stats), failMetric *obs.Counter) error {
+func (in *Injector) preamble(k detrand.Key, from simnet.Site, op string, failRate float64, failMetric *obs.Counter) error {
 	if in.inOutage() {
-		in.count(func(s *Stats) { s.OutageFailures++ })
 		in.metrics.outageFailures.Inc()
 		return fmt.Errorf("%w: %s during outage window", ErrInjected, op)
 	}
 	if rate := in.overloadRoll(from); rate > 0 && k.Str("overload").Float64() < rate {
-		in.count(func(s *Stats) { s.OverloadFailures++ })
 		in.metrics.overloadFailures.Inc()
 		return fmt.Errorf("%w: %s shed by overloaded service", ErrInjected, op)
 	}
 	if in.cfg.TimeoutRate > 0 && k.Str("timeout").Float64() < in.cfg.TimeoutRate {
-		in.count(func(s *Stats) { s.Timeouts++ })
 		in.metrics.timeouts.Inc()
 		in.clock.Sleep(in.cfg.Timeout)
 		return fmt.Errorf("%w: %s timed out after %v", ErrInjected, op, in.cfg.Timeout)
 	}
 	if in.cfg.LatencyRate > 0 && k.Str("spike").Float64() < in.cfg.LatencyRate {
-		in.count(func(s *Stats) { s.LatencySpikes++ })
 		in.metrics.latencySpikes.Inc()
 		f := 0.5 + k.Str("spikesize").Float64()
 		in.clock.Sleep(time.Duration(float64(in.cfg.Latency) * f))
 	}
 	if failRate > 0 && k.Str("fail").Float64() < failRate {
-		in.count(onFail)
 		failMetric.Inc()
 		return fmt.Errorf("%w: %s failure", ErrInjected, op)
 	}
@@ -386,7 +375,7 @@ func (in *Injector) preamble(k detrand.Key, from simnet.Site, op string, failRat
 func (in *Injector) Write(from simnet.Site, p service.Post) error {
 	attempt := in.nextWriteAttempt(p.ID)
 	k := detrand.NewKey(in.cfg.Seed, "fi-write").Str(p.ID).Uint(attempt)
-	if err := in.preamble(k, from, "write", in.cfg.WriteFailRate, func(s *Stats) { s.WriteFailures++ }, in.metrics.writeFailures); err != nil {
+	if err := in.preamble(k, from, "write", in.cfg.WriteFailRate, in.metrics.writeFailures); err != nil {
 		return err
 	}
 	return in.inner.Write(from, p)
@@ -397,7 +386,7 @@ func (in *Injector) Write(from simnet.Site, p service.Post) error {
 func (in *Injector) Read(from simnet.Site, reader string) ([]service.Post, error) {
 	seq := in.nextReadSeq(reader)
 	k := detrand.NewKey(in.cfg.Seed, "fi-read").Str(reader).Uint(seq)
-	if err := in.preamble(k, from, "read", in.cfg.ReadFailRate, func(s *Stats) { s.ReadFailures++ }, in.metrics.readFailures); err != nil {
+	if err := in.preamble(k, from, "read", in.cfg.ReadFailRate, in.metrics.readFailures); err != nil {
 		return nil, err
 	}
 	posts, err := in.inner.Read(from, reader)
@@ -406,7 +395,6 @@ func (in *Injector) Read(from simnet.Site, reader string) ([]service.Post, error
 	}
 	if in.cfg.TruncateReadRate > 0 && len(posts) > 0 &&
 		k.Str("truncate").Float64() < in.cfg.TruncateReadRate {
-		in.count(func(s *Stats) { s.TruncatedReads++ })
 		in.metrics.truncatedReads.Inc()
 		keep := int(k.Str("keep").Intn(int64(len(posts))))
 		posts = posts[:keep]

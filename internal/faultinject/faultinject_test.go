@@ -111,8 +111,8 @@ func TestZeroConfigInjectsNothing(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := in.Stats().Total(); got != 0 {
-		t.Fatalf("zero config injected %d faults", got)
+	if got := in.Stats(); got != (Stats{}) {
+		t.Fatalf("zero config injected faults: %+v", got)
 	}
 }
 

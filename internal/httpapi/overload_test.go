@@ -99,11 +99,10 @@ func TestAdmissionQueueShedsOverflow(t *testing.T) {
 			t.Errorf("held write %d: %v", i, err)
 		}
 	}
-	server.mu.Lock()
-	shed := server.stats.Shed
-	server.mu.Unlock()
-	if shed != 1 {
-		t.Errorf("stats.Shed = %d, want 1", shed)
+	var st StatsJSON
+	getJSON(t, srv, "/stats", &st)
+	if st.Shed != 1 {
+		t.Errorf("/stats shed = %d, want 1", st.Shed)
 	}
 	if got := server.metrics.shed.Value(); got != 1 {
 		t.Errorf("shed_total = %d, want 1", got)

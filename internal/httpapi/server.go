@@ -105,7 +105,6 @@ type Server struct {
 	mu       sync.Mutex
 	limiters map[string]*ratelimit.Limiter
 	seenIDs  map[string]bool
-	stats    StatsJSON
 	metrics  serverMetrics
 	gate     *gate
 }
@@ -171,9 +170,9 @@ func (g *gate) release() {
 	g.inflight.Add(-1)
 }
 
-// serverMetrics mirrors StatsJSON as registered counters, plus the
-// body-cap rejections the JSON stats never exposed. Handles are always
-// non-nil (a nil ServerConfig.Metrics yields live unregistered ones).
+// serverMetrics are the request counters behind both /metrics and
+// /stats (which omits body-cap rejections). Handles are always non-nil
+// and live (a nil ServerConfig.Metrics yields unregistered ones).
 type serverMetrics struct {
 	writes       *obs.Counter
 	reads        *obs.Counter
@@ -278,12 +277,6 @@ func (s *Server) allow(r *http.Request) bool {
 	return l.Allow()
 }
 
-func (s *Server) count(f func(*StatsJSON)) {
-	s.mu.Lock()
-	f(&s.stats)
-	s.mu.Unlock()
-}
-
 func (s *Server) handlePosts(w http.ResponseWriter, r *http.Request) {
 	// Overload ordering: a scheduled outage rejects before any work is
 	// attempted (503, Retry-After covering the remaining window), then
@@ -292,7 +285,6 @@ func (s *Server) handlePosts(w http.ResponseWriter, r *http.Request) {
 	// so saturation degrades into fast rejections.
 	if inj, ok := s.svc.(interface{ Outage() (bool, time.Duration) }); ok {
 		if active, remaining := inj.Outage(); active {
-			s.count(func(st *StatsJSON) { st.Unavailable++ })
 			s.metrics.unavailable.Inc()
 			writeRetryJSON(w, http.StatusServiceUnavailable, remaining, errorJSON{Error: "service outage in progress"})
 			return
@@ -300,7 +292,6 @@ func (s *Server) handlePosts(w http.ResponseWriter, r *http.Request) {
 	}
 	if s.gate != nil {
 		if !s.gate.acquire(r.Context()) {
-			s.count(func(st *StatsJSON) { st.Shed++ })
 			s.metrics.shed.Inc()
 			writeRetryJSON(w, http.StatusTooManyRequests, s.cfg.RetryAfter, errorJSON{Error: "server overloaded, request shed"})
 			return
@@ -308,7 +299,6 @@ func (s *Server) handlePosts(w http.ResponseWriter, r *http.Request) {
 		defer s.gate.release()
 	}
 	if !s.allow(r) {
-		s.count(func(st *StatsJSON) { st.RateLimited++ })
 		s.metrics.rateLimited.Inc()
 		writeRetryJSON(w, http.StatusTooManyRequests, s.cfg.RetryAfter, errorJSON{Error: "rate limit exceeded"})
 		return
@@ -344,7 +334,6 @@ func (s *Server) handlePosts(w http.ResponseWriter, r *http.Request) {
 		dup := s.seenIDs[p.ID]
 		s.mu.Unlock()
 		if dup {
-			s.count(func(st *StatsJSON) { st.DedupedWrites++ })
 			s.metrics.dedupHits.Inc()
 			writeJSON(w, http.StatusCreated, p)
 			return
@@ -353,7 +342,6 @@ func (s *Server) handlePosts(w http.ResponseWriter, r *http.Request) {
 			ID: p.ID, Author: p.Author, Body: p.Body, DependsOn: p.DependsOn,
 		})
 		if err != nil {
-			s.count(func(st *StatsJSON) { st.Errors++ })
 			s.metrics.errors.Inc()
 			s.writeServiceError(w, err)
 			return
@@ -361,19 +349,16 @@ func (s *Server) handlePosts(w http.ResponseWriter, r *http.Request) {
 		s.mu.Lock()
 		s.seenIDs[p.ID] = true
 		s.mu.Unlock()
-		s.count(func(st *StatsJSON) { st.Writes++ })
 		s.metrics.writes.Inc()
 		writeJSON(w, http.StatusCreated, p)
 	case http.MethodGet:
 		reader := r.URL.Query().Get("reader")
 		posts, err := s.svc.Read(site, reader)
 		if err != nil {
-			s.count(func(st *StatsJSON) { st.Errors++ })
 			s.metrics.errors.Inc()
 			writeJSON(w, http.StatusBadGateway, errorJSON{Error: err.Error()})
 			return
 		}
-		s.count(func(st *StatsJSON) { st.Reads++ })
 		s.metrics.reads.Inc()
 		out := make([]PostJSON, len(posts))
 		for i, p := range posts {
@@ -385,7 +370,6 @@ func (s *Server) handlePosts(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, out)
 	case http.MethodDelete:
 		if err := s.svc.Reset(); err != nil {
-			s.count(func(st *StatsJSON) { st.Errors++ })
 			s.metrics.errors.Inc()
 			s.writeServiceError(w, err)
 			return
@@ -393,7 +377,6 @@ func (s *Server) handlePosts(w http.ResponseWriter, r *http.Request) {
 		s.mu.Lock()
 		s.seenIDs = make(map[string]bool)
 		s.mu.Unlock()
-		s.count(func(st *StatsJSON) { st.Resets++ })
 		s.metrics.resets.Inc()
 		w.WriteHeader(http.StatusNoContent)
 	default:
@@ -442,10 +425,17 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusMethodNotAllowed, errorJSON{Error: "method not allowed"})
 		return
 	}
-	s.mu.Lock()
-	st := s.stats
-	s.mu.Unlock()
-	writeJSON(w, http.StatusOK, st)
+	m := &s.metrics
+	writeJSON(w, http.StatusOK, StatsJSON{
+		Writes:        int(m.writes.Value()),
+		Reads:         int(m.reads.Value()),
+		Resets:        int(m.resets.Value()),
+		RateLimited:   int(m.rateLimited.Value()),
+		Errors:        int(m.errors.Value()),
+		DedupedWrites: int(m.dedupHits.Value()),
+		Shed:          int(m.shed.Value()),
+		Unavailable:   int(m.unavailable.Value()),
+	})
 }
 
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {

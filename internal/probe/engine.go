@@ -29,7 +29,8 @@ type EngineOptions struct {
 	// schedule is split into (default DefaultLanes). Each lane owns a
 	// full virtual world — simulator, network, store cluster, agents —
 	// seeded from (Seed, lane), so lanes share no mutable state and the
-	// partition alone fixes the campaign's outcome.
+	// partition alone fixes the campaign's outcome. A campaign of one lane
+	// is one world seeded with Seed itself.
 	Lanes int
 	// Parallelism bounds how many lanes are simulated concurrently
 	// (default GOMAXPROCS). It is purely a throughput knob: any value
@@ -115,17 +116,16 @@ type laneResult struct {
 
 // SimulateConcurrent runs the campaign described by opts partitioned
 // across eng.Lanes independent virtual worlds, simulating up to
-// eng.Parallelism of them at a time. The campaign schedule (the exact
-// one Simulate would run, with globally unique TestIDs and the same
-// fault windows) is dealt round-robin to lanes; each lane executes its
-// share in its own world, and the per-lane results are merged in TestID
-// order at the end.
+// eng.Parallelism of them at a time. The campaign schedule (globally
+// unique TestIDs, campaign-relative fault windows) is dealt round-robin
+// to lanes; each lane executes its share in its own world, and the
+// per-lane results are merged in TestID order at the end.
 //
 // Determinism: for a fixed Seed and lane count, the returned traces are
 // identical whatever Parallelism is — worker scheduling decides only
-// when a lane runs, never what it computes. The traces differ from
-// sequential Simulate output (lane worlds draw from derived seeds), but
-// are samples from the same generator.
+// when a lane runs, never what it computes. Different lane counts give
+// different traces (lane worlds draw from derived seeds), all samples
+// from the same generator.
 //
 // Cancelling ctx stops every lane at its next operation boundary.
 // Partial results: on error or cancellation the returned Result is
@@ -134,7 +134,9 @@ type laneResult struct {
 // TrueSkews are per-world ground truth; as lanes have distinct worlds,
 // the merged result exposes lane 0's skews as a representative sample.
 func SimulateConcurrent(ctx context.Context, opts SimulateOptions, eng EngineOptions) (*Result, error) {
-	opts = opts.withDefaults()
+	if opts.Start.IsZero() {
+		opts.Start = DefaultStart
+	}
 	lanes := eng.Lanes
 	if lanes <= 0 {
 		lanes = DefaultLanes
@@ -187,8 +189,8 @@ func SimulateConcurrent(ctx context.Context, opts SimulateOptions, eng EngineOpt
 	campStart := clk.Now()
 
 	// sinkMu serializes everything that crosses lane boundaries: the
-	// caller's TraceSink/OnTrace/Progress callbacks and the campaign-wide
-	// done counter. LaneSink deliberately runs outside it.
+	// caller's OnTrace/Progress callbacks and the campaign-wide done
+	// counter. LaneSink deliberately runs outside it.
 	var (
 		sinkMu sync.Mutex
 		done   = resumed // journaled tests count toward campaign progress
@@ -207,11 +209,16 @@ func SimulateConcurrent(ctx context.Context, opts SimulateOptions, eng EngineOpt
 				lane := lane
 				queueWait.Observe(clk.Since(campStart).Seconds())
 				laneOpts := opts
-				laneOpts.Metrics = opts.Metrics.With("lane", strconv.Itoa(lane))
-				if eng.Resume != nil && !eng.Resume[lane].At.IsZero() {
-					laneOpts.WorldStart = eng.Resume[lane].At
+				// A one-lane campaign is a single world and keeps the
+				// campaign seed.
+				if lanes > 1 {
+					laneOpts.Seed = laneSeed(opts.Seed, lane)
 				}
+				laneOpts.Metrics = opts.Metrics.With("lane", strconv.Itoa(lane))
 				if eng.Resume != nil {
+					// A zero At (the lane never completed a test) leaves
+					// WorldStart unset: the world starts at the epoch.
+					laneOpts.WorldStart = eng.Resume[lane].At
 					laneOpts.ResilienceRestore = eng.Resume[lane].Resilience
 				}
 				if lc := eng.LaneCheckpoint; lc != nil {
@@ -219,7 +226,7 @@ func SimulateConcurrent(ctx context.Context, opts SimulateOptions, eng EngineOpt
 						return lc(lane, tr, next, res)
 					}
 				}
-				results[lane] = runLane(runCtx, laneOpts, perLane[lane], lane, func(tr *trace.TestTrace) error {
+				results[lane] = runLane(runCtx, laneOpts, perLane[lane], func(tr *trace.TestTrace) error {
 					if eng.LaneSink != nil {
 						if err := eng.LaneSink(lane, tr); err != nil {
 							return err
@@ -227,11 +234,6 @@ func SimulateConcurrent(ctx context.Context, opts SimulateOptions, eng EngineOpt
 					}
 					sinkMu.Lock()
 					defer sinkMu.Unlock()
-					if opts.TraceSink != nil {
-						if err := opts.TraceSink(tr); err != nil {
-							return err
-						}
-					}
 					if eng.OnTrace != nil {
 						if err := eng.OnTrace(tr); err != nil {
 							return err
@@ -294,23 +296,18 @@ func SimulateConcurrent(ctx context.Context, opts SimulateOptions, eng EngineOpt
 	return merged, nil
 }
 
-// runLane builds lane's private world and executes its share of the
-// schedule. sink receives each completed trace; a sink error aborts the
-// lane with the traces collected so far.
-func runLane(ctx context.Context, opts SimulateOptions, steps []scheduleStep, lane int, sink func(*trace.TestTrace) error) laneResult {
+// runLane builds one lane's private world from opts (already carrying
+// the lane's seed) and executes its share of the schedule. sink receives
+// each completed trace; a sink error aborts the lane with the traces
+// collected so far.
+func runLane(ctx context.Context, opts SimulateOptions, steps []scheduleStep, sink func(*trace.TestTrace) error) laneResult {
 	if len(steps) == 0 {
 		return laneResult{res: &Result{Service: opts.Service}}
 	}
-	laneOpts := opts
-	laneOpts.Seed = laneSeed(opts.Seed, lane)
-	// The engine owns the campaign-wide callbacks; the lane world gets a
-	// private sink.
-	laneOpts.Progress = nil
-	laneOpts.TraceSink = sink
 	// Test counts stay campaign-global: CampaignFor derives fault
 	// windows from them, and those windows index the global schedule the
 	// steps were cut from.
-	w, err := buildWorld(laneOpts)
+	w, err := buildWorld(opts, sink)
 	if err != nil {
 		return laneResult{err: err}
 	}

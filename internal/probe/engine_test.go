@@ -258,3 +258,53 @@ func TestLaneSeedDistinct(t *testing.T) {
 		t.Fatal("campaign seeds alias into the same lane seed")
 	}
 }
+
+// A one-lane campaign is one world seeded with the campaign seed itself
+// — what the CLI runs without engine flags; with more lanes every world
+// draws from a derived seed.
+func TestOneLaneKeepsCampaignSeed(t *testing.T) {
+	ctx := context.Background()
+	opts := engineOpts(3, 3)
+	opts.Start = DefaultStart
+	direct := func(steps []scheduleStep) []byte {
+		w, err := buildWorld(opts, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := w.runSteps(ctx, steps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tracesJSONL(t, res.Traces)
+	}
+	steps := scheduleOf(opts.Test1Count, opts.Test2Count, opts.AlternateBlocks)
+
+	one, err := SimulateConcurrent(ctx, opts, EngineOptions{Lanes: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(tracesJSONL(t, one.Traces), direct(steps)) {
+		t.Fatal("Lanes: 1 traces differ from a world built directly from opts.Seed")
+	}
+
+	var lane0Steps []scheduleStep
+	for i := 0; i < len(steps); i += 2 {
+		lane0Steps = append(lane0Steps, steps[i])
+	}
+	var lane0 []*trace.TestTrace
+	_, err = SimulateConcurrent(ctx, opts, EngineOptions{Lanes: 2, LaneSink: func(lane int, tr *trace.TestTrace) error {
+		if lane == 0 {
+			lane0 = append(lane0, tr)
+		}
+		return nil
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(lane0) != len(lane0Steps) {
+		t.Fatalf("lane 0 of 2 ran %d tests, want %d", len(lane0), len(lane0Steps))
+	}
+	if bytes.Equal(tracesJSONL(t, lane0), direct(lane0Steps)) {
+		t.Fatal("lane 0 of a two-lane campaign ran on the campaign seed, not a derived one")
+	}
+}

@@ -26,8 +26,6 @@ type SimulateOptions struct {
 	// Seed drives every random choice (network jitter, clock skews,
 	// service behavior); a fixed seed reproduces a campaign exactly.
 	Seed int64
-	// MaxSkew bounds the agents' random clock offsets (default 2s).
-	MaxSkew time.Duration
 	// Start is the virtual start time (default 2026-01-01T00:00Z). It
 	// anchors the campaign epoch: chaos-schedule and fault-injection
 	// window offsets are relative to it.
@@ -94,16 +92,12 @@ type SimulateOptions struct {
 	// snapshots its checkpoint recorded, so breaker health and retry
 	// counters continue exactly where the crashed run left them.
 	ResilienceRestore map[string]resilience.Snapshot
-	// OpDeadline bounds each operation's total time across retries.
-	OpDeadline time.Duration
 	// Progress, when set, receives (completed, total) after every test.
 	Progress func(done, total int)
-	// TraceSink, when set, receives each trace as its test completes.
-	TraceSink func(*trace.TestTrace) error
 	// DiscardTraces stops the runner from retaining traces in the
-	// returned Result; traces then flow only through TraceSink (and the
-	// concurrent engine's streaming aggregation), bounding a long
-	// campaign's memory by the lane, not the campaign, size.
+	// returned Result; traces then flow only through the engine's sinks
+	// (EngineOptions.OnTrace, LaneSink), bounding a long campaign's memory
+	// by the lane, not the campaign, size.
 	DiscardTraces bool
 	// Metrics, when non-nil, receives the campaign's telemetry: engine
 	// counters, resilience retries/backoffs/breaker transitions and
@@ -119,31 +113,23 @@ type SimulateOptions struct {
 // record the effective epoch of a campaign built with a zero Start.
 var DefaultStart = time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
 
-// withDefaults fills the option defaults shared by every entry point.
-func (o SimulateOptions) withDefaults() SimulateOptions {
-	if o.MaxSkew == 0 {
-		o.MaxSkew = 2 * time.Second
-	}
-	if o.Start.IsZero() {
-		o.Start = DefaultStart
-	}
-	return o
-}
+// maxSkew bounds the agents' random clock offsets.
+const maxSkew = 2 * time.Second
 
 // simWorld is one self-contained virtual universe: a simulator, a
-// network, a service instance and a runner wired over them. Simulate
-// builds one; the concurrent engine builds one per lane so lanes share
-// no mutable state whatsoever.
+// network, a service instance and a runner wired over them. The engine
+// builds one per lane, so lanes share no mutable state whatsoever.
 type simWorld struct {
 	sim    *vtime.Sim
 	agents []Agent
 	runner *Runner
 }
 
-// buildWorld assembles a virtual-time world from opts (which must
-// already carry defaults). All randomness inside the world derives from
-// opts.Seed, so two worlds built from equal options behave identically.
-func buildWorld(opts SimulateOptions) (*simWorld, error) {
+// buildWorld assembles a virtual-time world from opts (Start already
+// defaulted) whose runner hands each completed trace to sink. All
+// randomness inside the world derives from opts.Seed, so two worlds
+// built from equal options behave identically.
+func buildWorld(opts SimulateOptions, sink func(*trace.TestTrace) error) (*simWorld, error) {
 	prof, err := service.ProfileByName(opts.Service)
 	if err != nil {
 		return nil, err
@@ -213,9 +199,6 @@ func buildWorld(opts SimulateOptions) (*simWorld, error) {
 		if opts.Breaker != nil {
 			ropts = append(ropts, resilience.WithBreaker(*opts.Breaker))
 		}
-		if opts.OpDeadline > 0 {
-			ropts = append(ropts, resilience.WithDeadline(opts.OpDeadline))
-		}
 		// The resilience layer sits below any user wrapper (e.g. session
 		// masking), so wrappers carrying per-test state see a service
 		// whose transient faults have already been absorbed.
@@ -240,7 +223,7 @@ func buildWorld(opts SimulateOptions) (*simWorld, error) {
 	} else if len(opts.ResilienceRestore) > 0 {
 		return nil, fmt.Errorf("probe: resilience state to restore but neither Retry nor Breaker is configured")
 	}
-	agents := DefaultAgents(sim, opts.MaxSkew, opts.Seed+2)
+	agents := DefaultAgents(sim, maxSkew, opts.Seed+2)
 	if opts.Rotate != 0 {
 		agents = RotateSites(agents, opts.Rotate)
 	}
@@ -252,8 +235,8 @@ func buildWorld(opts SimulateOptions) (*simWorld, error) {
 		cfg.ClockSyncSamples = opts.SyncSamples
 	}
 	cfg.AlternateBlocks = opts.AlternateBlocks
-	cfg.Progress = opts.Progress
-	cfg.TraceSink = opts.TraceSink
+	// Progress is campaign-wide and reported by the engine, not per world.
+	cfg.TraceSink = sink
 	cfg.DiscardTraces = opts.DiscardTraces
 	cfg.Metrics = opts.Metrics.Sub("engine")
 	if ck := opts.Checkpoint; ck != nil {
@@ -322,28 +305,9 @@ func (w *simWorld) runSteps(ctx context.Context, steps []scheduleStep) (*Result,
 	return res, runErr
 }
 
-// Simulate builds a virtual-time world — network, service, agents,
-// coordinator — runs a complete measurement campaign in it sequentially,
-// and returns the collected traces. A month-long campaign completes in
-// seconds of wall-clock time. SimulateConcurrent partitions the same
-// campaign across lanes for multi-core wall-clock scaling.
+// Simulate runs a complete measurement campaign in one virtual-time
+// world — a one-lane SimulateConcurrent — and returns the collected
+// traces. A month-long campaign completes in seconds of wall-clock time.
 func Simulate(opts SimulateOptions) (*Result, error) {
-	return SimulateContext(context.Background(), opts)
-}
-
-// SimulateContext is Simulate under ctx: cancellation stops the campaign
-// at its next operation boundary, and the returned Result is non-nil and
-// carries every complete trace collected so far.
-func SimulateContext(ctx context.Context, opts SimulateOptions) (*Result, error) {
-	opts = opts.withDefaults()
-	w, err := buildWorld(opts)
-	if err != nil {
-		return nil, err
-	}
-	res, runErr := w.runSteps(ctx, w.runner.schedule())
-	if runErr != nil {
-		return res, fmt.Errorf("campaign %s: %w", opts.Service, runErr)
-	}
-	res.TrueSkews = w.trueSkews()
-	return res, nil
+	return SimulateConcurrent(context.Background(), opts, EngineOptions{Lanes: 1})
 }

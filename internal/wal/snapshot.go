@@ -2,6 +2,7 @@ package wal
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 
@@ -16,19 +17,34 @@ func WriteSnapshot(path string, payload []byte) error {
 }
 
 // WriteSnapshotFS atomically replaces the file at path with a single
-// CRC32-framed record holding payload. The write goes to a temporary
-// file in the same directory, is fsynced, renamed over path, and the
-// parent directory is fsynced so the rename survives power loss — the
-// same discipline internal/checkpoint uses for journal compaction. A
-// crash at any point leaves either the old snapshot or the new one,
-// never a mix.
+// CRC32-framed record holding payload, through ReplaceFileFS. fsys nil
+// means the real filesystem; mode zero means DefaultFileMode.
+func WriteSnapshotFS(fsys diskfault.FS, path string, payload []byte, mode os.FileMode) error {
+	err := ReplaceFileFS(fsys, path, mode, func(w io.Writer) error {
+		_, err := w.Write(encodeFrame(payload))
+		return err
+	})
+	if err != nil {
+		return fmt.Errorf("wal: snapshot %s: %w", path, err)
+	}
+	return nil
+}
+
+// ReplaceFileFS atomically replaces the file at path with what write
+// produces. The content goes to a temporary file in the same directory,
+// is fsynced, renamed over path, and the parent directory is fsynced so
+// the rename survives power loss — without that a crash can resurrect
+// the old file or leave neither name pointing at a complete one. A
+// crash or failure at any point leaves either the old file or the new
+// one, never a mix. Snapshots, term-log compaction and checkpoint
+// journal rotation all replace their file through here.
 //
 // The temp file is created with O_EXCL at a fixed name (path + ".tmp"):
 // a half-written temp left by a crashed prior run is detected as an
 // EEXIST, deleted (it was never renamed, so nothing referenced it), and
 // rewritten from scratch — it can never be adopted by the rename.
 // fsys nil means the real filesystem; mode zero means DefaultFileMode.
-func WriteSnapshotFS(fsys diskfault.FS, path string, payload []byte, mode os.FileMode) error {
+func ReplaceFileFS(fsys diskfault.FS, path string, mode os.FileMode, write func(io.Writer) error) error {
 	if fsys == nil {
 		fsys = diskfault.OS
 	}
@@ -37,40 +53,32 @@ func WriteSnapshotFS(fsys diskfault.FS, path string, payload []byte, mode os.Fil
 	}
 	tmpName := path + ".tmp"
 	tmp, err := fsys.OpenFile(tmpName, os.O_RDWR|os.O_CREATE|os.O_EXCL, mode)
-	if err != nil {
-		if !os.IsExist(err) {
-			return fmt.Errorf("wal: snapshot %s: %w", path, err)
-		}
+	if os.IsExist(err) {
 		// Stale temp from a crashed run: discard and claim the name.
 		if rerr := fsys.Remove(tmpName); rerr != nil {
-			return fmt.Errorf("wal: snapshot %s: removing stale temp: %w", path, rerr)
+			return fmt.Errorf("removing stale temp: %w", rerr)
 		}
-		if tmp, err = fsys.OpenFile(tmpName, os.O_RDWR|os.O_CREATE|os.O_EXCL, mode); err != nil {
-			return fmt.Errorf("wal: snapshot %s: %w", path, err)
-		}
+		tmp, err = fsys.OpenFile(tmpName, os.O_RDWR|os.O_CREATE|os.O_EXCL, mode)
 	}
-	fail := func(err error) error {
-		tmp.Close()
+	if err != nil {
+		return err
+	}
+	err = write(tmp)
+	if err == nil {
+		err = tmp.Sync()
+	}
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = fsys.Rename(tmpName, path)
+	}
+	if err != nil {
 		fsys.Remove(tmpName)
-		return fmt.Errorf("wal: snapshot %s: %w", path, err)
-	}
-	frame := encodeFrame(payload)
-	if _, err := tmp.Write(frame); err != nil {
-		return fail(err)
-	}
-	if err := tmp.Sync(); err != nil {
-		return fail(err)
-	}
-	if err := tmp.Close(); err != nil {
-		fsys.Remove(tmpName)
-		return fmt.Errorf("wal: snapshot %s: %w", path, err)
-	}
-	if err := fsys.Rename(tmpName, path); err != nil {
-		fsys.Remove(tmpName)
-		return fmt.Errorf("wal: snapshot %s: %w", path, err)
+		return err
 	}
 	if err := SyncDirFS(fsys, filepath.Dir(path)); err != nil {
-		return fmt.Errorf("wal: snapshot %s: syncing directory: %w", path, err)
+		return fmt.Errorf("syncing directory: %w", err)
 	}
 	return nil
 }

@@ -11,29 +11,34 @@ cd "$(dirname "$0")/.."
 dir=$(mktemp -d)
 trap 'rm -rf "$dir"' EXIT
 
-common="-service fbfeed -test1 6 -test2 6 -seed 5 -lanes 4 -parallelism 2 -json"
+# Two passes: a multi-lane campaign, then the default one with no engine
+# flag — there is one campaign path, so both must journal and resume.
+for engine in "-lanes 4 -parallelism 2" ""; do
+  common="-service fbfeed -test1 6 -test2 6 -seed 5 $engine -json"
+  rm -f "$dir/campaign.ckpt"
 
-echo "== reference run (uninterrupted)"
-go run ./cmd/conprobe $common > "$dir/reference.json"
+  echo "== reference run (uninterrupted${engine:+, $engine})"
+  go run ./cmd/conprobe $common > "$dir/reference.json"
 
-echo "== crash drill (abort after 7 completed tests)"
-if go run ./cmd/conprobe $common -checkpoint "$dir/campaign.ckpt" \
-    -abort-after 7 > /dev/null 2> "$dir/abort.log"; then
-  echo "resume_smoke: crash drill unexpectedly ran to completion" >&2
-  cat "$dir/abort.log" >&2
-  exit 1
-fi
-grep -q "aborted after 7" "$dir/abort.log" || {
-  echo "resume_smoke: crash drill failed for the wrong reason:" >&2
-  cat "$dir/abort.log" >&2
-  exit 1
-}
+  echo "== crash drill (abort after 7 completed tests)"
+  if go run ./cmd/conprobe $common -checkpoint "$dir/campaign.ckpt" \
+      -abort-after 7 > /dev/null 2> "$dir/abort.log"; then
+    echo "resume_smoke: crash drill unexpectedly ran to completion" >&2
+    cat "$dir/abort.log" >&2
+    exit 1
+  fi
+  grep -q "aborted after 7" "$dir/abort.log" || {
+    echo "resume_smoke: crash drill failed for the wrong reason:" >&2
+    cat "$dir/abort.log" >&2
+    exit 1
+  }
 
-echo "== resumed run"
-go run ./cmd/conprobe $common -checkpoint "$dir/campaign.ckpt" -resume \
-  > "$dir/resumed.json"
+  echo "== resumed run"
+  go run ./cmd/conprobe $common -checkpoint "$dir/campaign.ckpt" -resume \
+    > "$dir/resumed.json"
 
-echo "== diff reference vs resumed"
-diff "$dir/reference.json" "$dir/resumed.json"
+  echo "== diff reference vs resumed"
+  diff "$dir/reference.json" "$dir/resumed.json"
+done
 
-echo "resume_smoke: OK (resumed report is byte-identical)"
+echo "resume_smoke: OK (resumed reports are byte-identical)"

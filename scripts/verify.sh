@@ -18,6 +18,9 @@ go test -race ./...
 echo "== resume smoke"
 ./scripts/resume_smoke.sh
 
+echo "== paper-scale run vs docs/paper_scale_run.txt"
+make paper-check
+
 echo "== cluster smoke"
 ./scripts/cluster_smoke.sh
 
