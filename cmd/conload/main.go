@@ -92,7 +92,6 @@ type Config struct {
 	WriteRatio float64
 	Sites      []simnet.Site
 	Seed       int64
-	Shards     int
 	APIDelay   time.Duration // -1 = profile default (inproc only)
 	RunID      string
 	Out        string
@@ -115,7 +114,6 @@ func build(args []string) (Config, error) {
 		wratio   = fs.Float64("write-ratio", 0.1, "fraction of requests that are writes, in [0,1]")
 		sitesCSV = cliflags.Sites(fs)
 		seed     = cliflags.Seed(fs)
-		shards   = cliflags.StoreShards(fs)
 		apiDelay = fs.Duration("api-delay", -1, "override the profile's server-side APIDelay for -inproc (-1 = keep)")
 		runID    = fs.String("run-id", "", "unique prefix for post IDs (default derives from the wall clock)")
 		out      = fs.String("out", "", "write the JSON summary to this file instead of stdout")
@@ -129,7 +127,7 @@ func build(args []string) (Config, error) {
 	cfg := Config{
 		Addr: *addr, ReadMode: *readMode, InProc: *inproc, Service: *svcName,
 		Users: *users, Duration: *duration, Rate: *rate, WriteRatio: *wratio,
-		Seed: *seed, Shards: *shards, APIDelay: *apiDelay, RunID: *runID, Out: *out,
+		Seed: *seed, APIDelay: *apiDelay, RunID: *runID, Out: *out,
 		SpikeUsers: *spikeUsers, SpikeFor: *spikeFor,
 	}
 	if (cfg.Addr == "") == !cfg.InProc {
@@ -286,9 +284,6 @@ func buildService(cfg Config) (service.Service, *httpapi.Client, error) {
 	prof, err := service.ProfileByName(cfg.Service)
 	if err != nil {
 		return nil, nil, err
-	}
-	if cfg.Shards > 0 {
-		prof.Store.Shards = cfg.Shards
 	}
 	if cfg.APIDelay >= 0 {
 		prof.APIDelay = cfg.APIDelay

@@ -31,6 +31,7 @@ func TestBuildValidation(t *testing.T) {
 		{"no sites", []string{"-inproc", "-sites", " , "}},
 		{"bad spike users", []string{"-inproc", "-spike-users", "-1"}},
 		{"bad spike for", []string{"-inproc", "-spike-for", "-1s"}},
+		{"removed -shards", []string{"-inproc", "-shards", "4"}},
 	} {
 		if _, err := build(tt.args); err == nil {
 			t.Errorf("%s: build accepted %v", tt.name, tt.args)
@@ -52,7 +53,7 @@ func TestRunInProcSmoke(t *testing.T) {
 	cfg, err := build([]string{
 		"-inproc", "-service", "fbgroup", "-users", "4",
 		"-duration", "300ms", "-write-ratio", "0.3",
-		"-api-delay", "0", "-shards", "4", "-run-id", "smoke",
+		"-api-delay", "0", "-run-id", "smoke",
 	})
 	if err != nil {
 		t.Fatal(err)

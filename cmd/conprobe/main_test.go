@@ -124,7 +124,9 @@ func TestRunProfileNeedsSingleService(t *testing.T) {
 	}
 }
 
-func TestRunMarkdownAndShards(t *testing.T) {
+// TestRunMarkdownMergesLaneCounts renders a two-worker campaign as
+// Markdown and checks the per-lane test counts were merged.
+func TestRunMarkdownMergesLaneCounts(t *testing.T) {
 	var out bytes.Buffer
 	err := run(context.Background(), []string{"-service", "fbgroup", "-test1", "4", "-test2", "0", "-parallelism", "2", "-md"}, &out)
 	if err != nil {

@@ -94,7 +94,6 @@ func build(args []string) (*http.Server, string, error) {
 		rate    = fs.Float64("rate", 20, "per-client requests/second (0 = unlimited)")
 		seed    = cliflags.Seed(fs)
 		jitter  = fs.Float64("jitter", 0.1, "network jitter fraction")
-		shards  = cliflags.StoreShards(fs)
 		maxBody = fs.Int64("max-body", httpapi.DefaultMaxBodyBytes, "POST body size cap in bytes (negative = unlimited)")
 
 		maxInflight = fs.Int("max-inflight", 0, "concurrent /posts requests admitted into the service (0 = unlimited)")
@@ -126,9 +125,6 @@ func build(args []string) (*http.Server, string, error) {
 	prof, err := service.ProfileByName(*svcName)
 	if err != nil {
 		return nil, "", err
-	}
-	if *shards > 0 {
-		prof.Store.Shards = *shards
 	}
 	// Metrics are always on: the registry is dependency-free and the hot
 	// path is a few atomic ops. GET /metrics serves the Prometheus text

@@ -17,6 +17,9 @@ func TestBuildRejectsUnknownServiceAndBadFlags(t *testing.T) {
 	if _, _, err := build([]string{"-nope"}); err == nil {
 		t.Fatal("bad flag accepted")
 	}
+	if _, _, err := build([]string{"-shards", "4"}); err == nil {
+		t.Fatal("-shards accepted")
+	}
 }
 
 func TestBuildServesProfileEndToEnd(t *testing.T) {

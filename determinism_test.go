@@ -149,35 +149,6 @@ func TestRunEngineStatsDeterministicUnderVirtualClock(t *testing.T) {
 	}
 }
 
-// TestRunDeterminismAcrossShardCounts pins the store-sharding contract:
-// the lock-stripe count is a throughput knob, never a behavior knob.
-// Campaign traces and the rendered report are byte-identical whether
-// each lane's replicated store runs 1, 4 or 16 shards.
-func TestRunDeterminismAcrossShardCounts(t *testing.T) {
-	var wantTraces, wantReport []byte
-	for _, shards := range []int{1, 4, 16} {
-		prof := conprobe.FBFeedProfile()
-		prof.Store.Shards = shards
-		opts := metricsOpts(2, nil)
-		opts.Workload.Profile = &prof
-		res, err := conprobe.Run(context.Background(), opts)
-		if err != nil {
-			t.Fatalf("shards %d: %v", shards, err)
-		}
-		traces, report := renderRun(t, res)
-		if wantTraces == nil {
-			wantTraces, wantReport = traces, report
-			continue
-		}
-		if !bytes.Equal(traces, wantTraces) {
-			t.Errorf("shards %d: trace stream differs from shards 1", shards)
-		}
-		if !bytes.Equal(report, wantReport) {
-			t.Errorf("shards %d: rendered report differs from shards 1", shards)
-		}
-	}
-}
-
 // TestRunWithoutMetricsHasNoStats pins the nil path: no scope, no
 // snapshot, and the campaign output is identical to the instrumented
 // one.

@@ -9,7 +9,6 @@
 //   - -seed             deterministic seed, default 1
 //   - -service          profile name (consvc/conload default fbgroup;
 //     conprobe accepts the extra value "all")
-//   - -shards           store lock-stripe count, 0 = profile default
 //   - -sites            comma-separated client sites
 //   - -pprof-addr       net/http/pprof listen address, empty = off
 //   - -inject-*         deterministic fault-injection rates/durations
@@ -57,12 +56,6 @@ func Service(fs *flag.FlagSet, def string) *string {
 // accepts "all" to run every profile.
 func ServiceMulti(fs *flag.FlagSet) *string {
 	return fs.String("service", "all", "service profile (googleplus, blogger, fbfeed, fbgroup, or all)")
-}
-
-// StoreShards registers the canonical -shards flag: the store
-// lock-stripe count of a simulated service.
-func StoreShards(fs *flag.FlagSet) *int {
-	return fs.Int("shards", 0, "store lock-stripe count (0 = profile default)")
 }
 
 // Sites registers the canonical -sites flag.

@@ -13,7 +13,6 @@ func TestCanonicalFlagTable(t *testing.T) {
 	fs := flag.NewFlagSet("canon", flag.ContinueOnError)
 	Seed(fs)
 	Service(fs, DefaultService)
-	StoreShards(fs)
 	Sites(fs)
 	Pprof(fs)
 	InjectFlags(fs)
@@ -25,7 +24,6 @@ func TestCanonicalFlagTable(t *testing.T) {
 	want := map[string][2]string{
 		"seed":                {"1", "deterministic seed; a fixed seed reproduces the run"},
 		"service":             {"fbgroup", "service profile (googleplus, blogger, fbfeed, fbgroup)"},
-		"shards":              {"0", "store lock-stripe count (0 = profile default)"},
 		"sites":               {"oregon,tokyo,ireland", "comma-separated client sites"},
 		"pprof-addr":          {"", "serve net/http/pprof on this address (empty = disabled)"},
 		"inject-write-fail":   {"0", "inject write failures at this rate [0,1]"},

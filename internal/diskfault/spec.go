@@ -14,7 +14,7 @@ var Sites = map[string]string{
 	"wal":        "oplog.log",  // the cluster op WAL
 	"term":       "term.log",   // the election term log
 	"snapshot":   ".snap",      // state snapshots (node.snap, state.snap)
-	"store":      "wal-",       // durable store shard WALs
+	"store":      "wal-",       // the durable store's WAL (wal-0.log)
 	"checkpoint": "checkpoint", // campaign checkpoint journals
 }
 

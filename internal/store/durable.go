@@ -3,9 +3,9 @@ package store
 import (
 	"encoding/json"
 	"fmt"
-	"hash/fnv"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -18,38 +18,42 @@ import (
 )
 
 // Durable configures crash-safe persistence for a Cluster. Every
-// accepted write is appended to a per-shard WAL and fsynced before
-// WriteEntry returns, so "acked" means "on disk": a kill -9 at any
-// instant loses no acknowledged write. Resets are journaled as epoch
-// records; periodic snapshots compact the logs using the
-// tmp+rename+dir-sync discipline of internal/wal. Opening a Cluster
-// over an existing directory replays snapshot+WAL, tolerating a torn
-// final record per log (noted, truncated) and refusing to start on
-// positioned mid-file corruption.
+// accepted write is appended to the WAL and fsynced before WriteEntry
+// returns (concurrent writers share fsyncs through wal.Log's group
+// commit), so "acked" means "on disk": a kill -9 at any instant loses no
+// acknowledged write. Resets are journaled as epoch records; periodic
+// snapshots compact the log using the tmp+rename+dir-sync discipline of
+// internal/wal. Opening a Cluster over an existing directory replays
+// snapshot+WAL, tolerating a torn final record per log (noted,
+// truncated) and refusing to start on positioned mid-file corruption.
 type Durable struct {
 	// Dir is the persistence directory. Required; created if absent.
 	Dir string
-	// SnapshotEvery compacts the WALs into a snapshot after this many
+	// SnapshotEvery compacts the WAL into a snapshot after this many
 	// journaled writes (0 disables automatic snapshots; callers may
 	// still compact via SnapshotNow).
 	SnapshotEvery int
 	// NoSync skips fsyncs (tests and benchmarks only); acked writes are
 	// no longer crash-durable.
 	NoSync bool
-	// FS is the filesystem the shard WALs and snapshot live on; nil
+	// FS is the filesystem the WAL and snapshot live on; nil
 	// means the real one. Storage-fault drills pass a diskfault FS. The
 	// standalone store has no leader to re-source lost records from, so
 	// unlike the cluster it never quarantines: mid-file corruption still
 	// refuses to start — detection is its last line of defense — while
 	// write-path faults (torn writes, failed fsyncs, ENOSPC) poison the
-	// affected shard so no unsynced write is ever acked.
+	// log so no unsynced write is ever acked.
 	FS diskfault.FS
 	// Metrics, when non-nil, surfaces storage-fault counters.
 	Metrics *obs.Scope
 }
 
-// snapName is the snapshot file inside a Durable.Dir.
-const snapName = "state.snap"
+// snapName and walName are the snapshot and log files inside a
+// Durable.Dir.
+const (
+	snapName = "state.snap"
+	walName  = "wal-0.log"
+)
 
 // walEntry is the serialized form of an Entry (epoch is unexported on
 // Entry, so durability needs its own mirror).
@@ -82,12 +86,12 @@ type snapshotState struct {
 
 // durableState is the runtime half of Durable, attached to a Cluster.
 type durableState struct {
-	cfg  Durable
-	logs []*wal.Log
+	cfg Durable
+	log *wal.Log
 
 	// mu orders live-set mutation against snapshotting: logWrite appends
 	// to live before touching the WAL, and snapshot marshals live and
-	// truncates the logs under the same lock, so an entry whose WAL
+	// truncates the log under the same lock, so an entry whose WAL
 	// record is truncated away mid-append is already in the snapshot
 	// (recovery dedups by ID for entries present in both).
 	mu        sync.Mutex
@@ -157,40 +161,45 @@ func (c *Cluster) openDurable(cfg Durable) error {
 		}
 	}
 
-	// Replay every WAL present, whatever shard count wrote it; the live
-	// logs reopened below are sized to the current shard count.
-	existing, err := filepath.Glob(filepath.Join(cfg.Dir, "wal-*.log"))
+	// Replay every WAL present: builds that striped the store wrote
+	// wal-0.log … wal-N.log, and none of their acked writes may be lost.
+	// Only walName stays open for appends; the rest are removed below.
+	paths, err := filepath.Glob(filepath.Join(cfg.Dir, "wal-*.log"))
 	if err != nil {
 		return err
 	}
-	sort.Strings(existing)
-	opts := wal.Options{NoSync: cfg.NoSync, FS: cfg.FS, Metrics: cfg.Metrics}
-	logsByPath := make(map[string]*wal.Log, len(existing))
-	closeAll := func() {
-		for _, l := range logsByPath {
-			l.Close()
-		}
+	livePath := filepath.Join(cfg.Dir, walName)
+	if !slices.Contains(paths, livePath) {
+		paths = append(paths, livePath)
 	}
-	for _, path := range existing {
+	sort.Strings(paths)
+	opts := wal.Options{NoSync: cfg.NoSync, FS: cfg.FS, Metrics: cfg.Metrics}
+	var stale []string
+	for _, path := range paths {
 		l, rep, err := wal.Open(path, opts)
 		if err != nil {
-			closeAll()
+			d.closeLog()
 			return fmt.Errorf("store: replaying %s: %w", path, err)
 		}
-		logsByPath[path] = l
+		if path == livePath {
+			d.log = l
+		} else {
+			l.Close()
+			stale = append(stale, path)
+		}
 		if rep.Note != "" {
 			notes = append(notes, fmt.Sprintf("%s: %s", filepath.Base(path), rep.Note))
 		}
 		for _, raw := range rep.Records {
 			var rec walRecord
 			if err := json.Unmarshal(raw, &rec); err != nil {
-				closeAll()
+				d.closeLog()
 				return fmt.Errorf("store: decoding record in %s: %w", path, err)
 			}
 			switch rec.Kind {
 			case "w":
 				if rec.Entry == nil {
-					closeAll()
+					d.closeLog()
 					return fmt.Errorf("store: write record without entry in %s", path)
 				}
 				entries = append(entries, *rec.Entry)
@@ -205,38 +214,10 @@ func (c *Cluster) openDurable(cfg Durable) error {
 					epoch = rec.Epoch
 				}
 			default:
-				closeAll()
+				d.closeLog()
 				return fmt.Errorf("store: unknown record kind %q in %s", rec.Kind, path)
 			}
 		}
-	}
-
-	// Open (creating as needed) one live log per shard.
-	d.logs = make([]*wal.Log, c.cfg.Shards)
-	for i := range d.logs {
-		path := filepath.Join(cfg.Dir, fmt.Sprintf("wal-%d.log", i))
-		if l, ok := logsByPath[path]; ok {
-			d.logs[i] = l
-			delete(logsByPath, path)
-			continue
-		}
-		l, _, err := wal.Open(path, opts)
-		if err != nil {
-			closeAll()
-			for _, l := range d.logs {
-				if l != nil {
-					l.Close()
-				}
-			}
-			return err
-		}
-		d.logs[i] = l
-	}
-	// Stale logs from a run with more shards: already replayed above;
-	// close them (their records land in the next snapshot, after which
-	// they stay empty forever — harmless leftovers).
-	for _, l := range logsByPath {
-		l.Close()
 	}
 
 	// The final epoch wins: only its entries survive (journaled resets
@@ -273,28 +254,35 @@ func (c *Cluster) openDurable(cfg Durable) error {
 	d.live = recovered
 	d.maxSeq = maxSeq
 	d.lastEpoch = epoch
-	d.note = strings.Join(notes, "; ")
 	c.durable = d
 
 	// Compact on open: recovery already merged snapshot+WAL, so persist
-	// that merge and start the logs empty.
+	// that merge and start the log empty.
 	if err := c.SnapshotNow(); err != nil {
-		d.closeLogs()
+		d.closeLog()
 		c.durable = nil
 		return fmt.Errorf("store: compacting on open: %w", err)
 	}
-	return nil
-}
-
-// shardFor maps an entry ID to its WAL (same fnv stripe rule as the
-// in-memory shards).
-func (d *durableState) shardFor(id string) *wal.Log {
-	if len(d.logs) == 1 {
-		return d.logs[0]
+	// Only now — the snapshot holding their records is renamed into place
+	// and dir-synced — may the stripe logs go. A removal that fails or
+	// does not survive a crash costs nothing but a repeat: the next open
+	// replays the leftover, dedups it against the snapshot and retries.
+	if len(stale) > 0 {
+		fsys := cfg.FS
+		if fsys == nil {
+			fsys = diskfault.OS
+		}
+		for _, path := range stale {
+			if err := fsys.Remove(path); err != nil {
+				notes = append(notes, fmt.Sprintf("%s: stale stripe log not removed: %v", filepath.Base(path), err))
+			}
+		}
+		if err := wal.SyncDirFS(fsys, cfg.Dir); err != nil {
+			notes = append(notes, fmt.Sprintf("stale stripe log removal not synced: %v", err))
+		}
 	}
-	h := fnv.New32a()
-	h.Write([]byte(id))
-	return d.logs[h.Sum32()%uint32(len(d.logs))]
+	d.note = strings.Join(notes, "; ")
+	return nil
 }
 
 // logWrite journals e and returns once it is on disk. Returns the
@@ -315,12 +303,12 @@ func (d *durableState) logWrite(e Entry) error {
 	}
 	d.live = append(d.live, e)
 	d.mu.Unlock()
-	if err := d.shardFor(e.ID).Append(raw); err != nil {
+	if err := d.log.Append(raw); err != nil {
 		// The write is being rejected, so nothing of it may persist: a
 		// concurrent snapshot could have captured the live set with e in
 		// it, and a frame that reached the file without its fsync would
 		// replay after a crash. Drop e from live and rewrite the snapshot
-		// (which truncates every log) from the corrected set; if even
+		// (which truncates the log) from the corrected set; if even
 		// that fails, poison the log — as logReset does — rather than ack
 		// later writes against a state that can resurrect this one.
 		d.mu.Lock()
@@ -366,7 +354,7 @@ func ptr(v walEntry) *walEntry { return &v }
 func (d *durableState) logReset(epoch uint64) {
 	raw, err := json.Marshal(walRecord{Kind: "r", Epoch: epoch})
 	if err == nil {
-		err = d.logs[0].Append(raw)
+		err = d.log.Append(raw)
 	}
 	d.mu.Lock()
 	d.live = d.live[:0]
@@ -380,9 +368,9 @@ func (d *durableState) logReset(epoch uint64) {
 	d.mu.Unlock()
 }
 
-// snapshot persists the live set and truncates every WAL. The lock
+// snapshot persists the live set and truncates the WAL. The lock
 // spans marshal, snapshot write and truncation, so no write can slip
-// its WAL record into a log between the marshal and the truncate
+// its WAL record into the log between the marshal and the truncate
 // without also being in live (logWrite appends to live first).
 func (d *durableState) snapshot() error {
 	d.mu.Lock()
@@ -419,24 +407,22 @@ func (d *durableState) snapshotLocked() error {
 	if err := wal.WriteSnapshotFS(d.cfg.FS, filepath.Join(d.cfg.Dir, snapName), payload, wal.DefaultFileMode); err != nil {
 		return err
 	}
-	for _, l := range d.logs {
-		if err := l.Truncate(); err != nil {
-			return err
-		}
+	if err := d.log.Truncate(); err != nil {
+		return err
 	}
 	d.writes = 0
 	return nil
 }
 
-// closeLogs releases the WAL files.
-func (d *durableState) closeLogs() {
-	for _, l := range d.logs {
-		l.Close()
+// closeLog releases the WAL file, if recovery got as far as opening it.
+func (d *durableState) closeLog() {
+	if d.log != nil {
+		d.log.Close()
 	}
 }
 
 // SnapshotNow compacts the durable state: persists a snapshot and
-// truncates the WALs. No-op on a non-durable cluster.
+// truncates the WAL. No-op on a non-durable cluster.
 func (c *Cluster) SnapshotNow() error {
 	if c.durable == nil {
 		return nil
@@ -444,9 +430,10 @@ func (c *Cluster) SnapshotNow() error {
 	return c.durable.snapshot()
 }
 
-// RecoveryNote reports torn-tail notes from the last open ("wal-3.log:
-// dropped torn final record at byte offset N"); empty when recovery was
-// clean or the cluster is not durable.
+// RecoveryNote reports what the last open had to tolerate — a torn tail
+// ("wal-0.log: dropped torn final record at byte offset N"), a stale
+// stripe log it could not remove; empty when recovery was clean or the
+// cluster is not durable.
 func (c *Cluster) RecoveryNote() string {
 	if c.durable == nil {
 		return ""
@@ -454,13 +441,13 @@ func (c *Cluster) RecoveryNote() string {
 	return c.durable.note
 }
 
-// Close snapshots (compacting the WALs) and releases the durable
+// Close snapshots (compacting the WAL) and releases the durable
 // files. No-op on a non-durable cluster.
 func (c *Cluster) Close() error {
 	if c.durable == nil {
 		return nil
 	}
 	err := c.durable.snapshot()
-	c.durable.closeLogs()
+	c.durable.closeLog()
 	return err
 }

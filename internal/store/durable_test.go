@@ -1,13 +1,16 @@
 package store
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
+	"conprobe/internal/diskfault"
 	"conprobe/internal/simnet"
 	"conprobe/internal/vtime"
 	"conprobe/internal/wal"
@@ -18,7 +21,6 @@ func durableCfg(dir string, snapEvery int) Config {
 	return Config{
 		Mode:    Strong,
 		Sites:   []simnet.Site{simnet.DCWest, simnet.DCAsia},
-		Shards:  4,
 		Durable: &Durable{Dir: dir, SnapshotEvery: snapEvery},
 	}
 }
@@ -146,27 +148,17 @@ func TestDurableTornTailTolerated(t *testing.T) {
 	s, c := openDurableCluster(t, cfg)
 	writeN(t, s, c, 0, 6)
 
-	// Tear the tail of every non-empty WAL: chop the final byte.
-	logs, err := filepath.Glob(filepath.Join(dir, "wal-*.log"))
+	// Tear the tail of the WAL: chop the final byte.
+	p := filepath.Join(dir, walName)
+	data, err := os.ReadFile(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	torn := 0
-	for _, p := range logs {
-		data, err := os.ReadFile(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(data) == 0 {
-			continue
-		}
-		if err := os.WriteFile(p, data[:len(data)-1], 0o644); err != nil {
-			t.Fatal(err)
-		}
-		torn++
+	if len(data) == 0 {
+		t.Fatal("WAL had no content to tear")
 	}
-	if torn == 0 {
-		t.Fatal("no WAL had content to tear")
+	if err := os.WriteFile(p, data[:len(data)-1], 0o644); err != nil {
+		t.Fatal(err)
 	}
 
 	s2, c2 := openDurableCluster(t, cfg)
@@ -175,17 +167,15 @@ func TestDurableTornTailTolerated(t *testing.T) {
 	if note == "" || !strings.Contains(note, "torn") {
 		t.Errorf("recovery note = %q, want torn-tail mention", note)
 	}
-	got := readIDs(t, s2, c2, simnet.DCWest)
-	// Exactly one record per damaged log was lost.
-	if len(got) != 6-torn {
-		t.Fatalf("recovered %d entries, want %d (one torn per log)", len(got), 6-torn)
+	// Exactly the torn record was lost.
+	if got := readIDs(t, s2, c2, simnet.DCWest); len(got) != 5 {
+		t.Fatalf("recovered %d entries, want 5 (one torn)", len(got))
 	}
 }
 
 func TestDurableMidFileCorruptionRefusesStart(t *testing.T) {
 	dir := t.TempDir()
 	cfg := durableCfg(dir, 0)
-	cfg.Shards = 1 // all records into one log so mid-file damage is certain
 	s, c := openDurableCluster(t, cfg)
 	writeN(t, s, c, 0, 5)
 
@@ -223,7 +213,6 @@ func TestDurableEventualModeAckedWritesSurvive(t *testing.T) {
 	cfg := Config{
 		Mode:    Eventual,
 		Sites:   []simnet.Site{simnet.DCWest, simnet.DCAsia},
-		Shards:  2,
 		Durable: &Durable{Dir: dir},
 	}
 	s, c := openDurableCluster(t, cfg)
@@ -261,11 +250,11 @@ func TestDurableAppendFailureDoesNotResurrectRejectedWrite(t *testing.T) {
 		t.Fatalf("pre-failure read has %d entries", len(want))
 	}
 
-	// Kill the WAL shard "bad" hashes to, so only its append fails.
-	c.durable.shardFor("bad").Close()
+	// Kill the WAL, so the next append fails.
+	c.durable.log.Close()
 	s.Go(func() {
 		if _, err := c.Write(simnet.DCWest, "bad", "a1", "x"); err == nil {
-			t.Errorf("write on a dead WAL shard was acked")
+			t.Errorf("write on a dead WAL was acked")
 		}
 	})
 	s.Wait()
@@ -278,7 +267,7 @@ func TestDurableAppendFailureDoesNotResurrectRejectedWrite(t *testing.T) {
 	poisoned := c.durable.err != nil
 	c.durable.mu.Unlock()
 	if !poisoned {
-		t.Errorf("log not poisoned after failed scrub snapshot (dead shard cannot truncate)")
+		t.Errorf("log not poisoned after failed scrub snapshot (a dead WAL cannot truncate)")
 	}
 	s.Go(func() {
 		if _, err := c.Write(simnet.DCWest, "after", "a1", "x"); err == nil ||
@@ -294,5 +283,104 @@ func TestDurableAppendFailureDoesNotResurrectRejectedWrite(t *testing.T) {
 	got := readIDs(t, s2, c2, simnet.DCWest)
 	if !eq(got, want) {
 		t.Fatalf("recovered read = %v, want %v (rejected write resurrected?)", got, want)
+	}
+}
+
+// noRemoveFS is the real filesystem with every Remove refused.
+type noRemoveFS struct{ diskfault.FS }
+
+func (noRemoveFS) Remove(name string) error { return errors.New("remove refused: " + name) }
+
+// TestDurableRecoversStripedDirectory opens a directory as a build with
+// lock-striped replicas left it: four stripe WALs, a journaled reset, an
+// entry from the epoch it ended, and an entry that sits in both the
+// snapshot and a log. Every live-epoch entry must come back exactly
+// once at every replica, and only wal-0.log may remain. When the
+// removal fails — which leaves the disk as a kill between the snapshot
+// and the removal would — recovery still returns one copy of each entry
+// and the next open finishes the job.
+func TestDurableRecoversStripedDirectory(t *testing.T) {
+	entry := func(id string, seq, epoch uint64) walEntry {
+		return walEntry{ID: id, Author: "a1", Origin: string(simnet.DCWest),
+			CreatedAt: epoch0.Add(time.Duration(seq) * time.Millisecond), ArrivalSeq: seq, Epoch: epoch}
+	}
+	write := func(e walEntry) walRecord { return walRecord{Kind: "w", Entry: &e} }
+	stripes := [][]walRecord{
+		{write(entry("old0", 1, 1)), {Kind: "r", Epoch: 2}, write(entry("m1", 3, 2))},
+		{write(entry("m2", 4, 2))},
+		{write(entry("old1", 2, 1)), write(entry("m3", 5, 2))},
+		{write(entry("m4", 6, 2))},
+	}
+	want := []string{"m1", "m2", "m3", "m4"}
+
+	for _, removeFails := range []bool{false, true} {
+		t.Run(fmt.Sprintf("removeFails=%v", removeFails), func(t *testing.T) {
+			dir := t.TempDir()
+			snap, err := json.Marshal(snapshotState{Epoch: 2, MaxSeq: 3, Entries: []walEntry{entry("m1", 3, 2)}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := wal.WriteSnapshot(filepath.Join(dir, snapName), snap); err != nil {
+				t.Fatal(err)
+			}
+			for i, recs := range stripes {
+				l, _, err := wal.Open(filepath.Join(dir, fmt.Sprintf("wal-%d.log", i)), wal.Options{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, rec := range recs {
+					raw, err := json.Marshal(rec)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if err := l.Append(raw); err != nil {
+						t.Fatal(err)
+					}
+				}
+				l.Close()
+			}
+			logsOnDisk := func() []string {
+				paths, err := filepath.Glob(filepath.Join(dir, "wal-*.log"))
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i, p := range paths {
+					paths[i] = filepath.Base(p)
+				}
+				return paths
+			}
+			// open recovers the directory, checks every replica holds each
+			// live-epoch entry once, and crashes (no Close).
+			open := func(fsys diskfault.FS) *Cluster {
+				cfg := durableCfg(dir, 0)
+				cfg.Durable.FS = fsys
+				s, c := openDurableCluster(t, cfg)
+				for _, dc := range cfg.Sites {
+					if got := readIDs(t, s, c, dc); !eq(got, want) {
+						t.Fatalf("recovered read at %s = %v, want %v", dc, got, want)
+					}
+				}
+				return c
+			}
+
+			if removeFails {
+				c := open(noRemoveFS{diskfault.OS})
+				if note := c.RecoveryNote(); !strings.Contains(note, "not removed") {
+					t.Errorf("recovery note = %q, want the failed removals", note)
+				}
+				if got := logsOnDisk(); len(got) != len(stripes) {
+					t.Fatalf("logs on disk = %v, want all %d stripe logs still there", got, len(stripes))
+				}
+			}
+			for i := 0; i < 2; i++ {
+				c := open(nil)
+				if note := c.RecoveryNote(); note != "" {
+					t.Errorf("open %d: recovery note = %q, want clean", i, note)
+				}
+				if got := logsOnDisk(); !eq(got, []string{walName}) {
+					t.Fatalf("open %d: logs on disk = %v, want only %s", i, got, walName)
+				}
+			}
+		})
 	}
 }

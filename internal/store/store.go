@@ -20,22 +20,18 @@
 //
 // # Concurrency
 //
-// Replica state is lock-striped into Config.Shards shards per replica,
-// keyed by entry ID, so writes and deliveries for different keys proceed
-// in parallel. Replication is batched per (destination site, shard):
-// each shard keeps a min-heap of pending deliveries ordered by
-// (due time, schedule order), drained by the cluster-wide timer wheel
-// (wheel.go), so propagation drains in O(batches) timer events instead
-// of one event per entry. Reads merge the shards into an arrival-order
-// timeline sorted by (apply time, ArrivalSeq) — the same order the
-// pre-shard store produced by appending under one lock — and cache the
-// rendered timeline until any shard's generation counter moves.
+// A replica is one applied log under one mutex, kept in
+// (apply time, ArrivalSeq) order where entries are applied, with its
+// policy-sorted and hybrid renderings cached beside it. Every pending
+// replication delivery of the cluster waits in one min-heap ordered by
+// (due time, schedule order) behind a single clock timer (wheel.go),
+// so propagation costs one timer event per due instant, not one per
+// entry.
 package store
 
 import (
-	"container/heap"
 	"fmt"
-	"hash/fnv"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -45,10 +41,6 @@ import (
 	"conprobe/internal/simnet"
 	"conprobe/internal/vtime"
 )
-
-// DefaultShards is the per-replica lock stripe count used when
-// Config.Shards is unset.
-const DefaultShards = 8
 
 // Entry is one stored post.
 type Entry struct {
@@ -209,12 +201,8 @@ type Config struct {
 	// RetryInterval is how long a propagation blocked by a partition
 	// waits before retrying (default 1s).
 	RetryInterval time.Duration
-	// Shards is the per-replica lock stripe count (default
-	// DefaultShards). Campaign output is independent of the shard count;
-	// it only tunes contention under parallel load.
-	Shards int
 	// Durable, when non-nil, makes the cluster crash-safe: accepted
-	// writes are fsynced to a per-shard WAL before WriteEntry returns,
+	// writes are fsynced to a WAL before WriteEntry returns,
 	// resets are journaled, and NewCluster replays snapshot+WAL from
 	// Durable.Dir. See Durable for the recovery semantics.
 	Durable *Durable
@@ -229,7 +217,6 @@ type Cluster struct {
 	seed int64
 
 	seq      atomic.Uint64 // cluster-wide acceptance order (ArrivalSeq)
-	schedSeq atomic.Uint64 // delivery schedule order, tie-break in pending heaps
 	epoch    atomic.Uint64
 	epochLag atomic.Int64 // ns; negative sentinel marks a fast epoch
 	hybridOn atomic.Bool  // whether the epoch surfaces arrival order under OrderHybrid
@@ -240,92 +227,46 @@ type Cluster struct {
 
 	replicas map[simnet.Site]*replica
 
-	// wheel is the cluster-wide delivery timer wheel (see wheel.go).
-	wheel timerWheel
+	// pending holds every delivery still in flight (see wheel.go).
+	pending deliveries
 
 	// durable is non-nil when Config.Durable requested persistence.
 	durable *durableState
 }
 
-// replica is the per-DC log, striped into shards by entry ID.
+// replica is the per-DC log and the renderings reads are served from.
 type replica struct {
-	site   simnet.Site
-	shards []*shard
-	cache  timelineCache
-}
+	site simnet.Site
 
-// shard holds one lock stripe of a replica: its slice of the applied
-// log, the apply-time index, and the pending-delivery queue the timer
-// wheel drains in batches.
-type shard struct {
 	mu sync.Mutex
-	// gen counts applied mutations (applies and resets); the timeline
-	// cache snapshots it to detect staleness without locking.
-	gen       atomic.Uint64
-	recs      []appliedEntry
+	// log is the applied entries in (apply time, ArrivalSeq) order — the
+	// replica's arrival order. apply inserts at the right slot, so the
+	// order holds between calls and no read re-derives it.
+	log       []appliedEntry
 	appliedAt map[string]time.Time
-	pending   deliveryQueue
-	// wheelAt is the due time of the shard's live registration in the
-	// cluster timer wheel (zero when unregistered). Guarded by the
-	// wheel's mutex, not sh.mu.
-	wheelAt time.Time
+	// sorted is log under the timestamp policy, extended by each apply;
+	// kept only when the cluster's read order needs it.
+	sorted []Entry
+	// hybrid memoizes the rendered OrderHybrid timeline for one
+	// normalize cutoff (hybridCutoff); consecutive reads at the same
+	// virtual instant — the common case under the discrete-event clock —
+	// hit it without re-partitioning. Dropped by every apply.
+	hybridCutoff time.Time
+	hybrid       []Entry
 }
 
-// appliedEntry pairs an entry with the time its replica applied it; the
-// merged arrival timeline sorts by (at, ArrivalSeq).
+// appliedEntry pairs an entry with the time its replica applied it.
 type appliedEntry struct {
 	e  Entry
 	at time.Time
 }
 
-// pendingDelivery is one queued replication delivery.
-type pendingDelivery struct {
-	at  time.Time
-	seq uint64
-	src simnet.Site
-	e   Entry
-}
-
-// deliveryQueue is a min-heap of pending deliveries by (at, seq).
-type deliveryQueue []pendingDelivery
-
-func (q deliveryQueue) Len() int { return len(q) }
-func (q deliveryQueue) Less(i, j int) bool {
-	if !q[i].at.Equal(q[j].at) {
-		return q[i].at.Before(q[j].at)
+// before orders applied entries by (apply time, ArrivalSeq).
+func (a appliedEntry) before(b appliedEntry) bool {
+	if !a.at.Equal(b.at) {
+		return a.at.Before(b.at)
 	}
-	return q[i].seq < q[j].seq
-}
-func (q deliveryQueue) Swap(i, j int)       { q[i], q[j] = q[j], q[i] }
-func (q *deliveryQueue) Push(x interface{}) { *q = append(*q, x.(pendingDelivery)) }
-func (q *deliveryQueue) Pop() interface{} {
-	old := *q
-	n := len(old)
-	d := old[n-1]
-	*q = old[:n-1]
-	return d
-}
-
-// timelineCache memoizes the rendered read timelines of one replica,
-// keyed by a snapshot of the shard generation counters. Refreshes are
-// incremental: offsets records how much of each shard's log the cached
-// timelines already cover, so a refresh only merges the new tail
-// entries instead of re-sorting the whole replica. Published slices
-// (merged, sorted) are immutable — a refresh builds replacements — so
-// readers may extract copies outside the cache lock.
-type timelineCache struct {
-	mu      sync.Mutex
-	gens    []uint64
-	offsets []int
-	merged  []appliedEntry // (applyTime, ArrivalSeq) order
-	sorted  []Entry        // merged re-sorted under the timestamp policy; built lazily
-	// hybrid memoizes the rendered OrderHybrid timeline for one
-	// normalize cutoff (hybridCutoff); consecutive reads at the same
-	// virtual instant — the common case under the discrete-event clock —
-	// hit it without re-partitioning. Invalidated whenever merged
-	// changes.
-	hybridCutoff time.Time
-	hybrid       []Entry
+	return a.e.ArrivalSeq < b.e.ArrivalSeq
 }
 
 // NewCluster builds a Cluster over the given network.
@@ -367,9 +308,6 @@ func NewCluster(clock vtime.Clock, net *simnet.Network, cfg Config, seed int64) 
 	if cfg.HybridEpochProb == 0 {
 		cfg.HybridEpochProb = 1
 	}
-	if cfg.Shards < 1 {
-		cfg.Shards = DefaultShards
-	}
 	c := &Cluster{
 		clock:    clock,
 		net:      net,
@@ -378,7 +316,7 @@ func NewCluster(clock vtime.Clock, net *simnet.Network, cfg Config, seed int64) 
 		replicas: make(map[simnet.Site]*replica, len(cfg.Sites)),
 	}
 	for _, s := range cfg.Sites {
-		c.replicas[s] = newReplica(s, cfg.Shards)
+		c.replicas[s] = &replica{site: s, appliedAt: make(map[string]time.Time)}
 	}
 	c.epochLag.Store(int64(c.sampleEpochLag(0)))
 	c.hybridOn.Store(c.sampleEpochHybrid(0))
@@ -394,24 +332,6 @@ func NewCluster(clock vtime.Clock, net *simnet.Network, cfg Config, seed int64) 
 // order under OrderHybrid.
 func (c *Cluster) sampleEpochHybrid(epoch uint64) bool {
 	return detrand.NewKey(c.seed, "epoch").Uint(epoch).Str("hybrid").Float64() < c.cfg.HybridEpochProb
-}
-
-func newReplica(site simnet.Site, shards int) *replica {
-	r := &replica{site: site, shards: make([]*shard, shards)}
-	for i := range r.shards {
-		r.shards[i] = &shard{appliedAt: make(map[string]time.Time)}
-	}
-	return r
-}
-
-// shard maps an entry ID onto the replica's stripe for it.
-func (r *replica) shard(id string) *shard {
-	if len(r.shards) == 1 {
-		return r.shards[0]
-	}
-	h := fnv.New32a()
-	h.Write([]byte(id))
-	return r.shards[h.Sum32()%uint32(len(r.shards))]
 }
 
 // sampleEpochLag draws the epoch's shared replication lag; a negative
@@ -440,9 +360,6 @@ func (c *Cluster) Primary() simnet.Site { return c.cfg.Primary }
 
 // Mode returns the replication mode.
 func (c *Cluster) Mode() Mode { return c.cfg.Mode }
-
-// Shards returns the per-replica lock stripe count.
-func (c *Cluster) Shards() int { return c.cfg.Shards }
 
 // Write accepts a post at the replica of site dc and returns the stored
 // entry. Strong mode applies the write at every replica before returning;
@@ -535,40 +452,35 @@ func (c *Cluster) schedulePropagation(src, dst simnet.Site, e Entry, now time.Ti
 	c.enqueue(c.replicas[dst], src, e, now.Add(delay))
 }
 
-// enqueue adds a delivery due at `at` to the destination shard's pending
-// heap and registers its head with the timer wheel.
-func (c *Cluster) enqueue(r *replica, src simnet.Site, e Entry, at time.Time) {
-	sh := r.shard(e.ID)
-	sh.mu.Lock()
-	heap.Push(&sh.pending, pendingDelivery{at: at, seq: c.schedSeq.Add(1), src: src, e: e})
-	c.wheelSchedule(r, sh, sh.pending[0].at)
-	sh.mu.Unlock()
-}
-
-// apply records e at the shard owning its ID.
+// apply records e at r unless r already holds it. The epoch re-check
+// happens here, under r.mu: Reset bumps the epoch before clearing each
+// replica under its lock, so an entry from before a Reset that reaches
+// the replica after it was cleared observes the new epoch and is
+// dropped instead of leaking into the new generation.
 func (c *Cluster) apply(r *replica, e Entry, now time.Time) {
-	sh := r.shard(e.ID)
-	sh.mu.Lock()
-	c.applyLocked(sh, e, now)
-	sh.mu.Unlock()
-}
-
-// applyLocked appends e to the shard's log slice if not already present.
-// The epoch re-check happens here, under sh.mu: Reset bumps the epoch
-// before clearing each shard under its lock, so an entry from before a
-// Reset that reaches the shard after it was cleared observes the new
-// epoch and is dropped instead of leaking into the new generation.
-// Caller holds sh.mu.
-func (c *Cluster) applyLocked(sh *shard, e Entry, now time.Time) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	if e.epoch != c.epoch.Load() {
 		return // stale entry from before a Reset
 	}
-	if _, dup := sh.appliedAt[e.ID]; dup {
+	if _, dup := r.appliedAt[e.ID]; dup {
 		return
 	}
-	sh.appliedAt[e.ID] = now
-	sh.recs = append(sh.recs, appliedEntry{e: e, at: now})
-	sh.gen.Add(1)
+	r.appliedAt[e.ID] = now
+	// Apply stamps are non-decreasing under a monotone clock, so the
+	// slot is almost always the end.
+	rec := appliedEntry{e: e, at: now}
+	i := len(r.log)
+	for i > 0 && rec.before(r.log[i-1]) {
+		i--
+	}
+	r.log = slices.Insert(r.log, i, rec)
+	if c.cfg.Order != OrderArrival {
+		p := c.cfg.Policy
+		j := sort.Search(len(r.sorted), func(j int) bool { return p.less(e, r.sorted[j]) })
+		r.sorted = slices.Insert(r.sorted, j, e)
+	}
+	r.hybrid = nil // rendered against the previous log
 }
 
 // AppliedAt reports when dc's replica applied the entry with the given
@@ -579,167 +491,10 @@ func (c *Cluster) AppliedAt(dc simnet.Site, id string) (at time.Time, ok bool) {
 	if !found {
 		return time.Time{}, false
 	}
-	sh := r.shard(id)
-	sh.mu.Lock()
-	at, ok = sh.appliedAt[id]
-	sh.mu.Unlock()
+	r.mu.Lock()
+	at, ok = r.appliedAt[id]
+	r.mu.Unlock()
 	return at, ok
-}
-
-// gensCurrent reports whether a cached generation snapshot still matches
-// the shards' live counters.
-func (r *replica) gensCurrent(gens []uint64) bool {
-	for i, sh := range r.shards {
-		if sh.gen.Load() != gens[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// sortApplied orders records by (apply time, ArrivalSeq) — the merged
-// arrival order, matching the append-under-one-lock order of the
-// pre-shard store.
-func sortApplied(recs []appliedEntry) {
-	sort.Slice(recs, func(i, j int) bool {
-		if !recs[i].at.Equal(recs[j].at) {
-			return recs[i].at.Before(recs[j].at)
-		}
-		return recs[i].e.ArrivalSeq < recs[j].e.ArrivalSeq
-	})
-}
-
-// refreshLocked brings the cached timelines up to date. It collects only
-// the entries each shard applied since the last refresh (per-shard
-// offsets) and splices them into the cached merged timeline; because
-// apply stamps are non-decreasing, the splice point is almost always the
-// very end. A Reset (shard log shrank) falls back to a full rebuild.
-// Caller holds r.cache.mu.
-func (r *replica) refreshLocked(p TimestampPolicy) {
-	cc := &r.cache
-	n := len(r.shards)
-	gens := make([]uint64, n)
-	offsets := make([]int, n)
-	full := cc.gens == nil
-	var batch []appliedEntry
-	for _, sh := range r.shards {
-		sh.mu.Lock()
-	}
-	for i, sh := range r.shards {
-		gens[i] = sh.gen.Load()
-		offsets[i] = len(sh.recs)
-		if !full && cc.offsets[i] > len(sh.recs) {
-			full = true
-		}
-	}
-	if full {
-		total := 0
-		for _, sh := range r.shards {
-			total += len(sh.recs)
-		}
-		batch = make([]appliedEntry, 0, total)
-		for _, sh := range r.shards {
-			batch = append(batch, sh.recs...)
-		}
-	} else {
-		for i, sh := range r.shards {
-			batch = append(batch, sh.recs[cc.offsets[i]:]...)
-		}
-	}
-	for i := n - 1; i >= 0; i-- {
-		r.shards[i].mu.Unlock()
-	}
-	sortApplied(batch)
-	switch {
-	case full || len(cc.merged) == 0:
-		cc.merged = batch
-		cc.sorted = nil
-	case len(batch) > 0:
-		// The policy-sorted rendering is a pure set sort, so only the
-		// new entries need merging into it. Appending past a published
-		// slice's length is safe: readers' headers only cover [0:len).
-		if cc.sorted != nil {
-			add := make([]Entry, len(batch))
-			for i, rec := range batch {
-				add[i] = rec.e
-			}
-			sort.SliceStable(add, func(i, j int) bool { return p.less(add[i], add[j]) })
-			if n := len(cc.sorted); n == 0 || !p.less(add[0], cc.sorted[n-1]) {
-				cc.sorted = append(cc.sorted, add...)
-			} else {
-				cc.sorted = mergePolicySorted(cc.sorted, add, p)
-			}
-		}
-		// Entries already cached with an apply stamp at or after the
-		// batch's earliest must be re-ordered together with it; under a
-		// monotone clock that is only the equal-stamp boundary.
-		cut := len(cc.merged)
-		for cut > 0 && !cc.merged[cut-1].at.Before(batch[0].at) {
-			cut--
-		}
-		if cut == len(cc.merged) {
-			cc.merged = append(cc.merged, batch...)
-		} else {
-			tail := make([]appliedEntry, 0, len(cc.merged)-cut+len(batch))
-			tail = append(tail, cc.merged[cut:]...)
-			tail = append(tail, batch...)
-			sortApplied(tail)
-			cc.merged = append(cc.merged[:cut:cut], tail...)
-		}
-	}
-	cc.gens = gens
-	cc.offsets = offsets
-	cc.hybrid = nil // rendered against the previous merged timeline
-}
-
-// mergePolicySorted merges two policy-sorted entry slices into a new
-// slice.
-func mergePolicySorted(a, b []Entry, p TimestampPolicy) []Entry {
-	out := make([]Entry, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		if p.less(b[j], a[i]) {
-			out = append(out, b[j])
-			j++
-		} else {
-			out = append(out, a[i])
-			i++
-		}
-	}
-	out = append(out, a[i:]...)
-	return append(out, b[j:]...)
-}
-
-// timeline returns the replica's merged arrival-order log and, when
-// needSorted, its policy-sorted rendering. The returned slices are
-// immutable once published; Read extracts copies without holding the
-// cache lock.
-func (r *replica) timeline(p TimestampPolicy, needSorted bool) (merged []appliedEntry, sorted []Entry) {
-	cc := &r.cache
-	cc.mu.Lock()
-	defer cc.mu.Unlock()
-	if cc.gens == nil || !r.gensCurrent(cc.gens) {
-		r.refreshLocked(p)
-	}
-	merged = cc.merged
-	if needSorted {
-		if cc.sorted == nil {
-			cc.sorted = sortEntriesByPolicy(merged, p)
-		}
-		sorted = cc.sorted
-	}
-	return merged, sorted
-}
-
-// sortEntriesByPolicy extracts the entries and sorts them under the
-// policy.
-func sortEntriesByPolicy(recs []appliedEntry, p TimestampPolicy) []Entry {
-	out := make([]Entry, len(recs))
-	for i, rec := range recs {
-		out[i] = rec.e
-	}
-	sort.SliceStable(out, func(i, j int) bool { return p.less(out[i], out[j]) })
-	return out
 }
 
 // Read returns a copy of dc's log in the cluster's read-time order.
@@ -752,67 +507,53 @@ func (c *Cluster) Read(dc simnet.Site) ([]Entry, error) {
 	if order == OrderHybrid && !c.hybridOn.Load() {
 		order = OrderTimestamp
 	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	out := make([]Entry, len(r.log))
 	switch order {
 	case OrderArrival:
-		merged, _ := r.timeline(c.cfg.Policy, false)
-		out := make([]Entry, len(merged))
-		for i, rec := range merged {
+		for i, rec := range r.log {
 			out[i] = rec.e
 		}
-		return out, nil
 	case OrderTimestamp:
-		_, sorted := r.timeline(c.cfg.Policy, true)
-		out := make([]Entry, len(sorted))
-		copy(out, sorted)
-		return out, nil
+		copy(out, r.sorted)
 	default: // OrderHybrid
-		return r.hybridTimeline(c.cfg.Policy, c.clock.Now().Add(-c.cfg.NormalizeAfter)), nil
+		copy(out, r.hybridLocked(c.clock.Now().Add(-c.cfg.NormalizeAfter)))
 	}
+	return out, nil
 }
 
-// hybridTimeline renders the OrderHybrid timeline through the cutoff-
-// keyed cache: entries created before the cutoff in policy order, the
-// rest in arrival order. Instead of re-partitioning and re-sorting the
-// whole timeline per read, it exploits two invariants:
+// hybridLocked renders the OrderHybrid timeline through the cutoff-keyed
+// cache: entries created before the cutoff in policy order, the rest in
+// arrival order. Instead of re-partitioning and re-sorting the whole
+// log per read, it exploits two invariants:
 //
 //   - The policy compares CreatedAt first and the cutoff partitions by
 //     CreatedAt, so no policy-equal pair straddles the cutoff and the
-//     normalized partition is exactly a prefix of the cached
-//     policy-sorted timeline (both stable over the same arrival order).
-//   - CreatedAt never exceeds the apply stamp, so only the merged
-//     suffix with apply stamps at or after the cutoff can hold fresh
-//     entries — found by binary search, scanned in arrival order.
+//     normalized partition is exactly a prefix of the policy-sorted
+//     rendering.
+//   - CreatedAt never exceeds the apply stamp, so only the log suffix
+//     with apply stamps at or after the cutoff can hold fresh entries —
+//     found by binary search, scanned in arrival order.
 //
-// The rendered slice is memoized per (generation snapshot, cutoff);
-// under the discrete-event clock many consecutive reads share a virtual
-// instant and hit it outright.
-func (r *replica) hybridTimeline(p TimestampPolicy, cutoff time.Time) []Entry {
-	cc := &r.cache
-	cc.mu.Lock()
-	if cc.gens == nil || !r.gensCurrent(cc.gens) {
-		r.refreshLocked(p)
-	}
-	if cc.hybrid == nil || !cc.hybridCutoff.Equal(cutoff) {
-		if cc.sorted == nil {
-			cc.sorted = sortEntriesByPolicy(cc.merged, p)
-		}
-		merged, sorted := cc.merged, cc.sorted
-		i := sort.Search(len(merged), func(i int) bool { return !merged[i].at.Before(cutoff) })
-		fresh := make([]Entry, 0, len(merged)-i)
-		for _, rec := range merged[i:] {
+// The rendered slice is memoized per (log, cutoff); under the
+// discrete-event clock many consecutive reads share a virtual instant
+// and hit it outright. Caller holds r.mu.
+func (r *replica) hybridLocked(cutoff time.Time) []Entry {
+	if r.hybrid == nil || !r.hybridCutoff.Equal(cutoff) {
+		i := sort.Search(len(r.log), func(i int) bool { return !r.log[i].at.Before(cutoff) })
+		fresh := make([]Entry, 0, len(r.log)-i)
+		for _, rec := range r.log[i:] {
 			if !rec.e.CreatedAt.Before(cutoff) {
 				fresh = append(fresh, rec.e)
 			}
 		}
-		out := make([]Entry, 0, len(merged))
-		out = append(out, sorted[:len(merged)-len(fresh)]...)
-		cc.hybrid = append(out, fresh...)
-		cc.hybridCutoff = cutoff
+		out := make([]Entry, 0, len(r.log))
+		out = append(out, r.sorted[:len(r.log)-len(fresh)]...)
+		r.hybrid = append(out, fresh...)
+		r.hybridCutoff = cutoff
 	}
-	out := make([]Entry, len(cc.hybrid))
-	copy(out, cc.hybrid)
-	cc.mu.Unlock()
-	return out
+	return r.hybrid
 }
 
 // Len returns the number of entries at dc's replica.
@@ -821,18 +562,13 @@ func (c *Cluster) Len(dc simnet.Site) int {
 	if !ok {
 		return 0
 	}
-	n := 0
-	for _, sh := range r.shards {
-		sh.mu.Lock()
-		n += len(sh.recs)
-		sh.mu.Unlock()
-	}
-	return n
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return len(r.log)
 }
 
 // Reset clears every replica and starts a new epoch: propagations still
-// in flight from before the Reset are dropped, their pending queues
-// emptied and wheel registrations dropped.
+// in flight from before the Reset are dropped.
 func (c *Cluster) Reset() {
 	c.resetMu.Lock()
 	defer c.resetMu.Unlock()
@@ -862,33 +598,21 @@ func (c *Cluster) resetTo(epoch uint64) {
 	if c.durable != nil {
 		c.durable.logReset(epoch)
 	}
+	// Empty the delivery heap before the epoch moves: a racing old-epoch
+	// write that queues after this is dropped by the epoch checks, while
+	// emptying afterwards could discard a new-epoch delivery.
+	c.pending.mu.Lock()
+	c.pending.queue = nil
+	c.pending.mu.Unlock()
 	c.epoch.Store(epoch)
 	c.epochLag.Store(int64(c.sampleEpochLag(epoch)))
 	c.hybridOn.Store(c.sampleEpochHybrid(epoch))
-	for _, site := range c.cfg.Sites {
-		r := c.replicas[site]
-		for _, sh := range r.shards {
-			sh.mu.Lock()
-			sh.recs = nil
-			sh.appliedAt = make(map[string]time.Time)
-			sh.pending = nil
-			c.wheelUnregister(sh)
-			sh.gen.Add(1)
-			sh.mu.Unlock()
-		}
-		// Drop the cached timelines outright. The incremental refresh
-		// detects a Reset by a shard log shrinking below its cached
-		// offset, which misses the case where the shard has already
-		// re-grown past that offset by the next Read; forcing a full
-		// rebuild here closes that window. (No shard lock is held, so
-		// this cannot invert the cache.mu -> sh.mu order used by reads.)
-		r.cache.mu.Lock()
-		r.cache.gens = nil
-		r.cache.offsets = nil
-		r.cache.merged = nil
-		r.cache.sorted = nil
-		r.cache.hybrid = nil
-		r.cache.hybridCutoff = time.Time{}
-		r.cache.mu.Unlock()
+	for _, r := range c.replicas {
+		r.mu.Lock()
+		r.log = nil
+		r.appliedAt = make(map[string]time.Time)
+		r.sorted = nil
+		r.hybrid = nil
+		r.mu.Unlock()
 	}
 }

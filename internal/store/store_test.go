@@ -349,16 +349,15 @@ func TestAppliedAtTracksApplyTimes(t *testing.T) {
 	s.Wait()
 }
 
-// Regression: the incremental timeline-cache refresh only detected a
-// Reset by a shard's log shrinking below the cached offset. If a shard
-// re-grew past its cached offset before the next Read, pre-Reset entries
-// stayed in the cached timeline and early post-Reset entries were
-// dropped (write old1, Read, Reset, write new1+new2 -> [old1 new2]).
+// Regression: a Reset must drop the cached renderings along with the
+// log. A cache that outlived it once kept pre-Reset entries in the
+// timeline and dropped early post-Reset ones (write old1, Read, Reset,
+// write new1+new2 -> [old1 new2]).
 func TestResetInvalidatesTimelineCache(t *testing.T) {
-	for _, shards := range []int{1, 4, 16} {
+	for _, shards := range stripeEraCounts {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
 			s, c, _ := newSimCluster(t, Config{
-				Mode: Strong, Sites: []simnet.Site{simnet.DCWest}, Shards: shards,
+				Mode: Strong, Sites: []simnet.Site{simnet.DCWest},
 			})
 			s.Go(func() {
 				if _, err := c.Write(simnet.DCWest, "old1", "a", "x"); err != nil {
@@ -396,7 +395,7 @@ func TestResetInvalidatesTimelineCache(t *testing.T) {
 
 // Regression: the epoch check on the apply path was a non-atomic
 // check-then-apply racing Reset, so a write or delivery from before a
-// Reset could land after the shards were cleared and leak a stale entry
+// Reset could land after the replicas were cleared and leak a stale entry
 // into the new epoch. Run writers against concurrent Resets under the
 // real clock (exercised with -race in verify), then confirm a final
 // Reset leaves nothing behind and fresh writes read back exactly.
@@ -404,7 +403,7 @@ func TestConcurrentResetDropsStaleWrites(t *testing.T) {
 	sites := []simnet.Site{simnet.DCWest, simnet.DCAsia}
 	net := simnet.DefaultTopology(42, simnet.WithJitter(0))
 	c, err := NewCluster(vtime.Real{}, net, Config{
-		Mode: Eventual, Sites: sites, Shards: 4, PropagationBase: time.Millisecond,
+		Mode: Eventual, Sites: sites, PropagationBase: time.Millisecond,
 	}, 42)
 	if err != nil {
 		t.Fatal(err)
@@ -441,7 +440,7 @@ func TestConcurrentResetDropsStaleWrites(t *testing.T) {
 	close(stop)
 	wg.Wait()
 	c.Reset()
-	// Give any in-flight drainer timers from the dead epochs a chance to
+	// Give the delivery timer armed in the dead epochs a chance to
 	// fire; their deliveries must all be dropped by the epoch check.
 	time.Sleep(20 * time.Millisecond)
 	for _, site := range sites {

@@ -14,25 +14,22 @@ import (
 	"conprobe/internal/vtime"
 )
 
-// referenceRead renders dc's timeline from shard state alone, the way
-// the store did before the timeline and cutoff caches: snapshot every
-// shard under its lock, merge into (apply time, ArrivalSeq) order, then
-// sort by policy or partition at the normalize cutoff as the read order
-// asks. Nothing is cached or incremental, so it is the oracle the cached
-// render paths are compared against.
+// referenceRead renders dc's timeline from the replica's log alone,
+// trusting neither its stored order nor the cached renderings: copy the
+// log, re-sort by (apply time, ArrivalSeq), then sort by policy or
+// partition at the normalize cutoff as the read order asks. It is the
+// oracle every cached or incremental path is compared against.
 func referenceRead(c *Cluster, dc simnet.Site) []Entry {
 	r := c.replicas[dc]
-	for _, sh := range r.shards {
-		sh.mu.Lock()
-	}
-	var recs []appliedEntry
-	for _, sh := range r.shards {
-		recs = append(recs, sh.recs...)
-	}
-	for _, sh := range r.shards {
-		sh.mu.Unlock()
-	}
-	sortApplied(recs)
+	r.mu.Lock()
+	recs := slices.Clone(r.log)
+	r.mu.Unlock()
+	sort.Slice(recs, func(i, j int) bool {
+		if !recs[i].at.Equal(recs[j].at) {
+			return recs[i].at.Before(recs[j].at)
+		}
+		return recs[i].e.ArrivalSeq < recs[j].e.ArrivalSeq
+	})
 	hybrid := c.cfg.Order == OrderHybrid && c.hybridOn.Load()
 	cutoff := c.clock.Now().Add(-c.cfg.NormalizeAfter)
 	var head, fresh []Entry // policy-ordered prefix, arrival-ordered rest
@@ -106,22 +103,22 @@ func runDeliveryScenario(t *testing.T, cfg Config, seed int64) string {
 }
 
 // TestTimerWheelMatchesRecordedPerShardTimers pins the delivery
-// scheduler's contract: the cluster-wide timer wheel delivers every
-// pending entry at exactly the instant the one-timer-per-shard scheme it
-// replaced did, so the observable replica timelines — including
-// partition retries and Reset epochs — are byte-identical to that
-// scheme's. The per-shard timers are gone from the store, so their side
-// is testdata/delivery_<order>.golden: this scenario's transcript as
-// the last commit that had them (37ac457, behind a Config switch)
-// produced it. The files cannot be re-recorded from the wheel; a
-// mismatch is a scheduling change, not a stale golden.
+// scheduler's contract: the single delivery heap lands every pending
+// entry at exactly the instant the store's first scheduler — one
+// re-armable timer per (site, lock stripe), four stripes per replica —
+// did, so the observable replica timelines, partition retries and Reset
+// epochs included, are byte-identical to that scheme's. Its side is
+// testdata/delivery_<order>.golden: this scenario's transcript as the
+// last commit that had it (37ac457, behind a Config switch) produced
+// it. The files cannot be re-recorded from today's store; a mismatch is
+// a scheduling or ordering change, not a stale golden.
 func TestTimerWheelMatchesRecordedPerShardTimers(t *testing.T) {
 	for _, order := range []OrderKind{OrderArrival, OrderHybrid} {
-		perShard, err := os.ReadFile("testdata/delivery_" + order.String() + ".golden")
+		recorded, err := os.ReadFile("testdata/delivery_" + order.String() + ".golden")
 		if err != nil {
 			t.Fatal(err)
 		}
-		wheel := runDeliveryScenario(t, Config{
+		got := runDeliveryScenario(t, Config{
 			Mode:              Eventual,
 			Order:             order,
 			NormalizeAfter:    time.Second,
@@ -130,10 +127,9 @@ func TestTimerWheelMatchesRecordedPerShardTimers(t *testing.T) {
 			PropagationBase:   80 * time.Millisecond,
 			PropagationJitter: 300 * time.Millisecond,
 			RetryInterval:     200 * time.Millisecond,
-			Shards:            4,
 		}, 31)
-		if wheel != string(perShard) {
-			t.Errorf("order=%v: timer-wheel transcript differs from the recorded per-shard-timer transcript", order)
+		if got != string(recorded) {
+			t.Errorf("order=%v: transcript differs from the recorded per-stripe-timer transcript", order)
 		}
 	}
 }
@@ -151,6 +147,78 @@ func TestCutoffCacheMatchesUncached(t *testing.T) {
 		PropagationBase:   50 * time.Millisecond,
 		PropagationJitter: 250 * time.Millisecond,
 		RetryInterval:     200 * time.Millisecond,
-		Shards:            4,
 	}, 13)
+}
+
+// TestReadCacheMatchesUncached pins that the renderings kept beside the
+// log never serve stale or reordered data: every read of the scenario,
+// back-to-back cache hits included, equals referenceRead.
+func TestReadCacheMatchesUncached(t *testing.T) {
+	sites := []simnet.Site{simnet.DCWest, simnet.DCEurope, simnet.DCAsia}
+	sim := vtime.NewSim(time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC))
+	net := simnet.DefaultTopology(9)
+	c, err := NewCluster(sim, net, Config{
+		Mode:              Eventual,
+		Sites:             sites,
+		Order:             OrderHybrid,
+		NormalizeAfter:    time.Second,
+		PropagationBase:   50 * time.Millisecond,
+		PropagationJitter: 200 * time.Millisecond,
+	}, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim.Go(func() {
+		rng := rand.New(rand.NewSource(4))
+		for i := 0; i < 25; i++ {
+			site := sites[rng.Intn(len(sites))]
+			if _, err := c.Write(site, fmt.Sprintf("w%d", i), "a", ""); err != nil {
+				t.Error(err)
+				return
+			}
+			sim.Sleep(time.Duration(rng.Intn(120)) * time.Millisecond)
+			for _, s := range sites {
+				readChecked(t, c, s)
+				// Back-to-back read: a guaranteed cache hit.
+				readChecked(t, c, s)
+			}
+		}
+	})
+	sim.Wait()
+}
+
+// TestApplyKeepsLogOrdered drives apply the way only racing real-clock
+// callers can — equal stamps out of ArrivalSeq order, an earlier stamp
+// after a later one — which the monotone simulated clock never does, and
+// requires every read order to come out as if the applies had arrived
+// sorted.
+func TestApplyKeepsLogOrdered(t *testing.T) {
+	applies := []struct {
+		seq uint64
+		at  time.Duration
+	}{{3, 10}, {1, 10}, {2, 10}, {5, 5}, {4, 20}}
+	arrival := []string{"m5", "m1", "m2", "m3", "m4"}
+	for order, want := range map[OrderKind][]string{
+		OrderArrival:   arrival,
+		OrderHybrid:    arrival, // nothing is older than NormalizeAfter
+		OrderTimestamp: {"m1", "m2", "m3", "m4", "m5"},
+	} {
+		s, c, _ := newSimCluster(t, Config{
+			Mode: Eventual, Sites: []simnet.Site{simnet.DCWest}, Order: order,
+		})
+		s.Go(func() {
+			for _, a := range applies {
+				c.apply(c.replicas[simnet.DCWest], Entry{
+					ID:         fmt.Sprintf("m%d", a.seq),
+					CreatedAt:  epoch0.Add(time.Duration(a.seq) * time.Microsecond),
+					ArrivalSeq: a.seq,
+				}, epoch0.Add(a.at*time.Millisecond))
+				readChecked(t, c, simnet.DCWest)
+			}
+			if got := idsOf(readChecked(t, c, simnet.DCWest)); !eq(got, want) {
+				t.Errorf("order=%v: read = %v, want %v", order, got, want)
+			}
+		})
+		s.Wait()
+	}
 }

@@ -27,6 +27,12 @@ echo "== cluster smoke"
 echo "== disk chaos (short sweep)"
 DISKCHAOS_SEEDS=${DISKCHAOS_SEEDS:-"1 2"} ./scripts/disk_chaos.sh
 
+# bench/ is a module of its own: the root build and test commands above
+# never compile it, so a change to a type it uses breaks it silently.
+echo "== bench module: vet, tests, smoke run"
+(cd bench && go vet ./... && go test ./...)
+bash bench/run.sh -smoke
+
 echo "== bench: bench/run.sh"
 make bench
 
