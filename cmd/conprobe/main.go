@@ -80,7 +80,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		pprofAddr   = cliflags.Pprof(fs)
 
 		ckptPath   = fs.String("checkpoint", "", "journal campaign progress to this file (requires a single -service)")
-		ckptEvery  = fs.Int("checkpoint-every", 0, "journal appends between compactions (default 64)")
 		resumeRun  = fs.Bool("resume", false, "resume the campaign journaled in -checkpoint instead of starting fresh")
 		abortAfter = fs.Int("abort-after", 0, "abort the campaign after this many completed tests (crash drill for -checkpoint; 0 = disabled)")
 	)
@@ -256,9 +255,8 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 				Breaker: breakerCfg,
 			},
 			Durability: conprobe.Durability{
-				Checkpoint:      *ckptPath,
-				CheckpointEvery: *ckptEvery,
-				Resume:          *resumeRun,
+				Checkpoint: *ckptPath,
+				Resume:     *resumeRun,
 			},
 			Telemetry: conprobe.Telemetry{
 				Metrics: reg.Scope("conprobe").With("service", name),

@@ -173,6 +173,11 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	if err := run(context.Background(), []string{"-service", "blogger", "-test1", "1", "-sim-shards", "2"}, &out); err == nil {
 		t.Fatal("-sim-shards accepted")
 	}
+	// The journal no longer compacts, so there is no interval to set.
+	err := run(context.Background(), []string{"-service", "blogger", "-test1", "1", "-checkpoint-every", "8"}, &out)
+	if err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
+		t.Fatalf("-checkpoint-every: err = %v, want \"flag provided but not defined\"", err)
+	}
 }
 
 // runOutput runs the CLI with args plus a -trace file and returns the

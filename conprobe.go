@@ -324,14 +324,11 @@ type Resilience struct {
 type Durability struct {
 	// Checkpoint, when non-empty, journals the campaign to this file:
 	// each completed test's trace (unless Engine.DiscardTraces), the
-	// lane's progress and its streaming-analysis snapshot, checksummed
-	// and compacted in place by atomic rename. A campaign killed at any
+	// lane's progress and the test's streaming-analysis snapshot, one
+	// checksummed, fsynced frame per test. A campaign killed at any
 	// point resumes from the journal with Resume and produces output
 	// byte-identical to an uninterrupted run.
 	Checkpoint string
-	// CheckpointEvery is the number of journal appends between
-	// compactions (default checkpoint.DefaultRotateEvery).
-	CheckpointEvery int
 	// Resume continues the campaign journaled in Checkpoint instead of
 	// starting fresh. The journal's campaign identity (service, seed,
 	// lanes, counts, blocks, start) must match these Options exactly.
@@ -501,9 +498,8 @@ func Run(ctx context.Context, opts Options) (*RunResult, error) {
 			Start:           start,
 		}
 		ccfg := checkpoint.Config{
-			KeepTraces:  !opts.Engine.DiscardTraces,
-			RotateEvery: opts.Durability.CheckpointEvery,
-			FS:          opts.Durability.FS,
+			KeepTraces: !opts.Engine.DiscardTraces,
+			FS:         opts.Durability.FS,
 		}
 		var err error
 		if opts.Durability.Resume {

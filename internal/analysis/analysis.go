@@ -172,17 +172,29 @@ func Analyze(serviceName string, traces []*trace.TestTrace) *Report {
 	return a.Report()
 }
 
+// checkers pairs each anomaly with its checker, in core.AllAnomalies
+// order: the four session anomalies, then the two divergence ones with
+// their window measurement.
+var checkers = []struct {
+	anomaly core.Anomaly
+	check   func(*trace.TestTrace) []core.Violation
+	windows func(*trace.TestTrace) []core.WindowResult
+}{
+	{core.ReadYourWrites, core.CheckReadYourWrites, nil},
+	{core.MonotonicWrites, core.CheckMonotonicWrites, nil},
+	{core.MonotonicReads, core.CheckMonotonicReads, nil},
+	{core.WritesFollowsReads, core.CheckWritesFollowsReads, nil},
+	{core.ContentDivergence, core.CheckContentDivergence, core.ContentDivergenceWindows},
+	{core.OrderDivergence, core.CheckOrderDivergence, core.OrderDivergenceWindows},
+}
+
+var sessionCheckers, divergenceCheckers = checkers[:4], checkers[4:]
+
 func (r *Report) analyzeTest1(tr *trace.TestTrace) {
-	checkers := map[core.Anomaly]func(*trace.TestTrace) []core.Violation{
-		core.ReadYourWrites:     core.CheckReadYourWrites,
-		core.MonotonicWrites:    core.CheckMonotonicWrites,
-		core.MonotonicReads:     core.CheckMonotonicReads,
-		core.WritesFollowsReads: core.CheckWritesFollowsReads,
-	}
-	for anomaly, check := range checkers {
-		stats := r.Session[anomaly]
+	for _, c := range sessionCheckers {
+		stats := r.Session[c.anomaly]
 		stats.TestsTotal++
-		vs := check(tr)
+		vs := c.check(tr)
 		if len(vs) == 0 {
 			continue
 		}
@@ -199,16 +211,8 @@ func (r *Report) analyzeTest1(tr *trace.TestTrace) {
 }
 
 func (r *Report) analyzeTest2(tr *trace.TestTrace) {
-	type divergence struct {
-		check   func(*trace.TestTrace) []core.Violation
-		windows func(*trace.TestTrace) []core.WindowResult
-	}
-	checkers := map[core.Anomaly]divergence{
-		core.ContentDivergence: {core.CheckContentDivergence, core.ContentDivergenceWindows},
-		core.OrderDivergence:   {core.CheckOrderDivergence, core.OrderDivergenceWindows},
-	}
-	for anomaly, d := range checkers {
-		stats := r.Divergence[anomaly]
+	for _, d := range divergenceCheckers {
+		stats := r.Divergence[d.anomaly]
 		stats.TestsTotal++
 
 		diverged := make(map[core.Pair]bool)

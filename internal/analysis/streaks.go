@@ -79,22 +79,12 @@ func DetectStreaks(traces []*trace.TestTrace, anomaly core.Anomaly, minLen int) 
 
 // violationsOf runs the checker matching the anomaly.
 func violationsOf(tr *trace.TestTrace, anomaly core.Anomaly) []core.Violation {
-	switch anomaly {
-	case core.ReadYourWrites:
-		return core.CheckReadYourWrites(tr)
-	case core.MonotonicWrites:
-		return core.CheckMonotonicWrites(tr)
-	case core.MonotonicReads:
-		return core.CheckMonotonicReads(tr)
-	case core.WritesFollowsReads:
-		return core.CheckWritesFollowsReads(tr)
-	case core.ContentDivergence:
-		return core.CheckContentDivergence(tr)
-	case core.OrderDivergence:
-		return core.CheckOrderDivergence(tr)
-	default:
-		return nil
+	for _, c := range checkers {
+		if c.anomaly == anomaly {
+			return c.check(tr)
+		}
 	}
+	return nil
 }
 
 func sortedAgentSet(m map[trace.AgentID]bool) []trace.AgentID {

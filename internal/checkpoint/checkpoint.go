@@ -1,43 +1,39 @@
 // Package checkpoint implements the crash-safe campaign journal: an
-// append-only, checksummed JSONL file recording which tests each lane
-// has completed, the streaming-analysis state after each of them, and
-// (optionally) the completed traces themselves. A campaign killed at any
+// append-only wal.Log recording, one frame per completed test, which
+// lane ran it, the lane's next instant, that test's streaming-analysis
+// contribution and (optionally) its trace. A campaign killed at any
 // instant — including mid-append — resumes from the journal and produces
 // byte-identical output to an uninterrupted run.
 //
-// File format: one JSON object per line, `{"c":<crc32>,"p":{...}}`,
-// where c is the IEEE CRC32 of the payload's exact bytes. Payload kinds:
+// File format: internal/wal's CRC32 framing. Frame 0 is the campaign's
+// Meta (service, seed, lanes, counts), checked on resume so a journal is
+// never replayed into a different campaign; Create writes it by atomic
+// replace (temp, fsync, rename, directory fsync). Every later frame is
+// one record: the lane, the test's ID, the virtual instant the lane's
+// next step begins, the lane's resilience-middleware state, the
+// analysis.Snapshot of an aggregator fed that one test, and the trace
+// unless the campaign discards traces.
 //
-//   - meta:  the campaign's identity (service, seed, lanes, counts);
-//     written first and on every rotation, checked on resume so a
-//     journal is never replayed into a different campaign.
-//   - trace: one completed test's full trace (omitted when the campaign
-//     discards traces).
-//   - lane:  one lane's cumulative progress — the sorted TestIDs it has
-//     completed, the virtual instant its next step begins, and its
-//     aggregator snapshot.
-//
-// Crash safety: every append goes trace-then-lane, so a torn write
-// leaves either a journal that simply lacks the last test (it re-runs
-// on resume; deterministic worlds make the re-run identical) or a
-// duplicate trace line (deduplicated on load). Only the final line of a
-// journal may be damaged; damage anywhere else is reported as
-// corruption, not tolerated. Every rotationEvery appends the journal is
-// compacted — rewritten as meta + retained traces + one lane line per
-// lane — into a temporary file that atomically replaces the old journal
-// via rename, so the journal's size is bounded by campaign state, not
-// campaign history, and a crash during rotation loses nothing.
+// Crash safety: a test's trace and its lane progress share one frame,
+// so a torn write loses the whole test (it re-runs on resume;
+// deterministic worlds make the re-run identical) or nothing. Only the
+// final frame of a journal may be damaged — Load drops it with a note
+// and Continue truncates it away; damage anywhere else is reported as
+// corruption, not tolerated. Nothing is ever rewritten: Load folds each
+// lane's per-test snapshots in file order with Aggregator.Merge, which
+// appends the same samples in the same order as feeding the lane's
+// tests to one aggregator, so the restored state is byte-identical to
+// the state the lane held when it wrote the frame.
 package checkpoint
 
 import (
-	"bufio"
 	"encoding/json"
+	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 	"sort"
-	"sync"
+	"sync/atomic"
 	"time"
 
 	"conprobe/internal/analysis"
@@ -46,10 +42,6 @@ import (
 	"conprobe/internal/trace"
 	"conprobe/internal/wal"
 )
-
-// DefaultRotateEvery is how many appends separate journal compactions
-// when Config.RotateEvery is zero.
-const DefaultRotateEvery = 64
 
 // Meta identifies the campaign a journal belongs to. Resume refuses a
 // journal whose Meta does not match the options of the resuming run.
@@ -76,49 +68,36 @@ func (m Meta) Matches(other Meta) bool {
 		m.Start.Equal(other.Start)
 }
 
-// LaneRecord is one lane's cumulative journaled progress.
+// LaneRecord is one lane's journaled progress, folded from its frames.
 type LaneRecord struct {
 	// Lane is the lane index.
-	Lane int `json:"lane"`
-	// Done lists the TestIDs the lane has completed, sorted ascending.
-	Done []int `json:"done"`
+	Lane int
+	// Done lists the TestIDs the lane has completed, in completion order.
+	Done []int
 	// Next is the virtual instant the lane's next schedule step begins
 	// (the completed test's gap included); a resumed lane rebuilds its
 	// world there.
-	Next time.Time `json:"next"`
+	Next time.Time
 	// Agg is the lane's aggregator snapshot after folding every Done
 	// test, in analysis.Snapshot encoding.
-	Agg json.RawMessage `json:"agg"`
+	Agg json.RawMessage
 	// Resilience maps agent labels to the lane's resilience-middleware
 	// state (retry counters, breaker position) after the last Done test.
 	// Breaker health legitimately spans tests, so a resumed lane must
 	// rewind it to reproduce the uninterrupted run. Absent when the
 	// campaign runs without the resilience middleware.
+	Resilience map[string]resilience.Snapshot
+}
+
+// record is the payload of every frame after the meta: one completed
+// test. Agg is the snapshot of an aggregator fed this test alone.
+type record struct {
+	Lane       int                            `json:"lane"`
+	Test       int                            `json:"test"`
+	Next       time.Time                      `json:"next"`
 	Resilience map[string]resilience.Snapshot `json:"resilience,omitempty"`
-}
-
-type payload struct {
-	Kind  string           `json:"kind"`
-	Meta  *Meta            `json:"meta,omitempty"`
-	Trace *trace.TestTrace `json:"trace,omitempty"`
-	Lane  *LaneRecord      `json:"lane,omitempty"`
-}
-
-type envelope struct {
-	C uint32          `json:"c"`
-	P json.RawMessage `json:"p"`
-}
-
-func encodeLine(p *payload) ([]byte, error) {
-	raw, err := json.Marshal(p)
-	if err != nil {
-		return nil, err
-	}
-	line, err := json.Marshal(envelope{C: crc32.ChecksumIEEE(raw), P: raw})
-	if err != nil {
-		return nil, err
-	}
-	return append(line, '\n'), nil
+	Agg        json.RawMessage                `json:"agg"`
+	Trace      *trace.TestTrace               `json:"trace,omitempty"`
 }
 
 // State is a journal's decoded content.
@@ -131,8 +110,8 @@ type State struct {
 	// Traces are the journaled completed traces, sorted by TestID.
 	// Empty when the campaign journals with traces disabled.
 	Traces []*trace.TestTrace
-	// Note reports tolerated damage ("dropped truncated final record"),
-	// empty for a clean journal.
+	// Note reports tolerated damage ("dropped torn final record at byte
+	// offset N"), empty for a clean journal.
 	Note string
 }
 
@@ -150,25 +129,10 @@ func (s *State) Done(lane int) map[int]bool {
 	return done
 }
 
-// CompletedTraces returns the journaled traces whose tests some lane
-// records as done. A torn tail can leave a trace line without the lane
-// record that marks its test complete; such a test re-runs on resume,
-// so its orphaned journaled copy must be excluded everywhere.
-func (s *State) CompletedTraces() []*trace.TestTrace {
-	done := make(map[int]bool)
-	for _, lr := range s.Lanes {
-		for _, id := range lr.Done {
-			done[id] = true
-		}
-	}
-	out := make([]*trace.TestTrace, 0, len(s.Traces))
-	for _, tr := range s.Traces {
-		if done[tr.TestID] {
-			out = append(out, tr)
-		}
-	}
-	return out
-}
+// CompletedTraces returns the journaled traces, sorted by TestID. A
+// trace shares its frame with the lane progress that marks its test
+// done, so every journaled trace is a completed one.
+func (s *State) CompletedTraces() []*trace.TestTrace { return s.Traces }
 
 // Aggregator restores a fresh aggregator from lane's journaled
 // snapshot; a lane with no record yields a new empty aggregator for the
@@ -189,89 +153,70 @@ func (s *State) Aggregator(lane int) (*analysis.Aggregator, error) {
 // LoadFS.
 func Load(path string) (*State, error) { return LoadFS(nil, path) }
 
-// LoadFS reads and verifies a journal. A damaged final line is dropped
-// and noted (the classic torn tail of a crash mid-append); damage
-// anywhere else is an error positioned by line number. fsys nil means
-// the real filesystem.
+// LoadFS reads and verifies a journal without modifying it. A damaged
+// final frame is dropped and noted (the classic torn tail of a crash
+// mid-append); damage anywhere else is an error positioned by byte
+// offset. fsys nil means the real filesystem.
 func LoadFS(fsys diskfault.FS, path string) (*State, error) {
-	if fsys == nil {
-		fsys = diskfault.OS
-	}
-	f, err := fsys.OpenFile(path, os.O_RDONLY, 0)
+	rep, err := wal.ReadFS(fsys, path)
 	if err != nil {
+		var ce *wal.CorruptError
+		if errors.As(err, &ce) && ce.Offset == 0 && firstByte(fsys, path) == '{' {
+			return nil, fmt.Errorf("checkpoint %s: journal written by an older build; re-run the campaign", path)
+		}
 		return nil, err
 	}
-	defer f.Close()
-	st := &State{Lanes: make(map[int]*LaneRecord)}
-	var (
-		sawMeta bool
-		pending error // damage that is fatal unless it was the final line
-	)
-	br := bufio.NewReader(f)
-	for line := 1; ; line++ {
-		raw, readErr := br.ReadBytes('\n')
-		if len(raw) == 0 && readErr != nil {
-			break
-		}
-		if pending != nil {
-			return nil, pending
-		}
-		if perr := st.apply(raw, line, &sawMeta); perr != nil {
-			pending = perr
-		}
-		if readErr != nil {
-			break
-		}
-	}
-	if pending != nil {
-		st.Note = fmt.Sprintf("dropped damaged final record (%v)", pending)
-	}
-	if !sawMeta {
+	st := &State{Lanes: make(map[int]*LaneRecord), Note: rep.Note}
+	if len(rep.Records) == 0 || json.Unmarshal(rep.Records[0], &st.Meta) != nil || st.Meta.Service == "" {
 		return nil, fmt.Errorf("checkpoint %s: no meta record; not a campaign journal", path)
+	}
+	aggs := make(map[int]*analysis.Aggregator)
+	for i, raw := range rep.Records[1:] {
+		var rec record
+		if err := json.Unmarshal(raw, &rec); err != nil {
+			return nil, fmt.Errorf("checkpoint %s: frame %d: %w", path, i+1, err)
+		}
+		delta, err := analysis.RestoreAggregator(rec.Agg)
+		if err != nil {
+			return nil, fmt.Errorf("checkpoint %s: frame %d: %w", path, i+1, err)
+		}
+		lr := st.Lanes[rec.Lane]
+		if lr == nil {
+			lr = &LaneRecord{Lane: rec.Lane}
+			st.Lanes[rec.Lane] = lr
+			aggs[rec.Lane] = analysis.NewAggregator(st.Meta.Service)
+		}
+		aggs[rec.Lane].Merge(delta)
+		lr.Done = append(lr.Done, rec.Test)
+		lr.Next = rec.Next
+		lr.Resilience = rec.Resilience
+		if rec.Trace != nil {
+			st.Traces = append(st.Traces, rec.Trace)
+		}
+	}
+	for lane, agg := range aggs {
+		if st.Lanes[lane].Agg, err = agg.Snapshot(); err != nil {
+			return nil, fmt.Errorf("checkpoint %s: lane %d snapshot: %w", path, lane, err)
+		}
 	}
 	sort.Slice(st.Traces, func(i, j int) bool { return st.Traces[i].TestID < st.Traces[j].TestID })
 	return st, nil
 }
 
-// apply decodes one journal line into the state.
-func (st *State) apply(raw []byte, line int, sawMeta *bool) error {
-	var env envelope
-	if err := json.Unmarshal(raw, &env); err != nil {
-		return fmt.Errorf("checkpoint line %d: %w", line, err)
+// firstByte returns the first byte of the file at path, or 0 when it
+// cannot be read.
+func firstByte(fsys diskfault.FS, path string) byte {
+	if fsys == nil {
+		fsys = diskfault.OS
 	}
-	if got := crc32.ChecksumIEEE(env.P); got != env.C {
-		return fmt.Errorf("checkpoint line %d: checksum mismatch (stored %08x, computed %08x)", line, env.C, got)
+	f, err := fsys.OpenFile(path, os.O_RDONLY, 0)
+	if err != nil {
+		return 0
 	}
-	var p payload
-	if err := json.Unmarshal(env.P, &p); err != nil {
-		return fmt.Errorf("checkpoint line %d: %w", line, err)
-	}
-	switch p.Kind {
-	case "meta":
-		if p.Meta == nil {
-			return fmt.Errorf("checkpoint line %d: meta record without meta", line)
-		}
-		st.Meta = *p.Meta
-		*sawMeta = true
-	case "trace":
-		if p.Trace == nil {
-			return fmt.Errorf("checkpoint line %d: trace record without trace", line)
-		}
-		for _, tr := range st.Traces {
-			if tr.TestID == p.Trace.TestID {
-				return nil // torn append re-ran the test; keep the first copy
-			}
-		}
-		st.Traces = append(st.Traces, p.Trace)
-	case "lane":
-		if p.Lane == nil {
-			return fmt.Errorf("checkpoint line %d: lane record without lane", line)
-		}
-		st.Lanes[p.Lane.Lane] = p.Lane // cumulative: the last record wins
-	default:
-		return fmt.Errorf("checkpoint line %d: unknown record kind %q", line, p.Kind)
-	}
-	return nil
+	defer f.Close()
+	var b [1]byte
+	_, _ = io.ReadFull(f, b[:]) // a failed read leaves the 0 that means "unknown"
+	return b[0]
 }
 
 // Config parameterizes a journal writer.
@@ -280,153 +225,85 @@ type Config struct {
 	// progress, so a resumed campaign's Result carries the full trace
 	// set. Disable for DiscardTraces campaigns.
 	KeepTraces bool
-	// RotateEvery is the number of appends between compactions (default
-	// DefaultRotateEvery).
-	RotateEvery int
 	// FS is the filesystem the journal lives on; nil means the real
 	// one. Storage-fault drills pass a diskfault FS.
 	FS diskfault.FS
 }
 
-// Writer journals a running campaign. It owns its own per-lane
-// aggregators (fed on Append), so the engine's streaming analysis and
-// the journal can never disagree about a lane's folded state. Append is
-// safe for concurrent use across lanes.
+// Writer journals a running campaign. Append is safe for concurrent use
+// across lanes: each call builds its own frame, and the wal.Log orders
+// the writes and group-commits the fsyncs.
 //
-// A storage failure mid-campaign (ENOSPC, failed fsync, failed
-// rotation) DEGRADES the journal instead of aborting the run: Append
-// starts returning nil without touching the disk, and Degraded reports
-// the failure so the caller can surface a warning. The campaign
-// finishes on its own; only crash-resumability is lost — the journal on
-// disk stays a valid (if stale) prefix, because every line is
-// checksummed and a torn final line is tolerated on load.
+// A storage failure mid-campaign (ENOSPC, failed fsync) DEGRADES the
+// journal instead of aborting the run: Append starts returning nil
+// without touching the disk, and Degraded reports the failure so the
+// caller can surface a warning. The campaign finishes on its own; only
+// crash-resumability is lost — the journal on disk stays a valid (if
+// stale) prefix, because every frame is checksummed and a torn final
+// frame is tolerated on load.
 type Writer struct {
-	path string
-	cfg  Config
-	meta Meta
-
-	mu       sync.Mutex
-	f        diskfault.File
-	lanes    map[int]*LaneRecord
-	aggs     map[int]*analysis.Aggregator
-	traces   []*trace.TestTrace
-	appends  int
-	degraded error // first storage failure; journaling is off once set
+	service    string
+	keepTraces bool
+	log        *wal.Log
+	degraded   atomic.Pointer[error] // first storage failure; journaling is off once set
 }
 
-// Create starts a fresh journal at path, truncating any previous one,
-// and writes the meta record.
+// Create starts a fresh journal at path, atomically replacing any
+// previous one with a journal holding only the meta record.
 func Create(path string, meta Meta, cfg Config) (*Writer, error) {
-	if cfg.RotateEvery <= 0 {
-		cfg.RotateEvery = DefaultRotateEvery
+	raw, err := json.Marshal(meta)
+	if err != nil {
+		return nil, fmt.Errorf("checkpoint: encoding meta: %w", err)
 	}
-	w := &Writer{
-		path:  path,
-		cfg:   cfg,
-		meta:  meta,
-		lanes: make(map[int]*LaneRecord),
-		aggs:  make(map[int]*analysis.Aggregator),
+	if err := wal.WriteSnapshotFS(cfg.FS, path, raw, 0); err != nil {
+		return nil, fmt.Errorf("checkpoint: creating journal: %w", err)
 	}
-	if err := w.rotate(); err != nil {
-		return nil, err
-	}
-	return w, nil
+	return open(path, meta.Service, cfg)
 }
 
-// Continue reopens a journal from its loaded state: the writer adopts
-// the state's lane progress, restored aggregators and retained traces,
-// then immediately compacts, so any tolerated tail damage is gone
-// before the resumed campaign appends.
+// Continue reopens the journal st was loaded from for appending; any
+// tolerated tail damage is truncated away before the resumed campaign
+// appends.
 func Continue(path string, st *State, cfg Config) (*Writer, error) {
-	if cfg.RotateEvery <= 0 {
-		cfg.RotateEvery = DefaultRotateEvery
+	return open(path, st.Meta.Service, cfg)
+}
+
+func open(path, service string, cfg Config) (*Writer, error) {
+	log, _, err := wal.Open(path, wal.Options{FS: cfg.FS})
+	if err != nil {
+		return nil, fmt.Errorf("checkpoint: opening journal: %w", err)
 	}
-	w := &Writer{
-		path:  path,
-		cfg:   cfg,
-		meta:  st.Meta,
-		lanes: make(map[int]*LaneRecord),
-		aggs:  make(map[int]*analysis.Aggregator),
-	}
-	for lane, lr := range st.Lanes {
-		w.lanes[lane] = lr
-		agg, err := st.Aggregator(lane)
-		if err != nil {
-			return nil, err
-		}
-		w.aggs[lane] = agg
-	}
-	if cfg.KeepTraces {
-		w.traces = append(w.traces, st.CompletedTraces()...)
-	}
-	if err := w.rotate(); err != nil {
-		return nil, err
-	}
-	return w, nil
+	return &Writer{service: service, keepTraces: cfg.KeepTraces, log: log}, nil
 }
 
 // Append journals one completed test: lane ran tr, its next step begins
 // at next, and res is the lane's resilience-middleware state by agent
-// label (nil when the campaign runs without the middleware).
+// label (nil when the campaign runs without the middleware). It returns
+// once the frame is fsynced, or the journal has degraded.
 func (w *Writer) Append(lane int, tr *trace.TestTrace, next time.Time, res map[string]resilience.Snapshot) error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.degraded != nil {
+	if w.degraded.Load() != nil {
 		return nil // journaling is off; the campaign carries on
 	}
-	agg := w.aggs[lane]
-	if agg == nil {
-		agg = analysis.NewAggregator(w.meta.Service)
-		w.aggs[lane] = agg
-	}
+	agg := analysis.NewAggregator(w.service)
 	agg.Add(tr)
 	snap, err := agg.Snapshot()
 	if err != nil {
-		return fmt.Errorf("checkpoint: lane %d snapshot: %w", lane, err)
+		return fmt.Errorf("checkpoint: test %d snapshot: %w", tr.TestID, err)
 	}
-	lr := w.lanes[lane]
-	if lr == nil {
-		lr = &LaneRecord{Lane: lane}
-		w.lanes[lane] = lr
+	rec := record{Lane: lane, Test: tr.TestID, Next: next, Resilience: res, Agg: snap}
+	if w.keepTraces {
+		rec.Trace = tr
 	}
-	lr.Done = append(lr.Done, tr.TestID)
-	sort.Ints(lr.Done)
-	lr.Next = next
-	lr.Agg = snap
-	lr.Resilience = res
-
-	w.appends++
-	if w.appends%w.cfg.RotateEvery == 0 {
-		if w.cfg.KeepTraces {
-			w.traces = append(w.traces, tr)
-		}
-		if err := w.rotate(); err != nil {
-			return w.degrade(err)
-		}
-		return nil
-	}
-	var lines []byte
-	if w.cfg.KeepTraces {
-		w.traces = append(w.traces, tr)
-		line, err := encodeLine(&payload{Kind: "trace", Trace: tr})
-		if err != nil {
-			return fmt.Errorf("checkpoint: encoding trace %d: %w", tr.TestID, err)
-		}
-		lines = append(lines, line...)
-	}
-	line, err := encodeLine(&payload{Kind: "lane", Lane: lr})
+	raw, err := json.Marshal(&rec)
 	if err != nil {
-		return fmt.Errorf("checkpoint: encoding lane %d: %w", lane, err)
+		return fmt.Errorf("checkpoint: encoding test %d: %w", tr.TestID, err)
 	}
-	lines = append(lines, line...)
-	if _, err := w.f.Write(lines); err != nil {
-		return w.degrade(fmt.Errorf("checkpoint: appending to %s: %w", w.path, err))
-	}
-	if err := w.f.Sync(); err != nil {
-		// A failed fsync may have dropped the dirty pages (fsyncgate), so
-		// nothing later on this handle can be trusted durable either —
-		// which degrading guarantees: no further writes happen at all.
-		return w.degrade(fmt.Errorf("checkpoint: syncing %s: %w", w.path, err))
+	if err := w.log.Append(raw); err != nil {
+		// A failed write was repaired or poisoned the log, and a failed
+		// fsync always poisons it (it may have dropped the dirty pages, so
+		// nothing later on this handle can be trusted durable); either
+		// way no further writes happen at all.
+		return w.degrade(fmt.Errorf("checkpoint: %w", err))
 	}
 	return nil
 }
@@ -436,9 +313,7 @@ func (w *Writer) Append(lane int, tr *trace.TestTrace, next time.Time, res map[s
 // returns nil so the engine's Checkpoint callback never aborts a lane
 // over journal storage.
 func (w *Writer) degrade(err error) error {
-	if w.degraded == nil {
-		w.degraded = err
-	}
+	w.degraded.CompareAndSwap(nil, &err)
 	return nil
 }
 
@@ -446,72 +321,12 @@ func (w *Writer) degrade(err error) error {
 // nil while the journal is healthy. Callers surface it as a campaign
 // warning.
 func (w *Writer) Degraded() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.degraded
-}
-
-// rotate compacts the journal: meta, retained traces and the current
-// lane records atomically replace it (wal.ReplaceFileFS: O_EXCL temp,
-// fsync, rename, directory fsync).
-func (w *Writer) rotate() error {
-	fsys := w.cfg.FS
-	if fsys == nil {
-		fsys = diskfault.OS
-	}
-	err := wal.ReplaceFileFS(fsys, w.path, 0, func(tmp io.Writer) error {
-		bw := bufio.NewWriter(tmp)
-		write := func(p *payload) error {
-			line, err := encodeLine(p)
-			if err != nil {
-				return err
-			}
-			_, err = bw.Write(line)
-			return err
-		}
-		if err := write(&payload{Kind: "meta", Meta: &w.meta}); err != nil {
-			return err
-		}
-		for _, tr := range w.traces {
-			if err := write(&payload{Kind: "trace", Trace: tr}); err != nil {
-				return err
-			}
-		}
-		lanes := make([]int, 0, len(w.lanes))
-		for lane := range w.lanes {
-			lanes = append(lanes, lane)
-		}
-		sort.Ints(lanes)
-		for _, lane := range lanes {
-			if err := write(&payload{Kind: "lane", Lane: w.lanes[lane]}); err != nil {
-				return err
-			}
-		}
-		return bw.Flush()
-	})
-	if err != nil {
-		return fmt.Errorf("checkpoint: rotating %s: %w", w.path, err)
-	}
-	old := w.f
-	w.f, err = fsys.OpenFile(w.path, os.O_WRONLY|os.O_APPEND, 0)
-	if err != nil {
-		return fmt.Errorf("checkpoint: reopening %s: %w", w.path, err)
-	}
-	if old != nil {
-		old.Close()
+	if p := w.degraded.Load(); p != nil {
+		return *p
 	}
 	return nil
 }
 
 // Close releases the journal file. The journal stays on disk: a
 // completed campaign's journal is simply a resume no-op.
-func (w *Writer) Close() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.f == nil {
-		return nil
-	}
-	err := w.f.Close()
-	w.f = nil
-	return err
-}
+func (w *Writer) Close() error { return w.log.Close() }

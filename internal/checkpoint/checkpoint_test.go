@@ -2,9 +2,14 @@ package checkpoint
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -55,6 +60,71 @@ func journalCampaign(t *testing.T, path string, traces []*trace.TestTrace, cfg C
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// foldLanes is the state a journal must load to after traces were
+// appended round-robin across lanes the way journalCampaign does: each
+// lane's Done in append order, its aggregator fed the lane's traces
+// directly, and the Next of its last append.
+func foldLanes(t *testing.T, traces []*trace.TestTrace, lanes int) map[int]*LaneRecord {
+	t.Helper()
+	want := make(map[int]*LaneRecord)
+	aggs := make(map[int]*analysis.Aggregator)
+	for i, tr := range traces {
+		lane := i % lanes
+		if want[lane] == nil {
+			want[lane] = &LaneRecord{Lane: lane}
+			aggs[lane] = analysis.NewAggregator(testMeta.Service)
+		}
+		aggs[lane].Add(tr)
+		want[lane].Done = append(want[lane].Done, tr.TestID)
+		want[lane].Next = testMeta.Start.Add(time.Duration(i+1) * time.Minute)
+	}
+	for lane, agg := range aggs {
+		snap, err := agg.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[lane].Agg = snap
+	}
+	return want
+}
+
+func checkLanes(t *testing.T, label string, got *State, want map[int]*LaneRecord) {
+	t.Helper()
+	if len(got.Lanes) != len(want) {
+		t.Fatalf("%s: journal has %d lanes, want %d", label, len(got.Lanes), len(want))
+	}
+	for lane, w := range want {
+		g := got.Lanes[lane]
+		if g == nil {
+			t.Fatalf("%s: lane %d missing", label, lane)
+		}
+		if !slices.Equal(g.Done, w.Done) {
+			t.Fatalf("%s: lane %d done = %v, want %v", label, lane, g.Done, w.Done)
+		}
+		if !bytes.Equal(g.Agg, w.Agg) {
+			t.Fatalf("%s: lane %d aggregator differs from a direct fold of its tests", label, lane)
+		}
+		if !g.Next.Equal(w.Next) {
+			t.Fatalf("%s: lane %d next = %v, want %v", label, lane, g.Next, w.Next)
+		}
+	}
+}
+
+// frameEnds returns the byte offset at which each frame of a journal
+// ends (frame 0 is the meta).
+func frameEnds(t *testing.T, data []byte) []int {
+	t.Helper()
+	var ends []int
+	for off := 0; off < len(data); {
+		off += 8 + int(binary.LittleEndian.Uint32(data[off:]))
+		ends = append(ends, off)
+	}
+	if len(ends) == 0 || ends[len(ends)-1] != len(data) {
+		t.Fatalf("journal of %d bytes does not end on a frame boundary (%v)", len(data), ends)
+	}
+	return ends
 }
 
 func TestJournalRoundTrip(t *testing.T) {
@@ -165,69 +235,6 @@ func TestJournalResilienceRoundTrip(t *testing.T) {
 	}
 }
 
-func TestJournalRotationCompacts(t *testing.T) {
-	traces := campaignTraces(t)
-	dir := t.TempDir()
-	plain := filepath.Join(dir, "plain.ckpt")
-	rotated := filepath.Join(dir, "rotated.ckpt")
-	journalCampaign(t, plain, traces, Config{KeepTraces: true, RotateEvery: 1 << 20})
-	journalCampaign(t, rotated, traces, Config{KeepTraces: true, RotateEvery: 2})
-
-	pi, err := os.Stat(plain)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ri, err := os.Stat(rotated)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ri.Size() >= pi.Size() {
-		t.Errorf("rotation did not compact: rotated %d bytes >= plain %d bytes", ri.Size(), pi.Size())
-	}
-	for _, path := range []string{plain, rotated} {
-		st, err := Load(path)
-		if err != nil {
-			t.Fatalf("%s: %v", path, err)
-		}
-		if len(st.Traces) != len(traces) {
-			t.Errorf("%s kept %d traces, want %d", path, len(st.Traces), len(traces))
-		}
-		if len(st.Lanes) != 2 {
-			t.Errorf("%s has %d lanes, want 2", path, len(st.Lanes))
-		}
-	}
-}
-
-// TestJournalRotationSyncsDir checks compaction makes its rename
-// durable: every rotation must fsync the journal's directory, or a
-// crash can resurrect the pre-compaction file the rename replaced.
-func TestJournalRotationSyncsDir(t *testing.T) {
-	traces := campaignTraces(t)
-	dir := t.TempDir()
-	var synced []string
-	restore := wal.ObserveDirSync(func(d string) { synced = append(synced, d) })
-	defer restore()
-
-	// Create compacts once to write the initial journal, so even a
-	// campaign that never hits RotateEvery syncs the directory exactly
-	// once; frequent rotation syncs once per compaction on top.
-	journalCampaign(t, filepath.Join(dir, "plain.ckpt"), traces, Config{KeepTraces: true, RotateEvery: 1 << 20})
-	if len(synced) != 1 {
-		t.Fatalf("rotation-free campaign synced the directory %d times, want 1 (journal creation)", len(synced))
-	}
-
-	synced = nil
-	journalCampaign(t, filepath.Join(dir, "rotated.ckpt"), traces, Config{KeepTraces: true, RotateEvery: 2})
-	if len(synced) < 2 {
-		t.Fatalf("rotating campaign synced the directory %d times, want one per compaction", len(synced))
-	}
-	for _, d := range synced {
-		if d != dir {
-			t.Errorf("synced %q, want %q", d, dir)
-		}
-	}
-}
-
 func TestJournalToleratesTornTail(t *testing.T) {
 	traces := campaignTraces(t)
 	path := filepath.Join(t.TempDir(), "campaign.ckpt")
@@ -247,11 +254,14 @@ func TestJournalToleratesTornTail(t *testing.T) {
 	if st.Note == "" {
 		t.Error("torn tail left no note")
 	}
-	// The torn line was the final lane record, so the last test must now
-	// be absent from that lane's Done set (it re-runs on resume).
+	// The torn frame was the last test's, so that test must now be absent
+	// from its lane's Done set and from the traces (it re-runs on resume).
 	last := traces[len(traces)-1]
 	if st.Done((len(traces) - 1) % 2)[last.TestID] {
-		t.Error("torn lane record still marks its test done")
+		t.Error("torn frame still marks its test done")
+	}
+	if len(st.CompletedTraces()) != len(traces)-1 {
+		t.Errorf("torn journal kept %d traces, want %d", len(st.CompletedTraces()), len(traces)-1)
 	}
 }
 
@@ -264,19 +274,93 @@ func TestJournalRejectsMidFileCorruption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lines := bytes.SplitAfter(data, []byte("\n"))
-	// Flip a byte inside the payload of the third line.
-	target := lines[2]
-	target[len(target)/2] ^= 0x01
-	if err := os.WriteFile(path, bytes.Join(lines, nil), 0o644); err != nil {
+	// Flip a byte in the middle of the third frame's payload.
+	ends := frameEnds(t, data)
+	start := ends[1]
+	data[(start+8+ends[2])/2] ^= 0x01
+	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	_, err = Load(path)
-	if err == nil {
-		t.Fatal("mid-file corruption accepted")
+	var ce *wal.CorruptError
+	if !errors.As(err, &ce) {
+		t.Fatalf("mid-file corruption: err = %v, want a *wal.CorruptError", err)
 	}
-	if !strings.Contains(err.Error(), "line 3") {
-		t.Errorf("error %q does not position the damage at line 3", err)
+	if ce.Offset != int64(start) {
+		t.Errorf("error %q does not position the damage at the third frame (byte offset %d)", err, start)
+	}
+}
+
+// TestJournalCutAtEveryOffset is the kill-at-any-instant guarantee in
+// one sweep: a journal cut at any byte loads to exactly the tests whose
+// frames are whole — never a half-applied one — and continuing from a
+// cut at or beside a frame boundary rebuilds the uninterrupted journal.
+func TestJournalCutAtEveryOffset(t *testing.T) {
+	traces := campaignTraces(t)
+	dir := t.TempDir()
+	whole := filepath.Join(dir, "whole.ckpt")
+	journalCampaign(t, whole, traces, Config{})
+	data, err := os.ReadFile(whole)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ends := frameEnds(t, data)
+	if len(ends) != 1+len(traces) {
+		t.Fatalf("journal has %d frames, want a meta and %d tests", len(ends), len(traces))
+	}
+	beside := make(map[int]bool)
+	for _, e := range ends {
+		beside[e-1], beside[e], beside[e+1] = true, true, true
+	}
+	// want[k] is the state after the first k tests.
+	want := make([]map[int]*LaneRecord, len(traces)+1)
+	for k := range want {
+		want[k] = foldLanes(t, traces[:k], 2)
+	}
+
+	path := filepath.Join(dir, "cut.ckpt")
+	for cut := 0; cut <= len(data); cut++ {
+		if err := os.WriteFile(path, data[:cut], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		st, err := Load(path)
+		if cut < ends[0] {
+			if err == nil {
+				t.Fatalf("cut at %d (inside the meta frame) loaded", cut)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("cut at %d: %v", cut, err)
+		}
+		kept := 0 // test frames that survived the cut
+		for _, e := range ends[1:] {
+			if e <= cut {
+				kept++
+			}
+		}
+		checkLanes(t, fmt.Sprintf("cut at %d", cut), st, want[kept])
+		if onBoundary := slices.Contains(ends, cut); onBoundary != (st.Note == "") {
+			t.Fatalf("cut at %d: note %q, on a frame boundary: %v", cut, st.Note, onBoundary)
+		}
+		if !beside[cut] {
+			continue
+		}
+		w, err := Continue(path, st, Config{})
+		if err != nil {
+			t.Fatalf("cut at %d: %v", cut, err)
+		}
+		for i := kept; i < len(traces); i++ {
+			if err := w.Append(i%2, traces[i], testMeta.Start.Add(time.Duration(i+1)*time.Minute), nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, data) {
+			t.Fatalf("cut at %d: continued journal differs from the uninterrupted one (read error %v)", cut, err)
+		}
 	}
 }
 
@@ -343,11 +427,74 @@ func TestJournalContinue(t *testing.T) {
 }
 
 func TestLoadRejectsNonJournal(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "not-a-journal")
-	if err := os.WriteFile(path, []byte("hello\nworld\n"), 0o644); err != nil {
+	for name, tc := range map[string]struct{ content, want string }{
+		"text":  {"hello\nworld\n", "corrupt record at byte offset 0"},
+		"empty": {"", "no meta record"},
+		// The first line of a journal from the CRC-JSONL era.
+		"old format": {`{"c":2774771327,"p":{"kind":"meta","meta":{"service":"fbfeed","seed":11}}}` + "\n",
+			"written by an older build; re-run the campaign"},
+	} {
+		path := filepath.Join(t.TempDir(), "not-a-journal")
+		if err := os.WriteFile(path, []byte(tc.content), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err := Load(path)
+		if err == nil {
+			t.Fatalf("%s file accepted as journal", name)
+		}
+		if !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s file: error %q does not say %q", name, err, tc.want)
+		}
+	}
+}
+
+// TestAppendConcurrentLanes pins the engine's contract with the Writer:
+// different lanes append concurrently through one Writer with no lock
+// of its own, and the journal still loads to each lane's sequential
+// fold. Run under -race.
+func TestAppendConcurrentLanes(t *testing.T) {
+	const lanes = 8
+	res, err := probe.Simulate(probe.SimulateOptions{Service: "fbfeed", Test1Count: 16, Test2Count: 16, Seed: 11})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Load(path); err == nil {
-		t.Fatal("arbitrary file accepted as journal")
+	traces := res.Traces
+	path := filepath.Join(t.TempDir(), "campaign.ckpt")
+	w, err := Create(path, testMeta, Config{KeepTraces: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for lane := 0; lane < lanes; lane++ {
+		wg.Add(1)
+		go func(lane int) {
+			defer wg.Done()
+			for i := lane; i < len(traces); i += lanes {
+				if err := w.Append(lane, traces[i], testMeta.Start.Add(time.Duration(i+1)*time.Minute), nil); err != nil {
+					t.Error(err)
+				}
+			}
+		}(lane)
+	}
+	wg.Wait()
+	if err := w.Degraded(); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st, err := Load(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkLanes(t, "concurrent", st, foldLanes(t, traces, lanes))
+	got := st.CompletedTraces()
+	if len(got) != len(traces) {
+		t.Fatalf("journal kept %d traces, want %d", len(got), len(traces))
+	}
+	for i, tr := range got {
+		if tr.TestID != traces[i].TestID {
+			t.Fatalf("trace %d is test %d, want %d (sorted by TestID)", i, tr.TestID, traces[i].TestID)
+		}
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"conprobe/internal/diskfault"
+	"conprobe/internal/wal"
 )
 
 // TestENOSPCDegradesWithoutAborting is the headline journal-fault
@@ -46,8 +47,8 @@ func TestENOSPCDegradesWithoutAborting(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The stale journal must still load: every surviving line is CRC'd
-	// and only a torn final line is tolerated, so degrading mid-append
+	// The stale journal must still load: every surviving frame is CRC'd
+	// and only a torn final frame is tolerated, so degrading mid-append
 	// never leaves the file unreadable.
 	st, err := Load(path)
 	if err != nil {
@@ -91,65 +92,23 @@ func TestFsyncFailureDegradesJournal(t *testing.T) {
 	}
 }
 
-// TestRotationENOSPCDegrades: a compaction that cannot write its temp
-// file degrades like any other storage failure — and the pre-rotation
-// journal survives untouched, because the temp was never renamed in.
-func TestRotationENOSPCDegrades(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "checkpoint.jsonl")
-	traces := campaignTraces(t)
-
-	inj := diskfault.New(nil)
-	// The rotation temp is the only .tmp writer in this campaign.
-	if err := inj.Arm(diskfault.Fault{Kind: diskfault.KindENOSPC, Path: ".tmp", Sticky: true}); err != nil {
-		t.Fatal(err)
-	}
-	w, err := Create(path, testMeta, Config{RotateEvery: 2, FS: inj.FS()})
-	// Create itself rotates; with the temp unwritable it must fail hard
-	// (the campaign has not started — there is nothing to preserve).
-	if err == nil {
-		w.Close()
-		t.Fatal("Create succeeded with unwritable rotation temp")
-	}
-
-	// Start clean, then arm the fault so only the mid-campaign rotation
-	// hits it.
-	inj2 := diskfault.New(nil)
-	w, err = Create(path, testMeta, Config{RotateEvery: 2, FS: inj2.FS()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := inj2.Arm(diskfault.Fault{Kind: diskfault.KindENOSPC, Path: ".tmp", Sticky: true}); err != nil {
-		t.Fatal(err)
-	}
-	base := testMeta.Start
-	for i, tr := range traces {
-		if err := w.Append(i%2, tr, base.Add(time.Duration(i+1)*time.Minute), nil); err != nil {
-			t.Fatalf("append %d aborted the campaign: %v", i, err)
-		}
-	}
-	if w.Degraded() == nil {
-		t.Fatal("journal never degraded despite rotation ENOSPC")
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Load(path); err != nil {
-		t.Fatalf("journal after failed rotation does not load: %v", err)
-	}
-}
-
-// TestStaleRotationTmpNeverAdopted: a crashed rotation's half-written
-// temp file is removed and rewritten by the next rotation, never
-// renamed into place as the journal.
+// TestStaleRotationTmpNeverAdopted guards the one temp file the journal
+// still has, Create's: a half-written temp left by a crashed run is
+// removed and rewritten, never renamed into place as the journal; the
+// rename is made durable by exactly one directory fsync; and a Create
+// that cannot write its temp fails hard and leaves the previous journal
+// untouched (the campaign has not started — there is nothing to degrade).
 func TestStaleRotationTmpNeverAdopted(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "checkpoint.jsonl")
 
-	// Plant a garbage temp as a crashed rotation would leave it.
-	if err := os.WriteFile(path+".tmp", []byte("garbage from a crashed rotation"), 0o644); err != nil {
+	// Plant a garbage temp as a crashed Create would leave it.
+	if err := os.WriteFile(path+".tmp", []byte("garbage from a crashed create"), 0o644); err != nil {
 		t.Fatal(err)
 	}
+	var synced []string
+	restore := wal.ObserveDirSync(func(d string) { synced = append(synced, d) })
+	defer restore()
 
 	w, err := Create(path, testMeta, Config{})
 	if err != nil {
@@ -158,6 +117,21 @@ func TestStaleRotationTmpNeverAdopted(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
+	if len(synced) != 1 || synced[0] != dir {
+		t.Fatalf("Create synced %q, want the journal's directory %q exactly once", synced, dir)
+	}
+
+	inj := diskfault.New(nil)
+	if err := inj.Arm(diskfault.Fault{Kind: diskfault.KindENOSPC, Path: ".tmp", Sticky: true}); err != nil {
+		t.Fatal(err)
+	}
+	other := testMeta
+	other.Seed++
+	if w, err := Create(path, other, Config{FS: inj.FS()}); err == nil {
+		w.Close()
+		t.Fatal("Create succeeded with an unwritable temp")
+	}
+
 	st, err := Load(path)
 	if err != nil {
 		t.Fatalf("journal created over stale temp does not load: %v", err)
@@ -168,7 +142,7 @@ func TestStaleRotationTmpNeverAdopted(t *testing.T) {
 }
 
 // TestLoadFSDetectsBitFlip: a read-side bit flip in the journal is
-// caught by the per-line CRC, positioned at the damaged line.
+// caught by the per-frame CRC, positioned at the damaged frame.
 func TestLoadFSDetectsBitFlip(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "checkpoint.jsonl")
@@ -176,7 +150,7 @@ func TestLoadFSDetectsBitFlip(t *testing.T) {
 
 	inj := diskfault.New(nil)
 	// Seed 900 lands the flip inside a CRC-guarded payload early in the
-	// file (not the torn-tail-tolerated final line).
+	// file (not the torn-tail-tolerated final frame).
 	if err := inj.Arm(diskfault.Fault{Kind: diskfault.KindBitFlip, Path: "checkpoint.jsonl", Seed: 900}); err != nil {
 		t.Fatal(err)
 	}

@@ -54,9 +54,7 @@ func sweepJournalWriteFault(t *testing.T, seed uint64, kind diskfault.Kind) {
 	traces := campaignTraces(t)
 
 	inj := diskfault.New(nil)
-	// RotateEvery 3 forces a mid-campaign rotation, so torn/ENOSPC/
-	// crash-rename faults get a shot at the temp-and-rename path too.
-	w, err := Create(path, testMeta, Config{KeepTraces: true, RotateEvery: 3, FS: inj.FS()})
+	w, err := Create(path, testMeta, Config{KeepTraces: true, FS: inj.FS()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +101,7 @@ func sweepJournalBitFlip(t *testing.T, seed uint64) {
 		t.Fatal(err)
 	}
 	// A flip is either detected (load error, positioned) or lands in the
-	// torn-tolerated final line, in which case the surviving prefix must
+	// torn-tolerated final frame, in which case the surviving prefix must
 	// still be a valid resume state — never silent garbage.
 	st, err := LoadFS(inj.FS(), path)
 	if err != nil {
@@ -116,7 +114,7 @@ func sweepJournalBitFlip(t *testing.T, seed uint64) {
 
 // faultTarget picks the Path filter per kind: directory syncs see the
 // directory path, so the omission fault matches everything; the rest
-// aim at the journal (and, via the shared prefix, its rotation temp).
+// aim at the journal.
 func faultTarget(kind diskfault.Kind) string {
 	if kind == diskfault.KindDirSyncOmit {
 		return ""

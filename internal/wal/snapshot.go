@@ -37,7 +37,7 @@ func WriteSnapshotFS(fsys diskfault.FS, path string, payload []byte, mode os.Fil
 // the old file or leave neither name pointing at a complete one. A
 // crash or failure at any point leaves either the old file or the new
 // one, never a mix. Snapshots, term-log compaction and checkpoint
-// journal rotation all replace their file through here.
+// journal creation all replace their file through here.
 //
 // The temp file is created with O_EXCL at a fixed name (path + ".tmp"):
 // a half-written temp left by a crashed prior run is detected as an
@@ -89,6 +89,23 @@ func ReadSnapshot(path string) (payload []byte, ok bool, err error) {
 	return ReadSnapshotFS(nil, path)
 }
 
+// ReadFS replays the log at path read-only: unlike Open it never
+// creates the file, truncates a torn tail or quarantines. A torn final
+// record is dropped and noted in the Replay; damage anywhere earlier is
+// a *CorruptError. fsys nil means the real filesystem.
+func ReadFS(fsys diskfault.FS, path string) (Replay, error) {
+	if fsys == nil {
+		fsys = diskfault.OS
+	}
+	f, err := fsys.OpenFile(path, os.O_RDONLY, 0)
+	if err != nil {
+		return Replay{}, err
+	}
+	defer f.Close()
+	rep, _, err := scan(f, path)
+	return rep, err
+}
+
 // ReadSnapshotFS reads a snapshot written by WriteSnapshotFS. A missing
 // file returns (nil, false, nil): no snapshot yet. A torn or damaged
 // snapshot returns a *CorruptError — unlike a log's torn tail there is
@@ -97,18 +114,10 @@ func ReadSnapshot(path string) (payload []byte, ok bool, err error) {
 // that can re-source the state (cluster nodes) may quarantine the
 // damaged file with QuarantineFile and rejoin; the rest must stop.
 func ReadSnapshotFS(fsys diskfault.FS, path string) (payload []byte, ok bool, err error) {
-	if fsys == nil {
-		fsys = diskfault.OS
+	rep, err := ReadFS(fsys, path)
+	if os.IsNotExist(err) {
+		return nil, false, nil
 	}
-	f, err := fsys.OpenFile(path, os.O_RDONLY, 0)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, false, nil
-		}
-		return nil, false, err
-	}
-	defer f.Close()
-	rep, _, err := scan(f, path)
 	if err != nil {
 		return nil, false, err
 	}

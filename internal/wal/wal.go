@@ -1,8 +1,8 @@
 // Package wal implements the crash-safe binary persistence primitives
 // shared by the durable store and the replicated consvc cluster: an
 // append-only log of CRC32-framed records with group-committed fsync,
-// and atomically replaced snapshot files written with the same
-// tmp+rename+checksum discipline as the internal/checkpoint journal.
+// and atomically replaced snapshot files (tmp+rename+checksum). The
+// internal/checkpoint campaign journal is one such log.
 //
 // Record framing: every record is [4-byte little-endian payload length]
 // [4-byte little-endian IEEE CRC32 of the payload][payload]. Replay

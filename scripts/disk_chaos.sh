@@ -20,9 +20,10 @@ seeds=${DISKCHAOS_SEEDS:-"1 2 3 4 5"}
 pkgs="./internal/cluster ./internal/checkpoint ./internal/wal ./internal/diskfault ./internal/store"
 sweep='TestDiskFaultSweep|TestJournalFaultSweep'
 
-# The every-offset corruption sweeps and the single-shot recovery-path
-# tests are seed-independent; run them once, alongside the first seed.
-once='FlipAtEveryOffset|TestFsyncPoisonNeverAcks|TestQuarantinedFollowerRejoinsViaSnapshot|TestCorruptTermLogBootsNonGranting'
+# The every-offset corruption and truncation sweeps and the single-shot
+# recovery-path tests are seed-independent; run them once, alongside the
+# first seed.
+once='FlipAtEveryOffset|TestJournalCutAtEveryOffset|TestFsyncPoisonNeverAcks|TestQuarantinedFollowerRejoinsViaSnapshot|TestCorruptTermLogBootsNonGranting'
 
 first=1
 for seed in $seeds; do
