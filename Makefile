@@ -73,11 +73,14 @@ cluster-smoke:
 disk-chaos:
 	./scripts/disk_chaos.sh
 
-# fuzz gives every fuzz target a short budget beyond its seed corpus.
+# fuzz gives every fuzz target a short budget beyond its seed corpus. The
+# two core targets are differential — predicates (repeated IDs, long
+# sequences) and whole traces against the reference oracle in
+# internal/core/reference_test.go — and get the longer budget.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzReader -fuzztime 10s ./internal/trace
-	$(GO) test -run '^$$' -fuzz FuzzDivergencePredicates -fuzztime 10s ./internal/core
-	$(GO) test -run '^$$' -fuzz FuzzCheckTest -fuzztime 10s ./internal/core
+	$(GO) test -run '^$$' -fuzz FuzzDivergencePredicates -fuzztime 30s ./internal/core
+	$(GO) test -run '^$$' -fuzz FuzzCheckTest -fuzztime 30s ./internal/core
 	$(GO) test -run '^$$' -fuzz FuzzMetricsExposition -fuzztime 10s ./internal/obs
 
 # golden re-records the committed golden files after an intentional

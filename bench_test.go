@@ -443,42 +443,41 @@ func BenchmarkAblationSessionMasking(b *testing.B) {
 
 // --- Micro-benchmarks: hot paths -------------------------------------------
 
-// BenchmarkCheckTest measures the full checker battery over a realistic
-// Test 2 trace.
+// benchTest2Trace returns a paper-shaped Test 2 (Table II): the first
+// googleplus instance, three agents reading 45 times each.
+func benchTest2Trace(b *testing.B) *trace.TestTrace {
+	b.Helper()
+	res, err := probe.Simulate(probe.SimulateOptions{
+		Service: service.NameGooglePlus, Test2Count: 1, Seed: benchSeed,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	tr := res.Traces[0]
+	if tr.Kind != trace.Test2 || len(tr.Reads) != 3*45 {
+		b.Fatalf("fixture is %v with %d reads, want test2 with 135", tr.Kind, len(tr.Reads))
+	}
+	return tr
+}
+
+// BenchmarkCheckTest measures the full checker battery over a
+// paper-shaped Test 2 trace. scripts/verify.sh prints its row.
 func BenchmarkCheckTest(b *testing.B) {
-	_, traces := benchCampaign(b, service.NameFBFeed)
-	var tr *trace.TestTrace
-	for _, t := range traces {
-		if t.Kind == trace.Test2 {
-			tr = t
-			break
-		}
-	}
-	if tr == nil {
-		b.Fatal("no test2 trace")
-	}
+	tr := benchTest2Trace(b)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if vs := core.CheckTest(tr); len(vs) == 0 {
-			_ = vs
+			b.Fatal("fixture shows no anomaly")
 		}
 	}
 }
 
 // BenchmarkDivergenceWindows measures the timeline-scan window
-// computation.
+// computation on the same trace.
 func BenchmarkDivergenceWindows(b *testing.B) {
-	_, traces := benchCampaign(b, service.NameGooglePlus)
-	var tr *trace.TestTrace
-	for _, t := range traces {
-		if t.Kind == trace.Test2 {
-			tr = t
-			break
-		}
-	}
-	if tr == nil {
-		b.Fatal("no test2 trace")
-	}
+	tr := benchTest2Trace(b)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = core.ContentDivergenceWindows(tr)

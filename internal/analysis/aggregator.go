@@ -74,13 +74,14 @@ func (a *Aggregator) Add(tr *trace.TestTrace) {
 	if tr.CollectionFaults() > 0 {
 		r.Collection.TestsWithFaults++
 	}
+	// One index serves every checker and window scan of the trace.
 	switch tr.Kind {
 	case trace.Test1:
 		r.Test1Count++
-		r.analyzeTest1(tr)
+		r.analyzeTest1(core.NewIndex(tr))
 	case trace.Test2:
 		r.Test2Count++
-		r.analyzeTest2(tr)
+		r.analyzeTest2(core.NewIndex(tr))
 	}
 }
 

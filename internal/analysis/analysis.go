@@ -172,29 +172,11 @@ func Analyze(serviceName string, traces []*trace.TestTrace) *Report {
 	return a.Report()
 }
 
-// checkers pairs each anomaly with its checker, in core.AllAnomalies
-// order: the four session anomalies, then the two divergence ones with
-// their window measurement.
-var checkers = []struct {
-	anomaly core.Anomaly
-	check   func(*trace.TestTrace) []core.Violation
-	windows func(*trace.TestTrace) []core.WindowResult
-}{
-	{core.ReadYourWrites, core.CheckReadYourWrites, nil},
-	{core.MonotonicWrites, core.CheckMonotonicWrites, nil},
-	{core.MonotonicReads, core.CheckMonotonicReads, nil},
-	{core.WritesFollowsReads, core.CheckWritesFollowsReads, nil},
-	{core.ContentDivergence, core.CheckContentDivergence, core.ContentDivergenceWindows},
-	{core.OrderDivergence, core.CheckOrderDivergence, core.OrderDivergenceWindows},
-}
-
-var sessionCheckers, divergenceCheckers = checkers[:4], checkers[4:]
-
-func (r *Report) analyzeTest1(tr *trace.TestTrace) {
-	for _, c := range sessionCheckers {
-		stats := r.Session[c.anomaly]
+func (r *Report) analyzeTest1(ix *core.Index) {
+	for _, anomaly := range core.SessionAnomalies() {
+		stats := r.Session[anomaly]
 		stats.TestsTotal++
-		vs := c.check(tr)
+		vs := ix.Check(anomaly)
 		if len(vs) == 0 {
 			continue
 		}
@@ -210,19 +192,19 @@ func (r *Report) analyzeTest1(tr *trace.TestTrace) {
 	}
 }
 
-func (r *Report) analyzeTest2(tr *trace.TestTrace) {
-	for _, d := range divergenceCheckers {
-		stats := r.Divergence[d.anomaly]
+func (r *Report) analyzeTest2(ix *core.Index) {
+	for _, anomaly := range core.DivergenceAnomalies() {
+		stats := r.Divergence[anomaly]
 		stats.TestsTotal++
 
 		diverged := make(map[core.Pair]bool)
-		for _, v := range d.check(tr) {
+		for _, v := range ix.Check(anomaly) {
 			diverged[core.MakePair(v.Agent, v.Other)] = true
 		}
 		if len(diverged) > 0 {
 			stats.TestsWithAnomaly++
 		}
-		for _, w := range d.windows(tr) {
+		for _, w := range ix.Windows(anomaly) {
 			ps := stats.PerPair[w.Pair]
 			if ps == nil {
 				ps = &PairStats{Pair: w.Pair}

@@ -79,12 +79,7 @@ func DetectStreaks(traces []*trace.TestTrace, anomaly core.Anomaly, minLen int) 
 
 // violationsOf runs the checker matching the anomaly.
 func violationsOf(tr *trace.TestTrace, anomaly core.Anomaly) []core.Violation {
-	for _, c := range checkers {
-		if c.anomaly == anomaly {
-			return c.check(tr)
-		}
-	}
-	return nil
+	return core.NewIndex(tr).Check(anomaly)
 }
 
 func sortedAgentSet(m map[trace.AgentID]bool) []trace.AgentID {

@@ -94,14 +94,30 @@ type Violation struct {
 // Test 2 exposes divergence; both kinds are checked for everything, as any
 // trace can in principle exhibit any anomaly.
 func CheckTest(tr *trace.TestTrace) []Violation {
+	ix := NewIndex(tr)
 	var out []Violation
-	out = append(out, CheckReadYourWrites(tr)...)
-	out = append(out, CheckMonotonicWrites(tr)...)
-	out = append(out, CheckMonotonicReads(tr)...)
-	out = append(out, CheckWritesFollowsReads(tr)...)
-	out = append(out, CheckContentDivergence(tr)...)
-	out = append(out, CheckOrderDivergence(tr)...)
+	for a := ReadYourWrites; a <= OrderDivergence; a++ {
+		out = append(out, ix.Check(a)...)
+	}
 	return out
+}
+
+// Check returns the violations of one anomaly, as the Check function of
+// that name does.
+func (ix *Index) Check(a Anomaly) []Violation {
+	switch a {
+	case ReadYourWrites:
+		return ix.readYourWrites()
+	case MonotonicWrites:
+		return ix.monotonicWrites()
+	case MonotonicReads:
+		return ix.monotonicReads()
+	case WritesFollowsReads:
+		return ix.writesFollowsReads()
+	case ContentDivergence, OrderDivergence:
+		return ix.divergence(a)
+	}
+	return nil
 }
 
 // ByAnomaly groups violations by anomaly type.

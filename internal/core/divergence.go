@@ -1,7 +1,8 @@
 package core
 
 import (
-	"sort"
+	"slices"
+	"sync"
 	"time"
 
 	"conprobe/internal/trace"
@@ -22,7 +23,13 @@ func MakePair(a, b trace.AgentID) Pair {
 
 // Pairs returns every unordered agent pair of the trace.
 func Pairs(tr *trace.TestTrace) []Pair {
-	var out []Pair
+	if tr.Agents < 2 {
+		return nil
+	}
+	// Sized for a plausible test: a trace file may declare any count, and
+	// the product must neither overflow nor reserve memory on its say-so.
+	n := min(tr.Agents, 64)
+	out := make([]Pair, 0, n*(n-1)/2)
 	for a := 1; a <= tr.Agents; a++ {
 		for b := a + 1; b <= tr.Agents; b++ {
 			out = append(out, Pair{A: trace.AgentID(a), B: trace.AgentID(b)})
@@ -39,75 +46,53 @@ func Pairs(tr *trace.TestTrace) []Pair {
 // It is exported for white-box monitors that evaluate the condition on
 // replica logs directly.
 func ContentDiverged(s1, s2 []trace.WriteID) bool {
-	return contentDiverged(s1, s2)
+	v, _, _ := diverged(s1, s2)
+	return v.content
 }
 
 // OrderDiverged reports the Order Divergence condition between two
-// observed sequences.
-func OrderDiverged(s1, s2 []trace.WriteID) bool {
-	_, _, ok := orderDiverged(s1, s2)
-	return ok
-}
-
-// contentDiverged reports the Content Divergence condition:
-//
-//	∃ x ∈ S1, y ∈ S2 : x ∉ S2 ∧ y ∉ S1
-func contentDiverged(s1, s2 []trace.WriteID) bool {
-	set1 := make(map[trace.WriteID]bool, len(s1))
-	for _, x := range s1 {
-		set1[x] = true
-	}
-	onlyIn1 := false
-	set2 := make(map[trace.WriteID]bool, len(s2))
-	for _, y := range s2 {
-		set2[y] = true
-	}
-	for _, x := range s1 {
-		if !set2[x] {
-			onlyIn1 = true
-			break
-		}
-	}
-	if !onlyIn1 {
-		return false
-	}
-	for _, y := range s2 {
-		if !set1[y] {
-			return true
-		}
-	}
-	return false
-}
-
-// orderDiverged reports the Order Divergence condition and, when true, a
-// witnessing pair of writes:
+// observed sequences:
 //
 //	∃ x, y ∈ S1 ∩ S2 : S1(x) ≺ S1(y) ∧ S2(y) ≺ S2(x)
-func orderDiverged(s1, s2 []trace.WriteID) (trace.WriteID, trace.WriteID, bool) {
-	pos2 := make(map[trace.WriteID]int, len(s2))
-	for i, id := range s2 {
-		pos2[id] = i
-	}
-	// Collect the common subsequence in S1 order with its S2 positions;
-	// any inversion witnesses divergence.
-	type elem struct {
-		id trace.WriteID
-		p2 int
-	}
-	var common []elem
+func OrderDiverged(s1, s2 []trace.WriteID) bool {
+	v, _, _ := diverged(s1, s2)
+	return v.order
+}
+
+// scratch is what one evaluation over raw write IDs needs; pooled, so the
+// predicates allocate nothing once warm.
+type scratch struct {
+	ids  interner
+	k    kernel
+	a, b []int32
+}
+
+var scratchPool = sync.Pool{New: func() any {
+	return &scratch{ids: interner{byID: make(map[trace.WriteID]int32)}}
+}}
+
+// diverged interns both sequences and runs the kernel on them; x and y
+// witness an order divergence.
+func diverged(s1, s2 []trace.WriteID) (v verdict, x, y trace.WriteID) {
+	sc := scratchPool.Get().(*scratch)
+	sc.a, sc.b = sc.a[:0], sc.b[:0]
 	for _, id := range s1 {
-		if p, ok := pos2[id]; ok {
-			common = append(common, elem{id: id, p2: p})
-		}
+		sc.a = append(sc.a, sc.ids.intern(id))
 	}
-	for i := 0; i < len(common); i++ {
-		for j := i + 1; j < len(common); j++ {
-			if common[j].p2 < common[i].p2 {
-				return common[i].id, common[j].id, true
-			}
-		}
+	for _, id := range s2 {
+		sc.b = append(sc.b, sc.ids.intern(id))
 	}
-	return "", "", false
+	sc.k.grow(len(sc.ids.list))
+	v = sc.k.diverged(sc.a, sc.b)
+	if v.order {
+		x, y = sc.ids.list[v.x], sc.ids.list[v.y]
+	}
+	// Leave no caller's strings behind in the pool.
+	clear(sc.ids.byID)
+	clear(sc.ids.list)
+	sc.ids.list = sc.ids.list[:0]
+	scratchPool.Put(sc)
+	return v, x, y
 }
 
 // CheckContentDivergence detects Content Divergence between every pair of
@@ -115,45 +100,36 @@ func orderDiverged(s1, s2 []trace.WriteID) (trace.WriteID, trace.WriteID, bool) 
 // diverges from any read of the second agent yields one violation (the
 // earliest diverging counterpart is recorded).
 func CheckContentDivergence(tr *trace.TestTrace) []Violation {
-	return checkDivergence(tr, ContentDivergence)
+	return NewIndex(tr).Check(ContentDivergence)
 }
 
 // CheckOrderDivergence detects Order Divergence between every pair of
 // agents, one violation per diverging read of the pair's first agent.
 func CheckOrderDivergence(tr *trace.TestTrace) []Violation {
-	return checkDivergence(tr, OrderDivergence)
+	return NewIndex(tr).Check(OrderDivergence)
 }
 
-func checkDivergence(tr *trace.TestTrace, kind Anomaly) []Violation {
-	reads := tr.ReadsByAgent()
-	var out []Violation
-	for _, p := range Pairs(tr) {
-		ra, rb := reads[p.A], reads[p.B]
-		for i := range ra {
-			for j := range rb {
-				switch kind {
-				case ContentDivergence:
-					if contentDiverged(ra[i].Observed, rb[j].Observed) {
-						out = append(out, Violation{
-							Anomaly:   ContentDivergence,
-							Agent:     p.A,
-							Other:     p.B,
-							ReadIndex: i,
-						})
-						j = len(rb) // one violation per read of A
+// divergence returns one violation per read of each pair's first agent
+// that diverges from some read of the second, the earliest such read.
+func (ix *Index) divergence(kind Anomaly) (out []Violation) {
+	for i, ra := range ix.agents {
+		for _, rb := range ix.agents[i+1:] {
+			if ra.id < 1 || int(rb.id) > ix.tr.Agents {
+				continue // a stray reader, not one of the test's pairs
+			}
+			for i, r := range ra.reads {
+				for _, o := range rb.reads {
+					w := ix.k.diverged(r.seq, o.seq)
+					if !w.holds(kind) {
+						continue
 					}
-				case OrderDivergence:
-					if x, y, ok := orderDiverged(ra[i].Observed, rb[j].Observed); ok {
-						out = append(out, Violation{
-							Anomaly:   OrderDivergence,
-							Agent:     p.A,
-							Other:     p.B,
-							ReadIndex: i,
-							Write:     x,
-							Write2:    y,
-						})
-						j = len(rb)
+					v := Violation{Anomaly: kind, Agent: ra.id, Other: rb.id, ReadIndex: i}
+					if kind == OrderDivergence {
+						v.Write, v.Write2 = ix.ids.list[w.x], ix.ids.list[w.y]
 					}
+					// Room for the rest of A's reads: at most one each.
+					out = append(slices.Grow(out, len(ra.reads)-i), v)
+					break
 				}
 			}
 		}
@@ -185,46 +161,38 @@ type WindowResult struct {
 // are measured between read-completion events, mirroring the paper's
 // "as determined by the most recent read" rule.
 func ContentDivergenceWindows(tr *trace.TestTrace) []WindowResult {
-	return divergenceWindows(tr, func(s1, s2 []trace.WriteID) bool {
-		return contentDiverged(s1, s2)
-	})
+	return NewIndex(tr).Windows(ContentDivergence)
 }
 
 // OrderDivergenceWindows computes order-divergence windows per agent pair.
 func OrderDivergenceWindows(tr *trace.TestTrace) []WindowResult {
-	return divergenceWindows(tr, func(s1, s2 []trace.WriteID) bool {
-		_, _, ok := orderDiverged(s1, s2)
-		return ok
-	})
+	return NewIndex(tr).Windows(OrderDivergence)
 }
 
-type timelineEvent struct {
-	at    time.Time
-	agent trace.AgentID
-	read  *trace.Read
-}
-
-func divergenceWindows(tr *trace.TestTrace, diverged func(s1, s2 []trace.WriteID) bool) []WindowResult {
-	reads := tr.ReadsByAgent()
-	var out []WindowResult
-	for _, p := range Pairs(tr) {
-		// Merge the pair's reads into one corrected-time event stream.
-		var events []timelineEvent
-		for _, ag := range []trace.AgentID{p.A, p.B} {
-			rs := reads[ag]
-			for i := range rs {
-				events = append(events, timelineEvent{
-					at:    tr.Corrected(ag, rs[i].Returned),
-					agent: ag,
-					read:  &rs[i],
-				})
-			}
+// Windows measures the divergence windows of kind for every agent pair.
+func (ix *Index) Windows(kind Anomaly) []WindowResult {
+	tr := ix.tr
+	pairs := Pairs(tr)
+	if len(pairs) == 0 {
+		return nil
+	}
+	for i := range ix.agents {
+		av := &ix.agents[i]
+		if av.byReturn != nil {
+			continue
 		}
-		sortEvents(events)
+		av.byReturn = make([]event, len(av.reads))
+		for j, r := range av.reads {
+			av.byReturn[j] = event{at: tr.Corrected(av.id, r.r.Returned), seq: r.seq}
+		}
+		slices.SortStableFunc(av.byReturn, func(x, y event) int { return x.at.Compare(y.at) })
+	}
 
+	out := make([]WindowResult, len(pairs))
+	for n, p := range pairs {
 		res := WindowResult{Pair: p, Converged: true}
 		var (
-			lastA, lastB  []trace.WriteID
+			lastA, lastB  []int32
 			haveA, haveB  bool
 			inWindow      bool
 			windowStart   time.Time
@@ -241,14 +209,20 @@ func divergenceWindows(tr *trace.TestTrace, diverged func(s1, s2 []trace.WriteID
 				res.Largest = d
 			}
 		}
-		for _, ev := range events {
-			if ev.agent == p.A {
-				lastA, haveA = ev.read.Observed, true
+		// Merge the pair's completion timelines; on a tie A's read comes
+		// first, as in a stable sort of A's reads followed by B's.
+		ea, eb := ix.agent(p.A).byReturn, ix.agent(p.B).byReturn
+		for len(ea) > 0 || len(eb) > 0 {
+			var ev event
+			if len(eb) == 0 || len(ea) > 0 && !eb[0].at.Before(ea[0].at) {
+				ev, ea = ea[0], ea[1:]
+				lastA, haveA = ev.seq, true
 			} else {
-				lastB, haveB = ev.read.Observed, true
+				ev, eb = eb[0], eb[1:]
+				lastB, haveB = ev.seq, true
 			}
 			lastEventTime = ev.at
-			cond := haveA && haveB && diverged(lastA, lastB)
+			cond := haveA && haveB && ix.k.diverged(lastA, lastB).holds(kind)
 			switch {
 			case cond && !inWindow:
 				inWindow = true
@@ -263,11 +237,7 @@ func divergenceWindows(tr *trace.TestTrace, diverged func(s1, s2 []trace.WriteID
 			res.Converged = false
 			closeWindow(lastEventTime)
 		}
-		out = append(out, res)
+		out[n] = res
 	}
 	return out
-}
-
-func sortEvents(evs []timelineEvent) {
-	sort.SliceStable(evs, func(i, j int) bool { return evs[i].at.Before(evs[j].at) })
 }

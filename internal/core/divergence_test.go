@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -32,8 +34,8 @@ func TestContentDivergedCondition(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			if got := contentDiverged(tt.s1, tt.s2); got != tt.want {
-				t.Fatalf("contentDiverged(%v,%v) = %v, want %v", tt.s1, tt.s2, got, tt.want)
+			if got := ContentDiverged(tt.s1, tt.s2); got != tt.want {
+				t.Fatalf("ContentDiverged(%v,%v) = %v, want %v", tt.s1, tt.s2, got, tt.want)
 			}
 		})
 	}
@@ -49,7 +51,7 @@ func TestContentDivergedSymmetric(t *testing.T) {
 		for i, x := range b {
 			s2[i] = trace.WriteID(x)
 		}
-		return contentDiverged(s1, s2) == contentDiverged(s2, s1)
+		return ContentDiverged(s1, s2) == ContentDiverged(s2, s1)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -72,18 +74,17 @@ func TestOrderDivergedCondition(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			_, _, got := orderDiverged(tt.s1, tt.s2)
-			if got != tt.want {
-				t.Fatalf("orderDiverged(%v,%v) = %v, want %v", tt.s1, tt.s2, got, tt.want)
+			if got := OrderDiverged(tt.s1, tt.s2); got != tt.want {
+				t.Fatalf("OrderDiverged(%v,%v) = %v, want %v", tt.s1, tt.s2, got, tt.want)
 			}
 		})
 	}
 }
 
 func TestOrderDivergedWitness(t *testing.T) {
-	x, y, ok := orderDiverged(ids("m1", "m2"), ids("m2", "m1"))
-	if !ok || x != "m1" || y != "m2" {
-		t.Fatalf("witness = %v,%v,%v", x, y, ok)
+	v, x, y := diverged(ids("m1", "m2"), ids("m2", "m1"))
+	if !v.order || x != "m1" || y != "m2" {
+		t.Fatalf("witness = %v,%v,%v", x, y, v.order)
 	}
 }
 
@@ -104,9 +105,7 @@ func TestOrderDivergedSymmetricProperty(t *testing.T) {
 			return out
 		}
 		s1, s2 := mk(a), mk(b)
-		_, _, d1 := orderDiverged(s1, s2)
-		_, _, d2 := orderDiverged(s2, s1)
-		return d1 == d2
+		return OrderDiverged(s1, s2) == OrderDiverged(s2, s1)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -388,5 +387,43 @@ func TestWindowsClockDeltaCanReorderAgentsEvents(t *testing.T) {
 	w := ContentDivergenceWindows(tr)[0]
 	if w.Largest != 300*time.Millisecond {
 		t.Fatalf("corrected window = %v, want 300ms", w.Largest)
+	}
+}
+
+func TestCheckDivergenceReportsEachReadOnce(t *testing.T) {
+	// Agent 1's read diverges from three of agent 2's four reads; it is
+	// reported once, against the earliest of them. This is the one place
+	// CheckTest's output differs from the pair scan it replaced, which
+	// reported the read once per diverging counterpart.
+	tr := newTrace(2, nil, []trace.Read{
+		rd(1, 0, 40, "m1", "m2", "m3"),
+		rd(2, 0, 40, "m1", "m2", "m3"),
+		rd(2, 100, 140, "m3", "m4", "m1"),
+		rd(2, 200, 240, "m2", "m4", "m1"),
+		rd(2, 300, 340, "m5"),
+	})
+	if vs := CheckContentDivergence(tr); len(vs) != 1 || vs[0].ReadIndex != 0 {
+		t.Fatalf("content: got %+v, want one violation for read 0", vs)
+	}
+	vs := CheckOrderDivergence(tr)
+	if len(vs) != 1 || vs[0].Write != "m1" || vs[0].Write2 != "m3" {
+		t.Fatalf("order: got %+v, want one violation witnessed by m1, m3", vs)
+	}
+	if c, o := len(ReferenceCheck(tr, ContentDivergence)), len(ReferenceCheck(tr, OrderDivergence)); c != 3 || o != 2 {
+		t.Fatalf("the original pair scan reports %d content and %d order violations here, want 3 and 2", c, o)
+	}
+}
+
+// A trace file may declare any agent count; CheckTest goes by the agents
+// that read, so the count costs nothing.
+func TestCheckTestToleratesAnyDeclaredAgentCount(t *testing.T) {
+	tr := newTrace(2, nil, []trace.Read{rd(1, 0, 40, "m1", "m2"), rd(2, 0, 40, "m2", "m1")})
+	want := CheckTest(tr)
+	if len(want) != 1 || want[0].Anomaly != OrderDivergence {
+		t.Fatalf("fixture: got %v, want one order divergence", want)
+	}
+	tr.Agents = math.MaxInt
+	if got := CheckTest(tr); !slices.Equal(got, want) {
+		t.Fatalf("with %d agents declared: got %v, want %v", tr.Agents, got, want)
 	}
 }

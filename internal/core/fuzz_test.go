@@ -3,23 +3,38 @@ package core
 import (
 	"bytes"
 	"io"
+	"strconv"
 	"testing"
 
 	"conprobe/internal/trace"
 )
 
 // FuzzDivergencePredicates checks the algebraic invariants of the two
-// divergence conditions on arbitrary sequences: symmetry, irreflexivity,
-// and subset behavior.
+// divergence conditions on arbitrary sequences — symmetry, irreflexivity,
+// and subset behavior — and that both predicates, witness included, agree
+// with the reference oracle on set-like sequences, on sequences with
+// repeated IDs, and on long ones over a wide alphabet.
 func FuzzDivergencePredicates(f *testing.F) {
 	f.Add([]byte{0, 1, 2}, []byte{2, 1, 0})
 	f.Add([]byte{}, []byte{1})
 	f.Add([]byte{3, 3, 3}, []byte{3})
 	f.Add([]byte{0, 1, 2, 3, 4, 5}, []byte{5, 0})
+	f.Add([]byte{0, 1, 0, 2, 1}, []byte{1, 0, 1, 2})
+	long := make([]byte, 96)
+	for i := range long {
+		long[i] = byte(i)
+	}
+	swapped := bytes.Clone(long)
+	swapped[7], swapped[80] = swapped[80], swapped[7]
+	f.Add(long, swapped)
+	f.Add(long, long[32:])
 
 	f.Fuzz(func(t *testing.T, a, b []byte) {
 		s1 := seqFromBytes(a)
 		s2 := seqFromBytes(b)
+		requirePredicatesMatchReference(t, s1, s2)
+		requirePredicatesMatchReference(t, rawSeqFromBytes(a, 16), rawSeqFromBytes(b, 16))
+		requirePredicatesMatchReference(t, rawSeqFromBytes(a, 256), rawSeqFromBytes(b, 256))
 
 		if ContentDiverged(s1, s2) != ContentDiverged(s2, s1) {
 			t.Fatal("content divergence is not symmetric")
@@ -48,8 +63,12 @@ func FuzzDivergencePredicates(f *testing.F) {
 }
 
 // FuzzCheckTest runs the full checker suite over arbitrary decoded
-// traces: no input may panic it, and the collection-fault accounting
-// must stay consistent with the per-agent maps. Seeds include traces
+// traces: no input may panic it, every checker and window scan must
+// return what the reference oracle makes of the trace, and the
+// collection-fault accounting must stay consistent with the per-agent
+// maps. The window scans return one row per declared pair, so they and
+// the oracle (which also groups by the declared count) run only on traces
+// declaring a plausible number of agents. Seeds include traces
 // carrying the resilience-era SkippedOps/RetriedOps/BreakerTrips
 // fields, which the checkers must tolerate alongside partial reads.
 func FuzzCheckTest(f *testing.F) {
@@ -64,6 +83,16 @@ func FuzzCheckTest(f *testing.F) {
 		`"skipped_ops":{"1":1},"retried_ops":{"2":3}}`))
 	f.Add([]byte(`{"kind":1,"agents":1,"reads":[{"agent":1}]}`))
 	f.Add([]byte(`{"kind":2,"agents":3,"retried_ops":{"9":-1}}`))
+	f.Add([]byte(`{"kind":2,"agents":2,"deltas_ns":{"2":-5},` +
+		`"writes":[{"id":"a","agent":1,"seq":2},{"id":"b","agent":1,"seq":1,"trigger":"a"}],` +
+		`"reads":[{"agent":1,"observed":["a","b","a"]},{"agent":2,"observed":["b","a","b"]},` +
+		`{"agent":7,"observed":["b"]},{"agent":2,"observed":["c"]},{"agent":1,"observed":["b"]}]}`))
+
+	// Declared counts no test has: the checkers go by the agents that read.
+	f.Add([]byte(`{"kind":2,"agents":9223372036854775807,` +
+		`"reads":[{"agent":1,"observed":["a","b"]},{"agent":2,"observed":["b","a"]}]}`))
+	f.Add([]byte(`{"kind":2,"agents":4294967296,"failed_ops":{"1":2},` +
+		`"reads":[{"agent":5,"observed":["a"]},{"agent":4294967296,"observed":["c"]}]}`))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := trace.NewReader(bytes.NewReader(data))
@@ -75,6 +104,9 @@ func FuzzCheckTest(f *testing.F) {
 			if err != nil {
 				return
 			}
+			if tr.Agents <= 64 {
+				requireMatchesReference(t, tr)
+			}
 			vs := CheckTest(tr)
 			// Grouping must partition the violations exactly.
 			n := 0
@@ -84,9 +116,6 @@ func FuzzCheckTest(f *testing.F) {
 			if n != len(vs) {
 				t.Fatalf("ByAnomaly groups %d violations, CheckTest found %d", n, len(vs))
 			}
-			// Divergence windows must not panic on the same trace.
-			_ = ContentDivergenceWindows(tr)
-			_ = OrderDivergenceWindows(tr)
 			// Collection faults are exactly the failed+skipped sum.
 			want := 0
 			for _, c := range tr.FailedOps {
@@ -100,6 +129,16 @@ func FuzzCheckTest(f *testing.F) {
 			}
 		}
 	})
+}
+
+// rawSeqFromBytes maps each byte to one of alphabet write IDs, repeats
+// kept.
+func rawSeqFromBytes(bs []byte, alphabet int) []trace.WriteID {
+	out := make([]trace.WriteID, len(bs))
+	for i, x := range bs {
+		out[i] = trace.WriteID(strconv.Itoa(int(x) % alphabet))
+	}
+	return out
 }
 
 // seqFromBytes maps bytes to a duplicate-free sequence of write IDs,

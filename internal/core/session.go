@@ -1,31 +1,41 @@
 package core
 
-import "conprobe/internal/trace"
+import (
+	"slices"
+
+	"conprobe/internal/trace"
+)
+
+// The session checkers report in a fixed order: agents ascending, each
+// agent's reads in invocation order, and per read the order each checker
+// documents.
 
 // CheckReadYourWrites detects Read Your Writes violations:
 //
 //	∃ x ∈ W : x ∉ S
 //
 // where W is the set of writes completed by a client before it invoked a
-// read returning S. One violation is reported per (read, missing write).
+// read returning S. One violation is reported per (read, missing write),
+// writes in issue order.
 func CheckReadYourWrites(tr *trace.TestTrace) []Violation {
-	var out []Violation
-	writes := tr.WritesByAgent()
-	for agent, reads := range tr.ReadsByAgent() {
-		for ri := range reads {
-			r := &reads[ri]
-			for _, w := range writes[agent] {
-				// Only writes acknowledged before the read was issued
-				// are required to be visible.
-				if w.Returned.After(r.Invoked) {
+	return NewIndex(tr).Check(ReadYourWrites)
+}
+
+func (ix *Index) readYourWrites() (out []Violation) {
+	for _, av := range ix.agents {
+		for ri, r := range av.reads {
+			for _, w := range ix.writes {
+				// Only the agent's own writes, acknowledged before the
+				// read was issued, are required to be visible.
+				if w.w.Agent != av.id || w.w.Returned.After(r.r.Invoked) {
 					continue
 				}
-				if !r.Contains(w.ID) {
+				if !slices.Contains(r.seq, w.id) {
 					out = append(out, Violation{
 						Anomaly:   ReadYourWrites,
-						Agent:     agent,
+						Agent:     av.id,
 						ReadIndex: ri,
-						Write:     w.ID,
+						Write:     w.w.ID,
 					})
 				}
 			}
@@ -40,31 +50,31 @@ func CheckReadYourWrites(tr *trace.TestTrace) []Violation {
 //
 // for W the issue-ordered writes of any single client and S the sequence
 // returned by a read issued by any client. One violation is reported per
-// (read, offending write pair).
+// (read, offending write pair), writers ascending.
 func CheckMonotonicWrites(tr *trace.TestTrace) []Violation {
-	var out []Violation
-	writes := tr.WritesByAgent()
-	for reader, reads := range tr.ReadsByAgent() {
-		for ri := range reads {
-			r := &reads[ri]
-			for _, ws := range writes {
-				for i := 0; i < len(ws); i++ {
-					for j := i + 1; j < len(ws); j++ {
-						x, y := ws[i], ws[j]
-						py := r.Position(y.ID)
-						if py < 0 {
-							continue // y not visible: no constraint
-						}
-						px := r.Position(x.ID)
-						if px < 0 || py < px {
-							out = append(out, Violation{
-								Anomaly:   MonotonicWrites,
-								Agent:     reader,
-								ReadIndex: ri,
-								Write:     x.ID,
-								Write2:    y.ID,
-							})
-						}
+	return NewIndex(tr).Check(MonotonicWrites)
+}
+
+func (ix *Index) monotonicWrites() (out []Violation) {
+	ws := ix.writes
+	for _, av := range ix.agents {
+		for ri, r := range av.reads {
+			for i := range ws {
+				// Every later write of the same writer.
+				for j := i + 1; j < len(ws) && ws[j].w.Agent == ws[i].w.Agent; j++ {
+					py := slices.Index(r.seq, ws[j].id)
+					if py < 0 {
+						continue // y not visible: no constraint
+					}
+					px := slices.Index(r.seq, ws[i].id)
+					if px < 0 || py < px {
+						out = append(out, Violation{
+							Anomaly:   MonotonicWrites,
+							Agent:     av.id,
+							ReadIndex: ri,
+							Write:     ws[i].w.ID,
+							Write2:    ws[j].w.ID,
+						})
 					}
 				}
 			}
@@ -80,26 +90,35 @@ func CheckMonotonicWrites(tr *trace.TestTrace) []Violation {
 // for S1, S2 returned by two reads of the same client, in that order. A
 // high-water implementation is used: each read is compared against the set
 // of all writes the client observed in earlier reads, and one violation is
-// reported per (read, disappeared write). This counts each disappearance
-// once rather than once per earlier read that saw the write.
+// reported per (read, disappeared write), writes in the order the client
+// first observed them. This counts each disappearance once rather than
+// once per earlier read that saw the write.
 func CheckMonotonicReads(tr *trace.TestTrace) []Violation {
-	var out []Violation
-	for agent, reads := range tr.ReadsByAgent() {
-		seen := make(map[trace.WriteID]bool)
-		for ri := range reads {
-			r := &reads[ri]
-			for id := range seen {
-				if !r.Contains(id) {
+	return NewIndex(tr).Check(MonotonicReads)
+}
+
+func (ix *Index) monotonicReads() (out []Violation) {
+	seen := make([]bool, len(ix.ids.list))
+	var order []int32 // seen, by first observation
+	for _, av := range ix.agents {
+		clear(seen)
+		order = order[:0]
+		for ri, r := range av.reads {
+			for _, id := range order {
+				if !slices.Contains(r.seq, id) {
 					out = append(out, Violation{
 						Anomaly:   MonotonicReads,
-						Agent:     agent,
+						Agent:     av.id,
 						ReadIndex: ri,
-						Write:     id,
+						Write:     ix.ids.list[id],
 					})
 				}
 			}
-			for _, id := range r.Observed {
-				seen[id] = true
+			for _, id := range r.seq {
+				if !seen[id] {
+					seen[id] = true
+					order = append(order, id)
+				}
 			}
 		}
 	}
@@ -114,29 +133,23 @@ func CheckMonotonicReads(tr *trace.TestTrace) []Violation {
 // returning S1, and S2 is returned by a read issued by any client. The
 // causal dependency is recorded by the test harness in Write.Trigger
 // (Test 1 sets M2→M3 and M4→M5, the only designated trigger pairs). One
-// violation is reported per (read, dependent write).
+// violation is reported per (read, dependent write), writes in trace
+// order.
 func CheckWritesFollowsReads(tr *trace.TestTrace) []Violation {
-	var deps []trace.Write
-	for _, w := range tr.Writes {
-		if w.Trigger != "" {
-			deps = append(deps, w)
-		}
-	}
-	if len(deps) == 0 {
-		return nil
-	}
-	var out []Violation
-	for reader, reads := range tr.ReadsByAgent() {
-		for ri := range reads {
-			r := &reads[ri]
-			for _, w := range deps {
-				if r.Contains(w.ID) && !r.Contains(w.Trigger) {
+	return NewIndex(tr).Check(WritesFollowsReads)
+}
+
+func (ix *Index) writesFollowsReads() (out []Violation) {
+	for _, av := range ix.agents {
+		for ri, r := range av.reads {
+			for _, w := range ix.deps {
+				if slices.Contains(r.seq, w.id) && !slices.Contains(r.seq, w.trigger) {
 					out = append(out, Violation{
 						Anomaly:   WritesFollowsReads,
-						Agent:     reader,
+						Agent:     av.id,
 						ReadIndex: ri,
-						Write:     w.Trigger,
-						Write2:    w.ID,
+						Write:     w.w.Trigger,
+						Write2:    w.w.ID,
 					})
 				}
 			}

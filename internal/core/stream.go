@@ -1,6 +1,8 @@
 package core
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 	"sync"
 
@@ -21,41 +23,53 @@ import (
 type Stream struct {
 	mu sync.Mutex
 
-	// writes by writer, in issue order.
-	writes map[trace.AgentID][]trace.Write
+	// agents holds every agent seen so far, ascending, so violations come
+	// out in the same order on every run.
+	agents []*streamAgent
 	byID   map[trace.WriteID]trace.Write
-	// seen is each agent's monotonic-reads high water.
-	seen map[trace.AgentID]map[trace.WriteID]bool
-	// latest is each agent's most recent read sequence.
-	latest map[trace.AgentID][]trace.WriteID
-	// readCount indexes reads per agent.
-	readCount map[trace.AgentID]int
-	// diverged tracks which pairs are currently in each condition.
+	// contentDiv and orderDiv track which pairs are currently in each
+	// condition.
 	contentDiv map[Pair]bool
 	orderDiv   map[Pair]bool
 }
 
+type streamAgent struct {
+	id trace.AgentID
+	// writes in issue order.
+	writes []trace.Write
+	// seen is the monotonic-reads high water, in first-observed order.
+	seen []trace.WriteID
+	// latest is the most recent read's sequence, once reads > 0.
+	latest []trace.WriteID
+	reads  int
+}
+
 // NewStream returns an empty online detector.
 func NewStream() *Stream {
-	return &Stream{
-		writes:     make(map[trace.AgentID][]trace.Write),
-		byID:       make(map[trace.WriteID]trace.Write),
-		seen:       make(map[trace.AgentID]map[trace.WriteID]bool),
-		latest:     make(map[trace.AgentID][]trace.WriteID),
-		readCount:  make(map[trace.AgentID]int),
-		contentDiv: make(map[Pair]bool),
-		orderDiv:   make(map[Pair]bool),
+	s := &Stream{}
+	s.Reset()
+	return s
+}
+
+// agent returns id's state, creating it on first sight.
+func (s *Stream) agent(id trace.AgentID) *streamAgent {
+	i, ok := slices.BinarySearchFunc(s.agents, id, func(a *streamAgent, id trace.AgentID) int {
+		return cmp.Compare(a.id, id)
+	})
+	if !ok {
+		s.agents = slices.Insert(s.agents, i, &streamAgent{id: id})
 	}
+	return s.agents[i]
 }
 
 // ObserveWrite records a completed write.
 func (s *Stream) ObserveWrite(w trace.Write) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.writes[w.Agent] = append(s.writes[w.Agent], w)
-	sort.SliceStable(s.writes[w.Agent], func(i, j int) bool {
-		return s.writes[w.Agent][i].Seq < s.writes[w.Agent][j].Seq
-	})
+	a := s.agent(w.Agent)
+	// Keep issue order: after every write with the same or a lower Seq.
+	i := sort.Search(len(a.writes), func(i int) bool { return a.writes[i].Seq > w.Seq })
+	a.writes = slices.Insert(a.writes, i, w)
 	s.byID[w.ID] = w
 }
 
@@ -65,16 +79,17 @@ func (s *Stream) ObserveRead(r trace.Read) []Violation {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 
-	idx := s.readCount[r.Agent]
-	s.readCount[r.Agent]++
+	me := s.agent(r.Agent)
+	idx := me.reads
+	me.reads++
 	var out []Violation
 
 	// Read Your Writes: own completed writes must be present.
-	for _, w := range s.writes[r.Agent] {
+	for _, w := range me.writes {
 		if w.Returned.After(r.Invoked) {
 			continue
 		}
-		if !readContains(&r, w.ID) {
+		if !r.Contains(w.ID) {
 			out = append(out, Violation{
 				Anomaly: ReadYourWrites, Agent: r.Agent, ReadIndex: idx, Write: w.ID,
 			})
@@ -82,7 +97,8 @@ func (s *Stream) ObserveRead(r trace.Read) []Violation {
 	}
 
 	// Monotonic Writes: every writer's issue order must be respected.
-	for _, ws := range s.writes {
+	for _, writer := range s.agents {
+		ws := writer.writes
 		for i := 0; i < len(ws); i++ {
 			for j := i + 1; j < len(ws); j++ {
 				py := r.Position(ws[j].ID)
@@ -101,18 +117,17 @@ func (s *Stream) ObserveRead(r trace.Read) []Violation {
 	}
 
 	// Monotonic Reads: nothing this agent has seen may disappear.
-	if s.seen[r.Agent] == nil {
-		s.seen[r.Agent] = make(map[trace.WriteID]bool)
-	}
-	for id := range s.seen[r.Agent] {
-		if !readContains(&r, id) {
+	for _, id := range me.seen {
+		if !r.Contains(id) {
 			out = append(out, Violation{
 				Anomaly: MonotonicReads, Agent: r.Agent, ReadIndex: idx, Write: id,
 			})
 		}
 	}
 	for _, id := range r.Observed {
-		s.seen[r.Agent][id] = true
+		if !slices.Contains(me.seen, id) {
+			me.seen = append(me.seen, id)
+		}
 	}
 
 	// Writes Follows Reads: dependent writes require their triggers.
@@ -121,7 +136,7 @@ func (s *Stream) ObserveRead(r trace.Read) []Violation {
 		if !ok || w.Trigger == "" {
 			continue
 		}
-		if !readContains(&r, w.Trigger) {
+		if !r.Contains(w.Trigger) {
 			out = append(out, Violation{
 				Anomaly: WritesFollowsReads, Agent: r.Agent, ReadIndex: idx,
 				Write: w.Trigger, Write2: w.ID,
@@ -131,27 +146,26 @@ func (s *Stream) ObserveRead(r trace.Read) []Violation {
 
 	// Divergence against every other agent's latest read,
 	// edge-triggered.
-	s.latest[r.Agent] = append([]trace.WriteID(nil), r.Observed...)
-	for other, seq := range s.latest {
-		if other == r.Agent {
+	me.latest = append(me.latest[:0], r.Observed...)
+	for _, other := range s.agents {
+		if other == me || other.reads == 0 {
 			continue
 		}
-		p := MakePair(r.Agent, other)
-		cd := contentDiverged(r.Observed, seq)
-		if cd && !s.contentDiv[p] {
+		p := MakePair(r.Agent, other.id)
+		v, x, y := diverged(r.Observed, other.latest)
+		if v.content && !s.contentDiv[p] {
 			out = append(out, Violation{
 				Anomaly: ContentDivergence, Agent: p.A, Other: p.B, ReadIndex: idx,
 			})
 		}
-		s.contentDiv[p] = cd
-		x, y, od := orderDiverged(r.Observed, seq)
-		if od && !s.orderDiv[p] {
+		s.contentDiv[p] = v.content
+		if v.order && !s.orderDiv[p] {
 			out = append(out, Violation{
 				Anomaly: OrderDivergence, Agent: p.A, Other: p.B, ReadIndex: idx,
 				Write: x, Write2: y,
 			})
 		}
-		s.orderDiv[p] = od
+		s.orderDiv[p] = v.order
 	}
 	return out
 }
@@ -169,15 +183,8 @@ func (s *Stream) Diverged(a, b trace.AgentID) (content, order bool) {
 func (s *Stream) Reset() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.writes = make(map[trace.AgentID][]trace.Write)
+	s.agents = nil
 	s.byID = make(map[trace.WriteID]trace.Write)
-	s.seen = make(map[trace.AgentID]map[trace.WriteID]bool)
-	s.latest = make(map[trace.AgentID][]trace.WriteID)
-	s.readCount = make(map[trace.AgentID]int)
 	s.contentDiv = make(map[Pair]bool)
 	s.orderDiv = make(map[Pair]bool)
-}
-
-func readContains(r *trace.Read, id trace.WriteID) bool {
-	return r.Contains(id)
 }

@@ -3,6 +3,7 @@ package service
 import (
 	"hash/fnv"
 	"math/rand"
+	"sync"
 	"time"
 
 	"conprobe/internal/store"
@@ -32,6 +33,10 @@ type Selection struct {
 	TopK int
 }
 
+// selectionRands recycles generators between reads: a fresh source is
+// 5 KB, and Seed restarts one on exactly the stream a new source has.
+var selectionRands = sync.Pool{New: func() any { return rand.New(rand.NewSource(0)) }}
+
 // apply ranks entries for one read. seed namespaces the service instance;
 // reader and nonce make each (reader, read) ranking distinct but
 // deterministic for a fixed campaign seed.
@@ -39,14 +44,22 @@ func (sel *Selection) apply(entries []store.Entry, clock vtime.Clock, seed int64
 	if sel == nil {
 		return entries
 	}
-	rng := rand.New(rand.NewSource(selectionSeed(seed, reader, nonce)))
+	// Seeded at the first draw: a read with no fresh entry never draws.
+	var rng *rand.Rand
+	draw := func() float64 {
+		if rng == nil {
+			rng = selectionRands.Get().(*rand.Rand)
+			rng.Seed(selectionSeed(seed, reader, nonce))
+		}
+		return rng.Float64()
+	}
 	cutoff := clock.Now().Add(-sel.FreshFor)
 
 	out := make([]store.Entry, 0, len(entries))
 	freshStart := -1
 	for _, e := range entries {
 		fresh := sel.FreshFor > 0 && !e.CreatedAt.Before(cutoff)
-		if fresh && sel.DropFresh > 0 && rng.Float64() < sel.DropFresh {
+		if fresh && sel.DropFresh > 0 && draw() < sel.DropFresh {
 			continue
 		}
 		out = append(out, e)
@@ -56,10 +69,13 @@ func (sel *Selection) apply(entries []store.Entry, clock vtime.Clock, seed int64
 	}
 	if freshStart >= 0 && sel.Shuffle > 0 {
 		for i := freshStart + 1; i < len(out); i++ {
-			if rng.Float64() < sel.Shuffle {
+			if draw() < sel.Shuffle {
 				out[i-1], out[i] = out[i], out[i-1]
 			}
 		}
+	}
+	if rng != nil {
+		selectionRands.Put(rng)
 	}
 	if sel.TopK > 0 && len(out) > sel.TopK {
 		out = out[:sel.TopK]

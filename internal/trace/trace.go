@@ -10,7 +10,9 @@
 package trace
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 )
@@ -224,19 +226,24 @@ func (t *TestTrace) Validate() error {
 }
 
 func sortWrites(ws []Write) {
-	sort.SliceStable(ws, func(i, j int) bool { return lessWrite(ws[i], ws[j]) })
+	slices.SortStableFunc(ws, func(a, b Write) int { return CompareWrites(&a, &b) })
 }
 
-func lessWrite(a, b Write) bool {
-	if a.Seq != b.Seq {
-		return a.Seq < b.Seq
+// CompareWrites orders one agent's writes by issue order: Seq, then
+// invocation time.
+func CompareWrites(a, b *Write) int {
+	if c := cmp.Compare(a.Seq, b.Seq); c != 0 {
+		return c
 	}
-	return a.Invoked.Before(b.Invoked)
+	return a.Invoked.Compare(b.Invoked)
 }
 
 func sortReads(rs []Read) {
-	sort.SliceStable(rs, func(i, j int) bool { return rs[i].Invoked.Before(rs[j].Invoked) })
+	slices.SortStableFunc(rs, func(a, b Read) int { return CompareReads(&a, &b) })
 }
+
+// CompareReads orders one agent's reads by invocation time.
+func CompareReads(a, b *Read) int { return a.Invoked.Compare(b.Invoked) }
 
 // GroupByService buckets traces by their service name, preserving input
 // order within each bucket.

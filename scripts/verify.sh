@@ -15,6 +15,9 @@ go vet ./...
 echo "== go test -race ./..."
 go test -race ./...
 
+echo "== checker cost (ns/op, allocs/op on a paper-shaped Test 2)"
+go test -run '^$' -bench 'CheckTest|DivergenceWindows' -benchtime 20x .
+
 echo "== resume smoke"
 ./scripts/resume_smoke.sh
 
