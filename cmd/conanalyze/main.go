@@ -63,11 +63,6 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 		return fmt.Errorf("no traces in input")
 	}
 
-	for _, t := range traces {
-		if err := t.Validate(); err != nil {
-			return fmt.Errorf("invalid trace: %w", err)
-		}
-	}
 	byService := trace.GroupByService(traces)
 
 	baselineByService := make(map[string][]*trace.TestTrace)

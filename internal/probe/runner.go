@@ -3,6 +3,7 @@ package probe
 import (
 	"context"
 	"fmt"
+	"slices"
 	"time"
 
 	"conprobe/internal/clocksync"
@@ -60,6 +61,9 @@ type Runner struct {
 	// statsBase holds, for clients exposing resilience stats, the
 	// snapshot taken at the start of the current test.
 	statsBase []resilience.Stats
+	// recs holds each agent's recorder, kept across tests (merge empties
+	// them) so their buffers are allocated once.
+	recs []*recorder
 
 	// Engine telemetry (observed, never read back). The handles are
 	// registered once in NewRunner; a nil cfg.Metrics yields live
@@ -97,7 +101,9 @@ func NewRunner(rt vtime.Runtime, net *simnet.Network, svc service.Service, cfg C
 	r.mDiscarded = cfg.Metrics.Counter("traces_discarded_total", "Traces dropped from the Result under DiscardTraces (they still reached the sink).")
 	r.clients = make([]service.Service, len(cfg.Agents))
 	r.statsBase = make([]resilience.Stats, len(cfg.Agents))
+	r.recs = make([]*recorder, len(cfg.Agents))
 	for i, ag := range cfg.Agents {
+		r.recs[i] = &recorder{agent: ag.ID}
 		if r.wrap != nil {
 			r.clients[i] = r.wrap(ag, svc)
 		} else {
@@ -173,16 +179,7 @@ func (r *Runner) runSteps(ctx context.Context, steps []scheduleStep) (*Result, e
 		}
 		r.applyFaults(step.kind, step.index)
 		r.mStarted.Inc()
-		var (
-			tr  *trace.TestTrace
-			err error
-		)
-		switch step.kind {
-		case trace.Test1:
-			tr, err = r.RunTest1(ctx, step.testID)
-		default:
-			tr, err = r.RunTest2(ctx, step.testID)
-		}
+		tr, err := r.runTest(ctx, step.testID, step.kind)
 		if err != nil {
 			return res, fmt.Errorf("%v #%d: %w", step.kind, step.index, err)
 		}
@@ -375,6 +372,39 @@ func (r *Runner) newTrace(testID int, kind trace.TestKind) (*trace.TestTrace, er
 	return tr, nil
 }
 
+// runTest executes one test instance of the given kind: it opens the
+// trace, starts every agent's protocol at the coordinator's start instant
+// on that agent's clock, joins them and folds their recorders in.
+func (r *Runner) runTest(ctx context.Context, testID int, kind trace.TestKind) (*trace.TestTrace, error) {
+	tr, err := r.newTrace(testID, kind)
+	if err != nil {
+		return nil, err
+	}
+	start := r.rt.Now().Add(r.cfg.StartDelay)
+	var finalWrite trace.WriteID // Test 1 ends once every agent has seen it
+	if kind == trace.Test1 {
+		finalWrite = writeID(testID, 2*len(r.cfg.Agents))
+	}
+	g := r.rt.NewGroup()
+	for i, ag := range r.cfg.Agents {
+		client, rec, finalWrite := r.clients[i], r.recs[i], finalWrite // copied: captured by value
+		startLocal := localStart(start, tr.Deltas[ag.ID])
+		g.Go(func() {
+			if kind == trace.Test1 {
+				r.runTest1Agent(ctx, ag, client, testID, startLocal, finalWrite, rec)
+			} else {
+				r.runTest2Agent(ctx, ag, client, testID, startLocal, rec)
+			}
+		})
+	}
+	g.Join()
+	r.finish(tr)
+	if err := tr.Validate(); err != nil {
+		return nil, fmt.Errorf("%v produced invalid trace: %w", kind, err)
+	}
+	return tr, nil
+}
+
 // recorder accumulates one agent's operations without locking; each agent
 // has its own recorder and they are merged after the group joins.
 type recorder struct {
@@ -383,6 +413,30 @@ type recorder struct {
 	reads   []trace.Read
 	failed  int
 	skipped int
+	// ids is the unused rest of the block observations are carved from.
+	// Traces keep what was carved: a block is replaced, never reused.
+	ids []trace.WriteID
+}
+
+// idBlock is how many observed IDs a recorder allocates at a time (about
+// two Test 2 instances' worth for one agent).
+const idBlock = 256
+
+// observe records the IDs of posts as one observation, carved from the
+// block with its capacity cut so an append cannot reach a neighbour. An
+// empty observation is empty, never nil: nil would journal as null and a
+// resumed campaign would differ.
+func (rec *recorder) observe(posts []service.Post) []trace.WriteID {
+	n := len(posts)
+	if rec.ids == nil || n > len(rec.ids) {
+		rec.ids = make([]trace.WriteID, max(idBlock, n))
+	}
+	obs := rec.ids[:n:n]
+	rec.ids = rec.ids[n:]
+	for i, p := range posts {
+		obs[i] = trace.WriteID(p.ID)
+	}
+	return obs
 }
 
 // localStart converts the coordinator-scheduled start time into the
@@ -393,31 +447,43 @@ func localStart(start time.Time, delta time.Duration) time.Time {
 	return start.Add(-delta)
 }
 
-// merge folds per-agent recorders into the trace.
+// merge moves the per-agent recorders' operations into the trace, sizing
+// its slices once, and leaves the recorders empty for the next test.
 func merge(tr *trace.TestTrace, recs []*recorder) {
+	writes, reads := 0, 0
+	for _, rec := range recs {
+		writes += len(rec.writes)
+		reads += len(rec.reads)
+	}
+	// Grow leaves a slice nothing is added to nil, as append would.
+	tr.Writes = slices.Grow(tr.Writes, writes)
+	tr.Reads = slices.Grow(tr.Reads, reads)
 	for _, rec := range recs {
 		tr.Writes = append(tr.Writes, rec.writes...)
 		tr.Reads = append(tr.Reads, rec.reads...)
-		if rec.failed > 0 {
-			if tr.FailedOps == nil {
-				tr.FailedOps = make(map[trace.AgentID]int)
-			}
-			tr.FailedOps[rec.agent] += rec.failed
-		}
-		if rec.skipped > 0 {
-			if tr.SkippedOps == nil {
-				tr.SkippedOps = make(map[trace.AgentID]int)
-			}
-			tr.SkippedOps[rec.agent] += rec.skipped
-		}
+		count(&tr.FailedOps, rec.agent, rec.failed)
+		count(&tr.SkippedOps, rec.agent, rec.skipped)
+		rec.writes, rec.reads, rec.failed, rec.skipped = rec.writes[:0], rec.reads[:0], 0, 0
 	}
+}
+
+// count adds n, when positive, to an agent's entry of one of the trace's
+// per-agent maps, making the map on first use: a clean trace carries none.
+func count(m *map[trace.AgentID]int, ag trace.AgentID, n int) {
+	if n <= 0 {
+		return
+	}
+	if *m == nil {
+		*m = make(map[trace.AgentID]int)
+	}
+	(*m)[ag] += n
 }
 
 // finish merges the per-agent recorders and attributes resilience
 // counters (retries spent, breaker-open skips, breaker trips) to the
 // trace by diffing each client's stats against the test-start snapshot.
-func (r *Runner) finish(tr *trace.TestTrace, recs []*recorder) {
-	merge(tr, recs)
+func (r *Runner) finish(tr *trace.TestTrace) {
+	merge(tr, r.recs)
 	for i, c := range r.clients {
 		sp, ok := c.(resilienceStats)
 		if !ok {
@@ -425,25 +491,10 @@ func (r *Runner) finish(tr *trace.TestTrace, recs []*recorder) {
 		}
 		ag := r.cfg.Agents[i].ID
 		now, base := sp.Stats(), r.statsBase[i]
-		if d := now.Retries - base.Retries; d > 0 {
-			if tr.RetriedOps == nil {
-				tr.RetriedOps = make(map[trace.AgentID]int)
-			}
-			tr.RetriedOps[ag] += d
-		}
-		if d := now.Skipped - base.Skipped; d > 0 {
-			// Breaker-open rejections that slipped past the runner's own
-			// health check (the op reached the middleware while open).
-			if tr.SkippedOps == nil {
-				tr.SkippedOps = make(map[trace.AgentID]int)
-			}
-			tr.SkippedOps[ag] += d
-		}
-		if d := now.BreakerTrips - base.BreakerTrips; d > 0 {
-			if tr.BreakerTrips == nil {
-				tr.BreakerTrips = make(map[trace.AgentID]int)
-			}
-			tr.BreakerTrips[ag] += d
-		}
+		count(&tr.RetriedOps, ag, now.Retries-base.Retries)
+		// Skips here are breaker-open rejections that slipped past the
+		// runner's own health check (the op reached the middleware while open).
+		count(&tr.SkippedOps, ag, now.Skipped-base.Skipped)
+		count(&tr.BreakerTrips, ag, now.BreakerTrips-base.BreakerTrips)
 	}
 }

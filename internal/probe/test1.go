@@ -3,7 +3,6 @@ package probe
 import (
 	"context"
 	"errors"
-	"fmt"
 	"time"
 
 	"conprobe/internal/resilience"
@@ -19,31 +18,7 @@ import (
 // per-agent timeout expires. Cancelling ctx makes each agent stop at its
 // next operation boundary instead of running the protocol to completion.
 func (r *Runner) RunTest1(ctx context.Context, testID int) (*trace.TestTrace, error) {
-	tr, err := r.newTrace(testID, trace.Test1)
-	if err != nil {
-		return nil, err
-	}
-	start := r.rt.Now().Add(r.cfg.StartDelay)
-	n := len(r.cfg.Agents)
-	finalWrite := writeID(testID, 2*n)
-
-	recs := make([]*recorder, n)
-	g := r.rt.NewGroup()
-	for i, ag := range r.cfg.Agents {
-		rec := &recorder{agent: ag.ID}
-		recs[i] = rec
-		ag := ag
-		client := r.clients[i]
-		g.Go(func() {
-			r.runTest1Agent(ctx, ag, client, testID, localStart(start, tr.Deltas[ag.ID]), finalWrite, rec)
-		})
-	}
-	g.Join()
-	r.finish(tr, recs)
-	if err := tr.Validate(); err != nil {
-		return nil, fmt.Errorf("test1 produced invalid trace: %w", err)
-	}
-	return tr, nil
+	return r.runTest(ctx, testID, trace.Test1)
 }
 
 // runTest1Agent is one agent's Test 1 protocol.
@@ -152,10 +127,7 @@ func (r *Runner) doRead(ag Agent, client service.Service, rec *recorder) []trace
 		}
 		return nil
 	}
-	obs := make([]trace.WriteID, len(posts))
-	for i, p := range posts {
-		obs[i] = trace.WriteID(p.ID)
-	}
+	obs := rec.observe(posts)
 	rec.reads = append(rec.reads, trace.Read{
 		Agent:    ag.ID,
 		Invoked:  invoked,

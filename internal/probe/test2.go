@@ -2,7 +2,6 @@ package probe
 
 import (
 	"context"
-	"fmt"
 	"time"
 
 	"conprobe/internal/service"
@@ -17,29 +16,7 @@ import (
 // without exceeding service rate limits. Cancelling ctx makes each agent
 // stop at its next operation boundary.
 func (r *Runner) RunTest2(ctx context.Context, testID int) (*trace.TestTrace, error) {
-	tr, err := r.newTrace(testID, trace.Test2)
-	if err != nil {
-		return nil, err
-	}
-	start := r.rt.Now().Add(r.cfg.StartDelay)
-
-	recs := make([]*recorder, len(r.cfg.Agents))
-	g := r.rt.NewGroup()
-	for i, ag := range r.cfg.Agents {
-		rec := &recorder{agent: ag.ID}
-		recs[i] = rec
-		ag := ag
-		client := r.clients[i]
-		g.Go(func() {
-			r.runTest2Agent(ctx, ag, client, testID, localStart(start, tr.Deltas[ag.ID]), rec)
-		})
-	}
-	g.Join()
-	r.finish(tr, recs)
-	if err := tr.Validate(); err != nil {
-		return nil, fmt.Errorf("test2 produced invalid trace: %w", err)
-	}
-	return tr, nil
+	return r.runTest(ctx, testID, trace.Test2)
 }
 
 // runTest2Agent is one agent's Test 2 protocol.

@@ -6,7 +6,6 @@ import (
 	"sync"
 	"time"
 
-	"conprobe/internal/store"
 	"conprobe/internal/vtime"
 )
 
@@ -37,12 +36,12 @@ type Selection struct {
 // 5 KB, and Seed restarts one on exactly the stream a new source has.
 var selectionRands = sync.Pool{New: func() any { return rand.New(rand.NewSource(0)) }}
 
-// apply ranks entries for one read. seed namespaces the service instance;
-// reader and nonce make each (reader, read) ranking distinct but
-// deterministic for a fixed campaign seed.
-func (sel *Selection) apply(entries []store.Entry, clock vtime.Clock, seed int64, reader string, nonce uint64) []store.Entry {
+// apply ranks one read's posts in place (the slice is the reader's own).
+// seed namespaces the service instance; reader and nonce make each
+// (reader, read) ranking distinct but deterministic for a campaign seed.
+func (sel *Selection) apply(posts []Post, clock vtime.Clock, seed int64, reader string, nonce uint64) []Post {
 	if sel == nil {
-		return entries
+		return posts
 	}
 	// Seeded at the first draw: a read with no fresh entry never draws.
 	var rng *rand.Rand
@@ -55,14 +54,14 @@ func (sel *Selection) apply(entries []store.Entry, clock vtime.Clock, seed int64
 	}
 	cutoff := clock.Now().Add(-sel.FreshFor)
 
-	out := make([]store.Entry, 0, len(entries))
+	out := posts[:0] // kept posts move down over dropped ones
 	freshStart := -1
-	for _, e := range entries {
-		fresh := sel.FreshFor > 0 && !e.CreatedAt.Before(cutoff)
+	for _, p := range posts {
+		fresh := sel.FreshFor > 0 && !p.CreatedAt.Before(cutoff)
 		if fresh && sel.DropFresh > 0 && draw() < sel.DropFresh {
 			continue
 		}
-		out = append(out, e)
+		out = append(out, p)
 		if fresh && freshStart < 0 {
 			freshStart = len(out) - 1
 		}

@@ -3,6 +3,7 @@ package service
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -59,9 +60,16 @@ func selectionCase(n int) (*Selection, []store.Entry, int64, string, uint64) {
 	return sel, entries, r.Int63(), fmt.Sprintf("agent-%d", r.Intn(3)), r.Uint64()
 }
 
+// checkSelectionCase holds the in-place selection, run the way
+// Simulated.Read runs it, against the reference, and requires the store
+// rendering it started from to come out unwritten.
 func checkSelectionCase(t *testing.T, clock vtime.Clock, n int) {
 	sel, entries, seed, reader, nonce := selectionCase(n)
-	got := sel.apply(entries, clock, seed, reader, nonce)
+	rendering := slices.Clone(entries)
+	got := sel.apply(postsOf(entries), clock, seed, reader, nonce)
+	if !slices.Equal(entries, rendering) {
+		t.Errorf("case %d: selection wrote to the store rendering", n)
+	}
 	want := referenceApply(sel, entries, clock.Now(), seed, reader, nonce)
 	if len(got) != len(want) {
 		t.Errorf("case %d: %d entries, reference %d", n, len(got), len(want))

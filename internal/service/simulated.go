@@ -209,18 +209,24 @@ func (s *Simulated) Read(from simnet.Site, reader string) ([]Post, error) {
 	if err != nil {
 		return nil, err
 	}
-	entries = s.profile.Selection.apply(entries, s.clock, s.seed, reader, nonce)
+	posts := s.profile.Selection.apply(postsOf(entries), s.clock, s.seed, reader, nonce)
 	if err := s.travel(dc, from, k.Str("back")); err != nil {
 		return nil, err
 	}
-	out := make([]Post, len(entries))
+	return posts, nil
+}
+
+// postsOf copies the store's shared, read-only rendering into posts the
+// reader owns: a read's one allocation.
+func postsOf(entries []store.Entry) []Post {
+	posts := make([]Post, len(entries))
 	for i, e := range entries {
-		out[i] = Post{
+		posts[i] = Post{
 			ID: e.ID, Author: e.Author, Body: e.Body,
 			CreatedAt: e.CreatedAt, DependsOn: e.DependsOn,
 		}
 	}
-	return out, nil
+	return posts
 }
 
 // maybeFlap occasionally substitutes a different replica for the home
@@ -282,7 +288,7 @@ func (s *Simulated) BeginTest(id int) {
 	for i := range s.stripes {
 		st := &s.stripes[i]
 		st.mu.Lock()
-		st.nonces = make(map[string]uint64)
+		clear(st.nonces)
 		st.mu.Unlock()
 	}
 	s.cluster.BeginEpoch(uint64(id) * epochStride)

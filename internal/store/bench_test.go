@@ -23,10 +23,38 @@ func BenchmarkStoreReadCached(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := c.Read(sites[0]); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// TestRepeatedReadDoesNotAllocate gates the shared rendering: once a read
+// has rendered a replica's timeline, reading it again copies nothing, in
+// every read order.
+func TestRepeatedReadDoesNotAllocate(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	for _, order := range []OrderKind{OrderTimestamp, OrderArrival, OrderHybrid} {
+		// Strong writes apply inline, so no actor has to run.
+		_, c, _ := newSimCluster(t, Config{Mode: Strong, Sites: []simnet.Site{simnet.DCWest}, Order: order})
+		for i := 0; i < 6; i++ {
+			if _, err := c.Write(simnet.DCWest, fmt.Sprintf("m%d", i), "a", ""); err != nil {
+				t.Fatal(err)
+			}
+		}
+		read := func() {
+			if got, err := c.Read(simnet.DCWest); err != nil || len(got) != 6 {
+				t.Fatalf("order=%v: read %d entries, err %v", order, len(got), err)
+			}
+		}
+		read()
+		if n := testing.AllocsPerRun(100, read); n != 0 {
+			t.Errorf("order=%v: a repeated Read allocates %v times", order, n)
 		}
 	}
 }

@@ -21,8 +21,9 @@
 // # Concurrency
 //
 // A replica is one applied log under one mutex, kept in
-// (apply time, ArrivalSeq) order where entries are applied, with its
-// policy-sorted and hybrid renderings cached beside it. Every pending
+// (apply time, ArrivalSeq) order where entries are applied, with the
+// policy-sorted log and one immutable rendering of the timeline reads
+// share beside it. Every pending
 // replication delivery of the cluster waits in one min-heap ordered by
 // (due time, schedule order) behind a single clock timer (wheel.go),
 // so propagation costs one timer event per due instant, not one per
@@ -42,7 +43,8 @@ import (
 	"conprobe/internal/vtime"
 )
 
-// Entry is one stored post.
+// Entry is one stored post. The slices of entries Read returns are shared
+// between readers: treat them, and the entries in them, as read-only.
 type Entry struct {
 	// ID is the caller-assigned unique identifier of the post.
 	ID string
@@ -247,12 +249,11 @@ type replica struct {
 	// sorted is log under the timestamp policy, extended by each apply;
 	// kept only when the cluster's read order needs it.
 	sorted []Entry
-	// hybrid memoizes the rendered OrderHybrid timeline for one
-	// normalize cutoff (hybridCutoff); consecutive reads at the same
-	// virtual instant — the common case under the discrete-event clock —
-	// hit it without re-partitioning. Dropped by every apply.
-	hybridCutoff time.Time
-	hybrid       []Entry
+	// view is the timeline reads share: sorted[:viewK], then every other
+	// entry in arrival order. Rendered by the first read that needs it and
+	// never written again; apply and Reset drop it rather than touch it.
+	view  []Entry
+	viewK int
 }
 
 // appliedEntry pairs an entry with the time its replica applied it.
@@ -480,7 +481,7 @@ func (c *Cluster) apply(r *replica, e Entry, now time.Time) {
 		j := sort.Search(len(r.sorted), func(j int) bool { return p.less(e, r.sorted[j]) })
 		r.sorted = slices.Insert(r.sorted, j, e)
 	}
-	r.hybrid = nil // rendered against the previous log
+	r.view = nil // rendered from the previous log; its readers keep it
 }
 
 // AppliedAt reports when dc's replica applied the entry with the given
@@ -497,63 +498,45 @@ func (c *Cluster) AppliedAt(dc simnet.Site, id string) (at time.Time, ok bool) {
 	return at, ok
 }
 
-// Read returns a copy of dc's log in the cluster's read-time order.
+// Read returns dc's log in the cluster's read-time order. The slice is
+// the replica's shared rendering, not a copy — every read returns the same
+// backing array until an apply, a Reset or (under OrderHybrid) the
+// normalize cutoff passing another entry — so callers must not write to
+// it. The store never writes to a rendering it has handed out either.
 func (c *Cluster) Read(dc simnet.Site) ([]Entry, error) {
 	r, ok := c.replicas[dc]
 	if !ok {
 		return nil, fmt.Errorf("store: no replica at %s", dc)
 	}
-	order := c.cfg.Order
-	if order == OrderHybrid && !c.hybridOn.Load() {
-		order = OrderTimestamp
-	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := make([]Entry, len(r.log))
-	switch order {
-	case OrderArrival:
-		for i, rec := range r.log {
-			out[i] = rec.e
-		}
-	case OrderTimestamp:
-		copy(out, r.sorted)
-	default: // OrderHybrid
-		copy(out, r.hybridLocked(c.clock.Now().Add(-c.cfg.NormalizeAfter)))
+	// k is how many entries the timeline shows in policy order: all of
+	// sorted (empty under OrderArrival) or, while a hybrid epoch surfaces
+	// arrival order, those created before the normalize cutoff — a prefix
+	// of sorted, because the policy compares CreatedAt first.
+	k := len(r.sorted)
+	if c.cfg.Order == OrderHybrid && c.hybridOn.Load() {
+		cutoff := c.clock.Now().Add(-c.cfg.NormalizeAfter)
+		k = sort.Search(k, func(i int) bool { return !r.sorted[i].CreatedAt.Before(cutoff) })
 	}
-	return out, nil
+	if r.view == nil || r.viewK != k {
+		r.view, r.viewK = r.render(k, c.cfg.Policy), k
+	}
+	return r.view, nil
 }
 
-// hybridLocked renders the OrderHybrid timeline through the cutoff-keyed
-// cache: entries created before the cutoff in policy order, the rest in
-// arrival order. Instead of re-partitioning and re-sorting the whole
-// log per read, it exploits two invariants:
-//
-//   - The policy compares CreatedAt first and the cutoff partitions by
-//     CreatedAt, so no policy-equal pair straddles the cutoff and the
-//     normalized partition is exactly a prefix of the policy-sorted
-//     rendering.
-//   - CreatedAt never exceeds the apply stamp, so only the log suffix
-//     with apply stamps at or after the cutoff can hold fresh entries —
-//     found by binary search, scanned in arrival order.
-//
-// The rendered slice is memoized per (log, cutoff); under the
-// discrete-event clock many consecutive reads share a virtual instant
-// and hit it outright. Caller holds r.mu.
-func (r *replica) hybridLocked(cutoff time.Time) []Entry {
-	if r.hybrid == nil || !r.hybridCutoff.Equal(cutoff) {
-		i := sort.Search(len(r.log), func(i int) bool { return !r.log[i].at.Before(cutoff) })
-		fresh := make([]Entry, 0, len(r.log)-i)
-		for _, rec := range r.log[i:] {
-			if !rec.e.CreatedAt.Before(cutoff) {
-				fresh = append(fresh, rec.e)
-			}
+// render builds the timeline showing sorted[:k] and then the rest of the
+// log in arrival order. The policy order is strict (ArrivalSeq is unique),
+// so an entry is outside that prefix exactly when it sorts after the
+// prefix's last: the timeline depends on (log, k) alone. Caller holds r.mu.
+func (r *replica) render(k int, p TimestampPolicy) []Entry {
+	out := append(make([]Entry, 0, len(r.log)), r.sorted[:k]...)
+	for _, rec := range r.log {
+		if k == 0 || p.less(r.sorted[k-1], rec.e) {
+			out = append(out, rec.e)
 		}
-		out := make([]Entry, 0, len(r.log))
-		out = append(out, r.sorted[:len(r.log)-len(fresh)]...)
-		r.hybrid = append(out, fresh...)
-		r.hybridCutoff = cutoff
 	}
-	return r.hybrid
+	return out
 }
 
 // Len returns the number of entries at dc's replica.
@@ -602,17 +585,17 @@ func (c *Cluster) resetTo(epoch uint64) {
 	// write that queues after this is dropped by the epoch checks, while
 	// emptying afterwards could discard a new-epoch delivery.
 	c.pending.mu.Lock()
-	c.pending.queue = nil
+	c.pending.queue = c.pending.queue[:0]
 	c.pending.mu.Unlock()
 	c.epoch.Store(epoch)
 	c.epochLag.Store(int64(c.sampleEpochLag(epoch)))
 	c.hybridOn.Store(c.sampleEpochHybrid(epoch))
 	for _, r := range c.replicas {
 		r.mu.Lock()
-		r.log = nil
-		r.appliedAt = make(map[string]time.Time)
-		r.sorted = nil
-		r.hybrid = nil
+		r.log = r.log[:0]
+		clear(r.appliedAt)
+		r.sorted = r.sorted[:0]
+		r.view = nil
 		r.mu.Unlock()
 	}
 }

@@ -2,6 +2,7 @@ package store
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -279,21 +280,87 @@ func TestResetDropsInFlightPropagation(t *testing.T) {
 	s.Wait()
 }
 
-func TestReadReturnsCopy(t *testing.T) {
-	s, c, _ := newSimCluster(t, Config{Mode: Strong, Sites: []simnet.Site{simnet.DCWest}})
-	s.Go(func() {
-		if _, err := c.Write(simnet.DCWest, "m1", "a1", "x"); err != nil {
-			t.Error(err)
-			return
+// TestReadSharesRenderingUntilApply pins Read's sharing contract: reads
+// of an unchanged replica return one backing array; an apply or a Reset
+// makes the next read render a new one and leaves the slice handed out
+// earlier exactly as it was.
+func TestReadSharesRenderingUntilApply(t *testing.T) {
+	site := simnet.DCWest
+	net := simnet.DefaultTopology(42, simnet.WithJitter(0))
+	c, err := NewCluster(vtime.Real{}, net, Config{Mode: Strong, Sites: []simnet.Site{site}}, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	write := func(id string) {
+		t.Helper()
+		if _, err := c.Write(site, id, "a", "x"); err != nil {
+			t.Fatal(err)
 		}
-		got, _ := c.Read(simnet.DCWest)
-		got[0].ID = "tampered"
-		again, _ := c.Read(simnet.DCWest)
-		if again[0].ID != "m1" {
-			t.Error("Read exposed internal state")
+	}
+	read := func() []Entry {
+		t.Helper()
+		got, err := c.Read(site)
+		if err != nil {
+			t.Fatal(err)
 		}
-	})
-	s.Wait()
+		return got
+	}
+
+	write("m1")
+	first := read()
+	if again := read(); &again[0] != &first[0] {
+		t.Error("two reads of an unchanged replica returned different backing arrays")
+	}
+	firstWas := slices.Clone(first)
+
+	write("m2")
+	second := read()
+	if &second[0] == &first[0] {
+		t.Error("a read after an apply returned the rendering from before it")
+	}
+	if !eq(idsOf(second), []string{"m1", "m2"}) {
+		t.Errorf("read after apply = %v, want [m1 m2]", idsOf(second))
+	}
+	secondWas := slices.Clone(second)
+
+	c.Reset()
+	if got := read(); len(got) != 0 {
+		t.Errorf("read after Reset = %v, want nothing", idsOf(got))
+	}
+	write("m3")
+	third := read()
+	if &third[0] == &first[0] || &third[0] == &second[0] {
+		t.Error("a read after Reset reused a rendering handed out before it")
+	}
+	if !slices.Equal(first, firstWas) || !slices.Equal(second, secondWas) {
+		t.Error("a rendering handed out earlier was written to by a later apply or Reset")
+	}
+
+	// A writer and a resetter beside the reader: under -race any store
+	// write to a rendering a reader still holds is reported here.
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 500; i++ {
+			if _, err := c.Write(site, fmt.Sprintf("w%d", i), "a", "x"); err != nil {
+				t.Error(err)
+				return
+			}
+			if i%100 == 99 {
+				c.Reset()
+			}
+		}
+	}()
+	var held, heldWas []Entry
+	for i := 0; i < 500; i++ {
+		got := read()
+		if !slices.Equal(held, heldWas) {
+			t.Fatal("a held rendering changed while the writer ran")
+		}
+		held, heldWas = got, slices.Clone(got)
+	}
+	wg.Wait()
 }
 
 func TestAccessors(t *testing.T) {

@@ -1,7 +1,6 @@
 package store
 
 import (
-	"container/heap"
 	"sync"
 	"time"
 
@@ -34,24 +33,50 @@ type pendingDelivery struct {
 	e   Entry
 }
 
-// deliveryQueue is a min-heap of pending deliveries by (at, seq).
+// deliveryQueue is a min-heap of pending deliveries by (at, seq), sifted
+// on the values themselves: container/heap would box each 200-byte
+// delivery into an interface on the way in and again on the way out. No two
+// share a seq, so the order is strict and pop order ignores the heap's layout.
 type deliveryQueue []pendingDelivery
 
-func (q deliveryQueue) Len() int { return len(q) }
-func (q deliveryQueue) Less(i, j int) bool {
+func (q deliveryQueue) less(i, j int) bool {
 	if !q[i].at.Equal(q[j].at) {
 		return q[i].at.Before(q[j].at)
 	}
 	return q[i].seq < q[j].seq
 }
-func (q deliveryQueue) Swap(i, j int)       { q[i], q[j] = q[j], q[i] }
-func (q *deliveryQueue) Push(x interface{}) { *q = append(*q, x.(pendingDelivery)) }
-func (q *deliveryQueue) Pop() interface{} {
-	old := *q
-	n := len(old)
-	d := old[n-1]
-	*q = old[:n-1]
-	return d
+
+func (q *deliveryQueue) push(d pendingDelivery) {
+	h := append(*q, d)
+	*q = h
+	for i := len(h) - 1; i > 0; {
+		parent := (i - 1) / 2
+		if !h.less(i, parent) {
+			break
+		}
+		h[i], h[parent] = h[parent], h[i]
+		i = parent
+	}
+}
+
+// pop removes and returns the earliest delivery; the queue is non-empty.
+func (q *deliveryQueue) pop() pendingDelivery {
+	h := *q
+	n := len(h) - 1
+	h[0], h[n] = h[n], h[0]
+	for i := 0; ; {
+		child := 2*i + 1
+		if child+1 < n && h.less(child+1, child) {
+			child++ // the earlier of the two
+		}
+		if child >= n || !h.less(child, i) {
+			break
+		}
+		h[i], h[child] = h[child], h[i]
+		i = child
+	}
+	*q = h[:n]
+	return h[n]
 }
 
 // enqueue queues delivery of e from src to dst at `at`, pulling the
@@ -60,7 +85,7 @@ func (c *Cluster) enqueue(dst *replica, src simnet.Site, e Entry, at time.Time) 
 	p := &c.pending
 	p.mu.Lock()
 	p.seq++
-	heap.Push(&p.queue, pendingDelivery{at: at, seq: p.seq, src: src, dst: dst, e: e})
+	p.queue.push(pendingDelivery{at: at, seq: p.seq, src: src, dst: dst, e: e})
 	if p.timer == nil || at.Before(p.armedAt) {
 		c.armLocked(at)
 	}
@@ -97,13 +122,13 @@ func (c *Cluster) deliverDue(gen uint64) {
 	p.timer = nil
 	now := c.clock.Now()
 	for len(p.queue) > 0 && !p.queue[0].at.After(now) {
-		d := heap.Pop(&p.queue).(pendingDelivery)
+		d := p.queue.pop()
 		if d.e.epoch != c.epoch.Load() {
 			continue // stale delivery from before a Reset
 		}
 		if !c.net.Reachable(d.src, d.dst.site) {
 			d.at = now.Add(c.cfg.RetryInterval)
-			heap.Push(&p.queue, d)
+			p.queue.push(d)
 			continue
 		}
 		c.apply(d.dst, d.e, now)

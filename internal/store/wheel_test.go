@@ -150,6 +150,77 @@ func TestCutoffCacheMatchesUncached(t *testing.T) {
 	}, 13)
 }
 
+// TestHybridCacheSurvivesMovingCutoff pins what keys the OrderHybrid
+// rendering: how many entries the cutoff has passed, not the cutoff. A
+// cutoff that moves without crossing a CreatedAt is a cache hit (the same
+// backing array); one that crosses renders anew and equals referenceRead.
+func TestHybridCacheSurvivesMovingCutoff(t *testing.T) {
+	s, c, _ := newSimCluster(t, Config{
+		Mode: Eventual, Sites: []simnet.Site{simnet.DCWest},
+		Order: OrderHybrid, NormalizeAfter: time.Second,
+	})
+	s.Go(func() {
+		// m2 arrives first but was created second: arrival and policy
+		// order differ, so normalizing m1 visibly reorders the timeline.
+		r := c.replicas[simnet.DCWest]
+		c.apply(r, Entry{ID: "m2", CreatedAt: epoch0.Add(50 * time.Millisecond), ArrivalSeq: 2}, epoch0.Add(100*time.Millisecond))
+		c.apply(r, Entry{ID: "m1", CreatedAt: epoch0, ArrivalSeq: 1}, epoch0.Add(110*time.Millisecond))
+
+		s.Sleep(200 * time.Millisecond) // cutoff at -800ms
+		first := readChecked(t, c, simnet.DCWest)
+		s.Sleep(700 * time.Millisecond) // cutoff at -100ms: nothing crossed
+		if moved := readChecked(t, c, simnet.DCWest); &moved[0] != &first[0] {
+			t.Error("a cutoff that crossed no entry missed the cache")
+		}
+		if !eq(idsOf(first), []string{"m2", "m1"}) {
+			t.Errorf("fresh timeline = %v, want arrival order [m2 m1]", idsOf(first))
+		}
+		s.Sleep(125 * time.Millisecond) // cutoff at +25ms: m1 crossed, m2 not
+		crossed := readChecked(t, c, simnet.DCWest)
+		if &crossed[0] == &first[0] {
+			t.Error("a cutoff that crossed an entry was served the old rendering")
+		}
+		if !eq(idsOf(crossed), []string{"m1", "m2"}) {
+			t.Errorf("timeline with m1 normalized = %v, want [m1 m2]", idsOf(crossed))
+		}
+		if !eq(idsOf(first), []string{"m2", "m1"}) {
+			t.Error("the rendering handed out before the crossing was rewritten")
+		}
+	})
+	s.Wait()
+}
+
+// TestDeliveryQueuePopsInDueOrder pushes 10k deliveries with random due
+// times drawn from a few hundred instants (so most tie) through the heap
+// and requires them back in (at, seq) order.
+func TestDeliveryQueuePopsInDueOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	var q deliveryQueue
+	want := make([]pendingDelivery, 10000)
+	for i := range want {
+		want[i] = pendingDelivery{
+			at:  epoch0.Add(time.Duration(rng.Intn(300)) * time.Millisecond),
+			seq: uint64(i + 1),
+			e:   Entry{ID: fmt.Sprintf("m%d", i)},
+		}
+		q.push(want[i])
+	}
+	sort.Slice(want, func(i, j int) bool {
+		if !want[i].at.Equal(want[j].at) {
+			return want[i].at.Before(want[j].at)
+		}
+		return want[i].seq < want[j].seq
+	})
+	for i, w := range want {
+		if got := q.pop(); got != w {
+			t.Fatalf("pop %d = (%v, %d), want (%v, %d)", i, got.at, got.seq, w.at, w.seq)
+		}
+	}
+	if len(q) != 0 {
+		t.Fatalf("%d deliveries left after popping every one", len(q))
+	}
+}
+
 // TestReadCacheMatchesUncached pins that the renderings kept beside the
 // log never serve stale or reordered data: every read of the scenario,
 // back-to-back cache hits included, equals referenceRead.

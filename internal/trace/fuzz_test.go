@@ -29,6 +29,9 @@ func FuzzReader(f *testing.F) {
 		`"failed_ops":{"1":2},"skipped_ops":{"2":1},` +
 		`"retried_ops":{"1":5,"3":1},"breaker_trips":{"2":1}}`))
 	f.Add([]byte(`{"skipped_ops":{"not-a-number":1}}`))
+	// A declared agent count the record does not back must be refused
+	// before anything is sized by it.
+	f.Add([]byte(`{"test_id":1,"kind":2,"agents":4000000000,"reads":[{"agent":1}]}`))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := NewReader(bytes.NewReader(data))
@@ -39,6 +42,9 @@ func FuzzReader(f *testing.F) {
 			}
 			if err != nil {
 				return // malformed input is fine, panics are not
+			}
+			if tr.Agents > maxUnnamedAgents && tr.Agents > len(tr.Deltas)+len(tr.Writes)+len(tr.Reads) {
+				t.Fatalf("reader passed a record declaring %d agents it cannot name", tr.Agents)
 			}
 			// Decoded traces must re-encode without error.
 			var out bytes.Buffer

@@ -111,6 +111,9 @@ func (r *Reader) Read() (*TestTrace, error) {
 				"trace line %d has schema version %d; this reader supports up to version %d — upgrade to read it",
 				r.line, line.Version, SchemaVersion)
 		}
+		if err := t.Validate(); err != nil {
+			return nil, fmt.Errorf("trace line %d: %w", r.line, err)
+		}
 		return &t, nil
 	}
 }

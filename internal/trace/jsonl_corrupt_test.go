@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -92,5 +93,43 @@ func TestJSONLReaderSkipsBlankLines(t *testing.T) {
 	_, err := r.Read()
 	if err == nil || !strings.Contains(err.Error(), "trace line 3") {
 		t.Fatalf("blank line not counted in position: %v", err)
+	}
+}
+
+// TestJSONLReaderRejectsUnbackedAgentCount checks that a record cannot
+// make its readers size and loop by a number it merely declares: a count
+// above maxUnnamedAgents must be matched by agents the record names.
+func TestJSONLReaderRejectsUnbackedAgentCount(t *testing.T) {
+	for _, line := range []string{
+		`{"v":2,"test_id":1,"kind":2,"agents":4000000000}`,
+		`{"v":2,"test_id":1,"kind":2,"agents":4000000000,"reads":[{"agent":1},{"agent":4000000000}]}`,
+		`{"v":2,"test_id":1,"kind":2,"agents":65,"deltas_ns":{"1":0,"2":0,"900":0}}`,
+	} {
+		_, err := NewReader(strings.NewReader(line + "\n")).Read()
+		if err == nil {
+			t.Errorf("accepted %s", line)
+			continue
+		}
+		if !strings.Contains(err.Error(), "trace line 1") || !strings.Contains(err.Error(), "agents but names only") {
+			t.Errorf("unhelpful error for %s: %v", line, err)
+		}
+	}
+
+	// A large deployment that names every agent it declares still loads.
+	var sb strings.Builder
+	sb.WriteString(`{"v":2,"test_id":1,"kind":2,"agents":70,"deltas_ns":{`)
+	for a := 1; a <= 70; a++ {
+		if a > 1 {
+			sb.WriteByte(',')
+		}
+		fmt.Fprintf(&sb, `"%d":0`, a)
+	}
+	sb.WriteString("}}\n")
+	tr, err := NewReader(strings.NewReader(sb.String())).Read()
+	if err != nil {
+		t.Fatalf("a record naming all 70 of its agents was rejected: %v", err)
+	}
+	if got := len(tr.AgentIDs()); got != 70 {
+		t.Fatalf("AgentIDs lists %d agents, want 70", got)
 	}
 }

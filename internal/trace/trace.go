@@ -222,7 +222,44 @@ func (t *TestTrace) Validate() error {
 			return fmt.Errorf("trace %d: read %d returned before invoked", t.TestID, i)
 		}
 	}
+	if t.Agents > maxUnnamedAgents {
+		if named := t.namedAgents(); t.Agents > named {
+			return fmt.Errorf("trace %d: declares %d agents but names only %d in its clock deltas, writes and reads (a count above %d must be backed by the record)",
+				t.TestID, t.Agents, named, maxUnnamedAgents)
+		}
+	}
 	return nil
+}
+
+// maxUnnamedAgents is the largest agent count a trace may declare without
+// naming every one of them. ReadsByAgent, AgentIDs and the per-pair
+// divergence rows size and loop by the declared count; above this bound
+// the count must be matched by agents the record itself mentions, so
+// their cost follows the record's length and not a number it merely
+// states. Below it, records that name nobody (the fixtures, a test where
+// every operation failed) keep loading.
+const maxUnnamedAgents = 64
+
+// namedAgents counts the distinct agents in 1..Agents that the trace
+// mentions in a clock delta, a write or a read.
+func (t *TestTrace) namedAgents() int {
+	mentions := len(t.Deltas) + len(t.Writes) + len(t.Reads)
+	seen := make(map[AgentID]struct{}, min(t.Agents, mentions))
+	note := func(a AgentID) {
+		if a >= 1 && int(a) <= t.Agents {
+			seen[a] = struct{}{}
+		}
+	}
+	for a := range t.Deltas {
+		note(a)
+	}
+	for _, w := range t.Writes {
+		note(w.Agent)
+	}
+	for _, r := range t.Reads {
+		note(r.Agent)
+	}
+	return len(seen)
 }
 
 func sortWrites(ws []Write) {

@@ -115,9 +115,9 @@ func (s *Sim) Sleep(d time.Duration) {
 func (s *Sim) AfterFunc(d time.Duration, f func()) Timer {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	ev := &event{at: s.now.Add(d), fn: f}
+	ev := &event{s: s, at: s.now.Add(d), fn: f}
 	s.push(ev)
-	return &simTimer{s: s, ev: ev}
+	return ev
 }
 
 // Go starts f as a new actor. It may be called before Run as well as from
@@ -216,21 +216,6 @@ func (s *Sim) finishActor() {
 	}
 }
 
-type simTimer struct {
-	s  *Sim
-	ev *event
-}
-
-func (t *simTimer) Stop() bool {
-	t.s.mu.Lock()
-	defer t.s.mu.Unlock()
-	if t.ev.fired || t.ev.cancelled {
-		return false
-	}
-	t.ev.cancelled = true
-	return true
-}
-
 // simGroup is the scheduler-aware Group implementation.
 type simGroup struct {
 	s       *Sim
@@ -291,14 +276,26 @@ func (g *simGroup) finishMember() {
 }
 
 // event is a pending wake-up (wake != nil) or timer callback (fn != nil).
+// A timer event is the Timer AfterFunc returns: one object per timer.
 type event struct {
+	s         *Sim // set on timer events only; Stop locks through it
 	at        time.Time
 	seq       uint64
 	wake      chan struct{}
 	fn        func()
 	cancelled bool
 	fired     bool
-	index     int
+}
+
+// Stop cancels a timer event that has not fired.
+func (ev *event) Stop() bool {
+	ev.s.mu.Lock()
+	defer ev.s.mu.Unlock()
+	if ev.fired || ev.cancelled {
+		return false
+	}
+	ev.cancelled = true
+	return true
 }
 
 // eventQueue is a min-heap ordered by (at, seq).
@@ -313,20 +310,9 @@ func (q eventQueue) Less(i, j int) bool {
 	return q[i].seq < q[j].seq
 }
 
-func (q eventQueue) Swap(i, j int) {
-	q[i], q[j] = q[j], q[i]
-	q[i].index = i
-	q[j].index = j
-}
+func (q eventQueue) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
 
-func (q *eventQueue) Push(x any) {
-	ev, ok := x.(*event)
-	if !ok {
-		return
-	}
-	ev.index = len(*q)
-	*q = append(*q, ev)
-}
+func (q *eventQueue) Push(x any) { *q = append(*q, x.(*event)) }
 
 func (q *eventQueue) Pop() any {
 	old := *q

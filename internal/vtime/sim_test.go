@@ -118,13 +118,21 @@ func TestSimTimerStop(t *testing.T) {
 	}
 }
 
+// The timer handle is the scheduler's own event: once it has fired, Stop
+// reports false however often it is called, and cancels nothing.
 func TestSimTimerStopAfterFire(t *testing.T) {
 	s := NewSim(simEpoch)
-	tm := s.AfterFunc(time.Second, func() {})
+	var fired atomic.Bool
+	tm := s.AfterFunc(time.Second, func() { fired.Store(true) })
 	s.Go(func() { s.Sleep(5 * time.Second) })
 	s.Wait()
-	if tm.Stop() {
-		t.Fatal("Stop after firing reported true")
+	if !fired.Load() {
+		t.Fatal("timer did not fire")
+	}
+	for i := 0; i < 2; i++ {
+		if tm.Stop() {
+			t.Fatalf("Stop %d after firing reported true", i+1)
+		}
 	}
 }
 

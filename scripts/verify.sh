@@ -15,8 +15,12 @@ go vet ./...
 echo "== go test -race ./..."
 go test -race ./...
 
-echo "== checker cost (ns/op, allocs/op on a paper-shaped Test 2)"
-go test -run '^$' -bench 'CheckTest|DivergenceWindows' -benchtime 20x .
+# A per-read copy put back on the read path shows here as allocs/op: a
+# cached store read is 0, a simulated read 1 (its posts).
+echo "== hot-path cost (ns/op, allocs/op: checkers on a paper-shaped Test 2, cached store read, simulated read, scheduler)"
+go test -run '^$' -bench 'CheckTest|DivergenceWindows' -benchtime 20x -benchmem .
+go test -run '^$' -bench 'SelectionApply|SimScheduler' -benchtime 2000x -benchmem .
+go test -run '^$' -bench 'StoreReadCached' -benchtime 2000x -benchmem ./internal/store
 
 echo "== resume smoke"
 ./scripts/resume_smoke.sh
