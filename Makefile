@@ -76,12 +76,14 @@ disk-chaos:
 # fuzz gives every fuzz target a short budget beyond its seed corpus. The
 # two core targets are differential — predicates (repeated IDs, long
 # sequences) and whole traces against the reference oracle in
-# internal/core/reference_test.go — and get the longer budget.
+# internal/core/reference_test.go — and get the longer budget; so is the
+# cluster's, its append encoder against encoding/json.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzReader -fuzztime 10s ./internal/trace
 	$(GO) test -run '^$$' -fuzz FuzzDivergencePredicates -fuzztime 30s ./internal/core
 	$(GO) test -run '^$$' -fuzz FuzzCheckTest -fuzztime 30s ./internal/core
 	$(GO) test -run '^$$' -fuzz FuzzMetricsExposition -fuzztime 10s ./internal/obs
+	$(GO) test -run '^$$' -fuzz FuzzAppendOp -fuzztime 20s ./internal/cluster
 
 # golden re-records the committed golden files after an intentional
 # rendering change; inspect the diff before committing.

@@ -110,7 +110,7 @@ func build(args []string) (*http.Server, string, error) {
 		selfURL      = fs.String("self-url", "", "this node's own base URL, announced to peers in votes and heartbeats (required with -peers)")
 		peers        = fs.String("peers", "", "comma-separated base URLs of the other cluster members; enables leader election")
 		dataDir      = fs.String("data-dir", "", "persistence directory for WAL+snapshot (cluster oplog, or -durable store)")
-		pullInterval = fs.Duration("pull-interval", 250*time.Millisecond, "follower replication poll period")
+		pullInterval = fs.Duration("pull-interval", 250*time.Millisecond, "catch-up poll period of a joining or pure-pull follower")
 		snapEvery    = fs.Int("snapshot-every", 256, "compact the WAL into a snapshot after this many ops/writes")
 		durable      = fs.Bool("durable", false, "standalone mode: persist the store to -data-dir (fsync per write)")
 		election     = cliflags.ElectionFlags(fs)

@@ -2,40 +2,65 @@
 // deployment with term-based leader election and quorum-acknowledged
 // writes. The leader assigns every accepted write and reset a
 // monotonically increasing operation index, stamps it with its term,
-// journals it to a WAL (fsync before publish) and exposes the indexed
-// stream over HTTP; followers pull the stream, apply it monotonically,
-// and serve reads from their own replica — making follower lag a real,
-// externally observable consistency phenomenon rather than a simulated
-// one.
+// journals it to a WAL (fsync before publish) and appends it to every
+// voting member's log on the heartbeat RPC; followers apply the stream
+// monotonically and serve reads from their own replica — making
+// follower lag a real, externally observable consistency phenomenon
+// rather than a simulated one.
 //
-// Election (Raft-style, adapted to pull replication): every node
-// persists (currentTerm, votedFor) to its own WAL and fsyncs the record
-// BEFORE granting a vote or campaigning, so a crash-restarted node can
-// never vote twice in one term. A follower that misses heartbeats for a
-// randomized election timeout becomes a candidate, increments its term
-// and solicits votes; a voter grants only when the candidate's log head
+// Replication is leader-driven and rides the one RPC the protocol
+// already had in both directions. A HeartbeatRequest carries
+// (Prev, PrevTerm) and the entries after that position; its empty form
+// is the periodic liveness announcement. The moment an op is published,
+// and again as each reply is folded, the leader sends every member that
+// is behind and has no append outstanding the entries it lacks — so
+// proposals arriving while a request is in flight ride the next one as
+// a batch. A follower appends only when (Prev, PrevTerm) is its own log
+// head (entries it already holds are skipped by index and term, which
+// makes duplicated, reordered and delayed deliveries harmless), with
+// one WAL write and one fsync for the whole batch, and reports its new
+// durable head in the HeartbeatResponse it was sending anyway: the ack
+// is the reply. Timer heartbeats are never held back by an outstanding
+// append. Pulling (/cluster/pull, then the chunked snapshot install) is
+// catch-up only: a follower pulls once when a heartbeat cannot continue
+// its log — a gap, or a term conflict at an index both hold — and
+// pure-pull followers and joining nodes, which the leader does not
+// address, poll at PullInterval.
+//
+// Election (Raft-style): every node persists (currentTerm, votedFor) to
+// its own WAL and fsyncs the record BEFORE granting a vote or
+// campaigning, so a crash-restarted node can never vote twice in one
+// term. A follower that misses heartbeats for a randomized election
+// timeout becomes a candidate, increments its term and solicits votes;
+// a voter grants only when the candidate's log head
 // (lastTerm, lastIndex) is at least as up to date as its own, which
 // keeps any elected leader's log a superset of every quorum-acked
 // write. A leader seeing a higher term anywhere — vote, heartbeat or
 // pull — steps down immediately.
 //
-// "Acked" now means quorum-durable: the leader journals the op locally
+// "Acked" means quorum-durable: the leader journals the op locally
 // (fsync, group-committed) and then acks the client only once a write
 // quorum of replicas (itself included) has fsynced the op, as reported
-// through term-verified pull and heartbeat progress. Followers fsync
-// before publishing their position, so a counted replica can never
-// silently lose the op; commitIndex advances only over entries of the
-// current term (with a no-op barrier appended on election) so a deposed
-// leader's uncommitted tail can never be counted committed. A kill -9
-// of any node — leader included — therefore loses no acked write: the
-// survivors elect a new leader whose log contains every committed op.
+// through term-verified heartbeat replies (and pull positions).
+// Followers fsync before publishing their position, so a counted
+// replica can never silently lose the op; commitIndex advances only
+// over entries of the current term (with a no-op barrier appended on
+// election) so a deposed leader's uncommitted tail can never be counted
+// committed, and a follower advances its own commit index only over the
+// prefix a heartbeat's position check (or a served pull) has just
+// verified against the leader's log. A kill -9 of any node — leader
+// included — therefore loses no acked write: the survivors elect a new
+// leader whose log contains every committed op.
 //
 // Durability and catch-up share one mechanism: the node periodically
 // compacts its oplog into a snapshot (tmp+rename+dir-sync via
 // internal/wal). A restarting node recovers from snapshot+WAL; a
-// follower that has fallen behind the leader's compaction floor — or
+// follower that has fallen behind the leader's in-memory tail — or
 // whose log conflicts with the leader's at its pull position — installs
-// the leader's snapshot and resumes pulling from its index.
+// the leader's snapshot and resumes from its index. Compaction rewrites
+// the snapshot and empties the journal, but keeps in memory the entries
+// a voting member may still lack, at most SnapshotEvery of them, so a
+// follower one RPC behind a compaction is not sent the whole state.
 package cluster
 
 import (
@@ -159,7 +184,10 @@ type Config struct {
 	// DataDir persists the oplog, snapshot and term record; empty runs
 	// memory-only (a restarted node then recovers nothing locally).
 	DataDir string
-	// PullInterval is the follower poll period (default 250ms).
+	// PullInterval is the catch-up poll period of a pure-pull follower or
+	// a joining node (default 250ms). Voting members are replicated to
+	// by the leader and pull only when a heartbeat cannot continue their
+	// log.
 	PullInterval time.Duration
 	// SnapshotEvery compacts the oplog after this many ops (default 256).
 	SnapshotEvery int
@@ -231,8 +259,21 @@ type follower struct {
 	match uint64
 	// reported is the raw last index the node last announced.
 	reported uint64
-	// lastSeen is when the node last pulled or answered a heartbeat.
+	// lastSeen is when the node last pulled or answered a heartbeat; zero
+	// until it has.
 	lastSeen time.Time
+	// next is the position the next append continues from, the request's
+	// Prev: the replica's head as last reported, or — before it has
+	// reported — the leader's own head when the record was created.
+	next uint64
+	// inflight is the sequence number of the entry-carrying request
+	// outstanding to the replica, 0 when there is none. One at a time:
+	// what is proposed meanwhile rides the next request as a batch.
+	inflight uint64
+	// paused is set when a request to the replica failed or an append
+	// did not move it, and cleared by its next reply; until then only
+	// timer heartbeats address it.
+	paused bool
 }
 
 // Node wraps a service.Service in replication. It implements
@@ -308,6 +349,8 @@ type Node struct {
 	// index, 0 for the static boot config.
 	config      Membership
 	configIndex uint64
+	// peers caches config.PeerURLs(self), the fan-out list.
+	peers []string
 
 	// Leader-lease / read-index state (leader only; see lease.go).
 	roundSeq       uint64 // heartbeat rounds broadcast so far
@@ -336,6 +379,14 @@ type Node struct {
 	state       []Op // effective write set: ops since the last reset
 	sinceSnap   int
 	followers   map[string]*follower
+	appendSeq   uint64 // entry-carrying requests sent so far
+
+	// Encoding scratch, reused under mu: the journal records of the batch
+	// being staged, carved from recBuf, and the snapshot frame a
+	// compaction writes.
+	recBuf    []byte
+	recs      [][]byte
+	snapFrame []byte
 
 	// Timers and in-flight guards; all driven by cfg.Clock.
 	electionTimer  vtime.Timer
@@ -438,7 +489,7 @@ func NewNode(svc service.Service, cfg Config) (*Node, error) {
 		cfg.Clock = vtime.Real{}
 	}
 	if cfg.Transport == nil {
-		cfg.Transport = &httpTransport{hc: &http.Client{Timeout: httpClientTimeout}}
+		cfg.Transport = &httpTransport{hc: &http.Client{}}
 	}
 	n := &Node{
 		cfg:       cfg,
@@ -448,8 +499,8 @@ func NewNode(svc service.Service, cfg Config) (*Node, error) {
 		bootTime:  cfg.Clock.Now(),
 		followers: make(map[string]*follower),
 		rounds:    make(map[uint64]*hbRound),
-		config:    staticMembership(cfg.NodeID, cfg.SelfURL, cfg.Peers),
 	}
+	n.setConfigLocked(staticMembership(cfg.NodeID, cfg.SelfURL, cfg.Peers), 0)
 	n.commitCond = sync.NewCond(&n.mu)
 	if cfg.DataDir != "" {
 		// A fresh node is pointed at a directory that does not exist yet;
@@ -482,10 +533,7 @@ func NewNode(svc service.Service, cfg Config) (*Node, error) {
 		}
 		n.becomeLeaderLocked()
 	} else {
-		if len(cfg.Peers) > 0 || n.leaderURL != "" {
-			n.schedulePullLocked(cfg.PullInterval)
-		}
-		n.resetElectionTimerLocked()
+		n.membershipChangedLocked()
 	}
 	return n, nil
 }
@@ -723,8 +771,7 @@ func (n *Node) recover() error {
 	if snap.Config != nil {
 		// The log is the configuration's source of truth: a persisted
 		// config always beats the static -peers flags.
-		n.config = *snap.Config
-		n.configIndex = snap.ConfigIndex
+		n.setConfigLocked(*snap.Config, snap.ConfigIndex)
 	}
 	for _, op := range tail {
 		if op.Index <= n.lastIndex {
@@ -744,8 +791,7 @@ func (n *Node) recover() error {
 			// so a node recovering mid-reconfigure rejoins under exactly
 			// the member set its log prescribes, never an older one.
 			if op.Config != nil {
-				n.config = *op.Config
-				n.configIndex = op.Index
+				n.setConfigLocked(*op.Config, op.Index)
 			}
 		default:
 			n.state = append(n.state, op)
@@ -863,10 +909,28 @@ func (n *Node) TailOps() []Op {
 	return append([]Op(nil), n.ops...)
 }
 
+// setConfigLocked adopts cfg, the configuration entry at log index idx
+// (0 for the static boot configuration).
+func (n *Node) setConfigLocked(cfg Membership, idx uint64) {
+	n.config, n.configIndex = cfg, idx
+	n.peers = cfg.PeerURLs(n.cfg.SelfURL)
+}
+
 // peerURLsLocked lists the member URLs this node fans protocol traffic
 // out to, derived from the active configuration (static or replicated).
-func (n *Node) peerURLsLocked() []string {
-	return n.config.PeerURLs(n.cfg.SelfURL)
+// The slice is shared: callers only read it.
+func (n *Node) peerURLsLocked() []string { return n.peers }
+
+// membershipChangedLocked re-evaluates what the node's place in the
+// configuration entitles it to: a voting member of a multi-node
+// configuration runs an election timer and is replicated to by the
+// leader; anyone else — a pure-pull follower, a joiner not yet voted
+// in, a removed member — polls the leader at PullInterval.
+func (n *Node) membershipChangedLocked() {
+	if !n.clusteredLocked() && n.pullTimer == nil {
+		n.schedulePullLocked(n.cfg.PullInterval)
+	}
+	n.resetElectionTimerLocked()
 }
 
 // clusteredLocked reports whether this node participates in elections:
@@ -923,7 +987,7 @@ func (n *Node) Reset() error {
 // compactLocked already pays for a consistent cut.
 func (n *Node) accept(op Op) (uint64, error) {
 	n.mu.Lock()
-	defer n.mu.Unlock()
+	defer n.unlockAndReplicate()
 	return n.acceptLocked(op)
 }
 
@@ -992,28 +1056,38 @@ func (n *Node) WaitCommitted(idx uint64) error {
 	}
 }
 
-// stageLocked applies op to the local replica and journals it (fsynced)
-// without publishing it. Caller holds n.mu and has set op.Index to
-// n.lastIndex+1. On error the published state (n.ops, n.state,
-// n.lastIndex, the WAL) is unchanged: a service rejection happens
-// before the journal write, and a journal failure rolls the replica
-// back to the published write set.
-func (n *Node) stageLocked(op Op) error {
-	var raw []byte
+// stageLocked applies ops — contiguous from n.lastIndex+1 — to the
+// local replica and journals them, one WAL write and one fsync for the
+// lot, without publishing them. Caller holds n.mu. On error the
+// published state (n.ops, n.state, n.lastIndex, the WAL) is unchanged:
+// a service rejection happens before the journal write, and a journal
+// failure rolls the replica back to the published write set.
+func (n *Node) stageLocked(ops ...Op) error {
 	if n.log != nil {
-		var err error
-		raw, err = json.Marshal(opRecord{E: n.epoch, Op: op})
-		if err != nil {
+		// A record carved before recBuf outgrew its array stays valid: the
+		// old array is no longer written to.
+		n.recBuf, n.recs = n.recBuf[:0], n.recs[:0]
+		for i := range ops {
+			start := len(n.recBuf)
+			var err error
+			if n.recBuf, err = appendOpRecord(n.recBuf, n.epoch, &ops[i]); err != nil {
+				return err
+			}
+			n.recs = append(n.recs, n.recBuf[start:])
+		}
+	}
+	for i := range ops {
+		if err := n.applyToService(ops[i]); err != nil {
+			if i > 0 {
+				n.rollbackServiceLocked()
+			}
 			return err
 		}
 	}
-	if err := n.applyToService(op); err != nil {
-		return err
-	}
 	if n.log != nil {
-		if err := n.log.Append(raw); err != nil {
+		if err := n.log.AppendBatch(n.recs); err != nil {
 			n.rollbackServiceLocked()
-			return fmt.Errorf("cluster: journaling op %d: %w", op.Index, err)
+			return fmt.Errorf("cluster: journaling op %d: %w", ops[0].Index, err)
 		}
 	}
 	return nil
@@ -1034,8 +1108,7 @@ func (n *Node) publishLocked(op Op) {
 	case opNoop:
 	case opConfig:
 		if op.Config != nil {
-			n.config = *op.Config
-			n.configIndex = op.Index
+			n.setConfigLocked(*op.Config, op.Index)
 			n.emitLocked(Event{
 				Type: EventReconfigure, Term: n.currentTerm, Index: op.Index,
 				Detail: op.Config.describe(),
@@ -1054,8 +1127,8 @@ func (n *Node) publishLocked(op Op) {
 				}
 			} else {
 				// Membership may have just granted (or revoked) this node's
-				// right to campaign; re-evaluate the election timer.
-				n.resetElectionTimerLocked()
+				// right to campaign and to be replicated to.
+				n.membershipChangedLocked()
 			}
 		}
 	default:
@@ -1109,24 +1182,64 @@ func (n *Node) maybeCompactLocked() error {
 // the oplog; memory-only nodes just trim the in-memory tail. Caller
 // holds n.mu — the fsyncs stall concurrent accepts, which is the price
 // of a consistent cut.
+//
+// On disk nothing of the log survives a compaction. In memory the floor
+// moves only to retainFromLocked: dropping the whole tail would put a
+// voting member that is one RPC behind onto a full snapshot install,
+// O(state) bytes to replace a handful of entries.
 func (n *Node) compactLocked() error {
 	if n.log != nil {
-		payload, err := json.Marshal(n.snapshotLocked())
-		if err != nil {
-			return err
-		}
-		if err := wal.WriteSnapshotFS(n.cfg.FS, n.snapPath(), payload, wal.DefaultFileMode); err != nil {
+		if err := n.writeSnapshotLocked(); err != nil {
 			return err
 		}
 		if err := n.log.Truncate(); err != nil {
 			return err
 		}
 	}
-	n.floor = n.lastIndex
-	n.floorTerm = n.lastTerm
-	n.ops = nil
+	if keep := n.retainFromLocked(); keep > n.floor {
+		n.floorTerm, _ = n.termAtLocked(keep)
+		// Re-slice, never copy down: requests in flight share the backing
+		// array. The dropped entries stay reachable only until the next
+		// append outgrows it.
+		n.ops = n.ops[keep-n.floor:]
+		n.floor = keep
+	}
 	n.sinceSnap = 0
 	return nil
+}
+
+// writeSnapshotLocked atomically replaces the snapshot file with the
+// current state, encoded into the frame buffer the node keeps — what a
+// compaction allocates does not grow with the state.
+func (n *Node) writeSnapshotLocked() error {
+	snap := n.snapshotLocked()
+	frame, err := appendSnapshot(append(n.snapFrame[:0], make([]byte, wal.FrameHeader)...), &snap)
+	if err != nil {
+		return err
+	}
+	n.snapFrame = frame
+	return wal.WriteSnapshotFrameFS(n.cfg.FS, n.snapPath(), frame, wal.DefaultFileMode)
+}
+
+// retainFromLocked is the floor a compaction may move to: the lowest
+// position a voting member is known to hold (0 for one this node has no
+// verified position for — every peer, on a node that is not leading),
+// but never more than SnapshotEvery entries below the head, which bounds
+// the tail however long a member stays away. A node without peers keeps
+// nothing.
+func (n *Node) retainFromLocked() uint64 {
+	keep := n.lastIndex
+	for _, url := range n.peers {
+		match := uint64(0)
+		if f := n.followers[url]; f != nil {
+			match = f.match
+		}
+		keep = min(keep, match)
+	}
+	if every := uint64(n.cfg.SnapshotEvery); n.lastIndex > every {
+		keep = max(keep, n.lastIndex-every)
+	}
+	return max(keep, n.floor)
 }
 
 // snapshotLocked assembles the persisted snapshot value. Caller holds

@@ -1,0 +1,306 @@
+package clustertest
+
+import (
+	"encoding/json"
+	"fmt"
+	"path/filepath"
+	"strings"
+	"testing"
+	"time"
+
+	"conprobe/internal/cluster"
+	"conprobe/internal/service"
+	"conprobe/internal/wal"
+)
+
+// countingTransport counts every RPC a node sends.
+type countingTransport struct {
+	cluster.Transport
+	rpcs *int
+}
+
+func (t countingTransport) RequestVote(peer string, req cluster.VoteRequest, done func(cluster.VoteResponse, error)) {
+	*t.rpcs++
+	t.Transport.RequestVote(peer, req, done)
+}
+
+func (t countingTransport) Heartbeat(peer string, req cluster.HeartbeatRequest, done func(cluster.HeartbeatResponse, error)) {
+	*t.rpcs++
+	t.Transport.Heartbeat(peer, req, done)
+}
+
+func (t countingTransport) Pull(peer string, req cluster.PullRequest, done func(cluster.PullResponse, error)) {
+	*t.rpcs++
+	t.Transport.Pull(peer, req, done)
+}
+
+func (t countingTransport) FetchSnapshotChunk(peer string, req cluster.SnapshotChunkRequest, done func(cluster.SnapshotChunkResponse, error)) {
+	*t.rpcs++
+	t.Transport.FetchSnapshotChunk(peer, req, done)
+}
+
+// commitCost boots three nodes on a fresh virtual clock with a fixed
+// one-way hop, the shipped election timeout and the given heartbeat and
+// pull periods, elects a leader, and commits `writes` writes one at a
+// time between heartbeat ticks. It returns the worst virtual latency
+// from proposal to commit and the RPCs the cluster sent per write.
+func commitCost(t *testing.T, hop, heartbeat, pull time.Duration, writes int) (time.Duration, float64) {
+	t.Helper()
+	clock := NewClock()
+	net := NewNet(clock, 1, hop, hop)
+	urls := []string{"node://n1", "node://n2", "node://n3"}
+	nodes := make([]*cluster.Node, len(urls))
+	rpcs := 0
+	commitAt := make(map[uint64]time.Time)
+	dir := t.TempDir()
+	for i, u := range urls {
+		var peers []string
+		for _, p := range urls {
+			if p != u {
+				peers = append(peers, p)
+			}
+		}
+		n, err := cluster.NewNode(&memSvc{}, cluster.Config{
+			NodeID: fmt.Sprintf("n%d", i+1), SelfURL: u, Peers: peers,
+			DataDir: filepath.Join(dir, fmt.Sprintf("n%d", i+1)), NoSync: true,
+			HeartbeatInterval: heartbeat, PullInterval: pull,
+			Seed: 1, Clock: clock,
+			Transport: countingTransport{Transport: net.TransportFor(u), rpcs: &rpcs},
+			OnEvent: func(ev cluster.Event) {
+				if ev.Type == cluster.EventCommit {
+					if _, ok := commitAt[ev.Index]; !ok {
+						commitAt[ev.Index] = clock.Now()
+					}
+				}
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(n.Kill)
+		nodes[i] = n
+		net.SetNode(u, n)
+	}
+	var leader *cluster.Node
+	for waited := time.Duration(0); leader == nil; waited += 10 * time.Millisecond {
+		if waited > 10*time.Second {
+			t.Fatal("no leader with a committed barrier within 10s of virtual time")
+		}
+		clock.RunFor(10 * time.Millisecond)
+		for _, n := range nodes {
+			if n.Role() == cluster.RoleLeader && n.LastIndex() > 0 && n.CommitIndex() == n.LastIndex() {
+				leader = n
+			}
+		}
+	}
+	// Sit just past a heartbeat tick, so the writes below — far less than
+	// one period of work — fall between ticks and every RPC counted is the
+	// commit's own. A tick is recognisable from outside: it is the only
+	// thing that sends while nothing is proposed.
+	for seen := rpcs; rpcs == seen; {
+		clock.RunFor(time.Millisecond)
+	}
+	clock.RunFor(5 * hop)
+
+	before := rpcs
+	var worst time.Duration
+	for i := 0; i < writes; i++ {
+		t0 := clock.Now()
+		idx, err := leader.ProposeWrite("harness", service.Post{ID: fmt.Sprintf("w%d", i), Author: "a", Body: "x"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for leader.CommitIndex() < idx {
+			if clock.Now().Sub(t0) > time.Second {
+				t.Fatalf("write %d not committed within 1s of virtual time", i)
+			}
+			clock.RunFor(hop)
+		}
+		worst = max(worst, commitAt[idx].Sub(t0))
+		clock.RunFor(3 * hop) // let the slower follower's ack land too
+	}
+	return worst, float64(rpcs-before) / float64(writes)
+}
+
+// TestCommitCostExact is the replication path's cost, exact on the
+// virtual clock and independent of bench/: with the shipped timers and
+// 0.2 ms hops a committed write takes two hops — the append out, its
+// reply back — and two RPCs, one per follower. No timer is on the path:
+// doubling HeartbeatInterval and PullInterval changes neither figure.
+func TestCommitCostExact(t *testing.T) {
+	const hop = 200 * time.Microsecond
+	const writes = 20
+	lat, rpcs := commitCost(t, hop, 0, 0, writes) // 0: the shipped defaults
+	t.Logf("commit cost: %.2f virtual ms and %.0f RPCs per commit (3 nodes, %v hops, shipped timers)",
+		float64(lat)/float64(time.Millisecond), rpcs, hop)
+	if lat > 2*hop+time.Millisecond {
+		t.Errorf("a commit took %v of virtual time, want at most 2 hops + 1ms = %v", lat, 2*hop+time.Millisecond)
+	}
+	if rpcs != 2 {
+		t.Errorf("%.2f RPCs per commit, want exactly 2", rpcs)
+	}
+	lat2, rpcs2 := commitCost(t, hop, 200*time.Millisecond, 500*time.Millisecond, writes)
+	if lat2 != lat || rpcs2 != rpcs {
+		t.Errorf("doubling HeartbeatInterval and PullInterval moved the commit cost: %v and %.2f RPCs, was %v and %.2f",
+			lat2, rpcs2, lat, rpcs)
+	}
+}
+
+// snapIndex reads the head of id's on-disk snapshot: it moves exactly
+// when the node compacts.
+func (c *Cluster) snapIndex(id string) uint64 {
+	c.t.Helper()
+	payload, ok, err := wal.ReadSnapshot(filepath.Join(c.dir, id, "node.snap"))
+	if err != nil {
+		c.fatalf("reading %s's snapshot: %v", id, err)
+	}
+	if !ok {
+		return 0
+	}
+	var snap struct {
+		LastIndex uint64 `json:"last_index"`
+	}
+	if err := json.Unmarshal(payload, &snap); err != nil {
+		c.fatalf("decoding %s's snapshot: %v", id, err)
+	}
+	return snap.LastIndex
+}
+
+// installs counts the snapshot installs id has reported.
+func (c *Cluster) installs(id string) int {
+	n := 0
+	for _, line := range c.Transcript {
+		if strings.Contains(line, " "+id+" "+cluster.EventInstallSnapshot+" ") {
+			n++
+		}
+	}
+	return n
+}
+
+// writeBurst proposes n writes at the leader, gap apart.
+func (c *Cluster) writeBurst(n int, gap time.Duration) {
+	c.t.Helper()
+	for i := 0; i < n; i++ {
+		if c.TryWrite() == "" {
+			c.fatalf("write refused: no leader")
+		}
+		c.RunFor(gap)
+	}
+}
+
+// TestCompactionKeepsLaggingFollowerOffSnapshot pins the retained tail.
+// A follower cut off for fewer than SnapshotEvery ops, while the leader
+// compacts, finds the entries it lacks still in the leader's memory and
+// catches up by appends alone; cut off for longer than the bound, it
+// installs a snapshot as it always did. Both partitions are shorter
+// than the election timeout, so leadership never moves.
+func TestCompactionKeepsLaggingFollowerOffSnapshot(t *testing.T) {
+	c := New(t, 11, 3)
+	c.RunFor(2 * electionTimeout)
+	leader := c.Leader()
+	if leader == "" {
+		c.fatalf("no leader")
+	}
+	var lagger string
+	for _, id := range c.IDs {
+		if id != leader {
+			lagger = id
+			break
+		}
+	}
+	caughtUp := func(what string) {
+		c.t.Helper()
+		c.RunFor(time.Second)
+		if c.Leader() != leader {
+			c.fatalf("%s: leadership moved from %s to %q", what, leader, c.Leader())
+		}
+		if got, want := c.nodes[lagger].LastIndex(), c.nodes[leader].LastIndex(); got != want {
+			c.fatalf("%s: %s at %d, leader at %d", what, lagger, got, want)
+		}
+	}
+	// Write until the leader has just compacted, so where the next
+	// compaction falls is known: snapshotEvery ops from here.
+	for at := c.snapIndex(leader); c.snapIndex(leader) == at; {
+		c.writeBurst(1, 100*time.Millisecond)
+	}
+	c.writeBurst(3, 100*time.Millisecond)
+	caughtUp("before the partition")
+
+	// Six ops behind, the leader compacting at the fifth of them.
+	installs, compactedAt := c.installs(lagger), c.snapIndex(leader)
+	c.Isolate(lagger)
+	c.writeBurst(snapshotEvery-2, 30*time.Millisecond)
+	if c.snapIndex(leader) == compactedAt {
+		c.fatalf("the leader did not compact while %s was cut off", lagger)
+	}
+	c.Heal()
+	caughtUp("after a short partition")
+	if got := c.installs(lagger); got != installs {
+		c.fatalf("%s installed %d snapshots to cover %d ops; the leader should have kept them",
+			lagger, got-installs, snapshotEvery-2)
+	}
+
+	// Well past the bound: two compactions' worth of ops.
+	c.Isolate(lagger)
+	c.writeBurst(3*snapshotEvery, 10*time.Millisecond)
+	c.Heal()
+	caughtUp("after a long partition")
+	if got := c.installs(lagger); got == installs {
+		c.fatalf("%s caught up over %d ops without a snapshot: the retained tail is not bounded by SnapshotEvery=%d",
+			lagger, 3*snapshotEvery, snapshotEvery)
+	}
+	c.AssertConverged()
+}
+
+// TestAppendDeliveryIsIdempotent turns the fabric's misbehaviour far up
+// — a third of all requests handled twice, a third of all messages held
+// back past later traffic — and requires that appends still never leave
+// a gap and never apply an entry twice: every replica ends with the
+// leader's posts, each exactly once, in the leader's order. The harness
+// service does not deduplicate, so a double apply would show.
+func TestAppendDeliveryIsIdempotent(t *testing.T) {
+	for _, seed := range []int64{3, 4} {
+		seed := seed
+		t.Run(fmt.Sprintf("seed=%d/size=%d", seed, clusterSize(seed)), func(t *testing.T) {
+			t.Parallel()
+			c := New(t, seed, clusterSize(seed))
+			c.Net.EnableDeliveryChaos(3300, 3300)
+			c.RunFor(2 * electionTimeout)
+			for i := 0; i < 60; i++ {
+				c.TryWrite()
+				c.RunFor(time.Duration(1+i%7) * 5 * time.Millisecond)
+				c.AssertLogMatching()
+			}
+			c.AssertConverged()
+			if len(c.Acked) < 50 {
+				c.fatalf("only %d of 60 writes were acknowledged", len(c.Acked))
+			}
+			want := postIDs(c, c.Leader())
+			seen := make(map[string]bool, len(want))
+			for _, id := range want {
+				if seen[id] {
+					c.fatalf("leader applied %s twice", id)
+				}
+				seen[id] = true
+			}
+			for _, id := range c.IDs {
+				if got := postIDs(c, id); strings.Join(got, ",") != strings.Join(want, ",") {
+					c.fatalf("%s holds %v, leader holds %v", id, got, want)
+				}
+			}
+		})
+	}
+}
+
+func postIDs(c *Cluster, id string) []string {
+	c.t.Helper()
+	posts, err := c.nodes[id].Read("harness", "checker")
+	if err != nil {
+		c.fatalf("reading %s: %v", id, err)
+	}
+	ids := make([]string, len(posts))
+	for i, p := range posts {
+		ids[i] = p.ID
+	}
+	return ids
+}

@@ -89,6 +89,88 @@ func TestFsyncPoisonNeverAcks(t *testing.T) {
 	if err := n2.Write(simnet.DCWest, service.Post{ID: "fresh", Author: "a1", Body: "x"}); err != nil {
 		t.Fatalf("post-restart write: %v", err)
 	}
+
+	// The follower's half of the rule. An append's reply is its ack, so a
+	// follower whose WAL fails the batch's one fsync must answer with the
+	// head it had before — the entries neither published nor left in its
+	// replica — and the leader must never count it toward the commit.
+	finj := diskfault.New(nil)
+	f, err := NewNode(&memSvc{}, Config{
+		NodeID: "a", SelfURL: "http://a",
+		Peers:   []string{"http://g", "http://b", "http://c", "http://d"},
+		DataDir: t.TempDir(), FS: finj.FS(), Transport: &pullCapture{},
+		PullInterval: time.Hour, ElectionTimeout: time.Hour, HeartbeatInterval: time.Hour,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Kill()
+	l, tr := guardNode(t)
+	term := electLeader(t, l, tr)
+	// deliver hands a's request to the real follower and b's and c's to
+	// healthy stand-ins; d never answers, so a commit needs two of a, b, c.
+	deliver := func(hbs []capturedHB, peers ...string) {
+		for _, hb := range hbs {
+			for _, p := range peers {
+				if hb.peer != p {
+					continue
+				}
+				resp := HeartbeatResponse{
+					Term: term, Node: peerID(p), URL: p, Round: hb.req.Round,
+					LastIndex: hb.req.Prev + uint64(len(hb.req.Ops)), LastTerm: term,
+				}
+				if p == "http://a" {
+					resp = f.HandleHeartbeat(hb.req)
+				}
+				hb.done(resp, nil)
+			}
+		}
+	}
+	deliver(tr.waitHBs(t, 4), "http://a", "http://b", "http://c")
+	if l.CommitIndex() != 1 || f.LastIndex() != 1 {
+		t.Fatalf("healthy append: leader commit %d, follower head %d, want 1 and 1", l.CommitIndex(), f.LastIndex())
+	}
+	if err := finj.Arm(diskfault.Fault{Kind: diskfault.KindFsyncGate, Path: "oplog.log"}); err != nil {
+		t.Fatal(err)
+	}
+	idx, err := l.ProposeWrite(simnet.DCWest, service.Post{ID: "unsynced", Author: "a1", Body: "x"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	appends := tr.waitHBs(t, 3)
+	deliver(appends, "http://a", "http://b")
+	if got := f.LastIndex(); got != 1 {
+		t.Fatalf("follower published op %d over a failed fsync (head %d)", idx, got)
+	}
+	if got := fmt.Sprint(ids(t, f)); got != "[]" {
+		t.Fatalf("follower's replica kept %s after the failed batch", got)
+	}
+	if got := l.CommitIndex(); got >= idx {
+		t.Fatalf("leader counted a follower that could not fsync: commit %d", got)
+	}
+	// The reply showed no progress, so the next proposal is not thrown at
+	// the stuck follower; the next tick retries it, and it still cannot ack.
+	if _, err := l.ProposeWrite(simnet.DCWest, service.Post{ID: "next", Author: "a1", Body: "x"}); err != nil {
+		t.Fatal(err)
+	}
+	next := tr.waitHBs(t, 1) // to b; c's append is still outstanding
+	time.Sleep(20 * time.Millisecond)
+	if extra := append(next, tr.takeHBs()...); len(extra) != 1 || extra[0].peer != "http://b" {
+		t.Fatalf("%d requests sent to a stuck follower", len(extra))
+	}
+	l.heartbeatTick()
+	deliver(tr.waitHBs(t, 4), "http://a")
+	if got := l.CommitIndex(); got >= idx {
+		t.Fatalf("leader counted the poisoned follower on retry: commit %d", got)
+	}
+	if f.LastIndex() != 1 {
+		t.Fatalf("poisoned follower moved to %d", f.LastIndex())
+	}
+	// With b's ack alone the op is on two of five; c's makes the quorum.
+	deliver(appends, "http://c")
+	if got := l.CommitIndex(); got != idx {
+		t.Fatalf("commit %d after b and c acked op %d", got, idx)
+	}
 }
 
 // TestQuarantinedFollowerRejoinsViaSnapshot pins recovery path (a): a

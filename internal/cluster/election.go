@@ -7,17 +7,24 @@ import (
 	"time"
 
 	"conprobe/internal/detrand"
-	"conprobe/internal/wal"
 )
 
 // This file is the event-driven election and replication engine. There
 // are no long-lived goroutine loops: everything happens in timer
-// callbacks (election timeout, heartbeat tick, pull tick), transport
+// callbacks (election timeout, heartbeat tick, catch-up pull), transport
 // done-callbacks, and the Handle* RPC methods, all serialized on n.mu.
 // One rule keeps it deadlock-free across both the HTTP transport and
 // the deterministic in-process harness: n.mu is NEVER held across a
 // transport call — requests are built under the lock, sent after
 // releasing it.
+
+// Bounds on the entries one heartbeat carries. The byte bound counts op
+// payload before encoding and always admits one op, so a single large
+// write still replicates (maxRPCBody leaves room for it).
+const (
+	maxAppendOps   = 512
+	maxAppendBytes = 1 << 20
+)
 
 // resetElectionTimerLocked (re)arms the election timeout with a fresh
 // deterministic jitter draw: base + uniform[0, base). Armed only for
@@ -175,8 +182,15 @@ func (n *Node) becomeLeaderLocked() {
 	}
 	n.pullInFlight, n.snapInFlight = false, false
 	// Fresh progress tracking: nothing a previous leader learned about
-	// follower positions is trusted across a term change.
+	// follower positions is trusted across a term change. Every member's
+	// record is created now, before the barrier below is appended, so the
+	// first request to each assumes the log head this node was elected on
+	// — the Raft nextIndex guess — and carries the barrier to every
+	// follower that is where the election found it.
 	n.followers = make(map[string]*follower)
+	for _, url := range n.peerURLsLocked() {
+		n.followerLocked(url, "")
+	}
 	// Fresh lease state: a new leader holds no lease until its own
 	// heartbeat rounds earn one.
 	n.rounds = make(map[uint64]*hbRound)
@@ -218,7 +232,6 @@ func (n *Node) stepDownLocked(term uint64, leaderID, leaderURL string) {
 		n.leaderID, n.leaderURL = leaderID, leaderURL
 	}
 	if n.role != RoleFollower {
-		wasLeader := n.role == RoleLeader
 		n.role = RoleFollower
 		n.votes = nil
 		n.campaignGen++ // invalidate any in-flight vote/heartbeat tallies
@@ -233,14 +246,12 @@ func (n *Node) stepDownLocked(term uint64, leaderID, leaderURL string) {
 			n.heartbeatTimer = nil
 		}
 		n.emitLocked(Event{Type: EventStepDown, Term: n.currentTerm, Index: n.lastIndex})
-		if wasLeader {
-			// Writers parked in WaitCommitted must fail over, and this node
-			// must resume replicating from whoever deposed it.
-			n.schedulePullLocked(n.cfg.PullInterval)
-		}
+		// Writers parked in WaitCommitted must fail over.
 		n.commitCond.Broadcast()
 	}
-	n.resetElectionTimerLocked()
+	// Whoever leads now replicates to this node from here on — unless the
+	// configuration no longer lists it, and then it polls.
+	n.membershipChangedLocked()
 }
 
 // HandleVote answers a peer's vote solicitation. The grant is made
@@ -326,10 +337,60 @@ func (n *Node) HandleVote(req VoteRequest) VoteResponse {
 	return resp
 }
 
+// outbound is one heartbeat built under n.mu, to be sent after it is
+// released.
+type outbound struct {
+	peer string
+	req  HeartbeatRequest
+	// id is the request's append sequence number when it is the peer's
+	// one outstanding entry-carrying request, 0 otherwise.
+	id uint64
+}
+
+// outboundLocked builds the request that continues the log of f, the
+// member at peer: Prev is f.next when this node's log still holds that
+// position, else its own head — a position the follower can only answer
+// by pulling. Entries ride along when withOps is set and there are any
+// past Prev, bounded and shared with the log (published ops are never
+// mutated); the request then becomes f's one outstanding append.
+func (n *Node) outboundLocked(peer string, f *follower, round uint64, withOps bool) outbound {
+	req := HeartbeatRequest{
+		Term: n.currentTerm, Leader: n.cfg.NodeID, LeaderURL: n.cfg.SelfURL,
+		LastIndex: n.lastIndex, Commit: n.commitIndex, Round: round,
+		Prev: n.lastIndex, PrevTerm: n.lastTerm,
+	}
+	if t, ok := n.termAtLocked(f.next); ok {
+		req.Prev, req.PrevTerm = f.next, t
+	}
+	if withOps && req.Prev < n.lastIndex {
+		ops := n.ops[req.Prev-n.floor:]
+		if len(ops) > maxAppendOps {
+			ops = ops[:maxAppendOps]
+		}
+		size := 0
+		for i := range ops {
+			size += len(ops[i].Body) + len(ops[i].ID) + len(ops[i].Author) + len(ops[i].DependsOn)
+			if size > maxAppendBytes && i > 0 {
+				ops = ops[:i]
+				break
+			}
+		}
+		req.Ops = ops
+		n.appendSeq++
+		f.inflight = n.appendSeq
+		return outbound{peer: peer, req: req, id: f.inflight}
+	}
+	return outbound{peer: peer, req: req}
+}
+
 // heartbeatTick broadcasts the leader's liveness and log head. Each
 // tick opens a numbered confirmation round; a vote quorum of responses
 // echoing the round proves this node still led when the round started,
-// which extends the leader lease and confirms pending quorum reads.
+// which extends the leader lease and confirms pending quorum reads. The
+// tick addresses every member whatever is outstanding to it — a hung
+// append must never silence the liveness signal — and carries entries
+// to those with nothing outstanding, so it is also what retries a
+// member whose last request failed.
 func (n *Node) heartbeatTick() {
 	n.mu.Lock()
 	peers := n.peerURLsLocked()
@@ -337,7 +398,6 @@ func (n *Node) heartbeatTick() {
 		n.mu.Unlock()
 		return
 	}
-	term, gen := n.currentTerm, n.campaignGen
 	n.roundSeq++
 	round := n.roundSeq
 	n.rounds[round] = &hbRound{
@@ -345,40 +405,93 @@ func (n *Node) heartbeatTick() {
 		acks:  map[string]bool{n.cfg.SelfURL: true},
 	}
 	n.pruneRoundsLocked()
-	req := HeartbeatRequest{
-		Term: term, Leader: n.cfg.NodeID, LeaderURL: n.cfg.SelfURL,
-		LastIndex: n.lastIndex, Commit: n.commitIndex, Round: round,
+	out := make([]outbound, 0, len(peers))
+	for _, p := range peers {
+		f := n.followerLocked(p, "")
+		out = append(out, n.outboundLocked(p, f, round, f.inflight == 0))
 	}
 	n.heartbeatTimer = n.cfg.Clock.AfterFunc(n.cfg.HeartbeatInterval, n.heartbeatTick)
-	tr := n.cfg.Transport
-	n.mu.Unlock()
+	n.unlockAndSend(out)
+}
 
-	for _, p := range peers {
-		tr.Heartbeat(p, req, func(resp HeartbeatResponse, err error) {
-			n.onHeartbeatResponse(term, gen, resp, err)
+// unlockAndReplicate releases n.mu and, on a leader, sends every member
+// that lacks published entries and has nothing outstanding the entries
+// it lacks. It ends every critical section that may have published an
+// op or folded a reply, which is what makes replication run at the
+// pace of proposals and acks rather than of a timer. The requests echo
+// the newest round already open: a reply to a request sent after round
+// r started proves leadership at r's start exactly as a reply to r's
+// own broadcast does. A round opened later is never named.
+func (n *Node) unlockAndReplicate() {
+	var out []outbound
+	if n.role == RoleLeader && !n.closed {
+		peers := n.peerURLsLocked()
+		for _, p := range peers {
+			f := n.followerLocked(p, "")
+			if f.inflight != 0 || f.paused || f.next >= n.lastIndex {
+				continue
+			}
+			o := n.outboundLocked(p, f, n.roundSeq, true)
+			if o.id == 0 {
+				continue // f.next is compacted away: the next tick sends it pulling
+			}
+			if out == nil {
+				out = make([]outbound, 0, len(peers))
+			}
+			out = append(out, o)
+		}
+	}
+	n.unlockAndSend(out)
+}
+
+// unlockAndSend releases n.mu and sends out.
+func (n *Node) unlockAndSend(out []outbound) {
+	term, gen, tr := n.currentTerm, n.campaignGen, n.cfg.Transport
+	n.mu.Unlock()
+	for _, o := range out {
+		tr.Heartbeat(o.peer, o.req, func(resp HeartbeatResponse, err error) {
+			n.onAppendResponse(o, term, gen, resp, err)
 		})
 	}
 }
 
-// onHeartbeatResponse folds a follower's reported position into the
-// leader's progress tracking and its echoed round into lease/read
-// confirmation. Like vote tallies, responses are guarded by both term
-// and campaign generation so an answer delayed across a step-down can
-// never be counted under resurrected authority.
+// onHeartbeatResponse folds a reply that belongs to no outstanding
+// append.
 func (n *Node) onHeartbeatResponse(term, gen uint64, resp HeartbeatResponse, err error) {
-	if err != nil {
-		return
-	}
+	n.onAppendResponse(outbound{peer: resp.URL}, term, gen, resp, err)
+}
+
+// onAppendResponse folds a follower's reported position into the
+// leader's progress tracking and its echoed round into lease/read
+// confirmation, then sends whatever the reply made due. Like vote
+// tallies, responses are guarded by both term and campaign generation
+// so an answer delayed across a step-down can never be counted under
+// resurrected authority.
+func (n *Node) onAppendResponse(sent outbound, term, gen uint64, resp HeartbeatResponse, err error) {
 	n.mu.Lock()
-	defer n.mu.Unlock()
+	defer n.unlockAndReplicate()
 	if n.closed {
 		return
 	}
-	if resp.Term > n.currentTerm {
+	if err == nil && resp.Term > n.currentTerm {
 		n.stepDownLocked(resp.Term, "", "")
 		return
 	}
 	if n.role != RoleLeader || n.currentTerm != term || n.campaignGen != gen {
+		return
+	}
+	if f := n.followers[sent.peer]; f != nil {
+		if f.inflight == sent.id {
+			f.inflight = 0
+		}
+		// A failed request, or an append the follower answered without
+		// getting past Prev (a gap it is pulling over, a conflict, a log it
+		// cannot write), leaves the member to the timer heartbeats until
+		// it next answers one: retrying at once would spin at network
+		// speed against a peer that cannot move.
+		f.paused = err != nil || (sent.id != 0 && resp.LastIndex <= sent.req.Prev)
+	}
+	if err != nil {
 		return
 	}
 	url := resp.URL
@@ -389,9 +502,10 @@ func (n *Node) onHeartbeatResponse(term, gen uint64, resp HeartbeatResponse, err
 	n.noteRoundAckLocked(resp.Round, url)
 }
 
-// HandleHeartbeat answers the leader's announcement: adopt its
-// authority, learn its commit index, and report our own durable log
-// head back.
+// HandleHeartbeat answers the leader's request: adopt its authority,
+// append the entries it carries when they continue our log, learn its
+// commit index as far as the request verified our log, and report our
+// own durable log head back — the append's acknowledgement.
 func (n *Node) HandleHeartbeat(req HeartbeatRequest) HeartbeatResponse {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -410,18 +524,69 @@ func (n *Node) HandleHeartbeat(req HeartbeatRequest) HeartbeatResponse {
 		// ElectionTimeout — starts from the heartbeat we just accepted.
 		n.lastLeaderContact = n.cfg.Clock.Now()
 		n.resetElectionTimerLocked()
-		if req.Commit > n.commitIndex {
-			n.commitIndex = min(req.Commit, n.lastIndex)
+		verified, continues := n.appendLocked(req)
+		// Only the verified prefix is known to be the leader's log; a
+		// divergent tail past it must never be reported committed.
+		if c := min(req.Commit, verified); c > n.commitIndex {
+			n.commitIndex = c
 		}
-		if req.LastIndex > n.lastIndex {
-			// Behind: pull now instead of waiting out the poll interval.
+		if !continues {
+			// The request cannot continue our log: catch up by pulling (and,
+			// if the position is gone or conflicts, by snapshot install).
 			n.schedulePullLocked(0)
+		} else if n.rebuilding && verified == n.lastIndex && n.lastIndex >= req.LastIndex {
+			// Verified through our head and level with the head the current
+			// leader advertises: the log — every entry fsynced before
+			// publish — again holds everything this node could ever have
+			// acked toward a commit, so the quarantine restriction retires.
+			n.rebuiltLocked()
 		}
 	}
 	return HeartbeatResponse{
 		Term: n.currentTerm, Node: n.cfg.NodeID, URL: n.cfg.SelfURL,
 		LastIndex: n.lastIndex, LastTerm: n.lastTerm, Round: req.Round,
 	}
+}
+
+// appendLocked checks req's position against our log and appends the
+// entries that continue it. verified is the highest index at which our
+// log is now known to equal the leader's — an entry of ours with the
+// leader's term at the same index, which by log matching vouches for
+// the whole prefix; 0 when the request proved nothing. continues is
+// false when the request can never extend this log as it stands: Prev
+// lies beyond our head, or an index both logs hold has different terms.
+// Entries we already hold are skipped, so a duplicated, reordered or
+// delayed delivery changes nothing; a failed journal write appends
+// nothing and the reply carries the old head.
+func (n *Node) appendLocked(req HeartbeatRequest) (verified uint64, continues bool) {
+	if req.Prev > n.lastIndex {
+		return 0, false
+	}
+	if t, ok := n.termAtLocked(req.Prev); ok {
+		if t != req.PrevTerm {
+			return 0, false
+		}
+		verified = req.Prev
+	}
+	ops := req.Ops
+	for len(ops) > 0 && ops[0].Index <= n.lastIndex {
+		if t, ok := n.termAtLocked(ops[0].Index); ok {
+			if t != ops[0].Term {
+				return verified, false
+			}
+			verified = ops[0].Index
+		}
+		ops = ops[1:]
+	}
+	if len(ops) == 0 || verified != n.lastIndex || ops[0].Index != n.lastIndex+1 {
+		// Nothing new, or (malformed) entries that do not start at a head
+		// this request verified.
+		return verified, true
+	}
+	if n.applyReplicatedLocked(ops) == nil {
+		verified = n.lastIndex
+	}
+	return verified, true
 }
 
 // legacyFollowerKey tracks a peer that did not announce a URL. Such a
@@ -434,7 +599,7 @@ func legacyFollowerKey(node string) string { return "node:" + node }
 func (n *Node) followerLocked(url, id string) *follower {
 	f := n.followers[url]
 	if f == nil {
-		f = &follower{}
+		f = &follower{next: n.lastIndex}
 		n.followers[url] = f
 	}
 	if id != "" {
@@ -445,7 +610,8 @@ func (n *Node) followerLocked(url, id string) *follower {
 
 // noteProgressLocked records a peer's announced durable position and,
 // when the position term-verifies against our own log (or is already
-// below the commit index), counts it toward pending write quorums. The
+// below the commit index), counts it toward pending write quorums and
+// makes it the position the next append continues from. The
 // verification is what makes quorum counting sound: a divergent
 // follower's raw index must never ack a write it does not actually
 // hold.
@@ -458,7 +624,14 @@ func (n *Node) noteProgressLocked(url, id string, idx, idxTerm uint64) {
 		t, ok := n.termAtLocked(idx)
 		verified = ok && t == idxTerm
 	}
-	if verified && idx > f.match {
+	if !verified {
+		// Divergent, or ahead of us: nothing can be appended to that log.
+		// Name our own head until the peer has re-sourced itself.
+		f.next = n.lastIndex
+		return
+	}
+	f.next = idx
+	if idx > f.match {
 		f.match = idx
 		n.recomputeCommitLocked()
 	}
@@ -518,7 +691,8 @@ func (n *Node) recomputeCommitLocked() {
 	_ = n.maybeCompactLocked()
 }
 
-// schedulePullLocked (re)arms the pull timer to fire after d.
+// schedulePullLocked (re)arms the pull timer to fire after d. pullTimer
+// is non-nil exactly while a pull is scheduled.
 func (n *Node) schedulePullLocked(d time.Duration) {
 	if n.closed || n.role == RoleLeader {
 		return
@@ -530,15 +704,21 @@ func (n *Node) schedulePullLocked(d time.Duration) {
 }
 
 // pullTick asks the current leader for the op tail after our head. One
-// pull in flight at a time; the steady-state timer re-arms regardless
-// so a lost response cannot stall replication.
+// pull in flight at a time. A voting member pulls once per trigger — a
+// heartbeat that could not continue its log asks again if this one is
+// lost. A node the leader does not address (pure-pull follower, joiner,
+// removed member) has nothing else to trigger it, so its timer re-arms
+// at PullInterval regardless of the outcome.
 func (n *Node) pullTick() {
 	n.mu.Lock()
+	n.pullTimer = nil
 	if n.closed || n.role == RoleLeader {
 		n.mu.Unlock()
 		return
 	}
-	n.schedulePullLocked(n.cfg.PullInterval)
+	if !n.clusteredLocked() {
+		n.schedulePullLocked(n.cfg.PullInterval)
+	}
 	leader := n.leaderURL
 	if n.pullInFlight || leader == "" || leader == n.cfg.SelfURL {
 		n.mu.Unlock()
@@ -553,14 +733,14 @@ func (n *Node) pullTick() {
 	n.mu.Unlock()
 
 	tr.Pull(leader, req, func(resp PullResponse, err error) {
-		n.onPullResponse(leader, resp, err)
+		n.onPullResponse(leader, req, resp, err)
 	})
 }
 
 // onPullResponse applies a pulled tail, or reacts to the refusal: chase
 // a new leader, or fetch the leader's snapshot when our position was
 // compacted away or conflicts.
-func (n *Node) onPullResponse(leader string, resp PullResponse, err error) {
+func (n *Node) onPullResponse(leader string, req PullRequest, resp PullResponse, err error) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	n.pullInFlight = false
@@ -577,6 +757,12 @@ func (n *Node) onPullResponse(leader string, resp PullResponse, err error) {
 		}
 		return
 	}
+	if resp.Term < n.currentTerm {
+		// Served by a leader deposed since we asked. While the pull flew, a
+		// newer leader's appends may have moved our head, and entries of the
+		// old log laid on top of them would break log matching.
+		return
+	}
 	if resp.SnapshotNeeded {
 		// Resume (or start) the chunked snapshot install: the request
 		// names the stream and offset already buffered, so a transfer
@@ -584,13 +770,18 @@ func (n *Node) onPullResponse(leader string, resp PullResponse, err error) {
 		n.fetchNextSnapshotChunkLocked(leader)
 		return
 	}
+	// A served pull means the leader found (From, FromTerm) in its log,
+	// so ours equals it through From plus the ops it sent — as long as
+	// that position is still ours.
+	t, ok := n.termAtLocked(req.From)
+	verified := ok && t == req.FromTerm
 	if aerr := n.applyReplicatedLocked(resp.Ops); aerr != nil {
 		return
 	}
-	if resp.Commit > n.commitIndex {
-		n.commitIndex = min(resp.Commit, n.lastIndex)
+	if c := min(resp.Commit, req.From+uint64(len(resp.Ops))); verified && c > n.commitIndex {
+		n.commitIndex = c
 	}
-	if n.rebuilding && resp.Term == n.currentTerm && n.lastIndex >= resp.LastIndex {
+	if n.rebuilding && n.lastIndex >= resp.LastIndex {
 		// Caught up to the head the current leader advertised: the log —
 		// every pulled op fsynced before publish — again contains every
 		// entry this node could ever have acked toward a commit (the
@@ -604,30 +795,34 @@ func (n *Node) onPullResponse(leader string, resp PullResponse, err error) {
 	}
 }
 
-// applyReplicatedLocked journals and applies pulled ops, monotonically:
-// an op at or below lastIndex was already applied (a retried pull after
-// a crash mid-batch) and is skipped, never double-applied. Each op goes
-// through the same stage-then-publish sequence as the leader's accept —
-// fsynced and applied before it becomes visible in n.ops/n.lastIndex —
-// so if this node later wins an election, HandlePull never serves an op
-// the node could still lose, and a failed op is simply re-pulled.
+// applyReplicatedLocked journals and applies ops received from the
+// leader, monotonically: an op at or below lastIndex was already applied
+// (a retried delivery) and is skipped, never double-applied. The batch
+// goes through the same stage-then-publish sequence as the leader's
+// accept — applied and fsynced, once for the whole batch, before any of
+// it becomes visible in n.ops/n.lastIndex — so if this node later wins
+// an election it never serves an op it could still lose, and a failed
+// batch is simply sent again.
 func (n *Node) applyReplicatedLocked(ops []Op) error {
+	for len(ops) > 0 && ops[0].Index <= n.lastIndex {
+		ops = ops[1:]
+	}
+	if len(ops) == 0 {
+		return nil
+	}
+	for i := range ops {
+		if want := n.lastIndex + 1 + uint64(i); ops[i].Index != want {
+			return fmt.Errorf("cluster: gap in op stream: want %d, got %d", want, ops[i].Index)
+		}
+	}
+	if err := n.stageLocked(ops...); err != nil {
+		return err
+	}
 	for _, op := range ops {
-		if op.Index <= n.lastIndex {
-			continue
-		}
-		if op.Index != n.lastIndex+1 {
-			return fmt.Errorf("cluster: gap in op stream: have %d, got %d", n.lastIndex, op.Index)
-		}
-		if err := n.stageLocked(op); err != nil {
-			return err
-		}
 		n.publishLocked(op)
-		if n.sinceSnap >= n.cfg.SnapshotEvery {
-			if err := n.compactLocked(); err != nil {
-				return err
-			}
-		}
+	}
+	if n.sinceSnap >= n.cfg.SnapshotEvery {
+		return n.compactLocked()
 	}
 	return nil
 }
@@ -639,7 +834,7 @@ func (n *Node) applyReplicatedLocked(ops []Op) error {
 // the puller onto our history wholesale.
 func (n *Node) HandlePull(req PullRequest) PullResponse {
 	n.mu.Lock()
-	defer n.mu.Unlock()
+	defer n.unlockAndReplicate() // the position may have committed a joint entry
 	if req.Term > n.currentTerm {
 		n.stepDownLocked(req.Term, "", "")
 	}
@@ -664,7 +859,7 @@ func (n *Node) HandlePull(req PullRequest) PullResponse {
 		return resp
 	}
 	if req.From < n.lastIndex {
-		resp.Ops = append([]Op(nil), n.ops[req.From-n.floor:]...)
+		resp.Ops = n.ops[req.From-n.floor:] // shared: published ops are never mutated
 	}
 	if pullerKey != "" {
 		// The puller's durable head matches our log through From.
@@ -853,9 +1048,8 @@ func (n *Node) installSnapshotLocked(pay snapPayload) {
 	n.ops = nil
 	n.state = append([]Op(nil), pay.State...)
 	if pay.Config != nil {
-		n.config = *pay.Config
-		n.configIndex = pay.ConfigIndex
-		n.resetElectionTimerLocked()
+		n.setConfigLocked(*pay.Config, pay.ConfigIndex)
+		n.membershipChangedLocked()
 	}
 	if n.commitIndex > n.lastIndex {
 		n.commitIndex = n.lastIndex
@@ -864,12 +1058,9 @@ func (n *Node) installSnapshotLocked(pay snapPayload) {
 	n.epoch++
 	durable := n.log == nil
 	if n.log != nil {
-		payload, merr := json.Marshal(n.snapshotLocked())
-		if merr == nil {
-			if werr := wal.WriteSnapshotFS(n.cfg.FS, n.snapPath(), payload, wal.DefaultFileMode); werr == nil {
-				_ = n.log.Truncate()
-				durable = true
-			}
+		if n.writeSnapshotLocked() == nil {
+			_ = n.log.Truncate()
+			durable = true
 		}
 	}
 	if durable {

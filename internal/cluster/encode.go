@@ -1,0 +1,120 @@
+package cluster
+
+import (
+	"encoding/json"
+	"strconv"
+)
+
+// The journal and the snapshot are JSON, and stay decodable by
+// encoding/json; what writes them is an append-style encoder, because
+// json.Marshal reflects over every op and returns a fresh buffer the
+// size of its output — once per write for the journal record, and once
+// per compaction for the whole state. The encoder below produces, byte
+// for byte, what json.Marshal produces for Op, opRecord and
+// nodeSnapshot (field order, omitempty, HTML-safe escaping), into a
+// buffer the caller keeps. Strings made of plain printable ASCII are
+// copied; any other string, and a Membership, goes through json.Marshal
+// itself, so there is no second definition of escaping to keep in step.
+// FuzzAppendOp holds the two encoders equal.
+
+// appendOp appends op as json.Marshal(op) would.
+func appendOp(b []byte, op *Op) ([]byte, error) {
+	return appendOpFields(append(b, '{'), op)
+}
+
+// appendOpRecord appends what json.Marshal(opRecord{E: epoch, Op: op})
+// produces: the epoch, when non-zero, ahead of the op's own fields.
+func appendOpRecord(b []byte, epoch uint64, op *Op) ([]byte, error) {
+	b = append(b, '{')
+	if epoch != 0 {
+		b = strconv.AppendUint(append(b, `"e":`...), epoch, 10)
+		b = append(b, ',')
+	}
+	return appendOpFields(b, op)
+}
+
+// appendOpFields appends op's fields and the closing brace.
+func appendOpFields(b []byte, op *Op) ([]byte, error) {
+	b = strconv.AppendUint(append(b, `"i":`...), op.Index, 10)
+	if op.Term != 0 {
+		b = strconv.AppendUint(append(b, `,"t":`...), op.Term, 10)
+	}
+	b = appendString(append(b, `,"k":`...), op.Kind)
+	for _, f := range [...]struct{ key, val string }{
+		{`,"s":`, op.Site}, {`,"id":`, op.ID}, {`,"a":`, op.Author}, {`,"b":`, op.Body}, {`,"d":`, op.DependsOn},
+	} {
+		if f.val != "" {
+			b = appendString(append(b, f.key...), f.val)
+		}
+	}
+	if op.Config != nil {
+		var err error
+		if b, err = appendMarshal(append(b, `,"c":`...), op.Config); err != nil {
+			return nil, err
+		}
+	}
+	return append(b, '}'), nil
+}
+
+// appendSnapshot appends snap as json.Marshal(snap) would.
+func appendSnapshot(b []byte, snap *nodeSnapshot) ([]byte, error) {
+	b = append(b, '{')
+	if snap.Epoch != 0 {
+		b = strconv.AppendUint(append(b, `"e":`...), snap.Epoch, 10)
+		b = append(b, ',')
+	}
+	b = strconv.AppendUint(append(b, `"last_index":`...), snap.LastIndex, 10)
+	if snap.LastTerm != 0 {
+		b = strconv.AppendUint(append(b, `,"last_term":`...), snap.LastTerm, 10)
+	}
+	b = append(b, `,"state":`...)
+	if snap.State == nil {
+		b = append(b, "null"...)
+	} else {
+		b = append(b, '[')
+		for i := range snap.State {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			var err error
+			if b, err = appendOp(b, &snap.State[i]); err != nil {
+				return nil, err
+			}
+		}
+		b = append(b, ']')
+	}
+	if snap.Config != nil {
+		var err error
+		if b, err = appendMarshal(append(b, `,"config":`...), snap.Config); err != nil {
+			return nil, err
+		}
+	}
+	if snap.ConfigIndex != 0 {
+		b = strconv.AppendUint(append(b, `,"config_index":`...), snap.ConfigIndex, 10)
+	}
+	return append(b, '}'), nil
+}
+
+// appendString appends s as a JSON string. Printable ASCII without the
+// five characters json.Marshal escapes is copied between quotes;
+// anything else is json.Marshal's to encode.
+func appendString(b []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c >= 0x7f || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			esc, _ := json.Marshal(s) // a string cannot fail to marshal
+			return append(b, esc...)
+		}
+	}
+	b = append(b, '"')
+	b = append(b, s...)
+	return append(b, '"')
+}
+
+// appendMarshal appends json.Marshal(v).
+func appendMarshal(b []byte, v any) ([]byte, error) {
+	raw, err := json.Marshal(v)
+	if err != nil {
+		return nil, err
+	}
+	return append(b, raw...), nil
+}

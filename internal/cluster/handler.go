@@ -85,6 +85,9 @@ func (n *Node) Status() StatusJSON {
 	}
 	now := n.cfg.Clock.Now()
 	for url, f := range n.followers {
+		if f.lastSeen.IsZero() {
+			continue // a member this leader addresses but has not heard from
+		}
 		lag := uint64(0)
 		if n.lastIndex > f.reported {
 			lag = n.lastIndex - f.reported
@@ -134,10 +137,10 @@ const clusterLeaderHeader = "X-Cluster-Leader"
 //
 //	GET  /cluster/status       role, term, commit index, config, follower progress
 //	GET  /cluster/read         linearizable read (?mode=local|lease|quorum&reader=R)
-//	GET  /cluster/pull         op tail after ?from=N&from_term=T (term-verified)
+//	GET  /cluster/pull         catch-up: op tail after ?from=N&from_term=T (term-verified)
 //	GET  /cluster/snapshot     one CRC-guarded snapshot chunk (?id=S&offset=N)
 //	POST /cluster/vote         RequestVote RPC
-//	POST /cluster/heartbeat    leader liveness + progress report
+//	POST /cluster/heartbeat    leader liveness + log append; the reply is the ack
 //	POST /cluster/reconfigure  joint-consensus membership change
 //
 // There is no promote endpoint any more: leadership is only ever won in
@@ -257,6 +260,11 @@ func (n *Node) Handler() http.Handler {
 	return mux
 }
 
+// maxRPCBody caps a POSTed RPC body: room for the largest heartbeat —
+// maxAppendBytes of op payload plus one op that alone exceeds it, every
+// byte of both escaped sixfold.
+const maxRPCBody = 16 << 20
+
 // decodeRPC parses a POSTed JSON RPC body, writing the error response
 // itself when the request is unusable.
 func decodeRPC(w http.ResponseWriter, r *http.Request, v any) bool {
@@ -264,7 +272,7 @@ func decodeRPC(w http.ResponseWriter, r *http.Request, v any) bool {
 		writeJSON(w, http.StatusMethodNotAllowed, map[string]string{"error": "method not allowed"})
 		return false
 	}
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20)).Decode(v); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRPCBody)).Decode(v); err != nil {
 		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "malformed request body"})
 		return false
 	}

@@ -17,7 +17,10 @@ import (
 //     consistency surface the probe exists to measure.
 //   - lease: the leader serves locally while it holds a time lease.
 //     Each heartbeat round confirmed by a vote quorum proves the node
-//     still led when the round STARTED, so leadership is guaranteed
+//     still led when the round STARTED (a round is confirmed by replies
+//     to its own broadcast or to any append sent after it — those echo
+//     the newest round open when they were sent), so leadership is
+//     guaranteed
 //     until roundStart + ElectionTimeout − 2·ClockSkew: followers
 //     refuse to elect anyone else within ElectionTimeout of leader
 //     contact (stickiness in HandleVote), one ClockSkew allowance

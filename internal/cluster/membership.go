@@ -179,7 +179,7 @@ func (n *Node) Reconfigure(add []Member, remove []string) (uint64, error) {
 	// the same snapshot and append a second joint entry that silently
 	// supersedes the first.
 	n.mu.Lock()
-	defer n.mu.Unlock()
+	defer n.unlockAndReplicate()
 	if n.closed {
 		return 0, fmt.Errorf("cluster: node is closed")
 	}

@@ -44,16 +44,29 @@ type VoteResponse struct {
 	Granted bool `json:"granted"`
 }
 
-// HeartbeatRequest is the leader's periodic liveness announcement.
+// HeartbeatRequest is the leader's append RPC; with no Ops it is the
+// periodic liveness announcement.
 type HeartbeatRequest struct {
 	Term      uint64 `json:"term"`
 	Leader    string `json:"leader"`
 	LeaderURL string `json:"leader_url"`
-	// LastIndex lets a follower notice it is behind and pull immediately
-	// instead of waiting out its poll interval.
+	// LastIndex is the leader's log head.
 	LastIndex uint64 `json:"last_index"`
 	// Commit is the leader's commit index (highest quorum-durable op).
+	// The follower adopts it only as far as this request verified its log
+	// against the leader's: min(Commit, Prev+len(Ops)).
 	Commit uint64 `json:"commit"`
+	// Prev/PrevTerm name the log position Ops continue from — where the
+	// leader believes the follower's head is. The follower appends only
+	// when its log holds that position with that term (log matching: the
+	// whole prefix then agrees), skipping entries it already has; a Prev
+	// beyond its head, or a term conflict at an index both hold, sends it
+	// to the pull/snapshot path instead.
+	Prev     uint64 `json:"prev,omitempty"`
+	PrevTerm uint64 `json:"prev_term,omitempty"`
+	// Ops are the entries after Prev, contiguous and bounded. The slice
+	// aliases the leader's log: read-only.
+	Ops []Op `json:"ops,omitempty"`
 	// Round numbers this heartbeat broadcast. A quorum of responses
 	// echoing the same round proves the sender still led at the instant
 	// the round started — the basis for lease extension and read-index
@@ -61,9 +74,11 @@ type HeartbeatRequest struct {
 	Round uint64 `json:"round,omitempty"`
 }
 
-// HeartbeatResponse reports the follower's durable log position, which
-// the leader counts toward write quorums (after verifying the position
-// is consistent with its own log).
+// HeartbeatResponse reports the follower's durable log position — after
+// any Ops the request carried were fsynced and published, so it is the
+// append's acknowledgement — which the leader counts toward write
+// quorums (after verifying the position is consistent with its own
+// log).
 type HeartbeatResponse struct {
 	Term      uint64 `json:"term"`
 	Node      string `json:"node"`
@@ -148,24 +163,19 @@ type Transport interface {
 
 // httpTransport is the production Transport: JSON over HTTP, one
 // goroutine per in-flight call. Every RPC carries its own deadline
-// (rpcTimeout) independent of the client-wide timeout: a hung peer must
-// fail the call promptly, because pull and snapshot transfers run under
-// in-flight guards (one at a time) and a stuck vote or heartbeat
-// response is useless once the election or lease round it belongs to
-// has moved on.
+// (rpcTimeout) and the client has no timeout of its own: a hung peer
+// must fail the call promptly, because appends, pulls and snapshot
+// transfers run under in-flight guards (one at a time) and a stuck vote
+// or heartbeat response is useless once the election or lease round it
+// belongs to has moved on.
 type httpTransport struct {
 	hc *http.Client
 	// timeout overrides rpcTimeout when positive (tests shorten it).
 	timeout time.Duration
 }
 
-const (
-	// rpcTimeout bounds each individual peer RPC.
-	rpcTimeout = 5 * time.Second
-	// httpClientTimeout is the client-wide ceiling on a replication
-	// request, deadline or not.
-	httpClientTimeout = 10 * time.Second
-)
+// rpcTimeout bounds each individual peer RPC.
+const rpcTimeout = 5 * time.Second
 
 // rpcContext returns the per-RPC deadline context.
 func (t *httpTransport) rpcContext() (context.Context, context.CancelFunc) {

@@ -211,7 +211,7 @@ func TestQuarantineSidecarsMidLogCorruption(t *testing.T) {
 	if err != nil {
 		t.Fatalf("read: %v", err)
 	}
-	raw[frameHeader] ^= 0xff
+	raw[FrameHeader] ^= 0xff
 	if err := os.WriteFile(path, raw, 0o644); err != nil {
 		t.Fatalf("write: %v", err)
 	}
@@ -269,7 +269,7 @@ func TestQuarantineClobbersOldSidecar(t *testing.T) {
 	l.Append([]byte("bb"))
 	l.Close()
 	raw, _ := os.ReadFile(path)
-	raw[frameHeader] ^= 0x01
+	raw[FrameHeader] ^= 0x01
 	os.WriteFile(path, raw, 0o644)
 
 	l2, rep, err := Open(path, Options{Quarantine: true})
@@ -409,5 +409,77 @@ func TestDirSyncOmissionIsBounded(t *testing.T) {
 	payload, ok, err := ReadSnapshotFS(in.FS(), path)
 	if err != nil || !ok || string(payload) != "v1" {
 		t.Fatalf("snapshot unreadable after omitted dir sync: %q, %t, %v", payload, ok, err)
+	}
+}
+
+// countSyncFS counts fsyncs on files opened through it.
+type countSyncFS struct {
+	diskfault.FS
+	syncs *int
+}
+
+type countSyncFile struct {
+	diskfault.File
+	syncs *int
+}
+
+func (fs countSyncFS) OpenFile(name string, flag int, perm os.FileMode) (diskfault.File, error) {
+	f, err := fs.FS.OpenFile(name, flag, perm)
+	if err != nil {
+		return nil, err
+	}
+	return countSyncFile{File: f, syncs: fs.syncs}, nil
+}
+
+func (f countSyncFile) Sync() error {
+	*f.syncs++
+	return f.File.Sync()
+}
+
+// TestAppendBatch: a batch is one frame per payload — replay cannot
+// tell it from as many single appends — made durable by one fsync, and a
+// write the disk refuses leaves none of it behind.
+func TestAppendBatch(t *testing.T) {
+	in := diskfault.New(nil)
+	syncs := 0
+	path := filepath.Join(t.TempDir(), "wal.log")
+	l, _, err := Open(path, Options{FS: countSyncFS{FS: in.FS(), syncs: &syncs}})
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	defer l.Close()
+	if err := l.Append([]byte("one")); err != nil {
+		t.Fatal(err)
+	}
+	syncs = 0
+	if err := l.AppendBatch([][]byte{[]byte("two"), {}, []byte("four")}); err != nil {
+		t.Fatalf("AppendBatch: %v", err)
+	}
+	if syncs != 1 {
+		t.Fatalf("a batch of three cost %d fsyncs, want 1", syncs)
+	}
+	if err := l.AppendBatch(nil); err != nil || syncs != 1 {
+		t.Fatalf("empty batch: err %v, %d fsyncs", err, syncs)
+	}
+	if err := in.Arm(diskfault.Fault{Kind: diskfault.KindTorn, Seed: 3}); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.AppendBatch([][]byte{[]byte("lost-a"), []byte("lost-b")}); err == nil {
+		t.Fatal("a torn batch write reported durability")
+	}
+	if err := l.Append([]byte("five")); err != nil {
+		t.Fatalf("append after the repaired batch: %v", err)
+	}
+	l.Close()
+	rep, err := ReadFS(nil, path)
+	if err != nil || rep.Note != "" {
+		t.Fatalf("replay: %v, note %q", err, rep.Note)
+	}
+	var got []string
+	for _, r := range rep.Records {
+		got = append(got, string(r))
+	}
+	if want := []string{"one", "two", "", "four", "five"}; strings.Join(got, "|") != strings.Join(want, "|") {
+		t.Fatalf("replayed %q, want %q", got, want)
 	}
 }

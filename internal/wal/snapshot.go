@@ -20,8 +20,23 @@ func WriteSnapshot(path string, payload []byte) error {
 // CRC32-framed record holding payload, through ReplaceFileFS. fsys nil
 // means the real filesystem; mode zero means DefaultFileMode.
 func WriteSnapshotFS(fsys diskfault.FS, path string, payload []byte, mode os.FileMode) error {
+	frame := make([]byte, FrameHeader+len(payload))
+	copy(frame[FrameHeader:], payload)
+	return WriteSnapshotFrameFS(fsys, path, frame, mode)
+}
+
+// WriteSnapshotFrameFS is WriteSnapshotFS for a caller that built the
+// payload behind FrameHeader bytes of headroom: frame[FrameHeader:] is
+// the payload, frame[:FrameHeader] is overwritten with its header, and
+// the file receives frame in one write. A snapshot as large as the state
+// it captures is then written without being copied.
+func WriteSnapshotFrameFS(fsys diskfault.FS, path string, frame []byte, mode os.FileMode) error {
+	if len(frame) < FrameHeader {
+		return fmt.Errorf("wal: snapshot %s: frame of %d bytes has no room for its header", path, len(frame))
+	}
+	putFrameHeader(frame, frame[FrameHeader:])
 	err := ReplaceFileFS(fsys, path, mode, func(w io.Writer) error {
-		_, err := w.Write(encodeFrame(payload))
+		_, err := w.Write(frame)
 		return err
 	})
 	if err != nil {
@@ -126,12 +141,4 @@ func ReadSnapshotFS(fsys diskfault.FS, path string) (payload []byte, ok bool, er
 			Reason: fmt.Sprintf("snapshot must hold exactly one intact record, found %d (%s)", len(rep.Records), rep.Note)}
 	}
 	return rep.Records[0], true, nil
-}
-
-// encodeFrame frames payload as a single log record.
-func encodeFrame(payload []byte) []byte {
-	frame := make([]byte, frameHeader+len(payload))
-	putFrameHeader(frame, payload)
-	copy(frame[frameHeader:], payload)
-	return frame
 }

@@ -49,8 +49,8 @@ import (
 	"conprobe/internal/obs"
 )
 
-// frameHeader is the per-record overhead: 4 bytes length + 4 bytes CRC.
-const frameHeader = 8
+// FrameHeader is the per-record overhead: 4 bytes length + 4 bytes CRC.
+const FrameHeader = 8
 
 // putFrameHeader writes payload's length and checksum into frame[:8].
 func putFrameHeader(frame, payload []byte) {
@@ -58,10 +58,20 @@ func putFrameHeader(frame, payload []byte) {
 	binary.LittleEndian.PutUint32(frame[4:], crc32.ChecksumIEEE(payload))
 }
 
+// appendFrame appends payload, framed as one record, to dst.
+func appendFrame(dst, payload []byte) []byte {
+	var hdr [FrameHeader]byte
+	putFrameHeader(hdr[:], payload)
+	return append(append(dst, hdr[:]...), payload...)
+}
+
 // MaxRecordBytes bounds a single record's payload. A mid-file length
 // field corrupted into a huge value would otherwise read as a plausible
 // torn tail; capping record size turns it into a positioned error.
 const MaxRecordBytes = 64 << 20
+
+// maxKeptFrames is the largest frame buffer a log keeps between appends.
+const maxKeptFrames = 1 << 20
 
 // DefaultFileMode is the permission new log and snapshot files get.
 const DefaultFileMode os.FileMode = 0o644
@@ -143,6 +153,7 @@ type Log struct {
 	appended uint64 // records written to the file (durable or not)
 	size     int64  // byte offset of the end of the last good frame
 	failed   error  // non-nil once the log is poisoned
+	frames   []byte // scratch the frames of one append are assembled in
 
 	// syncMu is the group-commit gate; syncedTo is the append counter
 	// value covered by the last completed fsync.
@@ -236,7 +247,7 @@ func scan(r io.Reader, path string) (Replay, int64, error) {
 		torn := func(reason string) {
 			rep.Note = fmt.Sprintf("dropped torn final record at byte offset %d (%s)", off, reason)
 		}
-		if rest < frameHeader {
+		if rest < FrameHeader {
 			torn("incomplete frame header")
 			return rep, off, nil
 		}
@@ -247,12 +258,12 @@ func scan(r io.Reader, path string) (Replay, int64, error) {
 			return Replay{}, 0, &CorruptError{Path: path, Offset: off,
 				Reason: fmt.Sprintf("record length %d exceeds limit %d", length, int64(MaxRecordBytes))}
 		}
-		end := off + frameHeader + length
+		end := off + FrameHeader + length
 		if end > size {
 			torn("frame extends past end of file")
 			return rep, off, nil
 		}
-		payload := data[off+frameHeader : end]
+		payload := data[off+FrameHeader : end]
 		if got := crc32.ChecksumIEEE(payload); got != stored {
 			if end == size {
 				// Garbage in the very last frame: a crash mid-write.
@@ -274,10 +285,24 @@ func scan(r io.Reader, path string) (Replay, int64, error) {
 // log was opened with NoSync). Safe for concurrent use; concurrent
 // appends share fsyncs through the group-commit gate.
 func (l *Log) Append(payload []byte) error {
-	if len(payload) > MaxRecordBytes {
-		return fmt.Errorf("wal: %s: record of %d bytes exceeds limit %d", l.path, len(payload), MaxRecordBytes)
+	return l.AppendBatch([][]byte{payload})
+}
+
+// AppendBatch writes one frame per payload with a single file write and
+// returns once the whole batch is durable: one fsync however many
+// records it holds. The write is all or nothing on the handle — a short
+// or failed write is truncated back to the last good frame boundary —
+// while a crash mid-batch leaves a prefix of whole frames plus at most
+// one torn tail, which replay drops like any other.
+func (l *Log) AppendBatch(payloads [][]byte) error {
+	if len(payloads) == 0 {
+		return nil
 	}
-	frame := encodeFrame(payload)
+	for _, p := range payloads {
+		if len(p) > MaxRecordBytes {
+			return fmt.Errorf("wal: %s: record of %d bytes exceeds limit %d", l.path, len(p), MaxRecordBytes)
+		}
+	}
 
 	l.mu.Lock()
 	if l.f == nil {
@@ -289,7 +314,16 @@ func (l *Log) Append(payload []byte) error {
 		l.mu.Unlock()
 		return err
 	}
-	if _, err := l.f.Write(frame); err != nil {
+	// Frames are assembled in a buffer the log keeps, so an append
+	// allocates nothing once the buffer has grown to the working size.
+	buf := l.frames[:0]
+	for _, p := range payloads {
+		buf = appendFrame(buf, p)
+	}
+	if l.frames = buf; cap(buf) > maxKeptFrames {
+		l.frames = nil // one outsized record must not pin its size for good
+	}
+	if _, err := l.f.Write(buf); err != nil {
 		// A short or failed write may have left a partial frame on disk.
 		// Truncate back to the last good frame boundary so the damage
 		// cannot end up in the middle of the log once later appends land
@@ -302,8 +336,8 @@ func (l *Log) Append(payload []byte) error {
 		l.mu.Unlock()
 		return fmt.Errorf("wal: appending to %s: %w", l.path, err)
 	}
-	l.size += int64(len(frame))
-	l.appended++
+	l.size += int64(len(buf))
+	l.appended += uint64(len(payloads))
 	mine := l.appended
 	l.mu.Unlock()
 	return l.syncThrough(mine)

@@ -99,7 +99,7 @@ func TestKillAtEveryOffset(t *testing.T) {
 		complete := cut == 0
 		off := 0
 		for _, w := range want {
-			off += frameHeader + len(w)
+			off += FrameHeader + len(w)
 			if off == cut {
 				complete = true
 			}
@@ -139,11 +139,11 @@ func TestMidFileCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	offsets := []int64{0, int64(frameHeader + len("first"))}
+	offsets := []int64{0, int64(FrameHeader + len("first"))}
 	for i, frameOff := range offsets {
 		p := filepath.Join(dir, fmt.Sprintf("corrupt-%d.log", i))
 		damaged := append([]byte(nil), full...)
-		damaged[frameOff+frameHeader] ^= 0xFF // flip a payload byte
+		damaged[frameOff+FrameHeader] ^= 0xFF // flip a payload byte
 		if err := os.WriteFile(p, damaged, 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -190,7 +190,7 @@ func TestCorruptLastFrameIsTorn(t *testing.T) {
 // as corruption rather than read as a giant torn tail.
 func TestAbsurdLengthIsCorrupt(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "a.log")
-	frame := make([]byte, frameHeader)
+	frame := make([]byte, FrameHeader)
 	binary.LittleEndian.PutUint32(frame, uint32(MaxRecordBytes+1))
 	if err := os.WriteFile(path, frame, 0o644); err != nil {
 		t.Fatal(err)
@@ -267,8 +267,8 @@ func TestTruncate(t *testing.T) {
 	if err := l.Append([]byte("c")); err != nil {
 		t.Fatal(err)
 	}
-	if sz, err := l.Size(); err != nil || sz != int64(frameHeader+1) {
-		t.Fatalf("Size = %d, %v; want %d", sz, err, frameHeader+1)
+	if sz, err := l.Size(); err != nil || sz != int64(FrameHeader+1) {
+		t.Fatalf("Size = %d, %v; want %d", sz, err, FrameHeader+1)
 	}
 	l.Close()
 	_, rep, err := Open(path, Options{})
@@ -331,7 +331,7 @@ func TestSnapshotDamageIsCorrupt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, cut := range []int{len(data) - 1, frameHeader / 2} {
+	for _, cut := range []int{len(data) - 1, FrameHeader / 2} {
 		if err := os.WriteFile(path, data[:cut], 0o644); err != nil {
 			t.Fatal(err)
 		}
