@@ -47,7 +47,9 @@ load:
 
 # resume-smoke proves crash-safe resume end to end through the CLI: a
 # campaign aborted mid-flight and resumed from its journal must emit a
-# report byte-identical to an uninterrupted run.
+# report byte-identical to an uninterrupted run. It also compares the
+# JSONL that `conprobe -trace` writes with the archive committed under
+# internal/trace/testdata/.
 resume-smoke:
 	./scripts/resume_smoke.sh
 
@@ -76,10 +78,12 @@ disk-chaos:
 # fuzz gives every fuzz target a short budget beyond its seed corpus. The
 # two core targets are differential — predicates (repeated IDs, long
 # sequences) and whole traces against the reference oracle in
-# internal/core/reference_test.go — and get the longer budget; so is the
-# cluster's, its append encoder against encoding/json.
+# internal/core/reference_test.go — and get the longer budget; so are the
+# cluster's and the trace package's, their append encoders against
+# encoding/json (FuzzReader holds every trace it decodes to the same).
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzReader -fuzztime 10s ./internal/trace
+	$(GO) test -run '^$$' -fuzz FuzzAppendTrace -fuzztime 20s ./internal/trace
 	$(GO) test -run '^$$' -fuzz FuzzDivergencePredicates -fuzztime 30s ./internal/core
 	$(GO) test -run '^$$' -fuzz FuzzCheckTest -fuzztime 30s ./internal/core
 	$(GO) test -run '^$$' -fuzz FuzzMetricsExposition -fuzztime 10s ./internal/obs

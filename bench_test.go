@@ -18,15 +18,18 @@
 package conprobe_test
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"net/http/httptest"
+	"path/filepath"
 	"sync"
 	"testing"
 	"time"
 
 	"conprobe"
 	"conprobe/internal/analysis"
+	"conprobe/internal/checkpoint"
 	"conprobe/internal/clocksync"
 	"conprobe/internal/core"
 	"conprobe/internal/httpapi"
@@ -534,20 +537,75 @@ func BenchmarkStoreWrite(b *testing.B) {
 	<-done
 }
 
-// BenchmarkTraceJSONL measures the trace codec round trip.
+// BenchmarkTraceJSONL measures encoding one trace as a JSONL line through
+// a writer in its steady state: its line buffer already grown, as after
+// the first test of a campaign.
 func BenchmarkTraceJSONL(b *testing.B) {
 	_, traces := benchCampaign(b, service.NameGooglePlus)
 	tr := traces[0]
+	var sink writerCounter
+	w := trace.NewWriter(&sink)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		var buf writerCounter
-		w := trace.NewWriter(&buf)
 		if err := w.Write(tr); err != nil {
 			b.Fatal(err)
 		}
 		if err := w.Flush(); err != nil {
 			b.Fatal(err)
 		}
+	}
+	b.SetBytes(int64(sink.n / b.N))
+}
+
+// BenchmarkTraceJSONLDecode measures reading that line back: decoding
+// stays encoding/json, so this is the reflective half of the codec.
+func BenchmarkTraceJSONLDecode(b *testing.B) {
+	_, traces := benchCampaign(b, service.NameGooglePlus)
+	var line bytes.Buffer
+	w := trace.NewWriter(&line)
+	if err := w.Write(traces[0]); err != nil {
+		b.Fatal(err)
+	}
+	if err := w.Flush(); err != nil {
+		b.Fatal(err)
+	}
+	src := bytes.NewReader(nil)
+	r := trace.NewReader(src)
+	b.ReportAllocs()
+	b.SetBytes(int64(line.Len()))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		src.Reset(line.Bytes())
+		if _, err := r.Read(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkCheckpointAppend journals one kept trace per iteration to a
+// real file, fsync included: its ns/op is the disk's, its allocs/op what
+// Aggregator.Add allocates — assembling the frame adds none.
+func BenchmarkCheckpointAppend(b *testing.B) {
+	_, traces := benchCampaign(b, service.NameGooglePlus)
+	tr := traces[0]
+	w, err := checkpoint.Create(filepath.Join(b.TempDir(), "bench.ckpt"),
+		checkpoint.Meta{Service: service.NameGooglePlus, Seed: benchSeed, Lanes: 1, Test1Count: benchTests, Test2Count: benchTests},
+		checkpoint.Config{KeepTraces: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer w.Close()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := w.Append(0, tr, tr.Started, nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	if err := w.Degraded(); err != nil {
+		b.Fatal(err)
 	}
 }
 

@@ -85,6 +85,23 @@ func (a *Aggregator) Add(tr *trace.TestTrace) {
 	}
 }
 
+// Reset empties the aggregate, keeping its service, its counter binding
+// and its maps: a caller that snapshots one test at a time reuses one
+// aggregator instead of building the ten maps of a new one per test.
+func (a *Aggregator) Reset() {
+	r := a.rep
+	*r = Report{Service: r.Service, Session: r.Session, Divergence: r.Divergence}
+	for _, s := range r.Session {
+		s.TestsTotal, s.TestsWithAnomaly = 0, 0
+		clear(s.PerTestCounts)
+		clear(s.Combos)
+	}
+	for _, d := range r.Divergence {
+		d.TestsTotal, d.TestsWithAnomaly = 0, 0
+		clear(d.PerPair)
+	}
+}
+
 // Merge folds another aggregator's statistics into this one. The merged
 // distributions (per-agent count samples, per-pair window samples) are
 // appended in call order, so merging lane aggregators in lane order

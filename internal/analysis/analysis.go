@@ -251,17 +251,7 @@ func Histogram(counts []int) map[int]int {
 // SortedPairs returns the pairs of a divergence result in canonical
 // order.
 func (d *DivergenceStats) SortedPairs() []core.Pair {
-	out := make([]core.Pair, 0, len(d.PerPair))
-	for p := range d.PerPair {
-		out = append(out, p)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].A != out[j].A {
-			return out[i].A < out[j].A
-		}
-		return out[i].B < out[j].B
-	})
-	return out
+	return sortedKeys(make([]core.Pair, 0, len(d.PerPair)), d.PerPair, comparePairs)
 }
 
 // ExclusiveFraction returns the fraction of violating tests in which

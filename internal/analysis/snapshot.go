@@ -1,12 +1,16 @@
 package analysis
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
-	"sort"
+	"slices"
+	"strconv"
+	"strings"
 	"time"
 
 	"conprobe/internal/core"
+	"conprobe/internal/jsonappend"
 	"conprobe/internal/trace"
 )
 
@@ -71,60 +75,123 @@ type pairSnap struct {
 
 // Snapshot serializes the aggregator's complete state. The encoding is
 // deterministic: equal aggregator states always produce equal bytes.
-func (a *Aggregator) Snapshot() ([]byte, error) {
+func (a *Aggregator) Snapshot() ([]byte, error) { return a.AppendSnapshot(nil), nil }
+
+// AppendSnapshot appends Snapshot's encoding to dst: what json.Marshal
+// writes for the aggSnapshot of the aggregator's state, without building
+// one. The checkpoint journal snapshots a one-test aggregator into every
+// frame it writes.
+func (a *Aggregator) AppendSnapshot(dst []byte) []byte {
 	r := a.rep
-	snap := aggSnapshot{
-		Version:    snapshotVersion,
-		Service:    r.Service,
-		Test1Count: r.Test1Count,
-		Test2Count: r.Test2Count,
-		Reads:      r.TotalReads,
-		Writes:     r.TotalWrites,
-		Collection: r.Collection,
-	}
-	for _, anomaly := range core.SessionAnomalies() {
+	b := appendInt(dst, `{"version":`, snapshotVersion)
+	b = jsonappend.String(append(b, `,"service":`...), r.Service)
+	b = appendInt(b, `,"test1_count":`, r.Test1Count)
+	b = appendInt(b, `,"test2_count":`, r.Test2Count)
+	b = appendInt(b, `,"reads":`, r.TotalReads)
+	b = appendInt(b, `,"writes":`, r.TotalWrites)
+	b = appendInt(b, `,"collection":{"FailedOps":`, r.Collection.FailedOps)
+	b = appendInt(b, `,"SkippedOps":`, r.Collection.SkippedOps)
+	b = appendInt(b, `,"RetriedOps":`, r.Collection.RetriedOps)
+	b = appendInt(b, `,"BreakerTrips":`, r.Collection.BreakerTrips)
+	b = appendInt(b, `,"TestsWithFaults":`, r.Collection.TestsWithFaults)
+
+	b = append(b, `},"session":[`...)
+	for i, anomaly := range core.SessionAnomalies() {
 		s := r.Session[anomaly]
-		ss := sessionSnapshot{
-			Anomaly:          int(anomaly),
-			TestsTotal:       s.TestsTotal,
-			TestsWithAnomaly: s.TestsWithAnomaly,
-		}
-		for ag, counts := range s.PerTestCounts {
-			ss.PerTest = append(ss.PerTest, agentCounts{Agent: int(ag), Counts: counts})
-		}
-		sort.Slice(ss.PerTest, func(i, j int) bool { return ss.PerTest[i].Agent < ss.PerTest[j].Agent })
-		for combo, n := range s.Combos {
-			ss.Combos = append(ss.Combos, comboCount{Combo: combo, Count: n})
-		}
-		sort.Slice(ss.Combos, func(i, j int) bool { return ss.Combos[i].Combo < ss.Combos[j].Combo })
-		snap.Session = append(snap.Session, ss)
-	}
-	for _, anomaly := range core.DivergenceAnomalies() {
-		d := r.Divergence[anomaly]
-		ds := divergSnapshot{
-			Anomaly:          int(anomaly),
-			TestsTotal:       d.TestsTotal,
-			TestsWithAnomaly: d.TestsWithAnomaly,
-		}
-		for pair, ps := range d.PerPair {
-			ds.PerPair = append(ds.PerPair, pairSnap{
-				A:                int(pair.A),
-				B:                int(pair.B),
-				TestsTotal:       ps.TestsTotal,
-				TestsWithAnomaly: ps.TestsWithAnomaly,
-				Windows:          ps.Windows,
-				NotConverged:     ps.NotConverged,
-			})
-		}
-		sort.Slice(ds.PerPair, func(i, j int) bool {
-			if ds.PerPair[i].A != ds.PerPair[j].A {
-				return ds.PerPair[i].A < ds.PerPair[j].A
+		b = appendTally(b, i, anomaly, s.TestsTotal, s.TestsWithAnomaly)
+		if len(s.PerTestCounts) > 0 {
+			var few [8]trace.AgentID
+			for j, ag := range sortedKeys(few[:0], s.PerTestCounts, cmp.Compare[trace.AgentID]) {
+				b = append(b, listSep(j, `,"per_test":[`)...)
+				b = appendInt(b, `{"agent":`, int(ag))
+				b = appendInts(append(b, `,"counts":`...), s.PerTestCounts[ag])
+				b = append(b, '}')
 			}
-			return ds.PerPair[i].B < ds.PerPair[j].B
-		})
-		snap.Divergence = append(snap.Divergence, ds)
+			b = append(b, ']')
+		}
+		if len(s.Combos) > 0 {
+			var few [8]string
+			for j, combo := range sortedKeys(few[:0], s.Combos, strings.Compare) {
+				b = append(b, listSep(j, `,"combos":[`)...)
+				b = jsonappend.String(append(b, `{"combo":`...), combo)
+				b = appendInt(b, `,"count":`, s.Combos[combo])
+				b = append(b, '}')
+			}
+			b = append(b, ']')
+		}
+		b = append(b, '}')
 	}
-	return json.Marshal(snap)
+
+	b = append(b, `],"divergence":[`...)
+	for i, anomaly := range core.DivergenceAnomalies() {
+		d := r.Divergence[anomaly]
+		b = appendTally(b, i, anomaly, d.TestsTotal, d.TestsWithAnomaly)
+		if len(d.PerPair) > 0 {
+			var few [8]core.Pair
+			for j, pair := range sortedKeys(few[:0], d.PerPair, comparePairs) {
+				ps := d.PerPair[pair]
+				b = append(b, listSep(j, `,"per_pair":[`)...)
+				b = appendInt(b, `{"a":`, int(pair.A))
+				b = appendInt(b, `,"b":`, int(pair.B))
+				b = appendInt(b, `,"tests_total":`, ps.TestsTotal)
+				b = appendInt(b, `,"tests_with_anomaly":`, ps.TestsWithAnomaly)
+				if len(ps.Windows) > 0 {
+					b = appendInts(append(b, `,"windows":`...), ps.Windows)
+				}
+				b = appendInt(b, `,"not_converged":`, ps.NotConverged)
+				b = append(b, '}')
+			}
+			b = append(b, ']')
+		}
+		b = append(b, '}')
+	}
+	return append(b, `]}`...)
+}
+
+func appendInt(b []byte, key string, n int) []byte {
+	return strconv.AppendInt(append(b, key...), int64(n), 10)
+}
+
+// appendInts appends a JSON array of integers, null for a nil slice.
+func appendInts[T ~int | ~int64](b []byte, ns []T) []byte {
+	if ns == nil {
+		return append(b, "null"...)
+	}
+	b = append(b, '[')
+	for i, n := range ns {
+		b = strconv.AppendInt(append(b, listSep(i, "")...), int64(n), 10)
+	}
+	return append(b, ']')
+}
+
+// appendTally opens the i-th entry of a per-anomaly list with the three
+// fields session and divergence entries share.
+func appendTally(b []byte, i int, anomaly core.Anomaly, total, with int) []byte {
+	b = appendInt(append(b, listSep(i, "")...), `{"anomaly":`, int(anomaly))
+	b = appendInt(b, `,"tests_total":`, total)
+	return appendInt(b, `,"tests_with_anomaly":`, with)
+}
+
+// listSep is what precedes element i of a list: open ahead of the first,
+// a comma ahead of the rest.
+func listSep(i int, open string) string {
+	if i == 0 {
+		return open
+	}
+	return ","
+}
+
+// sortedKeys appends m's keys to buf in cmp order.
+func sortedKeys[K comparable, V any](buf []K, m map[K]V, cmp func(a, b K) int) []K {
+	for k := range m {
+		buf = append(buf, k)
+	}
+	slices.SortFunc(buf, cmp)
+	return buf
+}
+
+func comparePairs(x, y core.Pair) int {
+	return cmp.Or(cmp.Compare(x.A, y.A), cmp.Compare(x.B, y.B))
 }
 
 // RestoreAggregator rebuilds an Aggregator from a Snapshot. The restored

@@ -33,11 +33,14 @@ import (
 	"io"
 	"os"
 	"sort"
+	"strconv"
+	"sync"
 	"sync/atomic"
 	"time"
 
 	"conprobe/internal/analysis"
 	"conprobe/internal/diskfault"
+	"conprobe/internal/jsonappend"
 	"conprobe/internal/resilience"
 	"conprobe/internal/trace"
 	"conprobe/internal/wal"
@@ -90,7 +93,8 @@ type LaneRecord struct {
 }
 
 // record is the payload of every frame after the meta: one completed
-// test. Agg is the snapshot of an aggregator fed this test alone.
+// test. Agg is the snapshot of an aggregator fed this test alone. Load
+// decodes into it; appendRecord writes the same bytes without it.
 type record struct {
 	Lane       int                            `json:"lane"`
 	Test       int                            `json:"test"`
@@ -231,8 +235,8 @@ type Config struct {
 }
 
 // Writer journals a running campaign. Append is safe for concurrent use
-// across lanes: each call builds its own frame, and the wal.Log orders
-// the writes and group-commits the fsyncs.
+// across lanes: each call builds its frame in a buffer of its own, and
+// the wal.Log orders the writes and group-commits the fsyncs.
 //
 // A storage failure mid-campaign (ENOSPC, failed fsync) DEGRADES the
 // journal instead of aborting the run: Append starts returning nil
@@ -242,10 +246,18 @@ type Config struct {
 // stale) prefix, because every frame is checksummed and a torn final
 // frame is tolerated on load.
 type Writer struct {
-	service    string
 	keepTraces bool
 	log        *wal.Log
+	frames     sync.Pool             // of *frame, one per Append in flight
 	degraded   atomic.Pointer[error] // first storage failure; journaling is off once set
+}
+
+// frame is what an Append works in, kept from one call to the next: the
+// aggregator it feeds the one test and the buffer it encodes into (the
+// wal.Log copies the payload and does not retain it).
+type frame struct {
+	delta *analysis.Aggregator
+	buf   []byte
 }
 
 // Create starts a fresh journal at path, atomically replacing any
@@ -273,7 +285,9 @@ func open(path, service string, cfg Config) (*Writer, error) {
 	if err != nil {
 		return nil, fmt.Errorf("checkpoint: opening journal: %w", err)
 	}
-	return &Writer{service: service, keepTraces: cfg.KeepTraces, log: log}, nil
+	w := &Writer{keepTraces: cfg.KeepTraces, log: log}
+	w.frames.New = func() any { return &frame{delta: analysis.NewAggregator(service)} }
+	return w, nil
 }
 
 // Append journals one completed test: lane ran tr, its next step begins
@@ -284,21 +298,16 @@ func (w *Writer) Append(lane int, tr *trace.TestTrace, next time.Time, res map[s
 	if w.degraded.Load() != nil {
 		return nil // journaling is off; the campaign carries on
 	}
-	agg := analysis.NewAggregator(w.service)
-	agg.Add(tr)
-	snap, err := agg.Snapshot()
-	if err != nil {
-		return fmt.Errorf("checkpoint: test %d snapshot: %w", tr.TestID, err)
-	}
-	rec := record{Lane: lane, Test: tr.TestID, Next: next, Resilience: res, Agg: snap}
-	if w.keepTraces {
-		rec.Trace = tr
-	}
-	raw, err := json.Marshal(&rec)
+	f := w.frames.Get().(*frame)
+	defer w.frames.Put(f)
+	f.delta.Reset()
+	f.delta.Add(tr)
+	b, err := w.appendRecord(f.buf[:0], lane, tr, next, res, f.delta)
 	if err != nil {
 		return fmt.Errorf("checkpoint: encoding test %d: %w", tr.TestID, err)
 	}
-	if err := w.log.Append(raw); err != nil {
+	f.buf = b
+	if err := w.log.Append(f.buf); err != nil {
 		// A failed write was repaired or poisoned the log, and a failed
 		// fsync always poisons it (it may have dropped the dirty pages, so
 		// nothing later on this handle can be trusted durable); either
@@ -306,6 +315,30 @@ func (w *Writer) Append(lane int, tr *trace.TestTrace, next time.Time, res map[s
 		return w.degrade(fmt.Errorf("checkpoint: %w", err))
 	}
 	return nil
+}
+
+// appendRecord appends the frame of one completed test: byte for byte
+// what json.Marshal writes for its record, delta being the aggregator
+// fed that test alone.
+func (w *Writer) appendRecord(b []byte, lane int, tr *trace.TestTrace, next time.Time, res map[string]resilience.Snapshot, delta *analysis.Aggregator) ([]byte, error) {
+	b = strconv.AppendInt(append(b, `{"lane":`...), int64(lane), 10)
+	b = strconv.AppendInt(append(b, `,"test":`...), int64(tr.TestID), 10)
+	b, err := jsonappend.Time(append(b, `,"next":`...), next)
+	if err != nil {
+		return nil, err
+	}
+	if len(res) > 0 {
+		if b, err = jsonappend.Marshal(append(b, `,"resilience":`...), res); err != nil {
+			return nil, err
+		}
+	}
+	b = delta.AppendSnapshot(append(b, `,"agg":`...))
+	if w.keepTraces {
+		if b, err = trace.AppendJSON(append(b, `,"trace":`...), 0, tr); err != nil {
+			return nil, err
+		}
+	}
+	return append(b, '}'), nil
 }
 
 // degrade records the first storage failure and turns journaling off.

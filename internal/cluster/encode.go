@@ -1,8 +1,9 @@
 package cluster
 
 import (
-	"encoding/json"
 	"strconv"
+
+	"conprobe/internal/jsonappend"
 )
 
 // The journal and the snapshot are JSON, and stay decodable by
@@ -12,10 +13,10 @@ import (
 // per compaction for the whole state. The encoder below produces, byte
 // for byte, what json.Marshal produces for Op, opRecord and
 // nodeSnapshot (field order, omitempty, HTML-safe escaping), into a
-// buffer the caller keeps. Strings made of plain printable ASCII are
-// copied; any other string, and a Membership, goes through json.Marshal
-// itself, so there is no second definition of escaping to keep in step.
-// FuzzAppendOp holds the two encoders equal.
+// buffer the caller keeps. Strings and a Membership go through
+// internal/jsonappend, which copies plain printable ASCII and hands
+// anything else to json.Marshal itself, so there is no second definition
+// of escaping to keep in step. FuzzAppendOp holds the two encoders equal.
 
 // appendOp appends op as json.Marshal(op) would.
 func appendOp(b []byte, op *Op) ([]byte, error) {
@@ -39,17 +40,17 @@ func appendOpFields(b []byte, op *Op) ([]byte, error) {
 	if op.Term != 0 {
 		b = strconv.AppendUint(append(b, `,"t":`...), op.Term, 10)
 	}
-	b = appendString(append(b, `,"k":`...), op.Kind)
+	b = jsonappend.String(append(b, `,"k":`...), op.Kind)
 	for _, f := range [...]struct{ key, val string }{
 		{`,"s":`, op.Site}, {`,"id":`, op.ID}, {`,"a":`, op.Author}, {`,"b":`, op.Body}, {`,"d":`, op.DependsOn},
 	} {
 		if f.val != "" {
-			b = appendString(append(b, f.key...), f.val)
+			b = jsonappend.String(append(b, f.key...), f.val)
 		}
 	}
 	if op.Config != nil {
 		var err error
-		if b, err = appendMarshal(append(b, `,"c":`...), op.Config); err != nil {
+		if b, err = jsonappend.Marshal(append(b, `,"c":`...), op.Config); err != nil {
 			return nil, err
 		}
 	}
@@ -85,7 +86,7 @@ func appendSnapshot(b []byte, snap *nodeSnapshot) ([]byte, error) {
 	}
 	if snap.Config != nil {
 		var err error
-		if b, err = appendMarshal(append(b, `,"config":`...), snap.Config); err != nil {
+		if b, err = jsonappend.Marshal(append(b, `,"config":`...), snap.Config); err != nil {
 			return nil, err
 		}
 	}
@@ -93,28 +94,4 @@ func appendSnapshot(b []byte, snap *nodeSnapshot) ([]byte, error) {
 		b = strconv.AppendUint(append(b, `,"config_index":`...), snap.ConfigIndex, 10)
 	}
 	return append(b, '}'), nil
-}
-
-// appendString appends s as a JSON string. Printable ASCII without the
-// five characters json.Marshal escapes is copied between quotes;
-// anything else is json.Marshal's to encode.
-func appendString(b []byte, s string) []byte {
-	for i := 0; i < len(s); i++ {
-		if c := s[i]; c < 0x20 || c >= 0x7f || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
-			esc, _ := json.Marshal(s) // a string cannot fail to marshal
-			return append(b, esc...)
-		}
-	}
-	b = append(b, '"')
-	b = append(b, s...)
-	return append(b, '"')
-}
-
-// appendMarshal appends json.Marshal(v).
-func appendMarshal(b []byte, v any) ([]byte, error) {
-	raw, err := json.Marshal(v)
-	if err != nil {
-		return nil, err
-	}
-	return append(b, raw...), nil
 }

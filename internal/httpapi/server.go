@@ -30,6 +30,7 @@ import (
 	"sync"
 	"time"
 
+	"conprobe/internal/jsonappend"
 	"conprobe/internal/obs"
 	"conprobe/internal/ratelimit"
 	"conprobe/internal/service"
@@ -367,7 +368,7 @@ func (s *Server) handlePosts(w http.ResponseWriter, r *http.Request) {
 				DependsOn: p.DependsOn, CreatedAt: p.CreatedAt,
 			}
 		}
-		writeJSON(w, http.StatusOK, out)
+		writePosts(w, out)
 	case http.MethodDelete:
 		if err := s.svc.Reset(); err != nil {
 			s.metrics.errors.Inc()
@@ -466,6 +467,55 @@ func writeRetryJSON(w http.ResponseWriter, status int, after time.Duration, v an
 	}
 	w.Header().Set("Retry-After", strconv.FormatInt(secs, 10))
 	writeJSON(w, status, v)
+}
+
+// postsBufs holds the buffers read responses are encoded into.
+var postsBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// writePosts answers a read with the bytes writeJSON(w, 200, posts)
+// would send, encoded without reflecting over the timeline or
+// allocating an object per created_at.
+func writePosts(w http.ResponseWriter, posts []PostJSON) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	buf := postsBufs.Get().(*[]byte)
+	defer postsBufs.Put(buf)
+	b, err := appendPosts((*buf)[:0], posts)
+	if err != nil {
+		return // as in writeJSON: the connection is already committed
+	}
+	*buf = b
+	_, _ = w.Write(b)
+}
+
+// appendPosts appends what json.Encoder writes for posts: the array as
+// json.Marshal encodes it, then a newline. created_at is always present
+// (omitempty does nothing on a struct), the zero time included.
+func appendPosts(b []byte, posts []PostJSON) ([]byte, error) {
+	if posts == nil {
+		return append(b, "null\n"...), nil
+	}
+	b = append(b, '[')
+	for i := range posts {
+		p := &posts[i]
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = jsonappend.String(append(b, `{"id":`...), p.ID)
+		b = jsonappend.String(append(b, `,"author":`...), p.Author)
+		if p.Body != "" {
+			b = jsonappend.String(append(b, `,"body":`...), p.Body)
+		}
+		if p.DependsOn != "" {
+			b = jsonappend.String(append(b, `,"depends_on":`...), p.DependsOn)
+		}
+		var err error
+		if b, err = jsonappend.Time(append(b, `,"created_at":`...), p.CreatedAt); err != nil {
+			return nil, err
+		}
+		b = append(b, '}')
+	}
+	return append(b, "]\n"...), nil
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

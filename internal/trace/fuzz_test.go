@@ -7,7 +7,8 @@ import (
 )
 
 // FuzzReader feeds arbitrary bytes through the JSONL decoder: it must
-// never panic, and anything it successfully decodes must re-encode.
+// never panic, and anything it successfully decodes must re-encode —
+// through AppendJSON to exactly what encoding/json writes for it.
 func FuzzReader(f *testing.F) {
 	// Seed with a valid trace line and near-miss corruptions.
 	var buf bytes.Buffer
@@ -46,6 +47,7 @@ func FuzzReader(f *testing.F) {
 			if tr.Agents > maxUnnamedAgents && tr.Agents > len(tr.Deltas)+len(tr.Writes)+len(tr.Reads) {
 				t.Fatalf("reader passed a record declaring %d agents it cannot name", tr.Agents)
 			}
+			checkEncoding(t, tr)
 			// Decoded traces must re-encode without error.
 			var out bytes.Buffer
 			w := NewWriter(&out)

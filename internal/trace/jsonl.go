@@ -28,7 +28,8 @@ const SchemaVersion = 2
 
 // versionedLine is the on-disk envelope: the trace's own fields plus the
 // schema version. Embedding keeps the wire format flat, so a legacy
-// reader sees a normal trace line with one extra (ignored) field.
+// reader sees a normal trace line with one extra (ignored) field. It is
+// the shape lines are decoded into; AppendJSON writes them.
 type versionedLine struct {
 	Version int `json:"v,omitempty"`
 	*TestTrace
@@ -36,21 +37,26 @@ type versionedLine struct {
 
 // Writer streams TestTraces to an io.Writer as JSON Lines, one trace per
 // line. Every line carries the current SchemaVersion. It buffers
-// internally; call Flush (or Close) when done.
+// internally; call Flush when done.
 type Writer struct {
-	bw  *bufio.Writer
-	enc *json.Encoder
+	bw   *bufio.Writer
+	line []byte // the last line encoded, kept for its capacity
 }
 
 // NewWriter returns a Writer emitting to w.
 func NewWriter(w io.Writer) *Writer {
-	bw := bufio.NewWriter(w)
-	return &Writer{bw: bw, enc: json.NewEncoder(bw)}
+	return &Writer{bw: bufio.NewWriter(w)}
 }
 
-// Write appends one trace as a JSON line stamped with SchemaVersion.
+// Write appends one trace as a JSON line stamped with SchemaVersion. A
+// trace that cannot be encoded writes nothing.
 func (w *Writer) Write(t *TestTrace) error {
-	if err := w.enc.Encode(versionedLine{Version: SchemaVersion, TestTrace: t}); err != nil {
+	line, err := AppendJSON(w.line[:0], SchemaVersion, t)
+	if err == nil {
+		w.line = append(line, '\n')
+		_, err = w.bw.Write(w.line)
+	}
+	if err != nil {
 		return fmt.Errorf("encode trace %d: %w", t.TestID, err)
 	}
 	return nil
@@ -71,6 +77,7 @@ func (w *Writer) Flush() error { return w.bw.Flush() }
 type Reader struct {
 	br   *bufio.Reader
 	line int
+	long []byte // holds a line longer than br's buffer, kept for its capacity
 }
 
 // NewReader returns a Reader consuming from r.
@@ -81,7 +88,7 @@ func NewReader(r io.Reader) *Reader {
 // Read returns the next trace, or io.EOF when input is exhausted.
 func (r *Reader) Read() (*TestTrace, error) {
 	for {
-		raw, err := r.br.ReadBytes('\n')
+		raw, err := r.readLine()
 		complete := err == nil
 		if err != nil && err != io.EOF {
 			return nil, fmt.Errorf("trace line %d: %w", r.line+1, err)
@@ -116,6 +123,24 @@ func (r *Reader) Read() (*TestTrace, error) {
 		}
 		return &t, nil
 	}
+}
+
+// readLine returns the next line, its newline included, valid until the
+// next call: json.Unmarshal copies every string it keeps, so no record
+// needs a line of its own. At end of input it returns what remains
+// (possibly nothing) with io.EOF, as bufio.Reader.ReadBytes does.
+func (r *Reader) readLine() ([]byte, error) {
+	part, err := r.br.ReadSlice('\n')
+	if err != bufio.ErrBufferFull {
+		return part, err
+	}
+	r.long = r.long[:0]
+	for err == bufio.ErrBufferFull {
+		r.long = append(r.long, part...)
+		part, err = r.br.ReadSlice('\n')
+	}
+	r.long = append(r.long, part...)
+	return r.long, err
 }
 
 // ReadAll consumes every remaining trace.

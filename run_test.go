@@ -3,10 +3,12 @@ package conprobe_test
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"testing"
 
 	"conprobe"
+	"conprobe/internal/trace"
 )
 
 func runOpts(par int) conprobe.Options {
@@ -54,6 +56,51 @@ func TestRunDeterministicAcrossParallelism(t *testing.T) {
 	}
 	if !bytes.Equal(runJSONL(t, res1), runJSONL(t, res8)) {
 		t.Fatal("parallelism 1 and 8 produced different trace streams")
+	}
+}
+
+// TestCampaignTracesEncodeIdentically holds the trace encoder to
+// encoding/json on what campaigns actually record: every trace of every
+// built-in profile (16 + 16 tests each, the benchmark's campaign_sim
+// shape with traces kept) encodes to the same bytes through
+// trace.AppendJSON and json.Marshal, and the JSONL writer's stream is
+// the one json.Encoder wrote for the versioned envelope.
+func TestCampaignTracesEncodeIdentically(t *testing.T) {
+	type versionedLine struct {
+		Version int `json:"v,omitempty"`
+		*conprobe.TestTrace
+	}
+	for _, name := range conprobe.ProfileNames() {
+		res, err := conprobe.Run(context.Background(), conprobe.Options{
+			Workload: conprobe.Workload{Service: name, Test1Count: 16, Test2Count: 16, Seed: 1},
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if len(res.Traces) != 32 {
+			t.Fatalf("%s: campaign kept %d traces, want 32", name, len(res.Traces))
+		}
+		var want bytes.Buffer
+		enc := json.NewEncoder(&want)
+		for _, tr := range res.Traces {
+			marshalled, err := json.Marshal(tr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			appended, err := trace.AppendJSON(nil, 0, tr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(appended, marshalled) {
+				t.Fatalf("%s test %d:\n got %s\nwant %s", name, tr.TestID, appended, marshalled)
+			}
+			if err := enc.Encode(versionedLine{Version: trace.SchemaVersion, TestTrace: tr}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got := runJSONL(t, res); !bytes.Equal(got, want.Bytes()) {
+			t.Fatalf("%s: the JSONL writer's stream differs from json.Encoder's", name)
+		}
 	}
 }
 

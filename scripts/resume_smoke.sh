@@ -2,8 +2,11 @@
 # Crash-and-resume determinism smoke: run a campaign to completion, run
 # the identical campaign with -checkpoint but abort it partway through,
 # resume from the journal, and require the resumed report to be
-# byte-identical to the uninterrupted one. Run from the repository root
-# or anywhere inside it.
+# byte-identical to the uninterrupted one. Then write a two-test trace
+# archive and require it to equal, byte for byte, the copy committed
+# under internal/trace/testdata/: a drift in the JSONL format fails here
+# and not in whoever reads an archive later. Run from the repository
+# root or anywhere inside it.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -41,4 +44,9 @@ for engine in "-lanes 4 -parallelism 2" ""; do
   diff "$dir/reference.json" "$dir/resumed.json"
 done
 
-echo "resume_smoke: OK (resumed reports are byte-identical)"
+echo "== trace archive vs internal/trace/testdata/fbgroup_seed1.jsonl"
+go run ./cmd/conprobe -service fbgroup -test1 1 -test2 1 -seed 1 \
+  -trace "$dir/traces.jsonl" > /dev/null
+cmp "$dir/traces.jsonl" internal/trace/testdata/fbgroup_seed1.jsonl
+
+echo "resume_smoke: OK (resumed reports and the trace archive are byte-identical)"

@@ -27,6 +27,13 @@ go test -run '^$' -bench 'StoreReadCached' -benchtime 2000x -benchmem ./internal
 echo "== commit cost (virtual ms and RPCs per commit, 3 nodes, 0.2 ms hops, shipped timers)"
 go test -count=1 -run 'TestCommitCostExact$' -v ./internal/cluster/clustertest | grep -o 'commit cost: .*'
 
+# What recording a test costs before the disk: one trace through the
+# JSONL writer. A non-zero allocs/op is an object per timestamp or per
+# read put back.
+echo "== trace encode (one googleplus Test 1 through the JSONL writer)"
+go test -run '^$' -bench 'TraceJSONL$' -benchtime 200x -benchmem . |
+  awk '/^BenchmarkTraceJSONL/ { print "trace encode: " $3 " ns/op, " $(NF-1) " allocs/op" }'
+
 echo "== resume smoke"
 ./scripts/resume_smoke.sh
 
