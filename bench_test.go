@@ -506,6 +506,59 @@ func BenchmarkSimScheduler(b *testing.B) {
 	sim.Wait()
 }
 
+// BenchmarkSimTimerRearm measures one scheduled callback: a timer re-armed,
+// fired and its callback run on an actor, b.N times over. 0 allocs/op.
+func BenchmarkSimTimerRearm(b *testing.B) {
+	sim := vtime.NewSim(time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC))
+	fired := 0
+	b.ReportAllocs()
+	sim.Go(func() {
+		tm := sim.AfterFunc(time.Hour, func() { fired++ })
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			tm.Reset(time.Millisecond)
+			sim.Sleep(2 * time.Millisecond)
+		}
+	})
+	sim.Wait()
+	if fired != b.N {
+		b.Fatalf("timer fired %d times in %d cycles", fired, b.N)
+	}
+}
+
+// BenchmarkStoreDeliver measures a write on three eventual sites slept
+// through to its last delivery: two enqueues, two timer fires, three
+// applies. What it allocates is the replica logs growing.
+func BenchmarkStoreDeliver(b *testing.B) {
+	sim := vtime.NewSim(time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC))
+	sites := []simnet.Site{simnet.DCWest, simnet.DCAsia, simnet.DCEurope}
+	c, err := store.NewCluster(sim, simnet.DefaultTopology(1), store.Config{Mode: store.Eventual, Sites: sites}, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ids := make([]string, b.N)
+	for i := range ids {
+		ids[i] = fmt.Sprintf("m%d", i)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	sim.Go(func() {
+		for _, id := range ids {
+			if _, err := c.Write(simnet.DCWest, id, "a", ""); err != nil {
+				b.Error(err)
+				return
+			}
+			sim.Sleep(time.Second)
+		}
+	})
+	sim.Wait()
+	for _, s := range sites {
+		if c.Len(s) != b.N {
+			b.Fatalf("%s holds %d of %d writes", s, c.Len(s), b.N)
+		}
+	}
+}
+
 // BenchmarkStoreWrite measures replicated-store write throughput with
 // propagation scheduling.
 func BenchmarkStoreWrite(b *testing.B) {

@@ -81,20 +81,26 @@ func (c *Clock) Since(t time.Time) time.Duration { return c.Now().Sub(t) }
 // AfterFunc schedules f at now+d. f runs inside RunUntil, on the
 // harness goroutine.
 func (c *Clock) AfterFunc(d time.Duration, f func()) vtime.Timer {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return &simTimer{c: c, fn: f, ev: c.pushLocked(d, f)}
+}
+
+// pushLocked queues f at now+d (a negative d is zero). Caller holds mu.
+func (c *Clock) pushLocked(d time.Duration, f func()) *event {
 	if d < 0 {
 		d = 0
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	ev := &event{at: c.now.Add(d), seq: c.seq, fn: f}
 	c.seq++
 	heap.Push(&c.events, ev)
-	return &simTimer{c: c, ev: ev}
+	return ev
 }
 
 type simTimer struct {
 	c  *Clock
-	ev *event
+	fn func()
+	ev *event // the latest arm; guarded by c.mu
 }
 
 // Stop cancels the pending event; it reports whether the event had not
@@ -104,6 +110,17 @@ func (t *simTimer) Stop() bool {
 	defer t.c.mu.Unlock()
 	was := !t.ev.stopped && t.ev.fn != nil
 	t.ev.stopped = true
+	return was
+}
+
+// Reset is Stop followed by an AfterFunc of the same function, under
+// one lock and behind the same handle.
+func (t *simTimer) Reset(d time.Duration) bool {
+	t.c.mu.Lock()
+	defer t.c.mu.Unlock()
+	was := !t.ev.stopped && t.ev.fn != nil
+	t.ev.stopped = true
+	t.ev = t.c.pushLocked(d, t.fn)
 	return was
 }
 

@@ -1,6 +1,7 @@
 package clustertest
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -87,5 +88,33 @@ func TestDeliveryChaosIsDeterministic(t *testing.T) {
 		if a[i] != b[i] {
 			t.Fatalf("delivery %d at %v in run 1 but %v in run 2", i, a[i], b[i])
 		}
+	}
+}
+
+// TestClockTimerReset: Reset is Stop plus AfterFunc behind one handle —
+// the moved arm fires once at its new instant, in creation order among
+// the events of that instant, and a fired timer arms again.
+func TestClockTimerReset(t *testing.T) {
+	clock := NewClock()
+	var fired []string
+	note := func(tag string) func() {
+		return func() { fired = append(fired, tag+"@"+clock.Since(epoch).String()) }
+	}
+	tm := clock.AfterFunc(time.Second, note("moved"))
+	clock.AfterFunc(3*time.Second, note("other"))
+	if !tm.Reset(3 * time.Second) {
+		t.Error("Reset of a pending timer reported false")
+	}
+	clock.RunFor(5 * time.Second)
+	if tm.Reset(-time.Second) { // a negative delay is due now
+		t.Error("Reset of a fired timer reported true")
+	}
+	if !tm.Stop() || tm.Stop() {
+		t.Error("Stop after Reset: want true once, then false")
+	}
+	tm.Reset(time.Second)
+	clock.RunFor(time.Second)
+	if want := []string{"other@3s", "moved@3s", "moved@6s"}; !slices.Equal(fired, want) {
+		t.Fatalf("fired %v, want %v", fired, want)
 	}
 }

@@ -131,6 +131,8 @@ type noopTimer struct{}
 
 func (noopTimer) Stop() bool { return false }
 
+func (noopTimer) Reset(time.Duration) bool { return false }
+
 func TestRateLimiting(t *testing.T) {
 	cl, _ := newPair(t, ServerConfig{RatePerSecond: 0.001, Burst: 2})
 	if err := cl.Write(simnet.Oregon, service.Post{ID: "m1"}); err != nil {

@@ -3,6 +3,7 @@ package store
 import (
 	"fmt"
 	"testing"
+	"time"
 
 	"conprobe/internal/simnet"
 	"conprobe/internal/vtime"
@@ -55,6 +56,66 @@ func TestRepeatedReadDoesNotAllocate(t *testing.T) {
 		read()
 		if n := testing.AllocsPerRun(100, read); n != 0 {
 			t.Errorf("order=%v: a repeated Read allocates %v times", order, n)
+		}
+	}
+}
+
+// fbgroupStore is the Facebook Group profile's store configuration
+// (service.FBGroup, which this package cannot import).
+var fbgroupStore = Config{
+	Mode:              Eventual,
+	Sites:             []simnet.Site{simnet.DCEast, simnet.DCAsia},
+	PropagationBase:   5 * time.Millisecond,
+	PropagationJitter: 15 * time.Millisecond,
+	Policy:            TimestampPolicy{Precision: time.Second, ReverseTies: true},
+	RetryInterval:     500 * time.Millisecond,
+}
+
+// TestDeliveryArmsAllocateNothing pins the delivery chain — enqueue, timer
+// fire, apply, re-arm — at zero objects: on fbgroup's two sites, a round
+// of eight writes, their deliveries and a Reset allocates nothing on a
+// cluster a first such round has grown. The same holds when every
+// delivery is blocked and re-queued for 50 retry intervals.
+func TestDeliveryArmsAllocateNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	ids := make([]string, 8)
+	for i := range ids {
+		ids[i] = fmt.Sprintf("m%d", i)
+	}
+	for _, tc := range []struct {
+		name   string
+		settle time.Duration
+		held   bool // DCEast–DCAsia partitioned throughout
+		reach  int  // writes DCAsia holds after settling
+	}{
+		{"delivered", time.Second, false, len(ids)},
+		{"partitioned", 50 * fbgroupStore.RetryInterval, true, 0},
+	} {
+		s, c, net := newSimCluster(t, fbgroupStore)
+		if tc.held {
+			net.Partition(simnet.DCEast, simnet.DCAsia)
+		}
+		var allocs float64
+		s.Go(func() {
+			allocs = testing.AllocsPerRun(20, func() {
+				for _, id := range ids {
+					if _, err := c.Write(simnet.DCEast, id, "a", ""); err != nil {
+						t.Error(err)
+					}
+					s.Sleep(time.Millisecond)
+				}
+				s.Sleep(tc.settle)
+				if got := c.Len(simnet.DCAsia); got != tc.reach {
+					t.Errorf("%s: %d writes reached DCAsia, want %d", tc.name, got, tc.reach)
+				}
+				c.Reset()
+			})
+		})
+		s.Wait()
+		if allocs != 0 {
+			t.Errorf("%s: a round of %d writes allocates %v objects, want 0", tc.name, len(ids), allocs)
 		}
 	}
 }

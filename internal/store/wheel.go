@@ -4,24 +4,25 @@ import (
 	"sync"
 	"time"
 
+	"conprobe/internal/minheap"
 	"conprobe/internal/simnet"
 	"conprobe/internal/vtime"
 )
 
 // deliveries is every replication delivery the cluster still owes, as
-// one min-heap behind a single clock timer armed at the earliest due
-// time. A fire applies each due delivery at exactly its due instant —
-// the heap decides how many timer events exist, never when a delivery
-// lands (testdata/delivery_*.golden, recorded from one timer per
-// destination stripe, pins that).
+// one min-heap behind a single clock timer, made by the first arm and
+// re-armed at the earliest due time ever after. A fire applies each due
+// delivery at exactly its due instant — the heap decides how many timer
+// events exist, never when a delivery lands (testdata/delivery_*.golden,
+// recorded from one timer per destination stripe, pins that).
 type deliveries struct {
 	mu    sync.Mutex
-	queue deliveryQueue
-	seq   uint64 // schedule order, the tie-break among equal due times
+	queue []pendingDelivery // min-heap by (at, seq)
+	seq   uint64            // schedule order, the tie-break among equal due times
 
-	timer    vtime.Timer
-	armedAt  time.Time
-	armedGen uint64
+	timer   vtime.Timer
+	armed   bool // a fire is owed at armedAt
+	armedAt time.Time
 }
 
 // pendingDelivery is one queued replication delivery.
@@ -33,50 +34,11 @@ type pendingDelivery struct {
 	e   Entry
 }
 
-// deliveryQueue is a min-heap of pending deliveries by (at, seq), sifted
-// on the values themselves: container/heap would box each 200-byte
-// delivery into an interface on the way in and again on the way out. No two
-// share a seq, so the order is strict and pop order ignores the heap's layout.
-type deliveryQueue []pendingDelivery
-
-func (q deliveryQueue) less(i, j int) bool {
-	if !q[i].at.Equal(q[j].at) {
-		return q[i].at.Before(q[j].at)
+func (d *pendingDelivery) before(o *pendingDelivery) bool {
+	if !d.at.Equal(o.at) {
+		return d.at.Before(o.at)
 	}
-	return q[i].seq < q[j].seq
-}
-
-func (q *deliveryQueue) push(d pendingDelivery) {
-	h := append(*q, d)
-	*q = h
-	for i := len(h) - 1; i > 0; {
-		parent := (i - 1) / 2
-		if !h.less(i, parent) {
-			break
-		}
-		h[i], h[parent] = h[parent], h[i]
-		i = parent
-	}
-}
-
-// pop removes and returns the earliest delivery; the queue is non-empty.
-func (q *deliveryQueue) pop() pendingDelivery {
-	h := *q
-	n := len(h) - 1
-	h[0], h[n] = h[n], h[0]
-	for i := 0; ; {
-		child := 2*i + 1
-		if child+1 < n && h.less(child+1, child) {
-			child++ // the earlier of the two
-		}
-		if child >= n || !h.less(child, i) {
-			break
-		}
-		h[i], h[child] = h[child], h[i]
-		i = child
-	}
-	*q = h[:n]
-	return h[n]
+	return d.seq < o.seq
 }
 
 // enqueue queues delivery of e from src to dst at `at`, pulling the
@@ -85,25 +47,23 @@ func (c *Cluster) enqueue(dst *replica, src simnet.Site, e Entry, at time.Time) 
 	p := &c.pending
 	p.mu.Lock()
 	p.seq++
-	p.queue.push(pendingDelivery{at: at, seq: p.seq, src: src, dst: dst, e: e})
-	if p.timer == nil || at.Before(p.armedAt) {
+	p.queue = minheap.Push(p.queue, pendingDelivery{at: at, seq: p.seq, src: src, dst: dst, e: e}, (*pendingDelivery).before)
+	if !p.armed || at.Before(p.armedAt) {
 		c.armLocked(at)
 	}
 	p.mu.Unlock()
 }
 
-// armLocked points the single delivery timer at `at`. Caller holds
-// pending.mu. The generation token invalidates a previously armed timer
-// whose Stop raced its fire.
+// armLocked points the delivery timer at `at`. Caller holds pending.mu.
 func (c *Cluster) armLocked(at time.Time) {
 	p := &c.pending
-	if p.timer != nil {
-		p.timer.Stop()
+	p.armed, p.armedAt = true, at
+	d := at.Sub(c.clock.Now())
+	if p.timer == nil {
+		p.timer = c.clock.AfterFunc(d, c.deliverDue)
+	} else {
+		p.timer.Reset(d)
 	}
-	p.armedAt = at
-	p.armedGen++
-	gen := p.armedGen
-	p.timer = c.clock.AfterFunc(at.Sub(c.clock.Now()), func() { c.deliverDue(gen) })
 }
 
 // deliverDue applies every delivery that has come due, in (due time,
@@ -111,28 +71,28 @@ func (c *Cluster) armLocked(at time.Time) {
 // by a partition are re-queued one RetryInterval out; deliveries from
 // before a Reset are dropped. pending.mu is held throughout (lock order
 // pending.mu before replica.mu, never the reverse), so a concurrent
-// enqueue waits and then arms against the settled queue.
-func (c *Cluster) deliverDue(gen uint64) {
+// enqueue waits and then arms against the settled queue. Idempotent: a
+// real-clock fire that raced the Reset which moved it finds nothing due
+// and re-arms where the timer already points.
+func (c *Cluster) deliverDue() {
 	p := &c.pending
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if gen != p.armedGen {
-		return
-	}
-	p.timer = nil
 	now := c.clock.Now()
 	for len(p.queue) > 0 && !p.queue[0].at.After(now) {
-		d := p.queue.pop()
+		var d pendingDelivery
+		p.queue, d = minheap.Pop(p.queue, (*pendingDelivery).before)
 		if d.e.epoch != c.epoch.Load() {
 			continue // stale delivery from before a Reset
 		}
 		if !c.net.Reachable(d.src, d.dst.site) {
 			d.at = now.Add(c.cfg.RetryInterval)
-			p.queue.push(d)
+			p.queue = minheap.Push(p.queue, d, (*pendingDelivery).before)
 			continue
 		}
 		c.apply(d.dst, d.e, now)
 	}
+	p.armed = false
 	if len(p.queue) > 0 {
 		c.armLocked(p.queue[0].at)
 	}

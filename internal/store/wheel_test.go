@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"conprobe/internal/minheap"
 	"conprobe/internal/simnet"
 	"conprobe/internal/vtime"
 )
@@ -195,7 +196,7 @@ func TestHybridCacheSurvivesMovingCutoff(t *testing.T) {
 // and requires them back in (at, seq) order.
 func TestDeliveryQueuePopsInDueOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	var q deliveryQueue
+	var q []pendingDelivery
 	want := make([]pendingDelivery, 10000)
 	for i := range want {
 		want[i] = pendingDelivery{
@@ -203,7 +204,7 @@ func TestDeliveryQueuePopsInDueOrder(t *testing.T) {
 			seq: uint64(i + 1),
 			e:   Entry{ID: fmt.Sprintf("m%d", i)},
 		}
-		q.push(want[i])
+		q = minheap.Push(q, want[i], (*pendingDelivery).before)
 	}
 	sort.Slice(want, func(i, j int) bool {
 		if !want[i].at.Equal(want[j].at) {
@@ -212,7 +213,8 @@ func TestDeliveryQueuePopsInDueOrder(t *testing.T) {
 		return want[i].seq < want[j].seq
 	})
 	for i, w := range want {
-		if got := q.pop(); got != w {
+		var got pendingDelivery
+		if q, got = minheap.Pop(q, (*pendingDelivery).before); got != w {
 			t.Fatalf("pop %d = (%v, %d), want (%v, %d)", i, got.at, got.seq, w.at, w.seq)
 		}
 	}

@@ -29,3 +29,5 @@ func (Real) Since(t time.Time) time.Duration { return time.Since(t) }
 type realTimer struct{ t *time.Timer }
 
 func (r realTimer) Stop() bool { return r.t.Stop() }
+
+func (r realTimer) Reset(d time.Duration) bool { return r.t.Reset(d) }

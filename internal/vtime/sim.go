@@ -1,10 +1,11 @@
 package vtime
 
 import (
-	"container/heap"
 	"fmt"
 	"sync"
 	"time"
+
+	"conprobe/internal/minheap"
 )
 
 // Sim is a discrete-event scheduler implementing Clock with virtual time.
@@ -26,9 +27,10 @@ type Sim struct {
 
 	now      time.Time
 	seq      uint64
-	queue    eventQueue
-	runnable int // actors currently executing
-	alive    int // actors started and not yet finished
+	queue    []queued   // min-heap by (at, seq)
+	runnable int        // actors currently executing
+	alive    int        // actors started and not yet finished
+	idle     []chan job // parked workers, the latest to park last
 }
 
 var _ Runtime = (*Sim)(nil)
@@ -95,16 +97,13 @@ func (s *Sim) Sleep(d time.Duration) {
 	// exactly what parking and re-waking would do — minus the event
 	// allocation, the heap traffic, and two goroutine context switches.
 	// A strict Before keeps same-instant events firing in FIFO order.
-	if s.runnable == 1 && (s.queue.Len() == 0 || at.Before(s.queue[0].at)) {
+	if s.runnable == 1 && (len(s.queue) == 0 || at.Before(s.queue[0].at)) {
 		s.now = at
 		s.mu.Unlock()
 		return
 	}
 	ev := sleepEventPool.Get().(*event)
-	ev.at = at
-	ev.cancelled = false
-	ev.fired = false
-	s.push(ev)
+	s.push(at, ev)
 	s.parkLocked()
 	s.mu.Unlock()
 	<-ev.wake
@@ -113,10 +112,8 @@ func (s *Sim) Sleep(d time.Duration) {
 
 // AfterFunc schedules f to run as a new actor after d of virtual time.
 func (s *Sim) AfterFunc(d time.Duration, f func()) Timer {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	ev := &event{s: s, at: s.now.Add(d), fn: f}
-	s.push(ev)
+	ev := &event{s: s, fn: f}
+	ev.Reset(d)
 	return ev
 }
 
@@ -124,13 +121,8 @@ func (s *Sim) AfterFunc(d time.Duration, f func()) Timer {
 // inside running actors.
 func (s *Sim) Go(f func()) {
 	s.mu.Lock()
-	s.alive++
-	s.runnable++
+	s.startLocked(f, nil)
 	s.mu.Unlock()
-	go func() {
-		f()
-		s.finishActor()
-	}()
 }
 
 // NewGroup returns a scheduler-aware Group.
@@ -151,12 +143,11 @@ func (s *Sim) Elapsed(t0 time.Time) time.Duration {
 	return s.Now().Sub(t0)
 }
 
-// push adds ev to the queue, stamping its FIFO sequence number.
-// Caller holds mu.
-func (s *Sim) push(ev *event) {
-	ev.seq = s.seq
+// push queues ev's current generation to fire at `at`, stamping the FIFO
+// sequence number. Caller holds mu.
+func (s *Sim) push(at time.Time, ev *event) {
+	s.queue = minheap.Push(s.queue, queued{at: at, seq: s.seq, ev: ev, gen: ev.gen}, (*queued).before)
 	s.seq++
-	heap.Push(&s.queue, ev)
 }
 
 // parkLocked marks the calling actor as no longer runnable, advancing
@@ -171,13 +162,14 @@ func (s *Sim) parkLocked() {
 // advanceLocked jumps virtual time to the earliest pending event and wakes
 // or starts its owner. Caller holds mu, runnable is zero.
 func (s *Sim) advanceLocked() {
-	for s.queue.Len() > 0 {
-		ev, ok := heap.Pop(&s.queue).(*event)
-		if !ok || ev.cancelled {
-			continue
+	for len(s.queue) > 0 {
+		var q queued
+		s.queue, q = minheap.Pop(s.queue, (*queued).before)
+		ev := q.ev
+		if q.gen != ev.gen {
+			continue // stopped or re-armed since it was queued
 		}
-		ev.fired = true
-		s.now = ev.at
+		s.now = q.at
 		if ev.wake != nil {
 			s.runnable++
 			// Sleep events carry a reusable buffered channel; a send (not a
@@ -185,13 +177,9 @@ func (s *Sim) advanceLocked() {
 			ev.wake <- struct{}{}
 			return
 		}
-		// Timer callback: runs as a transient actor.
-		s.alive++
-		s.runnable++
-		go func(f func()) {
-			f()
-			s.finishActor()
-		}(ev.fn)
+		// Timer callback: a transient actor, never run inline (it may Sleep).
+		ev.pending = false
+		s.startLocked(ev.fn, nil)
 		return
 	}
 	if s.alive > 0 {
@@ -201,13 +189,68 @@ func (s *Sim) advanceLocked() {
 	}
 }
 
-// finishActor records the termination of an actor.
-func (s *Sim) finishActor() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+// job is one actor handed to a worker: f, a member of g unless g is nil.
+type job struct {
+	f func()
+	g *simGroup
+}
+
+// startLocked starts f as a new actor — from Go, a Group or a timer fire
+// alike — on a parked worker goroutine, or a new one when none is parked.
+// A worker is the 1-buffered channel it receives on: the hand-off never
+// blocks. Caller holds mu.
+func (s *Sim) startLocked(f func(), g *simGroup) {
+	s.alive++
+	s.runnable++
+	if g != nil {
+		g.count++
+	}
+	var w chan job
+	if n := len(s.idle); n > 0 {
+		w, s.idle = s.idle[n-1], s.idle[:n-1]
+	} else {
+		w = make(chan job, 1)
+		go s.work(w)
+	}
+	w <- job{f, g}
+}
+
+// work runs the actors handed to one worker until finishLocked releases it.
+func (s *Sim) work(jobs chan job) {
+	for j := range jobs {
+		j.f()
+		s.mu.Lock()
+		// Parked before the finish step, so the actor that step may start
+		// (a due timer's callback) runs on this goroutine.
+		s.idle = append(s.idle, jobs)
+		s.finishLocked(j.g)
+		s.mu.Unlock()
+	}
+}
+
+// finishLocked records the termination of an actor, a member of g unless g
+// is nil, in one lock acquisition with the group bookkeeping, so waiters
+// wake before time advances past their wake-up. Caller holds mu.
+func (s *Sim) finishLocked(g *simGroup) {
+	if g != nil {
+		g.count--
+		if g.count == 0 {
+			for _, ch := range g.waiters {
+				s.runnable++
+				close(ch)
+			}
+			g.waiters = nil
+		}
+	}
 	s.runnable--
 	s.alive--
 	if s.alive == 0 {
+		// Nothing is left that could start an actor: release the parked
+		// workers, so Wait leaves no goroutine behind.
+		for _, w := range s.idle {
+			close(w)
+		}
+		s.idle = nil
 		s.waitCond.Broadcast()
 		return
 	}
@@ -224,16 +267,9 @@ type simGroup struct {
 }
 
 func (g *simGroup) Go(f func()) {
-	s := g.s
-	s.mu.Lock()
-	g.count++
-	s.alive++
-	s.runnable++
-	s.mu.Unlock()
-	go func() {
-		f()
-		g.finishMember()
-	}()
+	g.s.mu.Lock()
+	g.s.startLocked(f, g)
+	g.s.mu.Unlock()
 }
 
 func (g *simGroup) Join() {
@@ -250,75 +286,58 @@ func (g *simGroup) Join() {
 	<-ch
 }
 
-// finishMember is finishActor plus group bookkeeping, done under one lock
-// acquisition so waiters wake before time advances past their wake-up.
-func (g *simGroup) finishMember() {
-	s := g.s
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	g.count--
-	if g.count == 0 {
-		for _, ch := range g.waiters {
-			s.runnable++
-			close(ch)
-		}
-		g.waiters = nil
-	}
-	s.runnable--
-	s.alive--
-	if s.alive == 0 {
-		s.waitCond.Broadcast()
-		return
-	}
-	if s.runnable == 0 {
-		s.advanceLocked()
-	}
+// event is what a queue slot fires: a parked Sleep (wake != nil, pooled)
+// or a timer callback (fn != nil). A timer event is the Timer AfterFunc
+// returns, one object for the timer's life: every arm queues a slot
+// stamped with gen, and Stop and Reset kill it where it lies by moving on.
+type event struct {
+	s       *Sim // set on timer events only; Stop and Reset lock through it
+	wake    chan struct{}
+	fn      func()
+	gen     uint64
+	pending bool // a slot of this generation is queued and has not fired
 }
 
-// event is a pending wake-up (wake != nil) or timer callback (fn != nil).
-// A timer event is the Timer AfterFunc returns: one object per timer.
-type event struct {
-	s         *Sim // set on timer events only; Stop locks through it
-	at        time.Time
-	seq       uint64
-	wake      chan struct{}
-	fn        func()
-	cancelled bool
-	fired     bool
+// queued is one slot of the event heap: ev is due at `at`, after every
+// slot of the same instant queued before it, while ev.gen is still gen.
+type queued struct {
+	at  time.Time
+	seq uint64
+	ev  *event
+	gen uint64
+}
+
+func (q *queued) before(o *queued) bool {
+	if !q.at.Equal(o.at) {
+		return q.at.Before(o.at)
+	}
+	return q.seq < o.seq
 }
 
 // Stop cancels a timer event that has not fired.
 func (ev *event) Stop() bool {
 	ev.s.mu.Lock()
 	defer ev.s.mu.Unlock()
-	if ev.fired || ev.cancelled {
-		return false
-	}
-	ev.cancelled = true
-	return true
+	was := ev.pending
+	ev.pending = false
+	ev.gen++
+	return was
 }
 
-// eventQueue is a min-heap ordered by (at, seq).
-type eventQueue []*event
-
-func (q eventQueue) Len() int { return len(q) }
-
-func (q eventQueue) Less(i, j int) bool {
-	if !q[i].at.Equal(q[j].at) {
-		return q[i].at.Before(q[j].at)
+// Reset re-arms a timer event to fire d from now, whether or not it has
+// fired. The new slot takes its sequence number here: among the events of
+// an instant it fires where a timer made by this call would. A negative d
+// is zero, as for time.AfterFunc: virtual time never steps back.
+func (ev *event) Reset(d time.Duration) bool {
+	if d < 0 {
+		d = 0
 	}
-	return q[i].seq < q[j].seq
-}
-
-func (q eventQueue) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
-
-func (q *eventQueue) Push(x any) { *q = append(*q, x.(*event)) }
-
-func (q *eventQueue) Pop() any {
-	old := *q
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	*q = old[:n-1]
-	return ev
+	s := ev.s
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	was := ev.pending
+	ev.pending = true
+	ev.gen++
+	s.push(s.now.Add(d), ev)
+	return was
 }

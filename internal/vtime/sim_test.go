@@ -1,6 +1,8 @@
 package vtime
 
 import (
+	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -265,5 +267,149 @@ func TestRealRuntimeBasics(t *testing.T) {
 	}
 	if tm.Stop() {
 		t.Fatal("Stop after fire reported true")
+	}
+}
+
+// A negative delay is a zero delay, as for time.AfterFunc: the callback
+// fires at the current instant, after the events already queued for it,
+// and virtual time never steps back to now + d.
+func TestSimAfterFuncNegativeDelayFiresNow(t *testing.T) {
+	s := NewSim(simEpoch)
+	var (
+		mu    sync.Mutex
+		order []string
+		last  = simEpoch
+	)
+	observe := func(tag string) {
+		mu.Lock()
+		defer mu.Unlock()
+		now := s.Now()
+		if now.Before(last) {
+			t.Errorf("%s saw the clock step back from %v to %v", tag, last, now)
+		}
+		last = now
+		order = append(order, tag)
+	}
+	s.Go(func() {
+		s.Sleep(time.Second)
+		armedAt := s.Now()
+		at := func(tag string) func() {
+			return func() {
+				observe(tag)
+				if now := s.Now(); !now.Equal(armedAt) {
+					t.Errorf("%s fired at %v, want the arming instant %v", tag, now, armedAt)
+				}
+			}
+		}
+		s.AfterFunc(0, at("queued"))
+		s.AfterFunc(-10*time.Second, at("negative"))
+		s.AfterFunc(time.Hour, at("reset")).Reset(-time.Minute)
+		s.Sleep(time.Second)
+		observe("sleeper")
+		if got := s.Since(armedAt); got != time.Second {
+			t.Errorf("Since across the negative arms = %v, want 1s", got)
+		}
+	})
+	s.Wait()
+	if want := []string{"queued", "negative", "reset", "sleeper"}; !slices.Equal(order, want) {
+		t.Fatalf("order = %v, want %v", order, want)
+	}
+}
+
+// TestSimWaitLeavesNoGoroutines: the workers actors run on are released
+// when the last actor finishes, whatever is still queued.
+func TestSimWaitLeavesNoGoroutines(t *testing.T) {
+	before := runtime.NumGoroutine()
+	for i := 0; i < 100; i++ {
+		s := NewSim(simEpoch)
+		s.AfterFunc(time.Hour, func() { t.Error("a timer fired after the last actor finished") })
+		s.Go(func() {
+			g := s.NewGroup()
+			for j := 1; j <= 3; j++ {
+				j := j
+				g.Go(func() { s.Sleep(time.Duration(j) * time.Second) })
+			}
+			s.AfterFunc(time.Second, func() { s.Sleep(time.Second) })
+			g.Join()
+		})
+		s.Wait()
+	}
+	// Released workers exit on their own time.
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines before 100 Sims, %d after", before, runtime.NumGoroutine())
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestSimReusedAfterWait: a Sim whose actors have all finished, and whose
+// workers are therefore gone, starts actors and fires timers again.
+func TestSimReusedAfterWait(t *testing.T) {
+	s := NewSim(simEpoch)
+	s.Go(func() { s.Sleep(time.Second) })
+	s.Wait()
+	var fired time.Time
+	s.Go(func() {
+		s.AfterFunc(time.Second, func() { fired = s.Now() })
+		s.Sleep(2 * time.Second)
+	})
+	s.Wait()
+	if want := simEpoch.Add(2 * time.Second); !fired.Equal(want) {
+		t.Fatalf("timer of the second run fired at %v, want %v", fired, want)
+	}
+}
+
+// TestTimerRearmFireAllocatesNothing pins what a scheduled callback
+// costs once its timer exists: the arm is a heap slot, the fire a
+// hand-off to a parked worker. (Stop + AfterFunc per arm, the only way to
+// re-arm before Reset, read 4 here: the event, the caller's closure and
+// the go statement's two.)
+func TestTimerRearmFireAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	s := NewSim(simEpoch)
+	fires := 0
+	var allocs float64
+	s.Go(func() {
+		tm := s.AfterFunc(time.Hour, func() { fires++ })
+		allocs = testing.AllocsPerRun(200, func() {
+			tm.Reset(time.Millisecond)
+			s.Sleep(2 * time.Millisecond) // parks: the timer is due first
+		})
+	})
+	s.Wait()
+	if fires != 201 {
+		t.Fatalf("timer fired %d times in 201 cycles", fires)
+	}
+	if allocs != 0 {
+		t.Errorf("a Reset → fire → callback cycle allocates %v objects, want 0", allocs)
+	}
+}
+
+// TestGroupMemberStartAllocs pins a fan-out: three members started and
+// joined cost the group, the joiner's channel and the waiter list — none
+// per member.
+func TestGroupMemberStartAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	s := NewSim(simEpoch)
+	member := func() { s.Sleep(time.Millisecond) } // still asleep when the parent joins
+	var allocs float64
+	s.Go(func() {
+		allocs = testing.AllocsPerRun(200, func() {
+			g := s.NewGroup()
+			for i := 0; i < 3; i++ {
+				g.Go(member)
+			}
+			g.Join()
+		})
+	})
+	s.Wait()
+	t.Logf("Group.Go × 3 + Join: %v allocs", allocs)
+	if allocs != 3 {
+		t.Errorf("Group.Go × 3 + Join allocates %v objects, want 3", allocs)
 	}
 }

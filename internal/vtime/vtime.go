@@ -15,6 +15,9 @@
 // wake-up. Cross-actor blocking must therefore go through the primitives
 // offered here (Sleep, AfterFunc timers, Gate); blocking on an ordinary
 // channel from inside an actor would stall virtual time.
+//
+// A caller whose callback runs again and again keeps one Timer and
+// re-arms it with Reset, which under Sim allocates nothing.
 package vtime
 
 import "time"
@@ -36,9 +39,15 @@ type Clock interface {
 	Since(t time.Time) time.Duration
 }
 
-// Timer is a handle to a pending AfterFunc call.
+// Timer is a handle to an AfterFunc call, pending or not.
 type Timer interface {
 	// Stop cancels the timer. It reports whether the call was stopped
 	// before it fired.
 	Stop() bool
+
+	// Reset re-arms the timer to run its function d from now, as
+	// time.Timer.Reset does after time.AfterFunc: a pending call is moved,
+	// a fired or stopped timer armed again. It reports whether a call was
+	// pending. A negative d is zero.
+	Reset(d time.Duration) bool
 }

@@ -144,7 +144,7 @@ func (m *Monitor) Start() error {
 	return nil
 }
 
-// tick samples and reschedules while running.
+// tick samples and re-arms the timer Start made while running.
 func (m *Monitor) tick() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -152,7 +152,7 @@ func (m *Monitor) tick() {
 		return
 	}
 	m.sampleLocked()
-	m.timer = m.clock.AfterFunc(m.period, m.tick)
+	m.timer.Reset(m.period)
 }
 
 // sampleLocked evaluates the divergence conditions on the current

@@ -16,10 +16,12 @@ echo "== go test -race ./..."
 go test -race ./...
 
 # A per-read copy put back on the read path shows here as allocs/op: a
-# cached store read is 0, a simulated read 1 (its posts).
-echo "== hot-path cost (ns/op, allocs/op: checkers on a paper-shaped Test 2, cached store read, simulated read, scheduler)"
+# cached store read is 0, a simulated read 1 (its posts); so does an
+# object per armed timer (a re-arm and fire is 0, a delivered write 0).
+echo "== hot-path cost (ns/op, allocs/op: checkers on a paper-shaped Test 2, simulated read, scheduler, timer re-arm, store delivery, trace codec, journal append, cached store read)"
 go test -run '^$' -bench 'CheckTest|DivergenceWindows' -benchtime 20x -benchmem .
-go test -run '^$' -bench 'SelectionApply|SimScheduler' -benchtime 2000x -benchmem .
+go test -run '^$' -bench 'SelectionApply|SimScheduler|SimTimerRearm|StoreDeliver' -benchtime 2000x -benchmem .
+go test -run '^$' -bench 'TraceJSONL|CheckpointAppend' -benchtime 200x -benchmem .
 go test -run '^$' -bench 'StoreReadCached' -benchtime 2000x -benchmem ./internal/store
 
 # The replication path's cost on the virtual clock: exact, so any change
