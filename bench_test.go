@@ -298,9 +298,10 @@ func BenchmarkClockSync(b *testing.B) {
 	sim.Go(func() {
 		defer close(done)
 		ac := clocksync.NewSkewedClock(sim, skew)
-		probeFn := clocksync.SimProbe(sim, net, simnet.Virginia, simnet.Tokyo, ac, 1)
+		probeFn := clocksync.NewSimProbe(sim, net, simnet.Virginia, simnet.Tokyo, ac)
+		probeFn.Round(1)
 		for i := 0; i < b.N; i++ {
-			res, err := clocksync.Estimate(sim, probeFn, 5)
+			res, err := clocksync.Estimate(sim, probeFn.Probe, 5)
 			if err != nil {
 				b.Error(err)
 				return
@@ -788,7 +789,7 @@ func BenchmarkSelectionApply(b *testing.B) {
 		b.Fatal(err)
 	}
 	done := make(chan struct{})
-	b.ResetTimer()
+	b.ReportAllocs()
 	sim.Go(func() {
 		defer close(done)
 		for i := 0; i < 30; i++ {
@@ -797,6 +798,7 @@ func BenchmarkSelectionApply(b *testing.B) {
 				return
 			}
 		}
+		b.ResetTimer() // the writes and their replication are set-up
 		for i := 0; i < b.N; i++ {
 			if _, err := svc.Read(simnet.Oregon, "agent1"); err != nil {
 				b.Error(err)

@@ -17,6 +17,10 @@ import (
 // producers are done.
 type Aggregator struct {
 	rep *Report
+	// ix is re-prepared for every trace added, and diverged cleared for
+	// every divergence anomaly of one: both keep what they have grown.
+	ix       core.Index
+	diverged map[core.Pair]bool
 	// mTraces counts traces folded in; NewAggregator binds it to a nil
 	// scope (live, unregistered) and Instrument rebinds it.
 	mTraces *obs.Counter
@@ -42,7 +46,11 @@ func NewAggregator(serviceName string) *Aggregator {
 			PerPair: make(map[core.Pair]*PairStats),
 		}
 	}
-	return &Aggregator{rep: r, mTraces: (*obs.Scope)(nil).Counter("traces_total", "")}
+	return &Aggregator{
+		rep:      r,
+		diverged: make(map[core.Pair]bool),
+		mTraces:  (*obs.Scope)(nil).Counter("traces_total", ""),
+	}
 }
 
 // Instrument registers the aggregator's trace counter under sc
@@ -78,10 +86,10 @@ func (a *Aggregator) Add(tr *trace.TestTrace) {
 	switch tr.Kind {
 	case trace.Test1:
 		r.Test1Count++
-		r.analyzeTest1(core.NewIndex(tr))
+		a.analyzeTest1(a.ix.Reset(tr))
 	case trace.Test2:
 		r.Test2Count++
-		r.analyzeTest2(core.NewIndex(tr))
+		a.analyzeTest2(a.ix.Reset(tr))
 	}
 }
 

@@ -3,10 +3,12 @@ package analysis_test
 import (
 	"bytes"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
 	"conprobe/internal/analysis"
+	"conprobe/internal/core"
 	"conprobe/internal/probe"
 	"conprobe/internal/report"
 	"conprobe/internal/trace"
@@ -195,4 +197,44 @@ func sameMultisetDurations(a, b []time.Duration) bool {
 		}
 	}
 	return true
+}
+
+// TestWarmAddAllocations: an aggregator keeps one checker index and its
+// scratch for life, so folding in a trace like one it has seen costs no
+// heap object for a Test 2, divergence windows included, and for a Test 1
+// one per session anomaly that several agents observed: the key of their
+// combination ("1+3"; a one-byte key costs nothing). (A window sample or a
+// per-test count appended to the report grows a slice now and then; over a
+// hundred runs that rounds to zero.)
+func TestWarmAddAllocations(t *testing.T) {
+	var test1, test2 *trace.TestTrace
+	keys := 0 // session anomalies of test1 seen by more than one agent
+	for _, tr := range aggregatorCampaign(t) {
+		rep := analysis.Analyze("fbfeed", []*trace.TestTrace{tr})
+		switch {
+		case tr.Kind == trace.Test1 && test1 == nil:
+			for _, s := range rep.Session {
+				for combo := range s.Combos {
+					if strings.Contains(combo, "+") {
+						keys++
+					}
+				}
+			}
+			if keys > 0 {
+				test1 = tr
+			}
+		case tr.Kind == trace.Test2 && test2 == nil && rep.Divergence[core.OrderDivergence].TestsWithAnomaly > 0:
+			test2 = tr
+		}
+	}
+	if test1 == nil || test2 == nil {
+		t.Fatal("the campaign has no Test 1 with an anomaly two agents saw or no Test 2 with order divergence")
+	}
+	agg := analysis.NewAggregator("fbfeed")
+	for tr, want := range map[*trace.TestTrace]int{test1: keys, test2: 0} {
+		agg.Add(tr)
+		if n := testing.AllocsPerRun(100, func() { agg.Add(tr) }); int(n) != want {
+			t.Errorf("a warm Add of a %v allocates %v times, want %d", tr.Kind, n, want)
+		}
+	}
 }

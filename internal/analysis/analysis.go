@@ -6,8 +6,7 @@
 package analysis
 
 import (
-	"fmt"
-	"sort"
+	"strconv"
 	"strings"
 	"time"
 
@@ -172,36 +171,46 @@ func Analyze(serviceName string, traces []*trace.TestTrace) *Report {
 	return a.Report()
 }
 
-func (r *Report) analyzeTest1(ix *core.Index) {
+func (a *Aggregator) analyzeTest1(ix *core.Index) {
 	for _, anomaly := range core.SessionAnomalies() {
-		stats := r.Session[anomaly]
+		stats := a.rep.Session[anomaly]
 		stats.TestsTotal++
 		vs := ix.Check(anomaly)
 		if len(vs) == 0 {
 			continue
 		}
 		stats.TestsWithAnomaly++
-		perAgent := make(map[trace.AgentID]int)
-		for _, v := range vs {
-			perAgent[v.Agent]++
-		}
-		for ag, n := range perAgent {
+		// The session checkers report agents ascending, so each agent's
+		// violations are one run, and the runs spell the canonical key of
+		// the set of observing agents ("1+3").
+		var buf [32]byte
+		combo := buf[:0]
+		for len(vs) > 0 {
+			ag, n := vs[0].Agent, 1
+			for n < len(vs) && vs[n].Agent == ag {
+				n++
+			}
+			vs = vs[n:]
 			stats.PerTestCounts[ag] = append(stats.PerTestCounts[ag], n)
+			if len(combo) > 0 {
+				combo = append(combo, '+')
+			}
+			combo = strconv.AppendInt(combo, int64(ag), 10)
 		}
-		stats.Combos[comboKey(perAgent)]++
+		stats.Combos[string(combo)]++
 	}
 }
 
-func (r *Report) analyzeTest2(ix *core.Index) {
+func (a *Aggregator) analyzeTest2(ix *core.Index) {
 	for _, anomaly := range core.DivergenceAnomalies() {
-		stats := r.Divergence[anomaly]
+		stats := a.rep.Divergence[anomaly]
 		stats.TestsTotal++
 
-		diverged := make(map[core.Pair]bool)
+		clear(a.diverged)
 		for _, v := range ix.Check(anomaly) {
-			diverged[core.MakePair(v.Agent, v.Other)] = true
+			a.diverged[core.MakePair(v.Agent, v.Other)] = true
 		}
-		if len(diverged) > 0 {
+		if len(a.diverged) > 0 {
 			stats.TestsWithAnomaly++
 		}
 		for _, w := range ix.Windows(anomaly) {
@@ -211,7 +220,7 @@ func (r *Report) analyzeTest2(ix *core.Index) {
 				stats.PerPair[w.Pair] = ps
 			}
 			ps.TestsTotal++
-			if diverged[w.Pair] {
+			if a.diverged[w.Pair] {
 				ps.TestsWithAnomaly++
 			}
 			switch {
@@ -222,20 +231,6 @@ func (r *Report) analyzeTest2(ix *core.Index) {
 			}
 		}
 	}
-}
-
-// comboKey canonicalizes the set of observing agents ("1+3").
-func comboKey(perAgent map[trace.AgentID]int) string {
-	ids := make([]int, 0, len(perAgent))
-	for ag := range perAgent {
-		ids = append(ids, int(ag))
-	}
-	sort.Ints(ids)
-	parts := make([]string, len(ids))
-	for i, id := range ids {
-		parts[i] = fmt.Sprintf("%d", id)
-	}
-	return strings.Join(parts, "+")
 }
 
 // Histogram buckets per-test violation counts: result[n] is the number of

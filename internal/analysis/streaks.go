@@ -36,6 +36,7 @@ func DetectStreaks(traces []*trace.TestTrace, anomaly core.Anomaly, minLen int) 
 		byKind[tr.Kind] = append(byKind[tr.Kind], tr)
 	}
 	var out []Streak
+	var ix core.Index // re-prepared per trace, growing its buffers once
 	for kind, ts := range byKind {
 		sort.Slice(ts, func(i, j int) bool { return ts[i].TestID < ts[j].TestID })
 		var cur *Streak
@@ -49,7 +50,7 @@ func DetectStreaks(traces []*trace.TestTrace, anomaly core.Anomaly, minLen int) 
 			agents = make(map[trace.AgentID]bool)
 		}
 		for _, tr := range ts {
-			vs := violationsOf(tr, anomaly)
+			vs := ix.Reset(tr).Check(anomaly)
 			if len(vs) == 0 {
 				flush()
 				continue
@@ -75,11 +76,6 @@ func DetectStreaks(traces []*trace.TestTrace, anomaly core.Anomaly, minLen int) 
 		return out[i].FirstID < out[j].FirstID
 	})
 	return out
-}
-
-// violationsOf runs the checker matching the anomaly.
-func violationsOf(tr *trace.TestTrace, anomaly core.Anomaly) []core.Violation {
-	return core.NewIndex(tr).Check(anomaly)
 }
 
 func sortedAgentSet(m map[trace.AgentID]bool) []trace.AgentID {
@@ -124,6 +120,7 @@ func TimeSeries(traces []*trace.TestTrace, anomaly core.Anomaly, kind trace.Test
 	}
 	sort.Slice(ts, func(i, j int) bool { return ts[i].TestID < ts[j].TestID })
 	var out []BlockRate
+	var ix core.Index
 	for start := 0; start < len(ts); start += blockSize {
 		end := start + blockSize
 		if end > len(ts) {
@@ -131,7 +128,7 @@ func TimeSeries(traces []*trace.TestTrace, anomaly core.Anomaly, kind trace.Test
 		}
 		b := BlockRate{FirstID: ts[start].TestID, LastID: ts[end-1].TestID, Tests: end - start}
 		for _, tr := range ts[start:end] {
-			if len(violationsOf(tr, anomaly)) > 0 {
+			if len(ix.Reset(tr).Check(anomaly)) > 0 {
 				b.WithAnomaly++
 			}
 		}

@@ -113,8 +113,8 @@ func TestDetectStreaksFindsInjectedTokyoFault(t *testing.T) {
 }
 
 func TestViolationsOfCoversEveryAnomaly(t *testing.T) {
-	// One trace exhibiting each anomaly class; violationsOf must route
-	// to the right checker.
+	// One trace exhibiting each anomaly class; both offline views must
+	// route each to its checker.
 	w3 := wr("m3", 2, 1, 300)
 	w3.Trigger = "m2"
 	tr := &trace.TestTrace{
@@ -129,13 +129,17 @@ func TestViolationsOfCoversEveryAnomaly(t *testing.T) {
 			rd(2, 700, "m2", "m1"),
 		},
 	}
+	traces := []*trace.TestTrace{tr}
 	for _, a := range core.AllAnomalies() {
-		if got := violationsOf(tr, a); len(got) == 0 {
-			t.Errorf("violationsOf(%v) found nothing", a)
+		if got := DetectStreaks(traces, a, 1); len(got) != 1 {
+			t.Errorf("DetectStreaks(%v) found %d streaks, want 1", a, len(got))
+		}
+		if got := TimeSeries(traces, a, trace.Test1, 1); len(got) != 1 || got[0].WithAnomaly != 1 {
+			t.Errorf("TimeSeries(%v) = %+v, want one block with the anomaly", a, got)
 		}
 	}
-	if violationsOf(tr, core.Anomaly(42)) != nil {
-		t.Error("unknown anomaly should yield nil")
+	if got := DetectStreaks(traces, core.Anomaly(42), 1); got != nil {
+		t.Errorf("unknown anomaly yields %+v, want nothing", got)
 	}
 }
 

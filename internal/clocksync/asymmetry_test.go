@@ -23,8 +23,9 @@ func TestAsymmetricLinkBiasesEstimate(t *testing.T) {
 
 	s.Go(func() {
 		ac := NewSkewedClock(s, skew)
-		probe := SimProbe(s, net, simnet.Virginia, simnet.Tokyo, ac, 1)
-		res, err := Estimate(s, probe, 5)
+		probe := NewSimProbe(s, net, simnet.Virginia, simnet.Tokyo, ac)
+		probe.Round(1)
+		res, err := Estimate(s, probe.Probe, 5)
 		if err != nil {
 			t.Error(err)
 			return

@@ -118,7 +118,7 @@ func (c *SkewedClock) AfterFunc(d time.Duration, f func()) vtime.Timer {
 // Since returns elapsed skewed-local time since t.
 func (c *SkewedClock) Since(t time.Time) time.Duration { return c.Now().Sub(t) }
 
-// Skew returns the configured skew (test hook).
+// Skew returns the configured skew.
 func (c *SkewedClock) Skew() time.Duration {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -132,40 +132,51 @@ func (c *SkewedClock) SetSkew(d time.Duration) {
 	c.skew = d
 }
 
-// Hash derives a stable identity from the clock's skew, combined with a
-// caller salt to key the simulated probe's deterministic delays.
-func (c *SkewedClock) Hash() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return int64(c.skew)
+// SimProbe models the coordinator's time queries to one agent over the
+// simulated network: sleep a sampled one-way delay, read the agent's
+// skewed clock, sleep the return leg. Delays are keyed by (salt, probe
+// count), so a probe sequence is deterministic regardless of what else
+// runs concurrently in the simulation. One value serves an agent for a
+// whole campaign: Round restarts it under the next round's salt.
+type SimProbe struct {
+	clock        vtime.Clock
+	net          *simnet.Network
+	coord, agent simnet.Site
+	agentClock   *SkewedClock
+	base         detrand.Key
+	n            uint64
 }
 
-// SimProbe builds a ProbeFunc that models one coordinator→agent time
-// query over the simulated network: sleep a sampled one-way delay, read
-// the agent's skewed clock, sleep the return leg. Delays are keyed by
-// (salt, probe count), so a probe sequence is deterministic regardless
-// of what else runs concurrently in the simulation; callers vary salt
-// per synchronization round.
-func SimProbe(clock vtime.Clock, net *simnet.Network, coord, agent simnet.Site, agentClock *SkewedClock, salt int64) ProbeFunc {
-	var n uint64
-	base := detrand.NewKey(agentClock.Hash()^salt, "clocksync").Str(string(coord)).Str(string(agent))
-	return func() (time.Time, error) {
-		if !net.Reachable(coord, agent) {
-			return time.Time{}, fmt.Errorf("clocksync: %s unreachable from %s", agent, coord)
-		}
-		n++
-		k := base.Uint(n)
-		d1, err := net.OneWayU(coord, agent, k.Str("go").Float64())
-		if err != nil {
-			return time.Time{}, err
-		}
-		clock.Sleep(d1)
-		remote := agentClock.Now()
-		d2, err := net.OneWayU(agent, coord, k.Str("back").Float64())
-		if err != nil {
-			return time.Time{}, err
-		}
-		clock.Sleep(d2)
-		return remote, nil
+// NewSimProbe returns the coordinator at coord's probe of the agent at
+// agent, whose local clock is agentClock. Call Round before Probe.
+func NewSimProbe(clock vtime.Clock, net *simnet.Network, coord, agent simnet.Site, agentClock *SkewedClock) *SimProbe {
+	return &SimProbe{clock: clock, net: net, coord: coord, agent: agent, agentClock: agentClock}
+}
+
+// Round starts a synchronization round: the probes that follow draw their
+// delays from salt and the agent clock's skew as it is now.
+func (p *SimProbe) Round(salt int64) {
+	p.n = 0
+	p.base = detrand.NewKey(int64(p.agentClock.Skew())^salt, "clocksync").Str(string(p.coord)).Str(string(p.agent))
+}
+
+// Probe is the round's next query, a ProbeFunc.
+func (p *SimProbe) Probe() (time.Time, error) {
+	if !p.net.Reachable(p.coord, p.agent) {
+		return time.Time{}, fmt.Errorf("clocksync: %s unreachable from %s", p.agent, p.coord)
 	}
+	p.n++
+	k := p.base.Uint(p.n)
+	d1, err := p.net.OneWayU(p.coord, p.agent, k.Str("go").Float64())
+	if err != nil {
+		return time.Time{}, err
+	}
+	p.clock.Sleep(d1)
+	remote := p.agentClock.Now()
+	d2, err := p.net.OneWayU(p.agent, p.coord, k.Str("back").Float64())
+	if err != nil {
+		return time.Time{}, err
+	}
+	p.clock.Sleep(d2)
+	return remote, nil
 }

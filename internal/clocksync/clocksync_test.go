@@ -24,8 +24,9 @@ func TestEstimateRecoversSkewWithoutJitter(t *testing.T) {
 		skew := skew
 		s.Go(func() {
 			ac := NewSkewedClock(s, skew)
-			probe := SimProbe(s, net, simnet.Virginia, simnet.Tokyo, ac, 1)
-			res, err := Estimate(s, probe, 5)
+			probe := NewSimProbe(s, net, simnet.Virginia, simnet.Tokyo, ac)
+			probe.Round(1)
+			res, err := Estimate(s, probe.Probe, 5)
 			if err != nil {
 				t.Error(err)
 				return
@@ -53,8 +54,9 @@ func TestEstimateWithinUncertaintyUnderJitter(t *testing.T) {
 	const skew = 500 * time.Millisecond
 	s.Go(func() {
 		ac := NewSkewedClock(s, skew)
-		probe := SimProbe(s, net, simnet.Virginia, simnet.Oregon, ac, 1)
-		res, err := Estimate(s, probe, 8)
+		probe := NewSimProbe(s, net, simnet.Virginia, simnet.Oregon, ac)
+		probe.Round(1)
+		res, err := Estimate(s, probe.Probe, 8)
 		if err != nil {
 			t.Error(err)
 			return
@@ -76,8 +78,9 @@ func TestEstimatePartitionedAgentFails(t *testing.T) {
 	net.Partition(simnet.Virginia, simnet.Ireland)
 	s.Go(func() {
 		ac := NewSkewedClock(s, 0)
-		probe := SimProbe(s, net, simnet.Virginia, simnet.Ireland, ac, 1)
-		if _, err := Estimate(s, probe, 3); err == nil {
+		probe := NewSimProbe(s, net, simnet.Virginia, simnet.Ireland, ac)
+		probe.Round(1)
+		if _, err := Estimate(s, probe.Probe, 3); err == nil {
 			t.Error("estimate across partition succeeded")
 		}
 	})

@@ -95,29 +95,34 @@ type Violation struct {
 // trace can in principle exhibit any anomaly.
 func CheckTest(tr *trace.TestTrace) []Violation {
 	ix := NewIndex(tr)
-	var out []Violation
 	for a := ReadYourWrites; a <= OrderDivergence; a++ {
-		out = append(out, ix.Check(a)...)
+		ix.Check(a) // appends to ix.violations
 	}
-	return out
+	return ix.violations
 }
 
 // Check returns the violations of one anomaly, as the Check function of
-// that name does.
+// that name does. The result is the index's own memory, good until the
+// next Reset.
 func (ix *Index) Check(a Anomaly) []Violation {
+	start := len(ix.violations)
 	switch a {
 	case ReadYourWrites:
-		return ix.readYourWrites()
+		ix.readYourWrites()
 	case MonotonicWrites:
-		return ix.monotonicWrites()
+		ix.monotonicWrites()
 	case MonotonicReads:
-		return ix.monotonicReads()
+		ix.monotonicReads()
 	case WritesFollowsReads:
-		return ix.writesFollowsReads()
+		ix.writesFollowsReads()
 	case ContentDivergence, OrderDivergence:
-		return ix.divergence(a)
+		ix.divergence(a)
 	}
-	return nil
+	if len(ix.violations) == start {
+		return nil
+	}
+	// The capacity is cut: the next Check appends right behind.
+	return ix.violations[start:len(ix.violations):len(ix.violations)]
 }
 
 // ByAnomaly groups violations by anomaly type.

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"conprobe/internal/probe"
 	"conprobe/internal/trace"
 )
 
@@ -59,22 +60,92 @@ func requireMatchesReference(t *testing.T, tr *trace.TestTrace) {
 	if got, want := CheckTest(tr), expectedCheckTest(tr); !same(got, want) {
 		t.Fatalf("CheckTest differs from the reference\n got %v\nwant %v\ntrace %+v", got, want, tr)
 	}
-	ix := NewIndex(tr)
-	for _, a := range AllAnomalies() {
-		if got, want := ix.Check(a), expectedCheck(tr, a); !same(got, want) {
-			t.Fatalf("%v differs from the reference\n got %v\nwant %v\ntrace %+v", a, got, want, tr)
-		}
-	}
-	for _, a := range DivergenceAnomalies() {
-		if got, want := ix.Windows(a), ReferenceWindows(tr, a); !same(got, want) {
-			t.Fatalf("%v windows differ from the reference\n got %+v\nwant %+v\ntrace %+v", a, got, want, tr)
-		}
-	}
+	requireIndexMatchesReference(t, NewIndex(tr), tr, false)
 	if got, want := ContentDivergenceWindows(tr), ReferenceWindows(tr, ContentDivergence); !same(got, want) {
 		t.Fatalf("ContentDivergenceWindows differs from the reference")
 	}
 	if got, want := OrderDivergenceWindows(tr), ReferenceWindows(tr, OrderDivergence); !same(got, want) {
 		t.Fatalf("OrderDivergenceWindows differs from the reference")
+	}
+}
+
+// requireIndexMatchesReference asks an index prepared for tr for every
+// anomaly and both window scans, the scans first if windowsFirst, and
+// compares only once it has them all: a result written over by a later
+// call, which an index that keeps its result buffers could do, shows here.
+func requireIndexMatchesReference(t *testing.T, ix *Index, tr *trace.TestTrace, windowsFirst bool) {
+	t.Helper()
+	checks := make(map[Anomaly][]Violation)
+	windows := make(map[Anomaly][]WindowResult)
+	scan := func() {
+		for _, a := range DivergenceAnomalies() {
+			windows[a] = ix.Windows(a)
+		}
+	}
+	if windowsFirst {
+		scan()
+	}
+	for _, a := range AllAnomalies() {
+		checks[a] = ix.Check(a)
+	}
+	if !windowsFirst {
+		scan()
+	}
+	for _, a := range AllAnomalies() {
+		if got, want := checks[a], expectedCheck(tr, a); !same(got, want) {
+			t.Fatalf("%v differs from the reference\n got %v\nwant %v\ntrace %+v", a, got, want, tr)
+		}
+	}
+	for _, a := range DivergenceAnomalies() {
+		if got, want := windows[a], ReferenceWindows(tr, a); !same(got, want) {
+			t.Fatalf("%v windows differ from the reference\n got %+v\nwant %+v\ntrace %+v", a, got, want, tr)
+		}
+	}
+}
+
+// googlePlusTest2 is a real Test 2 of the googleplus profile: three agents,
+// 45 reads each, the largest trace a campaign hands an index.
+func googlePlusTest2(t testing.TB) *trace.TestTrace {
+	t.Helper()
+	res, err := probe.Simulate(probe.SimulateOptions{Service: "googleplus", Test2Count: 1, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := res.Traces[0]
+	if len(tr.Reads) != 3*45 {
+		t.Fatalf("googleplus Test 2 has %d reads, want 3 x 45", len(tr.Reads))
+	}
+	return tr
+}
+
+// TestReusedIndexMatchesReference: one Index, Reset from trace to trace,
+// must answer every question as a new one does. The sequence is the
+// malformed-trace generator's, shuffled in with runs of the largest real
+// trace followed by an empty one and a one-read one, so that whatever a
+// large trace leaves in the buffers — interned IDs, kernel stamps, reads,
+// events, results — meets the traces least able to overwrite it.
+func TestReusedIndexMatchesReference(t *testing.T) {
+	r := rand.New(rand.NewSource(23))
+	big := googlePlusTest2(t)
+	empty := &trace.TestTrace{TestID: 2, Kind: trace.Test2, Agents: 3}
+	oneRead := newTrace(3, nil, []trace.Read{rd(2, 10, 20, "m1")})
+	var seq []*trace.TestTrace
+	for n := 0; n < 600; n++ {
+		seq = append(seq, randomTrace(r))
+	}
+	seq = append(seq, multiAnomalyTrace(), test2Fixture(45), windowTrace())
+	r.Shuffle(len(seq), func(i, j int) { seq[i], seq[j] = seq[j], seq[i] })
+	for _, at := range []int{0, len(seq) / 3, len(seq)} {
+		seq = slices.Insert(seq, at, big, empty, oneRead)
+	}
+
+	var ix Index
+	for n, tr := range seq {
+		requireIndexMatchesReference(t, ix.Reset(tr), tr, n%2 == 1)
+		requireIndexMatchesReference(t, NewIndex(tr), tr, n%2 == 1)
+		if kept := len(ix.ids.list) + len(ix.ids.byID) + len(ix.reads) + len(ix.flat) + len(ix.writes) + len(ix.deps) + len(ix.agents); tr == empty && kept != 0 {
+			t.Fatalf("an index reset to an empty trace still holds %d entries of the trace before", kept)
+		}
 	}
 }
 

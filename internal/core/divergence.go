@@ -21,17 +21,17 @@ func MakePair(a, b trace.AgentID) Pair {
 	return Pair{A: a, B: b}
 }
 
-// Pairs returns every unordered agent pair of the trace.
-func Pairs(tr *trace.TestTrace) []Pair {
-	if tr.Agents < 2 {
-		return nil
+// appendPairs appends every unordered pair of agents 1..agents to out.
+func appendPairs(out []Pair, agents int) []Pair {
+	if agents < 2 {
+		return out
 	}
 	// Sized for a plausible test: a trace file may declare any count, and
 	// the product must neither overflow nor reserve memory on its say-so.
-	n := min(tr.Agents, 64)
-	out := make([]Pair, 0, n*(n-1)/2)
-	for a := 1; a <= tr.Agents; a++ {
-		for b := a + 1; b <= tr.Agents; b++ {
+	n := min(agents, 64)
+	out = slices.Grow(out, n*(n-1)/2)
+	for a := 1; a <= agents; a++ {
+		for b := a + 1; b <= agents; b++ {
 			out = append(out, Pair{A: trace.AgentID(a), B: trace.AgentID(b)})
 		}
 	}
@@ -111,7 +111,7 @@ func CheckOrderDivergence(tr *trace.TestTrace) []Violation {
 
 // divergence returns one violation per read of each pair's first agent
 // that diverges from some read of the second, the earliest such read.
-func (ix *Index) divergence(kind Anomaly) (out []Violation) {
+func (ix *Index) divergence(kind Anomaly) {
 	for i, ra := range ix.agents {
 		for _, rb := range ix.agents[i+1:] {
 			if ra.id < 1 || int(rb.id) > ix.tr.Agents {
@@ -128,13 +128,12 @@ func (ix *Index) divergence(kind Anomaly) (out []Violation) {
 						v.Write, v.Write2 = ix.ids.list[w.x], ix.ids.list[w.y]
 					}
 					// Room for the rest of A's reads: at most one each.
-					out = append(slices.Grow(out, len(ra.reads)-i), v)
+					ix.violations = append(slices.Grow(ix.violations, len(ra.reads)-i), v)
 					break
 				}
 			}
 		}
 	}
-	return out
 }
 
 // WindowResult summarizes the divergence windows observed between one pair
@@ -170,26 +169,28 @@ func OrderDivergenceWindows(tr *trace.TestTrace) []WindowResult {
 }
 
 // Windows measures the divergence windows of kind for every agent pair.
+// Like Check's, the result is good until the next Reset.
 func (ix *Index) Windows(kind Anomaly) []WindowResult {
 	tr := ix.tr
-	pairs := Pairs(tr)
-	if len(pairs) == 0 {
-		return nil
-	}
-	for i := range ix.agents {
-		av := &ix.agents[i]
-		if av.byReturn != nil {
-			continue
+	if len(ix.pairs) == 0 { // the trace's first scan
+		if ix.pairs = appendPairs(ix.pairs, tr.Agents); len(ix.pairs) == 0 {
+			return nil
 		}
-		av.byReturn = make([]event, len(av.reads))
-		for j, r := range av.reads {
-			av.byReturn[j] = event{at: tr.Corrected(av.id, r.r.Returned), seq: r.seq}
+		ev := slices.Grow(ix.events[:0], len(ix.reads))[:len(ix.reads)]
+		ix.events = ev
+		for i := range ix.agents {
+			av := &ix.agents[i]
+			av.byReturn, ev = ev[:len(av.reads)], ev[len(av.reads):]
+			for j, r := range av.reads {
+				av.byReturn[j] = event{at: tr.Corrected(av.id, r.r.Returned), seq: r.seq}
+			}
+			slices.SortStableFunc(av.byReturn, func(x, y event) int { return x.at.Compare(y.at) })
 		}
-		slices.SortStableFunc(av.byReturn, func(x, y event) int { return x.at.Compare(y.at) })
+		ix.windows = slices.Grow(ix.windows, 2*len(ix.pairs)) // a scan per divergence kind
 	}
 
-	out := make([]WindowResult, len(pairs))
-	for n, p := range pairs {
+	start := len(ix.windows)
+	for _, p := range ix.pairs {
 		res := WindowResult{Pair: p, Converged: true}
 		var (
 			lastA, lastB  []int32
@@ -237,7 +238,7 @@ func (ix *Index) Windows(kind Anomaly) []WindowResult {
 			res.Converged = false
 			closeWindow(lastEventTime)
 		}
-		out[n] = res
+		ix.windows = append(ix.windows, res)
 	}
-	return out
+	return ix.windows[start:len(ix.windows):len(ix.windows)]
 }

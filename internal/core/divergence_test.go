@@ -164,7 +164,7 @@ func TestCheckDivergenceAcrossNonOverlappingReads(t *testing.T) {
 
 func TestPairsEnumeration(t *testing.T) {
 	tr := newTrace(3, nil, nil)
-	ps := Pairs(tr)
+	ps := appendPairs(nil, tr.Agents)
 	want := []Pair{{1, 2}, {1, 3}, {2, 3}}
 	if len(ps) != 3 {
 		t.Fatalf("got %v", ps)

@@ -66,7 +66,9 @@ func FuzzDivergencePredicates(f *testing.F) {
 // traces: no input may panic it, every checker and window scan must
 // return what the reference oracle makes of the trace, and the
 // collection-fault accounting must stay consistent with the per-agent
-// maps. The window scans return one row per declared pair, so they and
+// maps. Each trace also goes through one index kept from input to input.
+// The window scans
+// return one row per declared pair, so they and
 // the oracle (which also groups by the declared count) run only on traces
 // declaring a plausible number of agents. Seeds include traces
 // carrying the resilience-era SkippedOps/RetriedOps/BreakerTrips
@@ -94,8 +96,18 @@ func FuzzCheckTest(f *testing.F) {
 	f.Add([]byte(`{"kind":2,"agents":4294967296,"failed_ops":{"1":2},` +
 		`"reads":[{"agent":5,"observed":["a"]},{"agent":4294967296,"observed":["c"]}]}`))
 
+	// Grown to a paper-sized Test 2 once; every input then meets it as a
+	// trace showing all six anomalies left it.
+	reused, dirty := NewIndex(test2Fixture(45)), multiAnomalyTrace()
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := trace.NewReader(bytes.NewReader(data))
+		reused.Reset(dirty)
+		for _, a := range AllAnomalies() {
+			reused.Check(a)
+		}
+		for _, a := range DivergenceAnomalies() {
+			reused.Windows(a)
+		}
 		for {
 			tr, err := r.Read()
 			if err == io.EOF {
@@ -106,6 +118,7 @@ func FuzzCheckTest(f *testing.F) {
 			}
 			if tr.Agents <= 64 {
 				requireMatchesReference(t, tr)
+				requireIndexMatchesReference(t, reused.Reset(tr), tr, true)
 			}
 			vs := CheckTest(tr)
 			// Grouping must partition the violations exactly.

@@ -11,18 +11,33 @@ import (
 // Index is one trace prepared for every checker: operations grouped by
 // agent and sorted once, and write IDs interned to small integers so the
 // divergence kernel compares sequences without building a map per pair of
-// reads. Build it with NewIndex and ask it for any anomaly or window; an
-// Index is not safe for concurrent use.
+// reads. Build it with NewIndex, or Reset one kept from the last trace,
+// and ask it for any anomaly or window; an Index is not safe for
+// concurrent use and, pointing into itself, must not be copied once used.
 type Index struct {
 	tr  *trace.TestTrace
 	ids interner
-	// agents lists every agent with a read, ascending; an agent's reads
-	// are a run of one slice sorted by (agent, invocation).
-	agents []agentView
+	// agents lists every agent with a read, ascending (in agentBuf up to
+	// four; the paper's tests have three). An agent's reads are a run of
+	// reads, sorted by (agent, invocation); their sequences, runs of flat.
+	agents   []agentView
+	agentBuf [4]agentView
+	reads    []readView
+	flat     []int32
 	// writes is sorted by (agent, issue order); deps are the writes
 	// carrying a trigger, in trace order.
 	writes, deps []writeView
 	k            kernel
+
+	// pairs and events (of which each agent's byReturn is a run) are filled
+	// by the trace's first window scan; seen and order are monotonicReads'
+	// scratch; what Check and Windows return is appended to the last two.
+	pairs      []Pair
+	events     []event
+	seen       []bool
+	order      []int32
+	violations []Violation
+	windows    []WindowResult
 }
 
 type agentView struct {
@@ -50,27 +65,37 @@ type event struct {
 
 // NewIndex prepares tr for checking. The index reads tr but never
 // modifies it.
-func NewIndex(tr *trace.TestTrace) *Index {
-	// Initial capacities fit the paper's tests: reads return the test's own
-	// writes, three agents.
-	ix := &Index{tr: tr, agents: make([]agentView, 0, 4)}
-	ix.ids.byID = make(map[trace.WriteID]int32, len(tr.Writes))
-	ix.ids.list = make([]trace.WriteID, 0, len(tr.Writes))
+func NewIndex(tr *trace.TestTrace) *Index { return new(Index).Reset(tr) }
+
+// Reset prepares the index for tr in place of the trace it held, keeping
+// every buffer it has grown, and returns it. What Check and Windows
+// returned for the earlier trace is overwritten.
+func (ix *Index) Reset(tr *trace.TestTrace) *Index {
+	ix.tr = tr
+	if ix.ids.byID == nil {
+		ix.ids.byID = make(map[trace.WriteID]int32, len(tr.Writes))
+	}
+	clear(ix.ids.byID)
+	// Reads mostly return the test's own writes.
+	ix.ids.list = slices.Grow(ix.ids.list[:0], len(tr.Writes))
+	ix.pairs, ix.violations, ix.windows = ix.pairs[:0], ix.violations[:0], ix.windows[:0]
 
 	observed := 0
 	for i := range tr.Reads {
 		observed += len(tr.Reads[i].Observed)
 	}
-	flat := make([]int32, 0, observed)
-	reads := make([]readView, len(tr.Reads))
+	// Grown to its full size first: the reads keep sub-slices of it.
+	flat := slices.Grow(ix.flat[:0], observed)
+	reads := slices.Grow(ix.reads[:0], len(tr.Reads))
 	for i := range tr.Reads {
 		r := &tr.Reads[i]
 		start := len(flat)
 		for _, id := range r.Observed {
 			flat = append(flat, ix.ids.intern(id))
 		}
-		reads[i] = readView{r: r, seq: flat[start:]}
+		reads = append(reads, readView{r: r, seq: flat[start:]})
 	}
+	ix.flat, ix.reads = flat, reads
 	slices.SortStableFunc(reads, func(a, b readView) int {
 		if c := cmp.Compare(a.r.Agent, b.r.Agent); c != 0 {
 			return c
@@ -78,14 +103,15 @@ func NewIndex(tr *trace.TestTrace) *Index {
 		return trace.CompareReads(a.r, b.r)
 	})
 
-	ix.writes = make([]writeView, len(tr.Writes))
+	ix.writes, ix.deps = slices.Grow(ix.writes[:0], len(tr.Writes)), slices.Grow(ix.deps[:0], len(tr.Writes))
 	for i := range tr.Writes {
 		w := &tr.Writes[i]
-		ix.writes[i] = writeView{w: w, id: ix.ids.intern(w.ID), trigger: -1}
+		wv := writeView{w: w, id: ix.ids.intern(w.ID), trigger: -1}
 		if w.Trigger != "" {
-			ix.writes[i].trigger = ix.ids.intern(w.Trigger)
-			ix.deps = append(ix.deps, ix.writes[i])
+			wv.trigger = ix.ids.intern(w.Trigger)
+			ix.deps = append(ix.deps, wv)
 		}
+		ix.writes = append(ix.writes, wv)
 	}
 	slices.SortStableFunc(ix.writes, func(a, b writeView) int {
 		if c := cmp.Compare(a.w.Agent, b.w.Agent); c != 0 {
@@ -96,6 +122,7 @@ func NewIndex(tr *trace.TestTrace) *Index {
 	ix.k.grow(len(ix.ids.list))
 
 	// Cut the sorted reads into per-agent runs.
+	ix.agents = ix.agentBuf[:0]
 	for len(reads) > 0 {
 		n := 1
 		for n < len(reads) && reads[n].r.Agent == reads[0].r.Agent {
@@ -149,34 +176,38 @@ func (v verdict) holds(a Anomaly) bool {
 }
 
 // kernel evaluates the divergence conditions over interned sequences
-// without allocating: pos[id] is id's last position in the sequence most
-// recently marked, valid only while stamp[id] equals epoch, so starting
-// a new sequence costs one increment instead of clearing a map.
+// without allocating: cells[id].pos is id's last position in the sequence
+// most recently marked, valid only while cells[id].stamp equals epoch, so
+// starting a new sequence costs one increment instead of clearing a map.
 type kernel struct {
-	pos   []int32
-	stamp []uint32
+	cells []cell
 	epoch uint32
+}
+
+type cell struct {
+	pos   int32
+	stamp uint32
 }
 
 // grow makes room for ids below n.
 func (k *kernel) grow(n int) {
-	if len(k.pos) < n {
-		k.pos, k.stamp, k.epoch = make([]int32, n), make([]uint32, n), 0
+	if len(k.cells) < n {
+		k.cells, k.epoch = make([]cell, n), 0
 	}
 }
 
 func (k *kernel) mark(s []int32) {
 	k.epoch++
 	if k.epoch == 0 { // wrapped: old stamps could match again
-		clear(k.stamp)
+		clear(k.cells)
 		k.epoch = 1
 	}
 	for i, id := range s {
-		k.pos[id], k.stamp[id] = int32(i), k.epoch
+		k.cells[id] = cell{pos: int32(i), stamp: k.epoch}
 	}
 }
 
-func (k *kernel) at(id int32) (int32, bool) { return k.pos[id], k.stamp[id] == k.epoch }
+func (k *kernel) at(id int32) (int32, bool) { return k.cells[id].pos, k.cells[id].stamp == k.epoch }
 
 // diverged evaluates
 //

@@ -21,7 +21,7 @@ func CheckReadYourWrites(tr *trace.TestTrace) []Violation {
 	return NewIndex(tr).Check(ReadYourWrites)
 }
 
-func (ix *Index) readYourWrites() (out []Violation) {
+func (ix *Index) readYourWrites() {
 	for _, av := range ix.agents {
 		for ri, r := range av.reads {
 			for _, w := range ix.writes {
@@ -31,7 +31,7 @@ func (ix *Index) readYourWrites() (out []Violation) {
 					continue
 				}
 				if !slices.Contains(r.seq, w.id) {
-					out = append(out, Violation{
+					ix.violations = append(ix.violations, Violation{
 						Anomaly:   ReadYourWrites,
 						Agent:     av.id,
 						ReadIndex: ri,
@@ -41,7 +41,6 @@ func (ix *Index) readYourWrites() (out []Violation) {
 			}
 		}
 	}
-	return out
 }
 
 // CheckMonotonicWrites detects Monotonic Writes violations:
@@ -55,7 +54,7 @@ func CheckMonotonicWrites(tr *trace.TestTrace) []Violation {
 	return NewIndex(tr).Check(MonotonicWrites)
 }
 
-func (ix *Index) monotonicWrites() (out []Violation) {
+func (ix *Index) monotonicWrites() {
 	ws := ix.writes
 	for _, av := range ix.agents {
 		for ri, r := range av.reads {
@@ -68,7 +67,7 @@ func (ix *Index) monotonicWrites() (out []Violation) {
 					}
 					px := slices.Index(r.seq, ws[i].id)
 					if px < 0 || py < px {
-						out = append(out, Violation{
+						ix.violations = append(ix.violations, Violation{
 							Anomaly:   MonotonicWrites,
 							Agent:     av.id,
 							ReadIndex: ri,
@@ -80,7 +79,6 @@ func (ix *Index) monotonicWrites() (out []Violation) {
 			}
 		}
 	}
-	return out
 }
 
 // CheckMonotonicReads detects Monotonic Reads violations:
@@ -97,16 +95,15 @@ func CheckMonotonicReads(tr *trace.TestTrace) []Violation {
 	return NewIndex(tr).Check(MonotonicReads)
 }
 
-func (ix *Index) monotonicReads() (out []Violation) {
-	seen := make([]bool, len(ix.ids.list))
-	var order []int32 // seen, by first observation
+func (ix *Index) monotonicReads() {
+	ix.seen = slices.Grow(ix.seen[:0], len(ix.ids.list))[:len(ix.ids.list)]
 	for _, av := range ix.agents {
-		clear(seen)
-		order = order[:0]
+		clear(ix.seen)
+		ix.order = ix.order[:0] // seen, by first observation
 		for ri, r := range av.reads {
-			for _, id := range order {
+			for _, id := range ix.order {
 				if !slices.Contains(r.seq, id) {
-					out = append(out, Violation{
+					ix.violations = append(ix.violations, Violation{
 						Anomaly:   MonotonicReads,
 						Agent:     av.id,
 						ReadIndex: ri,
@@ -115,14 +112,13 @@ func (ix *Index) monotonicReads() (out []Violation) {
 				}
 			}
 			for _, id := range r.seq {
-				if !seen[id] {
-					seen[id] = true
-					order = append(order, id)
+				if !ix.seen[id] {
+					ix.seen[id] = true
+					ix.order = append(ix.order, id)
 				}
 			}
 		}
 	}
-	return out
 }
 
 // CheckWritesFollowsReads detects Writes Follows Reads violations:
@@ -139,12 +135,12 @@ func CheckWritesFollowsReads(tr *trace.TestTrace) []Violation {
 	return NewIndex(tr).Check(WritesFollowsReads)
 }
 
-func (ix *Index) writesFollowsReads() (out []Violation) {
+func (ix *Index) writesFollowsReads() {
 	for _, av := range ix.agents {
 		for ri, r := range av.reads {
 			for _, w := range ix.deps {
 				if slices.Contains(r.seq, w.id) && !slices.Contains(r.seq, w.trigger) {
-					out = append(out, Violation{
+					ix.violations = append(ix.violations, Violation{
 						Anomaly:   WritesFollowsReads,
 						Agent:     av.id,
 						ReadIndex: ri,
@@ -155,5 +151,4 @@ func (ix *Index) writesFollowsReads() (out []Violation) {
 			}
 		}
 	}
-	return out
 }

@@ -64,6 +64,9 @@ type Runner struct {
 	// recs holds each agent's recorder, kept across tests (merge empties
 	// them) so their buffers are allocated once.
 	recs []*recorder
+	// simProbes holds each agent's simulated clock-sync probe, restarted
+	// every test; unused when cfg.ProbeFor supplies the probes.
+	simProbes []*clocksync.SimProbe
 
 	// Engine telemetry (observed, never read back). The handles are
 	// registered once in NewRunner; a nil cfg.Metrics yields live
@@ -102,8 +105,10 @@ func NewRunner(rt vtime.Runtime, net *simnet.Network, svc service.Service, cfg C
 	r.clients = make([]service.Service, len(cfg.Agents))
 	r.statsBase = make([]resilience.Stats, len(cfg.Agents))
 	r.recs = make([]*recorder, len(cfg.Agents))
+	r.simProbes = make([]*clocksync.SimProbe, len(cfg.Agents))
 	for i, ag := range cfg.Agents {
 		r.recs[i] = &recorder{agent: ag.ID}
+		r.simProbes[i] = clocksync.NewSimProbe(rt, net, cfg.Coordinator, ag.Site, ag.Clock)
 		if r.wrap != nil {
 			r.clients[i] = r.wrap(ag, svc)
 		} else {
@@ -304,12 +309,13 @@ func (r *Runner) clearFaults(kind trace.TestKind) {
 func (r *Runner) syncClocks(testID int) (map[trace.AgentID]time.Duration, map[trace.AgentID]time.Duration, error) {
 	deltas := make(map[trace.AgentID]time.Duration, len(r.cfg.Agents))
 	uncert := make(map[trace.AgentID]time.Duration, len(r.cfg.Agents))
-	for _, ag := range r.cfg.Agents {
+	for i, ag := range r.cfg.Agents {
 		var probe clocksync.ProbeFunc
 		if r.cfg.ProbeFor != nil {
 			probe = r.cfg.ProbeFor(ag)
 		} else {
-			probe = clocksync.SimProbe(r.rt, r.net, r.cfg.Coordinator, ag.Site, ag.Clock, int64(testID))
+			r.simProbes[i].Round(int64(testID))
+			probe = r.simProbes[i].Probe
 		}
 		res, err := clocksync.Estimate(r.rt, probe, r.cfg.ClockSyncSamples)
 		if err != nil {

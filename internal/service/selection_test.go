@@ -12,6 +12,11 @@ import (
 	"conprobe/internal/vtime"
 )
 
+// testPosts is the one block the selection tests carve their posts from,
+// as the reads of one Simulated do: a selection that wrote past its own
+// posts would show in the next case.
+var testPosts postBlock
+
 // referenceApply is Selection.apply as it was before the generator was
 // pooled: a new source seeded up front on every read.
 func referenceApply(sel *Selection, entries []store.Entry, now time.Time, seed int64, reader string, nonce uint64) []store.Entry {
@@ -66,7 +71,7 @@ func selectionCase(n int) (*Selection, []store.Entry, int64, string, uint64) {
 func checkSelectionCase(t *testing.T, clock vtime.Clock, n int) {
 	sel, entries, seed, reader, nonce := selectionCase(n)
 	rendering := slices.Clone(entries)
-	got := sel.apply(postsOf(entries), clock, seed, reader, nonce)
+	got := sel.apply(testPosts.of(entries), clock, seed, reader, nonce)
 	if !slices.Equal(entries, rendering) {
 		t.Errorf("case %d: selection wrote to the store rendering", n)
 	}

@@ -48,7 +48,11 @@ type Service interface {
 	Write(from simnet.Site, p Post) error
 
 	// Read returns the sequence of posts currently observable by reader
-	// (an agent label) from the given location, in service order.
+	// (an agent label) from the given location, in service order. The
+	// caller owns the slice and may reorder or shorten it in place; it
+	// has no spare capacity beyond what a wrapper cut off the same
+	// result, so an append never reaches memory another reader holds.
+	// Posts are values: nothing the service keeps changes with them.
 	Read(from simnet.Site, reader string) ([]Post, error)
 
 	// Reset clears all service state; campaigns call it between tests. A

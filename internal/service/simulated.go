@@ -76,6 +76,7 @@ type Simulated struct {
 	round atomic.Int64
 
 	stripes [nonceStripes]nonceStripe
+	posts   postBlock
 }
 
 var _ Service = (*Simulated)(nil)
@@ -209,17 +210,42 @@ func (s *Simulated) Read(from simnet.Site, reader string) ([]Post, error) {
 	if err != nil {
 		return nil, err
 	}
-	posts := s.profile.Selection.apply(postsOf(entries), s.clock, s.seed, reader, nonce)
+	posts := s.profile.Selection.apply(s.posts.of(entries), s.clock, s.seed, reader, nonce)
 	if err := s.travel(dc, from, k.Str("back")); err != nil {
 		return nil, err
 	}
 	return posts, nil
 }
 
-// postsOf copies the store's shared, read-only rendering into posts the
-// reader owns: a read's one allocation.
-func postsOf(entries []store.Entry) []Post {
-	posts := make([]Post, len(entries))
+// postBlock is where reads get the posts they return. A read takes the
+// next n of the block with its capacity cut, so appending to one result
+// reallocates instead of reaching the next; callers keep what they were
+// given, so a used-up block is replaced, never reused.
+type postBlock struct {
+	mu   sync.Mutex // consvc and conload -inproc read concurrently
+	free []Post
+}
+
+// postBlockSize is how many posts are allocated at a time: a few tests'
+// worth (a simulated test reads about 220 posts, three to six a read).
+const postBlockSize = 1024
+
+// of copies the store's shared, read-only rendering into posts the reader
+// owns. A long timeline gets a slice of its own: carved, it would use up
+// a block by itself and keep a second reader's posts alive with it.
+func (b *postBlock) of(entries []store.Entry) []Post {
+	n := len(entries)
+	var posts []Post
+	if n > postBlockSize/4 {
+		posts = make([]Post, n)
+	} else {
+		b.mu.Lock()
+		if b.free == nil || n > len(b.free) {
+			b.free = make([]Post, postBlockSize)
+		}
+		posts, b.free = b.free[:n:n], b.free[n:]
+		b.mu.Unlock()
+	}
 	for i, e := range entries {
 		posts[i] = Post{
 			ID: e.ID, Author: e.Author, Body: e.Body,

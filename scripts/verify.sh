@@ -16,11 +16,14 @@ echo "== go test -race ./..."
 go test -race ./...
 
 # A per-read copy put back on the read path shows here as allocs/op: a
-# cached store read is 0, a simulated read 1 (its posts); so does an
-# object per armed timer (a re-arm and fire is 0, a delivered write 0).
-echo "== hot-path cost (ns/op, allocs/op: checkers on a paper-shaped Test 2, simulated read, scheduler, timer re-arm, store delivery, trace codec, journal append, cached store read)"
+# cached store read is 0, a simulated read 0 (its posts are carved from
+# the service's block); so does an object per armed timer (a re-arm and
+# fire is 0, a delivered write 0). BenchmarkCampaign runs one Test 1 per
+# iteration, so its allocs/op is objects per whole test (about 40).
+echo "== hot-path cost (ns/op, allocs/op: checkers on a paper-shaped Test 2, simulated read, scheduler, timer re-arm, store delivery, a whole test, trace codec, journal append, cached store read)"
 go test -run '^$' -bench 'CheckTest|DivergenceWindows' -benchtime 20x -benchmem .
 go test -run '^$' -bench 'SelectionApply|SimScheduler|SimTimerRearm|StoreDeliver' -benchtime 2000x -benchmem .
+go test -run '^$' -bench 'Campaign/(blogger|fbgroup)$' -benchtime 200x -benchmem .
 go test -run '^$' -bench 'TraceJSONL|CheckpointAppend' -benchtime 200x -benchmem .
 go test -run '^$' -bench 'StoreReadCached' -benchtime 2000x -benchmem ./internal/store
 
