@@ -62,14 +62,15 @@ paper-check:
 # cluster-smoke boots a leader and two followers on localhost, writes
 # through the leader, checks follower catch-up and 421 leader
 # redirects, then kill -9s the leader and requires it to recover its
-# op log from WAL+snapshot and keep replicating. The second act grows
-# the cluster 3->5 with consvc -join (kill -9 mid-joint-phase), checks
-# lease/quorum reads, and shrinks back to 3.
+# op log from its WAL and keep replicating. The second act grows the
+# cluster 3->5 with consvc -join (kill -9 mid-joint-phase), checks
+# lease/quorum reads, and shrinks back to 3; the last requires a data
+# dir holding an older build's node.snap to be refused.
 cluster-smoke:
 	./scripts/cluster_smoke.sh
 
 # disk-chaos sweeps every storage-fault kind across every durable site
-# (op WAL, term WAL, snapshot, checkpoint journal) under -race, one
+# (op WAL, term WAL, log compaction, checkpoint journal) under -race, one
 # seed at a time; DISKCHAOS_SEEDS overrides the seed list and a losing
 # seed is reported for an exact local rerun.
 disk-chaos:

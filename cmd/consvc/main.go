@@ -10,7 +10,7 @@
 // -disk-fault flag does the same one layer down: it arms deterministic
 // storage faults (torn writes, failed fsyncs, read bit flips, ENOSPC,
 // omitted directory syncs, failed renames) beneath the node's WAL,
-// term log, snapshots and durable store — e.g. -disk-fault
+// term log, log compactions and durable store — e.g. -disk-fault
 // term:fsync-gate — and recovery quarantines damaged files to .corrupt
 // sidecars rather than dying or serving silently wrong state.
 //
@@ -22,7 +22,7 @@
 // Give every node the full member list via -self-url/-peers and the
 // cluster elects its own leader: kill -9 the leader and the survivors
 // vote in a new one within an election timeout, losing no acked write.
-// A killed node recovers from snapshot+WAL in -data-dir and rejoins as
+// A killed node recovers from its WAL in -data-dir and rejoins as
 // a follower. Standalone -durable gives the single-node store the same
 // crash safety.
 //
@@ -109,9 +109,9 @@ func build(args []string) (*http.Server, string, error) {
 		leaderURL    = fs.String("leader-url", "", "leader base URL for a legacy pull-only follower (no -peers); with -peers it is just a starting hint")
 		selfURL      = fs.String("self-url", "", "this node's own base URL, announced to peers in votes and heartbeats (required with -peers)")
 		peers        = fs.String("peers", "", "comma-separated base URLs of the other cluster members; enables leader election")
-		dataDir      = fs.String("data-dir", "", "persistence directory for WAL+snapshot (cluster oplog, or -durable store)")
+		dataDir      = fs.String("data-dir", "", "persistence directory for the WAL (cluster oplog and term log, or -durable store)")
 		pullInterval = fs.Duration("pull-interval", 250*time.Millisecond, "catch-up poll period of a joining or pure-pull follower")
-		snapEvery    = fs.Int("snapshot-every", 256, "compact the WAL into a snapshot after this many ops/writes")
+		snapEvery    = fs.Int("snapshot-every", 256, "compact the WAL after this many ops (cluster) or journaled records (-durable)")
 		durable      = fs.Bool("durable", false, "standalone mode: persist the store to -data-dir (fsync per write)")
 		election     = cliflags.ElectionFlags(fs)
 		readMode     = cliflags.ReadMode(fs)

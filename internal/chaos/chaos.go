@@ -90,7 +90,7 @@ type Event struct {
 	Rate float64
 	// Fault is the diskfault kind armed by a diskfault event; Site names
 	// the disk site it targets (a diskfault.Sites key: "wal", "term",
-	// "snapshot", "store", "checkpoint").
+	// "snapshot" for a log compaction's temp file, "store", "checkpoint").
 	Fault string
 }
 

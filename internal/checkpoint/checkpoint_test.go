@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"os"
 	"path/filepath"
 	"slices"
@@ -288,79 +287,6 @@ func TestJournalRejectsMidFileCorruption(t *testing.T) {
 	}
 	if ce.Offset != int64(start) {
 		t.Errorf("error %q does not position the damage at the third frame (byte offset %d)", err, start)
-	}
-}
-
-// TestJournalCutAtEveryOffset is the kill-at-any-instant guarantee in
-// one sweep: a journal cut at any byte loads to exactly the tests whose
-// frames are whole — never a half-applied one — and continuing from a
-// cut at or beside a frame boundary rebuilds the uninterrupted journal.
-func TestJournalCutAtEveryOffset(t *testing.T) {
-	traces := campaignTraces(t)
-	dir := t.TempDir()
-	whole := filepath.Join(dir, "whole.ckpt")
-	journalCampaign(t, whole, traces, Config{})
-	data, err := os.ReadFile(whole)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ends := frameEnds(t, data)
-	if len(ends) != 1+len(traces) {
-		t.Fatalf("journal has %d frames, want a meta and %d tests", len(ends), len(traces))
-	}
-	beside := make(map[int]bool)
-	for _, e := range ends {
-		beside[e-1], beside[e], beside[e+1] = true, true, true
-	}
-	// want[k] is the state after the first k tests.
-	want := make([]map[int]*LaneRecord, len(traces)+1)
-	for k := range want {
-		want[k] = foldLanes(t, traces[:k], 2)
-	}
-
-	path := filepath.Join(dir, "cut.ckpt")
-	for cut := 0; cut <= len(data); cut++ {
-		if err := os.WriteFile(path, data[:cut], 0o644); err != nil {
-			t.Fatal(err)
-		}
-		st, err := Load(path)
-		if cut < ends[0] {
-			if err == nil {
-				t.Fatalf("cut at %d (inside the meta frame) loaded", cut)
-			}
-			continue
-		}
-		if err != nil {
-			t.Fatalf("cut at %d: %v", cut, err)
-		}
-		kept := 0 // test frames that survived the cut
-		for _, e := range ends[1:] {
-			if e <= cut {
-				kept++
-			}
-		}
-		checkLanes(t, fmt.Sprintf("cut at %d", cut), st, want[kept])
-		if onBoundary := slices.Contains(ends, cut); onBoundary != (st.Note == "") {
-			t.Fatalf("cut at %d: note %q, on a frame boundary: %v", cut, st.Note, onBoundary)
-		}
-		if !beside[cut] {
-			continue
-		}
-		w, err := Continue(path, st, Config{})
-		if err != nil {
-			t.Fatalf("cut at %d: %v", cut, err)
-		}
-		for i := kept; i < len(traces); i++ {
-			if err := w.Append(i%2, traces[i], testMeta.Start.Add(time.Duration(i+1)*time.Minute), nil); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := w.Close(); err != nil {
-			t.Fatal(err)
-		}
-		if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, data) {
-			t.Fatalf("cut at %d: continued journal differs from the uninterrupted one (read error %v)", cut, err)
-		}
 	}
 }
 

@@ -147,7 +147,7 @@ func (d *DiskFaultSpecs) Set(v string) error {
 func DiskFaults(fs *flag.FlagSet) *DiskFaultSpecs {
 	var d DiskFaultSpecs
 	fs.Var(&d, "disk-fault",
-		"arm a deterministic storage fault, site:kind[:afterN] — sites wal, term, snapshot, store, checkpoint; kinds torn, fsync-gate, bit-flip, enospc, dirsync-omit, crash-rename (repeatable)")
+		"arm a deterministic storage fault, site:kind[:afterN] — sites wal, term, snapshot (the temp file a log compaction writes), store, checkpoint; kinds torn, fsync-gate, bit-flip, enospc, dirsync-omit, crash-rename (repeatable)")
 	return &d
 }
 

@@ -52,25 +52,26 @@
 // included — therefore loses no acked write: the survivors elect a new
 // leader whose log contains every committed op.
 //
-// Durability and catch-up share one mechanism: the node periodically
-// compacts its oplog into a snapshot (tmp+rename+dir-sync via
-// internal/wal). A restarting node recovers from snapshot+WAL; a
-// follower that has fallen behind the leader's in-memory tail — or
-// whose log conflicts with the leader's at its pull position — installs
-// the leader's snapshot and resumes from its index. Compaction rewrites
-// the snapshot and empties the journal, but keeps in memory the entries
-// a voting member may still lack, at most SnapshotEvery of them, so a
-// follower one RPC behind a compaction is not sent the whole state.
+// Durability and catch-up share one mechanism: the oplog is its own
+// snapshot. The node periodically compacts it by atomically rewriting
+// the file (wal.Log.Rewrite) as one record holding the state at the
+// head; ops journaled afterwards follow that record. A restarting node
+// recovers from the one file; a follower that has fallen behind the
+// leader's in-memory tail — or whose log conflicts with the leader's at
+// its pull position — installs the leader's snapshot the same way, as
+// the first record of a rewritten log, and resumes from its index.
+// Compaction leaves only the snapshot record on disk, but keeps in
+// memory the entries a voting member may still lack, at most
+// SnapshotEvery of them, so a follower one RPC behind a compaction is
+// not sent the whole state.
 package cluster
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
 	"os"
 	"path/filepath"
-	"sort"
 	"sync"
 	"time"
 
@@ -181,7 +182,7 @@ type Config struct {
 	// or a legacy pure-pull follower, exactly as before elections
 	// existed.
 	Peers []string
-	// DataDir persists the oplog, snapshot and term record; empty runs
+	// DataDir persists the oplog and the term record; empty runs
 	// memory-only (a restarted node then recovers nothing locally).
 	DataDir string
 	// PullInterval is the catch-up poll period of a pure-pull follower or
@@ -226,9 +227,9 @@ type Config struct {
 	QuorumTimeout time.Duration
 	// NoSync disables fsync (tests only).
 	NoSync bool
-	// FS is the filesystem the node's durable state (oplog, snapshot,
-	// term log) lives on; nil means the real one. Storage-fault drills
-	// pass a diskfault.Injector's FS.
+	// FS is the filesystem the node's durable state (oplog, term log)
+	// lives on; nil means the real one. Storage-fault drills pass a
+	// diskfault.Injector's FS.
 	FS diskfault.FS
 	// Metrics, when non-nil, surfaces storage-fault counters
 	// (wal_quarantined_segments, fsync_poisoned_total).
@@ -330,15 +331,15 @@ type Node struct {
 	// uninterrupted window elapses in a live process, so a crash inside
 	// the window can never wash the restriction away.
 	voteHold bool
-	// rebuilding marks a node whose oplog or snapshot was quarantined:
-	// the emptied log can no longer veto — through HandleVote's
-	// up-to-dateness gate — candidates missing entries this node once
-	// acked toward a commit, so every vote grant and the node's own
-	// candidacy are withheld until the log has been re-sourced from a
-	// current leader (pull caught up to the leader's advertised head,
-	// or a completed snapshot install). Backed by a marker file in
-	// DataDir so the restriction survives any number of restarts; it is
-	// retired only once the re-sourced state is itself durable.
+	// rebuilding marks a node whose oplog was quarantined: the emptied
+	// log can no longer veto — through HandleVote's up-to-dateness gate —
+	// candidates missing entries this node once acked toward a commit, so
+	// every vote grant and the node's own candidacy are withheld until
+	// the log has been re-sourced from a current leader (pull caught up
+	// to the leader's advertised head, or a completed snapshot install).
+	// Backed by a marker file in DataDir so the restriction survives any
+	// number of restarts; it is retired only once the re-sourced state is
+	// itself durable.
 	rebuilding bool
 	// storageNotes records what recovery had to tolerate (torn tails,
 	// quarantined segments, forgotten term records) for status surfaces.
@@ -367,14 +368,13 @@ type Node struct {
 	snapRetries int
 
 	// Log state. ops holds the (floor, lastIndex] tail; everything at or
-	// below floor lives only in the snapshot, whose head is
+	// below floor lives only in the snapshot record, whose head is
 	// (floor, floorTerm).
 	lastIndex   uint64
 	lastTerm    uint64
 	floor       uint64
 	floorTerm   uint64
 	commitIndex uint64
-	epoch       uint64 // bumped on snapshot install; journal records from older epochs are dead
 	ops         []Op
 	state       []Op // effective write set: ops since the last reset
 	sinceSnap   int
@@ -382,11 +382,11 @@ type Node struct {
 	appendSeq   uint64 // entry-carrying requests sent so far
 
 	// Encoding scratch, reused under mu: the journal records of the batch
-	// being staged, carved from recBuf, and the snapshot frame a
+	// being staged, carved from recBuf, and the snapshot record a
 	// compaction writes.
-	recBuf    []byte
-	recs      [][]byte
-	snapFrame []byte
+	recBuf  []byte
+	recs    [][]byte
+	snapRec []byte
 
 	// Timers and in-flight guards; all driven by cfg.Clock.
 	electionTimer  vtime.Timer
@@ -419,9 +419,11 @@ func (e *NotLeaderError) Error() string {
 // LeaderHint returns the leader URL for client redirection.
 func (e *NotLeaderError) LeaderHint() string { return e.Leader }
 
-// nodeSnapshot is the persisted/compacted state.
+// nodeSnapshot is the state at a log head: the effective write set and
+// the voting configuration. It is the first record of a compacted oplog
+// — every op record after it has a higher index — and what the leader
+// streams to a follower that must jump to the present.
 type nodeSnapshot struct {
-	Epoch     uint64 `json:"e,omitempty"`
 	LastIndex uint64 `json:"last_index"`
 	LastTerm  uint64 `json:"last_term,omitempty"`
 	State     []Op   `json:"state"`
@@ -431,18 +433,8 @@ type nodeSnapshot struct {
 	ConfigIndex uint64      `json:"config_index,omitempty"`
 }
 
-// opRecord frames one oplog entry with the epoch it was journaled
-// under. A snapshot install bumps the epoch and rewrites the snapshot
-// BEFORE truncating the oplog; if the process dies between the two,
-// replay sees records from a dead epoch and discards them instead of
-// resurrecting the pre-install divergent tail.
-type opRecord struct {
-	E uint64 `json:"e,omitempty"`
-	Op
-}
-
-// NewNode wraps svc. If cfg.DataDir is set, the node recovers its
-// snapshot, oplog and term record from there and compacts on open.
+// NewNode wraps svc. If cfg.DataDir is set, the node recovers its oplog
+// and term record from there and compacts on open.
 func NewNode(svc service.Service, cfg Config) (*Node, error) {
 	switch cfg.Role {
 	case "", RoleLeader, RoleFollower:
@@ -538,10 +530,13 @@ func NewNode(svc service.Service, cfg Config) (*Node, error) {
 	return n, nil
 }
 
-// snapPath, logPath and termPath locate the persisted state in DataDir.
-func (n *Node) snapPath() string { return filepath.Join(n.cfg.DataDir, "node.snap") }
+// logPath and termPath locate the persisted state in DataDir.
 func (n *Node) logPath() string  { return filepath.Join(n.cfg.DataDir, "oplog.log") }
 func (n *Node) termPath() string { return filepath.Join(n.cfg.DataDir, "term.log") }
+
+// legacySnapName is the snapshot file builds before the oplog became its
+// own snapshot kept beside it.
+const legacySnapName = "node.snap"
 
 // rebuildingMarkerPath and voteHoldMarkerPath locate the persisted
 // voting restrictions in DataDir. The marker IS the restriction: as
@@ -607,10 +602,10 @@ func (n *Node) voteHoldWindow() time.Duration {
 	return 2*n.cfg.ElectionTimeout + 2*n.cfg.ClockSkew
 }
 
-// beginRebuilding durably withholds voting after an oplog or snapshot
-// quarantine. It must succeed before the boot proceeds: if the marker
-// cannot be persisted, recovery fails the boot and keeps the
-// pre-quarantine fail-stop safety.
+// beginRebuilding durably withholds voting after an oplog quarantine.
+// It must succeed before the boot proceeds: if the marker cannot be
+// persisted, recovery fails the boot and keeps the pre-quarantine
+// fail-stop safety.
 func (n *Node) beginRebuilding() error {
 	if n.rebuilding {
 		return nil
@@ -651,28 +646,32 @@ func (n *Node) Rebuilding() bool {
 	return n.rebuilding
 }
 
-// recover replays snapshot+WAL+term record from DataDir and compacts.
-// The replayed write set is re-applied to the (fresh, in-memory)
-// service so reads resume where the crashed process left off.
+// recover replays the oplog and the term record from DataDir and
+// compacts. The replayed write set is re-applied to the (fresh,
+// in-memory) service so reads resume where the crashed process left off.
 //
-// Storage faults are survived, not just detected. A corrupt snapshot or
-// mid-log oplog damage quarantines the file to a .corrupt sidecar and
-// the node boots behind (or empty); the leader's pull/snapshot-install
-// stream re-sources everything — serving a hole is never possible
-// because commitIndex restarts at the recovered floor. Until that
-// re-sourcing completes the node is also a non-voter (the persisted
-// rebuilding marker): its emptied log would otherwise let HandleVote's
-// up-to-dateness gate bless candidates missing entries this node once
-// acked toward a commit. A corrupt term log likewise quarantines, and
-// the node withholds grants for a persisted vote-hold window so a
-// forgotten vote can never be re-granted while it could still decide
-// the same election.
+// Storage faults are survived, not just detected. Mid-log oplog damage
+// quarantines the file to a .corrupt sidecar and the node boots empty;
+// the leader's pull/snapshot-install stream re-sources everything —
+// serving a hole is never possible because commitIndex restarts at the
+// recovered floor. Until that re-sourcing completes the node is also a
+// non-voter (the persisted rebuilding marker): its emptied log would
+// otherwise let HandleVote's up-to-dateness gate bless candidates
+// missing entries this node once acked toward a commit. A corrupt term
+// log likewise quarantines, and the node withholds grants for a
+// persisted vote-hold window so a forgotten vote can never be re-granted
+// while it could still decide the same election.
 func (n *Node) recover() error {
 	walOpts := wal.Options{
 		NoSync:     n.cfg.NoSync,
 		FS:         n.cfg.FS,
 		Quarantine: true,
 		Metrics:    n.cfg.Metrics,
+	}
+	// Skipping a snapshot would resurrect compacted-away history as loss,
+	// so a directory from a build that kept one is refused outright.
+	if legacy := filepath.Join(n.cfg.DataDir, legacySnapName); n.markerPresent(legacy) {
+		return fmt.Errorf("cluster: %s was written by an older build that kept a snapshot beside its oplog; this build cannot read it", legacy)
 	}
 	// Voting restrictions persisted by an earlier incarnation gate this
 	// boot too: a crash inside a restriction must never wash it away.
@@ -687,82 +686,31 @@ func (n *Node) recover() error {
 		n.storageNotes = append(n.storageNotes,
 			"re-armed the vote-hold window from its persisted marker")
 	}
-	var snap nodeSnapshot
-	snapQuarantined := false
-	payload, ok, err := wal.ReadSnapshotFS(n.cfg.FS, n.snapPath())
-	if err != nil {
-		var ce *wal.CorruptError
-		if !errors.As(err, &ce) {
-			return fmt.Errorf("cluster: reading snapshot: %w", err)
-		}
-		side, qerr := wal.QuarantineFile(n.cfg.FS, n.snapPath())
-		if qerr != nil {
-			return fmt.Errorf("cluster: quarantining snapshot: %v (original damage: %w)", qerr, err)
-		}
-		n.cfg.Metrics.Counter("wal_quarantined_segments",
-			"Damaged WAL or snapshot files set aside as .corrupt sidecars.").Inc()
-		n.storageNotes = append(n.storageNotes,
-			fmt.Sprintf("quarantined corrupt snapshot to %s; rejoining from the leader", side))
-		if err := n.beginRebuilding(); err != nil {
-			return err
-		}
-		snapQuarantined = true
-		ok = false
-	}
-	if ok {
-		if err := json.Unmarshal(payload, &snap); err != nil {
-			return fmt.Errorf("cluster: decoding snapshot: %w", err)
-		}
-	}
 	log, rep, err := wal.Open(n.logPath(), walOpts)
 	if err != nil {
 		return fmt.Errorf("cluster: replaying oplog: %w", err)
 	}
-	if rep.Quarantined {
+	// A log this node has opened before starts with a snapshot record that
+	// an atomic rewrite put there whole. If not even that record survived,
+	// it did not tear in a crash: it rotted, what reads as a torn tail at
+	// offset 0 was the node's state, and it is as lost as in a quarantine.
+	if rep.Quarantined || (len(rep.Records) == 0 && rep.Note != "") {
 		n.storageNotes = append(n.storageNotes, "oplog: "+rep.Note)
 		if err := n.beginRebuilding(); err != nil {
 			log.Close()
 			return err
 		}
 	}
-	if snapQuarantined && len(rep.Records) > 0 {
-		// The oplog tail builds on state the lost snapshot held; replaying
-		// it over an empty base would serve a hole. Set it aside with the
-		// snapshot and rejoin from scratch via the leader's stream.
-		if err := log.Close(); err != nil {
-			return fmt.Errorf("cluster: closing oplog for quarantine: %w", err)
-		}
-		side, qerr := wal.QuarantineFile(n.cfg.FS, n.logPath())
-		if qerr != nil {
-			return fmt.Errorf("cluster: quarantining oplog after snapshot loss: %w", qerr)
-		}
-		n.cfg.Metrics.Counter("wal_quarantined_segments",
-			"Damaged WAL or snapshot files set aside as .corrupt sidecars.").Inc()
-		n.storageNotes = append(n.storageNotes,
-			fmt.Sprintf("quarantined oplog to %s (its base snapshot was lost)", side))
-		if log, rep, err = wal.Open(n.logPath(), walOpts); err != nil {
-			return fmt.Errorf("cluster: reopening oplog: %w", err)
-		}
-	}
 	n.log = log
 
-	tail := make([]Op, 0, len(rep.Records))
-	for _, raw := range rep.Records {
-		var rec opRecord
-		if err := json.Unmarshal(raw, &rec); err != nil {
+	var snap nodeSnapshot
+	if len(rep.Records) > 0 {
+		if err := json.Unmarshal(rep.Records[0], &snap); err != nil {
 			log.Close()
-			return fmt.Errorf("cluster: decoding oplog record: %w", err)
+			return fmt.Errorf("cluster: decoding oplog snapshot record: %w", err)
 		}
-		// Records journaled before the last snapshot install belong to an
-		// abandoned history; only the snapshot's own epoch is alive.
-		if rec.E == snap.Epoch && rec.Index > snap.LastIndex {
-			tail = append(tail, rec.Op)
-		}
+		rep.Records = rep.Records[1:]
 	}
-	// Concurrent acks can land in the log slightly out of index order.
-	sort.Slice(tail, func(i, j int) bool { return tail[i].Index < tail[j].Index })
-
-	n.epoch = snap.Epoch
 	n.lastIndex = snap.LastIndex
 	n.lastTerm = snap.LastTerm
 	n.floor = snap.LastIndex
@@ -773,7 +721,12 @@ func (n *Node) recover() error {
 		// config always beats the static -peers flags.
 		n.setConfigLocked(*snap.Config, snap.ConfigIndex)
 	}
-	for _, op := range tail {
+	for _, raw := range rep.Records {
+		var op Op
+		if err := json.Unmarshal(raw, &op); err != nil {
+			log.Close()
+			return fmt.Errorf("cluster: decoding oplog record: %w", err)
+		}
 		if op.Index <= n.lastIndex {
 			continue
 		}
@@ -802,8 +755,8 @@ func (n *Node) recover() error {
 		log.Close()
 		return err
 	}
-	// Compact on open: the merge just computed becomes the snapshot and
-	// the oplog restarts empty.
+	// Compact on open: the replayed state becomes the log's one record
+	// (and a temp file a killed compaction left behind goes).
 	if err := n.compactLocked(); err != nil {
 		log.Close()
 		return fmt.Errorf("cluster: compacting on open: %w", err)
@@ -1070,7 +1023,7 @@ func (n *Node) stageLocked(ops ...Op) error {
 		for i := range ops {
 			start := len(n.recBuf)
 			var err error
-			if n.recBuf, err = appendOpRecord(n.recBuf, n.epoch, &ops[i]); err != nil {
+			if n.recBuf, err = appendOp(n.recBuf, &ops[i]); err != nil {
 				return err
 			}
 			n.recs = append(n.recs, n.recBuf[start:])
@@ -1178,10 +1131,10 @@ func (n *Node) maybeCompactLocked() error {
 	return n.compactLocked()
 }
 
-// compactLocked persists a snapshot of the current state and truncates
-// the oplog; memory-only nodes just trim the in-memory tail. Caller
-// holds n.mu — the fsyncs stall concurrent accepts, which is the price
-// of a consistent cut.
+// compactLocked rewrites the oplog as one snapshot record of the current
+// state; memory-only nodes just trim the in-memory tail. Caller holds
+// n.mu — the fsync stalls concurrent accepts, which is the price of a
+// consistent cut.
 //
 // On disk nothing of the log survives a compaction. In memory the floor
 // moves only to retainFromLocked: dropping the whole tail would put a
@@ -1189,10 +1142,8 @@ func (n *Node) maybeCompactLocked() error {
 // O(state) bytes to replace a handful of entries.
 func (n *Node) compactLocked() error {
 	if n.log != nil {
-		if err := n.writeSnapshotLocked(); err != nil {
-			return err
-		}
-		if err := n.log.Truncate(); err != nil {
+		snap := n.snapshotLocked()
+		if err := n.rewriteLogLocked(&snap); err != nil {
 			return err
 		}
 	}
@@ -1208,17 +1159,18 @@ func (n *Node) compactLocked() error {
 	return nil
 }
 
-// writeSnapshotLocked atomically replaces the snapshot file with the
-// current state, encoded into the frame buffer the node keeps — what a
-// compaction allocates does not grow with the state.
-func (n *Node) writeSnapshotLocked() error {
-	snap := n.snapshotLocked()
-	frame, err := appendSnapshot(append(n.snapFrame[:0], make([]byte, wal.FrameHeader)...), &snap)
+// rewriteLogLocked atomically replaces the oplog with snap as its only
+// record: a crash leaves the old log or this one. The record is encoded
+// into a buffer the node keeps — what a compaction allocates does not
+// grow with the state.
+func (n *Node) rewriteLogLocked(snap *nodeSnapshot) error {
+	rec, err := appendSnapshot(n.snapRec[:0], snap)
 	if err != nil {
 		return err
 	}
-	n.snapFrame = frame
-	return wal.WriteSnapshotFrameFS(n.cfg.FS, n.snapPath(), frame, wal.DefaultFileMode)
+	n.snapRec = rec
+	n.recs = append(n.recs[:0], rec)
+	return n.log.Rewrite(n.recs)
 }
 
 // retainFromLocked is the floor a compaction may move to: the lowest
@@ -1242,12 +1194,10 @@ func (n *Node) retainFromLocked() uint64 {
 	return max(keep, n.floor)
 }
 
-// snapshotLocked assembles the persisted snapshot value. Caller holds
-// n.mu.
+// snapshotLocked assembles the snapshot of the current head. It shares
+// n.state: encode it before releasing n.mu. Caller holds n.mu.
 func (n *Node) snapshotLocked() nodeSnapshot {
-	snap := nodeSnapshot{
-		Epoch: n.epoch, LastIndex: n.lastIndex, LastTerm: n.lastTerm, State: n.state,
-	}
+	snap := nodeSnapshot{LastIndex: n.lastIndex, LastTerm: n.lastTerm, State: n.state}
 	if n.configIndex > 0 {
 		cfg := n.config
 		snap.Config = &cfg
@@ -1314,7 +1264,7 @@ func (n *Node) closeStorageLocked() error {
 }
 
 // Close stops the node's timers and releases the WAL. The final state
-// is compacted so a restart recovers from the snapshot alone.
+// is compacted so a restart recovers from one record.
 func (n *Node) Close() error {
 	n.mu.Lock()
 	defer n.mu.Unlock()

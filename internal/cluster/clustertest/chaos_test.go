@@ -3,6 +3,7 @@ package clustertest
 import (
 	"fmt"
 	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
@@ -124,6 +125,29 @@ func runSchedule(c *Cluster) {
 	}
 	c.drainReads()
 	c.AssertConverged()
+	assertOneFilePerStateMachine(c)
+}
+
+// assertOneFilePerStateMachine lists every node's data directory after
+// a schedule of writes, compactions, snapshot installs, kills and
+// restarts: two logs, at most the two marker files and quarantine
+// sidecars — no snapshot file, and no temp file once an open returned.
+func assertOneFilePerStateMachine(c *Cluster) {
+	c.t.Helper()
+	for _, id := range c.IDs {
+		entries, err := os.ReadDir(filepath.Join(c.dir, id))
+		if err != nil {
+			c.fatalf("listing %s's data dir: %v", id, err)
+		}
+		for _, e := range entries {
+			switch name := e.Name(); {
+			case name == "oplog.log", name == "term.log", name == "rebuilding", name == "votehold":
+			case strings.HasSuffix(name, ".corrupt"):
+			default:
+				c.fatalf("%s's data dir holds %s: not a log, a marker or a quarantine sidecar", id, name)
+			}
+		}
+	}
 }
 
 // transcriptContains reports whether any transcript line mentions s.
@@ -287,6 +311,7 @@ func TestReconfigurationChaos(t *testing.T) {
 			c.Retire("n4")
 			c.Retire("n5")
 			c.AssertConverged()
+			assertOneFilePerStateMachine(c)
 
 			// The run must have actually drilled what it claims to: a joint
 			// configuration phase and a chunked snapshot install.

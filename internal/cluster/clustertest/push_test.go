@@ -146,22 +146,22 @@ func TestCommitCostExact(t *testing.T) {
 	}
 }
 
-// snapIndex reads the head of id's on-disk snapshot: it moves exactly
-// when the node compacts.
+// snapIndex reads the head of the snapshot record id's oplog starts
+// with: it moves exactly when the node compacts.
 func (c *Cluster) snapIndex(id string) uint64 {
 	c.t.Helper()
-	payload, ok, err := wal.ReadSnapshot(filepath.Join(c.dir, id, "node.snap"))
+	rep, err := wal.ReadFS(nil, filepath.Join(c.dir, id, "oplog.log"))
 	if err != nil {
-		c.fatalf("reading %s's snapshot: %v", id, err)
+		c.fatalf("reading %s's oplog: %v", id, err)
 	}
-	if !ok {
+	if len(rep.Records) == 0 {
 		return 0
 	}
 	var snap struct {
 		LastIndex uint64 `json:"last_index"`
 	}
-	if err := json.Unmarshal(payload, &snap); err != nil {
-		c.fatalf("decoding %s's snapshot: %v", id, err)
+	if err := json.Unmarshal(rep.Records[0], &snap); err != nil {
+		c.fatalf("decoding %s's snapshot record: %v", id, err)
 	}
 	return snap.LastIndex
 }

@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -29,9 +30,10 @@ func diskChaosSeeds(t *testing.T) []uint64 {
 }
 
 // TestDiskFaultSweep drives every fault kind against every cluster
-// storage site — the op WAL, the term WAL, and the snapshot file — at a
-// seed-chosen operation offset, and asserts the recovery invariants
-// that hold regardless of where the damage lands:
+// storage site — the op WAL, the term WAL, and the compaction that
+// rewrites the op WAL around its snapshot record — at a seed-chosen
+// operation offset, and asserts the recovery invariants that hold
+// regardless of where the damage lands:
 //
 //   - boot never fails: every corruption outcome is quarantine, torn
 //     repair, or clean recovery, never a dead node;
@@ -209,17 +211,21 @@ func sweepTermWAL(t *testing.T, seed uint64, kind diskfault.Kind) {
 	}
 }
 
-// sweepSnapshot: the fault fires on the snapshot file during compaction
-// (or, for bit flips, while recovery reads it back). A failed snapshot
-// write must abort compaction BEFORE the oplog truncate — so nothing
-// acked is lost — and a rotten snapshot read must quarantine, not boot
-// a silently wrong replica.
+// sweepSnapshot: the fault fires on the temp file a compaction writes
+// the oplog's snapshot record to (or, for bit flips, on that record
+// while recovery reads it back — the first bytes of the file). A failed
+// compaction write must leave the old log in place — so nothing acked is
+// lost — and a rotten snapshot record must quarantine, not boot a
+// silently wrong replica.
 func sweepSnapshot(t *testing.T, seed uint64, kind diskfault.Kind) {
 	dir := t.TempDir()
 	inj := diskfault.New(nil)
 	writeFS, restartFS := inj.FS(), diskfault.OS
+	path := diskfault.Sites["snapshot"]
 	if kind == diskfault.KindBitFlip {
-		writeFS, restartFS = diskfault.OS, inj.FS()
+		// Nothing reads the temp file back; the record it carried is read
+		// from the log it was renamed to.
+		writeFS, restartFS, path = diskfault.OS, inj.FS(), "oplog.log"
 	}
 	n, err := NewNode(&memSvc{}, Config{
 		NodeID: "n1", Role: RoleLeader, DataDir: dir, SnapshotEvery: 4, FS: writeFS,
@@ -228,7 +234,7 @@ func sweepSnapshot(t *testing.T, seed uint64, kind diskfault.Kind) {
 		t.Fatal(err)
 	}
 	if err := inj.Arm(diskfault.Fault{
-		Kind: kind, Path: faultPath(kind, ".snap"),
+		Kind: kind, Path: faultPath(kind, path),
 		After: int(seed % 2), Seed: seed, Sticky: kind == diskfault.KindENOSPC,
 	}); err != nil {
 		t.Fatal(err)
@@ -241,6 +247,9 @@ func sweepSnapshot(t *testing.T, seed uint64, kind diskfault.Kind) {
 		}
 	}
 	n.Kill()
+	if kind != diskfault.KindBitFlip && kind != diskfault.KindDirSyncOmit && inj.Injected() == 0 {
+		t.Fatalf("no %s fault fired on %q: the drill is void", kind, path)
+	}
 
 	r, err := NewNode(&memSvc{}, Config{
 		NodeID: "n1", Role: RoleLeader, DataDir: dir, SnapshotEvery: 4, FS: restartFS,
@@ -250,6 +259,9 @@ func sweepSnapshot(t *testing.T, seed uint64, kind diskfault.Kind) {
 	}
 	defer r.Kill()
 	if kind == diskfault.KindBitFlip && len(r.StorageNotes()) > 0 {
+		if !r.Rebuilding() {
+			t.Fatalf("declared damage (%v) left the node voting", r.StorageNotes())
+		}
 		return // declared damage: quarantine + rejoin owns it
 	}
 	have := make(map[string]bool)
@@ -259,6 +271,85 @@ func sweepSnapshot(t *testing.T, seed uint64, kind diskfault.Kind) {
 	for _, id := range acked {
 		if !have[id] {
 			t.Fatalf("acked write %s lost across snapshot-fault recovery (notes=%v)", id, r.StorageNotes())
+		}
+	}
+	leftover, err := filepath.Glob(filepath.Join(dir, "*.tmp"))
+	if err != nil || len(leftover) > 0 {
+		t.Fatalf("temp files after a completed open: %v (%v)", leftover, err)
+	}
+}
+
+// TestRottenSnapshotRecordIsDeclared: a graceful close leaves the oplog
+// as its one snapshot record, so any damage to it is damage to the final
+// frame, which a scan reads as a torn tail. A node's log never tears
+// there — the record arrived by an atomic rename — so recovery must call
+// it what it is: the state is lost, say so, and withhold votes until the
+// leader has re-sourced it. Booting empty and silent would let the node
+// vote for candidates that lack what it once acked.
+func TestRottenSnapshotRecordIsDeclared(t *testing.T) {
+	dir := t.TempDir()
+	cfg := Config{NodeID: "n1", Role: RoleLeader, DataDir: dir, NoSync: true}
+	n, err := NewNode(&memSvc{}, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if err := n.Write(simnet.DCWest, service.Post{ID: fmt.Sprintf("w%d", i), Author: "a1", Body: "x"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := n.Close(); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, "oplog.log")
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw[len(raw)/2] ^= 0x01
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	r, err := NewNode(&memSvc{}, cfg)
+	if err != nil {
+		t.Fatalf("a rotten snapshot record failed the boot: %v", err)
+	}
+	defer r.Kill()
+	if !r.Rebuilding() || len(r.StorageNotes()) == 0 {
+		t.Fatalf("rebuilding %t, notes %v: the lost state went undeclared", r.Rebuilding(), r.StorageNotes())
+	}
+	if got := ids(t, r); len(got) != 0 {
+		t.Fatalf("recovered %v from a record that failed its checksum", got)
+	}
+}
+
+// TestNewNodeRefusesLegacySnapshot: a data directory from a build that
+// kept node.snap beside the oplog holds compacted history this build
+// would never see — skipping it would resurrect that history as loss.
+// The boot must fail naming the file and leave every byte in place.
+func TestNewNodeRefusesLegacySnapshot(t *testing.T) {
+	dir := t.TempDir()
+	files := map[string]string{
+		legacySnapName: "a snapshot this build cannot read",
+		"oplog.log":    "not even a log",
+		"term.log":     "nor this",
+	}
+	for name, data := range files {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(data), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_, err := NewNode(&memSvc{}, Config{NodeID: "n1", Role: RoleLeader, DataDir: dir})
+	if err == nil || !strings.Contains(err.Error(), filepath.Join(dir, legacySnapName)) {
+		t.Fatalf("NewNode over a legacy directory: %v, want an error naming %s", err, legacySnapName)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil || len(entries) != len(files) {
+		t.Fatalf("refused boot left %d entries (%v), want the %d it found", len(entries), err, len(files))
+	}
+	for name, want := range files {
+		if got, err := os.ReadFile(filepath.Join(dir, name)); err != nil || string(got) != want {
+			t.Fatalf("%s after the refused boot: %q, %v", name, got, err)
 		}
 	}
 }

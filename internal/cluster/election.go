@@ -878,19 +878,6 @@ type snapStream struct {
 	lastIndex uint64
 }
 
-// snapPayload is the streamed snapshot content: the node's effective
-// write set at its current head (not the compaction floor), plus the
-// voting configuration — installers jump straight to the present and
-// resume pulling from there, which covers both catch-up past the floor
-// and conflict resolution with one mechanism.
-type snapPayload struct {
-	LastIndex   uint64      `json:"last_index"`
-	LastTerm    uint64      `json:"last_term"`
-	State       []Op        `json:"state"`
-	Config      *Membership `json:"config,omitempty"`
-	ConfigIndex uint64      `json:"config_index,omitempty"`
-}
-
 // HandleSnapshotChunk serves one chunk of the leader's frozen snapshot
 // stream. A request naming the cached stream reads from it even if the
 // log has since moved (resumability beats freshness — the installer
@@ -908,16 +895,11 @@ func (n *Node) HandleSnapshotChunk(req SnapshotChunkRequest) SnapshotChunkRespon
 	// the cache is still current; otherwise freeze a fresh one.
 	cache := n.snapCache
 	if cache == nil || (req.ID != cache.id && cache.lastIndex != n.lastIndex) {
-		payload := snapPayload{
-			LastIndex: n.lastIndex, LastTerm: n.lastTerm,
-			State: append([]Op(nil), n.state...),
-		}
-		if n.configIndex > 0 {
-			cfg := n.config
-			payload.Config = &cfg
-			payload.ConfigIndex = n.configIndex
-		}
-		data, err := json.Marshal(payload)
+		// The stream is the node's snapshot at its current head (not the
+		// compaction floor): installers jump straight to the present and
+		// resume pulling from there, which covers both catch-up past the
+		// floor and conflict resolution with one mechanism.
+		data, err := json.Marshal(n.snapshotLocked())
 		if err != nil {
 			resp.NotLeader = true // unservable; the puller will retry
 			return resp
@@ -1017,29 +999,38 @@ func (n *Node) onSnapshotChunk(leader string, resp SnapshotChunkResponse, err er
 		n.fetchNextSnapshotChunkLocked(leader)
 		return
 	}
-	var pay snapPayload
+	var pay nodeSnapshot
 	if uerr := json.Unmarshal(n.snapBuf, &pay); uerr != nil {
 		n.snapID, n.snapBuf, n.snapRetries = "", nil, 0
 		return
 	}
 	n.snapID, n.snapBuf, n.snapRetries = "", nil, 0
-	n.installSnapshotLocked(pay)
-	n.schedulePullLocked(0)
+	if n.installSnapshotLocked(pay) {
+		n.schedulePullLocked(0)
+	}
 }
 
 // installSnapshotLocked installs a fully transferred leader snapshot,
-// replacing whatever divergent or stale history this node held. The new
-// snapshot (with a bumped epoch) is persisted BEFORE the oplog is
-// truncated, so a crash anywhere in between recovers either the old
-// consistent state or the new one — never a hybrid (recovery discards
-// oplog records from dead epochs).
-func (n *Node) installSnapshotLocked(pay snapPayload) {
+// replacing whatever divergent or stale history this node held. The
+// oplog is rewritten to the snapshot BEFORE any of it is adopted in
+// memory: a rewrite is atomic, so a crash recovers the old consistent
+// state or the new one, and a rewrite that fails leaves the node on the
+// old one, disk and memory alike, to try again on its next pull (it
+// reports false, and the caller does not pull at once: a full disk must
+// not turn into a stream of snapshot transfers).
+func (n *Node) installSnapshotLocked(pay nodeSnapshot) bool {
 	if err := n.svc.Reset(); err != nil {
-		return
+		return false
 	}
 	if err := n.replayState(pay.State); err != nil {
 		n.rollbackServiceLocked()
-		return
+		return false
+	}
+	if n.log != nil {
+		if err := n.rewriteLogLocked(&pay); err != nil {
+			n.rollbackServiceLocked()
+			return false
+		}
 	}
 	n.lastIndex = pay.LastIndex
 	n.lastTerm = pay.LastTerm
@@ -1055,19 +1046,10 @@ func (n *Node) installSnapshotLocked(pay snapPayload) {
 		n.commitIndex = n.lastIndex
 	}
 	n.sinceSnap = 0
-	n.epoch++
-	durable := n.log == nil
-	if n.log != nil {
-		if n.writeSnapshotLocked() == nil {
-			_ = n.log.Truncate()
-			durable = true
-		}
-	}
-	if durable {
-		// The installed state covers the leader's whole log at freeze
-		// time — every committed entry included — and is on disk, so a
-		// quarantined node is rebuilt.
-		n.rebuiltLocked()
-	}
+	// The installed state covers the leader's whole log at freeze time —
+	// every committed entry included — and is on disk, so a quarantined
+	// node is rebuilt.
+	n.rebuiltLocked()
 	n.emitLocked(Event{Type: EventInstallSnapshot, Term: n.currentTerm, Index: n.lastIndex})
+	return true
 }

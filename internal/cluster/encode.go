@@ -6,37 +6,21 @@ import (
 	"conprobe/internal/jsonappend"
 )
 
-// The journal and the snapshot are JSON, and stay decodable by
+// The journal's op and snapshot records are JSON, and stay decodable by
 // encoding/json; what writes them is an append-style encoder, because
 // json.Marshal reflects over every op and returns a fresh buffer the
 // size of its output — once per write for the journal record, and once
 // per compaction for the whole state. The encoder below produces, byte
-// for byte, what json.Marshal produces for Op, opRecord and
-// nodeSnapshot (field order, omitempty, HTML-safe escaping), into a
-// buffer the caller keeps. Strings and a Membership go through
-// internal/jsonappend, which copies plain printable ASCII and hands
-// anything else to json.Marshal itself, so there is no second definition
-// of escaping to keep in step. FuzzAppendOp holds the two encoders equal.
+// for byte, what json.Marshal produces for Op and nodeSnapshot (field
+// order, omitempty, HTML-safe escaping), into a buffer the caller
+// keeps. Strings and a Membership go through internal/jsonappend, which
+// copies plain printable ASCII and hands anything else to json.Marshal
+// itself, so there is no second definition of escaping to keep in step.
+// FuzzAppendOp holds the two encoders equal.
 
 // appendOp appends op as json.Marshal(op) would.
 func appendOp(b []byte, op *Op) ([]byte, error) {
-	return appendOpFields(append(b, '{'), op)
-}
-
-// appendOpRecord appends what json.Marshal(opRecord{E: epoch, Op: op})
-// produces: the epoch, when non-zero, ahead of the op's own fields.
-func appendOpRecord(b []byte, epoch uint64, op *Op) ([]byte, error) {
-	b = append(b, '{')
-	if epoch != 0 {
-		b = strconv.AppendUint(append(b, `"e":`...), epoch, 10)
-		b = append(b, ',')
-	}
-	return appendOpFields(b, op)
-}
-
-// appendOpFields appends op's fields and the closing brace.
-func appendOpFields(b []byte, op *Op) ([]byte, error) {
-	b = strconv.AppendUint(append(b, `"i":`...), op.Index, 10)
+	b = strconv.AppendUint(append(b, `{"i":`...), op.Index, 10)
 	if op.Term != 0 {
 		b = strconv.AppendUint(append(b, `,"t":`...), op.Term, 10)
 	}
@@ -59,12 +43,7 @@ func appendOpFields(b []byte, op *Op) ([]byte, error) {
 
 // appendSnapshot appends snap as json.Marshal(snap) would.
 func appendSnapshot(b []byte, snap *nodeSnapshot) ([]byte, error) {
-	b = append(b, '{')
-	if snap.Epoch != 0 {
-		b = strconv.AppendUint(append(b, `"e":`...), snap.Epoch, 10)
-		b = append(b, ',')
-	}
-	b = strconv.AppendUint(append(b, `"last_index":`...), snap.LastIndex, 10)
+	b = strconv.AppendUint(append(b, `{"last_index":`...), snap.LastIndex, 10)
 	if snap.LastTerm != 0 {
 		b = strconv.AppendUint(append(b, `,"last_term":`...), snap.LastTerm, 10)
 	}

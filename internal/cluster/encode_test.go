@@ -15,8 +15,8 @@ import (
 )
 
 // checkOpEncoding holds the append encoder to encoding/json for one op,
-// both as a snapshot element and as a journal record under epoch.
-func checkOpEncoding(t *testing.T, epoch uint64, op Op) {
+// which is both a snapshot element and a journal record.
+func checkOpEncoding(t *testing.T, op Op) {
 	t.Helper()
 	want, err := json.Marshal(op)
 	if err != nil {
@@ -29,30 +29,20 @@ func checkOpEncoding(t *testing.T, epoch uint64, op Op) {
 	if !bytes.Equal(got[1:], want) {
 		t.Fatalf("appendOp:\n got %s\nwant %s", got[1:], want)
 	}
-	want, err = json.Marshal(opRecord{E: epoch, Op: op})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, err = appendOpRecord(nil, epoch, &op); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatalf("appendOpRecord:\n got %s\nwant %s", got, want)
-	}
 }
 
 // FuzzAppendOp compares the append encoder with json.Marshal byte for
 // byte — arbitrary and invalid-UTF-8 strings, the HTML-escaped
-// characters, empty fields, a configuration op — then writes the records
-// to an oplog and a snapshot the way a node does and requires recover to
-// read back exactly what was encoded.
+// characters, empty fields, a configuration op — then writes a snapshot
+// record and the op records to an oplog the way a node does and requires
+// recover to read back exactly what was encoded.
 func FuzzAppendOp(f *testing.F) {
-	f.Add(uint64(0), uint64(1), uint64(1), "write", "oregon", "p-1", "alice", "hello world", "")
-	f.Add(uint64(3), uint64(9), uint64(0), "write", "", "", "", "", "p-0")
-	f.Add(uint64(1), uint64(2), uint64(7), "reset", "", "", "", "", "")
-	f.Add(uint64(0), uint64(5), uint64(2), "write", "tokyo", "<id>", "a&b", "quote\" slash\\   tab\t nul\x00", "\xff\xfe")
-	f.Add(uint64(2), uint64(4), uint64(3), "config", "http://n1", "n2", "http://n2", "", "")
-	f.Fuzz(func(t *testing.T, epoch, index, term uint64, kind, site, id, author, body, dep string) {
+	f.Add(uint64(1), uint64(1), "write", "oregon", "p-1", "alice", "hello world", "")
+	f.Add(uint64(9), uint64(0), "write", "", "", "", "", "p-0")
+	f.Add(uint64(2), uint64(7), "reset", "", "", "", "", "")
+	f.Add(uint64(5), uint64(2), "write", "tokyo", "<id>", "a&b", "quote\" slash\\   tab\t nul\x00", "\xff\xfe")
+	f.Add(uint64(4), uint64(3), "config", "http://n1", "n2", "http://n2", "", "")
+	f.Fuzz(func(t *testing.T, index, term uint64, kind, site, id, author, body, dep string) {
 		op := Op{Index: index, Term: term, Kind: kind, Site: site, ID: id, Author: author, Body: body, DependsOn: dep}
 		if kind == opConfig {
 			// The string arguments double as member fields.
@@ -63,15 +53,15 @@ func FuzzAppendOp(f *testing.F) {
 				op.Config.Old = []Member{{ID: body, URL: dep}}
 			}
 		}
-		checkOpEncoding(t, epoch, op)
+		checkOpEncoding(t, op)
 
-		// Round trip: the node's own journal and snapshot writers, then
+		// Round trip: the node's own snapshot and op record writers, then
 		// recover. Three ops at consecutive indexes above the snapshot's.
 		if index > 1<<62 || index == 0 {
 			return
 		}
 		dir := t.TempDir()
-		base := nodeSnapshot{Epoch: epoch, LastIndex: index - 1, LastTerm: term, State: []Op{}}
+		base := nodeSnapshot{LastIndex: index - 1, LastTerm: term, State: []Op{}}
 		if index > 1 {
 			base.State = append(base.State, Op{Index: index - 1, Term: term, Kind: opWrite, ID: id, Author: author, Body: body})
 		}
@@ -79,25 +69,22 @@ func FuzzAppendOp(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		frame, err := appendSnapshot(make([]byte, wal.FrameHeader), &base)
+		head, err := appendSnapshot(nil, &base)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(frame[wal.FrameHeader:], wantSnap) {
-			t.Fatalf("appendSnapshot:\n got %s\nwant %s", frame[wal.FrameHeader:], wantSnap)
-		}
-		if err := wal.WriteSnapshotFrameFS(nil, filepath.Join(dir, "node.snap"), frame, 0); err != nil {
-			t.Fatal(err)
+		if !bytes.Equal(head, wantSnap) {
+			t.Fatalf("appendSnapshot:\n got %s\nwant %s", head, wantSnap)
 		}
 		log, _, err := wal.Open(filepath.Join(dir, "oplog.log"), wal.Options{NoSync: true})
 		if err != nil {
 			t.Fatal(err)
 		}
 		ops := []Op{op, op, op}
-		var recs [][]byte
+		recs := [][]byte{head}
 		for i := range ops {
 			ops[i].Index = index + uint64(i)
-			rec, err := appendOpRecord(nil, epoch, &ops[i])
+			rec, err := appendOp(nil, &ops[i])
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -155,7 +142,7 @@ func TestAppendSnapshotMatchesMarshal(t *testing.T) {
 	for _, snap := range []nodeSnapshot{
 		{},
 		{LastIndex: 7, State: []Op{}},
-		{Epoch: 2, LastIndex: 9, LastTerm: 3, State: writeOpsAt(8, 2, 3), Config: cfg, ConfigIndex: 4},
+		{LastIndex: 9, LastTerm: 3, State: writeOpsAt(8, 2, 3), Config: cfg, ConfigIndex: 4},
 		{LastIndex: 1, State: []Op{{Index: 1, Kind: opConfig, Config: cfg}, {Index: 2, Kind: opReset}}},
 	} {
 		want, err := json.Marshal(snap)
@@ -172,25 +159,21 @@ func TestAppendSnapshotMatchesMarshal(t *testing.T) {
 	}
 }
 
-// TestRecoverLoadsMarshalledSnapshot: a data directory written by a
-// build that still marshalled its snapshot and journal records with
-// encoding/json loads unchanged.
+// TestRecoverLoadsMarshalledSnapshot: the oplog's records are plain
+// JSON — a snapshot record and op records marshalled with encoding/json,
+// not the append encoder, load all the same.
 func TestRecoverLoadsMarshalledSnapshot(t *testing.T) {
 	dir := t.TempDir()
-	state := writeOpsAt(1, 5, 1)
-	payload, err := json.Marshal(nodeSnapshot{LastIndex: 5, LastTerm: 1, State: state})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := wal.WriteSnapshot(filepath.Join(dir, "node.snap"), payload); err != nil {
-		t.Fatal(err)
-	}
 	log, _, err := wal.Open(filepath.Join(dir, "oplog.log"), wal.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	recs := []any{nodeSnapshot{LastIndex: 5, LastTerm: 1, State: writeOpsAt(1, 5, 1)}}
 	for _, op := range writeOpsAt(6, 2, 1) {
-		rec, err := json.Marshal(opRecord{Op: op})
+		recs = append(recs, op)
+	}
+	for _, v := range recs {
+		rec, err := json.Marshal(v)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -253,9 +236,9 @@ func TestProposeWriteAllocs(t *testing.T) {
 }
 
 // TestCompactionAllocsDoNotGrowWithState: a compaction encodes the whole
-// state, but into the frame buffer the node keeps, so what it allocates
-// — temp file, rename, directory sync — is the same for 256 ops of
-// state as for 4,096.
+// state, but into the record buffer the node keeps, so what it allocates
+// — temp file, rename, directory sync, the reopened log — is the same
+// for 256 ops of state as for 4,096.
 func TestCompactionAllocsDoNotGrowWithState(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -281,7 +264,7 @@ func TestCompactionAllocsDoNotGrowWithState(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		compact() // grows the frame buffer to this state's size
+		compact() // grows the record buffer to this state's size
 		return testing.AllocsPerRun(5, compact)
 	}
 	small, large := grow(256), grow(4096)

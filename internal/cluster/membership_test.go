@@ -1,16 +1,10 @@
 package cluster
 
 import (
-	"fmt"
-	"os"
-	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"conprobe/internal/service"
-	"conprobe/internal/simnet"
 )
 
 // TestQuorumSizeTable pins the write-quorum arithmetic: the operator's
@@ -235,100 +229,5 @@ func TestConcurrentReconfigureSingleWinner(t *testing.T) {
 			t.Fatalf("round %d: post-race config %s, want joint(1+2)", round, m.describe())
 		}
 		n.Kill()
-	}
-}
-
-// TestConfigRecordKillAtEveryOffset crashes a node at every byte offset
-// of an oplog containing a joint config entry followed by the final
-// C(new) entry, and proves recovery lands on exactly the configuration
-// the durable prefix supports: the boot config while the joint record
-// is torn, the joint config (BOTH quorums required) once it is durable,
-// and the settled new config once C(new) is durable. A node that
-// regresses past a durable config record can form quorums the rest of
-// the cluster no longer recognizes.
-func TestConfigRecordKillAtEveryOffset(t *testing.T) {
-	seedDir := t.TempDir()
-	logPath := func(dir string) string { return filepath.Join(dir, "oplog.log") }
-
-	n := configSweepNode(t, seedDir)
-	for i := 0; i < 2; i++ {
-		p := service.Post{ID: fmt.Sprintf("w%d", i), Author: "a1", Body: "x"}
-		if _, err := n.ProposeWrite(simnet.DCWest, p); err != nil {
-			t.Fatalf("propose %s: %v", p.ID, err)
-		}
-	}
-	ackHead(n, "http://n2", "n2")
-	if got, head := n.CommitIndex(), n.LastIndex(); got != head {
-		t.Fatalf("commit %d after full ack, want head %d", got, head)
-	}
-
-	if _, err := n.Reconfigure([]Member{{ID: "n3", URL: "http://n3"}}, nil); err != nil {
-		t.Fatalf("reconfigure: %v", err)
-	}
-	if !n.Membership().Joint() {
-		t.Fatal("joint config was not adopted on append")
-	}
-	st, err := os.Stat(logPath(seedDir))
-	if err != nil {
-		t.Fatalf("stat oplog: %v", err)
-	}
-	jointSize := st.Size() // below this offset the joint record is torn
-
-	// n2 acks the joint entry: it commits under both quorums and the
-	// leader appends the final C(new) entry.
-	ackHead(n, "http://n2", "n2")
-	if n.Membership().Joint() {
-		t.Fatal("reconfiguration did not finish after the joint entry committed")
-	}
-	st, err = os.Stat(logPath(seedDir))
-	if err != nil {
-		t.Fatalf("stat oplog: %v", err)
-	}
-	fullSize := st.Size()
-	if fullSize <= jointSize {
-		t.Fatalf("oplog did not grow for C(new): joint at %d bytes, final %d", jointSize, fullSize)
-	}
-	n.Kill()
-
-	full, err := os.ReadFile(logPath(seedDir))
-	if err != nil {
-		t.Fatalf("reading oplog: %v", err)
-	}
-	termRec, err := os.ReadFile(filepath.Join(seedDir, "term.log"))
-	if err != nil {
-		t.Fatalf("reading term.log: %v", err)
-	}
-	snap, snapErr := os.ReadFile(filepath.Join(seedDir, "node.snap"))
-
-	for cut := 0; cut <= len(full); cut++ {
-		dir := t.TempDir()
-		if err := os.WriteFile(filepath.Join(dir, "term.log"), termRec, 0o644); err != nil {
-			t.Fatalf("cut %d: term.log: %v", cut, err)
-		}
-		if snapErr == nil {
-			if err := os.WriteFile(filepath.Join(dir, "node.snap"), snap, 0o644); err != nil {
-				t.Fatalf("cut %d: node.snap: %v", cut, err)
-			}
-		}
-		if err := os.WriteFile(logPath(dir), full[:cut], 0o644); err != nil {
-			t.Fatalf("cut %d: oplog: %v", cut, err)
-		}
-		r := configSweepNode(t, dir)
-		m := r.Membership()
-		switch {
-		case int64(cut) < jointSize:
-			if m.Joint() || len(m.New) != 2 || m.Contains("http://n3") {
-				t.Fatalf("cut %d: want the 2-member boot config, got %s", cut, m.describe())
-			}
-		case int64(cut) < fullSize:
-			if !m.Joint() || len(m.New) != 3 || !m.InNew("http://n3") {
-				t.Fatalf("cut %d: want joint(2+3), got %s", cut, m.describe())
-			}
-		default:
-			if m.Joint() || len(m.New) != 3 || !m.InNew("http://n3") {
-				t.Fatalf("cut %d: want the settled 3-member config, got %s", cut, m.describe())
-			}
-		}
-		r.Kill()
 	}
 }

@@ -135,7 +135,7 @@ func TestFollowerCommitBoundedByVerifiedPrefix(t *testing.T) {
 	// Re-sourced — here by the snapshot install the leader's refusal of
 	// that pull position leads to — the follower may adopt the commit.
 	f.mu.Lock()
-	f.installSnapshotLocked(snapPayload{LastIndex: 6, LastTerm: 2, State: writeOpsAt(1, 6, 2)})
+	f.installSnapshotLocked(nodeSnapshot{LastIndex: 6, LastTerm: 2, State: writeOpsAt(1, 6, 2)})
 	f.mu.Unlock()
 	f.HandleHeartbeat(appendReq(2, 6, 2, nil, 6, 6))
 	if got := f.CommitIndex(); got != 6 {

@@ -57,7 +57,7 @@ func TestSnapshotChunkStreamAndResume(t *testing.T) {
 	if len(buf) <= chunkBytes {
 		t.Fatalf("payload fits one chunk (%d bytes); the multi-chunk path went untested", len(buf))
 	}
-	var pay snapPayload
+	var pay nodeSnapshot
 	if err := json.Unmarshal(buf, &pay); err != nil {
 		t.Fatalf("reassembled payload does not parse: %v", err)
 	}

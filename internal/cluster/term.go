@@ -32,10 +32,9 @@ type termStore struct {
 // openTermStore replays term.log at path and returns the store plus the
 // last persisted record. The log is compacted on open — older records
 // are superseded by the last one — so the file stays O(1) records
-// across restarts. Compaction atomically replaces the closed log with a
-// one-frame file (a snapshot is exactly the log's format): a failure or
-// crash mid-compaction leaves the old records, never an empty,
-// clean-looking log that has forgotten a persisted vote.
+// across restarts. Compaction atomically rewrites the log as that one
+// record: a failure or crash mid-compaction leaves the old records,
+// never an empty, clean-looking log that has forgotten a persisted vote.
 //
 // With opts.Quarantine set, mid-log corruption does not fail the boot:
 // the damaged file becomes a .corrupt sidecar, the store reopens empty
@@ -59,16 +58,13 @@ func openTermStore(path string, opts wal.Options) (ts *termStore, last termRecor
 		}
 	}
 	if len(rep.Records) > 1 {
-		log.Close()
 		raw, err := json.Marshal(last)
 		if err == nil {
-			err = wal.WriteSnapshotFS(opts.FS, path, raw, 0)
+			err = log.Rewrite([][]byte{raw})
 		}
 		if err != nil {
+			log.Close()
 			return nil, termRecord{}, false, fmt.Errorf("cluster: compacting term log: %w", err)
-		}
-		if log, rep, err = wal.Open(path, opts); err != nil {
-			return nil, termRecord{}, false, fmt.Errorf("cluster: reopening compacted term log: %w", err)
 		}
 	}
 	return &termStore{log: log}, last, rep.Quarantined, nil

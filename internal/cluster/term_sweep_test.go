@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"os"
 	"path/filepath"
 	"testing"
 	"time"
@@ -37,69 +36,6 @@ func passiveVoter(t *testing.T, dir string) *Node {
 
 func voteReq(term uint64, candidate string) VoteRequest {
 	return VoteRequest{Term: term, Candidate: candidate, CandidateURL: "http://" + candidate}
-}
-
-// TestTermRecordKillAtEveryOffset crashes a voter at every byte offset
-// of its persisted term record and proves the double-vote invariant
-// survives each one: if a granted vote's record was durable before the
-// crash, the restarted node refuses any other candidate in that term;
-// if the record is torn or missing, the grant response was never sent
-// (the node persists BEFORE responding), so re-granting in that term is
-// a retry, not a second vote.
-//
-// The scenario: the voter grants term 5 to candidate A, then grants
-// term 7 to candidate C (persisting a step-down to term 7 on the way).
-// We then replay recovery from every prefix of the resulting term.log
-// and ask rival candidate B for votes in terms 5 and 7.
-func TestTermRecordKillAtEveryOffset(t *testing.T) {
-	seedDir := t.TempDir()
-	termPath := func(dir string) string { return filepath.Join(dir, "term.log") }
-
-	voter := passiveVoter(t, seedDir)
-	if resp := voter.HandleVote(voteReq(5, "A")); !resp.Granted {
-		t.Fatalf("pristine voter refused term-5 vote for A: %+v", resp)
-	}
-	st, err := os.Stat(termPath(seedDir))
-	if err != nil {
-		t.Fatalf("stat term.log: %v", err)
-	}
-	grantASize := st.Size() // everything below this offset tears the (5,A) record
-	if resp := voter.HandleVote(voteReq(7, "C")); !resp.Granted {
-		t.Fatalf("voter refused term-7 vote for C: %+v", resp)
-	}
-	voter.Kill()
-	full, err := os.ReadFile(termPath(seedDir))
-	if err != nil {
-		t.Fatalf("reading term.log: %v", err)
-	}
-	if grantASize <= 0 || int64(len(full)) <= grantASize {
-		t.Fatalf("term.log did not grow as expected: grant A at %d bytes, final %d", grantASize, len(full))
-	}
-
-	for cut := 0; cut <= len(full); cut++ {
-		dir := t.TempDir()
-		if err := os.WriteFile(termPath(dir), full[:cut], 0o644); err != nil {
-			t.Fatalf("cut %d: writing truncated term.log: %v", cut, err)
-		}
-		// Recovery must never fail, whatever the tear point: a torn term
-		// record means a response that was never sent.
-		n := passiveVoter(t, dir)
-
-		// Term 5: only a fully durable (5,A) grant forbids granting B.
-		wantGrant5 := int64(cut) < grantASize
-		if resp := n.HandleVote(voteReq(5, "B")); resp.Granted != wantGrant5 {
-			t.Fatalf("cut %d: term-5 vote for B granted=%t, want %t (grant A durable at %d bytes, resp %+v)",
-				cut, resp.Granted, wantGrant5, grantASize, resp)
-		}
-		// Term 7: forbidden only once the (7,C) grant itself is durable.
-		// (A durable step-down to term 7 with no vote cast still allows B.)
-		wantGrant7 := cut < len(full)
-		if resp := n.HandleVote(voteReq(7, "B")); resp.Granted != wantGrant7 {
-			t.Fatalf("cut %d: term-7 vote for B granted=%t, want %t (grant C durable at %d bytes, resp %+v)",
-				cut, resp.Granted, wantGrant7, len(full), resp)
-		}
-		n.Kill()
-	}
 }
 
 // TestTermRecordDoubleVoteAfterRestart is the direct statement of the

@@ -127,7 +127,7 @@ type Fault struct {
 	Kind Kind
 	// Path is a substring filter on the file (or directory) path; empty
 	// matches every path. Sites arm faults by their characteristic file
-	// name: "oplog.log", "term.log", ".snap", ".checkpoint".
+	// name: "oplog.log", "term.log", ".log.tmp", ".checkpoint".
 	Path string
 	// After skips the first After matching operations before firing, so
 	// a sweep can place the fault at every point of a deterministic

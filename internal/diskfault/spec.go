@@ -13,7 +13,7 @@ import (
 var Sites = map[string]string{
 	"wal":        "oplog.log",  // the cluster op WAL
 	"term":       "term.log",   // the election term log
-	"snapshot":   ".snap",      // state snapshots (node.snap, state.snap)
+	"snapshot":   ".log.tmp",   // a compaction's temp file: a log being rewritten around its snapshot
 	"store":      "wal-",       // the durable store's WAL (wal-0.log)
 	"checkpoint": "checkpoint", // campaign checkpoint journals
 }

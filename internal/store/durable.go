@@ -5,9 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"slices"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 
@@ -21,38 +19,42 @@ import (
 // accepted write is appended to the WAL and fsynced before WriteEntry
 // returns (concurrent writers share fsyncs through wal.Log's group
 // commit), so "acked" means "on disk": a kill -9 at any instant loses no
-// acknowledged write. Resets are journaled as epoch records; periodic
-// snapshots compact the log using the tmp+rename+dir-sync discipline of
-// internal/wal. Opening a Cluster over an existing directory replays
-// snapshot+WAL, tolerating a torn final record per log (noted,
-// truncated) and refusing to start on positioned mid-file corruption.
+// acknowledged write. Resets are journaled as epoch records. The log is
+// its own snapshot: compaction atomically rewrites it (wal.Log.Rewrite)
+// as one epoch record and one write record per live entry, so a crash
+// leaves the old log or the compacted one. Opening a Cluster over an
+// existing directory replays that one file, tolerating a torn final
+// record (noted, truncated) and refusing to start on positioned
+// mid-file corruption.
 type Durable struct {
 	// Dir is the persistence directory. Required; created if absent.
 	Dir string
-	// SnapshotEvery compacts the WAL into a snapshot after this many
-	// journaled writes (0 disables automatic snapshots; callers may
-	// still compact via SnapshotNow).
+	// SnapshotEvery compacts the WAL once this many records — writes and
+	// resets — have been journaled since the last compaction (0 disables
+	// automatic compaction; callers may still compact via SnapshotNow).
 	SnapshotEvery int
 	// NoSync skips fsyncs (tests and benchmarks only); acked writes are
 	// no longer crash-durable.
 	NoSync bool
-	// FS is the filesystem the WAL and snapshot live on; nil
-	// means the real one. Storage-fault drills pass a diskfault FS. The
-	// standalone store has no leader to re-source lost records from, so
-	// unlike the cluster it never quarantines: mid-file corruption still
-	// refuses to start — detection is its last line of defense — while
-	// write-path faults (torn writes, failed fsyncs, ENOSPC) poison the
-	// log so no unsynced write is ever acked.
+	// FS is the filesystem the WAL lives on; nil means the real one.
+	// Storage-fault drills pass a diskfault FS. The standalone store has
+	// no leader to re-source lost records from, so unlike the cluster it
+	// never quarantines: mid-file corruption still refuses to start —
+	// detection is its last line of defense — while write-path faults
+	// (torn writes, failed fsyncs, ENOSPC) poison the log so no unsynced
+	// write is ever acked.
 	FS diskfault.FS
 	// Metrics, when non-nil, surfaces storage-fault counters.
 	Metrics *obs.Scope
 }
 
-// snapName and walName are the snapshot and log files inside a
-// Durable.Dir.
+// walName is the log file inside a Durable.Dir. legacySnapName is the
+// snapshot builds before the log became its own snapshot kept beside it;
+// a directory that still holds one is refused, because replaying its log
+// without it would lose every compacted write.
 const (
-	snapName = "state.snap"
-	walName  = "wal-0.log"
+	walName        = "wal-0.log"
+	legacySnapName = "state.snap"
 )
 
 // walEntry is the serialized form of an Entry (epoch is unexported on
@@ -69,19 +71,14 @@ type walEntry struct {
 }
 
 // walRecord is one journaled mutation: a write ("w") or a reset ("r")
-// installing a new epoch.
+// installing a new epoch. The reset record at the head of a compacted
+// log also carries the highest ArrivalSeq journaled so far, which the
+// write records compaction dropped can no longer show.
 type walRecord struct {
-	Kind  string    `json:"k"`
-	Epoch uint64    `json:"e,omitempty"`
-	Entry *walEntry `json:"w,omitempty"`
-}
-
-// snapshotState is the snapshot payload: the accepted writes as of the
-// snapshot plus the counters recovery must restore.
-type snapshotState struct {
-	Epoch   uint64     `json:"epoch"`
-	MaxSeq  uint64     `json:"max_seq"`
-	Entries []walEntry `json:"entries"`
+	Kind   string    `json:"k"`
+	Epoch  uint64    `json:"e,omitempty"`
+	MaxSeq uint64    `json:"s,omitempty"`
+	Entry  *walEntry `json:"w,omitempty"`
 }
 
 // durableState is the runtime half of Durable, attached to a Cluster.
@@ -89,14 +86,14 @@ type durableState struct {
 	cfg Durable
 	log *wal.Log
 
-	// mu orders live-set mutation against snapshotting: logWrite appends
+	// mu orders live-set mutation against compaction: logWrite appends
 	// to live before touching the WAL, and snapshot marshals live and
-	// truncates the log under the same lock, so an entry whose WAL
-	// record is truncated away mid-append is already in the snapshot
-	// (recovery dedups by ID for entries present in both).
+	// rewrites the log under the same lock, so an entry whose WAL record
+	// went to the file the rewrite replaced is already in the new one
+	// (recovery dedups by ID for an entry that landed in both).
 	mu        sync.Mutex
 	live      []Entry
-	writes    int    // journaled writes since the last snapshot
+	records   int    // records journaled since the last compaction
 	maxSeq    uint64 // highest ArrivalSeq ever journaled
 	lastEpoch uint64 // epoch floor installed by the latest journaled reset
 	err       error  // first reset-journaling failure; poisons later writes
@@ -123,7 +120,7 @@ func toEntry(w walEntry) Entry {
 }
 
 // openDurable opens (or creates) the persistence directory, replays
-// snapshot+WALs, and installs the recovered state into c. Called from
+// the WAL, and installs the recovered state into c. Called from
 // NewCluster after the replicas exist.
 func (c *Cluster) openDurable(cfg Durable) error {
 	if cfg.Dir == "" {
@@ -132,98 +129,57 @@ func (c *Cluster) openDurable(cfg Durable) error {
 	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
 		return fmt.Errorf("store: durable dir: %w", err)
 	}
-	d := &durableState{cfg: cfg}
+	fsys := cfg.FS
+	if fsys == nil {
+		fsys = diskfault.OS
+	}
+	legacy := filepath.Join(cfg.Dir, legacySnapName)
+	if _, err := fsys.Stat(legacy); err == nil {
+		return fmt.Errorf("store: %s was written by an older build that kept a snapshot beside its log; this build cannot read it", legacy)
+	}
+	path := filepath.Join(cfg.Dir, walName)
+	log, rep, err := wal.Open(path, wal.Options{NoSync: cfg.NoSync, FS: cfg.FS, Metrics: cfg.Metrics})
+	if err != nil {
+		return fmt.Errorf("store: replaying %s: %w", path, err)
+	}
+	d := &durableState{cfg: cfg, log: log}
+	if rep.Note != "" {
+		d.note = fmt.Sprintf("%s: %s", walName, rep.Note)
+	}
 
 	var (
 		entries []walEntry
 		epoch   uint64
 		maxSeq  uint64
-		notes   []string
 	)
-	payload, ok, err := wal.ReadSnapshotFS(cfg.FS, filepath.Join(cfg.Dir, snapName))
-	if err != nil {
-		return fmt.Errorf("store: reading snapshot: %w", err)
-	}
-	if ok {
-		var snap snapshotState
-		if err := json.Unmarshal(payload, &snap); err != nil {
-			return fmt.Errorf("store: decoding snapshot: %w", err)
+	for _, raw := range rep.Records {
+		var rec walRecord
+		if err := json.Unmarshal(raw, &rec); err != nil {
+			log.Close()
+			return fmt.Errorf("store: decoding record in %s: %w", path, err)
 		}
-		epoch = snap.Epoch
-		maxSeq = snap.MaxSeq
-		entries = snap.Entries
-		// Older snapshots computed MaxSeq from the counter alone; trust
-		// the entries over the header so no recovered seq is re-issued.
-		for _, w := range entries {
-			if w.ArrivalSeq > maxSeq {
-				maxSeq = w.ArrivalSeq
+		switch rec.Kind {
+		case "w":
+			if rec.Entry == nil {
+				log.Close()
+				return fmt.Errorf("store: write record without entry in %s", path)
 			}
-		}
-	}
-
-	// Replay every WAL present: builds that striped the store wrote
-	// wal-0.log … wal-N.log, and none of their acked writes may be lost.
-	// Only walName stays open for appends; the rest are removed below.
-	paths, err := filepath.Glob(filepath.Join(cfg.Dir, "wal-*.log"))
-	if err != nil {
-		return err
-	}
-	livePath := filepath.Join(cfg.Dir, walName)
-	if !slices.Contains(paths, livePath) {
-		paths = append(paths, livePath)
-	}
-	sort.Strings(paths)
-	opts := wal.Options{NoSync: cfg.NoSync, FS: cfg.FS, Metrics: cfg.Metrics}
-	var stale []string
-	for _, path := range paths {
-		l, rep, err := wal.Open(path, opts)
-		if err != nil {
-			d.closeLog()
-			return fmt.Errorf("store: replaying %s: %w", path, err)
-		}
-		if path == livePath {
-			d.log = l
-		} else {
-			l.Close()
-			stale = append(stale, path)
-		}
-		if rep.Note != "" {
-			notes = append(notes, fmt.Sprintf("%s: %s", filepath.Base(path), rep.Note))
-		}
-		for _, raw := range rep.Records {
-			var rec walRecord
-			if err := json.Unmarshal(raw, &rec); err != nil {
-				d.closeLog()
-				return fmt.Errorf("store: decoding record in %s: %w", path, err)
-			}
-			switch rec.Kind {
-			case "w":
-				if rec.Entry == nil {
-					d.closeLog()
-					return fmt.Errorf("store: write record without entry in %s", path)
-				}
-				entries = append(entries, *rec.Entry)
-				if rec.Entry.Epoch > epoch {
-					epoch = rec.Entry.Epoch
-				}
-				if rec.Entry.ArrivalSeq > maxSeq {
-					maxSeq = rec.Entry.ArrivalSeq
-				}
-			case "r":
-				if rec.Epoch > epoch {
-					epoch = rec.Epoch
-				}
-			default:
-				d.closeLog()
-				return fmt.Errorf("store: unknown record kind %q in %s", rec.Kind, path)
-			}
+			entries = append(entries, *rec.Entry)
+			epoch = max(epoch, rec.Entry.Epoch)
+			maxSeq = max(maxSeq, rec.Entry.ArrivalSeq)
+		case "r":
+			epoch = max(epoch, rec.Epoch)
+			maxSeq = max(maxSeq, rec.MaxSeq)
+		default:
+			log.Close()
+			return fmt.Errorf("store: unknown record kind %q in %s", rec.Kind, path)
 		}
 	}
 
 	// The final epoch wins: only its entries survive (journaled resets
 	// discard earlier generations exactly as the in-memory Reset does).
-	// Entries can appear in both snapshot and WAL if a crash landed
-	// between snapshot rename and log truncation — dedup by ID.
+	// An entry appears twice when its append raced a compaction that had
+	// already copied it from the live set — dedup by ID.
 	seen := make(map[string]bool, len(entries))
 	recovered := make([]Entry, 0, len(entries))
 	for _, w := range entries {
@@ -256,32 +212,13 @@ func (c *Cluster) openDurable(cfg Durable) error {
 	d.lastEpoch = epoch
 	c.durable = d
 
-	// Compact on open: recovery already merged snapshot+WAL, so persist
-	// that merge and start the log empty.
+	// Compact on open: dead generations and duplicates go, and so does a
+	// temp file a compaction killed mid-write left behind.
 	if err := c.SnapshotNow(); err != nil {
-		d.closeLog()
+		log.Close()
 		c.durable = nil
 		return fmt.Errorf("store: compacting on open: %w", err)
 	}
-	// Only now — the snapshot holding their records is renamed into place
-	// and dir-synced — may the stripe logs go. A removal that fails or
-	// does not survive a crash costs nothing but a repeat: the next open
-	// replays the leftover, dedups it against the snapshot and retries.
-	if len(stale) > 0 {
-		fsys := cfg.FS
-		if fsys == nil {
-			fsys = diskfault.OS
-		}
-		for _, path := range stale {
-			if err := fsys.Remove(path); err != nil {
-				notes = append(notes, fmt.Sprintf("%s: stale stripe log not removed: %v", filepath.Base(path), err))
-			}
-		}
-		if err := wal.SyncDirFS(fsys, cfg.Dir); err != nil {
-			notes = append(notes, fmt.Sprintf("stale stripe log removal not synced: %v", err))
-		}
-	}
-	d.note = strings.Join(notes, "; ")
 	return nil
 }
 
@@ -305,12 +242,12 @@ func (d *durableState) logWrite(e Entry) error {
 	d.mu.Unlock()
 	if err := d.log.Append(raw); err != nil {
 		// The write is being rejected, so nothing of it may persist: a
-		// concurrent snapshot could have captured the live set with e in
-		// it, and a frame that reached the file without its fsync would
-		// replay after a crash. Drop e from live and rewrite the snapshot
-		// (which truncates the log) from the corrected set; if even
-		// that fails, poison the log — as logReset does — rather than ack
-		// later writes against a state that can resurrect this one.
+		// concurrent compaction could have captured the live set with e
+		// in it, and a frame that reached the file without its fsync
+		// would replay after a crash. Drop e from live and rewrite the
+		// log from the corrected set; if even that fails, poison the log
+		// — as logReset does — rather than ack later writes against a
+		// state that can resurrect this one.
 		d.mu.Lock()
 		d.dropLiveLocked(e)
 		if serr := d.snapshotLocked(); serr != nil && d.err == nil {
@@ -320,14 +257,21 @@ func (d *durableState) logWrite(e Entry) error {
 		return err
 	}
 	d.mu.Lock()
-	d.writes++
-	if e.ArrivalSeq > d.maxSeq {
-		d.maxSeq = e.ArrivalSeq
-	}
-	doSnap := d.cfg.SnapshotEvery > 0 && d.writes >= d.cfg.SnapshotEvery
-	d.mu.Unlock()
-	if doSnap {
-		return d.snapshot()
+	defer d.mu.Unlock()
+	d.maxSeq = max(d.maxSeq, e.ArrivalSeq)
+	return d.journaledLocked()
+}
+
+// journaledLocked counts one more record in the log and compacts it
+// once SnapshotEvery have accumulated. Resets count like writes and do
+// not restart the count: a service reset every few writes (every
+// campaign test is reset + about ten writes) would otherwise never reach
+// the threshold, and its log would keep every discarded generation.
+// Caller holds d.mu.
+func (d *durableState) journaledLocked() error {
+	d.records++
+	if d.cfg.SnapshotEvery > 0 && d.records >= d.cfg.SnapshotEvery {
+		return d.snapshotLocked()
 	}
 	return nil
 }
@@ -350,28 +294,30 @@ func ptr(v walEntry) *walEntry { return &v }
 // logReset journals an epoch change. Reset has no error return, so a
 // failure is stashed and poisons subsequent writes instead of being
 // dropped: continuing to ack writes whose epoch floor is not durable
-// would resurrect discarded entries after a crash.
+// would resurrect discarded entries after a crash. The lock spans the
+// append, so a compaction cannot copy the old generation from live after
+// the reset record is in the log it is about to replace.
 func (d *durableState) logReset(epoch uint64) {
 	raw, err := json.Marshal(walRecord{Kind: "r", Epoch: epoch})
+	d.mu.Lock()
+	defer d.mu.Unlock()
 	if err == nil {
 		err = d.log.Append(raw)
 	}
-	d.mu.Lock()
 	d.live = d.live[:0]
-	d.writes = 0
-	if epoch > d.lastEpoch {
-		d.lastEpoch = epoch
+	d.lastEpoch = max(d.lastEpoch, epoch)
+	if err == nil {
+		err = d.journaledLocked()
 	}
 	if err != nil && d.err == nil {
 		d.err = err
 	}
-	d.mu.Unlock()
 }
 
-// snapshot persists the live set and truncates the WAL. The lock
-// spans marshal, snapshot write and truncation, so no write can slip
-// its WAL record into the log between the marshal and the truncate
-// without also being in live (logWrite appends to live first).
+// snapshot compacts the log to the live set. The lock spans marshal and
+// rewrite, so no write can slip its WAL record into the old file after
+// the marshal without also being in live (logWrite appends to live
+// first).
 func (d *durableState) snapshot() error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -379,7 +325,7 @@ func (d *durableState) snapshot() error {
 }
 
 // snapshotLocked is snapshot with d.mu already held (logWrite's append
-// failure path snapshots while holding the lock it took to scrub live).
+// failure path compacts while holding the lock it took to scrub live).
 func (d *durableState) snapshotLocked() error {
 	// A Reset may have raced acceptance: live can hold entries from a
 	// superseded epoch. Keep them — recovery filters by final epoch —
@@ -387,42 +333,30 @@ func (d *durableState) snapshotLocked() error {
 	// the live entries into account: a write mid-logWrite is in live
 	// before it bumps d.maxSeq, and recovery must never hand out a seq
 	// an existing entry already holds.
-	st := snapshotState{MaxSeq: d.maxSeq, Entries: make([]walEntry, len(d.live))}
-	for i, e := range d.live {
-		st.Entries[i] = toWalEntry(e)
-		if e.epoch > st.Epoch {
-			st.Epoch = e.epoch
+	head := walRecord{Kind: "r", Epoch: d.lastEpoch, MaxSeq: d.maxSeq}
+	recs := make([][]byte, 1, 1+len(d.live))
+	for _, e := range d.live {
+		head.Epoch = max(head.Epoch, e.epoch)
+		head.MaxSeq = max(head.MaxSeq, e.ArrivalSeq)
+		raw, err := json.Marshal(walRecord{Kind: "w", Entry: ptr(toWalEntry(e))})
+		if err != nil {
+			return err
 		}
-		if e.ArrivalSeq > st.MaxSeq {
-			st.MaxSeq = e.ArrivalSeq
-		}
+		recs = append(recs, raw)
 	}
-	if epoch := d.lastEpoch; epoch > st.Epoch {
-		st.Epoch = epoch
-	}
-	payload, err := json.Marshal(st)
-	if err != nil {
+	var err error
+	if recs[0], err = json.Marshal(head); err != nil {
 		return err
 	}
-	if err := wal.WriteSnapshotFS(d.cfg.FS, filepath.Join(d.cfg.Dir, snapName), payload, wal.DefaultFileMode); err != nil {
+	if err := d.log.Rewrite(recs); err != nil {
 		return err
 	}
-	if err := d.log.Truncate(); err != nil {
-		return err
-	}
-	d.writes = 0
+	d.records = 0
 	return nil
 }
 
-// closeLog releases the WAL file, if recovery got as far as opening it.
-func (d *durableState) closeLog() {
-	if d.log != nil {
-		d.log.Close()
-	}
-}
-
-// SnapshotNow compacts the durable state: persists a snapshot and
-// truncates the WAL. No-op on a non-durable cluster.
+// SnapshotNow compacts the durable state: rewrites the WAL to the live
+// set. No-op on a non-durable cluster.
 func (c *Cluster) SnapshotNow() error {
 	if c.durable == nil {
 		return nil
@@ -431,9 +365,8 @@ func (c *Cluster) SnapshotNow() error {
 }
 
 // RecoveryNote reports what the last open had to tolerate — a torn tail
-// ("wal-0.log: dropped torn final record at byte offset N"), a stale
-// stripe log it could not remove; empty when recovery was clean or the
-// cluster is not durable.
+// ("wal-0.log: dropped torn final record at byte offset N"); empty when
+// recovery was clean or the cluster is not durable.
 func (c *Cluster) RecoveryNote() string {
 	if c.durable == nil {
 		return ""
@@ -441,13 +374,15 @@ func (c *Cluster) RecoveryNote() string {
 	return c.durable.note
 }
 
-// Close snapshots (compacting the WAL) and releases the durable
-// files. No-op on a non-durable cluster.
+// Close compacts the WAL and releases it. No-op on a non-durable
+// cluster.
 func (c *Cluster) Close() error {
 	if c.durable == nil {
 		return nil
 	}
 	err := c.durable.snapshot()
-	c.durable.closeLog()
+	if cerr := c.durable.log.Close(); err == nil {
+		err = cerr
+	}
 	return err
 }

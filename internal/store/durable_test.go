@@ -1,16 +1,14 @@
 package store
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
-	"time"
 
-	"conprobe/internal/diskfault"
 	"conprobe/internal/simnet"
 	"conprobe/internal/vtime"
 	"conprobe/internal/wal"
@@ -129,8 +127,11 @@ func TestDurableSnapshotCompaction(t *testing.T) {
 	cfg := durableCfg(dir, 4) // snapshot every 4 writes
 	s, c := openDurableCluster(t, cfg)
 	writeN(t, s, c, 0, 9)
-	if _, err := os.Stat(filepath.Join(dir, "state.snap")); err != nil {
-		t.Fatalf("no snapshot written: %v", err)
+	// Two compactions (at 4 and 8 records) and one write since: the log
+	// is the head record, eight live entries and the ninth write.
+	rep, err := wal.ReadFS(nil, filepath.Join(dir, walName))
+	if err != nil || len(rep.Records) != 10 {
+		t.Fatalf("log holds %d records (%v), want 10", len(rep.Records), err)
 	}
 	want := readIDs(t, s, c, simnet.DCWest)
 
@@ -286,101 +287,144 @@ func TestDurableAppendFailureDoesNotResurrectRejectedWrite(t *testing.T) {
 	}
 }
 
-// noRemoveFS is the real filesystem with every Remove refused.
-type noRemoveFS struct{ diskfault.FS }
-
-func (noRemoveFS) Remove(name string) error { return errors.New("remove refused: " + name) }
-
-// TestDurableRecoversStripedDirectory opens a directory as a build with
-// lock-striped replicas left it: four stripe WALs, a journaled reset, an
-// entry from the epoch it ended, and an entry that sits in both the
-// snapshot and a log. Every live-epoch entry must come back exactly
-// once at every replica, and only wal-0.log may remain. When the
-// removal fails — which leaves the disk as a kill between the snapshot
-// and the removal would — recovery still returns one copy of each entry
-// and the next open finishes the job.
-func TestDurableRecoversStripedDirectory(t *testing.T) {
-	entry := func(id string, seq, epoch uint64) walEntry {
-		return walEntry{ID: id, Author: "a1", Origin: string(simnet.DCWest),
-			CreatedAt: epoch0.Add(time.Duration(seq) * time.Millisecond), ArrivalSeq: seq, Epoch: epoch}
+// dirNames lists what a durable directory holds.
+func dirNames(t *testing.T, dir string) []string {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
 	}
-	write := func(e walEntry) walRecord { return walRecord{Kind: "w", Entry: &e} }
-	stripes := [][]walRecord{
-		{write(entry("old0", 1, 1)), {Kind: "r", Epoch: 2}, write(entry("m1", 3, 2))},
-		{write(entry("m2", 4, 2))},
-		{write(entry("old1", 2, 1)), write(entry("m3", 5, 2))},
-		{write(entry("m4", 6, 2))},
+	names := make([]string, len(entries))
+	for i, e := range entries {
+		names[i] = e.Name()
 	}
-	want := []string{"m1", "m2", "m3", "m4"}
+	return names
+}
 
-	for _, removeFails := range []bool{false, true} {
-		t.Run(fmt.Sprintf("removeFails=%v", removeFails), func(t *testing.T) {
-			dir := t.TempDir()
-			snap, err := json.Marshal(snapshotState{Epoch: 2, MaxSeq: 3, Entries: []walEntry{entry("m1", 3, 2)}})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := wal.WriteSnapshot(filepath.Join(dir, snapName), snap); err != nil {
-				t.Fatal(err)
-			}
-			for i, recs := range stripes {
-				l, _, err := wal.Open(filepath.Join(dir, fmt.Sprintf("wal-%d.log", i)), wal.Options{})
-				if err != nil {
-					t.Fatal(err)
-				}
-				for _, rec := range recs {
-					raw, err := json.Marshal(rec)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if err := l.Append(raw); err != nil {
-						t.Fatal(err)
-					}
-				}
-				l.Close()
-			}
-			logsOnDisk := func() []string {
-				paths, err := filepath.Glob(filepath.Join(dir, "wal-*.log"))
-				if err != nil {
-					t.Fatal(err)
-				}
-				for i, p := range paths {
-					paths[i] = filepath.Base(p)
-				}
-				return paths
-			}
-			// open recovers the directory, checks every replica holds each
-			// live-epoch entry once, and crashes (no Close).
-			open := func(fsys diskfault.FS) *Cluster {
-				cfg := durableCfg(dir, 0)
-				cfg.Durable.FS = fsys
-				s, c := openDurableCluster(t, cfg)
-				for _, dc := range cfg.Sites {
-					if got := readIDs(t, s, c, dc); !eq(got, want) {
-						t.Fatalf("recovered read at %s = %v, want %v", dc, got, want)
-					}
-				}
-				return c
-			}
+// TestDurableLogBoundedUnderResets is the probe's own traffic shape: a
+// reset, a handful of writes, again. The compaction threshold is never
+// reached within one generation, so the count that triggers it must run
+// across resets — when a reset zeroed it, the log kept every discarded
+// generation and grew by 600 bytes a round without bound. The directory
+// holds the one log throughout.
+func TestDurableLogBoundedUnderResets(t *testing.T) {
+	dir := t.TempDir()
+	cfg := durableCfg(dir, 8)
+	s, c := openDurableCluster(t, cfg)
+	defer c.Close()
+	// Eight records of at most ~170 bytes between compactions, and the
+	// compacted log holds at most one generation's five entries.
+	const bound = 4 << 10
+	for round := 0; round < 200; round++ {
+		writeN(t, s, c, round*5, 5)
+		c.Reset()
+		st, err := os.Stat(filepath.Join(dir, walName))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Size() > bound {
+			t.Fatalf("after %d rounds of 5 writes + reset the log is %d bytes, want at most %d", round+1, st.Size(), bound)
+		}
+	}
+	if got := dirNames(t, dir); !eq(got, []string{walName}) {
+		t.Fatalf("durable directory holds %v, want only %s", got, walName)
+	}
+	writeN(t, s, c, 1000, 3)
+	want := readIDs(t, s, c, simnet.DCWest)
+	s2, c2 := openDurableCluster(t, cfg)
+	defer c2.Close()
+	if got := readIDs(t, s2, c2, simnet.DCWest); !eq(got, want) || len(got) != 3 {
+		t.Fatalf("recovered %v, want %v", got, want)
+	}
+}
 
-			if removeFails {
-				c := open(noRemoveFS{diskfault.OS})
-				if note := c.RecoveryNote(); !strings.Contains(note, "not removed") {
-					t.Errorf("recovery note = %q, want the failed removals", note)
-				}
-				if got := logsOnDisk(); len(got) != len(stripes) {
-					t.Fatalf("logs on disk = %v, want all %d stripe logs still there", got, len(stripes))
+// TestDurableRefusesLegacySnapshot: a directory written by a build that
+// kept state.snap beside its log holds compacted writes this build would
+// never see. Opening it must fail naming the file, and must not touch a
+// byte of what is there.
+func TestDurableRefusesLegacySnapshot(t *testing.T) {
+	dir := t.TempDir()
+	files := map[string][]byte{
+		legacySnapName: []byte("a snapshot this build cannot read"),
+		walName:        []byte("not even a log"),
+	}
+	for name, data := range files {
+		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	net := simnet.DefaultTopology(42, simnet.WithJitter(0))
+	_, err := NewCluster(vtime.NewSim(epoch0), net, durableCfg(dir, 0), 42)
+	if err == nil || !strings.Contains(err.Error(), filepath.Join(dir, legacySnapName)) {
+		t.Fatalf("NewCluster over a legacy directory: %v, want an error naming %s", err, legacySnapName)
+	}
+	if got := dirNames(t, dir); len(got) != len(files) {
+		t.Fatalf("refused open left %v", got)
+	}
+	for name, want := range files {
+		if got, err := os.ReadFile(filepath.Join(dir, name)); err != nil || string(got) != string(want) {
+			t.Fatalf("%s after the refused open: %q, %v", name, got, err)
+		}
+	}
+}
+
+// TestDurableConcurrentWritesSurviveCompaction races real writers
+// against SnapshotNow: a write's log record can land in the file a
+// compaction is replacing or in the new one, and in either case an acked
+// write must be recovered exactly once.
+func TestDurableConcurrentWritesSurviveCompaction(t *testing.T) {
+	dir := t.TempDir()
+	cfg := durableCfg(dir, 0)
+	net := simnet.DefaultTopology(42, simnet.WithJitter(0))
+	c, err := NewCluster(vtime.Real{}, net, cfg, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const writers, perWriter = 4, 25
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < perWriter; i++ {
+				if _, err := c.Write(simnet.DCWest, fmt.Sprintf("w%d-%d", w, i), "a1", "x"); err != nil {
+					t.Errorf("write: %v", err)
 				}
 			}
-			for i := 0; i < 2; i++ {
-				c := open(nil)
-				if note := c.RecoveryNote(); note != "" {
-					t.Errorf("open %d: recovery note = %q, want clean", i, note)
-				}
-				if got := logsOnDisk(); !eq(got, []string{walName}) {
-					t.Fatalf("open %d: logs on disk = %v, want only %s", i, got, walName)
-				}
+		}(w)
+	}
+	stop := make(chan struct{})
+	compacted := make(chan struct{})
+	go func() {
+		defer close(compacted)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
 			}
-		})
+			if err := c.SnapshotNow(); err != nil {
+				t.Errorf("SnapshotNow: %v", err)
+				return
+			}
+		}
+	}()
+	wg.Wait()
+	close(stop)
+	<-compacted
+	// No Close: the process dies with whatever the race left on disk.
+
+	s2, c2 := openDurableCluster(t, cfg)
+	defer c2.Close()
+	got := readIDs(t, s2, c2, simnet.DCWest)
+	if len(got) != writers*perWriter {
+		t.Fatalf("recovered %d entries, want %d acked writes exactly once", len(got), writers*perWriter)
+	}
+	seen := make(map[string]bool)
+	for _, id := range got {
+		if seen[id] {
+			t.Fatalf("write %s recovered twice", id)
+		}
+		seen[id] = true
 	}
 }

@@ -29,10 +29,6 @@ func ObserveDirSync(fn func(dir string)) (restore func()) {
 	}
 }
 
-// SyncDir fsyncs the directory itself on the real filesystem. See
-// SyncDirFS.
-func SyncDir(dir string) error { return SyncDirFS(nil, dir) }
-
 // SyncDirFS fsyncs the directory itself, making a preceding rename or
 // create in it durable. An os.Rename persists the file contents but the
 // new directory entry lives in the directory's own metadata, which has
@@ -42,10 +38,7 @@ func SyncDir(dir string) error { return SyncDirFS(nil, dir) }
 // because they chose durability explicitly. fsys nil means the real
 // filesystem.
 func SyncDirFS(fsys diskfault.FS, dir string) error {
-	if fsys == nil {
-		fsys = diskfault.OS
-	}
-	if err := fsys.SyncDir(dir); err != nil {
+	if err := orOS(fsys).SyncDir(dir); err != nil {
 		return err
 	}
 	dirSyncMu.Lock()

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -40,8 +41,8 @@ func TestFsyncFailurePoisonsLog(t *testing.T) {
 	if err := l.Append([]byte("after")); !errors.Is(err, ErrPoisoned) {
 		t.Fatalf("append on poisoned log: %v, want ErrPoisoned", err)
 	}
-	if err := l.Truncate(); !errors.Is(err, ErrPoisoned) {
-		t.Fatalf("truncate on poisoned log: %v, want ErrPoisoned", err)
+	if err := l.Rewrite(nil); !errors.Is(err, ErrPoisoned) {
+		t.Fatalf("rewrite on poisoned log: %v, want ErrPoisoned", err)
 	}
 	// Reopening replays only what is actually on disk: the acked record
 	// survived (its fsync succeeded), the unacked one is gone.
@@ -113,79 +114,229 @@ func TestTornWriteRepairedAtFrameBoundary(t *testing.T) {
 	}
 }
 
-// seekFailFS wraps the real filesystem so a test can make every Seek on
-// handles it opened fail once *fail flips true.
-type seekFailFS struct {
-	base diskfault.FS
-	fail *bool
+// reopenFailFS wraps the real filesystem so a test can make a log's
+// reopen after a rewrite fail once *mode is set: "open" refuses to open
+// an existing file without O_CREATE (which only Rewrite's reopen does),
+// "seek" fails every Seek on handles opened from then on.
+type reopenFailFS struct {
+	diskfault.FS
+	mode *string
 }
 
-func (s seekFailFS) OpenFile(name string, flag int, perm os.FileMode) (diskfault.File, error) {
-	f, err := s.base.OpenFile(name, flag, perm)
+func (s reopenFailFS) OpenFile(name string, flag int, perm os.FileMode) (diskfault.File, error) {
+	if *s.mode == "open" && flag&os.O_CREATE == 0 {
+		return nil, errors.New("injected open failure")
+	}
+	f, err := s.FS.OpenFile(name, flag, perm)
 	if err != nil {
 		return nil, err
 	}
-	return seekFailFile{File: f, fail: s.fail}, nil
+	return seekFailFile{File: f, fail: *s.mode == "seek"}, nil
 }
-func (s seekFailFS) Rename(oldpath, newpath string) error  { return s.base.Rename(oldpath, newpath) }
-func (s seekFailFS) Remove(name string) error              { return s.base.Remove(name) }
-func (s seekFailFS) Stat(name string) (os.FileInfo, error) { return s.base.Stat(name) }
-func (s seekFailFS) SyncDir(dir string) error              { return s.base.SyncDir(dir) }
 
 type seekFailFile struct {
 	diskfault.File
-	fail *bool
+	fail bool
 }
 
 func (f seekFailFile) Seek(offset int64, whence int) (int64, error) {
-	if *f.fail {
+	if f.fail {
 		return 0, errors.New("injected seek failure")
 	}
 	return f.File.Seek(offset, whence)
 }
 
-// TestTruncateSeekFailurePoisons: Truncate empties the file first; if
-// the follow-up Seek fails, the handle's write offset no longer matches
-// the empty file, so the log must poison rather than let a later append
-// land at the stale offset — and the size accounting must already be
-// reset so no later repair can zero-extend from a stale size.
-func TestTruncateSeekFailurePoisons(t *testing.T) {
-	fail := false
-	path := filepath.Join(t.TempDir(), "wal.log")
-	l, _, err := Open(path, Options{FS: seekFailFS{base: diskfault.OS, fail: &fail}})
+// TestRewriteReopenFailurePoisons: once the rename has happened the old
+// handle writes to an unlinked file, so if the path cannot be reopened —
+// or the new handle cannot be positioned at its end — the log must
+// poison rather than let a later append be acked into the file nobody
+// will read. The rewrite itself took effect: a reopen replays the new
+// content, and the fresh handle is usable.
+func TestRewriteReopenFailurePoisons(t *testing.T) {
+	for _, failure := range []string{"open", "seek"} {
+		t.Run(failure, func(t *testing.T) {
+			mode := ""
+			path := filepath.Join(t.TempDir(), "wal.log")
+			l, _, err := Open(path, Options{FS: reopenFailFS{FS: diskfault.OS, mode: &mode}})
+			if err != nil {
+				t.Fatalf("Open: %v", err)
+			}
+			defer l.Close()
+			for _, rec := range []string{"one", "two"} {
+				if err := l.Append([]byte(rec)); err != nil {
+					t.Fatalf("append %q: %v", rec, err)
+				}
+			}
+			mode = failure
+			if err := l.Rewrite([][]byte{[]byte("both")}); err == nil {
+				t.Fatal("Rewrite with a failing reopen reported success")
+			}
+			if l.Poisoned() == nil {
+				t.Fatal("log not poisoned after the post-rename reopen failed")
+			}
+			if err := l.Append([]byte("after")); !errors.Is(err, ErrPoisoned) {
+				t.Fatalf("append on poisoned log: %v, want ErrPoisoned", err)
+			}
+			mode = ""
+			l.Close()
+			l2, rep, err := Open(path, Options{})
+			if err != nil {
+				t.Fatalf("reopen: %v", err)
+			}
+			defer l2.Close()
+			if len(rep.Records) != 1 || string(rep.Records[0]) != "both" {
+				t.Fatalf("reopen replayed %q, want the rewritten log", rep.Records)
+			}
+			if err := l2.Append([]byte("fresh")); err != nil {
+				t.Fatalf("append after reopen: %v", err)
+			}
+		})
+	}
+}
+
+// TestRewriteFailureBeforeRenameKeepsLog: a rewrite that fails before
+// its rename — the temp write tears, the disk is full, the temp's fsync
+// fails, the process dies at the rename — leaves the old records on disk
+// and the handle healthy: the next append lands after them.
+func TestRewriteFailureBeforeRenameKeepsLog(t *testing.T) {
+	for _, kind := range []diskfault.Kind{
+		diskfault.KindTorn, diskfault.KindENOSPC, diskfault.KindFsyncGate, diskfault.KindCrashRename,
+	} {
+		t.Run(string(kind), func(t *testing.T) {
+			in := diskfault.New(nil)
+			path := filepath.Join(t.TempDir(), "wal.log")
+			l, _, err := Open(path, Options{FS: in.FS()})
+			if err != nil {
+				t.Fatalf("Open: %v", err)
+			}
+			defer l.Close()
+			for _, rec := range []string{"one", "two"} {
+				if err := l.Append([]byte(rec)); err != nil {
+					t.Fatalf("append %q: %v", rec, err)
+				}
+			}
+			if err := in.Arm(diskfault.Fault{Kind: kind, Path: ".log.tmp", Seed: 3}); err != nil {
+				t.Fatal(err)
+			}
+			if err := l.Rewrite([][]byte{[]byte("both")}); err == nil {
+				t.Fatal("Rewrite under the fault reported success; the drill is void")
+			}
+			if err := l.Poisoned(); err != nil {
+				t.Fatalf("a rewrite that never renamed poisoned the log: %v", err)
+			}
+			if err := l.Append([]byte("three")); err != nil {
+				t.Fatalf("append after the failed rewrite: %v", err)
+			}
+			l.Close()
+			if got, want := replayed(t, path), []string{"one", "two", "three"}; !slices.Equal(got, want) {
+				t.Fatalf("log holds %q, want %q", got, want)
+			}
+			// The next rewrite clears whatever temp the failed one left.
+			l2, _, err := Open(path, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer l2.Close()
+			if err := l2.Rewrite([][]byte{[]byte("all three")}); err != nil {
+				t.Fatalf("rewrite after the failed one: %v", err)
+			}
+			if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
+				t.Fatalf("temp file left behind: %v", err)
+			}
+		})
+	}
+}
+
+// syncedLenFS remembers, per path, how long the file was at its last
+// successful fsync, and follows renames — the model bench/countfs.go
+// cuts files back to when it simulates a power failure.
+type syncedLenFS struct {
+	diskfault.FS
+	synced map[string]int64
+}
+
+type syncedLenFile struct {
+	diskfault.File
+	fs   syncedLenFS
+	path string
+}
+
+func (s syncedLenFS) OpenFile(name string, flag int, perm os.FileMode) (diskfault.File, error) {
+	f, err := s.FS.OpenFile(name, flag, perm)
 	if err != nil {
-		t.Fatalf("Open: %v", err)
+		return nil, err
+	}
+	if _, ok := s.synced[name]; !ok {
+		st, err := f.Stat()
+		if err != nil {
+			return nil, err
+		}
+		s.synced[name] = st.Size()
+	}
+	return syncedLenFile{File: f, fs: s, path: name}, nil
+}
+
+func (s syncedLenFS) Rename(oldpath, newpath string) error {
+	if err := s.FS.Rename(oldpath, newpath); err != nil {
+		return err
+	}
+	s.synced[newpath] = s.synced[oldpath]
+	delete(s.synced, oldpath)
+	return nil
+}
+
+func (f syncedLenFile) Sync() error {
+	if err := f.File.Sync(); err != nil {
+		return err
+	}
+	st, err := f.File.Stat()
+	if err != nil {
+		return err
+	}
+	f.fs.synced[f.path] = st.Size()
+	return nil
+}
+
+// TestRewriteKeepsSyncedLengthHonest: a filesystem shim that tracks each
+// path's length at its last fsync must, after a rewrite and further
+// appends, say that the whole file is durable — which it does only if
+// the new file is reopened by path (not kept as the temp's descriptor,
+// whose syncs the shim files under the temp's name) and the replaced
+// handle is never synced after the rename (which would record the old
+// file's length against the new one).
+func TestRewriteKeepsSyncedLengthHonest(t *testing.T) {
+	fsys := syncedLenFS{FS: diskfault.OS, synced: make(map[string]int64)}
+	path := filepath.Join(t.TempDir(), "wal.log")
+	l, _, err := Open(path, Options{FS: fsys})
+	if err != nil {
+		t.Fatal(err)
 	}
 	defer l.Close()
-	for _, rec := range []string{"one", "two"} {
+	for _, rec := range []string{"a long first record, longer than the rewritten log", "two"} {
 		if err := l.Append([]byte(rec)); err != nil {
-			t.Fatalf("append %q: %v", rec, err)
+			t.Fatal(err)
 		}
 	}
-	fail = true
-	if err := l.Truncate(); err == nil {
-		t.Fatal("Truncate with a failing seek reported success")
+	if err := l.Rewrite([][]byte{[]byte("s")}); err != nil {
+		t.Fatal(err)
 	}
-	if l.Poisoned() == nil {
-		t.Fatal("log not poisoned after the post-truncate seek failed")
+	check := func(when string) {
+		t.Helper()
+		st, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := fsys.synced[path]; got != st.Size() {
+			t.Fatalf("%s: %d of %d bytes count as synced: a power cut would drop acked records", when, got, st.Size())
+		}
 	}
-	if err := l.Append([]byte("after")); !errors.Is(err, ErrPoisoned) {
-		t.Fatalf("append on poisoned log: %v, want ErrPoisoned", err)
+	check("after the rewrite")
+	if err := l.Append([]byte("three")); err != nil {
+		t.Fatal(err)
 	}
-	// The file itself was emptied before the seek failed: a reopen
-	// replays nothing, and the fresh handle is usable.
-	fail = false
-	l.Close()
-	l2, rep, err := Open(path, Options{})
-	if err != nil {
-		t.Fatalf("reopen: %v", err)
-	}
-	defer l2.Close()
-	if len(rep.Records) != 0 {
-		t.Fatalf("reopen replayed %q, want an empty log", rep.Records)
-	}
-	if err := l2.Append([]byte("fresh")); err != nil {
-		t.Fatalf("append after reopen: %v", err)
+	check("after an append to the rewritten log")
+	if len(fsys.synced) != 1 {
+		t.Fatalf("shim tracks %v, want only the log", fsys.synced)
 	}
 }
 

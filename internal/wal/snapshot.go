@@ -20,23 +20,8 @@ func WriteSnapshot(path string, payload []byte) error {
 // CRC32-framed record holding payload, through ReplaceFileFS. fsys nil
 // means the real filesystem; mode zero means DefaultFileMode.
 func WriteSnapshotFS(fsys diskfault.FS, path string, payload []byte, mode os.FileMode) error {
-	frame := make([]byte, FrameHeader+len(payload))
-	copy(frame[FrameHeader:], payload)
-	return WriteSnapshotFrameFS(fsys, path, frame, mode)
-}
-
-// WriteSnapshotFrameFS is WriteSnapshotFS for a caller that built the
-// payload behind FrameHeader bytes of headroom: frame[FrameHeader:] is
-// the payload, frame[:FrameHeader] is overwritten with its header, and
-// the file receives frame in one write. A snapshot as large as the state
-// it captures is then written without being copied.
-func WriteSnapshotFrameFS(fsys diskfault.FS, path string, frame []byte, mode os.FileMode) error {
-	if len(frame) < FrameHeader {
-		return fmt.Errorf("wal: snapshot %s: frame of %d bytes has no room for its header", path, len(frame))
-	}
-	putFrameHeader(frame, frame[FrameHeader:])
 	err := ReplaceFileFS(fsys, path, mode, func(w io.Writer) error {
-		_, err := w.Write(frame)
+		_, err := w.Write(appendFrame(make([]byte, 0, FrameHeader+len(payload)), payload))
 		return err
 	})
 	if err != nil {
@@ -51,8 +36,8 @@ func WriteSnapshotFrameFS(fsys diskfault.FS, path string, frame []byte, mode os.
 // the rename survives power loss — without that a crash can resurrect
 // the old file or leave neither name pointing at a complete one. A
 // crash or failure at any point leaves either the old file or the new
-// one, never a mix. Snapshots, term-log compaction and checkpoint
-// journal creation all replace their file through here.
+// one, never a mix. Log compaction (Log.Rewrite) and checkpoint journal
+// creation replace their file through here.
 //
 // The temp file is created with O_EXCL at a fixed name (path + ".tmp"):
 // a half-written temp left by a crashed prior run is detected as an
@@ -60,9 +45,15 @@ func WriteSnapshotFrameFS(fsys diskfault.FS, path string, frame []byte, mode os.
 // rewritten from scratch — it can never be adopted by the rename.
 // fsys nil means the real filesystem; mode zero means DefaultFileMode.
 func ReplaceFileFS(fsys diskfault.FS, path string, mode os.FileMode, write func(io.Writer) error) error {
-	if fsys == nil {
-		fsys = diskfault.OS
-	}
+	_, err := replaceFile(fsys, path, mode, write)
+	return err
+}
+
+// replaceFile is ReplaceFileFS, also reporting whether the rename
+// happened: an error with renamed set means path already names the new
+// file but the directory entry may not survive a power cut.
+func replaceFile(fsys diskfault.FS, path string, mode os.FileMode, write func(io.Writer) error) (renamed bool, err error) {
+	fsys = orOS(fsys)
 	if mode == 0 {
 		mode = DefaultFileMode
 	}
@@ -71,12 +62,12 @@ func ReplaceFileFS(fsys diskfault.FS, path string, mode os.FileMode, write func(
 	if os.IsExist(err) {
 		// Stale temp from a crashed run: discard and claim the name.
 		if rerr := fsys.Remove(tmpName); rerr != nil {
-			return fmt.Errorf("removing stale temp: %w", rerr)
+			return false, fmt.Errorf("removing stale temp: %w", rerr)
 		}
 		tmp, err = fsys.OpenFile(tmpName, os.O_RDWR|os.O_CREATE|os.O_EXCL, mode)
 	}
 	if err != nil {
-		return err
+		return false, err
 	}
 	err = write(tmp)
 	if err == nil {
@@ -90,12 +81,12 @@ func ReplaceFileFS(fsys diskfault.FS, path string, mode os.FileMode, write func(
 	}
 	if err != nil {
 		fsys.Remove(tmpName)
-		return err
+		return false, err
 	}
 	if err := SyncDirFS(fsys, filepath.Dir(path)); err != nil {
-		return fmt.Errorf("syncing directory: %w", err)
+		return true, fmt.Errorf("syncing directory: %w", err)
 	}
-	return nil
+	return true, nil
 }
 
 // ReadSnapshot reads a snapshot written by WriteSnapshot from the real
@@ -109,10 +100,7 @@ func ReadSnapshot(path string) (payload []byte, ok bool, err error) {
 // record is dropped and noted in the Replay; damage anywhere earlier is
 // a *CorruptError. fsys nil means the real filesystem.
 func ReadFS(fsys diskfault.FS, path string) (Replay, error) {
-	if fsys == nil {
-		fsys = diskfault.OS
-	}
-	f, err := fsys.OpenFile(path, os.O_RDONLY, 0)
+	f, err := orOS(fsys).OpenFile(path, os.O_RDONLY, 0)
 	if err != nil {
 		return Replay{}, err
 	}
@@ -125,9 +113,7 @@ func ReadFS(fsys diskfault.FS, path string) (Replay, error) {
 // file returns (nil, false, nil): no snapshot yet. A torn or damaged
 // snapshot returns a *CorruptError — unlike a log's torn tail there is
 // no prefix worth salvaging, and silently ignoring a snapshot would
-// resurrect every compacted-away record as a silent data loss. Callers
-// that can re-source the state (cluster nodes) may quarantine the
-// damaged file with QuarantineFile and rejoin; the rest must stop.
+// resurrect every compacted-away record as a silent data loss.
 func ReadSnapshotFS(fsys diskfault.FS, path string) (payload []byte, ok bool, err error) {
 	rep, err := ReadFS(fsys, path)
 	if os.IsNotExist(err) {

@@ -1,8 +1,9 @@
 // Package wal implements the crash-safe binary persistence primitives
 // shared by the durable store and the replicated consvc cluster: an
 // append-only log of CRC32-framed records with group-committed fsync,
-// and atomically replaced snapshot files (tmp+rename+checksum). The
-// internal/checkpoint campaign journal is one such log.
+// compacted by atomically rewriting the whole file (tmp+rename), so a
+// compacted log is its own snapshot. The internal/checkpoint campaign
+// journal is one such log.
 //
 // Record framing: every record is [4-byte little-endian payload length]
 // [4-byte little-endian IEEE CRC32 of the payload][payload]. Replay
@@ -37,6 +38,7 @@
 package wal
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -121,11 +123,12 @@ type Options struct {
 	Metrics *obs.Scope
 }
 
-func (o Options) fs() diskfault.FS {
-	if o.FS == nil {
+// orOS is fsys, or the real filesystem when fsys is nil.
+func orOS(fsys diskfault.FS) diskfault.FS {
+	if fsys == nil {
 		return diskfault.OS
 	}
-	return o.FS
+	return fsys
 }
 
 // Replay is the outcome of reading a log back on Open.
@@ -144,6 +147,7 @@ type Replay struct {
 // Log is an append-only record log with group-committed fsync.
 type Log struct {
 	path   string
+	fsys   diskfault.FS
 	nosync bool
 
 	// mu guards the file and the append counter; appends write their
@@ -170,7 +174,7 @@ type Log struct {
 // case the damaged file becomes a .corrupt sidecar and the log reopens
 // empty with Replay.Quarantined set.
 func Open(path string, opts Options) (*Log, Replay, error) {
-	fsys := opts.fs()
+	fsys := orOS(opts.FS)
 	f, err := fsys.OpenFile(path, os.O_RDWR|os.O_CREATE, DefaultFileMode)
 	if err != nil {
 		return nil, Replay{}, err
@@ -182,8 +186,10 @@ func Open(path string, opts Options) (*Log, Replay, error) {
 		if !opts.Quarantine || !errors.As(err, &ce) {
 			return nil, Replay{}, err
 		}
-		sidecar, qerr := QuarantineFile(fsys, path)
-		if qerr != nil {
+		// The damaged bytes stay on disk for forensics instead of being
+		// silently destroyed; a sidecar from an earlier incident is clobbered.
+		sidecar := path + ".corrupt"
+		if qerr := fsys.Rename(path, sidecar); qerr != nil {
 			return nil, Replay{}, fmt.Errorf("wal: quarantining %s: %v (original damage: %w)", path, qerr, err)
 		}
 		opts.Metrics.Counter("wal_quarantined_segments",
@@ -209,27 +215,12 @@ func Open(path string, opts Options) (*Log, Replay, error) {
 		f.Close()
 		return nil, Replay{}, err
 	}
-	l := &Log{path: path, nosync: opts.NoSync, f: f, size: valid}
+	l := &Log{path: path, fsys: fsys, nosync: opts.NoSync, f: f, size: valid}
 	l.appended = uint64(len(rep.Records))
 	l.syncedTo = l.appended
 	l.poisonCount = opts.Metrics.Counter("fsync_poisoned_total",
 		"WAL handles poisoned by a failed fsync or failed write repair.")
 	return l, rep, nil
-}
-
-// QuarantineFile sets the file at path aside as a .corrupt sidecar,
-// clobbering any sidecar from an earlier incident, and returns the
-// sidecar path. The damaged bytes stay on disk for forensics instead of
-// being silently destroyed.
-func QuarantineFile(fsys diskfault.FS, path string) (string, error) {
-	if fsys == nil {
-		fsys = diskfault.OS
-	}
-	sidecar := path + ".corrupt"
-	if err := fsys.Rename(path, sidecar); err != nil {
-		return "", err
-	}
-	return sidecar, nil
 }
 
 // scan reads every frame from r, returning the replay and the byte
@@ -298,12 +289,9 @@ func (l *Log) AppendBatch(payloads [][]byte) error {
 	if len(payloads) == 0 {
 		return nil
 	}
-	for _, p := range payloads {
-		if len(p) > MaxRecordBytes {
-			return fmt.Errorf("wal: %s: record of %d bytes exceeds limit %d", l.path, len(p), MaxRecordBytes)
-		}
+	if err := l.checkSizes(payloads); err != nil {
+		return err
 	}
-
 	l.mu.Lock()
 	if l.f == nil {
 		l.mu.Unlock()
@@ -341,6 +329,16 @@ func (l *Log) AppendBatch(payloads [][]byte) error {
 	mine := l.appended
 	l.mu.Unlock()
 	return l.syncThrough(mine)
+}
+
+// checkSizes refuses a payload no replay would accept back.
+func (l *Log) checkSizes(payloads [][]byte) error {
+	for _, p := range payloads {
+		if len(p) > MaxRecordBytes {
+			return fmt.Errorf("wal: %s: record of %d bytes exceeds limit %d", l.path, len(p), MaxRecordBytes)
+		}
+	}
+	return nil
 }
 
 // poisonLocked marks the log permanently failed. Caller holds l.mu.
@@ -400,54 +398,75 @@ func (l *Log) syncThrough(mine uint64) error {
 	return nil
 }
 
-// Truncate discards every record (after a snapshot has captured them)
-// and syncs the truncation.
-func (l *Log) Truncate() error {
+// Rewrite atomically replaces the log's whole content with one frame
+// per payload and reopens the path for append. It is how a log is
+// compacted: the caller passes the records that stand for everything
+// journaled so far (a snapshot is just the first of them), and a crash
+// or failure at any point leaves the old log or the new one on disk,
+// never a mix (ReplaceFileFS). The new content is fsynced before it is
+// renamed into place, whatever Options.NoSync says.
+//
+// An error from before the rename leaves the log exactly as it was,
+// appendable. After it the old handle points at an unlinked file, so it
+// is closed unsynced and the path is opened afresh; if that fails, or
+// the rename could not be made durable, the log poisons, because an
+// append through the old handle would be acked and lost.
+//
+// Rewrite excludes concurrent appends while it runs but cannot know what
+// they wrote: a record appended to the old file and not among payloads
+// is gone, and its appender is still told it is durable. A caller with
+// concurrent appenders puts each record where its next Rewrite will find
+// it before appending it.
+func (l *Log) Rewrite(payloads [][]byte) error {
+	if err := l.checkSizes(payloads); err != nil {
+		return err
+	}
 	l.syncMu.Lock()
 	defer l.syncMu.Unlock()
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.f == nil {
-		return fmt.Errorf("wal: %s: truncate on closed log", l.path)
+		return fmt.Errorf("wal: %s: rewrite on closed log", l.path)
 	}
 	if l.failed != nil {
 		return l.failed
 	}
-	if err := l.f.Truncate(0); err != nil {
-		return fmt.Errorf("wal: truncating %s: %w", l.path, err)
+	var size int64
+	renamed, err := replaceFile(l.fsys, l.path, DefaultFileMode, func(w io.Writer) error {
+		// Header and payload go out separately, so a record as large as
+		// the state it captures is never copied into a frame first.
+		bw := bufio.NewWriter(w)
+		var hdr [FrameHeader]byte
+		for _, p := range payloads {
+			putFrameHeader(hdr[:], p)
+			bw.Write(hdr[:])
+			bw.Write(p)
+			size += int64(FrameHeader + len(p))
+		}
+		return bw.Flush()
+	})
+	if !renamed {
+		return fmt.Errorf("wal: rewriting %s: %w", l.path, err)
 	}
-	// The file is already empty: account for that before anything else
-	// can fail, so a stale size never drives a later zero-extending
-	// repair truncation.
-	l.size = 0
-	if _, err := l.f.Seek(0, io.SeekStart); err != nil {
-		// The write offset no longer matches the (empty) file; appends
-		// through this handle would land at the old offset. Poison like
-		// the other repair paths.
-		l.poisonLocked(fmt.Errorf("wal: %s: seek after truncate (%v): %w", l.path, err, ErrPoisoned))
-		return fmt.Errorf("wal: seeking %s after truncate: %w", l.path, err)
-	}
-	if !l.nosync {
-		if err := l.f.Sync(); err != nil {
-			l.poisonLocked(fmt.Errorf("wal: %s: fsync failed (%v): %w", l.path, err, ErrPoisoned))
-			return fmt.Errorf("wal: syncing %s: %w", l.path, err)
+	// From here the path names the new file whatever else fails.
+	var f diskfault.File
+	if err == nil {
+		if f, err = l.fsys.OpenFile(l.path, os.O_RDWR, DefaultFileMode); err == nil {
+			if _, err = f.Seek(size, io.SeekStart); err != nil {
+				f.Close()
+			}
 		}
 	}
-	return nil
-}
-
-// Size returns the log's current byte size.
-func (l *Log) Size() (int64, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.f == nil {
-		return 0, fmt.Errorf("wal: %s: size on closed log", l.path)
-	}
-	st, err := l.f.Stat()
 	if err != nil {
-		return 0, err
+		l.poisonLocked(fmt.Errorf("wal: %s: rewrite not finished after its rename (%v): %w", l.path, err, ErrPoisoned))
+		return fmt.Errorf("wal: finishing the rewrite of %s: %w", l.path, err)
 	}
-	return st.Size(), nil
+	l.f.Close() // the replaced file: nothing in it matters any more
+	l.f, l.size = f, size
+	// Every record ever appended is now either in the synced new file or
+	// dropped on purpose; an appender still waiting at the gate is covered.
+	l.syncedTo = l.appended
+	return nil
 }
 
 // Path returns the log's file path.

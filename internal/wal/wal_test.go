@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -250,8 +251,25 @@ func TestConcurrentAppends(t *testing.T) {
 	}
 }
 
-func TestTruncate(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "a.log")
+// replayed opens path and returns its records as strings.
+func replayed(t *testing.T, path string) []string {
+	t.Helper()
+	rep, err := ReadFS(nil, path)
+	if err != nil || rep.Note != "" {
+		t.Fatalf("replaying %s: %v, note %q", path, err, rep.Note)
+	}
+	got := make([]string, len(rep.Records))
+	for i, r := range rep.Records {
+		got[i] = string(r)
+	}
+	return got
+}
+
+// TestRewrite: the rewritten log holds exactly the payloads given, takes
+// appends after them, and leaves nothing but itself in the directory.
+func TestRewrite(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "a.log")
 	l, _, err := Open(path, Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -261,22 +279,117 @@ func TestTruncate(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := l.Truncate(); err != nil {
+	if err := l.Rewrite([][]byte{[]byte("snapshot of a and b"), {}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Append([]byte("c")); err != nil {
 		t.Fatal(err)
 	}
-	if sz, err := l.Size(); err != nil || sz != int64(FrameHeader+1) {
-		t.Fatalf("Size = %d, %v; want %d", sz, err, FrameHeader+1)
+	want := []string{"snapshot of a and b", "", "c"}
+	wantSize := int64(3*FrameHeader + len(want[0]) + len(want[2]))
+	if st, err := os.Stat(path); err != nil || st.Size() != wantSize {
+		t.Fatalf("stat: %v, %v; want %d bytes", st, err, wantSize)
+	}
+	if err := l.Rewrite(nil); err != nil {
+		t.Fatalf("rewriting to an empty log: %v", err)
+	}
+	if got := replayed(t, path); len(got) != 0 {
+		t.Fatalf("after Rewrite(nil) the log holds %q", got)
+	}
+	if err := l.Rewrite([][]byte{[]byte(want[0]), {}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Append([]byte("c")); err != nil {
+		t.Fatal(err)
 	}
 	l.Close()
-	_, rep, err := Open(path, Options{})
+	if got := replayed(t, path); !slices.Equal(got, want) {
+		t.Fatalf("records = %q, want %q", got, want)
+	}
+	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Records) != 1 || string(rep.Records[0]) != "c" {
-		t.Fatalf("records = %q, want [c]", rep.Records)
+	if len(entries) != 1 {
+		t.Fatalf("directory holds %d entries, want just the log", len(entries))
+	}
+	if err := l.Rewrite(nil); err == nil {
+		t.Fatal("Rewrite on a closed log succeeded")
+	}
+}
+
+// TestRewriteRacingAppends runs appenders against a compactor the way
+// the durable store does — a record joins the live set before it is
+// appended, and every Rewrite writes the live set — and requires every
+// acked record to be in the log afterwards, whichever side of a rewrite
+// its append landed on. A record on both sides appears twice; none
+// appears never.
+func TestRewriteRacingAppends(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "race.log")
+	l, _, err := Open(path, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var (
+		mu    sync.Mutex
+		live  [][]byte
+		acked []string
+		wg    sync.WaitGroup
+	)
+	const writers, perWriter = 4, 40
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < perWriter; i++ {
+				rec := []byte(fmt.Sprintf("w%d-%d", w, i))
+				mu.Lock()
+				live = append(live, rec)
+				mu.Unlock()
+				if err := l.Append(rec); err != nil {
+					t.Errorf("append %s: %v", rec, err)
+					return
+				}
+				mu.Lock()
+				acked = append(acked, string(rec))
+				mu.Unlock()
+			}
+		}(w)
+	}
+	stop := make(chan struct{})
+	compacted := make(chan struct{})
+	go func() {
+		defer close(compacted)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			mu.Lock()
+			err := l.Rewrite(live)
+			mu.Unlock()
+			if err != nil {
+				t.Errorf("rewrite: %v", err)
+				return
+			}
+		}
+	}()
+	wg.Wait()
+	close(stop)
+	<-compacted
+	l.Close()
+	have := make(map[string]bool)
+	for _, r := range replayed(t, path) {
+		have[r] = true
+	}
+	if len(acked) != writers*perWriter {
+		t.Fatalf("%d appends acked, want %d", len(acked), writers*perWriter)
+	}
+	for _, id := range acked {
+		if !have[id] {
+			t.Fatalf("acked record %s is not in the log", id)
+		}
 	}
 }
 

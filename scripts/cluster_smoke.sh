@@ -12,6 +12,10 @@
 # (kill -9 the leader inside the joint phase of the second add), check
 # lease/quorum reads at the leader and the 421 refusal off it, then
 # shrink back to 3 and keep writing.
+#
+# The last act checks the storage layout: a stopped node's data dir
+# holds one log per state machine and nothing else, and a node.snap left
+# there by an older build makes consvc refuse to boot, naming the file.
 # Run from the repository root or anywhere inside it.
 set -eu
 
@@ -347,4 +351,32 @@ for i in 1 2 3 4 5 6 7 8 9 10 11; do
   has_post "$LEADER" "p$i" || die "write p$i lost across the 3-5-3 reconfiguration"
 done
 
-echo "cluster_smoke: OK (automatic election, quorum writes, kill -9 failover, rejoin, 3-5-3 reconfigure with mid-joint kill, lease/quorum reads)"
+echo "== one log per state machine; a stale node.snap is refused, by name"
+find_leader $live
+for n in n1 n2 n3; do
+  [ "$(url_of "$n")" = "$LEADER" ] && continue
+  stale=$n
+  break
+done
+kill -9 "$(cat "$dir/$stale.pid")"
+wait "$(cat "$dir/$stale.pid")" 2>/dev/null || true
+: >"$dir/$stale.pid"
+for f in "$dir/$stale"/*; do
+  case ${f##*/} in
+  oplog.log | term.log | rebuilding | votehold | *.corrupt) ;;
+  *) die "$stale's data dir holds ${f##*/}: not a log, a marker or a quarantine sidecar" ;;
+  esac
+done
+echo "left by an older build" >"$dir/$stale/node.snap"
+start_node "$stale"
+stale_pid=$(cat "$dir/$stale.pid")
+exited() { ! kill -0 "$stale_pid" 2>/dev/null; }
+poll_until 20 "$stale to refuse its data dir" exited
+: >"$dir/$stale.pid"
+if wait "$stale_pid"; then
+  die "consvc exited 0 over a stale node.snap"
+fi
+grep -q "node.snap" "$dir/$stale.log" || die "the refusal does not name node.snap"
+[ "$(cat "$dir/$stale/node.snap")" = "left by an older build" ] || die "the refused boot touched node.snap"
+
+echo "cluster_smoke: OK (automatic election, quorum writes, kill -9 failover, rejoin, 3-5-3 reconfigure with mid-joint kill, lease/quorum reads, legacy data dir refused)"

@@ -2,9 +2,10 @@
 # Disk-chaos sweep: run the seeded storage-fault drills — every fault
 # kind (torn write, fsync-gate, read bit flip, ENOSPC, dir-sync
 # omission, crash-before-rename) against every durable site (op WAL,
-# term WAL, snapshot, checkpoint journal) plus the byte-flip corruption
-# sweeps — under the race detector, one seed at a time so a red run
-# names the exact losing seed.
+# term WAL, log compaction, checkpoint journal) plus the cut-at-every-
+# offset and flip-every-byte sweep of all four durable files (oplog,
+# term log, the durable store's WAL, checkpoint journal) — under the race
+# detector, one seed at a time so a red run names the exact losing seed.
 #
 #   DISKCHAOS_SEEDS="1 2 3 4 5"   seeds to sweep (default 1..5)
 #   DISKCHAOS_SEED_OUT=path       losing seed written here (CI uploads
@@ -23,7 +24,7 @@ sweep='TestDiskFaultSweep|TestJournalFaultSweep'
 # The every-offset corruption and truncation sweeps and the single-shot
 # recovery-path tests are seed-independent; run them once, alongside the
 # first seed.
-once='FlipAtEveryOffset|TestJournalCutAtEveryOffset|TestFsyncPoisonNeverAcks|TestQuarantinedFollowerRejoinsViaSnapshot|TestCorruptTermLogBootsNonGranting'
+once='TestDurableFileSweep|TestFsyncPoisonNeverAcks|TestQuarantinedFollowerRejoinsViaSnapshot|TestCorruptTermLogBootsNonGranting'
 
 first=1
 for seed in $seeds; do
