@@ -81,7 +81,9 @@ disk-chaos:
 # sequences) and whole traces against the reference oracle in
 # internal/core/reference_test.go — and get the longer budget; so are the
 # cluster's and the trace package's, their append encoders against
-# encoding/json (FuzzReader holds every trace it decodes to the same).
+# encoding/json (FuzzReader holds every trace it decodes to the same), and
+# the wire's: the append RPC's and POST /posts's encoders and decoders
+# against encoding/json, arbitrary bytes included.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzReader -fuzztime 10s ./internal/trace
 	$(GO) test -run '^$$' -fuzz FuzzAppendTrace -fuzztime 20s ./internal/trace
@@ -89,6 +91,10 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzCheckTest -fuzztime 30s ./internal/core
 	$(GO) test -run '^$$' -fuzz FuzzMetricsExposition -fuzztime 10s ./internal/obs
 	$(GO) test -run '^$$' -fuzz FuzzAppendOp -fuzztime 20s ./internal/cluster
+	$(GO) test -run '^$$' -fuzz FuzzAppendHeartbeat -fuzztime 20s ./internal/cluster
+	$(GO) test -run '^$$' -fuzz FuzzDecodeHeartbeat -fuzztime 30s ./internal/cluster
+	$(GO) test -run '^$$' -fuzz FuzzAppendPost -fuzztime 10s ./internal/httpapi
+	$(GO) test -run '^$$' -fuzz FuzzDecodePost -fuzztime 20s ./internal/httpapi
 
 # golden re-records the committed golden files after an intentional
 # rendering change; inspect the diff before committing.

@@ -30,20 +30,35 @@ const (
 // deterministic jitter draw: base + uniform[0, base). Armed only for
 // voting members of a multi-node configuration — a standalone leader, a
 // legacy pure-pull follower, a still-joining node and a removed member
-// must never campaign.
+// must never campaign. A follower re-arms it on every append it takes,
+// with a Reset, which allocates nothing.
 func (n *Node) resetElectionTimerLocked() {
-	if n.electionTimer != nil {
-		n.electionTimer.Stop()
-		n.electionTimer = nil
-	}
 	if !n.clusteredLocked() || n.closed || n.role == RoleLeader {
+		if n.electionTimer != nil {
+			n.electionTimer.Stop()
+			n.electionTimer = nil
+		}
 		return
 	}
 	base := n.cfg.ElectionTimeout
 	jitter := time.Duration(detrand.NewKey(n.cfg.Seed, "cluster.election").
 		Str(n.cfg.NodeID).Uint(n.drawCount).Intn(int64(base)))
 	n.drawCount++
-	n.electionTimer = n.cfg.Clock.AfterFunc(base+jitter, n.electionTimerFired)
+	if n.electionTimer == nil {
+		n.electionTimer = n.cfg.Clock.AfterFunc(base+jitter, n.electionTimerFired)
+	} else {
+		n.electionTimer.Reset(base + jitter)
+	}
+}
+
+// rearmHeartbeatLocked moves the next heartbeat tick to d from now, with
+// a Reset when the timer exists.
+func (n *Node) rearmHeartbeatLocked(d time.Duration) {
+	if n.heartbeatTimer == nil {
+		n.heartbeatTimer = n.cfg.Clock.AfterFunc(d, n.heartbeatTick)
+	} else {
+		n.heartbeatTimer.Reset(d)
+	}
 }
 
 // votesWithheldLocked reports whether this node must refuse every vote
@@ -410,7 +425,7 @@ func (n *Node) heartbeatTick() {
 		f := n.followerLocked(p, "")
 		out = append(out, n.outboundLocked(p, f, round, f.inflight == 0))
 	}
-	n.heartbeatTimer = n.cfg.Clock.AfterFunc(n.cfg.HeartbeatInterval, n.heartbeatTick)
+	n.rearmHeartbeatLocked(n.cfg.HeartbeatInterval)
 	n.unlockAndSend(out)
 }
 

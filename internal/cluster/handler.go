@@ -8,6 +8,7 @@ import (
 	"strconv"
 	"time"
 
+	"conprobe/internal/jsonappend"
 	"conprobe/internal/simnet"
 )
 
@@ -144,7 +145,9 @@ const clusterLeaderHeader = "X-Cluster-Leader"
 //	POST /cluster/reconfigure  joint-consensus membership change
 //
 // There is no promote endpoint any more: leadership is only ever won in
-// an election.
+// an election. A POSTed body over maxRPCBody is answered 413, one that
+// does not decode 400. The heartbeat, the hot path, is decoded and
+// answered without reflection (encode.go), in pooled buffers.
 func (n *Node) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/cluster/status", func(w http.ResponseWriter, r *http.Request) {
@@ -189,7 +192,7 @@ func (n *Node) Handler() http.Handler {
 	})
 	mux.HandleFunc("/cluster/reconfigure", func(w http.ResponseWriter, r *http.Request) {
 		var req ReconfigureRequest
-		if !decodeRPC(w, r, &req) {
+		if !decodeRPC(w, r, func(body []byte) error { return json.Unmarshal(body, &req) }) {
 			return
 		}
 		idx, err := n.Reconfigure(req.Add, req.Remove)
@@ -245,17 +248,23 @@ func (n *Node) Handler() http.Handler {
 	})
 	mux.HandleFunc("/cluster/vote", func(w http.ResponseWriter, r *http.Request) {
 		var req VoteRequest
-		if !decodeRPC(w, r, &req) {
+		if !decodeRPC(w, r, func(body []byte) error { return json.Unmarshal(body, &req) }) {
 			return
 		}
 		writeJSON(w, http.StatusOK, n.HandleVote(req))
 	})
 	mux.HandleFunc("/cluster/heartbeat", func(w http.ResponseWriter, r *http.Request) {
 		var req HeartbeatRequest
-		if !decodeRPC(w, r, &req) {
+		if !decodeRPC(w, r, func(body []byte) error { return decodeHeartbeatRequest(body, &req) }) {
 			return
 		}
-		writeJSON(w, http.StatusOK, n.HandleHeartbeat(req))
+		resp := n.HandleHeartbeat(req)
+		w.Header()["Content-Type"] = jsonContentType
+		w.WriteHeader(http.StatusOK)
+		buf := jsonappend.Get()
+		*buf = appendHeartbeatResponse(*buf, &resp)
+		_, _ = w.Write(*buf)
+		jsonappend.Put(buf)
 	})
 	return mux
 }
@@ -265,22 +274,33 @@ func (n *Node) Handler() http.Handler {
 // byte of both escaped sixfold.
 const maxRPCBody = 16 << 20
 
-// decodeRPC parses a POSTed JSON RPC body, writing the error response
+// decodeRPC hands a POSTed RPC body to decode, writing the error response
 // itself when the request is unusable.
-func decodeRPC(w http.ResponseWriter, r *http.Request, v any) bool {
+func decodeRPC(w http.ResponseWriter, r *http.Request, decode func([]byte) error) bool {
 	if r.Method != http.MethodPost {
 		writeJSON(w, http.StatusMethodNotAllowed, map[string]string{"error": "method not allowed"})
 		return false
 	}
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRPCBody)).Decode(v); err != nil {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "malformed request body"})
-		return false
+	body, err := jsonappend.ReadAll(http.MaxBytesReader(w, r.Body, maxRPCBody), maxRPCBody)
+	if err == nil {
+		err = decode(*body)
+		jsonappend.Put(body)
 	}
-	return true
+	if err != nil {
+		status, msg := http.StatusBadRequest, "malformed request body"
+		if tooBig := new(http.MaxBytesError); errors.As(err, &tooBig) {
+			status, msg = http.StatusRequestEntityTooLarge, "request body too large"
+		}
+		writeJSON(w, status, map[string]string{"error": msg})
+	}
+	return err == nil
 }
 
+// jsonContentType is assigned to header maps, not set: shared, read only.
+var jsonContentType = []string{"application/json"}
+
 func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = jsonContentType
 	w.WriteHeader(status)
 	_ = json.NewEncoder(w).Encode(v)
 }

@@ -178,10 +178,7 @@ func (n *Node) StartRead(mode ReadMode) (*ReadTicket, error) {
 	t.need = n.roundSeq + 1
 	// Kick an immediate heartbeat so the proof costs one RTT, not one
 	// tick period. The tick re-arms the steady-state timer itself.
-	if n.heartbeatTimer != nil {
-		n.heartbeatTimer.Stop()
-	}
-	n.heartbeatTimer = n.cfg.Clock.AfterFunc(0, n.heartbeatTick)
+	n.rearmHeartbeatLocked(0)
 	return t, nil
 }
 

@@ -8,7 +8,10 @@ import (
 	"io"
 	"net/http"
 	"net/url"
+	"sync"
 	"time"
+
+	"conprobe/internal/jsonappend"
 )
 
 // The RPC message types exchanged between cluster nodes. Every message
@@ -168,14 +171,22 @@ type Transport interface {
 // transfers run under in-flight guards (one at a time) and a stuck vote
 // or heartbeat response is useless once the election or lease round it
 // belongs to has moved on.
+// Each peer URL is parsed once and every request shares one header map.
 type httpTransport struct {
 	hc *http.Client
 	// timeout overrides rpcTimeout when positive (tests shorten it).
 	timeout time.Duration
+
+	mu   sync.Mutex
+	urls map[peerPath]*url.URL
 }
+
+type peerPath struct{ peer, path string }
 
 // rpcTimeout bounds each individual peer RPC.
 const rpcTimeout = 5 * time.Second
+
+var rpcHeader = http.Header{"Content-Type": jsonContentType}
 
 // rpcContext returns the per-RPC deadline context.
 func (t *httpTransport) rpcContext() (context.Context, context.CancelFunc) {
@@ -189,17 +200,23 @@ func (t *httpTransport) rpcContext() (context.Context, context.CancelFunc) {
 func (t *httpTransport) RequestVote(peer string, req VoteRequest, done func(VoteResponse, error)) {
 	go func() {
 		var resp VoteResponse
-		err := t.postJSON(peer+"/cluster/vote", req, &resp)
+		err := t.post(peer, "/cluster/vote",
+			func(b []byte) ([]byte, error) { return jsonappend.Marshal(b, req) },
+			func(body []byte) error { return json.Unmarshal(body, &resp) })
 		done(resp, err)
 	}()
 }
 
 func (t *httpTransport) Heartbeat(peer string, req HeartbeatRequest, done func(HeartbeatResponse, error)) {
-	go func() {
-		var resp HeartbeatResponse
-		err := t.postJSON(peer+"/cluster/heartbeat", req, &resp)
-		done(resp, err)
-	}()
+	go t.heartbeat(peer, req, done)
+}
+
+func (t *httpTransport) heartbeat(peer string, req HeartbeatRequest, done func(HeartbeatResponse, error)) {
+	var resp HeartbeatResponse
+	err := t.post(peer, "/cluster/heartbeat",
+		func(b []byte) ([]byte, error) { return appendHeartbeatRequest(b, &req) },
+		func(body []byte) error { return decodeHeartbeatResponse(body, &resp) })
+	done(resp, err)
 }
 
 func (t *httpTransport) Pull(peer string, req PullRequest, done func(PullResponse, error)) {
@@ -207,7 +224,7 @@ func (t *httpTransport) Pull(peer string, req PullRequest, done func(PullRespons
 		var resp PullResponse
 		u := fmt.Sprintf("%s/cluster/pull?from=%d&from_term=%d&term=%d&node=%s&url=%s",
 			peer, req.From, req.FromTerm, req.Term, url.QueryEscape(req.Node), url.QueryEscape(req.URL))
-		err := t.getJSON(u, &resp)
+		err := t.get(u, func(body []byte) error { return json.Unmarshal(body, &resp) })
 		done(resp, err)
 	}()
 }
@@ -216,51 +233,81 @@ func (t *httpTransport) FetchSnapshotChunk(peer string, req SnapshotChunkRequest
 	go func() {
 		var resp SnapshotChunkResponse
 		u := fmt.Sprintf("%s/cluster/snapshot?id=%s&offset=%d", peer, url.QueryEscape(req.ID), req.Offset)
-		err := t.getJSON(u, &resp)
+		err := t.get(u, func(body []byte) error { return json.Unmarshal(body, &resp) })
 		done(resp, err)
 	}()
 }
 
-func (t *httpTransport) postJSON(u string, req, resp any) error {
-	body, err := json.Marshal(req)
+// post POSTs what encode appends to path on peer and hands the reply to
+// decode.
+func (t *httpTransport) post(peer, path string, encode func([]byte) ([]byte, error), decode func([]byte) error) error {
+	u, err := t.peerURL(peer, path)
+	if err != nil {
+		return err
+	}
+	body, err := jsonappend.Bytes(encode)
 	if err != nil {
 		return err
 	}
 	ctx, cancel := t.rpcContext()
 	defer cancel()
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, u, bytes.NewReader(body))
-	if err != nil {
-		return err
-	}
-	hreq.Header.Set("Content-Type", "application/json")
-	r, err := t.hc.Do(hreq)
-	if err != nil {
-		return err
-	}
-	return decodeJSON(u, r, resp)
+	return t.do(NewPost(ctx, u, rpcHeader, body), decode)
 }
 
-func (t *httpTransport) getJSON(u string, resp any) error {
+// NewPost is http.NewRequestWithContext's POST of body to u, less the URL
+// parse and the header map: callers share u and header, read only. The
+// body stays a bytes.Reader, which net/http sends in the same write as
+// the header and GetBody can replay.
+func NewPost(ctx context.Context, u *url.URL, header http.Header, body []byte) *http.Request {
+	return (&http.Request{
+		Method: http.MethodPost, URL: u, Host: u.Host, Header: header,
+		Proto: "HTTP/1.1", ProtoMajor: 1, ProtoMinor: 1,
+		Body: io.NopCloser(bytes.NewReader(body)), ContentLength: int64(len(body)),
+		GetBody: func() (io.ReadCloser, error) { return io.NopCloser(bytes.NewReader(body)), nil },
+	}).WithContext(ctx)
+}
+
+func (t *httpTransport) peerURL(peer, path string) (*url.URL, error) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	u := t.urls[peerPath{peer, path}]
+	if u == nil {
+		var err error
+		if u, err = url.Parse(peer + path); err != nil {
+			return nil, err
+		}
+		if t.urls == nil {
+			t.urls = make(map[peerPath]*url.URL)
+		}
+		t.urls[peerPath{peer, path}] = u
+	}
+	return u, nil
+}
+
+func (t *httpTransport) get(u string, decode func([]byte) error) error {
 	ctx, cancel := t.rpcContext()
 	defer cancel()
 	hreq, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
 	if err != nil {
 		return err
 	}
+	return t.do(hreq, decode)
+}
+
+// do sends hreq and hands the body of a 200 reply to decode.
+func (t *httpTransport) do(hreq *http.Request, decode func([]byte) error) error {
 	r, err := t.hc.Do(hreq)
 	if err != nil {
 		return err
 	}
-	return decodeJSON(u, r, resp)
-}
-
-func decodeJSON(u string, r *http.Response, v any) error {
-	defer func() {
-		_, _ = io.Copy(io.Discard, io.LimitReader(r.Body, 1<<20))
-		r.Body.Close()
-	}()
-	if r.StatusCode != http.StatusOK {
-		return fmt.Errorf("cluster: %s: status %d", u, r.StatusCode)
+	body, err := jsonappend.ReadAll(r.Body, maxRPCBody)
+	r.Body.Close()
+	if err != nil {
+		return err
 	}
-	return json.NewDecoder(r.Body).Decode(v)
+	defer jsonappend.Put(body)
+	if r.StatusCode != http.StatusOK {
+		return fmt.Errorf("cluster: %s: status %d", hreq.URL, r.StatusCode)
+	}
+	return decode(*body)
 }

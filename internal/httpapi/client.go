@@ -1,7 +1,6 @@
 package httpapi
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -15,6 +14,7 @@ import (
 
 	"conprobe/internal/clocksync"
 	"conprobe/internal/cluster"
+	"conprobe/internal/jsonappend"
 	"conprobe/internal/obs"
 	"conprobe/internal/service"
 	"conprobe/internal/simnet"
@@ -58,7 +58,19 @@ type Client struct {
 	readDegraded bool
 	readStats    ReadStats
 
+	targets map[targetKey]writeTarget // postsTarget's
+
 	metrics clientMetrics
+}
+
+type targetKey struct {
+	base string
+	site simnet.Site
+}
+
+type writeTarget struct {
+	u      *url.URL
+	header http.Header
 }
 
 // RedirectStats counts write failovers: RedirectedWrites is how many
@@ -248,19 +260,17 @@ func (c *Client) writeBase() string {
 
 // writeTo issues one POST /posts against base.
 func (c *Client) writeTo(base string, from simnet.Site, p service.Post) error {
-	body, err := json.Marshal(PostJSON{
-		ID: p.ID, Author: p.Author, Body: p.Body, DependsOn: p.DependsOn,
+	t, err := c.postsTarget(base, from)
+	if err != nil {
+		return err
+	}
+	body, err := jsonappend.Bytes(func(b []byte) ([]byte, error) {
+		return appendPost(b, &PostJSON{ID: p.ID, Author: p.Author, Body: p.Body, DependsOn: p.DependsOn})
 	})
 	if err != nil {
 		return fmt.Errorf("httpapi: encode post: %w", err)
 	}
-	req, err := http.NewRequestWithContext(c.boundCtx(), http.MethodPost, base+"/posts", bytes.NewReader(body))
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set(SiteHeader, string(from))
-	resp, err := c.hc.Do(req)
+	resp, err := c.hc.Do(cluster.NewPost(c.boundCtx(), t.u, t.header, body))
 	if err != nil {
 		return fmt.Errorf("httpapi: write: %w", err)
 	}
@@ -269,6 +279,27 @@ func (c *Client) writeTo(base string, from simnet.Site, p service.Post) error {
 		return apiError("write", resp)
 	}
 	return nil
+}
+
+// postsTarget returns the URL of POST /posts on base and the header of a
+// write from site, each made once and then shared, read only.
+func (c *Client) postsTarget(base string, from simnet.Site) (writeTarget, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	k := targetKey{base, from}
+	t, ok := c.targets[k]
+	if !ok {
+		u, err := url.Parse(base + "/posts")
+		if err != nil {
+			return t, err
+		}
+		t = writeTarget{u, http.Header{"Content-Type": jsonContentType, SiteHeader: {string(from)}}}
+		if c.targets == nil {
+			c.targets = make(map[targetKey]writeTarget)
+		}
+		c.targets[k] = t
+	}
+	return t, nil
 }
 
 // failoverTarget maps a failed write to the node the retry should hit:
@@ -615,6 +646,8 @@ func retryAfterOf(resp *http.Response) time.Duration {
 
 // drain discards and closes the response body so connections are reused.
 func drain(resp *http.Response) {
-	_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<20))
+	if b, err := jsonappend.ReadAll(resp.Body, 1<<20); err == nil {
+		jsonappend.Put(b)
+	}
 	_ = resp.Body.Close()
 }

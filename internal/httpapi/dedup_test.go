@@ -162,3 +162,69 @@ func getJSON(t *testing.T, srv *httptest.Server, path string, v any) {
 		t.Fatal(err)
 	}
 }
+
+// gatedService holds every Write until the test opens the gate, as a
+// cluster leader holds a write until its quorum answers; with fail set,
+// the first Write then fails.
+type gatedService struct {
+	memService
+	fail    bool
+	entered chan struct{}
+	gate    chan struct{}
+	mu      sync.Mutex
+	calls   int
+}
+
+func (g *gatedService) Write(from simnet.Site, p service.Post) error {
+	g.mu.Lock()
+	g.calls++
+	first := g.calls == 1
+	g.mu.Unlock()
+	g.entered <- struct{}{}
+	<-g.gate
+	if first && g.fail {
+		return errInjected
+	}
+	return g.memService.Write(from, p)
+}
+
+// TestConcurrentReplayWaitsForOriginal: a replay of a post ID that
+// arrives while the original is still in the service's Write must not
+// write the post again. It waits for the original's outcome — 201 once
+// that write has succeeded; if it failed, the replay writes itself.
+func TestConcurrentReplayWaitsForOriginal(t *testing.T) {
+	for _, originalFails := range []bool{false, true} {
+		svc := &gatedService{fail: originalFails, entered: make(chan struct{}, 2), gate: make(chan struct{})}
+		srv := httptest.NewServer(NewServer(svc, ServerConfig{}))
+		cl, err := NewClient(srv.URL, "gated", srv.Client())
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := service.Post{ID: "w1", Author: "agent1", Body: "once"}
+		errs := make(chan error, 2)
+		write := func() { errs <- cl.Write(simnet.Oregon, p) }
+		go write()
+		<-svc.entered // the original is in Write
+		go write()
+		time.Sleep(50 * time.Millisecond) // the replay's chance to overtake it
+		close(svc.gate)
+		failed := 0
+		for i := 0; i < 2; i++ {
+			if err := <-errs; err != nil {
+				failed++
+			}
+		}
+		svc.mu.Lock()
+		calls := svc.calls
+		svc.mu.Unlock()
+		wantFailed, wantCalls := 0, 1
+		if originalFails {
+			wantFailed, wantCalls = 1, 2
+		}
+		if failed != wantFailed || calls != wantCalls || len(svc.posts) != 1 {
+			t.Errorf("original fails %v: %d writes failed, %d Write calls, %d posts; want %d, %d, 1",
+				originalFails, failed, calls, len(svc.posts), wantFailed, wantCalls)
+		}
+		srv.Close()
+	}
+}

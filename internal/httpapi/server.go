@@ -25,6 +25,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"strconv"
 	"sync"
@@ -105,9 +106,12 @@ type Server struct {
 
 	mu       sync.Mutex
 	limiters map[string]*ratelimit.Limiter
-	seenIDs  map[string]bool
-	metrics  serverMetrics
-	gate     *gate
+	// seenIDs holds the post IDs written since the last reset (true) and
+	// being written now (false); settled is broadcast as each write ends.
+	seenIDs map[string]bool
+	settled *sync.Cond
+	metrics serverMetrics
+	gate    *gate
 }
 
 // gate is the bounded admission queue: up to cap(sem) requests run, up
@@ -241,6 +245,7 @@ func NewServer(svc service.Service, cfg ServerConfig) *Server {
 		seenIDs:  make(map[string]bool),
 		metrics:  newServerMetrics(cfg.Metrics),
 	}
+	s.settled = sync.NewCond(&s.mu)
 	if cfg.MaxInflight > 0 {
 		s.gate = newGate(cfg.MaxInflight, cfg.MaxQueue, cfg.Metrics)
 	}
@@ -312,7 +317,12 @@ func (s *Server) handlePosts(w http.ResponseWriter, r *http.Request) {
 			body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
 		}
 		var p PostJSON
-		if err := json.NewDecoder(body).Decode(&p); err != nil {
+		buf, err := jsonappend.ReadAll(body, math.MaxInt)
+		if err == nil {
+			err = decodePost(*buf, &p)
+			jsonappend.Put(buf)
+		}
+		if err != nil {
 			status := http.StatusBadRequest
 			var tooBig *http.MaxBytesError
 			if errors.As(err, &tooBig) {
@@ -331,27 +341,41 @@ func (s *Server) handlePosts(w http.ResponseWriter, r *http.Request) {
 		// acknowledgment was lost. Acknowledge it again without
 		// re-inserting — a duplicate insert would corrupt the
 		// monotonic-writes and divergence checkers downstream.
+		// The ID is claimed before the write starts: a replay arriving while
+		// the original is still in Write — a cluster leader waiting for its
+		// quorum — waits for its outcome, and writes only if it failed.
 		s.mu.Lock()
+		for done, ok := s.seenIDs[p.ID]; ok && !done; done, ok = s.seenIDs[p.ID] {
+			s.settled.Wait()
+		}
 		dup := s.seenIDs[p.ID]
+		if !dup {
+			s.seenIDs[p.ID] = false
+		}
 		s.mu.Unlock()
 		if dup {
 			s.metrics.dedupHits.Inc()
-			writeJSON(w, http.StatusCreated, p)
+			writePost(w, &p)
 			return
 		}
-		err := s.svc.Write(site, service.Post{
+		err = s.svc.Write(site, service.Post{
 			ID: p.ID, Author: p.Author, Body: p.Body, DependsOn: p.DependsOn,
 		})
+		s.mu.Lock()
+		if err == nil {
+			s.seenIDs[p.ID] = true
+		} else {
+			delete(s.seenIDs, p.ID)
+		}
+		s.mu.Unlock()
+		s.settled.Broadcast()
 		if err != nil {
 			s.metrics.errors.Inc()
 			s.writeServiceError(w, err)
 			return
 		}
-		s.mu.Lock()
-		s.seenIDs[p.ID] = true
-		s.mu.Unlock()
 		s.metrics.writes.Inc()
-		writeJSON(w, http.StatusCreated, p)
+		writePost(w, &p)
 	case http.MethodGet:
 		reader := r.URL.Query().Get("reader")
 		posts, err := s.svc.Read(site, reader)
@@ -469,57 +493,93 @@ func writeRetryJSON(w http.ResponseWriter, status int, after time.Duration, v an
 	writeJSON(w, status, v)
 }
 
-// postsBufs holds the buffers read responses are encoded into.
-var postsBufs = sync.Pool{New: func() any { return new([]byte) }}
+// jsonContentType is the Content-Type of every JSON answer and request,
+// assigned to a header map rather than set: shared, never written.
+var jsonContentType = []string{"application/json"}
 
-// writePosts answers a read with the bytes writeJSON(w, 200, posts)
-// would send, encoded without reflecting over the timeline or
-// allocating an object per created_at.
-func writePosts(w http.ResponseWriter, posts []PostJSON) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	buf := postsBufs.Get().(*[]byte)
-	defer postsBufs.Put(buf)
-	b, err := appendPosts((*buf)[:0], posts)
+// writeAppended answers with what appendTo writes, encoded in a pooled
+// buffer. Like writeJSON, it sends the status and no body when the
+// encoding fails: the connection is already committed.
+func writeAppended(w http.ResponseWriter, status int, appendTo func([]byte) ([]byte, error)) {
+	w.Header()["Content-Type"] = jsonContentType
+	w.WriteHeader(status)
+	buf := jsonappend.Get()
+	defer jsonappend.Put(buf)
+	b, err := appendTo(*buf)
 	if err != nil {
-		return // as in writeJSON: the connection is already committed
+		return
 	}
 	*buf = b
 	_, _ = w.Write(b)
 }
 
+// writePosts answers a read with the bytes writeJSON(w, 200, posts)
+// would send, encoded without reflecting over the timeline or
+// allocating an object per created_at.
+func writePosts(w http.ResponseWriter, posts []PostJSON) {
+	writeAppended(w, http.StatusOK, func(b []byte) ([]byte, error) { return appendPosts(b, posts) })
+}
+
+// writePost acknowledges a write with the bytes writeJSON(w, 201, *p)
+// would send.
+func writePost(w http.ResponseWriter, p *PostJSON) {
+	writeAppended(w, http.StatusCreated, func(b []byte) ([]byte, error) {
+		b, err := appendPost(b, p)
+		return append(b, '\n'), err
+	})
+}
+
 // appendPosts appends what json.Encoder writes for posts: the array as
-// json.Marshal encodes it, then a newline. created_at is always present
-// (omitempty does nothing on a struct), the zero time included.
+// json.Marshal encodes it, then a newline.
 func appendPosts(b []byte, posts []PostJSON) ([]byte, error) {
 	if posts == nil {
 		return append(b, "null\n"...), nil
 	}
 	b = append(b, '[')
 	for i := range posts {
-		p := &posts[i]
 		if i > 0 {
 			b = append(b, ',')
 		}
-		b = jsonappend.String(append(b, `{"id":`...), p.ID)
-		b = jsonappend.String(append(b, `,"author":`...), p.Author)
-		if p.Body != "" {
-			b = jsonappend.String(append(b, `,"body":`...), p.Body)
-		}
-		if p.DependsOn != "" {
-			b = jsonappend.String(append(b, `,"depends_on":`...), p.DependsOn)
-		}
 		var err error
-		if b, err = jsonappend.Time(append(b, `,"created_at":`...), p.CreatedAt); err != nil {
+		if b, err = appendPost(b, &posts[i]); err != nil {
 			return nil, err
 		}
-		b = append(b, '}')
 	}
 	return append(b, "]\n"...), nil
 }
 
+// appendPost appends p as json.Marshal(p) would. created_at is always
+// present (omitempty does nothing on a struct), the zero time included.
+func appendPost(b []byte, p *PostJSON) ([]byte, error) {
+	b = jsonappend.String(append(b, `{"id":`...), p.ID)
+	b = jsonappend.String(append(b, `,"author":`...), p.Author)
+	if p.Body != "" {
+		b = jsonappend.String(append(b, `,"body":`...), p.Body)
+	}
+	if p.DependsOn != "" {
+		b = jsonappend.String(append(b, `,"depends_on":`...), p.DependsOn)
+	}
+	b, err := jsonappend.Time(append(b, `,"created_at":`...), p.CreatedAt)
+	if err != nil {
+		return nil, err
+	}
+	return append(b, '}'), nil
+}
+
+// decodePost sets *p, zero, to json.Unmarshal's reading of body.
+func decodePost(body []byte, p *PostJSON) error {
+	sc := jsonappend.NewScanner(body)
+	scanPost(&sc, p)
+	return jsonappend.Fallback(&sc, body, p)
+}
+
+// scanPost reads what appendPost writes.
+func scanPost(sc *jsonappend.Scanner, p *PostJSON) {
+	sc.Object("id", &p.ID, "author", &p.Author, "body", &p.Body, "depends_on", &p.DependsOn, "created_at", &p.CreatedAt)
+}
+
 func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = jsonContentType
 	w.WriteHeader(status)
 	// Encoding failures at this point cannot be reported to the client;
 	// the connection is already committed.
