@@ -20,8 +20,13 @@
 // makes duplicated, reordered and delayed deliveries harmless), with
 // one WAL write and one fsync for the whole batch, and reports its new
 // durable head in the HeartbeatResponse it was sending anyway: the ack
-// is the reply. Timer heartbeats are never held back by an outstanding
-// append. Pulling (/cluster/pull, then the chunked snapshot install) is
+// is the reply. The leader never holds a timer heartbeat back behind an
+// outstanding append; on the wire it queues behind the frames in flight,
+// as the follower's lock always serialised them. Over HTTP the RPC rides
+// one long-lived stream per follower (GET /cluster/append, upgraded;
+// stream.go), with a POST per call where the follower refuses the
+// upgrade; a silently dead connection is found by the reply deadline.
+// Pulling (/cluster/pull, then the chunked snapshot install) is
 // catch-up only: a follower pulls once when a heartbeat cannot continue
 // its log — a gap, or a term conflict at an index both hold — and
 // pure-pull followers and joining nodes, which the leader does not
@@ -69,7 +74,7 @@ package cluster
 import (
 	"encoding/json"
 	"fmt"
-	"net/http"
+	"net"
 	"os"
 	"path/filepath"
 	"sync"
@@ -396,6 +401,11 @@ type Node struct {
 	snapInFlight   bool
 	drawCount      uint64 // election jitter draws so far (detrand counter)
 	closed         bool
+
+	// wire is the HTTP transport, when the node runs on it; inbound the
+	// append streams the node answers (stream.go).
+	wire    *httpTransport
+	inbound map[net.Conn]struct{}
 }
 
 var _ service.Service = (*Node)(nil)
@@ -481,17 +491,19 @@ func NewNode(svc service.Service, cfg Config) (*Node, error) {
 		cfg.Clock = vtime.Real{}
 	}
 	if cfg.Transport == nil {
-		cfg.Transport = &httpTransport{hc: &http.Client{}}
+		cfg.Transport = newHTTPTransport(cfg.Metrics)
 	}
 	n := &Node{
 		cfg:       cfg,
 		svc:       svc,
+		inbound:   make(map[net.Conn]struct{}),
 		role:      RoleFollower,
 		leaderURL: cfg.LeaderURL,
 		bootTime:  cfg.Clock.Now(),
 		followers: make(map[string]*follower),
 		rounds:    make(map[uint64]*hbRound),
 	}
+	n.wire, _ = cfg.Transport.(*httpTransport)
 	n.setConfigLocked(staticMembership(cfg.NodeID, cfg.SelfURL, cfg.Peers), 0)
 	n.commitCond = sync.NewCond(&n.mu)
 	if cfg.DataDir != "" {
@@ -1238,14 +1250,18 @@ func (n *Node) emitLocked(ev Event) {
 	n.cfg.OnEvent(ev)
 }
 
-// stopTimersLocked cancels every pending timer.
-func (n *Node) stopTimersLocked() {
+// stopLocked cancels every pending timer and breaks every inbound append
+// stream, which http.Server.Close does not reach (stream.go).
+func (n *Node) stopLocked() {
 	for _, t := range []vtime.Timer{n.electionTimer, n.heartbeatTimer, n.pullTimer} {
 		if t != nil {
 			t.Stop()
 		}
 	}
 	n.electionTimer, n.heartbeatTimer, n.pullTimer = nil, nil, nil
+	for c := range n.inbound {
+		c.Close()
+	}
 }
 
 // closeStorageLocked releases the WAL and term store without a final
@@ -1263,16 +1279,17 @@ func (n *Node) closeStorageLocked() error {
 	return err
 }
 
-// Close stops the node's timers and releases the WAL. The final state
-// is compacted so a restart recovers from one record.
+// Close stops the node's timers and streams and releases the WAL. The
+// final state is compacted so a restart recovers from one record.
 func (n *Node) Close() error {
+	defer n.wire.close() // after n.mu is released: failing a call re-enters the node
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if n.closed {
 		return nil
 	}
 	n.closed = true
-	n.stopTimersLocked()
+	n.stopLocked()
 	n.commitCond.Broadcast()
 	var err error
 	if n.log != nil {
@@ -1289,13 +1306,14 @@ func (n *Node) Close() error {
 // kill -9 would. Harness crash drills use it so restarts exercise real
 // WAL recovery.
 func (n *Node) Kill() {
+	defer n.wire.close() // after n.mu is released: failing a call re-enters the node
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if n.closed {
 		return
 	}
 	n.closed = true
-	n.stopTimersLocked()
+	n.stopLocked()
 	n.commitCond.Broadcast()
 	_ = n.closeStorageLocked()
 }

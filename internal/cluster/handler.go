@@ -141,6 +141,7 @@ const clusterLeaderHeader = "X-Cluster-Leader"
 //	GET  /cluster/pull         catch-up: op tail after ?from=N&from_term=T (term-verified)
 //	GET  /cluster/snapshot     one CRC-guarded snapshot chunk (?id=S&offset=N)
 //	POST /cluster/vote         RequestVote RPC
+//	GET  /cluster/append       the append stream (Upgrade: consvc-append/1): heartbeat frames, answered in order
 //	POST /cluster/heartbeat    leader liveness + log append; the reply is the ack
 //	POST /cluster/reconfigure  joint-consensus membership change
 //
@@ -266,6 +267,7 @@ func (n *Node) Handler() http.Handler {
 		_, _ = w.Write(*buf)
 		jsonappend.Put(buf)
 	})
+	mux.HandleFunc("/cluster/append", n.serveAppend)
 	return mux
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -12,6 +13,7 @@ import (
 	"time"
 
 	"conprobe/internal/jsonappend"
+	"conprobe/internal/obs"
 )
 
 // The RPC message types exchanged between cluster nodes. Every message
@@ -164,8 +166,10 @@ type Transport interface {
 	FetchSnapshotChunk(peerURL string, req SnapshotChunkRequest, done func(SnapshotChunkResponse, error))
 }
 
-// httpTransport is the production Transport: JSON over HTTP, one
-// goroutine per in-flight call. Every RPC carries its own deadline
+// httpTransport is the production Transport: JSON over HTTP. The append
+// RPC rides one long-lived stream per follower (stream.go), or a POST per
+// call where the follower refuses the stream; every other RPC is one HTTP
+// request on a goroutine of its own. Every RPC carries its own deadline
 // (rpcTimeout) and the client has no timeout of its own: a hung peer
 // must fail the call promptly, because appends, pulls and snapshot
 // transfers run under in-flight guards (one at a time) and a stuck vote
@@ -174,14 +178,33 @@ type Transport interface {
 // Each peer URL is parsed once and every request shares one header map.
 type httpTransport struct {
 	hc *http.Client
-	// timeout overrides rpcTimeout when positive (tests shorten it).
+	// timeout bounds every call: rpcTimeout, unless a test shortens it.
 	timeout time.Duration
+	// The cluster_append_streams gauge, cluster_append_fallbacks_total.
+	streamsOpen *obs.Gauge
+	fallbacks   *obs.Counter
 
-	mu   sync.Mutex
-	urls map[peerPath]*url.URL
+	mu      sync.Mutex
+	urls    map[peerPath]*url.URL
+	streams map[string]*appendStream // by peer, connected or upgrading
+	refused map[string]time.Time     // by peer: when to ask for a stream again
+	closed  bool
 }
 
 type peerPath struct{ peer, path string }
+
+// newHTTPTransport returns the transport with its metrics on m (nil-safe).
+func newHTTPTransport(m *obs.Scope) *httpTransport {
+	return &httpTransport{
+		hc:          &http.Client{},
+		timeout:     rpcTimeout,
+		streamsOpen: m.Gauge("append_streams", "append streams this node has open to its followers"),
+		fallbacks:   m.Counter("append_fallbacks_total", "append RPCs sent by POST because the follower refused the stream upgrade"),
+		urls:        make(map[peerPath]*url.URL),
+		streams:     make(map[string]*appendStream),
+		refused:     make(map[string]time.Time),
+	}
+}
 
 // rpcTimeout bounds each individual peer RPC.
 const rpcTimeout = 5 * time.Second
@@ -190,11 +213,7 @@ var rpcHeader = http.Header{"Content-Type": jsonContentType}
 
 // rpcContext returns the per-RPC deadline context.
 func (t *httpTransport) rpcContext() (context.Context, context.CancelFunc) {
-	timeout := t.timeout
-	if timeout <= 0 {
-		timeout = rpcTimeout
-	}
-	return context.WithTimeout(context.Background(), timeout)
+	return context.WithTimeout(context.Background(), t.timeout)
 }
 
 func (t *httpTransport) RequestVote(peer string, req VoteRequest, done func(VoteResponse, error)) {
@@ -207,8 +226,21 @@ func (t *httpTransport) RequestVote(peer string, req VoteRequest, done func(Vote
 	}()
 }
 
+// Heartbeat queues req on peer's append stream, or POSTs it while peer
+// refuses one. It never blocks: what it cannot send fails.
 func (t *httpTransport) Heartbeat(peer string, req HeartbeatRequest, done func(HeartbeatResponse, error)) {
-	go t.heartbeat(peer, req, done)
+	s, err := t.stream(peer)
+	if err == nil {
+		err = s.send(req, done)
+	}
+	switch {
+	case err == nil:
+	case errors.Is(err, errUpgradeRefused):
+		t.fallbacks.Inc()
+		go t.heartbeat(peer, req, done)
+	default:
+		go done(HeartbeatResponse{}, err)
+	}
 }
 
 func (t *httpTransport) heartbeat(peer string, req HeartbeatRequest, done func(HeartbeatResponse, error)) {
@@ -275,9 +307,6 @@ func (t *httpTransport) peerURL(peer, path string) (*url.URL, error) {
 		var err error
 		if u, err = url.Parse(peer + path); err != nil {
 			return nil, err
-		}
-		if t.urls == nil {
-			t.urls = make(map[peerPath]*url.URL)
 		}
 		t.urls[peerPath{peer, path}] = u
 	}

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -13,19 +14,24 @@ import (
 // scheduling slack), not the client-wide timeout and not never. Pull
 // and snapshot transfers run under in-flight guards — one at a time —
 // so a single hung peer would otherwise pin replication for the
-// guard's lifetime.
+// guard's lifetime. The append RPC has two ways to hang: a peer that
+// never answers the stream upgrade, and one that takes the stream and
+// reads its frames but never answers one.
 func TestRPCDeadlinePinnedOnEveryMethod(t *testing.T) {
 	hang := make(chan struct{})
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		<-hang // hold every request open until the test ends
 	}))
 	defer srv.Close()
+	mute := muteStreamServer(t)
 	// Released before srv.Close (defers are LIFO): Close waits for the
 	// hung handlers, which return only once hang closes.
 	defer close(hang)
 
 	const timeout = 100 * time.Millisecond
-	tr := &httpTransport{hc: srv.Client(), timeout: timeout}
+	tr := newHTTPTransport(nil)
+	tr.hc, tr.timeout = srv.Client(), timeout
+	defer tr.close()
 
 	calls := []struct {
 		name string
@@ -36,6 +42,9 @@ func TestRPCDeadlinePinnedOnEveryMethod(t *testing.T) {
 		}},
 		{"Heartbeat", func(done func(error)) {
 			tr.Heartbeat(srv.URL, HeartbeatRequest{Term: 1, Leader: "a"}, func(_ HeartbeatResponse, err error) { done(err) })
+		}},
+		{"Heartbeat/stream", func(done func(error)) {
+			tr.Heartbeat(mute, HeartbeatRequest{Term: 1, Leader: "a"}, func(_ HeartbeatResponse, err error) { done(err) })
 		}},
 		{"Pull", func(done func(error)) {
 			tr.Pull(srv.URL, PullRequest{Term: 1, Node: "a"}, func(_ PullResponse, err error) { done(err) })
@@ -65,12 +74,31 @@ func TestRPCDeadlinePinnedOnEveryMethod(t *testing.T) {
 	}
 }
 
+// muteStreamServer serves append streams that read every frame and
+// answer none, and returns its URL.
+func muteStreamServer(t *testing.T) string {
+	t.Helper()
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		conn, _, err := http.NewResponseController(w).Hijack()
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		defer conn.Close()
+		if _, err := io.WriteString(conn, "HTTP/1.1 101 Switching Protocols\r\nConnection: Upgrade\r\nUpgrade: "+appendProtocol+"\r\n\r\n"); err == nil {
+			_, _ = io.Copy(io.Discard, conn)
+		}
+	}))
+	t.Cleanup(srv.Close)
+	return srv.URL
+}
+
 // TestRPCDeadlineDefaultsWhenUnset: a transport built without a test
 // override still bounds the call (the 5s rpcTimeout rather than hanging
 // forever). Verified structurally: rpcContext must return a context
 // with a deadline.
 func TestRPCDeadlineDefaultsWhenUnset(t *testing.T) {
-	tr := &httpTransport{hc: http.DefaultClient}
+	tr := newHTTPTransport(nil)
 	ctx, cancel := tr.rpcContext()
 	defer cancel()
 	if _, ok := ctx.Deadline(); !ok {

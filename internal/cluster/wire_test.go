@@ -3,6 +3,7 @@ package cluster
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -131,69 +132,179 @@ func FuzzDecodeHeartbeat(f *testing.F) {
 	f.Fuzz(checkHeartbeatDecoders)
 }
 
-// captureRequests answers one request per send on a loopback listener,
-// each with answer, and returns every request's bytes as they arrived.
-func captureRequests(t *testing.T, answer string, sends ...func(base string)) [][]byte {
+// captureRequests runs send against a loopback listener that accepts
+// one connection per answer, in turn, reads one request from each and
+// replies with the answer's raw bytes; it returns every request's bytes
+// as they arrived.
+func captureRequests(t *testing.T, answers []string, send func(base string)) [][]byte {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ln.Close()
-	var raws [][]byte
-	for _, send := range sends {
-		got := make(chan []byte, 1)
-		go func() {
-			var raw bytes.Buffer
-			defer func() { got <- raw.Bytes() }()
+	got := make(chan [][]byte, 1)
+	go func() {
+		var raws [][]byte
+		defer func() { got <- raws }()
+		for _, answer := range answers {
 			conn, err := ln.Accept()
 			if err != nil {
 				return
 			}
-			defer conn.Close()
+			var raw bytes.Buffer
 			if req, err := http.ReadRequest(bufio.NewReader(io.TeeReader(conn, &raw))); err == nil {
 				_, _ = io.Copy(io.Discard, req.Body)
 			}
-			fmt.Fprintf(conn, "HTTP/1.1 200 OK\r\nContent-Length: %d\r\nConnection: close\r\n\r\n%s", len(answer), answer)
-		}()
-		send("http://" + ln.Addr().String())
-		raws = append(raws, <-got)
-	}
-	return raws
+			_, _ = io.WriteString(conn, answer)
+			conn.Close()
+			raws = append(raws, raw.Bytes())
+		}
+	}()
+	send("http://" + ln.Addr().String())
+	return <-got
 }
 
-// TestAppendRPCWireUnchanged: the append RPC goes out byte for byte as it
-// did when it was built with json.Marshal, http.NewRequest and
-// Header.Set, and the follower answers with what writeJSON wrote.
+// okAnswer is a follower's reply as a whole HTTP response.
+func okAnswer(body string) string {
+	return fmt.Sprintf("HTTP/1.1 200 OK\r\nContent-Length: %d\r\nConnection: close\r\n\r\n%s", len(body), body)
+}
+
+// streamPeer accepts one append stream on a loopback listener and answers
+// each frame with reply; it returns the listener's base URL and the
+// request frames' bodies as they arrive.
+func streamPeer(t *testing.T, reply string) (string, <-chan []byte) {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	frames := make(chan []byte, 1)
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		br := bufio.NewReader(conn)
+		req, err := http.ReadRequest(br)
+		if err != nil || req.URL.Path != "/cluster/append" || req.Header.Get("Upgrade") != appendProtocol || req.Header.Get("Connection") != "Upgrade" {
+			t.Errorf("upgrade request %+v: %v", req, err)
+			return
+		}
+		_, _ = io.WriteString(conn, "HTTP/1.1 101 Switching Protocols\r\nConnection: Upgrade\r\nUpgrade: "+appendProtocol+"\r\n\r\n")
+		for {
+			body, err := readFrame(br, nil)
+			if err != nil {
+				return
+			}
+			frames <- body
+			if _, err := conn.Write(frame(reply)); err != nil {
+				return
+			}
+		}
+	}()
+	return "http://" + ln.Addr().String(), frames
+}
+
+// frame is body as an append-stream frame.
+func frame[B string | []byte](body B) []byte {
+	return append(binary.BigEndian.AppendUint32(nil, uint32(len(body))), body...)
+}
+
+// heartbeatVia sends req to peer over tr and waits for the reply.
+func heartbeatVia(tr *httpTransport, peer string, req HeartbeatRequest) (HeartbeatResponse, error) {
+	type result struct {
+		resp HeartbeatResponse
+		err  error
+	}
+	got := make(chan result, 1)
+	tr.Heartbeat(peer, req, func(resp HeartbeatResponse, err error) { got <- result{resp, err} })
+	r := <-got
+	return r.resp, r.err
+}
+
+// TestAppendRPCWireUnchanged: on the append stream, a request frame's body
+// is byte for byte json.Marshal's output and the follower's reply frame
+// is what writeJSON wrote; a follower that refuses the stream is sent
+// exactly the POST that http.NewRequest and Header.Set built, and answers
+// it with what writeJSON wrote.
 func TestAppendRPCWireUnchanged(t *testing.T) {
 	req, _ := heartbeatPair(3, 9, 8, 8, 3, 41, "n1", "http://n1", "write", "oregon", "p-1", "alice", "caf\u00e9 <b>", "", 2, true)
+	body, _ := json.Marshal(req)
+	const reply = `{"term":3,"node":"f","last_index":9,"last_term":3}` + "\n"
 	hc := &http.Client{}
 	defer hc.CloseIdleConnections()
-	raws := captureRequests(t, `{"term":3,"node":"f","last_index":9,"last_term":3}`,
-		func(base string) {
-			done := make(chan error)
-			(&httpTransport{hc: hc}).Heartbeat(base, req, func(_ HeartbeatResponse, err error) { done <- err })
-			if err := <-done; err != nil {
-				t.Error(err)
-			}
-		},
-		func(base string) {
-			body, _ := json.Marshal(req)
-			hreq, _ := http.NewRequest(http.MethodPost, base+"/cluster/heartbeat", bytes.NewReader(body))
-			hreq.Header.Set("Content-Type", "application/json")
-			if resp, err := hc.Do(hreq); err == nil {
-				resp.Body.Close()
-			}
-		})
-	if len(raws[0]) == 0 || !bytes.Equal(raws[0], raws[1]) {
-		t.Fatalf("append RPC on the wire:\n%q\nwas\n%q", raws[0], raws[1])
+
+	// The leader's end of a stream.
+	peer, frames := streamPeer(t, reply)
+	tr := newHTTPTransport(nil)
+	defer tr.close()
+	resp, err := heartbeatVia(tr, peer, req)
+	if err != nil || resp != (HeartbeatResponse{Term: 3, Node: "f", LastIndex: 9, LastTerm: 3}) {
+		t.Fatalf("reply %+v, %v", resp, err)
+	}
+	if got := <-frames; !bytes.Equal(got, body) {
+		t.Fatalf("request frame:\n%q\nwant json.Marshal's\n%q", got, body)
 	}
 
+	// The follower's end of a stream.
 	f := pushFollower(t, &pullCapture{}, nil)
-	body, _ := json.Marshal(req)
-	got, want := httptest.NewRecorder(), httptest.NewRecorder()
-	f.Handler().ServeHTTP(got, httptest.NewRequest(http.MethodPost, "/cluster/heartbeat", bytes.NewReader(body)))
+	srv := httptest.NewServer(f.Handler())
+	defer srv.Close()
+	conn, err := net.Dial("tcp", srv.Listener.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	br := bufio.NewReader(conn)
+	fmt.Fprintf(conn, "GET /cluster/append HTTP/1.1\r\nHost: f\r\nConnection: Upgrade\r\nUpgrade: %s\r\n\r\n", appendProtocol)
+	if r, err := http.ReadResponse(br, nil); err != nil || r.StatusCode != http.StatusSwitchingProtocols {
+		t.Fatalf("upgrade answered %+v, %v", r, err)
+	}
+	if _, err := conn.Write(frame(body)); err != nil {
+		t.Fatal(err)
+	}
+	gotReply, err := readFrame(br, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := httptest.NewRecorder()
 	writeJSONReflect(want, f.HandleHeartbeat(req)) // the same request again changes nothing
+	if !bytes.Equal(gotReply, want.Body.Bytes()) {
+		t.Fatalf("reply frame %q, was %q", gotReply, want.Body.Bytes())
+	}
+
+	// A refused upgrade, then the POST: two connections, the second's bytes
+	// today's.
+	raws := captureRequests(t, []string{
+		"HTTP/1.1 404 Not Found\r\nContent-Length: 0\r\nConnection: close\r\n\r\n", okAnswer(reply), okAnswer(reply),
+	}, func(base string) {
+		tr := newHTTPTransport(nil)
+		tr.hc = hc
+		defer tr.close()
+		if _, err := heartbeatVia(tr, base, req); err != nil {
+			t.Error(err)
+		}
+		if got := tr.fallbacks.Value(); got != 1 {
+			t.Errorf("%d fallbacks counted, want 1", got)
+		}
+		hreq, _ := http.NewRequest(http.MethodPost, base+"/cluster/heartbeat", bytes.NewReader(body))
+		hreq.Header.Set("Content-Type", "application/json")
+		if resp, err := hc.Do(hreq); err == nil {
+			resp.Body.Close()
+		}
+	})
+	if len(raws) != 3 || !bytes.HasPrefix(raws[0], []byte("GET /cluster/append HTTP/1.1\r\n")) {
+		t.Fatalf("captured %q, want the upgrade first", raws)
+	}
+	if len(raws[1]) == 0 || !bytes.Equal(raws[1], raws[2]) {
+		t.Fatalf("append RPC on the wire:\n%q\nwas\n%q", raws[1], raws[2])
+	}
+
+	got := httptest.NewRecorder()
+	f.Handler().ServeHTTP(got, httptest.NewRequest(http.MethodPost, "/cluster/heartbeat", bytes.NewReader(body)))
 	if got.Code != want.Code || !reflect.DeepEqual(got.Header(), want.Header()) || !bytes.Equal(got.Body.Bytes(), want.Body.Bytes()) {
 		t.Fatalf("answer %d %v %q, was %d %v %q", got.Code, got.Header(), got.Body.Bytes(), want.Code, want.Header(), want.Body.Bytes())
 	}
@@ -245,12 +356,14 @@ func (zeros) Read(p []byte) (int, error) {
 
 // appendLoopback is one leader→follower append RPC as production sends
 // it: the leader's httpTransport over loopback HTTP to a follower's
-// Handler, in one process. The follower is a memory-only voting member
-// whose timers are parked an hour out, over a service that keeps
+// Handler, in one process — on the append stream, or by POST when refuse
+// serves the follower through a ResponseWriter that cannot be hijacked,
+// as a counting middleware's cannot. The follower is a memory-only voting
+// member whose timers are parked an hour out, over a service that keeps
 // nothing, so what an append costs is the wire and the node's own work.
 // send carries one write op continuing the follower's log and waits for
 // the acknowledgement.
-func appendLoopback(tb testing.TB) (send func()) {
+func appendLoopback(tb testing.TB, refuse bool) (send func()) {
 	tb.Helper()
 	f, err := NewNode(dropSvc{}, Config{
 		NodeID: "f", SelfURL: "http://f", Peers: []string{"http://l", "http://x"},
@@ -260,13 +373,18 @@ func appendLoopback(tb testing.TB) (send func()) {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	srv := httptest.NewServer(f.Handler())
+	h := f.Handler()
+	if refuse {
+		h = noHijack(h)
+	}
+	srv := httptest.NewServer(h)
+	tr := newHTTPTransport(nil)
 	tb.Cleanup(func() {
+		tr.close()
+		tr.hc.CloseIdleConnections()
 		srv.Close()
 		f.Kill()
 	})
-	tr := &httpTransport{hc: &http.Client{}}
-	tb.Cleanup(tr.hc.CloseIdleConnections)
 	op := Op{Term: 1, Kind: opWrite, Site: string(simnet.DCWest), ID: "p-1", Author: "alice",
 		Body: "a post body of ordinary length, nothing to escape"}
 	ops := make([]Op, 1)
@@ -292,34 +410,61 @@ func appendLoopback(tb testing.TB) (send func()) {
 	}
 }
 
-// appendRPCAllocs is what one append RPC carrying one op allocates,
-// leader and follower together, in one process on loopback: 128 while
-// both ends went through encoding/json, http.NewRequest and a
-// Stop + AfterFunc of the follower's election timer. What is left is
+// noHijack serves h, but the stream upgrade goes through a ResponseWriter
+// that hides every optional interface of net/http's own, Hijacker
+// included; wrapping only that request keeps the wrapper's object out of
+// what a POST costs.
+func noHijack(h http.Handler) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/cluster/append" {
+			w = struct{ http.ResponseWriter }{w}
+		}
+		h.ServeHTTP(w, r)
+	})
+}
+
+// What one append RPC carrying one op allocates, leader and follower
+// together, in one process on loopback. On the stream it is one string
+// per decoded message and the follower's op slice. By POST it was 128
+// while both ends went through encoding/json, http.NewRequest and a
+// Stop + AfterFunc of the follower's election timer; what is left is
 // net/http's, but for the request's deadline context (≈ 6 objects with
 // what net/http derives from it), the go statement, the body's bytes,
-// reader and GetBody, and one string per decoded message.
-const appendRPCAllocs = 93
+// reader and GetBody, and the same strings.
+const (
+	appendStreamAllocs = 3
+	appendPostAllocs   = 93
+)
 
-// TestAppendRPCAllocs pins what one append RPC allocates.
+// TestAppendRPCAllocs pins what one append RPC allocates, on the stream
+// and by POST.
 func TestAppendRPCAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
-	send := appendLoopback(t)
-	for i := 0; i < 2000; i++ {
-		send()
+	for _, c := range []struct {
+		name   string
+		refuse bool
+		pin    float64
+	}{{"stream", false, appendStreamAllocs}, {"post", true, appendPostAllocs}} {
+		t.Run(c.name, func(t *testing.T) {
+			send := appendLoopback(t, c.refuse)
+			for i := 0; i < 2000; i++ {
+				send()
+			}
+			got := testing.AllocsPerRun(2000, send)
+			if got > c.pin {
+				t.Fatalf("one append RPC allocates %v objects, pinned at %v", got, c.pin)
+			}
+			t.Logf("one append RPC allocates %v objects", got)
+		})
 	}
-	got := testing.AllocsPerRun(2000, send)
-	if got > appendRPCAllocs {
-		t.Fatalf("one append RPC allocates %v objects, pinned at %d", got, appendRPCAllocs)
-	}
-	t.Logf("one append RPC allocates %v objects", got)
 }
 
-// BenchmarkAppendRPC is one loopback append RPC carrying one op.
+// BenchmarkAppendRPC is one loopback append RPC carrying one op, on the
+// append stream.
 func BenchmarkAppendRPC(b *testing.B) {
-	send := appendLoopback(b)
+	send := appendLoopback(b, false)
 	for i := 0; i < 1000; i++ {
 		send()
 	}

@@ -177,6 +177,15 @@ for u in $live; do
   poll_until 30 "replica at $u to hold p5" has_post "$u" p5
 done
 
+echo "== the leader appends over one stream per follower, none by POST"
+metric() { # url family
+  curl -fsS "$1/metrics" | sed -n "s/^$2 \([0-9]*\)$/\1/p"
+}
+streams=$(metric "$leader" consvc_cluster_append_streams)
+fallbacks=$(metric "$leader" consvc_cluster_append_fallbacks_total)
+[ "$streams" = 2 ] || die "leader has '$streams' append streams open, want 2"
+[ "$fallbacks" = 0 ] || die "leader sent '$fallbacks' appends by POST: a follower refused the stream"
+
 echo "== follower redirects writes with 421 + leader hint"
 for u in $live; do
   [ "$u" = "$leader" ] && continue

@@ -40,12 +40,13 @@ go test -run '^$' -bench 'TraceJSONL$' -benchtime 200x -benchmem . |
   awk '/^BenchmarkTraceJSONL/ { print "trace encode: " $3 " ns/op, " $(NF-1) " allocs/op" }'
 
 # What one leader→follower append costs on the wire: a loopback
-# httpTransport against a follower's Handler, both ends counted (about
-# 93 objects, nearly all net/http's; 128 when both ends went through
-# encoding/json and http.NewRequest).
-echo "== append rpc (one 1-op append over loopback HTTP, leader and follower)"
+# httpTransport against a follower's Handler on the append stream, both
+# ends counted (3 objects: a string per decoded message and the ops; 93
+# as one POST /cluster/heartbeat each, the fallback TestAppendRPCAllocs
+# also pins).
+echo "== append rpc (one 1-op append on the loopback append stream, leader and follower)"
 go test -run '^$' -bench 'AppendRPC$' -benchtime 2000x -benchmem ./internal/cluster |
-  awk '/^BenchmarkAppendRPC/ { print "append rpc: " $(NF-1) " allocs/op" }'
+  awk '/^BenchmarkAppendRPC/ { print "append rpc (stream): " $3 " ns/op, " $(NF-1) " allocs/op" }'
 
 echo "== resume smoke"
 ./scripts/resume_smoke.sh
