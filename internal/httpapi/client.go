@@ -1,6 +1,7 @@
 package httpapi
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -9,6 +10,7 @@ import (
 	"net/http"
 	"net/url"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -37,9 +39,10 @@ import (
 // replica forever is the failure mode the failover path exists to
 // prevent.
 type Client struct {
-	base string
-	name string
-	hc   *http.Client
+	base    string
+	name    string
+	hc      *http.Client
+	maxRead int // MaxReadBodyBytes
 
 	mu  sync.RWMutex
 	ctx context.Context // bound campaign context; nil means Background
@@ -58,19 +61,14 @@ type Client struct {
 	readDegraded bool
 	readStats    ReadStats
 
-	targets map[targetKey]writeTarget // postsTarget's
+	targets map[targetKey]*http.Request // target's
 
 	metrics clientMetrics
 }
 
 type targetKey struct {
-	base string
-	site simnet.Site
-}
-
-type writeTarget struct {
-	u      *url.URL
-	header http.Header
+	method, base, path string
+	site               simnet.Site
 }
 
 // RedirectStats counts write failovers: RedirectedWrites is how many
@@ -154,7 +152,8 @@ func NewClient(baseURL, name string, httpClient *http.Client) (*Client, error) {
 	if name == "" {
 		name = "remote"
 	}
-	return &Client{base: u.String(), name: name, hc: httpClient, metrics: newClientMetrics(nil)}, nil
+	return &Client{base: u.String(), name: name, hc: httpClient, maxRead: MaxReadBodyBytes,
+		targets: make(map[targetKey]*http.Request), metrics: newClientMetrics(nil)}, nil
 }
 
 // Name returns the client-side service label.
@@ -260,7 +259,7 @@ func (c *Client) writeBase() string {
 
 // writeTo issues one POST /posts against base.
 func (c *Client) writeTo(base string, from simnet.Site, p service.Post) error {
-	t, err := c.postsTarget(base, from)
+	t, err := c.target(http.MethodPost, base, "/posts", from)
 	if err != nil {
 		return err
 	}
@@ -270,7 +269,7 @@ func (c *Client) writeTo(base string, from simnet.Site, p service.Post) error {
 	if err != nil {
 		return fmt.Errorf("httpapi: encode post: %w", err)
 	}
-	resp, err := c.hc.Do(cluster.NewPost(c.boundCtx(), t.u, t.header, body))
+	resp, err := c.hc.Do(cluster.NewPost(c.boundCtx(), t.URL, t.Header, body))
 	if err != nil {
 		return fmt.Errorf("httpapi: write: %w", err)
 	}
@@ -281,24 +280,31 @@ func (c *Client) writeTo(base string, from simnet.Site, p service.Post) error {
 	return nil
 }
 
-// postsTarget returns the URL of POST /posts on base and the header of a
-// write from site, each made once and then shared, read only.
-func (c *Client) postsTarget(base string, from simnet.Site) (writeTarget, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	k := targetKey{base, from}
+// target returns the request http.NewRequestWithContext and Header.Set
+// make for method on base+path from site, made once and then shared,
+// read only: callers send a copy or take its URL and header. The key
+// holds no query, so the cache grows with the bases (the client's own
+// and the peers it fails over to) and the agents' sites, never with
+// readers or users.
+func (c *Client) target(method, base, path string, from simnet.Site) (*http.Request, error) {
+	k := targetKey{method, base, path, from}
+	c.mu.RLock()
 	t, ok := c.targets[k]
-	if !ok {
-		u, err := url.Parse(base + "/posts")
-		if err != nil {
-			return t, err
-		}
-		t = writeTarget{u, http.Header{"Content-Type": jsonContentType, SiteHeader: {string(from)}}}
-		if c.targets == nil {
-			c.targets = make(map[targetKey]writeTarget)
-		}
-		c.targets[k] = t
+	c.mu.RUnlock()
+	if ok {
+		return t, nil
 	}
+	t, err := http.NewRequestWithContext(context.Background(), method, base+path, nil)
+	if err != nil {
+		return nil, err
+	}
+	if method == http.MethodPost {
+		t.Header["Content-Type"] = jsonContentType
+	}
+	t.Header.Set(SiteHeader, string(from))
+	c.mu.Lock()
+	c.targets[k] = t // two racing misses build equal requests
+	c.mu.Unlock()
 	return t, nil
 }
 
@@ -370,32 +376,42 @@ func (c *Client) Read(from simnet.Site, reader string) (_ []service.Post, err er
 }
 
 // readLocal issues one pinned GET /posts against the client's base.
-func (c *Client) readLocal(from simnet.Site, reader string) ([]service.Post, error) {
-	req, err := http.NewRequestWithContext(c.boundCtx(), http.MethodGet, c.base+"/posts?reader="+url.QueryEscape(reader), nil)
+func (c *Client) readLocal(from simnet.Site, reader string) (posts []service.Post, err error) {
+	err = c.get("read", "posts", c.base, "/posts", "reader="+url.QueryEscape(reader), from, func(body []byte) (err error) {
+		posts, err = decodePosts(body)
+		return err
+	})
+	return posts, err
+}
+
+// get issues one GET of path?query on base from site and hands the body
+// of a 200, at most maxRead bytes, to decode. op names the request in
+// errors, what the body.
+func (c *Client) get(op, what, base, path, query string, from simnet.Site, decode func([]byte) error) error {
+	t, err := c.target(http.MethodGet, base, path, from)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	req.Header.Set(SiteHeader, string(from))
+	req, u := t.WithContext(c.boundCtx()), *t.URL
+	u.RawQuery = query
+	req.URL = &u
 	resp, err := c.hc.Do(req)
 	if err != nil {
-		return nil, fmt.Errorf("httpapi: read: %w", err)
+		return fmt.Errorf("httpapi: %s: %w", op, err)
 	}
 	defer drain(resp)
 	if resp.StatusCode != http.StatusOK {
-		return nil, apiError("read", resp)
+		return apiError(op, resp)
 	}
-	var posts []PostJSON
-	if err := json.NewDecoder(resp.Body).Decode(&posts); err != nil {
-		return nil, fmt.Errorf("httpapi: decode posts: %w", err)
+	buf, err := jsonappend.ReadAll(resp.Body, c.maxRead)
+	if err != nil {
+		return fmt.Errorf("httpapi: %s: %w", op, err)
 	}
-	out := make([]service.Post, len(posts))
-	for i, p := range posts {
-		out[i] = service.Post{
-			ID: p.ID, Author: p.Author, Body: p.Body,
-			DependsOn: p.DependsOn, CreatedAt: p.CreatedAt,
-		}
+	defer jsonappend.Put(buf)
+	if err := decode(*buf); err != nil {
+		return fmt.Errorf("httpapi: decode %s: %w", what, err)
 	}
-	return out, nil
+	return nil
 }
 
 // readLinearizable issues one GET /cluster/read against the latched
@@ -459,35 +475,84 @@ type clusterReadJSON struct {
 }
 
 // readClusterAt issues one linearizable read against base.
-func (c *Client) readClusterAt(base string, from simnet.Site, reader string, mode cluster.ReadMode) ([]service.Post, error) {
-	u := base + "/cluster/read?mode=" + url.QueryEscape(string(mode)) +
-		"&reader=" + url.QueryEscape(reader)
-	req, err := http.NewRequestWithContext(c.boundCtx(), http.MethodGet, u, nil)
-	if err != nil {
+func (c *Client) readClusterAt(base string, from simnet.Site, reader string, mode cluster.ReadMode) (posts []service.Post, err error) {
+	query := "mode=" + url.QueryEscape(string(mode)) + "&reader=" + url.QueryEscape(reader)
+	var used cluster.ReadMode
+	if err = c.get("cluster read", "cluster read", base, "/cluster/read", query, from, func(body []byte) (err error) {
+		used, posts, err = decodeClusterRead(body)
+		return err
+	}); err != nil {
 		return nil, err
 	}
-	req.Header.Set(SiteHeader, string(from))
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return nil, fmt.Errorf("httpapi: cluster read: %w", err)
+	c.noteReadMode(used)
+	return posts, nil
+}
+
+// decodePosts returns what json.Unmarshal reads from a GET /posts body
+// into a []PostJSON, copied into service.Posts — never nil, so [] and
+// null both read as an empty timeline. Every string but the IDs is
+// carved from one copy of body, so keeping a post's author, body or
+// depends_on keeps that whole copy alive.
+func decodePosts(body []byte) ([]service.Post, error) {
+	sc := jsonappend.NewScanner(body)
+	if posts := scanPosts(&sc, body); sc.Done() || string(body) == "[]\n" { // Array refuses []
+		return posts, nil
 	}
-	defer drain(resp)
-	if resp.StatusCode != http.StatusOK {
-		return nil, apiError("cluster read", resp)
+	var wire []PostJSON
+	if err := json.Unmarshal(body, &wire); err != nil {
+		return nil, err
 	}
-	var body clusterReadJSON
-	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
-		return nil, fmt.Errorf("httpapi: decode cluster read: %w", err)
+	return timeline(wire), nil
+}
+
+// decodeClusterRead is decodePosts for a GET /cluster/read body.
+func decodeClusterRead(body []byte) (cluster.ReadMode, []service.Post, error) {
+	sc := jsonappend.NewScanner(body)
+	var mode string
+	var posts []service.Post
+	sc.Object("mode", &mode, "posts", func() { posts = scanPosts(&sc, body) })
+	if sc.Done() && posts != nil {
+		return cluster.ReadMode(mode), posts, nil
 	}
-	c.noteReadMode(body.Mode)
-	out := make([]service.Post, len(body.Posts))
-	for i, p := range body.Posts {
-		out[i] = service.Post{
-			ID: p.ID, Author: p.Author, Body: p.Body,
-			DependsOn: p.DependsOn, CreatedAt: p.CreatedAt,
-		}
+	var wire clusterReadJSON
+	if err := json.Unmarshal(body, &wire); err != nil {
+		return "", nil, err
 	}
-	return out, nil
+	return wire.Mode, timeline(wire.Posts), nil
+}
+
+// scanPosts reads what appendPosts writes for a non-empty timeline into
+// a slice sized, once, by how many posts body can hold. The IDs then
+// move into one string of their own: a probe's trace keeps every read's
+// IDs for the whole campaign, and they must not keep the body alive.
+func scanPosts(sc *jsonappend.Scanner, body []byte) []service.Post {
+	posts := make([]service.Post, 0, bytes.Count(body, []byte(`{"id":`)))
+	n := 0
+	sc.Array(func() {
+		posts = append(posts, service.Post{})
+		p := &posts[len(posts)-1]
+		sc.Object("id", &p.ID, "author", &p.Author, "body", &p.Body, "depends_on", &p.DependsOn, "created_at", &p.CreatedAt)
+		n += len(p.ID)
+	})
+	var ids strings.Builder
+	ids.Grow(n)
+	for i := range posts {
+		ids.WriteString(posts[i].ID)
+	}
+	all := ids.String()
+	for i := range posts {
+		posts[i].ID, all = all[:len(posts[i].ID)], all[len(posts[i].ID):]
+	}
+	return posts
+}
+
+// timeline copies a decoded wire timeline into service.Posts.
+func timeline(wire []PostJSON) []service.Post {
+	out := make([]service.Post, len(wire))
+	for i, p := range wire {
+		out[i] = service.Post{ID: p.ID, Author: p.Author, Body: p.Body, DependsOn: p.DependsOn, CreatedAt: p.CreatedAt}
+	}
+	return out
 }
 
 // noteReadMode tallies which mode actually served a read.

@@ -7,14 +7,16 @@ import (
 	"net/http/httptest"
 	"testing"
 	"time"
+
+	"conprobe/internal/service"
 )
 
 // TestPostsResponseMatchesMarshal: a read is answered with exactly the
-// bytes writeJSON sent for the same timeline — json.Encoder's, newline
-// included — whatever the posts hold.
+// bytes writeJSON sent for the same timeline copied into a []PostJSON —
+// json.Encoder's, newline included — whatever the posts hold.
 func TestPostsResponseMatchesMarshal(t *testing.T) {
 	at := time.Date(2016, 6, 28, 9, 30, 15, 123456789, time.UTC)
-	for name, posts := range map[string][]PostJSON{
+	for name, posts := range map[string][]service.Post{
 		"nil":   nil,
 		"empty": {},
 		"plain": {
@@ -29,7 +31,7 @@ func TestPostsResponseMatchesMarshal(t *testing.T) {
 		},
 	} {
 		want := httptest.NewRecorder()
-		writeJSON(want, http.StatusOK, posts)
+		writeJSON(want, http.StatusOK, wireOf(posts))
 		got := httptest.NewRecorder()
 		writePosts(got, posts)
 		if got.Code != want.Code || got.Header().Get("Content-Type") != want.Header().Get("Content-Type") {
@@ -41,8 +43,8 @@ func TestPostsResponseMatchesMarshal(t *testing.T) {
 	}
 
 	// A timestamp json refuses leaves the body empty either way.
-	bad := []PostJSON{{ID: "p-1", CreatedAt: time.Date(10000, 1, 1, 0, 0, 0, 0, time.UTC)}}
-	if _, err := json.Marshal(bad); err == nil {
+	bad := []service.Post{{ID: "p-1", CreatedAt: time.Date(10000, 1, 1, 0, 0, 0, 0, time.UTC)}}
+	if _, err := json.Marshal(wireOf(bad)); err == nil {
 		t.Fatal("json.Marshal encoded year 10000")
 	}
 	got := httptest.NewRecorder()
@@ -50,4 +52,13 @@ func TestPostsResponseMatchesMarshal(t *testing.T) {
 	if got.Body.Len() != 0 {
 		t.Errorf("an unencodable timeline was answered with %q", got.Body.Bytes())
 	}
+}
+
+// wireOf is the copy GET /posts once made of a timeline before encoding it.
+func wireOf(posts []service.Post) []PostJSON {
+	out := make([]PostJSON, len(posts))
+	for i, p := range posts {
+		out[i] = PostJSON{ID: p.ID, Author: p.Author, Body: p.Body, DependsOn: p.DependsOn, CreatedAt: p.CreatedAt}
+	}
+	return out
 }

@@ -97,6 +97,12 @@ type ServerConfig struct {
 // not set one.
 const DefaultMaxBodyBytes = 1 << 20
 
+// MaxReadBodyBytes caps the GET /posts or /cluster/read body a Client
+// reads, so a broken or hostile server cannot exhaust its memory; a
+// longer body fails the read, naming the cap. At ≈ 150 bytes a post, that
+// is ≈ 400,000 posts, far beyond any campaign's or conload run's timeline.
+const MaxReadBodyBytes = 64 << 20
+
 // Server serves a Service over HTTP.
 type Server struct {
 	svc   service.Service
@@ -377,22 +383,14 @@ func (s *Server) handlePosts(w http.ResponseWriter, r *http.Request) {
 		s.metrics.writes.Inc()
 		writePost(w, &p)
 	case http.MethodGet:
-		reader := r.URL.Query().Get("reader")
-		posts, err := s.svc.Read(site, reader)
+		posts, err := s.svc.Read(site, r.URL.Query().Get("reader"))
 		if err != nil {
 			s.metrics.errors.Inc()
 			writeJSON(w, http.StatusBadGateway, errorJSON{Error: err.Error()})
 			return
 		}
 		s.metrics.reads.Inc()
-		out := make([]PostJSON, len(posts))
-		for i, p := range posts {
-			out[i] = PostJSON{
-				ID: p.ID, Author: p.Author, Body: p.Body,
-				DependsOn: p.DependsOn, CreatedAt: p.CreatedAt,
-			}
-		}
-		writePosts(w, out)
+		writePosts(w, posts)
 	case http.MethodDelete:
 		if err := s.svc.Reset(); err != nil {
 			s.metrics.errors.Inc()
@@ -513,10 +511,10 @@ func writeAppended(w http.ResponseWriter, status int, appendTo func([]byte) ([]b
 	_, _ = w.Write(b)
 }
 
-// writePosts answers a read with the bytes writeJSON(w, 200, posts)
-// would send, encoded without reflecting over the timeline or
-// allocating an object per created_at.
-func writePosts(w http.ResponseWriter, posts []PostJSON) {
+// writePosts answers a read with the bytes writeJSON would send for the
+// timeline as a []PostJSON, encoded without reflection or an object per
+// created_at.
+func writePosts(w http.ResponseWriter, posts []service.Post) {
 	writeAppended(w, http.StatusOK, func(b []byte) ([]byte, error) { return appendPosts(b, posts) })
 }
 
@@ -529,19 +527,18 @@ func writePost(w http.ResponseWriter, p *PostJSON) {
 	})
 }
 
-// appendPosts appends what json.Encoder writes for posts: the array as
-// json.Marshal encodes it, then a newline.
-func appendPosts(b []byte, posts []PostJSON) ([]byte, error) {
-	if posts == nil {
-		return append(b, "null\n"...), nil
-	}
+// appendPosts appends what json.Encoder writes for posts as a
+// []PostJSON: the array as json.Marshal encodes it ([] for none, nil
+// included), then a newline.
+func appendPosts(b []byte, posts []service.Post) ([]byte, error) {
 	b = append(b, '[')
 	for i := range posts {
 		if i > 0 {
 			b = append(b, ',')
 		}
+		p := &posts[i]
 		var err error
-		if b, err = appendPost(b, &posts[i]); err != nil {
+		if b, err = appendPost(b, &PostJSON{ID: p.ID, Author: p.Author, Body: p.Body, DependsOn: p.DependsOn, CreatedAt: p.CreatedAt}); err != nil {
 			return nil, err
 		}
 	}

@@ -11,7 +11,7 @@ package jsonappend
 
 import (
 	"encoding/json"
-	"errors"
+	"fmt"
 	"io"
 	"math"
 	"slices"
@@ -217,16 +217,14 @@ func Get() *[]byte {
 // Put returns b to the pool. Nothing may use b afterwards.
 func Put(b *[]byte) { bufs.Put(b) }
 
-var errTooLong = errors.New("jsonappend: body too long")
-
 // ReadAll reads r to its end into a pooled buffer, which the caller gives
-// back with Put. It fails once more than limit bytes arrive.
+// back with Put. It fails, naming limit, once more than limit bytes arrive.
 func ReadAll(r io.Reader, limit int) (*[]byte, error) {
 	buf := Get()
 	for b := slices.Grow(*buf, 512); ; b = slices.Grow(b, 1) {
 		n, err := r.Read(b[len(b):cap(b)])
 		if *buf = b[:len(b)+n]; len(*buf) > limit {
-			err = errTooLong
+			err = fmt.Errorf("jsonappend: body over the %d-byte limit", limit)
 		}
 		if err == io.EOF {
 			return buf, nil

@@ -48,6 +48,14 @@ echo "== append rpc (one 1-op append on the loopback append stream, leader and f
 go test -run '^$' -bench 'AppendRPC$' -benchtime 2000x -benchmem ./internal/cluster |
   awk '/^BenchmarkAppendRPC/ { print "append rpc (stream): " $3 " ns/op, " $(NF-1) " allocs/op" }'
 
+# What one timeline read costs over the HTTP facade: a 16-post GET /posts
+# on loopback, client and server together (90 objects at any timeline
+# length; 157 while each read decoded by reflection and the server copied
+# the timeline, TestReadAllocs pins 95).
+echo "== timeline read (one 16-post GET /posts on loopback, client and server)"
+go test -run '^$' -bench 'TimelineRead$' -benchtime 2000x -benchmem ./internal/httpapi |
+  awk '/^BenchmarkTimelineRead/ { print "timeline read (16 posts): " $3 " ns/op, " $(NF-1) " allocs/op" }'
+
 echo "== resume smoke"
 ./scripts/resume_smoke.sh
 
