@@ -29,9 +29,10 @@
 // The membership is dynamic: a new node started with -join <member-url>
 // asks the cluster to vote it in (joint consensus; no peer-list edits
 // on the running members), and POST /cluster/reconfigure removes
-// members. GET /cluster/read serves linearizable reads — lease-based at
-// the leader, read-index quorum rounds otherwise — with -read-mode
-// picking the default consistency level.
+// members. GET /posts?mode=lease|quorum serves linearizable reads —
+// lease-based at the leader, read-index quorum rounds otherwise — through
+// the same admission and rate limit as every other request; a read that
+// names no mode is the node's local replica.
 //
 // Usage:
 //
@@ -46,6 +47,7 @@
 //
 //	curl -H 'X-Client-Site: oregon' -d '{"id":"m1","author":"a1"}' localhost:8080/posts
 //	curl -H 'X-Client-Site: tokyo'  localhost:8080/posts?reader=a2
+//	curl -H 'X-Client-Site: tokyo'  'localhost:8081/posts?reader=a2&mode=lease'
 package main
 
 import (
@@ -114,7 +116,6 @@ func build(args []string) (*http.Server, string, error) {
 		snapEvery    = fs.Int("snapshot-every", 256, "compact the WAL after this many ops (cluster) or journaled records (-durable)")
 		durable      = fs.Bool("durable", false, "standalone mode: persist the store to -data-dir (fsync per write)")
 		election     = cliflags.ElectionFlags(fs)
-		readMode     = cliflags.ReadMode(fs)
 		diskFaults   = cliflags.DiskFaults(fs)
 		join         = fs.String("join", "", "existing cluster member base URL: boot as a non-voting puller and keep asking the leader to add this node to the membership (requires -node-id and -self-url; excludes -peers)")
 	)
@@ -205,7 +206,6 @@ func build(args []string) (*http.Server, string, error) {
 			HeartbeatInterval: *election.HeartbeatInterval,
 			Quorum:            *election.Quorum,
 			ClockSkew:         *election.ClockSkew,
-			DefaultReadMode:   *readMode,
 			Seed:              *seed,
 			Clock:             clock,
 			FS:                diskFS,
@@ -223,8 +223,8 @@ func build(args []string) (*http.Server, string, error) {
 			return nil, "", err
 		}
 		svc = node
-		log.Printf("consvc: cluster node %s role=%q self=%q peers=%q election-timeout=%v heartbeat=%v quorum=%d read-mode=%s",
-			*nodeID, *role, *selfURL, *peers, *election.ElectionTimeout, *election.HeartbeatInterval, *election.Quorum, *readMode)
+		log.Printf("consvc: cluster node %s role=%q self=%q peers=%q election-timeout=%v heartbeat=%v quorum=%d",
+			*nodeID, *role, *selfURL, *peers, *election.ElectionTimeout, *election.HeartbeatInterval, *election.Quorum)
 		if *join != "" {
 			go joinCluster(node, *join, *nodeID, *selfURL)
 		}

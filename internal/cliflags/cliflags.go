@@ -89,7 +89,7 @@ func ElectionFlags(fs *flag.FlagSet) Election {
 }
 
 // ReadMode registers the canonical -read-mode flag selecting the
-// cluster read consistency level.
+// consistency level a client's reads ask GET /posts for (conload).
 func ReadMode(fs *flag.FlagSet) *string {
 	return fs.String("read-mode", "local",
 		"cluster read consistency: local (any replica, no leadership check), lease (leader under a clock-skew-bounded lease), quorum (read-index heartbeat round)")

@@ -220,9 +220,6 @@ type Config struct {
 	// ElectionTimeout/2 or more disables leases entirely (lease reads
 	// then always fall back to a quorum round).
 	ClockSkew time.Duration
-	// DefaultReadMode is the read mode /cluster/read uses when the
-	// request names none: "local" (default), "lease" or "quorum".
-	DefaultReadMode string
 	// SnapshotChunkBytes bounds each snapshot-install chunk (default
 	// 256 KiB). Tests shrink it to force multi-chunk transfers.
 	SnapshotChunkBytes int
@@ -483,9 +480,6 @@ func NewNode(svc service.Service, cfg Config) (*Node, error) {
 	}
 	if cfg.SnapshotChunkBytes <= 0 {
 		cfg.SnapshotChunkBytes = 256 << 10
-	}
-	if _, err := ParseReadMode(cfg.DefaultReadMode); err != nil {
-		return nil, err
 	}
 	if cfg.Clock == nil {
 		cfg.Clock = vtime.Real{}

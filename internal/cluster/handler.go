@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"conprobe/internal/jsonappend"
-	"conprobe/internal/simnet"
 )
 
 // StatusJSON is the /cluster/status payload.
@@ -116,28 +115,15 @@ type ReconfigureRequest struct {
 	Remove []string `json:"remove,omitempty"`
 }
 
-// clusterSiteHeader mirrors httpapi.SiteHeader without importing it
-// (httpapi depends on this package's handler, not the reverse).
-const clusterSiteHeader = "X-Client-Site"
-
-// postWire mirrors httpapi.PostJSON for the same reason: /cluster/read
-// must serve the exact wire shape GET /posts serves, so clients (and
-// shell scripts) can parse both with one decoder.
-type postWire struct {
-	ID        string    `json:"id"`
-	Author    string    `json:"author"`
-	Body      string    `json:"body,omitempty"`
-	DependsOn string    `json:"depends_on,omitempty"`
-	CreatedAt time.Time `json:"created_at,omitempty"`
-}
-
-// clusterLeaderHeader mirrors httpapi.LeaderHeader for the same reason.
+// clusterLeaderHeader mirrors httpapi.LeaderHeader without importing it
+// (httpapi depends on this package, not the reverse).
 const clusterLeaderHeader = "X-Cluster-Leader"
 
-// Handler serves the replication, election and client endpoints:
+// Handler serves the replication, election and membership endpoints
+// (client reads at every mode are GET /posts?mode=, served by httpapi
+// through ReadLinearizable):
 //
 //	GET  /cluster/status       role, term, commit index, config, follower progress
-//	GET  /cluster/read         linearizable read (?mode=local|lease|quorum&reader=R)
 //	GET  /cluster/pull         catch-up: op tail after ?from=N&from_term=T (term-verified)
 //	GET  /cluster/snapshot     one CRC-guarded snapshot chunk (?id=S&offset=N)
 //	POST /cluster/vote         RequestVote RPC
@@ -153,43 +139,6 @@ func (n *Node) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/cluster/status", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, n.Status())
-	})
-	mux.HandleFunc("/cluster/read", func(w http.ResponseWriter, r *http.Request) {
-		q := r.URL.Query()
-		modeStr := q.Get("mode")
-		if modeStr == "" {
-			modeStr = string(n.cfg.DefaultReadMode)
-		}
-		mode, err := ParseReadMode(modeStr)
-		if err != nil {
-			writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
-			return
-		}
-		site := simnet.Site(r.Header.Get(clusterSiteHeader))
-		posts, used, err := n.ReadLinearizable(site, q.Get("reader"), mode)
-		if err != nil {
-			var nle *NotLeaderError
-			if errors.As(err, &nle) {
-				if nle.Leader != "" {
-					w.Header().Set(clusterLeaderHeader, nle.Leader)
-				}
-				writeJSON(w, http.StatusMisdirectedRequest, map[string]string{
-					"error": err.Error(), "leader": nle.Leader,
-				})
-				return
-			}
-			writeJSON(w, http.StatusServiceUnavailable, map[string]string{"error": err.Error()})
-			return
-		}
-		wire := make([]postWire, len(posts))
-		for i, p := range posts {
-			wire[i] = postWire{
-				ID: p.ID, Author: p.Author, Body: p.Body,
-				DependsOn: p.DependsOn, CreatedAt: p.CreatedAt,
-			}
-		}
-		w.Header().Set("X-Read-Mode", string(used))
-		writeJSON(w, http.StatusOK, map[string]any{"mode": used, "posts": wire})
 	})
 	mux.HandleFunc("/cluster/reconfigure", func(w http.ResponseWriter, r *http.Request) {
 		var req ReconfigureRequest

@@ -243,8 +243,9 @@ func (t *ReadTicket) Wait() error {
 }
 
 // ReadLinearizable performs a full read at the requested mode,
-// reporting the mode that actually vouched for it. The linearization
-// point is the leadership proof (lease check or round confirmation):
+// reporting the mode that actually vouched for it; GET /posts?mode=
+// reaches it through the HTTP facade. The linearization point is the
+// leadership proof (lease check or round confirmation):
 // the replica only grows, so serving after the proof can never return
 // less than everything committed before the read began.
 func (n *Node) ReadLinearizable(from simnet.Site, reader string, mode ReadMode) ([]service.Post, ReadMode, error) {

@@ -33,11 +33,10 @@ import (
 //
 // Reads default to the same pinned-to-base behavior — follower reads
 // are the externally observable consistency surface the probe exists
-// to measure. SetReadMode switches them to the cluster's linearizable
-// read endpoint instead, and those reads follow the leader exactly
-// like writes do: latching onto a deposed leader and reading its stale
-// replica forever is the failure mode the failover path exists to
-// prevent.
+// to measure. SetReadMode asks GET /posts for a lease or quorum read
+// instead, and those reads follow the leader exactly like writes do:
+// latching onto a deposed leader and reading its stale replica forever
+// is the failure mode the failover path exists to prevent.
 type Client struct {
 	base    string
 	name    string
@@ -54,12 +53,9 @@ type Client struct {
 	redirects   RedirectStats
 
 	// readMode routes reads: local (default) pins GET /posts to base;
-	// lease/quorum go to /cluster/read on the latched leader. A 404
-	// from a standalone server sets readDegraded, falling back to local
-	// permanently instead of 404ing every probe.
-	readMode     cluster.ReadMode
-	readDegraded bool
-	readStats    ReadStats
+	// lease/quorum ask the latched leader for GET /posts?mode=.
+	readMode  cluster.ReadMode
+	readStats ReadStats
 
 	targets map[targetKey]*http.Request // target's
 
@@ -80,10 +76,11 @@ type RedirectStats struct {
 	RedirectRetriesOK int
 }
 
-// ReadStats counts cluster reads by the mode that actually vouched for
-// them (the server's X-Read-Mode answer: a stale lease silently
-// upgrades to a quorum round) plus read failovers, and records whether
-// the client degraded to local reads against a standalone server.
+// ReadStats counts reads by the mode that actually vouched for them
+// (the server's X-Read-Mode answer: a stale lease silently upgrades to
+// a quorum round) plus read failovers. Degraded records that a lease or
+// quorum read was answered local — a standalone server cannot prove
+// freshness.
 type ReadStats struct {
 	Local, Lease, Quorum int
 	RedirectedReads      int
@@ -179,13 +176,11 @@ func (c *Client) RedirectStats() RedirectStats {
 
 // SetReadMode selects the consistency level reads are issued at.
 // ReadLocal (the default) keeps reads pinned to the client's own base
-// node via GET /posts; ReadLease and ReadQuorum go through GET
-// /cluster/read on the current leader, following leader hints on
-// refusal.
+// node; ReadLease and ReadQuorum go to the current leader, following
+// leader hints on refusal.
 func (c *Client) SetReadMode(mode cluster.ReadMode) {
 	c.mu.Lock()
 	c.readMode = mode
-	c.readDegraded = false
 	c.mu.Unlock()
 }
 
@@ -194,9 +189,7 @@ func (c *Client) SetReadMode(mode cluster.ReadMode) {
 func (c *Client) ReadStats() ReadStats {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	st := c.readStats
-	st.Degraded = c.readDegraded
-	return st
+	return c.readStats
 }
 
 // BindContext binds ctx to every subsequent request the client issues:
@@ -301,7 +294,9 @@ func (c *Client) target(method, base, path string, from simnet.Site) (*http.Requ
 	if method == http.MethodPost {
 		t.Header["Content-Type"] = jsonContentType
 	}
-	t.Header.Set(SiteHeader, string(from))
+	if from != "" {
+		t.Header.Set(SiteHeader, string(from))
+	}
 	c.mu.Lock()
 	c.targets[k] = t // two racing misses build equal requests
 	c.mu.Unlock()
@@ -360,61 +355,80 @@ func (c *Client) discoverLeader() string {
 	return best
 }
 
-// Read lists posts: via GET /posts pinned to the client's base node in
-// local mode, or via the leader's GET /cluster/read in lease/quorum
-// mode (see SetReadMode).
+// Read lists posts via GET /posts: pinned to the client's base node in
+// local mode, on the latched leader in lease/quorum mode (see
+// SetReadMode).
 func (c *Client) Read(from simnet.Site, reader string) (_ []service.Post, err error) {
 	defer func() { c.metrics.read.done(err) }()
 	c.mu.RLock()
-	mode, degraded := c.readMode, c.readDegraded
+	mode := c.readMode
 	c.mu.RUnlock()
-	if mode == "" || mode == cluster.ReadLocal || degraded {
-		c.noteReadMode(cluster.ReadLocal)
-		return c.readLocal(from, reader)
+	if mode == "" || mode == cluster.ReadLocal {
+		return c.readAt(c.base, from, reader, cluster.ReadLocal)
 	}
 	return c.readLinearizable(from, reader, mode)
 }
 
-// readLocal issues one pinned GET /posts against the client's base.
-func (c *Client) readLocal(from simnet.Site, reader string) (posts []service.Post, err error) {
-	err = c.get("read", "posts", c.base, "/posts", "reader="+url.QueryEscape(reader), from, func(body []byte) (err error) {
-		posts, err = decodePosts(body)
-		return err
-	})
-	return posts, err
-}
-
-// get issues one GET of path?query on base from site and hands the body
-// of a 200, at most maxRead bytes, to decode. op names the request in
-// errors, what the body.
-func (c *Client) get(op, what, base, path, query string, from simnet.Site, decode func([]byte) error) error {
+// get issues one GET of path?query on base from site (no site header
+// when from is empty) and hands the body of a 200, at most maxRead
+// bytes, to decode; it returns the answer's header. op names the
+// request in errors, what the body.
+func (c *Client) get(op, what, base, path, query string, from simnet.Site, decode func([]byte) error) (http.Header, error) {
 	t, err := c.target(http.MethodGet, base, path, from)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	req, u := t.WithContext(c.boundCtx()), *t.URL
 	u.RawQuery = query
 	req.URL = &u
 	resp, err := c.hc.Do(req)
 	if err != nil {
-		return fmt.Errorf("httpapi: %s: %w", op, err)
+		return nil, fmt.Errorf("httpapi: %s: %w", op, err)
 	}
 	defer drain(resp)
 	if resp.StatusCode != http.StatusOK {
-		return apiError(op, resp)
+		return nil, apiError(op, resp)
 	}
 	buf, err := jsonappend.ReadAll(resp.Body, c.maxRead)
 	if err != nil {
-		return fmt.Errorf("httpapi: %s: %w", op, err)
+		return nil, fmt.Errorf("httpapi: %s: %w", op, err)
 	}
 	defer jsonappend.Put(buf)
 	if err := decode(*buf); err != nil {
-		return fmt.Errorf("httpapi: decode %s: %w", what, err)
+		return nil, fmt.Errorf("httpapi: decode %s: %w", what, err)
 	}
-	return nil
+	return resp.Header, nil
 }
 
-// readLinearizable issues one GET /cluster/read against the latched
+// readAt issues one GET /posts against base at mode and tallies the mode
+// that vouched for the answer: its X-Read-Mode, local when absent.
+func (c *Client) readAt(base string, from simnet.Site, reader string, mode cluster.ReadMode) (posts []service.Post, err error) {
+	query := "reader=" + url.QueryEscape(reader)
+	if mode != cluster.ReadLocal {
+		query += "&mode=" + url.QueryEscape(string(mode))
+	}
+	h, err := c.get("read", "posts", base, "/posts", query, from, func(body []byte) (err error) {
+		posts, err = decodePosts(body)
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	switch cluster.ReadMode(h.Get(ReadModeHeader)) {
+	case cluster.ReadLease:
+		c.readStats.Lease++
+	case cluster.ReadQuorum:
+		c.readStats.Quorum++
+	default:
+		c.readStats.Local++
+		c.readStats.Degraded = c.readStats.Degraded || mode != cluster.ReadLocal
+	}
+	return posts, nil
+}
+
+// readLinearizable issues one lease or quorum read against the latched
 // leader, re-discovering the leader and retrying once when the latched
 // node refuses (421), cannot prove leadership (503), or is gone. This
 // is the read-side half of the leader latch: without the retry, a
@@ -422,19 +436,9 @@ func (c *Client) get(op, what, base, path, query string, from simnet.Site, decod
 // replica forever — stale data served with a straight face.
 func (c *Client) readLinearizable(from simnet.Site, reader string, mode cluster.ReadMode) ([]service.Post, error) {
 	base := c.writeBase()
-	posts, err := c.readClusterAt(base, from, reader, mode)
+	posts, err := c.readAt(base, from, reader, mode)
 	if err == nil {
 		return posts, nil
-	}
-	var apiErr *APIError
-	if errors.As(err, &apiErr) && apiErr.Status == http.StatusNotFound {
-		// Standalone server: there is no /cluster/read to talk to.
-		// Degrade to local reads permanently rather than 404 every probe.
-		c.mu.Lock()
-		c.readDegraded = true
-		c.mu.Unlock()
-		c.noteReadMode(cluster.ReadLocal)
-		return c.readLocal(from, reader)
 	}
 	target := c.readFailoverTarget(err)
 	if target == "" || target == base {
@@ -443,7 +447,7 @@ func (c *Client) readLinearizable(from simnet.Site, reader string, mode cluster.
 	c.mu.Lock()
 	c.readStats.RedirectedReads++
 	c.mu.Unlock()
-	posts, rerr := c.readClusterAt(target, from, reader, mode)
+	posts, rerr := c.readAt(target, from, reader, mode)
 	if rerr != nil {
 		return nil, err
 	}
@@ -467,27 +471,6 @@ func (c *Client) readFailoverTarget(err error) string {
 	return c.failoverTarget(err)
 }
 
-// clusterReadJSON is the GET /cluster/read response body; the posts
-// ride in the same wire form GET /posts serves.
-type clusterReadJSON struct {
-	Mode  cluster.ReadMode `json:"mode"`
-	Posts []PostJSON       `json:"posts"`
-}
-
-// readClusterAt issues one linearizable read against base.
-func (c *Client) readClusterAt(base string, from simnet.Site, reader string, mode cluster.ReadMode) (posts []service.Post, err error) {
-	query := "mode=" + url.QueryEscape(string(mode)) + "&reader=" + url.QueryEscape(reader)
-	var used cluster.ReadMode
-	if err = c.get("cluster read", "cluster read", base, "/cluster/read", query, from, func(body []byte) (err error) {
-		used, posts, err = decodeClusterRead(body)
-		return err
-	}); err != nil {
-		return nil, err
-	}
-	c.noteReadMode(used)
-	return posts, nil
-}
-
 // decodePosts returns what json.Unmarshal reads from a GET /posts body
 // into a []PostJSON, copied into service.Posts — never nil, so [] and
 // null both read as an empty timeline. Every string but the IDs is
@@ -503,22 +486,6 @@ func decodePosts(body []byte) ([]service.Post, error) {
 		return nil, err
 	}
 	return timeline(wire), nil
-}
-
-// decodeClusterRead is decodePosts for a GET /cluster/read body.
-func decodeClusterRead(body []byte) (cluster.ReadMode, []service.Post, error) {
-	sc := jsonappend.NewScanner(body)
-	var mode string
-	var posts []service.Post
-	sc.Object("mode", &mode, "posts", func() { posts = scanPosts(&sc, body) })
-	if sc.Done() && posts != nil {
-		return cluster.ReadMode(mode), posts, nil
-	}
-	var wire clusterReadJSON
-	if err := json.Unmarshal(body, &wire); err != nil {
-		return "", nil, err
-	}
-	return wire.Mode, timeline(wire.Posts), nil
 }
 
 // scanPosts reads what appendPosts writes for a non-empty timeline into
@@ -555,20 +522,6 @@ func timeline(wire []PostJSON) []service.Post {
 	return out
 }
 
-// noteReadMode tallies which mode actually served a read.
-func (c *Client) noteReadMode(mode cluster.ReadMode) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	switch mode {
-	case cluster.ReadLease:
-		c.readStats.Lease++
-	case cluster.ReadQuorum:
-		c.readStats.Quorum++
-	default:
-		c.readStats.Local++
-	}
-}
-
 // Reset clears service state via DELETE /posts. Request and status
 // errors are returned: a campaign must know when a reset did not take,
 // or the previous test's posts leak into the next trace.
@@ -594,23 +547,9 @@ func (c *Client) Reset() (err error) {
 func (c *Client) TimeProbe() clocksync.ProbeFunc {
 	return func() (_ time.Time, err error) {
 		defer func() { c.metrics.timeProbe.done(err) }()
-		req, err := http.NewRequestWithContext(c.boundCtx(), http.MethodGet, c.base+"/time", nil)
-		if err != nil {
-			return time.Time{}, err
-		}
-		resp, err := c.hc.Do(req)
-		if err != nil {
-			return time.Time{}, fmt.Errorf("httpapi: time probe: %w", err)
-		}
-		defer drain(resp)
-		if resp.StatusCode != http.StatusOK {
-			return time.Time{}, apiError("time", resp)
-		}
 		var t TimeJSON
-		if err := json.NewDecoder(resp.Body).Decode(&t); err != nil {
-			return time.Time{}, fmt.Errorf("httpapi: decode time: %w", err)
-		}
-		return t.Now, nil
+		_, err = c.get("time probe", "time", c.base, "/time", "", "", func(body []byte) error { return json.Unmarshal(body, &t) })
+		return t.Now, err
 	}
 }
 
@@ -626,24 +565,14 @@ func (c *Client) ClusterStatus() (*cluster.StatusJSON, error) {
 }
 
 func (c *Client) clusterStatusAt(base string) (*cluster.StatusJSON, error) {
-	req, err := http.NewRequestWithContext(c.boundCtx(), http.MethodGet, base+"/cluster/status", nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return nil, fmt.Errorf("httpapi: cluster status: %w", err)
-	}
-	defer drain(resp)
-	if resp.StatusCode == http.StatusNotFound {
+	var st cluster.StatusJSON
+	_, err := c.get("cluster status", "cluster status", base, "/cluster/status", "", "", func(body []byte) error { return json.Unmarshal(body, &st) })
+	var apiErr *APIError
+	if errors.As(err, &apiErr) && apiErr.Status == http.StatusNotFound {
 		return nil, ErrNoCluster
 	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, apiError("cluster status", resp)
-	}
-	var st cluster.StatusJSON
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		return nil, fmt.Errorf("httpapi: decode cluster status: %w", err)
+	if err != nil {
+		return nil, err
 	}
 	return &st, nil
 }

@@ -34,32 +34,19 @@ func unmarshalPosts(body []byte) ([]service.Post, error) {
 	return timeline(wire), nil
 }
 
-// checkReadDecoders requires decodePosts and decodeClusterRead to read b
-// as json.Unmarshal does — the same posts or the same error — and the
-// fast path to accept what appendPosts writes for the posts read.
-func checkReadDecoders(t *testing.T, b []byte) {
+// checkDecodePosts requires decodePosts to read b as json.Unmarshal
+// does — the same posts or the same error — and the fast path to accept
+// what appendPosts writes for the posts read.
+func checkDecodePosts(t *testing.T, b []byte) {
 	t.Helper()
-	sameError := func(what string, err, wantErr error) {
-		t.Helper()
-		if (err == nil) != (wantErr == nil) || (err != nil && err.Error() != wantErr.Error()) {
-			t.Fatalf("%s %q: error %v, json.Unmarshal's %v", what, b, err, wantErr)
-		}
-	}
 	got, err := decodePosts(b)
 	want, wantErr := unmarshalPosts(b)
-	sameError("decodePosts", err, wantErr)
+	if (err == nil) != (wantErr == nil) || (err != nil && err.Error() != wantErr.Error()) {
+		t.Fatalf("decodePosts %q: error %v, json.Unmarshal's %v", b, err, wantErr)
+	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("decodePosts %q:\n got %#v\nwant %#v", b, got, want)
 	}
-
-	mode, cgot, err := decodeClusterRead(b)
-	var cwant clusterReadJSON
-	wantErr = json.Unmarshal(b, &cwant)
-	sameError("decodeClusterRead", err, wantErr)
-	if wantErr == nil && (mode != cwant.Mode || !reflect.DeepEqual(cgot, timeline(cwant.Posts))) {
-		t.Fatalf("decodeClusterRead %q:\n got %q %#v\nwant %q %#v", b, mode, cgot, cwant.Mode, cwant.Posts)
-	}
-
 	if len(want) == 0 {
 		return
 	}
@@ -67,22 +54,16 @@ func checkReadDecoders(t *testing.T, b []byte) {
 	if err != nil || bytes.Contains(enc, []byte(`\`)) {
 		return // json.Marshal's to refuse or escape
 	}
-	for _, body := range [][]byte{enc, fmt.Appendf(nil, `{"mode":"lease","posts":%s}`+"\n", enc[:len(enc)-1])} {
-		sc := jsonappend.NewScanner(body)
-		if body[0] == '[' {
-			scanPosts(&sc, body)
-		} else {
-			sc.Object("mode", new(string), "posts", func() { scanPosts(&sc, body) })
-		}
-		if !sc.Done() {
-			t.Fatalf("the fast path refused the encoder's own timeline %s", body)
-		}
+	sc := jsonappend.NewScanner(enc)
+	if scanPosts(&sc, enc); !sc.Done() {
+		t.Fatalf("the fast path refused the encoder's own timeline %s", enc)
 	}
 }
 
-// FuzzDecodePosts feeds arbitrary bytes to both read decoders, which must
-// return what json.Unmarshal and the old copy returned, and fail exactly
-// when it fails, with its error.
+// FuzzDecodePosts feeds arbitrary bytes to decodePosts, which must return
+// what json.Unmarshal and the old copy returned, and fail exactly when it
+// fails, with its error. The object-shaped seeds are bodies no read
+// answers with: decodePosts must refuse them as json.Unmarshal does.
 func FuzzDecodePosts(f *testing.F) {
 	for _, s := range []string{
 		`[]`, `null`, "[]\n", ` []`, `[{"id":"p-1"}]x`, "[{\"id\":\"p-1\"}]\n\n",
@@ -96,29 +77,26 @@ func FuzzDecodePosts(f *testing.F) {
 	} {
 		f.Add([]byte(s))
 	}
-	f.Fuzz(checkReadDecoders)
+	f.Fuzz(checkDecodePosts)
 }
 
-// TestEmptyAndTrailingReads pins what both read paths make of an empty
-// timeline — [] and null read as a non-nil, empty timeline, as the old
-// make([]service.Post, len(posts)) gave — and of bytes after the value:
-// json.Decoder ignored them, the decoders refuse them as json.Unmarshal does.
+// TestEmptyAndTrailingReads pins what a read at any mode makes of an
+// empty timeline — [] and null read as a non-nil, empty timeline, as the
+// old make([]service.Post, len(posts)) gave — and of bytes after the
+// value: json.Decoder ignored them, decodePosts refuses them as
+// json.Unmarshal does.
 func TestEmptyAndTrailingReads(t *testing.T) {
 	for _, c := range []struct {
-		local, cluster string
-		ok             bool
+		body string
+		ok   bool
 	}{
-		{"[]\n", `{"mode":"lease","posts":[]}` + "\n", true},
-		{"null\n", `{"mode":"lease","posts":null}` + "\n", true},
-		{"[]", `{"mode":"lease"}`, true},
-		{`[{"id":"p-1"}] x`, `{"mode":"lease","posts":[{"id":"p-1"}]} x`, false},
+		{"[]\n", true},
+		{"null\n", true},
+		{"[]", true},
+		{`[{"id":"p-1"}] x`, false},
 	} {
 		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			if r.URL.Path == "/posts" {
-				io.WriteString(w, c.local)
-			} else {
-				io.WriteString(w, c.cluster)
-			}
+			io.WriteString(w, c.body)
 		}))
 		cl, err := NewClient(srv.URL, "empty", nil)
 		if err != nil {
@@ -129,17 +107,18 @@ func TestEmptyAndTrailingReads(t *testing.T) {
 			posts, err := cl.Read(simnet.Oregon, "a1")
 			switch {
 			case c.ok && (err != nil || posts == nil || len(posts) != 0):
-				t.Errorf("%s read of %q / %q: %#v, %v; want an empty, non-nil timeline", mode, c.local, c.cluster, posts, err)
+				t.Errorf("%s read of %q: %#v, %v; want an empty, non-nil timeline", mode, c.body, posts, err)
 			case !c.ok && (err == nil || !strings.Contains(err.Error(), "after top-level value")):
-				t.Errorf("%s read of %q / %q: %v; want json.Unmarshal's trailing-data error", mode, c.local, c.cluster, err)
+				t.Errorf("%s read of %q: %v; want json.Unmarshal's trailing-data error", mode, c.body, err)
 			}
 		}
 		srv.Close()
 	}
 }
 
-// TestReadBodyCap: a server that streams a timeline without end fails the
-// read once the body passes the client's cap, and the error names it.
+// TestReadBodyCap: a server that streams a body without end fails a read,
+// a clock probe or a status poll once the body passes the client's cap,
+// and the error names it.
 func TestReadBodyCap(t *testing.T) {
 	if MaxReadBodyBytes < 32<<20 {
 		t.Fatalf("MaxReadBodyBytes = %d, below any long conload timeline", MaxReadBodyBytes)
@@ -159,17 +138,25 @@ func TestReadBodyCap(t *testing.T) {
 		t.Fatal(err)
 	}
 	cl.maxRead = 1 << 20
-	for _, mode := range []cluster.ReadMode{cluster.ReadLocal, cluster.ReadQuorum} {
-		cl.SetReadMode(mode)
-		_, err := cl.Read(simnet.Oregon, "a1")
-		if err == nil || !strings.Contains(err.Error(), strconv.Itoa(cl.maxRead)) {
-			t.Errorf("%s read of an endless body: %v; want an error naming the %d-byte cap", mode, err, cl.maxRead)
+	read := func(mode cluster.ReadMode) func() error {
+		return func() error { cl.SetReadMode(mode); _, err := cl.Read(simnet.Oregon, "a1"); return err }
+	}
+	calls := map[string]func() error{
+		"local read":  read(cluster.ReadLocal),
+		"quorum read": read(cluster.ReadQuorum),
+		"time probe":  func() error { _, err := cl.TimeProbe()(); return err },
+		"status poll": func() error { _, err := cl.ClusterStatus(); return err },
+	}
+	for what, call := range calls {
+		if err := call(); err == nil || !strings.Contains(err.Error(), strconv.Itoa(cl.maxRead)) {
+			t.Errorf("%s of an endless body: %v; want an error naming the %d-byte cap", what, err, cl.maxRead)
 		}
 	}
 }
 
 // TestReadTargetsDoNotGrowWithReaders: the client caches one request per
-// endpoint and site, not one per reader, however many readers share it.
+// endpoint and site, not one per reader or mode, however many readers
+// share it.
 func TestReadTargetsDoNotGrowWithReaders(t *testing.T) {
 	cl, stop := readClient(t, 1)
 	defer stop()
@@ -179,8 +166,8 @@ func TestReadTargetsDoNotGrowWithReaders(t *testing.T) {
 			_, _ = cl.Read(simnet.Oregon, "loaduser"+strconv.Itoa(u))
 		}
 	}
-	if len(cl.targets) != 2 {
-		t.Errorf("100 readers on 2 endpoints cached %d requests; want 2", len(cl.targets))
+	if len(cl.targets) != 1 {
+		t.Errorf("100 readers at 2 modes cached %d requests; want 1", len(cl.targets))
 	}
 }
 
@@ -192,26 +179,19 @@ func TestReadIDsOwnTheirString(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, decode := range []func([]byte) ([]service.Post, error){
-		decodePosts,
-		func(b []byte) ([]service.Post, error) {
-			_, posts, err := decodeClusterRead(fmt.Appendf(nil, `{"mode":"lease","posts":%s}`, b[:len(b)-1]))
-			return posts, err
-		},
-	} {
-		posts, err := decode(body)
-		if err != nil || len(posts) != 3 {
-			t.Fatalf("read %d posts, %v", len(posts), err)
-		}
-		want := posts[0].ID + posts[1].ID + posts[2].ID
-		if got := unsafe.String(unsafe.StringData(posts[0].ID), len(want)); got != want {
-			t.Errorf("the bytes from the first ID on are %q; want the IDs alone, %q", got, want)
-		}
+	posts, err := decodePosts(body)
+	if err != nil || len(posts) != 3 {
+		t.Fatalf("read %d posts, %v", len(posts), err)
+	}
+	want := posts[0].ID + posts[1].ID + posts[2].ID
+	if got := unsafe.String(unsafe.StringData(posts[0].ID), len(want)); got != want {
+		t.Errorf("the bytes from the first ID on are %q; want the IDs alone, %q", got, want)
 	}
 }
 
-// TestReadWireUnchanged: both reads go out byte for byte as they did when
-// each was built with http.NewRequestWithContext and Header.Set.
+// TestReadWireUnchanged: a read goes out byte for byte as it did when it
+// was built with http.NewRequestWithContext and Header.Set; a named mode
+// only adds &mode= to the query.
 func TestReadWireUnchanged(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -235,7 +215,7 @@ func TestReadWireUnchanged(t *testing.T) {
 			}
 			defer conn.Close()
 			if _, err := http.ReadRequest(bufio.NewReader(io.TeeReader(conn, &raw))); err == nil {
-				body := `{"mode":"quorum","posts":[]}`
+				body := `[]`
 				fmt.Fprintf(conn, "HTTP/1.1 200 OK\r\nContent-Length: %d\r\nConnection: close\r\n\r\n%s", len(body), body)
 			}
 		}()
@@ -257,7 +237,7 @@ func TestReadWireUnchanged(t *testing.T) {
 			got := capture(func() { _, _ = cl.Read(simnet.Tokyo, reader) })
 			u := base + "/posts?reader=" + url.QueryEscape(reader)
 			if mode != cluster.ReadLocal {
-				u = base + "/cluster/read?mode=" + url.QueryEscape(string(mode)) + "&reader=" + url.QueryEscape(reader)
+				u += "&mode=" + url.QueryEscape(string(mode))
 			}
 			want := capture(oldGet(u))
 			if len(got) == 0 || !bytes.Equal(got, want) {

@@ -166,9 +166,10 @@ func waitForLeader(t *testing.T, nodes []*cluster.Node) {
 	t.Fatal("no new leader elected after the old one died")
 }
 
-// TestReadModeDegradesOnStandaloneServer: against a server with no
-// /cluster/read endpoint, a lease/quorum client must fall back to
-// local reads once and stay there, not 404 on every probe.
+// TestReadModeDegradesOnStandaloneServer: a server that cannot prove a
+// read current answers mode=lease with a local read and says so in
+// X-Read-Mode, which the client reports as Degraded; a mode it does not
+// know is a 400.
 func TestReadModeDegradesOnStandaloneServer(t *testing.T) {
 	srv := httptest.NewServer(NewServer(&memService{}, ServerConfig{}))
 	defer srv.Close()
@@ -189,8 +190,83 @@ func TestReadModeDegradesOnStandaloneServer(t *testing.T) {
 			t.Fatalf("read %d returned %v", i, posts)
 		}
 	}
-	st := cl.ReadStats()
-	if !st.Degraded || st.Local < 2 || st.Lease != 0 {
-		t.Fatalf("want sticky local degrade, got %+v", st)
+	if st := cl.ReadStats(); !st.Degraded || st.Local != 2 || st.Lease != 0 {
+		t.Fatalf("want two local-vouched reads and Degraded, got %+v", st)
+	}
+	for mode, want := range map[string]struct {
+		status int
+		header string
+	}{"lease": {http.StatusOK, "local"}, "local": {http.StatusOK, ""}, "bogus": {http.StatusBadRequest, ""}} {
+		resp := getPosts(t, srv.URL, mode)
+		if resp.StatusCode != want.status || resp.Header.Get(ReadModeHeader) != want.header {
+			t.Errorf("mode=%s: %d, X-Read-Mode %q; want %d, %q", mode, resp.StatusCode, resp.Header.Get(ReadModeHeader), want.status, want.header)
+		}
+	}
+}
+
+// getPosts issues GET /posts?reader=r&mode=mode from Oregon and closes
+// the body.
+func getPosts(t *testing.T, base, mode string) *http.Response {
+	t.Helper()
+	req, err := http.NewRequest(http.MethodGet, base+"/posts?reader=r&mode="+mode, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set(SiteHeader, string(simnet.Oregon))
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	return resp
+}
+
+// TestLinearizableReadsAreAdmitted: a lease read passes the admission
+// and rate limit every GET /posts passes — past the rate it is a 429
+// with a Retry-After — and a served one counts in /stats.
+func TestLinearizableReadsAreAdmitted(t *testing.T) {
+	node, err := cluster.NewNode(&memService{}, cluster.Config{
+		NodeID: "n1", Role: cluster.RoleLeader, DataDir: t.TempDir(), NoSync: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(node.Kill)
+	srv := httptest.NewServer(NewServer(node, ServerConfig{RatePerSecond: 0.001, Burst: 2}))
+	defer srv.Close()
+	for i := 0; i < 2; i++ {
+		// A lone leader never runs a heartbeat round, so no lease forms:
+		// its own quorum vouches instead.
+		if resp := getPosts(t, srv.URL, "lease"); resp.StatusCode != http.StatusOK || resp.Header.Get(ReadModeHeader) != "quorum" {
+			t.Fatalf("lease read %d: %d, X-Read-Mode %q; want 200, quorum", i, resp.StatusCode, resp.Header.Get(ReadModeHeader))
+		}
+	}
+	resp := getPosts(t, srv.URL, "lease")
+	if resp.StatusCode != http.StatusTooManyRequests || resp.Header.Get("Retry-After") == "" {
+		t.Fatalf("lease read past the rate: %d, Retry-After %q; want 429 with a hint", resp.StatusCode, resp.Header.Get("Retry-After"))
+	}
+	var st StatsJSON
+	getJSON(t, srv, "/stats", &st)
+	if st.Reads != 2 || st.RateLimited != 1 {
+		t.Fatalf("stats %+v; want 2 reads and 1 rate-limited", st)
+	}
+}
+
+// TestFollowerRefusesLeaseRead: a follower answers GET /posts?mode=lease
+// with 421 and the leader's URL, the refusal the client's read failover
+// follows.
+func TestFollowerRefusesLeaseRead(t *testing.T) {
+	urls, _, _ := startHTTPCluster(t)
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		resp := getPosts(t, urls[1], "lease")
+		if resp.StatusCode == http.StatusMisdirectedRequest && resp.Header.Get(LeaderHeader) == urls[0] {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("follower answered a lease read with %d, %s %q; want 421 naming %s",
+				resp.StatusCode, LeaderHeader, resp.Header.Get(LeaderHeader), urls[0])
+		}
+		time.Sleep(20 * time.Millisecond)
 	}
 }

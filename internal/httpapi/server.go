@@ -8,11 +8,15 @@
 // API:
 //
 //	POST   /posts   {"id","author","body"}   publish a post
-//	GET    /posts?reader=R                    list posts in service order
+//	GET    /posts?reader=R[&mode=M]           list posts in service order
 //	DELETE /posts                             reset service state
 //	GET    /time                              server clock reading
 //	GET    /healthz                           liveness
 //	GET    /stats                             request counters
+//
+// A read names its consistency level with mode: local (the default, the
+// replica as it stands), lease or quorum (a cluster leader proves the
+// read is current, answering X-Read-Mode; see cluster.ReadMode).
 //
 // Clients identify their location with the X-Client-Site header; the
 // paper's agents would set oregon, tokyo or ireland. Requests beyond the
@@ -31,6 +35,7 @@ import (
 	"sync"
 	"time"
 
+	"conprobe/internal/cluster"
 	"conprobe/internal/jsonappend"
 	"conprobe/internal/obs"
 	"conprobe/internal/ratelimit"
@@ -97,10 +102,11 @@ type ServerConfig struct {
 // not set one.
 const DefaultMaxBodyBytes = 1 << 20
 
-// MaxReadBodyBytes caps the GET /posts or /cluster/read body a Client
-// reads, so a broken or hostile server cannot exhaust its memory; a
-// longer body fails the read, naming the cap. At ≈ 150 bytes a post, that
-// is ≈ 400,000 posts, far beyond any campaign's or conload run's timeline.
+// MaxReadBodyBytes caps every body a Client reads — GET /posts, /time
+// and /cluster/status — so a broken or hostile server cannot exhaust its
+// memory; a longer body fails the call, naming the cap. At ≈ 150 bytes a
+// post, that is ≈ 400,000 posts, far beyond any campaign's or conload
+// run's timeline.
 const MaxReadBodyBytes = 64 << 20
 
 // Server serves a Service over HTTP.
@@ -377,24 +383,40 @@ func (s *Server) handlePosts(w http.ResponseWriter, r *http.Request) {
 		s.settled.Broadcast()
 		if err != nil {
 			s.metrics.errors.Inc()
-			s.writeServiceError(w, err)
+			s.writeServiceError(w, http.StatusBadGateway, err)
 			return
 		}
 		s.metrics.writes.Inc()
 		writePost(w, &p)
 	case http.MethodGet:
-		posts, err := s.svc.Read(site, r.URL.Query().Get("reader"))
+		q := r.URL.Query()
+		mode, err := cluster.ParseReadMode(q.Get("mode"))
+		if err != nil {
+			writeJSON(w, http.StatusBadRequest, errorJSON{Error: err.Error()})
+			return
+		}
+		var posts []service.Post
+		used, failed := cluster.ReadLocal, http.StatusBadGateway
+		if lin, ok := s.svc.(linearizable); ok && mode != cluster.ReadLocal {
+			posts, used, err = lin.ReadLinearizable(site, q.Get("reader"), mode)
+			failed = http.StatusServiceUnavailable // could not vouch: the client polls for the leader
+		} else {
+			posts, err = s.svc.Read(site, q.Get("reader"))
+		}
 		if err != nil {
 			s.metrics.errors.Inc()
-			writeJSON(w, http.StatusBadGateway, errorJSON{Error: err.Error()})
+			s.writeServiceError(w, failed, err)
 			return
+		}
+		if mode != cluster.ReadLocal {
+			w.Header().Set(ReadModeHeader, string(used))
 		}
 		s.metrics.reads.Inc()
 		writePosts(w, posts)
 	case http.MethodDelete:
 		if err := s.svc.Reset(); err != nil {
 			s.metrics.errors.Inc()
-			s.writeServiceError(w, err)
+			s.writeServiceError(w, http.StatusBadGateway, err)
 			return
 		}
 		s.mu.Lock()
@@ -408,10 +430,9 @@ func (s *Server) handlePosts(w http.ResponseWriter, r *http.Request) {
 }
 
 // LeaderHint is the structural shape of a not-the-leader rejection
-// (implemented by cluster.NotLeaderError; httpapi stays decoupled from
-// the cluster package). Mutations refused with it map to 421
-// Misdirected Request plus an X-Cluster-Leader header pointing the
-// client at the node that will accept the write.
+// (implemented by cluster.NotLeaderError, and faked by tests). Writes
+// and lease/quorum reads refused with it map to 421 Misdirected Request
+// plus an X-Cluster-Leader header pointing the client at the leader.
 type LeaderHint interface {
 	error
 	LeaderHint() string
@@ -420,10 +441,20 @@ type LeaderHint interface {
 // LeaderHeader carries the leader's URL on 421 responses.
 const LeaderHeader = "X-Cluster-Leader"
 
+// ReadModeHeader names, on the answer to GET /posts?mode=lease|quorum,
+// the mode that vouched for the read: a stale lease upgrades to a
+// quorum round, and a service that cannot prove freshness answers local.
+const ReadModeHeader = "X-Read-Mode"
+
+// linearizable is the structural shape of a service that serves reads
+// at a consistency level (implemented by *cluster.Node).
+type linearizable interface {
+	ReadLinearizable(from simnet.Site, reader string, mode cluster.ReadMode) ([]service.Post, cluster.ReadMode, error)
+}
+
 // writeServiceError maps a service failure onto the wire: leadership
-// misdirection becomes 421+X-Cluster-Leader, everything else stays the
-// generic 502.
-func (s *Server) writeServiceError(w http.ResponseWriter, err error) {
+// misdirection becomes 421+X-Cluster-Leader, everything else status.
+func (s *Server) writeServiceError(w http.ResponseWriter, status int, err error) {
 	var lh LeaderHint
 	if errors.As(err, &lh) {
 		if leader := lh.LeaderHint(); leader != "" {
@@ -432,7 +463,7 @@ func (s *Server) writeServiceError(w http.ResponseWriter, err error) {
 		writeJSON(w, http.StatusMisdirectedRequest, errorJSON{Error: err.Error()})
 		return
 	}
-	writeJSON(w, http.StatusBadGateway, errorJSON{Error: err.Error()})
+	writeJSON(w, status, errorJSON{Error: err.Error()})
 }
 
 func (s *Server) handleTime(w http.ResponseWriter, r *http.Request) {

@@ -92,7 +92,7 @@ start_node() { # name
   "$dir/consvc" -service blogger -rate 0 -jitter 0 -node-id "$1" \
     -addr "${_u#http://}" -self-url "$_u" -peers "${_peers#,}" \
     -data-dir "$dir/$1" -pull-interval 100ms -election-timeout 2s \
-    -heartbeat-interval 200ms -snapshot-every 4 -read-mode lease \
+    -heartbeat-interval 200ms -snapshot-every 4 \
     >>"$dir/$1.log" 2>&1 &
   echo $! >"$dir/$1.pid"
 }
@@ -104,7 +104,7 @@ start_join() {
   "$dir/consvc" -service blogger -rate 0 -jitter 0 -node-id "$1" \
     -addr "${_u#http://}" -self-url "$_u" -join "$2" \
     -data-dir "$dir/$1" -pull-interval 100ms -election-timeout 2s \
-    -heartbeat-interval 200ms -snapshot-every 4 -read-mode lease \
+    -heartbeat-interval 200ms -snapshot-every 4 \
     >>"$dir/$1.log" 2>&1 &
   echo $! >"$dir/$1.pid"
 }
@@ -310,11 +310,11 @@ for n in n4 n5; do
 done
 
 echo "== linearizable reads: lease at the leader, quorum round, 421 off-leader"
-# -read-mode lease is the default for /cluster/read on every node.
+# Every read is GET /posts; mode= picks its consistency level.
 lease_read_ok() {
   find_leader $live || return 1
   curl -fsS -D "$dir/read.hdr" -o "$dir/read.body" \
-    -H 'X-Client-Site: tokyo' "$LEADER/cluster/read?reader=smoke" &&
+    -H 'X-Client-Site: tokyo' "$LEADER/posts?reader=smoke&mode=lease" &&
     grep -qi '^x-read-mode: lease' "$dir/read.hdr" &&
     grep -q '"id":"p10"' "$dir/read.body"
 }
@@ -322,7 +322,7 @@ poll_until 30 "a lease-vouched read of p10 at the leader" lease_read_ok
 quorum_read_ok() {
   find_leader $live || return 1
   curl -fsS -H 'X-Client-Site: tokyo' \
-    "$LEADER/cluster/read?mode=quorum&reader=smoke" | grep -q '"id":"p10"'
+    "$LEADER/posts?reader=smoke&mode=quorum" | grep -q '"id":"p10"'
 }
 poll_until 30 "a quorum-vouched read of p10 at the leader" quorum_read_ok
 find_leader $live
@@ -332,11 +332,14 @@ for u in $live; do
   break
 done
 code=$(curl -s -o /dev/null -w '%{http_code}' -H 'X-Client-Site: tokyo' \
-  "$follower/cluster/read?mode=lease&reader=smoke")
+  "$follower/posts?reader=smoke&mode=lease")
 [ "$code" = "421" ] || die "follower answered a lease read with $code, want 421"
 curl -fsS -H 'X-Client-Site: tokyo' \
-  "$follower/cluster/read?mode=local&reader=smoke" | grep -q '"id":"p10"' ||
+  "$follower/posts?reader=smoke&mode=local" | grep -q '"id":"p10"' ||
   die "local-mode read at a follower did not serve the replica"
+code=$(curl -s -o /dev/null -w '%{http_code}' -H 'X-Client-Site: tokyo' \
+  "$LEADER/cluster/read?mode=lease&reader=smoke")
+[ "$code" = "404" ] || die "the removed /cluster/read answered $code, want 404"
 
 echo "== shrink back to three: remove n4 and n5 under joint consensus"
 attempt_shrink() {
