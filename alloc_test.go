@@ -9,17 +9,19 @@ import (
 )
 
 // TestCampaignTestAllocBudget keeps the benchmark's campaign_sim
-// allocs_per_op inside tier-1: heap objects per simulated test, taken as
-// the difference between a 64- and a 128-test campaign over all four
-// profiles so that what a Run costs once (worlds, lanes, the report)
-// cancels out. What is left is what a test's trace and report keep (DESIGN
-// §11, ≈ 45 as measured); an object per read put back anywhere — posts,
-// observed IDs, checker scratch — adds ≈ 70.
+// allocs_per_op and alloc_kb_per_op inside tier-1: heap objects and bytes
+// per simulated test, taken as the difference between a 64- and a
+// 128-test campaign over all four profiles so that what a Run costs once
+// (worlds, lanes, the report) cancels out. What is left is what a test's
+// trace and report keep (DESIGN §11; ≈ 35 objects and ≈ 15 KB as
+// measured). An object per read put back anywhere — posts, observed IDs,
+// checker scratch — adds ≈ 70 objects; a copy of the timeline per read
+// adds ≈ 20 KB and no object, since posts are carved from blocks.
 func TestCampaignTestAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
-	mallocs := func(perKind int) uint64 {
+	allocs := func(perKind int) (objects, bytes uint64) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		for _, name := range conprobe.ProfileNames() {
@@ -32,15 +34,22 @@ func TestCampaignTestAllocBudget(t *testing.T) {
 			}
 		}
 		runtime.ReadMemStats(&after)
-		return after.Mallocs - before.Mallocs
+		return after.Mallocs - before.Mallocs, after.TotalAlloc - before.TotalAlloc
 	}
-	mallocs(32) // fills the process-wide pools
-	small, large := mallocs(32), mallocs(64)
-	const budget = 60
+	allocs(32) // fills the process-wide pools
+	small, smallBytes := allocs(32)
+	large, largeBytes := allocs(64)
+	const budget, kbBudget = 60, 26
 	if perTest := float64(large-small) / (4 * 64); perTest > budget {
 		t.Errorf("a simulated test allocates %.1f objects (%d for 4 × 64 tests, %d for 4 × 128), want at most %d",
 			perTest, small, large, budget)
 	} else {
 		t.Logf("%.1f objects per simulated test", perTest)
+	}
+	if kb := float64(largeBytes-smallBytes) / 1024 / (4 * 64); kb > kbBudget {
+		t.Errorf("a simulated test allocates %.1f KB (%d B for 4 × 64 tests, %d B for 4 × 128), want at most %d",
+			kb, smallBytes, largeBytes, kbBudget)
+	} else {
+		t.Logf("%.1f KB per simulated test", kb)
 	}
 }

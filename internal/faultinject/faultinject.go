@@ -382,7 +382,8 @@ func (in *Injector) Write(from simnet.Site, p service.Post) error {
 }
 
 // Read lists posts, subject to the configured faults. Truncation applies
-// after a successful inner read, returning a strict prefix.
+// after a successful inner read, returning a strict prefix with its
+// capacity cut, so an append above it cannot write into a shared result.
 func (in *Injector) Read(from simnet.Site, reader string) ([]service.Post, error) {
 	seq := in.nextReadSeq(reader)
 	k := detrand.NewKey(in.cfg.Seed, "fi-read").Str(reader).Uint(seq)
@@ -397,7 +398,7 @@ func (in *Injector) Read(from simnet.Site, reader string) ([]service.Post, error
 		k.Str("truncate").Float64() < in.cfg.TruncateReadRate {
 		in.metrics.truncatedReads.Inc()
 		keep := int(k.Str("keep").Intn(int64(len(posts))))
-		posts = posts[:keep]
+		posts = posts[:keep:keep] // the rest may be other readers' posts
 	}
 	return posts, nil
 }

@@ -3,6 +3,7 @@ package faultinject
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -212,6 +213,39 @@ func TestTruncatedReadIsPrefix(t *testing.T) {
 	}
 	if in.Stats().TruncatedReads == 0 {
 		t.Fatal("no TruncatedReads accounted")
+	}
+}
+
+// sharedService hands every reader the same read-only slice, length
+// equal to capacity, as service.Simulated does for an unchanged replica.
+type sharedService struct{ memService }
+
+func (s *sharedService) Read(from simnet.Site, reader string) ([]service.Post, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return slices.Clip(s.posts), nil
+}
+
+func TestTruncatedReadCannotReachSharedPosts(t *testing.T) {
+	inner := &sharedService{}
+	for i := 0; i < 8; i++ {
+		if err := inner.Write(simnet.Oregon, service.Post{ID: fmt.Sprintf("p%d", i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, _ := inner.Read(simnet.Oregon, "r")
+	want = slices.Clone(want)
+	in := New(inner, newFakeClock(), Config{Seed: 11, TruncateReadRate: 1})
+	posts, err := in.Read(simnet.Oregon, "r")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(posts) >= 8 || cap(posts) != len(posts) {
+		t.Fatalf("truncated read: len %d cap %d, want a strict prefix and no spare capacity", len(posts), cap(posts))
+	}
+	_ = append(posts, service.Post{ID: "appended"})
+	if next, _ := inner.Read(simnet.Oregon, "r"); !slices.Equal(next, want) {
+		t.Fatalf("appending to a truncated read changed the replica's shared posts: %v", next)
 	}
 }
 

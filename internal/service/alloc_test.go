@@ -10,9 +10,10 @@ import (
 
 // TestSettledReadAllocatesNothing gates the read path on every shipped
 // profile: once the replicas have settled, a Simulated.Read allocates
-// nothing (a new block of posts every 170 reads of six rounds down to
-// zero). The store's rendering is shared, the caller's posts are carved
-// from the service's block, selection ranks them in place.
+// nothing, not even bytes carved from a block. The store's rendering is
+// shared, its posts are converted once and shared too, and a selection
+// with nothing fresh to rank leaves them as they are: two settled reads
+// return the same backing array.
 func TestSettledReadAllocatesNothing(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -31,12 +32,18 @@ func TestSettledReadAllocatesNothing(t *testing.T) {
 				}
 			}
 			s.Sleep(10 * time.Minute) // replicated, normalized and no longer fresh
+			var got []Post
 			read := func() {
-				if got, err := svc.Read(simnet.Oregon, "agent1"); err != nil || len(got) != 6 {
+				var err error
+				if got, err = svc.Read(simnet.Oregon, "agent1"); err != nil || len(got) != 6 {
 					t.Errorf("%s: read %d posts, err %v", name, len(got), err)
 				}
 			}
 			read()
+			first := got
+			if read(); len(got) > 0 && &got[0] != &first[0] {
+				t.Errorf("%s: two settled reads return different backing arrays", name)
+			}
 			if n := testing.AllocsPerRun(100, read); n != 0 {
 				t.Errorf("%s: a settled Read allocates %v times, want 0", name, n)
 			}

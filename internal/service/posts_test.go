@@ -1,7 +1,6 @@
 package service
 
 import (
-	"cmp"
 	"slices"
 	"strconv"
 	"sync"
@@ -51,36 +50,41 @@ func span(ps []Post) (lo, hi uintptr) {
 	return lo, lo + uintptr(cap(ps))*unsafe.Sizeof(Post{})
 }
 
-func TestInterleavedReadsNeverOverlap(t *testing.T) {
+func TestInterleavedReadsShareOneRendering(t *testing.T) {
 	s, svc := settledService(t, 5)
+	first := mustRead(t, s, svc, "agent1")
 	var held [][]Post
-	for i := 0; i < 3*postBlockSize/5; i++ { // across several blocks
+	for i := 0; i < 3*postBlockSize/5; i++ { // what once took several blocks
 		held = append(held, mustRead(t, s, svc, "agent"+strconv.Itoa(1+i%2)))
 	}
 	for i, ps := range held {
 		if len(ps) != 5 || cap(ps) != 5 {
 			t.Fatalf("read %d: len %d cap %d, want 5 and no spare capacity", i, len(ps), cap(ps))
 		}
-		for j, p := range ps {
-			if want := "m" + strconv.Itoa(j); p.ID != want {
-				t.Fatalf("read %d holds %s at %d after later reads, want %s", i, p.ID, j, want)
-			}
+		if &ps[0] != &first[0] {
+			t.Fatalf("read %d has posts of its own; readers of a settled replica share one rendering", i)
 		}
 	}
-	slices.SortFunc(held, func(a, b []Post) int {
-		la, _ := span(a)
-		lb, _ := span(b)
-		return cmp.Compare(la, lb)
+
+	s.Go(func() {
+		if err := svc.Write(simnet.Oregon, Post{ID: "m5", Author: "agent1"}); err != nil {
+			t.Error(err)
+		}
+		s.Sleep(10 * time.Minute)
 	})
-	for i := 1; i < len(held); i++ {
-		_, prevHi := span(held[i-1])
-		if lo, _ := span(held[i]); lo < prevHi {
-			t.Fatalf("two reads share memory: one ends at %#x, the next starts at %#x", prevHi, lo)
+	s.Wait()
+	next := mustRead(t, s, svc, "agent2")
+	if len(next) != 6 || &next[0] == &first[0] {
+		t.Fatalf("after a write: %v, sharing the old posts %v", postIDs(next), &next[0] == &first[0])
+	}
+	for j, p := range first {
+		if want := "m" + strconv.Itoa(j); p.ID != want {
+			t.Fatalf("a held read shows %s at %d after a write, want %s", p.ID, j, want)
 		}
 	}
 }
 
-func TestCallerMayAppendSortAndTruncateItsPosts(t *testing.T) {
+func TestCallerCopiesBeforeItWrites(t *testing.T) {
 	s, svc := settledService(t, 4)
 	rendering, err := svc.Cluster().Read(simnet.DCEast)
 	if err != nil {
@@ -89,31 +93,33 @@ func TestCallerMayAppendSortAndTruncateItsPosts(t *testing.T) {
 	before := slices.Clone(rendering)
 	a := mustRead(t, s, svc, "agent1")
 	b := mustRead(t, s, svc, "agent2")
-	if _, hiA := span(a); hiA != uintptr(unsafe.Pointer(&b[0])) {
-		t.Fatal("the two reads are not neighbours in one block; the test needs them to be")
+	if &a[0] != &b[0] {
+		t.Fatal("two settled reads do not share their posts; the test needs them to")
 	}
 
 	grown := append(a, Post{ID: "appended"})
-	if b[0].ID != "m0" {
-		t.Fatalf("appending to one read wrote %q over its neighbour's first post", b[0].ID)
+	if cap(a) != len(a) || &grown[0] == &a[0] {
+		t.Fatal("appending to a read grew it in place, over memory its readers share")
 	}
-	if grown[4].ID != "appended" || a[3].ID != "m3" {
-		t.Fatal("append lost the caller's own posts")
+	if grown[4].ID != "appended" || grown[3].ID != "m3" {
+		t.Fatal("append lost the caller's posts")
 	}
 
-	slices.Reverse(a)
-	a = a[:1]
-	if a[0].ID != "m3" {
-		t.Fatalf("reversed and truncated read starts with %s, want m3", a[0].ID)
+	mine := slices.Clone(a)
+	slices.Reverse(mine)
+	mine = mine[:1]
+	if mine[0].ID != "m3" {
+		t.Fatalf("reversed and truncated copy starts with %s, want m3", mine[0].ID)
 	}
 	if got := postIDs(b); !strEq(got, []string{"m0", "m1", "m2", "m3"}) {
-		t.Fatalf("reordering one read changed its neighbour to %v", got)
+		t.Fatalf("reordering a copy changed a shared read to %v", got)
 	}
 	if !slices.Equal(rendering, before) {
-		t.Fatal("reordering a read wrote to the store's shared rendering")
+		t.Fatal("reordering a copy wrote to the store's shared rendering")
 	}
-	if got := postIDs(mustRead(t, s, svc, "agent1")); !strEq(got, []string{"m0", "m1", "m2", "m3"}) {
-		t.Fatalf("a later read returned %v", got)
+	next := mustRead(t, s, svc, "agent1")
+	if got := postIDs(next); !strEq(got, []string{"m0", "m1", "m2", "m3"}) || &next[0] != &a[0] {
+		t.Fatalf("a later read returned %v, shared %v", got, &next[0] == &a[0])
 	}
 }
 
@@ -124,9 +130,9 @@ func TestLargeReadLeavesTheBlockAlone(t *testing.T) {
 		entries[i].ID = "m" + strconv.Itoa(i)
 	}
 	var b postBlock
-	small := b.of(entries[:2])
+	small := b.of(simnet.DCEast, entries[:2])
 	free := len(b.free)
-	big := b.of(entries)
+	big := b.of(simnet.DCEast, entries)
 	if len(b.free) != free {
 		t.Fatalf("a read of %d posts took %d from the block", large, free-len(b.free))
 	}
@@ -138,7 +144,7 @@ func TestLargeReadLeavesTheBlockAlone(t *testing.T) {
 	if len(big) != large || cap(big) != large || big[large-1].ID != entries[large-1].ID {
 		t.Fatalf("large read: len %d cap %d last %q", len(big), cap(big), big[large-1].ID)
 	}
-	if at := b.of(entries[:postBlockSize/4]); len(b.free) != free-postBlockSize/4 || len(at) != postBlockSize/4 {
+	if at := b.of(simnet.DCEast, entries[:postBlockSize/4]); len(b.free) != free-postBlockSize/4 || len(at) != postBlockSize/4 {
 		t.Fatalf("a read at the threshold must be carved: %d left of %d", len(b.free), free)
 	}
 }
@@ -146,14 +152,19 @@ func TestLargeReadLeavesTheBlockAlone(t *testing.T) {
 func TestEmptyReadIsEmptyNotNil(t *testing.T) {
 	var b postBlock
 	for i := 0; i < 2; i++ { // before the first block and out of one
-		if got := b.of(nil); got == nil || len(got) != 0 || cap(got) != 0 {
-			t.Fatalf("empty read %d: %v (nil %v, cap %d)", i, got, got == nil, cap(got))
+		for _, got := range [][]Post{b.of(simnet.DCEast, nil), b.carveLocked(0)} {
+			if got == nil || len(got) != 0 || cap(got) != 0 {
+				t.Fatalf("empty read %d: %v (nil %v, cap %d)", i, got, got == nil, cap(got))
+			}
 		}
+		b.free = b.free[len(b.free):]
 	}
 }
 
 // TestConcurrentReadsOnARealClock is the consvc / conload -inproc shape:
-// goroutines reading on a real clock while one writes. Run under -race.
+// goroutines reading on a real clock while one writes, each holding every
+// result it got. Run under -race: readers share results, so a write to
+// one anywhere would race; and none may change after it was returned.
 func TestConcurrentReadsOnARealClock(t *testing.T) {
 	p := Blogger()
 	p.APIDelay = 0
@@ -177,31 +188,33 @@ func TestConcurrentReadsOnARealClock(t *testing.T) {
 			}
 		}
 	}()
+	type held struct{ got, then []Post }
+	var kept [readers][]held
 	for r := 0; r < readers; r++ {
 		wg.Add(1)
-		go func(reader string) {
+		go func(r int) {
 			defer wg.Done()
-			var kept [][]Post
 			for i := 0; i < 60; i++ {
-				ps, err := svc.Read(simnet.Ireland, reader)
+				ps, err := svc.Read(simnet.Ireland, "reader"+strconv.Itoa(r))
 				if err != nil {
 					t.Error(err)
 					return
 				}
-				slices.Reverse(ps) // the caller owns it
-				kept = append(kept, append(ps, Post{ID: reader}))
+				kept[r] = append(kept[r], held{ps, slices.Clone(ps)})
 			}
-			for _, ps := range kept {
-				if ps[len(ps)-1].ID != reader {
-					t.Errorf("%s: another reader wrote into this one's posts", reader)
-				}
-				for _, p := range ps[:len(ps)-1] {
-					if p.Author != "w" {
-						t.Errorf("%s: post %q by %q among its reads", reader, p.ID, p.Author)
-					}
-				}
-			}
-		}("reader" + strconv.Itoa(r))
+		}(r)
 	}
 	wg.Wait()
+	for r := range kept {
+		for i, h := range kept[r] {
+			if !slices.Equal(h.got, h.then) {
+				t.Fatalf("reader%d read %d changed after it was returned: %v, was %v", r, i, postIDs(h.got), postIDs(h.then))
+			}
+			for _, p := range h.got {
+				if p.Author != "w" {
+					t.Errorf("reader%d: post %q by %q among its reads", r, p.ID, p.Author)
+				}
+			}
+		}
+	}
 }

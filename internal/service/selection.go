@@ -36,10 +36,13 @@ type Selection struct {
 // 5 KB, and Seed restarts one on exactly the stream a new source has.
 var selectionRands = sync.Pool{New: func() any { return rand.New(rand.NewSource(0)) }}
 
-// apply ranks one read's posts in place (the slice is the reader's own).
-// seed namespaces the service instance; reader and nonce make each
-// (reader, read) ranking distinct but deterministic for a campaign seed.
-func (sel *Selection) apply(posts []Post, clock vtime.Clock, seed int64, reader string, nonce uint64) []Post {
+// apply ranks one read's posts. They are the replica's shared rendering
+// (Service.Read), so apply never writes to them: it copies them, from b,
+// at its first drop or swap, and a read that changes nothing stays
+// shared. seed namespaces the service instance; reader and nonce make
+// each (reader, read) ranking distinct but deterministic for a campaign
+// seed.
+func (sel *Selection) apply(posts []Post, b *postBlock, clock vtime.Clock, seed int64, reader string, nonce uint64) []Post {
 	if sel == nil {
 		return posts
 	}
@@ -54,14 +57,28 @@ func (sel *Selection) apply(posts []Post, clock vtime.Clock, seed int64, reader 
 	}
 	cutoff := clock.Now().Add(-sel.FreshFor)
 
-	out := posts[:0] // kept posts move down over dropped ones
+	// out is a prefix of posts until the first change, then the reader's
+	// own copy, with room for at most n posts.
+	out, shared := posts[:0], true
+	own := func(n int) {
+		if shared {
+			b.mu.Lock()
+			out, shared = append(b.carveLocked(n)[:0], out...), false
+			b.mu.Unlock()
+		}
+	}
 	freshStart := -1
-	for _, p := range posts {
+	for i, p := range posts {
 		fresh := sel.FreshFor > 0 && !p.CreatedAt.Before(cutoff)
 		if fresh && sel.DropFresh > 0 && draw() < sel.DropFresh {
+			own(len(posts) - 1)
 			continue
 		}
-		out = append(out, p)
+		if shared {
+			out = posts[:i+1]
+		} else {
+			out = append(out, p)
+		}
 		if fresh && freshStart < 0 {
 			freshStart = len(out) - 1
 		}
@@ -69,6 +86,7 @@ func (sel *Selection) apply(posts []Post, clock vtime.Clock, seed int64, reader 
 	if freshStart >= 0 && sel.Shuffle > 0 {
 		for i := freshStart + 1; i < len(out); i++ {
 			if draw() < sel.Shuffle {
+				own(len(out))
 				out[i-1], out[i] = out[i], out[i-1]
 			}
 		}
@@ -79,7 +97,7 @@ func (sel *Selection) apply(posts []Post, clock vtime.Clock, seed int64, reader 
 	if sel.TopK > 0 && len(out) > sel.TopK {
 		out = out[:sel.TopK]
 	}
-	return out
+	return out[:len(out):len(out)] // an append must not reach the rest
 }
 
 // selectionSeed derives a deterministic per-read seed.

@@ -17,6 +17,12 @@ import (
 // posts would show in the next case.
 var testPosts postBlock
 
+// selected runs sel the way Simulated.Read does: over the shared posts of
+// a rendering, copying from the same block.
+func selected(sel *Selection, entries []store.Entry, clock vtime.Clock, seed int64, reader string, nonce uint64) []Post {
+	return sel.apply(testPosts.of("", entries), &testPosts, clock, seed, reader, nonce)
+}
+
 // referenceApply is Selection.apply as it was before the generator was
 // pooled: a new source seeded up front on every read.
 func referenceApply(sel *Selection, entries []store.Entry, now time.Time, seed int64, reader string, nonce uint64) []store.Entry {
@@ -65,15 +71,28 @@ func selectionCase(n int) (*Selection, []store.Entry, int64, string, uint64) {
 	return sel, entries, r.Int63(), fmt.Sprintf("agent-%d", r.Intn(3)), r.Uint64()
 }
 
-// checkSelectionCase holds the in-place selection, run the way
-// Simulated.Read runs it, against the reference, and requires the store
-// rendering it started from to come out unwritten.
+// checkSelectionCase holds the copy-on-write selection, run the way
+// Simulated.Read runs it, against the reference. The store rendering and
+// the posts every reader shares must come out unwritten, a result that
+// changed nothing must still be the shared posts, and no result may have
+// spare capacity.
 func checkSelectionCase(t *testing.T, clock vtime.Clock, n int) {
 	sel, entries, seed, reader, nonce := selectionCase(n)
 	rendering := slices.Clone(entries)
-	got := sel.apply(testPosts.of(entries), clock, seed, reader, nonce)
+	shared := testPosts.of("", entries)
+	before := slices.Clone(shared)
+	got := sel.apply(shared, &testPosts, clock, seed, reader, nonce)
 	if !slices.Equal(entries, rendering) {
 		t.Errorf("case %d: selection wrote to the store rendering", n)
+	}
+	if !slices.Equal(shared, before) {
+		t.Errorf("case %d: selection wrote to the posts its readers share", n)
+	}
+	if len(got) != cap(got) {
+		t.Errorf("case %d: result has len %d cap %d", n, len(got), cap(got))
+	}
+	if len(got) > 0 && slices.Equal(got, shared) && &got[0] != &shared[0] {
+		t.Errorf("case %d: a selection that changed nothing copied the posts", n)
 	}
 	want := referenceApply(sel, entries, clock.Now(), seed, reader, nonce)
 	if len(got) != len(want) {

@@ -49,10 +49,12 @@ type Service interface {
 
 	// Read returns the sequence of posts currently observable by reader
 	// (an agent label) from the given location, in service order. The
-	// caller owns the slice and may reorder or shorten it in place; it
-	// has no spare capacity beyond what a wrapper cut off the same
-	// result, so an append never reaches memory another reader holds.
-	// Posts are values: nothing the service keeps changes with them.
+	// slice is read-only and may be shared: readers of an unchanged
+	// replica get the same one. Its spare capacity, if any, is the
+	// caller's alone (a Simulated result's length equals its capacity),
+	// so an append never reaches another reader's posts; a caller that
+	// reorders, drops or overwrites posts copies them first. Posts are
+	// values: nothing the service keeps changes with a copy.
 	Read(from simnet.Site, reader string) ([]Post, error)
 
 	// Reset clears all service state; campaigns call it between tests. A

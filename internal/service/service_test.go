@@ -337,7 +337,7 @@ func TestSelectionShuffleAndDrop(t *testing.T) {
 	sel := &Selection{FreshFor: time.Hour, Shuffle: 0.5, DropFresh: 0.25}
 	differed, dropped := false, false
 	for nonce := uint64(0); nonce < 50; nonce++ {
-		got := sel.apply(testPosts.of(entries), s, 7, "reader", nonce)
+		got := selected(sel, entries, s, 7, "reader", nonce)
 		if len(got) < 4 {
 			dropped = true
 		}
@@ -366,7 +366,7 @@ func TestSelectionStableForOldEntries(t *testing.T) {
 	s := vtime.NewSim(epoch)
 	sel := &Selection{FreshFor: time.Minute, Shuffle: 1, DropFresh: 1}
 	for nonce := uint64(0); nonce < 20; nonce++ {
-		got := sel.apply(testPosts.of(entries), s, 7, "reader", nonce)
+		got := selected(sel, entries, s, 7, "reader", nonce)
 		if len(got) != 2 || got[0].ID != "m1" || got[1].ID != "m2" {
 			t.Fatalf("aged entries perturbed: %+v", got)
 		}
@@ -380,8 +380,8 @@ func TestSelectionDeterministicPerReadKey(t *testing.T) {
 	}
 	s := vtime.NewSim(epoch.Add(time.Second))
 	sel := &Selection{FreshFor: time.Hour, Shuffle: 0.5}
-	a := sel.apply(testPosts.of(entries), s, 7, "reader", 3)
-	b := sel.apply(testPosts.of(entries), s, 7, "reader", 3)
+	a := selected(sel, entries, s, 7, "reader", 3)
+	b := selected(sel, entries, s, 7, "reader", 3)
 	if len(a) != len(b) {
 		t.Fatal("nondeterministic selection")
 	}
@@ -400,9 +400,13 @@ func TestSelectionTopK(t *testing.T) {
 	}
 	s := vtime.NewSim(epoch)
 	sel := &Selection{TopK: 2}
-	got := sel.apply(testPosts.of(entries), s, 7, "r", 1)
-	if len(got) != 2 {
-		t.Fatalf("TopK not applied: %d", len(got))
+	got := selected(sel, entries, s, 7, "r", 1)
+	if len(got) != 2 || cap(got) != 2 {
+		t.Fatalf("TopK not applied: len %d cap %d", len(got), cap(got))
+	}
+	_ = append(got, Post{ID: "appended"}) // must not reach the shared m3
+	if ids := postIDs(testPosts.of("", entries)); !strEq(ids, []string{"m1", "m2", "m3"}) {
+		t.Fatalf("appending to a TopK result changed the shared posts to %v", ids)
 	}
 }
 
@@ -410,7 +414,7 @@ func TestNilSelectionIdentity(t *testing.T) {
 	var sel *Selection
 	entries := []store.Entry{{ID: "m1"}}
 	s := vtime.NewSim(epoch)
-	got := sel.apply(testPosts.of(entries), s, 7, "r", 1)
+	got := selected(sel, entries, s, 7, "r", 1)
 	if len(got) != 1 || got[0].ID != "m1" {
 		t.Fatal("nil selection must be identity")
 	}

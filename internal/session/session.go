@@ -29,6 +29,7 @@
 package session
 
 import (
+	"slices"
 	"sort"
 	"sync"
 
@@ -121,6 +122,7 @@ func (c *Client) Read(from simnet.Site, reader string) ([]service.Post, error) {
 	if err != nil {
 		return nil, err
 	}
+	posts = slices.Clone(posts) // masking filters and reorders in place
 	c.mu.Lock()
 	defer c.mu.Unlock()
 

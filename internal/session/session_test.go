@@ -3,6 +3,7 @@ package session
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 
@@ -22,6 +23,9 @@ type fakeService struct {
 	readErr  error
 	resets   int
 	writes   []service.Post
+	// shared hands out the scripted slices themselves, as a service
+	// shares one rendering among its readers.
+	shared bool
 }
 
 func (f *fakeService) Name() string { return "fake" }
@@ -47,6 +51,9 @@ func (f *fakeService) Read(_ simnet.Site, _ string) ([]service.Post, error) {
 	}
 	out := f.reads[f.next]
 	f.next++
+	if f.shared {
+		return slices.Clip(out), nil
+	}
 	return append([]service.Post(nil), out...), nil
 }
 
@@ -143,6 +150,32 @@ func TestMWMaskingReordersOwnWrites(t *testing.T) {
 	// Own writes restored to issue order in their original slots.
 	if !eq(idsOf(got), []string{"m1", "x", "m2"}) {
 		t.Fatalf("read = %v, want own pair reordered in place", idsOf(got))
+	}
+}
+
+// A read's posts are shared and read-only (service.Service.Read): masking
+// that drops and reorders them works on a copy.
+func TestMaskingLeavesTheServicesPostsAlone(t *testing.T) {
+	reply := post("reply")
+	reply.DependsOn = "question"
+	rendering := []service.Post{post("m2"), reply, post("x"), post("m1")}
+	before := slices.Clone(rendering)
+	f := &fakeService{reads: [][]service.Post{rendering}, shared: true}
+	c := Wrap(f, "agent1", All)
+	for _, id := range []string{"m1", "m2"} {
+		if err := c.Write(simnet.Oregon, post(id)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got, err := c.Read(simnet.Oregon, "agent1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !eq(idsOf(got), []string{"m1", "x", "m2"}) {
+		t.Fatalf("read = %v, want the reply delayed and own writes in issue order", idsOf(got))
+	}
+	if !slices.Equal(rendering, before) {
+		t.Fatalf("masking wrote to the service's posts: %v", idsOf(rendering))
 	}
 }
 
