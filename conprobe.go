@@ -297,7 +297,8 @@ type Engine struct {
 	Parallelism int
 	// OnTrace, when set, receives every trace as its test completes,
 	// serialized across lanes. A non-nil error cancels the campaign;
-	// traces collected so far are still returned.
+	// traces collected so far are still returned. Under DiscardTraces the
+	// trace is valid only until OnTrace returns; encode or copy to keep it.
 	OnTrace func(*TestTrace) error
 	// Progress, when set, receives (completed, total) after every test,
 	// serialized across lanes.
@@ -305,7 +306,7 @@ type Engine struct {
 	// DiscardTraces stops the engine from retaining traces in the
 	// returned Result; traces then flow only through OnTrace and the
 	// streaming aggregation, bounding a long campaign's memory by the
-	// lane, not the campaign, size.
+	// lane, not the campaign, size: each lane refills one trace per test.
 	DiscardTraces bool
 }
 

@@ -40,20 +40,22 @@ type EngineOptions struct {
 	// serialized across lanes (it is never called concurrently). A
 	// non-nil error cancels the whole campaign; already-collected traces
 	// are still returned. Trace arrival order across lanes depends on
-	// scheduling — only the final merged Result is deterministic.
+	// scheduling — only the final merged Result is deterministic. Under
+	// DiscardTraces the trace is valid only until the call returns.
 	OnTrace func(*trace.TestTrace) error
 	// LaneSink, when set, receives each trace inside its lane, before
 	// OnTrace. Calls for the same lane are sequential; calls for
 	// different lanes are concurrent, so a per-lane consumer (e.g. a
 	// streaming aggregator indexed by lane) needs no locking. A non-nil
-	// error aborts the lane.
+	// error aborts the lane. Under DiscardTraces, valid until it returns.
 	LaneSink func(lane int, tr *trace.TestTrace) error
 	// LaneCheckpoint, when set, receives each completed trace inside its
 	// lane together with the virtual instant the lane's next schedule
 	// step begins. It runs after LaneSink and the serialized sinks, so a
 	// test is journaled "done" only once every sink has accepted it.
 	// Calls for the same lane are sequential; calls for different lanes
-	// are concurrent. A non-nil error aborts the lane.
+	// are concurrent. A non-nil error aborts the lane. Under
+	// DiscardTraces, the trace is valid until the call returns.
 	LaneCheckpoint func(lane int, tr *trace.TestTrace, next time.Time, res map[string]resilience.Snapshot) error
 	// Resume, when non-nil, restarts a checkpointed campaign: entry l
 	// describes lane l's journaled progress. Its length must equal the

@@ -146,11 +146,13 @@ type Config struct {
 	Progress func(done, total int)
 	// TraceSink, when set, receives each trace as soon as its test
 	// completes (streaming persistence for long campaigns); a sink error
-	// aborts the campaign.
+	// aborts the campaign. Under DiscardTraces, valid until it returns.
 	TraceSink func(*trace.TestTrace) error
 	// DiscardTraces stops the runner from retaining traces in its
 	// Result; traces then reach the caller only through TraceSink. Long
-	// streaming campaigns use it to bound memory.
+	// streaming campaigns use it to bound memory. Once TraceSink and
+	// Checkpoint return, the campaign's next test refills the trace
+	// (RunTest1 and RunTest2 always return a trace of their own).
 	DiscardTraces bool
 	// Metrics, when non-nil, receives the runner's engine telemetry
 	// (tests started/finished, traces discarded). Metrics are observed,
@@ -163,7 +165,8 @@ type Config struct {
 	// Checkpoint, when set, receives each completed trace after the
 	// TraceSink, together with the virtual instant the next schedule
 	// step begins (the trace's test-gap sleep included). The crash-safe
-	// resume path journals both. An error aborts the campaign.
+	// resume path journals both. An error aborts the campaign. Under
+	// DiscardTraces, the trace is valid until Checkpoint returns.
 	Checkpoint func(tr *trace.TestTrace, next time.Time) error
 }
 

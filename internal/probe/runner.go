@@ -67,6 +67,8 @@ type Runner struct {
 	// simProbes holds each agent's simulated clock-sync probe, restarted
 	// every test; unused when cfg.ProbeFor supplies the probes.
 	simProbes []*clocksync.SimProbe
+	// spare is, under DiscardTraces, a trace every sink is done with.
+	spare *trace.TestTrace
 
 	// Engine telemetry (observed, never read back). The handles are
 	// registered once in NewRunner; a nil cfg.Metrics yields live
@@ -219,6 +221,14 @@ func (r *Runner) runSteps(ctx context.Context, steps []scheduleStep) (*Result, e
 				return res, fmt.Errorf("checkpoint after %v #%d: %w", step.kind, step.index, err)
 			}
 		}
+		if r.cfg.DiscardTraces {
+			// Every sink has returned: the next test refills tr and
+			// carves its observed IDs where tr's were.
+			r.spare = tr
+			for _, rec := range r.recs {
+				rec.ids = rec.block[rec.mark:]
+			}
+		}
 		r.rt.Sleep(gap)
 	}
 	r.clearFaults(trace.Test1)
@@ -302,13 +312,12 @@ func (r *Runner) clearFaults(kind trace.TestKind) {
 
 // syncClocks runs the clock-delta estimation against every agent
 // (Section IV: "Before the start of each iteration of a test, the clock
-// deltas were computed again"). The simulated probes are salted with
-// the test ID — not a running round counter — so each test's
-// synchronization draws are independent of how many tests ran before
-// it, and a resumed campaign replays them exactly.
-func (r *Runner) syncClocks(testID int) (map[trace.AgentID]time.Duration, map[trace.AgentID]time.Duration, error) {
-	deltas := make(map[trace.AgentID]time.Duration, len(r.cfg.Agents))
-	uncert := make(map[trace.AgentID]time.Duration, len(r.cfg.Agents))
+// deltas were computed again"), setting every agent's entry of deltas and
+// uncert. The simulated probes are salted with the test ID — not a
+// running round counter — so each test's synchronization draws are
+// independent of how many tests ran before it, and a resumed campaign
+// replays them exactly.
+func (r *Runner) syncClocks(testID int, deltas, uncert map[trace.AgentID]time.Duration) error {
 	for i, ag := range r.cfg.Agents {
 		var probe clocksync.ProbeFunc
 		if r.cfg.ProbeFor != nil {
@@ -319,18 +328,19 @@ func (r *Runner) syncClocks(testID int) (map[trace.AgentID]time.Duration, map[tr
 		}
 		res, err := clocksync.Estimate(r.rt, probe, r.cfg.ClockSyncSamples)
 		if err != nil {
-			return nil, nil, fmt.Errorf("clock sync agent %d: %w", ag.ID, err)
+			return fmt.Errorf("clock sync agent %d: %w", ag.ID, err)
 		}
 		deltas[ag.ID] = res.Delta
 		uncert[ag.ID] = res.Uncertainty
 	}
-	return deltas, uncert, nil
+	return nil
 }
 
 // newTrace assembles the common trace envelope and synchronizes clocks.
 // It opens the test boundary first: every client layer implementing
 // service.TestScoped rebases its deterministic counters onto testID, so
-// the test's draws do not depend on which tests ran before it.
+// the test's draws do not depend on which tests ran before it. A spare
+// trace is refilled: its storage is kept, nothing it held.
 func (r *Runner) newTrace(testID int, kind trace.TestKind) (*trace.TestTrace, error) {
 	if ts, ok := r.svc.(service.TestScoped); ok {
 		ts.BeginTest(testID)
@@ -340,8 +350,15 @@ func (r *Runner) newTrace(testID int, kind trace.TestKind) (*trace.TestTrace, er
 			ts.BeginTest(testID)
 		}
 	}
-	deltas, uncert, err := r.syncClocks(testID)
-	if err != nil {
+	tr := r.spare
+	r.spare = nil
+	if tr == nil {
+		tr = &trace.TestTrace{
+			Deltas:      make(map[trace.AgentID]time.Duration, len(r.cfg.Agents)),
+			Uncertainty: make(map[trace.AgentID]time.Duration, len(r.cfg.Agents)),
+		}
+	}
+	if err := r.syncClocks(testID, tr.Deltas, tr.Uncertainty); err != nil {
 		return nil, err
 	}
 	if err := r.svc.Reset(); err != nil {
@@ -363,14 +380,16 @@ func (r *Runner) newTrace(testID int, kind trace.TestKind) (*trace.TestTrace, er
 			r.statsBase[i] = sp.Stats()
 		}
 	}
-	tr := &trace.TestTrace{
+	*tr = trace.TestTrace{
 		TestID:      testID,
 		Kind:        kind,
 		Service:     r.svc.Name(),
 		Started:     r.rt.Now(),
 		Agents:      len(r.cfg.Agents),
-		Deltas:      deltas,
-		Uncertainty: uncert,
+		Writes:      tr.Writes,
+		Reads:       tr.Reads,
+		Deltas:      tr.Deltas,
+		Uncertainty: tr.Uncertainty,
 	}
 	if r.cfg.ChaosActive != nil {
 		tr.ChaosActive = r.cfg.ChaosActive(tr.Started)
@@ -394,6 +413,7 @@ func (r *Runner) runTest(ctx context.Context, testID int, kind trace.TestKind) (
 	g := r.rt.NewGroup()
 	for i, ag := range r.cfg.Agents {
 		client, rec, finalWrite := r.clients[i], r.recs[i], finalWrite // copied: captured by value
+		rec.mark = len(rec.block) - len(rec.ids)
 		startLocal := localStart(start, tr.Deltas[ag.ID])
 		g.Go(func() {
 			if kind == trace.Test1 {
@@ -419,9 +439,11 @@ type recorder struct {
 	reads   []trace.Read
 	failed  int
 	skipped int
-	// ids is the unused rest of the block observations are carved from.
-	// Traces keep what was carved: a block is replaced, never reused.
-	ids []trace.WriteID
+	// block is the newest block observations are carved from, ids its
+	// unused rest and mark where the current test's carving began. Kept
+	// traces keep what was carved; a discarded one gives it back.
+	block, ids []trace.WriteID
+	mark       int
 }
 
 // idBlock is how many observed IDs a recorder allocates at a time (about
@@ -435,7 +457,8 @@ const idBlock = 256
 func (rec *recorder) observe(posts []service.Post) []trace.WriteID {
 	n := len(posts)
 	if rec.ids == nil || n > len(rec.ids) {
-		rec.ids = make([]trace.WriteID, max(idBlock, n))
+		rec.block = make([]trace.WriteID, max(idBlock, n))
+		rec.ids, rec.mark = rec.block, 0
 	}
 	obs := rec.ids[:n:n]
 	rec.ids = rec.ids[n:]
@@ -461,9 +484,7 @@ func merge(tr *trace.TestTrace, recs []*recorder) {
 		writes += len(rec.writes)
 		reads += len(rec.reads)
 	}
-	// Grow leaves a slice nothing is added to nil, as append would.
-	tr.Writes = slices.Grow(tr.Writes, writes)
-	tr.Reads = slices.Grow(tr.Reads, reads)
+	tr.Writes, tr.Reads = refill(tr.Writes, writes), refill(tr.Reads, reads)
 	for _, rec := range recs {
 		tr.Writes = append(tr.Writes, rec.writes...)
 		tr.Reads = append(tr.Reads, rec.reads...)
@@ -471,6 +492,15 @@ func merge(tr *trace.TestTrace, recs []*recorder) {
 		count(&tr.SkippedOps, rec.agent, rec.skipped)
 		rec.writes, rec.reads, rec.failed, rec.skipped = rec.writes[:0], rec.reads[:0], 0, 0
 	}
+}
+
+// refill empties s with room for n, or is nil for n 0 as in a fresh
+// trace: nil journals as null, empty as [].
+func refill[T any](s []T, n int) []T {
+	if n == 0 {
+		return nil
+	}
+	return slices.Grow(s[:0], n)
 }
 
 // count adds n, when positive, to an agent's entry of one of the trace's

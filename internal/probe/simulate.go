@@ -97,7 +97,8 @@ type SimulateOptions struct {
 	// DiscardTraces stops the runner from retaining traces in the
 	// returned Result; traces then flow only through the engine's sinks
 	// (EngineOptions.OnTrace, LaneSink), bounding a long campaign's memory
-	// by the lane, not the campaign, size.
+	// by the lane, not the campaign, size. Each lane refills one trace
+	// test after test, so a sink's trace is valid only until it returns.
 	DiscardTraces bool
 	// Metrics, when non-nil, receives the campaign's telemetry: engine
 	// counters, resilience retries/backoffs/breaker transitions and

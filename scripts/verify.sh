@@ -36,6 +36,15 @@ echo "== simulated read (one 30-post fbfeed read, interest-ranked)"
 go test -run '^$' -bench 'SelectionApply$' -benchtime 2000x -benchmem . |
   awk '/^BenchmarkSelectionApply/ { print "simulated read (fbfeed, 30 posts): " $3 " ns/op, " $5 " B/op, " $7 " allocs/op" }'
 
+# What one simulated test costs in a streaming campaign: the marginal
+# objects and bytes between a 64- and a 128-test four-profile Run with
+# traces discarded (TestCampaignTestAllocBudget; about 27.5 objects and
+# 4.6 KB, about 35 and 15 KB while each test allocated its trace).
+echo "== campaign test (marginal objects and KB per test, 4 profiles, traces discarded)"
+go test -count=1 -run 'TestCampaignTestAllocBudget$' -v . |
+  awk '/objects per simulated test/ { n = $2 } /KB per simulated test/ { k = $2 }
+    END { print "campaign test (4 profiles, traces discarded, marginal): " n " objects, " k " KB" }'
+
 # The replication path's cost on the virtual clock: exact, so any change
 # is a protocol change.
 echo "== commit cost (virtual ms and RPCs per commit, 3 nodes, 0.2 ms hops, shipped timers)"
