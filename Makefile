@@ -33,11 +33,9 @@ scaling:
 
 # loc prints the size every simplicity change is judged by: non-test Go
 # lines per internal/ package and for the whole module, bench/ excluded.
+# BASE=<git ref> adds that ref's count and the delta (scripts/loc.sh).
 loc:
-	@for d in internal/*/; do \
-		printf '%-22s %6d\n' "$${d%/}" "$$(find "$$d" -name '*.go' -not -name '*_test.go' | xargs cat | wc -l)"; \
-	done
-	@printf '%-22s %6d\n' total "$$(find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' | xargs cat | wc -l)"
+	@./scripts/loc.sh $(BASE)
 
 # load runs a short closed-loop conload smoke against the in-process
 # fbgroup profile and prints the JSON summary (same run CI performs).

@@ -45,6 +45,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strconv"
+	"sync"
 	"time"
 
 	"conprobe/internal/analysis"
@@ -54,6 +55,7 @@ import (
 	"conprobe/internal/diskfault"
 	"conprobe/internal/obs"
 	"conprobe/internal/probe"
+	"conprobe/internal/resilience"
 	"conprobe/internal/service"
 	"conprobe/internal/session"
 	"conprobe/internal/trace"
@@ -332,10 +334,10 @@ type Durability struct {
 	Checkpoint string
 	// Resume continues the campaign journaled in Checkpoint instead of
 	// starting fresh. The journal's campaign identity (service, seed,
-	// lanes, counts, blocks, start) must match these Options exactly.
-	// Resilience state (retry counters, breaker position) is journaled
-	// per lane and rewound on resume, so campaigns with Breaker set
-	// reproduce the uninterrupted run byte-identically too.
+	// lanes, counts, blocks, start) and Engine.DiscardTraces must match
+	// these Options. Resilience state (retry counters, breaker position)
+	// is journaled per lane and rewound on resume, so campaigns with
+	// Breaker set reproduce the uninterrupted run byte-identically too.
 	Resume bool
 	// FS, when non-nil, is the filesystem the checkpoint journal lives
 	// on. Storage-fault drills pass a diskfault injector's FS; nil means
@@ -458,12 +460,11 @@ func Run(ctx context.Context, opts Options) (*RunResult, error) {
 		DiskPaths:        diskPaths(opts),
 		Retry:            opts.Resilience.Retry,
 		Breaker:          opts.Resilience.Breaker,
-		Progress:         opts.Engine.Progress,
 		DiscardTraces:    opts.Engine.DiscardTraces,
 		Metrics:          opts.Telemetry.Metrics,
 	}
-	// One aggregator per lane: LaneSink serializes calls within a lane,
-	// so no aggregator is ever touched concurrently and no lock is
+	// One aggregator per lane: the engine's sink is sequential within a
+	// lane, so no aggregator is ever touched concurrently and no lock is
 	// needed on the hot path.
 	aggs := make([]*analysis.Aggregator, lanes)
 	for i := range aggs {
@@ -472,18 +473,16 @@ func Run(ctx context.Context, opts Options) (*RunResult, error) {
 	eng := probe.EngineOptions{
 		Lanes:       lanes,
 		Parallelism: opts.Engine.Parallelism,
-		OnTrace:     opts.Engine.OnTrace,
 		Clock:       opts.Telemetry.EngineClock,
-		LaneSink: func(lane int, tr *trace.TestTrace) error {
-			aggs[lane].Add(tr)
-			return nil
-		},
 	}
 	// Traces completed before a resume, recovered from the journal; the
 	// resumed lanes re-run nothing, so these are merged into the final
-	// Result as-is.
-	var journaled []*TestTrace
-	var ckw *checkpoint.Writer
+	// Result as-is. done counts completed tests, journaled ones included.
+	var (
+		journaled []*TestTrace
+		ckw       *checkpoint.Writer
+		done      int
+	)
 	if opts.Durability.Checkpoint != "" {
 		start := w.Start
 		if start.IsZero() {
@@ -518,13 +517,21 @@ func Run(ctx context.Context, opts Options) (*RunResult, error) {
 				if lr := st.Lanes[l]; lr != nil {
 					resume[l].At = lr.Next
 					resume[l].Resilience = lr.Resilience
+					done += len(lr.Done)
 				}
 				if aggs[l], err = st.Aggregator(l); err != nil {
 					return nil, err
 				}
 			}
-			eng.Resume = resume
+			// A journal keeps every test's trace or none: resuming it with
+			// the other setting would drop journaled traces from the Result,
+			// or return them from a campaign that discards its traces.
 			journaled = st.CompletedTraces()
+			if done > 0 && (len(journaled) > 0) == opts.Engine.DiscardTraces {
+				return nil, fmt.Errorf("conprobe: checkpoint %s journals %d traces of %d completed tests; resume it with the Engine.DiscardTraces it was written with",
+					opts.Durability.Checkpoint, len(journaled), done)
+			}
+			eng.Resume = resume
 			ckw, err = checkpoint.Continue(opts.Durability.Checkpoint, st, ccfg)
 		} else {
 			ckw, err = checkpoint.Create(opts.Durability.Checkpoint, meta, ccfg)
@@ -533,7 +540,32 @@ func Run(ctx context.Context, opts Options) (*RunResult, error) {
 			return nil, err
 		}
 		defer ckw.Close()
-		eng.LaneCheckpoint = ckw.Append
+	}
+	// The one lane sink keeps the order a resume relies on: the lane's
+	// aggregator, then OnTrace and Progress (serialized across lanes),
+	// then the journal, so a test is journaled only once every consumer
+	// has accepted it. The journal append stays outside mu, so lanes'
+	// fsyncs still group-commit.
+	var mu sync.Mutex
+	total := max(w.Test1Count, 0) + max(w.Test2Count, 0)
+	eng.Sink = func(lane int, tr *trace.TestTrace, next time.Time, res map[string]resilience.Snapshot) error {
+		aggs[lane].Add(tr)
+		mu.Lock()
+		var err error
+		if opts.Engine.OnTrace != nil {
+			err = opts.Engine.OnTrace(tr)
+		}
+		if err == nil {
+			done++
+			if opts.Engine.Progress != nil {
+				opts.Engine.Progress(done, total)
+			}
+		}
+		mu.Unlock()
+		if err != nil || ckw == nil {
+			return err
+		}
+		return ckw.Append(lane, tr, next, res)
 	}
 	for i := range aggs {
 		aggs[i].Instrument(sim.Metrics.Sub("aggregator").With("lane", strconv.Itoa(i)))

@@ -984,35 +984,45 @@ func (n *Node) acceptLocked(op Op) (uint64, error) {
 func (n *Node) WaitCommitted(idx uint64) error {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if n.commitIndex >= idx {
-		return nil
-	}
 	term := n.currentTerm
 	deadline := n.cfg.Clock.Now().Add(n.cfg.QuorumTimeout)
-	// sync.Cond has no timed wait; a timer broadcast wakes the loop so it
-	// can observe the deadline.
-	t := n.cfg.Clock.AfterFunc(n.cfg.QuorumTimeout, func() {
+	return n.waitLocked(deadline, func() (bool, error) {
+		switch {
+		case n.commitIndex >= idx:
+			return true, nil
+		case n.closed:
+			return false, fmt.Errorf("cluster: node closed before op %d committed", idx)
+		case n.role != RoleLeader || n.currentTerm != term:
+			return false, fmt.Errorf("cluster: leadership lost before op %d committed (quorum not reached)", idx)
+		case !n.cfg.Clock.Now().Before(deadline):
+			return false, fmt.Errorf("cluster: op %d not committed within %v (write quorum of %s unreachable)",
+				idx, n.cfg.QuorumTimeout, n.config.describe())
+		}
+		return false, nil
+	})
+}
+
+// waitLocked blocks on commitCond until check reports the wait over:
+// settled, or failed with the error it returns. sync.Cond has no timed
+// wait, so a timer broadcast at deadline wakes the loop for check to see
+// the deadline pass. check runs once before the timer is armed, so a
+// wait that is already over arms none. Caller holds n.mu.
+func (n *Node) waitLocked(deadline time.Time, check func() (bool, error)) error {
+	settled, err := check()
+	if settled || err != nil {
+		return err
+	}
+	t := n.cfg.Clock.AfterFunc(deadline.Sub(n.cfg.Clock.Now()), func() {
 		n.mu.Lock()
 		n.commitCond.Broadcast()
 		n.mu.Unlock()
 	})
 	defer t.Stop()
-	for {
-		if n.commitIndex >= idx {
-			return nil
-		}
-		if n.closed {
-			return fmt.Errorf("cluster: node closed before op %d committed", idx)
-		}
-		if n.role != RoleLeader || n.currentTerm != term {
-			return fmt.Errorf("cluster: leadership lost before op %d committed (quorum not reached)", idx)
-		}
-		if !n.cfg.Clock.Now().Before(deadline) {
-			return fmt.Errorf("cluster: op %d not committed within %v (write quorum of %s unreachable)",
-				idx, n.cfg.QuorumTimeout, n.config.describe())
-		}
+	for !settled && err == nil {
 		n.commitCond.Wait()
+		settled, err = check()
 	}
+	return err
 }
 
 // stageLocked applies ops — contiguous from n.lastIndex+1 — to the

@@ -191,9 +191,14 @@ func (t *ReadTicket) Ready() (bool, error) {
 	if t.need == 0 {
 		return true, nil
 	}
+	t.n.mu.Lock()
+	defer t.n.mu.Unlock()
+	return t.readyLocked()
+}
+
+// readyLocked is Ready with n.mu held.
+func (t *ReadTicket) readyLocked() (bool, error) {
 	n := t.n
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	if n.closed {
 		return false, fmt.Errorf("cluster: node closed before read confirmed")
 	}
@@ -215,31 +220,9 @@ func (t *ReadTicket) Wait() error {
 	if t.need == 0 {
 		return nil
 	}
-	n := t.n
-	// A timer broadcast wakes the loop at the deadline (sync.Cond has no
-	// timed wait).
-	timer := n.cfg.Clock.AfterFunc(t.deadline.Sub(n.cfg.Clock.Now()), func() {
-		n.mu.Lock()
-		n.commitCond.Broadcast()
-		n.mu.Unlock()
-	})
-	defer timer.Stop()
-	for {
-		ready, err := t.Ready()
-		if err != nil {
-			return err
-		}
-		if ready {
-			return nil
-		}
-		n.mu.Lock()
-		if n.confirmedRound < t.need && !n.closed &&
-			n.role == RoleLeader && n.currentTerm == t.term &&
-			n.cfg.Clock.Now().Before(t.deadline) {
-			n.commitCond.Wait()
-		}
-		n.mu.Unlock()
-	}
+	t.n.mu.Lock()
+	defer t.n.mu.Unlock()
+	return t.n.waitLocked(t.deadline, t.readyLocked)
 }
 
 // ReadLinearizable performs a full read at the requested mode,

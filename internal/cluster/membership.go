@@ -250,27 +250,19 @@ func (n *Node) WaitReconfigured(idx uint64) error {
 	defer n.mu.Unlock()
 	term := n.currentTerm
 	deadline := n.cfg.Clock.Now().Add(n.cfg.QuorumTimeout)
-	t := n.cfg.Clock.AfterFunc(n.cfg.QuorumTimeout, func() {
-		n.mu.Lock()
-		n.commitCond.Broadcast()
-		n.mu.Unlock()
+	return n.waitLocked(deadline, func() (bool, error) {
+		switch {
+		case n.commitIndex >= idx && !n.config.Joint() && n.configIndex <= n.commitIndex:
+			return true, nil
+		case n.closed:
+			return false, fmt.Errorf("cluster: node closed before reconfiguration %d settled", idx)
+		case n.role != RoleLeader || n.currentTerm != term:
+			return false, fmt.Errorf("cluster: leadership lost before reconfiguration %d settled", idx)
+		case !n.cfg.Clock.Now().Before(deadline):
+			return false, fmt.Errorf("cluster: reconfiguration %d not settled within %v", idx, n.cfg.QuorumTimeout)
+		}
+		return false, nil
 	})
-	defer t.Stop()
-	for {
-		if n.commitIndex >= idx && !n.config.Joint() && n.configIndex <= n.commitIndex {
-			return nil
-		}
-		if n.closed {
-			return fmt.Errorf("cluster: node closed before reconfiguration %d settled", idx)
-		}
-		if n.role != RoleLeader || n.currentTerm != term {
-			return fmt.Errorf("cluster: leadership lost before reconfiguration %d settled", idx)
-		}
-		if !n.cfg.Clock.Now().Before(deadline) {
-			return fmt.Errorf("cluster: reconfiguration %d not settled within %v", idx, n.cfg.QuorumTimeout)
-		}
-		n.commitCond.Wait()
-	}
 }
 
 // maybeFinishReconfigureLocked appends the final C(new) entry once the

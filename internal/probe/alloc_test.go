@@ -100,7 +100,7 @@ func discardedTest2Allocs(t *testing.T, svcName string, readsPerAgent int) (obje
 	t.Helper()
 	sim, runner := test2Runner(t, svcName, readsPerAgent, true)
 	stats := make([]runtime.MemStats, 0, 3) // appending allocates nothing
-	runner.cfg.TraceSink = func(tr *trace.TestTrace) error {
+	runner.cfg.Sink = func(tr *trace.TestTrace, _ time.Time) error {
 		if got, want := len(tr.Reads), len(runner.cfg.Agents)*readsPerAgent; got != want {
 			t.Errorf("test %d recorded %d reads, want %d", tr.TestID, got, want)
 		}
@@ -145,32 +145,27 @@ func TestDiscardedTest2AllocationBudget(t *testing.T) {
 }
 
 // TestDiscardingLaneHandsEverySinkOneTrace pins the reuse itself: a
-// discarding lane refills the trace of its first test, so every sink —
-// LaneSink, OnTrace and LaneCheckpoint — sees that one *TestTrace for
-// every test, each time with that test's ID.
+// discarding lane refills the trace of its first test, so the engine's
+// sink sees that one *TestTrace for every test, each time with that
+// test's ID.
 func TestDiscardingLaneHandsEverySinkOneTrace(t *testing.T) {
 	opts := engineOpts(3, 3)
 	opts.DiscardTraces = true
 	var seen []*trace.TestTrace
 	ids := map[int]bool{}
-	see := func(tr *trace.TestTrace) {
-		seen = append(seen, tr)
-		ids[tr.TestID] = true
-	}
 	_, err := SimulateConcurrent(context.Background(), opts, EngineOptions{
-		Lanes:    1,
-		LaneSink: func(_ int, tr *trace.TestTrace) error { see(tr); return nil },
-		OnTrace:  func(tr *trace.TestTrace) error { see(tr); return nil },
-		LaneCheckpoint: func(_ int, tr *trace.TestTrace, _ time.Time, _ map[string]resilience.Snapshot) error {
-			see(tr)
+		Lanes: 1,
+		Sink: func(_ int, tr *trace.TestTrace, _ time.Time, _ map[string]resilience.Snapshot) error {
+			seen = append(seen, tr)
+			ids[tr.TestID] = true
 			return nil
 		},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(seen) != 3*6 || len(ids) != 6 {
-		t.Fatalf("sinks saw %d traces of %d tests, want 18 of 6", len(seen), len(ids))
+	if len(seen) != 6 || len(ids) != 6 {
+		t.Fatalf("the sink saw %d traces of %d tests, want 6 of 6", len(seen), len(ids))
 	}
 	for i, tr := range seen {
 		if tr != seen[0] {

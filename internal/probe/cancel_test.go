@@ -87,7 +87,7 @@ func TestRunCampaignCancelledBetweenTests(t *testing.T) {
 	}
 	// Cancel from the trace sink: the current test is complete (its
 	// trace is kept), and the next one must not start.
-	cfg.TraceSink = func(tr *trace.TestTrace) error {
+	cfg.Sink = func(tr *trace.TestTrace, _ time.Time) error {
 		if tr.TestID == 1 {
 			cancel()
 		}

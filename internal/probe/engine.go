@@ -36,27 +36,16 @@ type EngineOptions struct {
 	// (default GOMAXPROCS). It is purely a throughput knob: any value
 	// produces identical traces for a fixed Seed and Lanes.
 	Parallelism int
-	// OnTrace, when set, receives every trace as its test completes,
-	// serialized across lanes (it is never called concurrently). A
-	// non-nil error cancels the whole campaign; already-collected traces
-	// are still returned. Trace arrival order across lanes depends on
-	// scheduling — only the final merged Result is deterministic. Under
-	// DiscardTraces the trace is valid only until the call returns.
-	OnTrace func(*trace.TestTrace) error
-	// LaneSink, when set, receives each trace inside its lane, before
-	// OnTrace. Calls for the same lane are sequential; calls for
-	// different lanes are concurrent, so a per-lane consumer (e.g. a
-	// streaming aggregator indexed by lane) needs no locking. A non-nil
-	// error aborts the lane. Under DiscardTraces, valid until it returns.
-	LaneSink func(lane int, tr *trace.TestTrace) error
-	// LaneCheckpoint, when set, receives each completed trace inside its
-	// lane together with the virtual instant the lane's next schedule
-	// step begins. It runs after LaneSink and the serialized sinks, so a
-	// test is journaled "done" only once every sink has accepted it.
-	// Calls for the same lane are sequential; calls for different lanes
-	// are concurrent. A non-nil error aborts the lane. Under
-	// DiscardTraces, the trace is valid until the call returns.
-	LaneCheckpoint func(lane int, tr *trace.TestTrace, next time.Time, res map[string]resilience.Snapshot) error
+	// Sink, when set, receives each completed trace inside its lane,
+	// with the virtual instant the lane's next schedule step begins and
+	// the lane's resilience-middleware state by agent label (nil without
+	// the middleware). Calls for one lane are sequential; calls for
+	// different lanes are concurrent, so a per-lane consumer needs no
+	// lock and a campaign-wide one brings its own. A non-nil error aborts
+	// the lane and cancels the campaign; already-collected traces are
+	// still returned. Under DiscardTraces the trace is valid only until
+	// the call returns.
+	Sink func(lane int, tr *trace.TestTrace, next time.Time, res map[string]resilience.Snapshot) error
 	// Resume, when non-nil, restarts a checkpointed campaign: entry l
 	// describes lane l's journaled progress. Its length must equal the
 	// lane count, and each lane's Done set must be a prefix of that
@@ -151,13 +140,10 @@ func SimulateConcurrent(ctx context.Context, opts SimulateOptions, eng EngineOpt
 		par = lanes
 	}
 
-	steps := scheduleOf(opts.Test1Count, opts.Test2Count, opts.AlternateBlocks)
-	total := len(steps)
 	perLane := make([][]scheduleStep, lanes)
-	for i, s := range steps {
+	for i, s := range scheduleOf(opts.Test1Count, opts.Test2Count, opts.AlternateBlocks) {
 		perLane[i%lanes] = append(perLane[i%lanes], s)
 	}
-	resumed := 0
 	if eng.Resume != nil {
 		if len(eng.Resume) != lanes {
 			return nil, fmt.Errorf("campaign %s: resume state describes %d lanes, campaign has %d", opts.Service, len(eng.Resume), lanes)
@@ -167,7 +153,6 @@ func SimulateConcurrent(ctx context.Context, opts SimulateOptions, eng EngineOpt
 			if err != nil {
 				return nil, fmt.Errorf("campaign %s: lane %d: %w", opts.Service, l, err)
 			}
-			resumed += len(perLane[l]) - len(filtered)
 			perLane[l] = filtered
 		}
 	}
@@ -190,13 +175,6 @@ func SimulateConcurrent(ctx context.Context, opts SimulateOptions, eng EngineOpt
 		"Wall-clock time of the final cross-lane merge and sort.")
 	campStart := clk.Now()
 
-	// sinkMu serializes everything that crosses lane boundaries: the
-	// caller's OnTrace/Progress callbacks and the campaign-wide done
-	// counter. LaneSink deliberately runs outside it.
-	var (
-		sinkMu sync.Mutex
-		done   = resumed // journaled tests count toward campaign progress
-	)
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
@@ -208,7 +186,6 @@ func SimulateConcurrent(ctx context.Context, opts SimulateOptions, eng EngineOpt
 		go func() {
 			defer wg.Done()
 			for lane := range jobs {
-				lane := lane
 				queueWait.Observe(clk.Since(campStart).Seconds())
 				laneOpts := opts
 				// A one-lane campaign is a single world and keeps the
@@ -223,30 +200,7 @@ func SimulateConcurrent(ctx context.Context, opts SimulateOptions, eng EngineOpt
 					laneOpts.WorldStart = eng.Resume[lane].At
 					laneOpts.ResilienceRestore = eng.Resume[lane].Resilience
 				}
-				if lc := eng.LaneCheckpoint; lc != nil {
-					laneOpts.Checkpoint = func(tr *trace.TestTrace, next time.Time, res map[string]resilience.Snapshot) error {
-						return lc(lane, tr, next, res)
-					}
-				}
-				results[lane] = runLane(runCtx, laneOpts, perLane[lane], func(tr *trace.TestTrace) error {
-					if eng.LaneSink != nil {
-						if err := eng.LaneSink(lane, tr); err != nil {
-							return err
-						}
-					}
-					sinkMu.Lock()
-					defer sinkMu.Unlock()
-					if eng.OnTrace != nil {
-						if err := eng.OnTrace(tr); err != nil {
-							return err
-						}
-					}
-					done++
-					if opts.Progress != nil {
-						opts.Progress(done, total)
-					}
-					return nil
-				})
+				results[lane] = runLane(runCtx, laneOpts, lane, perLane[lane], eng.Sink)
 				if results[lane].err != nil {
 					// Stop the other lanes at their next boundary; their
 					// partial traces are still merged below.
@@ -298,18 +252,18 @@ func SimulateConcurrent(ctx context.Context, opts SimulateOptions, eng EngineOpt
 	return merged, nil
 }
 
-// runLane builds one lane's private world from opts (already carrying
-// the lane's seed) and executes its share of the schedule. sink receives
+// runLane builds lane's private world from opts (already carrying the
+// lane's seed) and executes its share of the schedule. sink receives
 // each completed trace; a sink error aborts the lane with the traces
 // collected so far.
-func runLane(ctx context.Context, opts SimulateOptions, steps []scheduleStep, sink func(*trace.TestTrace) error) laneResult {
+func runLane(ctx context.Context, opts SimulateOptions, lane int, steps []scheduleStep, sink laneSink) laneResult {
 	if len(steps) == 0 {
 		return laneResult{res: &Result{Service: opts.Service}}
 	}
 	// Test counts stay campaign-global: CampaignFor derives fault
 	// windows from them, and those windows index the global schedule the
 	// steps were cut from.
-	w, err := buildWorld(opts, sink)
+	w, err := buildWorld(opts, lane, sink)
 	if err != nil {
 		return laneResult{err: err}
 	}

@@ -6,7 +6,9 @@ import (
 	"errors"
 	"sync"
 	"testing"
+	"time"
 
+	"conprobe/internal/resilience"
 	"conprobe/internal/service"
 	"conprobe/internal/trace"
 )
@@ -39,13 +41,13 @@ func tracesJSONL(t *testing.T, traces []*trace.TestTrace) []byte {
 }
 
 // laneLog records which lane delivered which TestIDs, guarded because
-// different lanes call LaneSink concurrently.
+// different lanes call the sink concurrently.
 type laneLog struct {
 	mu  sync.Mutex
 	seq map[int][]int
 }
 
-func (l *laneLog) sink(lane int, tr *trace.TestTrace) error {
+func (l *laneLog) sink(lane int, tr *trace.TestTrace, _ time.Time, _ map[string]resilience.Snapshot) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.seq == nil {
@@ -55,6 +57,17 @@ func (l *laneLog) sink(lane int, tr *trace.TestTrace) error {
 	return nil
 }
 
+// serialSink adapts a campaign-wide consumer to EngineOptions.Sink,
+// serializing its calls across lanes.
+func serialSink(f func(*trace.TestTrace) error) func(int, *trace.TestTrace, time.Time, map[string]resilience.Snapshot) error {
+	var mu sync.Mutex
+	return func(_ int, tr *trace.TestTrace, _ time.Time, _ map[string]resilience.Snapshot) error {
+		mu.Lock()
+		defer mu.Unlock()
+		return f(tr)
+	}
+}
+
 func TestSimulateConcurrentDeterministicAcrossParallelism(t *testing.T) {
 	const lanes = 4
 	run := func(par int) ([]byte, map[int][]int) {
@@ -62,7 +75,7 @@ func TestSimulateConcurrentDeterministicAcrossParallelism(t *testing.T) {
 		res, err := SimulateConcurrent(context.Background(), engineOpts(4, 4), EngineOptions{
 			Lanes:       lanes,
 			Parallelism: par,
-			LaneSink:    log.sink,
+			Sink:        log.sink,
 		})
 		if err != nil {
 			t.Fatalf("parallelism %d: %v", par, err)
@@ -95,8 +108,8 @@ func TestSimulateConcurrentLanePartition(t *testing.T) {
 	const lanes = 3
 	var log laneLog
 	res, err := SimulateConcurrent(context.Background(), engineOpts(3, 3), EngineOptions{
-		Lanes:    lanes,
-		LaneSink: log.sink,
+		Lanes: lanes,
+		Sink:  log.sink,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -126,48 +139,19 @@ func TestSimulateConcurrentLanePartition(t *testing.T) {
 	}
 }
 
-func TestSimulateConcurrentProgressAndOnTrace(t *testing.T) {
-	opts := engineOpts(2, 2)
-	var progressed [][2]int
-	opts.Progress = func(done, total int) { progressed = append(progressed, [2]int{done, total}) }
-	seen := 0
-	_, err := SimulateConcurrent(context.Background(), opts, EngineOptions{
-		Lanes:       2,
-		Parallelism: 2,
-		OnTrace: func(tr *trace.TestTrace) error {
-			seen++ // serialized by contract: no lock needed
-			return nil
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if seen != 4 {
-		t.Fatalf("OnTrace saw %d traces, want 4", seen)
-	}
-	if len(progressed) != 4 {
-		t.Fatalf("progress calls = %v", progressed)
-	}
-	for i, p := range progressed {
-		if p[0] != i+1 || p[1] != 4 {
-			t.Fatalf("progress[%d] = %v, want {%d 4}", i, p, i+1)
-		}
-	}
-}
-
 func TestSimulateConcurrentCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	delivered := 0
 	res, err := SimulateConcurrent(ctx, engineOpts(6, 6), EngineOptions{
 		Lanes:       4,
 		Parallelism: 2,
-		OnTrace: func(tr *trace.TestTrace) error {
+		Sink: serialSink(func(tr *trace.TestTrace) error {
 			delivered++
 			if delivered == 2 {
 				cancel()
 			}
 			return nil
-		},
+		}),
 	})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
@@ -185,12 +169,12 @@ func TestSimulateConcurrentSinkErrorKeepsPartialTraces(t *testing.T) {
 	res, err := SimulateConcurrent(context.Background(), engineOpts(4, 4), EngineOptions{
 		Lanes:       4,
 		Parallelism: 2,
-		OnTrace: func(tr *trace.TestTrace) error {
+		Sink: serialSink(func(tr *trace.TestTrace) error {
 			if tr.TestID%2 == 0 {
 				return sinkErr
 			}
 			return nil
-		},
+		}),
 	})
 	if !errors.Is(err, sinkErr) {
 		t.Fatalf("err = %v, want the sink error", err)
@@ -208,8 +192,8 @@ func TestSimulateConcurrentDiscardTraces(t *testing.T) {
 	opts.DiscardTraces = true
 	streamed := 0
 	res, err := SimulateConcurrent(context.Background(), opts, EngineOptions{
-		Lanes:   2,
-		OnTrace: func(tr *trace.TestTrace) error { streamed++; return nil },
+		Lanes: 2,
+		Sink:  serialSink(func(tr *trace.TestTrace) error { streamed++; return nil }),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -267,7 +251,7 @@ func TestOneLaneKeepsCampaignSeed(t *testing.T) {
 	opts := engineOpts(3, 3)
 	opts.Start = DefaultStart
 	direct := func(steps []scheduleStep) []byte {
-		w, err := buildWorld(opts, nil)
+		w, err := buildWorld(opts, 0, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -292,7 +276,7 @@ func TestOneLaneKeepsCampaignSeed(t *testing.T) {
 		lane0Steps = append(lane0Steps, steps[i])
 	}
 	var lane0 []*trace.TestTrace
-	_, err = SimulateConcurrent(ctx, opts, EngineOptions{Lanes: 2, LaneSink: func(lane int, tr *trace.TestTrace) error {
+	_, err = SimulateConcurrent(ctx, opts, EngineOptions{Lanes: 2, Sink: func(lane int, tr *trace.TestTrace, _ time.Time, _ map[string]resilience.Snapshot) error {
 		if lane == 0 {
 			lane0 = append(lane0, tr)
 		}

@@ -7,13 +7,14 @@ import (
 	"testing"
 	"time"
 
+	"conprobe/internal/resilience"
 	"conprobe/internal/trace"
 )
 
 // TestLaneWorkersOverlapAtParallelism8 is the concurrency smoke test
 // for the hot-path isolation work: it proves the engine actually runs
 // lane workers simultaneously rather than serializing them behind a
-// shared lock. Each LaneSink call — which runs inside its lane worker,
+// shared lock. Each Sink call — which runs inside its lane worker,
 // outside the engine's serialization — parks the worker briefly in
 // wall-clock time, so if the workers are free to overlap the active
 // high-water mark climbs well above 1; a serialized engine would pin
@@ -29,7 +30,7 @@ func TestLaneWorkersOverlapAtParallelism8(t *testing.T) {
 	eng := EngineOptions{
 		Lanes:       8,
 		Parallelism: 8,
-		LaneSink: func(lane int, tr *trace.TestTrace) error {
+		Sink: func(int, *trace.TestTrace, time.Time, map[string]resilience.Snapshot) error {
 			n := atomic.AddInt64(&active, 1)
 			for {
 				h := atomic.LoadInt64(&high)

@@ -140,19 +140,17 @@ type Config struct {
 	// (live deployments use an HTTP time probe). When nil, the simulated
 	// network probe against the agent's skewed clock is used.
 	ProbeFor func(ag Agent) clocksync.ProbeFunc
-	// Progress, when set, is called after each completed test with the
-	// number of completed tests and the campaign total (long live
-	// campaigns report progress through it).
-	Progress func(done, total int)
-	// TraceSink, when set, receives each trace as soon as its test
-	// completes (streaming persistence for long campaigns); a sink error
-	// aborts the campaign. Under DiscardTraces, valid until it returns.
-	TraceSink func(*trace.TestTrace) error
+	// Sink, when set, receives each trace as soon as its test completes,
+	// with the virtual instant the next schedule step begins (the test's
+	// gap included), which the crash-safe resume path journals. A sink
+	// error aborts the campaign. Under DiscardTraces the trace is valid
+	// only until Sink returns.
+	Sink func(tr *trace.TestTrace, next time.Time) error
 	// DiscardTraces stops the runner from retaining traces in its
-	// Result; traces then reach the caller only through TraceSink. Long
-	// streaming campaigns use it to bound memory. Once TraceSink and
-	// Checkpoint return, the campaign's next test refills the trace
-	// (RunTest1 and RunTest2 always return a trace of their own).
+	// Result; traces then reach the caller only through Sink. Long
+	// streaming campaigns use it to bound memory: once Sink returns, the
+	// campaign's next test refills the trace (RunTest1 and RunTest2
+	// always return a trace of their own).
 	DiscardTraces bool
 	// Metrics, when non-nil, receives the runner's engine telemetry
 	// (tests started/finished, traces discarded). Metrics are observed,
@@ -162,12 +160,6 @@ type Config struct {
 	// at a virtual instant; the runner stamps each trace with the labels
 	// active at its start.
 	ChaosActive func(now time.Time) []string
-	// Checkpoint, when set, receives each completed trace after the
-	// TraceSink, together with the virtual instant the next schedule
-	// step begins (the trace's test-gap sleep included). The crash-safe
-	// resume path journals both. An error aborts the campaign. Under
-	// DiscardTraces, the trace is valid until Checkpoint returns.
-	Checkpoint func(tr *trace.TestTrace, next time.Time) error
 }
 
 func (c *Config) validate() error {

@@ -67,7 +67,7 @@ type Runner struct {
 	// simProbes holds each agent's simulated clock-sync probe, restarted
 	// every test; unused when cfg.ProbeFor supplies the probes.
 	simProbes []*clocksync.SimProbe
-	// spare is, under DiscardTraces, a trace every sink is done with.
+	// spare is, under DiscardTraces, a trace the sink is done with.
 	spare *trace.TestTrace
 
 	// Engine telemetry (observed, never read back). The handles are
@@ -180,7 +180,7 @@ func (r *Runner) runSteps(ctx context.Context, steps []scheduleStep) (*Result, e
 	if b, ok := r.svc.(ContextBinder); ok {
 		b.BindContext(ctx)
 	}
-	for done, step := range steps {
+	for _, step := range steps {
 		if err := ctx.Err(); err != nil {
 			return res, err
 		}
@@ -201,29 +201,20 @@ func (r *Runner) runSteps(ctx context.Context, steps []scheduleStep) (*Result, e
 		} else {
 			r.mDiscarded.Inc()
 		}
-		if r.cfg.TraceSink != nil {
-			if err := r.cfg.TraceSink(tr); err != nil {
-				return res, fmt.Errorf("trace sink after %v #%d: %w", step.kind, step.index, err)
-			}
-		}
-		if r.cfg.Progress != nil {
-			r.cfg.Progress(done+1, len(steps))
-		}
 		gap := r.cfg.Test1.Gap
 		if step.kind == trace.Test2 {
 			gap = r.cfg.Test2.Gap
 		}
-		if r.cfg.Checkpoint != nil {
-			// Journal after the sink (an aborted sink re-runs this test
-			// on resume) with the virtual instant the next step begins,
-			// so a resumed lane rebuilds its world exactly there.
-			if err := r.cfg.Checkpoint(tr, r.rt.Now().Add(gap)); err != nil {
-				return res, fmt.Errorf("checkpoint after %v #%d: %w", step.kind, step.index, err)
+		if r.cfg.Sink != nil {
+			// next is where the following step begins, so a resumed lane
+			// rebuilds its world exactly there.
+			if err := r.cfg.Sink(tr, r.rt.Now().Add(gap)); err != nil {
+				return res, fmt.Errorf("trace sink after %v #%d: %w", step.kind, step.index, err)
 			}
 		}
 		if r.cfg.DiscardTraces {
-			// Every sink has returned: the next test refills tr and
-			// carves its observed IDs where tr's were.
+			// The sink has returned: the next test refills tr and carves
+			// its observed IDs where tr's were.
 			r.spare = tr
 			for _, rec := range r.recs {
 				rec.ids = rec.block[rec.mark:]

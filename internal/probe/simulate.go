@@ -74,12 +74,6 @@ type SimulateOptions struct {
 	// matches (chaos.World.DiskPaths); sites not listed fall back to
 	// diskfault.Sites.
 	DiskPaths map[string]string
-	// Checkpoint, when set, receives each completed trace together with
-	// the virtual instant the next step begins and the resilience
-	// middleware's per-agent state at that boundary (nil when Retry and
-	// Breaker are both unset); the crash-safe resume path journals them.
-	// An error aborts the campaign.
-	Checkpoint func(tr *trace.TestTrace, next time.Time, res map[string]resilience.Snapshot) error
 	// Retry, when non-nil, wraps each agent's client in the resilience
 	// middleware with this policy. A zero Retry.Seed inherits the
 	// campaign Seed.
@@ -92,13 +86,11 @@ type SimulateOptions struct {
 	// snapshots its checkpoint recorded, so breaker health and retry
 	// counters continue exactly where the crashed run left them.
 	ResilienceRestore map[string]resilience.Snapshot
-	// Progress, when set, receives (completed, total) after every test.
-	Progress func(done, total int)
 	// DiscardTraces stops the runner from retaining traces in the
-	// returned Result; traces then flow only through the engine's sinks
-	// (EngineOptions.OnTrace, LaneSink), bounding a long campaign's memory
-	// by the lane, not the campaign, size. Each lane refills one trace
-	// test after test, so a sink's trace is valid only until it returns.
+	// returned Result; traces then flow only through EngineOptions.Sink,
+	// bounding a long campaign's memory by the lane, not the campaign,
+	// size. Each lane refills one trace test after test, so the sink's
+	// trace is valid only until it returns.
 	DiscardTraces bool
 	// Metrics, when non-nil, receives the campaign's telemetry: engine
 	// counters, resilience retries/backoffs/breaker transitions and
@@ -126,11 +118,17 @@ type simWorld struct {
 	runner *Runner
 }
 
-// buildWorld assembles a virtual-time world from opts (Start already
-// defaulted) whose runner hands each completed trace to sink. All
-// randomness inside the world derives from opts.Seed, so two worlds
+// laneSink is EngineOptions.Sink: it receives a lane's completed trace,
+// the virtual instant the lane's next step begins and its agents'
+// resilience-middleware state at that boundary (nil when Retry and
+// Breaker are both unset).
+type laneSink func(lane int, tr *trace.TestTrace, next time.Time, res map[string]resilience.Snapshot) error
+
+// buildWorld assembles lane's virtual-time world from opts (Start
+// already defaulted) whose runner hands each completed trace to sink.
+// All randomness inside the world derives from opts.Seed, so two worlds
 // built from equal options behave identically.
-func buildWorld(opts SimulateOptions, sink func(*trace.TestTrace) error) (*simWorld, error) {
+func buildWorld(opts SimulateOptions, lane int, sink laneSink) (*simWorld, error) {
 	prof, err := service.ProfileByName(opts.Service)
 	if err != nil {
 		return nil, err
@@ -180,7 +178,7 @@ func buildWorld(opts SimulateOptions, sink func(*trace.TestTrace) error) (*simWo
 	wrap := opts.Wrap
 	// resByAgent collects the per-agent resilience middlewares as the
 	// runner wraps its clients (sequentially, inside NewRunner), so the
-	// checkpoint path can export their state at test boundaries.
+	// sink can export their state at test boundaries.
 	var resByAgent map[string]*resilience.Service
 	if opts.Retry != nil || opts.Breaker != nil {
 		resByAgent = make(map[string]*resilience.Service)
@@ -236,12 +234,10 @@ func buildWorld(opts SimulateOptions, sink func(*trace.TestTrace) error) (*simWo
 		cfg.ClockSyncSamples = opts.SyncSamples
 	}
 	cfg.AlternateBlocks = opts.AlternateBlocks
-	// Progress is campaign-wide and reported by the engine, not per world.
-	cfg.TraceSink = sink
 	cfg.DiscardTraces = opts.DiscardTraces
 	cfg.Metrics = opts.Metrics.Sub("engine")
-	if ck := opts.Checkpoint; ck != nil {
-		cfg.Checkpoint = func(tr *trace.TestTrace, next time.Time) error {
+	if sink != nil {
+		cfg.Sink = func(tr *trace.TestTrace, next time.Time) error {
 			// Export the middleware state at this quiet boundary (the
 			// runner is between tests; nothing is in flight).
 			var res map[string]resilience.Snapshot
@@ -251,7 +247,7 @@ func buildWorld(opts SimulateOptions, sink func(*trace.TestTrace) error) (*simWo
 					res[label] = rs.Export()
 				}
 			}
-			return ck(tr, next, res)
+			return sink(lane, tr, next, res)
 		}
 	}
 	if !opts.Chaos.Empty() {

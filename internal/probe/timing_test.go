@@ -248,48 +248,22 @@ func TestAlternationFaultWindowStillByKindIndex(t *testing.T) {
 	}
 }
 
-func TestCampaignProgressCallback(t *testing.T) {
-	sim, r := strongNoDelayRunner(t, Config{
-		Test1: TestConfig{
-			ReadPeriod: 100 * time.Millisecond,
-			Timeout:    30 * time.Second,
-			Count:      2,
-		},
-		Test2: TestConfig{
-			ReadPeriod:    100 * time.Millisecond,
-			ReadsPerAgent: 3,
-			Count:         1,
-		},
-	})
-	var calls [][2]int
-	r.cfg.Progress = func(done, total int) { calls = append(calls, [2]int{done, total}) }
-	sim.Go(func() {
-		if _, err := r.RunCampaign(context.Background()); err != nil {
-			t.Error(err)
-		}
-	})
-	sim.Wait()
-	if len(calls) != 3 {
-		t.Fatalf("progress calls = %v", calls)
-	}
-	for i, c := range calls {
-		if c[0] != i+1 || c[1] != 3 {
-			t.Fatalf("call %d = %v", i, c)
-		}
-	}
-}
-
 func TestCampaignTraceSinkStreams(t *testing.T) {
 	sim, r := strongNoDelayRunner(t, Config{
 		Test1: TestConfig{
 			ReadPeriod: 100 * time.Millisecond,
 			Timeout:    30 * time.Second,
+			Gap:        time.Minute,
 			Count:      2,
 		},
 	})
 	var ids []int
-	r.cfg.TraceSink = func(tr *trace.TestTrace) error {
+	r.cfg.Sink = func(tr *trace.TestTrace, next time.Time) error {
 		ids = append(ids, tr.TestID)
+		// next is where the following step begins: one gap from now.
+		if want := sim.Now().Add(time.Minute); !next.Equal(want) {
+			t.Errorf("test %d: sink next = %v, want %v", tr.TestID, next, want)
+		}
 		return nil
 	}
 	sim.Go(func() {
@@ -312,7 +286,7 @@ func TestCampaignTraceSinkErrorAborts(t *testing.T) {
 		},
 	})
 	calls := 0
-	r.cfg.TraceSink = func(*trace.TestTrace) error {
+	r.cfg.Sink = func(*trace.TestTrace, time.Time) error {
 		calls++
 		if calls == 2 {
 			return errFlaky
