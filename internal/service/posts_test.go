@@ -9,7 +9,6 @@ import (
 	"unsafe"
 
 	"conprobe/internal/simnet"
-	"conprobe/internal/store"
 	"conprobe/internal/vtime"
 )
 
@@ -53,6 +52,9 @@ func span(ps []Post) (lo, hi uintptr) {
 func TestInterleavedReadsShareOneRendering(t *testing.T) {
 	s, svc := settledService(t, 5)
 	first := mustRead(t, s, svc, "agent1")
+	if rendering, err := svc.Cluster().Read(simnet.DCEast); err != nil || &rendering[0] != &first[0] {
+		t.Fatalf("a read is not the store's rendering (err %v)", err)
+	}
 	var held [][]Post
 	for i := 0; i < 3*postBlockSize/5; i++ { // what once took several blocks
 		held = append(held, mustRead(t, s, svc, "agent"+strconv.Itoa(1+i%2)))
@@ -93,8 +95,8 @@ func TestCallerCopiesBeforeItWrites(t *testing.T) {
 	before := slices.Clone(rendering)
 	a := mustRead(t, s, svc, "agent1")
 	b := mustRead(t, s, svc, "agent2")
-	if &a[0] != &b[0] {
-		t.Fatal("two settled reads do not share their posts; the test needs them to")
+	if &a[0] != &b[0] || &a[0] != &rendering[0] {
+		t.Fatal("two settled reads do not share the store's rendering; the test needs them to")
 	}
 
 	grown := append(a, Post{ID: "appended"})
@@ -125,37 +127,61 @@ func TestCallerCopiesBeforeItWrites(t *testing.T) {
 
 func TestLargeReadLeavesTheBlockAlone(t *testing.T) {
 	const large = postBlockSize/4 + 1
-	entries := make([]store.Entry, large)
-	for i := range entries {
-		entries[i].ID = "m" + strconv.Itoa(i)
-	}
 	var b postBlock
-	small := b.of(simnet.DCEast, entries[:2])
+	small := b.carve(2)
 	free := len(b.free)
-	big := b.of(simnet.DCEast, entries)
+	big := b.carve(large)
 	if len(b.free) != free {
-		t.Fatalf("a read of %d posts took %d from the block", large, free-len(b.free))
+		t.Fatalf("a copy of %d posts took %d from the block", large, free-len(b.free))
 	}
 	blockLo, _ := span(small)
 	blockHi := blockLo + postBlockSize*unsafe.Sizeof(Post{})
 	if lo, _ := span(big); lo >= blockLo && lo < blockHi {
-		t.Fatal("a large read was carved from the block and pins it")
+		t.Fatal("a large copy was carved from the block and pins it")
 	}
-	if len(big) != large || cap(big) != large || big[large-1].ID != entries[large-1].ID {
-		t.Fatalf("large read: len %d cap %d last %q", len(big), cap(big), big[large-1].ID)
+	if len(big) != large || cap(big) != large {
+		t.Fatalf("large copy: len %d cap %d", len(big), cap(big))
 	}
-	if at := b.of(simnet.DCEast, entries[:postBlockSize/4]); len(b.free) != free-postBlockSize/4 || len(at) != postBlockSize/4 {
-		t.Fatalf("a read at the threshold must be carved: %d left of %d", len(b.free), free)
+	if at := b.carve(postBlockSize / 4); len(b.free) != free-postBlockSize/4 || len(at) != postBlockSize/4 {
+		t.Fatalf("a copy at the threshold must be carved: %d left of %d", len(b.free), free)
 	}
 }
 
+// TestEmptyReadIsEmptyNotNil: an empty replica reads as a non-nil empty
+// slice, through the store and the service, before and after a Reset, and
+// so does an empty carve.
 func TestEmptyReadIsEmptyNotNil(t *testing.T) {
+	for _, name := range ProfileNames() {
+		p, err := ProfileByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, svc, _ := newService(t, p, 3)
+		for i := 0; i < 2; i++ { // a fresh store, then one Reset after a write
+			rendering, err := svc.Cluster().Read(p.Routing[simnet.Oregon])
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, got := range [][]Post{rendering, mustRead(t, s, svc, "agent1")} {
+				if got == nil || len(got) != 0 || cap(got) != 0 {
+					t.Fatalf("%s: empty read %d: %v (nil %v, cap %d)", name, i, got, got == nil, cap(got))
+				}
+			}
+			s.Go(func() {
+				if err := svc.Write(simnet.Oregon, Post{ID: "m1"}); err != nil {
+					t.Error(err)
+				}
+			})
+			s.Wait()
+			if err := svc.Reset(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
 	var b postBlock
 	for i := 0; i < 2; i++ { // before the first block and out of one
-		for _, got := range [][]Post{b.of(simnet.DCEast, nil), b.carveLocked(0)} {
-			if got == nil || len(got) != 0 || cap(got) != 0 {
-				t.Fatalf("empty read %d: %v (nil %v, cap %d)", i, got, got == nil, cap(got))
-			}
+		if got := b.carve(0); got == nil || len(got) != 0 || cap(got) != 0 {
+			t.Fatalf("empty carve %d: %v (nil %v, cap %d)", i, got, got == nil, cap(got))
 		}
 		b.free = b.free[len(b.free):]
 	}

@@ -2,7 +2,6 @@ package service
 
 import (
 	"hash/fnv"
-	"math/rand"
 	"sync"
 	"time"
 
@@ -32,26 +31,21 @@ type Selection struct {
 	TopK int
 }
 
-// selectionRands recycles generators between reads: a fresh source is
-// 5 KB, and Seed restarts one on exactly the stream a new source has.
-var selectionRands = sync.Pool{New: func() any { return rand.New(rand.NewSource(0)) }}
-
 // apply ranks one read's posts. They are the replica's shared rendering
 // (Service.Read), so apply never writes to them: it copies them, from b,
 // at its first drop or swap, and a read that changes nothing stays
 // shared. seed namespaces the service instance; reader and nonce make
 // each (reader, read) ranking distinct but deterministic for a campaign
-// seed.
+// seed: its draws are math/rand's for selectionSeed (selectionStream).
 func (sel *Selection) apply(posts []Post, b *postBlock, clock vtime.Clock, seed int64, reader string, nonce uint64) []Post {
 	if sel == nil {
 		return posts
 	}
 	// Seeded at the first draw: a read with no fresh entry never draws.
-	var rng *rand.Rand
+	var rng selectionStream
 	draw := func() float64 {
-		if rng == nil {
-			rng = selectionRands.Get().(*rand.Rand)
-			rng.Seed(selectionSeed(seed, reader, nonce))
+		if rng.x0 == 0 {
+			rng = newSelectionStream(selectionSeed(seed, reader, nonce))
 		}
 		return rng.Float64()
 	}
@@ -62,9 +56,7 @@ func (sel *Selection) apply(posts []Post, b *postBlock, clock vtime.Clock, seed 
 	out, shared := posts[:0], true
 	own := func(n int) {
 		if shared {
-			b.mu.Lock()
-			out, shared = append(b.carveLocked(n)[:0], out...), false
-			b.mu.Unlock()
+			out, shared = append(b.carve(n)[:0], out...), false
 		}
 	}
 	freshStart := -1
@@ -91,9 +83,6 @@ func (sel *Selection) apply(posts []Post, b *postBlock, clock vtime.Clock, seed 
 			}
 		}
 	}
-	if rng != nil {
-		selectionRands.Put(rng)
-	}
 	if sel.TopK > 0 && len(out) > sel.TopK {
 		out = out[:sel.TopK]
 	}
@@ -114,4 +103,33 @@ func selectionSeed(seed int64, reader string, nonce uint64) int64 {
 	}
 	_, _ = h.Write(buf[:])
 	return int64(h.Sum64())
+}
+
+// postBlock is where selections carve the posts they reorder or drop. A
+// carve's capacity is cut, so an append reallocates; readers keep what
+// they were given, so a used-up block is replaced, never reused.
+type postBlock struct {
+	mu   sync.Mutex // consvc and conload -inproc read concurrently
+	free []Post
+}
+
+// postBlockSize is how many posts are allocated at a time: a few tests'
+// worth of selection copies.
+const postBlockSize = 1024
+
+// carve takes the next n posts of the block. A long timeline gets a
+// slice of its own: carved, it would use up a block by itself and keep
+// other readers' posts alive with it.
+func (b *postBlock) carve(n int) []Post {
+	if n > postBlockSize/4 {
+		return make([]Post, n)
+	}
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.free == nil || n > len(b.free) {
+		b.free = make([]Post, postBlockSize)
+	}
+	posts := b.free[:n:n]
+	b.free = b.free[n:]
+	return posts
 }

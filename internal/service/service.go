@@ -13,28 +13,13 @@
 package service
 
 import (
-	"time"
-
 	"conprobe/internal/simnet"
+	"conprobe/internal/store"
 )
 
-// Post is one message as seen through a service API.
-type Post struct {
-	// ID is the client-assigned unique identifier.
-	ID string
-	// Author is the posting agent's label.
-	Author string
-	// Body is the message content.
-	Body string
-	// CreatedAt is the service-assigned creation stamp at the precision
-	// the service exposes.
-	CreatedAt time.Time
-	// DependsOn optionally names a post this one causally follows (the
-	// writer reacted to observing it). Services ignore it; the session
-	// middleware uses it to enforce Writes Follows Reads by delaying
-	// delivery of a post until its cause is visible.
-	DependsOn string
-}
+// Post is one message as seen through a service API. It is the store's
+// post, so a simulated read hands on the replica's rendering as it is.
+type Post = store.Post
 
 // Service is the API surface probed by agents: post a message, list the
 // current sequence of messages (Section IV: "the notion of a read or a
@@ -50,11 +35,13 @@ type Service interface {
 	// Read returns the sequence of posts currently observable by reader
 	// (an agent label) from the given location, in service order. The
 	// slice is read-only and may be shared: readers of an unchanged
-	// replica get the same one. Its spare capacity, if any, is the
-	// caller's alone (a Simulated result's length equals its capacity),
-	// so an append never reaches another reader's posts; a caller that
-	// reorders, drops or overwrites posts copies them first. Posts are
-	// values: nothing the service keeps changes with a copy.
+	// replica get the same one — on a Simulated service, the store's own
+	// rendering (store.Cluster.Read) unless a selection changed it. Its
+	// spare capacity, if any, is the caller's alone (a Simulated result's
+	// length equals its capacity), so an append never reaches another
+	// reader's posts; a caller that reorders, drops or overwrites posts
+	// copies them first. Posts are values: nothing the service keeps
+	// changes with a copy.
 	Read(from simnet.Site, reader string) ([]Post, error)
 
 	// Reset clears all service state; campaigns call it between tests. A

@@ -327,7 +327,7 @@ func TestReadFlapServesOtherReplica(t *testing.T) {
 }
 
 func TestSelectionShuffleAndDrop(t *testing.T) {
-	entries := []store.Entry{
+	entries := []Post{
 		{ID: "m1", CreatedAt: epoch},
 		{ID: "m2", CreatedAt: epoch},
 		{ID: "m3", CreatedAt: epoch},
@@ -359,7 +359,7 @@ func TestSelectionShuffleAndDrop(t *testing.T) {
 
 func TestSelectionStableForOldEntries(t *testing.T) {
 	old := epoch.Add(-time.Hour)
-	entries := []store.Entry{
+	entries := []Post{
 		{ID: "m1", CreatedAt: old},
 		{ID: "m2", CreatedAt: old},
 	}
@@ -374,7 +374,7 @@ func TestSelectionStableForOldEntries(t *testing.T) {
 }
 
 func TestSelectionDeterministicPerReadKey(t *testing.T) {
-	entries := []store.Entry{
+	entries := []Post{
 		{ID: "m1", CreatedAt: epoch}, {ID: "m2", CreatedAt: epoch},
 		{ID: "m3", CreatedAt: epoch}, {ID: "m4", CreatedAt: epoch},
 	}
@@ -393,7 +393,7 @@ func TestSelectionDeterministicPerReadKey(t *testing.T) {
 }
 
 func TestSelectionTopK(t *testing.T) {
-	entries := []store.Entry{
+	entries := []Post{
 		{ID: "m1", CreatedAt: epoch.Add(-time.Hour)},
 		{ID: "m2", CreatedAt: epoch.Add(-time.Hour)},
 		{ID: "m3", CreatedAt: epoch.Add(-time.Hour)},
@@ -405,14 +405,14 @@ func TestSelectionTopK(t *testing.T) {
 		t.Fatalf("TopK not applied: len %d cap %d", len(got), cap(got))
 	}
 	_ = append(got, Post{ID: "appended"}) // must not reach the shared m3
-	if ids := postIDs(testPosts.of("", entries)); !strEq(ids, []string{"m1", "m2", "m3"}) {
+	if ids := postIDs(entries); !strEq(ids, []string{"m1", "m2", "m3"}) {
 		t.Fatalf("appending to a TopK result changed the shared posts to %v", ids)
 	}
 }
 
 func TestNilSelectionIdentity(t *testing.T) {
 	var sel *Selection
-	entries := []store.Entry{{ID: "m1"}}
+	entries := []Post{{ID: "m1"}}
 	s := vtime.NewSim(epoch)
 	got := selected(sel, entries, s, 7, "r", 1)
 	if len(got) != 1 || got[0].ID != "m1" {

@@ -3,6 +3,7 @@ package service
 import (
 	"fmt"
 	"hash/fnv"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -77,6 +78,9 @@ type Simulated struct {
 
 	stripes [nonceStripes]nonceStripe
 	posts   postBlock
+	// others lists, per home data center, the replicas a flapped read
+	// may be served by, in Store.Sites order.
+	others map[simnet.Site][]simnet.Site
 }
 
 var _ Service = (*Simulated)(nil)
@@ -109,6 +113,10 @@ func NewSimulated(clock vtime.Clock, net *simnet.Network, p Profile, seed int64)
 		cluster: cluster,
 		profile: p,
 		seed:    seed,
+		others:  make(map[simnet.Site][]simnet.Site, len(p.Store.Sites)),
+	}
+	for _, home := range p.Store.Sites {
+		s.others[home] = slices.DeleteFunc(slices.Clone(p.Store.Sites), func(dc simnet.Site) bool { return dc == home })
 	}
 	for i := range s.stripes {
 		s.stripes[i].nonces = make(map[string]uint64)
@@ -206,78 +214,15 @@ func (s *Simulated) Read(from simnet.Site, reader string) ([]Post, error) {
 	if err := s.inbound(from, dc, k); err != nil {
 		return nil, err
 	}
-	entries, err := s.cluster.Read(dc)
+	posts, err := s.cluster.Read(dc)
 	if err != nil {
 		return nil, err
 	}
-	posts := s.profile.Selection.apply(s.posts.of(dc, entries), &s.posts, s.clock, s.seed, reader, nonce)
+	posts = s.profile.Selection.apply(posts, &s.posts, s.clock, s.seed, reader, nonce)
 	if err := s.travel(dc, from, k.Str("back")); err != nil {
 		return nil, err
 	}
 	return posts, nil
-}
-
-// postBlock is where reads get the posts they return: one shared
-// conversion of each replica's rendering, and the copies selection makes.
-// A carve's capacity is cut, so an append reallocates; readers keep what
-// they were given, so a used-up block is replaced, never reused.
-type postBlock struct {
-	mu   sync.Mutex // consvc and conload -inproc read concurrently
-	free []Post
-	last map[simnet.Site]converted
-}
-
-// converted is a data center's last rendering and its posts; holding the
-// rendering keeps its address, the cache key, from being reused.
-type converted struct {
-	entries []store.Entry
-	posts   []Post
-}
-
-// postBlockSize is how many posts are allocated at a time: a few tests'
-// worth (a simulated test reads about 220 posts, three to six a read).
-const postBlockSize = 1024
-
-// of returns the posts of dc's rendering entries, converted at its first
-// read and shared by every later one: the store never writes to a
-// rendering it has handed out (DESIGN §8), so its identity — the address
-// of its first entry and its length — stands for its content.
-func (b *postBlock) of(dc simnet.Site, entries []store.Entry) []Post {
-	if len(entries) == 0 {
-		return []Post{}
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if c := b.last[dc]; len(c.entries) == len(entries) && &c.entries[0] == &entries[0] {
-		return c.posts
-	}
-	posts := b.carveLocked(len(entries))
-	for i, e := range entries {
-		posts[i] = Post{
-			ID: e.ID, Author: e.Author, Body: e.Body,
-			CreatedAt: e.CreatedAt, DependsOn: e.DependsOn,
-		}
-	}
-	if b.last == nil {
-		b.last = make(map[simnet.Site]converted)
-	}
-	b.last[dc] = converted{entries, posts}
-	return posts
-}
-
-// carveLocked takes the next n posts of the block. A long timeline gets a
-// slice of its own: carved, it would use up a block by itself and keep
-// other readers' posts alive with it. Caller holds b.mu.
-func (b *postBlock) carveLocked(n int) []Post {
-	if n > postBlockSize/4 {
-		return make([]Post, n)
-	}
-	if b.free == nil || n > len(b.free) {
-		b.free = make([]Post, postBlockSize)
-	}
-	posts := b.free[:n:n]
-	b.free = b.free[n:]
-	return posts
 }
 
 // maybeFlap occasionally substitutes a different replica for the home
@@ -290,13 +235,7 @@ func (s *Simulated) maybeFlap(home simnet.Site, k detrand.Key) simnet.Site {
 	if k.Float64() >= p {
 		return home
 	}
-	sites := s.cluster.Sites()
-	others := sites[:0]
-	for _, site := range sites {
-		if site != home {
-			others = append(others, site)
-		}
-	}
+	others := s.others[home]
 	if len(others) == 0 {
 		return home
 	}

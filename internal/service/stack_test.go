@@ -15,7 +15,8 @@ import (
 )
 
 // freshSlices hands every read's posts on in a slice of their own, as
-// Simulated.Read allocated them before it carved them from a block.
+// Simulated.Read allocated them before it handed on the store's shared
+// rendering (store.Cluster.Read).
 type freshSlices struct{ service.Service }
 
 func (f freshSlices) Read(from simnet.Site, reader string) ([]service.Post, error) {
@@ -72,17 +73,17 @@ func stackReads(t *testing.T, base func(*service.Simulated) service.Service) [3]
 }
 
 func TestWrapperStackReadsAsWithFreshSlices(t *testing.T) {
-	carved := stackReads(t, func(s *service.Simulated) service.Service { return s })
+	shared := stackReads(t, func(s *service.Simulated) service.Service { return s })
 	fresh := stackReads(t, func(s *service.Simulated) service.Service { return freshSlices{s} })
 	truncatedOrMasked := false
 	for ag, want := range fresh {
-		got := carved[ag]
+		got := shared[ag]
 		if len(got) != len(want) || len(want) < 12 {
-			t.Fatalf("agent %d: %d reads over carved posts, %d over fresh slices", ag+1, len(got), len(want))
+			t.Fatalf("agent %d: %d reads over the store's renderings, %d over fresh slices", ag+1, len(got), len(want))
 		}
 		for i := range want {
 			if !slices.Equal(got[i], want[i]) {
-				t.Fatalf("agent %d read %d:\n carved %v\n  fresh %v", ag+1, i, got[i], want[i])
+				t.Fatalf("agent %d read %d:\n shared %v\n  fresh %v", ag+1, i, got[i], want[i])
 			}
 			if i > 0 && len(want[i]) != len(want[i-1]) {
 				truncatedOrMasked = true

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -87,18 +88,19 @@ func TestDurableReopenRoundtrip(t *testing.T) {
 	}
 	// ArrivalSeq must continue past recovered entries, not collide.
 	writeN(t, s2, c2, 10, 1)
-	var entries []Entry
-	s2.Go(func() { entries, _ = c2.Read(simnet.DCWest) })
-	s2.Wait()
+	r := c2.replicas[simnet.DCWest]
+	r.mu.Lock()
+	log := slices.Clone(r.log)
+	r.mu.Unlock()
 	seqs := map[uint64]bool{}
-	for _, e := range entries {
-		if seqs[e.ArrivalSeq] {
-			t.Fatalf("duplicate ArrivalSeq %d after recovery", e.ArrivalSeq)
+	for _, rec := range log {
+		if seqs[rec.e.ArrivalSeq] {
+			t.Fatalf("duplicate ArrivalSeq %d after recovery", rec.e.ArrivalSeq)
 		}
-		seqs[e.ArrivalSeq] = true
+		seqs[rec.e.ArrivalSeq] = true
 	}
-	if len(entries) != 11 {
-		t.Fatalf("post-recovery read has %d entries, want 11", len(entries))
+	if len(log) != 11 {
+		t.Fatalf("post-recovery log has %d entries, want 11", len(log))
 	}
 }
 

@@ -43,8 +43,27 @@ import (
 	"conprobe/internal/vtime"
 )
 
-// Entry is one stored post. The slices of entries Read returns are shared
-// between readers: treat them, and the entries in them, as read-only.
+// Post is one message as a read renders it: what a service API shows of
+// an entry. The slices of posts Read returns are shared between readers:
+// treat them, and the posts in them, as read-only.
+type Post struct {
+	// ID is the client-assigned unique identifier.
+	ID string
+	// Author is the posting agent's label.
+	Author string
+	// Body is the message content.
+	Body string
+	// CreatedAt is the service-assigned creation stamp at the precision
+	// the service exposes.
+	CreatedAt time.Time
+	// DependsOn optionally names a post this one causally follows (the
+	// writer reacted to observing it). Services ignore it; the session
+	// middleware uses it to enforce Writes Follows Reads by delaying
+	// delivery of a post until its cause is visible.
+	DependsOn string
+}
+
+// Entry is one stored post.
 type Entry struct {
 	// ID is the caller-assigned unique identifier of the post.
 	ID string
@@ -67,6 +86,11 @@ type Entry struct {
 	// epoch is the Reset generation the entry belongs to; deliveries from
 	// earlier generations are dropped.
 	epoch uint64
+}
+
+// post is what a read shows of e.
+func (e Entry) post() Post {
+	return Post{ID: e.ID, Author: e.Author, Body: e.Body, CreatedAt: e.CreatedAt, DependsOn: e.DependsOn}
 }
 
 // Mode selects the replication protocol.
@@ -252,7 +276,7 @@ type replica struct {
 	// view is the timeline reads share: sorted[:viewK], then every other
 	// entry in arrival order. Rendered by the first read that needs it and
 	// never written again; apply and Reset drop it rather than touch it.
-	view  []Entry
+	view  []Post
 	viewK int
 }
 
@@ -498,12 +522,14 @@ func (c *Cluster) AppliedAt(dc simnet.Site, id string) (at time.Time, ok bool) {
 	return at, ok
 }
 
-// Read returns dc's log in the cluster's read-time order. The slice is
-// the replica's shared rendering, not a copy — every read returns the same
-// backing array until an apply, a Reset or (under OrderHybrid) the
-// normalize cutoff passing another entry — so callers must not write to
-// it. The store never writes to a rendering it has handed out either.
-func (c *Cluster) Read(dc simnet.Site) ([]Entry, error) {
+// Read returns the posts of dc's log in the cluster's read-time order.
+// The slice is the replica's shared rendering, not a copy — every read
+// returns the same backing array until an apply, a Reset or (under
+// OrderHybrid) the normalize cutoff passing another entry — so callers
+// must not write to it; its length is its capacity, so an append
+// reallocates. The store never writes to a rendering it has handed out
+// either. An empty replica renders as a non-nil empty slice.
+func (c *Cluster) Read(dc simnet.Site) ([]Post, error) {
 	r, ok := c.replicas[dc]
 	if !ok {
 		return nil, fmt.Errorf("store: no replica at %s", dc)
@@ -528,12 +554,17 @@ func (c *Cluster) Read(dc simnet.Site) ([]Entry, error) {
 // render builds the timeline showing sorted[:k] and then the rest of the
 // log in arrival order. The policy order is strict (ArrivalSeq is unique),
 // so an entry is outside that prefix exactly when it sorts after the
-// prefix's last: the timeline depends on (log, k) alone. Caller holds r.mu.
-func (r *replica) render(k int, p TimestampPolicy) []Entry {
-	out := append(make([]Entry, 0, len(r.log)), r.sorted[:k]...)
+// prefix's last: the timeline depends on (log, k) alone. Every entry is
+// shown once, so the result is exactly as long as its capacity. Caller
+// holds r.mu.
+func (r *replica) render(k int, p TimestampPolicy) []Post {
+	out := make([]Post, 0, len(r.log))
+	for _, e := range r.sorted[:k] {
+		out = append(out, e.post())
+	}
 	for _, rec := range r.log {
 		if k == 0 || p.less(r.sorted[k-1], rec.e) {
-			out = append(out, rec.e)
+			out = append(out, rec.e.post())
 		}
 	}
 	return out

@@ -24,10 +24,10 @@ func newSimCluster(t *testing.T, cfg Config) (*vtime.Sim, *Cluster, *simnet.Netw
 	return s, c, net
 }
 
-func idsOf(entries []Entry) []string {
-	out := make([]string, len(entries))
-	for i, e := range entries {
-		out[i] = e.ID
+func idsOf(posts []Post) []string {
+	out := make([]string, len(posts))
+	for i, p := range posts {
+		out[i] = p.ID
 	}
 	return out
 }
@@ -297,7 +297,7 @@ func TestReadSharesRenderingUntilApply(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	read := func() []Entry {
+	read := func() []Post {
 		t.Helper()
 		got, err := c.Read(site)
 		if err != nil {
@@ -352,7 +352,7 @@ func TestReadSharesRenderingUntilApply(t *testing.T) {
 			}
 		}
 	}()
-	var held, heldWas []Entry
+	var held, heldWas []Post
 	for i := 0; i < 500; i++ {
 		got := read()
 		if !slices.Equal(held, heldWas) {
@@ -361,6 +361,49 @@ func TestReadSharesRenderingUntilApply(t *testing.T) {
 		held, heldWas = got, slices.Clone(got)
 	}
 	wg.Wait()
+}
+
+// TestHeldReadNeverChanges holds every read of a hybrid-ordered eventual
+// cluster while writes are applied and delivered, the normalize cutoff
+// passes entries and a Reset clears the replicas: a read is the replica's
+// rendering itself, so no element of any slice handed out may change.
+func TestHeldReadNeverChanges(t *testing.T) {
+	sites := []simnet.Site{simnet.DCWest, simnet.DCEast}
+	s, c, _ := newSimCluster(t, Config{
+		Mode: Eventual, Sites: sites, Order: OrderHybrid, NormalizeAfter: time.Second,
+		PropagationJitter: 300 * time.Millisecond,
+	})
+	type held struct{ got, was []Post }
+	var kept []held
+	s.Go(func() {
+		for i := 0; i < 40; i++ {
+			if i == 25 {
+				c.Reset()
+			}
+			if _, err := c.Write(sites[i%2], fmt.Sprintf("m%d", i), "a", "body"); err != nil {
+				t.Error(err)
+				return
+			}
+			for _, site := range sites {
+				got, err := c.Read(site)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				kept = append(kept, held{got, slices.Clone(got)})
+			}
+			s.Sleep(150 * time.Millisecond)
+		}
+	})
+	s.Wait()
+	for i, h := range kept {
+		if !slices.Equal(h.got, h.was) {
+			t.Fatalf("held read %d changed: %v, was %v", i, idsOf(h.got), idsOf(h.was))
+		}
+	}
+	if last := kept[len(kept)-1].got; len(last) == 0 || len(last) > 15 {
+		t.Fatalf("last read holds %d posts: the writes or the Reset did not take", len(last))
+	}
 }
 
 func TestAccessors(t *testing.T) {

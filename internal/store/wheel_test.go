@@ -18,9 +18,10 @@ import (
 // referenceRead renders dc's timeline from the replica's log alone,
 // trusting neither its stored order nor the cached renderings: copy the
 // log, re-sort by (apply time, ArrivalSeq), then sort by policy or
-// partition at the normalize cutoff as the read order asks. It is the
-// oracle every cached or incremental path is compared against.
-func referenceRead(c *Cluster, dc simnet.Site) []Entry {
+// partition at the normalize cutoff as the read order asks, then show
+// each entry's post. It is the oracle every cached or incremental path
+// is compared against.
+func referenceRead(c *Cluster, dc simnet.Site) []Post {
 	r := c.replicas[dc]
 	r.mu.Lock()
 	recs := slices.Clone(r.log)
@@ -42,11 +43,15 @@ func referenceRead(c *Cluster, dc simnet.Site) []Entry {
 		}
 	}
 	sort.SliceStable(head, func(i, j int) bool { return c.cfg.Policy.less(head[i], head[j]) })
-	return append(head, fresh...)
+	posts := make([]Post, 0, len(recs))
+	for _, e := range append(head, fresh...) {
+		posts = append(posts, Post{ID: e.ID, Author: e.Author, Body: e.Body, CreatedAt: e.CreatedAt, DependsOn: e.DependsOn})
+	}
+	return posts
 }
 
 // readChecked is c.Read held against referenceRead.
-func readChecked(t *testing.T, c *Cluster, dc simnet.Site) []Entry {
+func readChecked(t *testing.T, c *Cluster, dc simnet.Site) []Post {
 	t.Helper()
 	got, err := c.Read(dc)
 	if err != nil {

@@ -28,18 +28,25 @@ go test -run '^$' -bench 'StoreReadCached' -benchtime 2000x -benchmem ./internal
 
 # What one simulated read costs: a 30-post Facebook Feed timeline. It
 # allocates no object, and its bytes are the copies a selection makes of
-# timelines with fresh posts to rank (about 570 B/op; about 2,800 while
-# every read copied the timeline, its posts carved from a block so that
-# no object counter saw them). Readers of a settled replica share one
-# rendering and copy nothing.
-echo "== simulated read (one 30-post fbfeed read, interest-ranked)"
+# timelines with fresh posts to rank (about 2.1 µs and 450 B/op on a
+# 2-core VM; 4.3 µs and 570 B/op while each ranked read seeded all of a
+# math/rand source and each rendering was converted once more, about
+# 2,800 B/op while every read copied the timeline). Readers of a settled
+# replica share the store's rendering and copy nothing. The selection
+# stream line is what a ranked read pays for randomness: one seed and
+# five draws of math/rand's stream, computed on demand (0.12–0.2 µs and
+# 0 allocs/op; about 14 µs while Seed filled all 607 words).
+echo "== simulated read (one 30-post fbfeed read, interest-ranked; one selection seed and five draws)"
 go test -run '^$' -bench 'SelectionApply$' -benchtime 2000x -benchmem . |
   awk '/^BenchmarkSelectionApply/ { print "simulated read (fbfeed, 30 posts): " $3 " ns/op, " $5 " B/op, " $7 " allocs/op" }'
+go test -run '^$' -bench 'SelectionStream$' -benchtime 20000x -benchmem ./internal/service |
+  awk '/^BenchmarkSelectionStream/ { print "selection stream: " $3 " ns/op, " $7 " allocs/op" }'
 
 # What one simulated test costs in a streaming campaign: the marginal
 # objects and bytes between a 64- and a 128-test four-profile Run with
-# traces discarded (TestCampaignTestAllocBudget; about 27.5 objects and
-# 4.6 KB, about 35 and 15 KB while each test allocated its trace).
+# traces discarded (TestCampaignTestAllocBudget; about 27.2 objects and
+# 3.8 KB, 4.6 KB while each rendering was converted once more, about 35
+# and 15 KB while each test allocated its trace).
 echo "== campaign test (marginal objects and KB per test, 4 profiles, traces discarded)"
 go test -count=1 -run 'TestCampaignTestAllocBudget$' -v . |
   awk '/objects per simulated test/ { n = $2 } /KB per simulated test/ { k = $2 }
