@@ -477,6 +477,29 @@ func BenchmarkCheckTest(b *testing.B) {
 	}
 }
 
+// BenchmarkCheckTestReusedIndex runs the same battery through one index
+// Reset per trace, as every analysis.Aggregator does: 0 allocs/op, where
+// BenchmarkCheckTest's bytes are a fresh index's warm-up.
+func BenchmarkCheckTestReusedIndex(b *testing.B) {
+	tr := benchTest2Trace(b)
+	var ix core.Index
+	check := func() (n int) {
+		ix.Reset(tr)
+		for a := core.ReadYourWrites; a <= core.OrderDivergence; a++ {
+			n += len(ix.Check(a))
+		}
+		return n
+	}
+	if check() == 0 {
+		b.Fatal("fixture shows no anomaly")
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		check()
+	}
+}
+
 // BenchmarkDivergenceWindows measures the timeline-scan window
 // computation on the same trace.
 func BenchmarkDivergenceWindows(b *testing.B) {

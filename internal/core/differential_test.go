@@ -49,6 +49,51 @@ func randomTrace(r *rand.Rand) *trace.TestTrace {
 	return tr
 }
 
+// stickyTrace draws a trace whose agents mostly re-read what they read
+// last, as the paper's agents do while nothing changes: a read repeats
+// its agent's previous sequence with probability 3/4, and otherwise
+// returns a fresh one or the one before last (A-B-A). Invocations tie,
+// reads overlap so that completion order is not invocation order, clock
+// deltas reorder the agents against each other, and strays read too.
+func stickyTrace(r *rand.Rand) *trace.TestTrace {
+	agents := 2 + r.Intn(3)
+	tr := &trace.TestTrace{
+		TestID: 1, Kind: trace.Test2, Service: "sticky", Started: base, Agents: agents,
+		Deltas: map[trace.AgentID]time.Duration{},
+	}
+	id := func() trace.WriteID { return trace.WriteID(fmt.Sprintf("m%d", r.Intn(5))) }
+	for ag := 1; ag <= agents; ag++ {
+		tr.Deltas[trace.AgentID(ag)] = time.Duration(r.Intn(5)-2) * 100 * time.Millisecond
+		tr.Writes = append(tr.Writes, trace.Write{ID: id(), Agent: trace.AgentID(ag), Seq: 1, Invoked: at(0), Returned: at(40)})
+	}
+	type history struct {
+		next       int             // the next invocation, ms
+		last, prev []trace.WriteID // the latest sequence and the one before
+	}
+	hist := make([]history, agents+2) // 0 and agents+1 are strays
+	for n := r.Intn(90); n > 0; n-- {
+		ag := r.Intn(agents + 2)
+		h := &hist[ag]
+		switch r.Intn(8) {
+		case 0: // a fresh sequence
+			var obs []trace.WriteID
+			for k := r.Intn(5); k > 0; k-- {
+				obs = append(obs, id())
+			}
+			h.last, h.prev = obs, h.last
+		case 1: // back to the one before last
+			h.last, h.prev = h.prev, h.last
+		}
+		tr.Reads = append(tr.Reads, trace.Read{
+			Agent: trace.AgentID(ag), Invoked: at(h.next), Returned: at(h.next + r.Intn(4)*50),
+			Observed: slices.Clone(h.last),
+		})
+		h.next += r.Intn(3) * 50
+	}
+	r.Shuffle(len(tr.Reads), func(i, j int) { tr.Reads[i], tr.Reads[j] = tr.Reads[j], tr.Reads[i] })
+	return tr
+}
+
 // same is slices.Equal that also tells nil from empty, as a DeepEqual or
 // JSON consumer of the checkers' results would.
 func same[T comparable](a, b []T) bool {
@@ -153,6 +198,21 @@ func TestIndexMatchesReferenceOnRandomTraces(t *testing.T) {
 	r := rand.New(rand.NewSource(18))
 	for n := 0; n < 3000; n++ {
 		requireMatchesReference(t, randomTrace(r))
+	}
+}
+
+// TestIndexMatchesReferenceOnStickyTraces holds the runs of repeated
+// timelines, which the divergence passes decide once, to the oracle,
+// which decides every read: through fresh indexes and one kept across
+// traces, windows before and after checks.
+func TestIndexMatchesReferenceOnStickyTraces(t *testing.T) {
+	r := rand.New(rand.NewSource(39))
+	var ix Index
+	for n := 0; n < 500; n++ {
+		tr := stickyTrace(r)
+		requireMatchesReference(t, tr)
+		requireIndexMatchesReference(t, NewIndex(tr), tr, true)
+		requireIndexMatchesReference(t, ix.Reset(tr), tr, n%2 == 0)
 	}
 }
 

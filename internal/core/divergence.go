@@ -110,16 +110,31 @@ func CheckOrderDivergence(tr *trace.TestTrace) []Violation {
 }
 
 // divergence returns one violation per read of each pair's first agent
-// that diverges from some read of the second, the earliest such read.
+// that diverges from some read of the second, the earliest such read. A
+// read in the run of the read before it has that read's outcome, and only
+// the first read of each of B's runs is worth deciding.
 func (ix *Index) divergence(kind Anomaly) {
 	for i, ra := range ix.agents {
 		for _, rb := range ix.agents[i+1:] {
 			if ra.id < 1 || int(rb.id) > ix.tr.Agents {
 				continue // a stray reader, not one of the test's pairs
 			}
+			hit := false // whether the read before diverged
 			for i, r := range ra.reads {
-				for _, o := range rb.reads {
-					w := ix.k.diverged(r.seq, o.seq)
+				if i > 0 && r.run == ra.reads[i-1].run {
+					if hit {
+						v := ix.violations[len(ix.violations)-1]
+						v.ReadIndex = i
+						ix.violations = append(ix.violations, v)
+					}
+					continue
+				}
+				hit = false
+				for j, o := range rb.reads {
+					if j > 0 && o.run == rb.reads[j-1].run {
+						continue
+					}
+					w := ix.k.diverged(ix.seq(r), ix.seq(o))
 					if !w.holds(kind) {
 						continue
 					}
@@ -129,6 +144,7 @@ func (ix *Index) divergence(kind Anomaly) {
 					}
 					// Room for the rest of A's reads: at most one each.
 					ix.violations = append(slices.Grow(ix.violations, len(ra.reads)-i), v)
+					hit = true
 					break
 				}
 			}
@@ -182,7 +198,7 @@ func (ix *Index) Windows(kind Anomaly) []WindowResult {
 			av := &ix.agents[i]
 			av.byReturn, ev = ev[:len(av.reads)], ev[len(av.reads):]
 			for j, r := range av.reads {
-				av.byReturn[j] = event{at: tr.Corrected(av.id, r.r.Returned), seq: r.seq}
+				av.byReturn[j] = event{at: tr.Corrected(av.id, r.r.Returned), run: r.run}
 			}
 			slices.SortStableFunc(av.byReturn, func(x, y event) int { return x.at.Compare(y.at) })
 		}
@@ -193,8 +209,11 @@ func (ix *Index) Windows(kind Anomaly) []WindowResult {
 	for _, p := range ix.pairs {
 		res := WindowResult{Pair: p, Converged: true}
 		var (
-			lastA, lastB  []int32
-			haveA, haveB  bool
+			// The runs of the pair's latest reads, and those cond was
+			// decided for; -1 for none.
+			lastA, lastB  int32 = -1, -1
+			condA, condB  int32 = -1, -1
+			cond          bool
 			inWindow      bool
 			windowStart   time.Time
 			lastEventTime time.Time
@@ -217,13 +236,16 @@ func (ix *Index) Windows(kind Anomaly) []WindowResult {
 			var ev event
 			if len(eb) == 0 || len(ea) > 0 && !eb[0].at.Before(ea[0].at) {
 				ev, ea = ea[0], ea[1:]
-				lastA, haveA = ev.seq, true
+				lastA = ev.run
 			} else {
 				ev, eb = eb[0], eb[1:]
-				lastB, haveB = ev.seq, true
+				lastB = ev.run
 			}
 			lastEventTime = ev.at
-			cond := haveA && haveB && ix.k.diverged(lastA, lastB).holds(kind)
+			if lastA >= 0 && lastB >= 0 && (lastA != condA || lastB != condB) {
+				cond = ix.k.diverged(ix.seq(ix.reads[lastA]), ix.seq(ix.reads[lastB])).holds(kind)
+				condA, condB = lastA, lastB
+			}
 			switch {
 			case cond && !inWindow:
 				inWindow = true

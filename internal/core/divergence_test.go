@@ -427,3 +427,45 @@ func TestCheckTestToleratesAnyDeclaredAgentCount(t *testing.T) {
 		t.Fatalf("with %d agents declared: got %v, want %v", tr.Agents, got, want)
 	}
 }
+
+// TestDivergenceDecidesEachPairOfTimelinesOnce pins the work, not the
+// output: on a Test 2 whose agents show k distinct consecutive timelines
+// over 45 reads each, a divergence check decides at most k_A·k_B pairs of
+// sequences per pair of agents and a window scan at most k_A+k_B, where
+// deciding every pair of reads took up to 45·45 and 90.
+func TestDivergenceDecidesEachPairOfTimelinesOnce(t *testing.T) {
+	full := test2Fixture(45)
+	timelines := func(ag trace.AgentID) int {
+		k := 0
+		var last []trace.WriteID
+		for _, r := range full.Reads { // in invocation order
+			if r.Agent == ag && (k == 0 || !slices.Equal(r.Observed, last)) {
+				k, last = k+1, r.Observed
+			}
+		}
+		return k
+	}
+	for _, p := range []Pair{{1, 2}, {1, 3}, {2, 3}} {
+		tr := *full
+		tr.Reads = slices.DeleteFunc(slices.Clone(full.Reads), func(r trace.Read) bool {
+			return r.Agent != p.A && r.Agent != p.B
+		})
+		kA, kB := timelines(p.A), timelines(p.B)
+		if kA*kB >= 45 {
+			t.Fatalf("pair %v shows %d × %d timelines, too many to tell", p, kA, kB)
+		}
+		ix := NewIndex(&tr)
+		for _, a := range DivergenceAnomalies() {
+			ix.k.evals = 0
+			ix.Check(a)
+			if ix.k.evals > kA*kB {
+				t.Errorf("pair %v: Check(%v) decided %d pairs of sequences, want at most %d × %d", p, a, ix.k.evals, kA, kB)
+			}
+			ix.k.evals = 0
+			ix.Windows(a)
+			if ix.k.evals > kA+kB {
+				t.Errorf("pair %v: Windows(%v) decided %d pairs of sequences, want at most %d + %d", p, a, ix.k.evals, kA, kB)
+			}
+		}
+	}
+}

@@ -90,6 +90,26 @@ func FuzzCheckTest(f *testing.F) {
 		`"reads":[{"agent":1,"observed":["a","b","a"]},{"agent":2,"observed":["b","a","b"]},` +
 		`{"agent":7,"observed":["b"]},{"agent":2,"observed":["c"]},{"agent":1,"observed":["b"]}]}`))
 
+	// Agents re-reading their last timeline, the runs the divergence
+	// passes decide once: tied invocations, a read that returns before
+	// the one issued ahead of it, a clock delta that reorders the agents,
+	// an A-B-A return and a third agent reading between two of a run.
+	f.Add([]byte(`{"kind":2,"agents":3,"deltas_ns":{"2":-30000000},` +
+		`"reads":[` +
+		`{"agent":1,"invoked":"2026-01-01T00:00:00Z","returned":"2026-01-01T00:00:00.05Z","observed":["a","b"]},` +
+		`{"agent":1,"invoked":"2026-01-01T00:00:00Z","returned":"2026-01-01T00:00:00.02Z","observed":["a","b"]},` +
+		`{"agent":2,"invoked":"2026-01-01T00:00:00Z","returned":"2026-01-01T00:00:00.05Z","observed":["b","a"]},` +
+		`{"agent":3,"invoked":"2026-01-01T00:00:00.01Z","returned":"2026-01-01T00:00:00.01Z","observed":["c"]},` +
+		`{"agent":2,"invoked":"2026-01-01T00:00:00.01Z","returned":"2026-01-01T00:00:00.09Z","observed":["b","a"]},` +
+		`{"agent":1,"invoked":"2026-01-01T00:00:00.06Z","returned":"2026-01-01T00:00:00.07Z","observed":["a"]},` +
+		`{"agent":2,"invoked":"2026-01-01T00:00:00.06Z","returned":"2026-01-01T00:00:00.06Z","observed":["a","b"]},` +
+		`{"agent":1,"invoked":"2026-01-01T00:00:00.08Z","returned":"2026-01-01T00:00:00.08Z","observed":["a","b"]},` +
+		`{"agent":2,"invoked":"2026-01-01T00:00:00.09Z","returned":"2026-01-01T00:00:00.1Z","observed":["b","a"]}]}`))
+	f.Add([]byte(`{"kind":2,"agents":3,` +
+		`"reads":[{"agent":1,"observed":["x"]},{"agent":1,"observed":["x"]},{"agent":1,"observed":["x"]},` +
+		`{"agent":2,"observed":["y"]},{"agent":2,"observed":["y"]},{"agent":3,"observed":[]},` +
+		`{"agent":3,"observed":[]},{"agent":2,"observed":["x","y"]},{"agent":2,"observed":["y"]}]}`))
+
 	// Declared counts no test has: the checkers go by the agents that read.
 	f.Add([]byte(`{"kind":2,"agents":9223372036854775807,` +
 		`"reads":[{"agent":1,"observed":["a","b"]},{"agent":2,"observed":["b","a"]}]}`))

@@ -18,8 +18,8 @@ type Index struct {
 	tr  *trace.TestTrace
 	ids interner
 	// agents lists every agent with a read, ascending (in agentBuf up to
-	// four; the paper's tests have three). An agent's reads are a run of
-	// reads, sorted by (agent, invocation); their sequences, runs of flat.
+	// four; the paper's tests have three). An agent's reads are a stretch
+	// of reads, sorted by (agent, invocation); each one's sequence, of flat.
 	agents   []agentView
 	agentBuf [4]agentView
 	reads    []readView
@@ -29,7 +29,7 @@ type Index struct {
 	writes, deps []writeView
 	k            kernel
 
-	// pairs and events (of which each agent's byReturn is a run) are filled
+	// pairs and events (of which each agent's byReturn is a stretch) are filled
 	// by the trace's first window scan; seen and order are monotonicReads'
 	// scratch; what Check and Windows return is appended to the last two.
 	pairs      []Pair
@@ -48,9 +48,13 @@ type agentView struct {
 	byReturn []event
 }
 
+// readView is a read and its interned Observed, flat[off:end]. run is the
+// index in Index.reads of the first of the agent's consecutive reads that
+// returned the same sequence: reads of one run have the same verdict
+// against any sequence, so the divergence passes decide it once.
 type readView struct {
-	r   *trace.Read
-	seq []int32 // Observed, interned
+	r             *trace.Read
+	off, end, run int32
 }
 
 type writeView struct {
@@ -60,7 +64,7 @@ type writeView struct {
 
 type event struct {
 	at  time.Time
-	seq []int32
+	run int32
 }
 
 // NewIndex prepares tr for checking. The index reads tr but never
@@ -84,7 +88,6 @@ func (ix *Index) Reset(tr *trace.TestTrace) *Index {
 	for i := range tr.Reads {
 		observed += len(tr.Reads[i].Observed)
 	}
-	// Grown to its full size first: the reads keep sub-slices of it.
 	flat := slices.Grow(ix.flat[:0], observed)
 	reads := slices.Grow(ix.reads[:0], len(tr.Reads))
 	for i := range tr.Reads {
@@ -93,7 +96,7 @@ func (ix *Index) Reset(tr *trace.TestTrace) *Index {
 		for _, id := range r.Observed {
 			flat = append(flat, ix.ids.intern(id))
 		}
-		reads = append(reads, readView{r: r, seq: flat[start:]})
+		reads = append(reads, readView{r: r, off: int32(start), end: int32(len(flat))})
 	}
 	ix.flat, ix.reads = flat, reads
 	slices.SortStableFunc(reads, func(a, b readView) int {
@@ -102,6 +105,12 @@ func (ix *Index) Reset(tr *trace.TestTrace) *Index {
 		}
 		return trace.CompareReads(a.r, b.r)
 	})
+	for i := range reads {
+		reads[i].run = int32(i)
+		if i > 0 && reads[i].r.Agent == reads[i-1].r.Agent && slices.Equal(ix.seq(reads[i]), ix.seq(reads[i-1])) {
+			reads[i].run = reads[i-1].run
+		}
+	}
 
 	ix.writes, ix.deps = slices.Grow(ix.writes[:0], len(tr.Writes)), slices.Grow(ix.deps[:0], len(tr.Writes))
 	for i := range tr.Writes {
@@ -121,7 +130,7 @@ func (ix *Index) Reset(tr *trace.TestTrace) *Index {
 	})
 	ix.k.grow(len(ix.ids.list))
 
-	// Cut the sorted reads into per-agent runs.
+	// Cut the sorted reads into per-agent stretches.
 	ix.agents = ix.agentBuf[:0]
 	for len(reads) > 0 {
 		n := 1
@@ -133,6 +142,9 @@ func (ix *Index) Reset(tr *trace.TestTrace) *Index {
 	}
 	return ix
 }
+
+// seq returns r's interned Observed.
+func (ix *Index) seq(r readView) []int32 { return ix.flat[r.off:r.end] }
 
 // agent returns the view of agent id, empty if the agent never read.
 func (ix *Index) agent(id trace.AgentID) agentView {
@@ -182,6 +194,7 @@ func (v verdict) holds(a Anomaly) bool {
 type kernel struct {
 	cells []cell
 	epoch uint32
+	evals int // calls to diverged, for tests that pin the work
 }
 
 type cell struct {
@@ -221,6 +234,7 @@ func (k *kernel) at(id int32) (int32, bool) { return k.cells[id].pos, k.cells[id
 // searched only when one exists.
 func (k *kernel) diverged(s1, s2 []int32) verdict {
 	var v verdict
+	k.evals++
 	k.mark(s2)
 	onlyIn1, highest := false, int32(-1)
 	for _, id := range s1 {

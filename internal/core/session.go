@@ -24,13 +24,14 @@ func CheckReadYourWrites(tr *trace.TestTrace) []Violation {
 func (ix *Index) readYourWrites() {
 	for _, av := range ix.agents {
 		for ri, r := range av.reads {
+			seq := ix.seq(r)
 			for _, w := range ix.writes {
 				// Only the agent's own writes, acknowledged before the
 				// read was issued, are required to be visible.
 				if w.w.Agent != av.id || w.w.Returned.After(r.r.Invoked) {
 					continue
 				}
-				if !slices.Contains(r.seq, w.id) {
+				if !slices.Contains(seq, w.id) {
 					ix.violations = append(ix.violations, Violation{
 						Anomaly:   ReadYourWrites,
 						Agent:     av.id,
@@ -58,14 +59,15 @@ func (ix *Index) monotonicWrites() {
 	ws := ix.writes
 	for _, av := range ix.agents {
 		for ri, r := range av.reads {
+			seq := ix.seq(r)
 			for i := range ws {
 				// Every later write of the same writer.
 				for j := i + 1; j < len(ws) && ws[j].w.Agent == ws[i].w.Agent; j++ {
-					py := slices.Index(r.seq, ws[j].id)
+					py := slices.Index(seq, ws[j].id)
 					if py < 0 {
 						continue // y not visible: no constraint
 					}
-					px := slices.Index(r.seq, ws[i].id)
+					px := slices.Index(seq, ws[i].id)
 					if px < 0 || py < px {
 						ix.violations = append(ix.violations, Violation{
 							Anomaly:   MonotonicWrites,
@@ -101,8 +103,9 @@ func (ix *Index) monotonicReads() {
 		clear(ix.seen)
 		ix.order = ix.order[:0] // seen, by first observation
 		for ri, r := range av.reads {
+			seq := ix.seq(r)
 			for _, id := range ix.order {
-				if !slices.Contains(r.seq, id) {
+				if !slices.Contains(seq, id) {
 					ix.violations = append(ix.violations, Violation{
 						Anomaly:   MonotonicReads,
 						Agent:     av.id,
@@ -111,7 +114,7 @@ func (ix *Index) monotonicReads() {
 					})
 				}
 			}
-			for _, id := range r.seq {
+			for _, id := range seq {
 				if !ix.seen[id] {
 					ix.seen[id] = true
 					ix.order = append(ix.order, id)
@@ -138,8 +141,9 @@ func CheckWritesFollowsReads(tr *trace.TestTrace) []Violation {
 func (ix *Index) writesFollowsReads() {
 	for _, av := range ix.agents {
 		for ri, r := range av.reads {
+			seq := ix.seq(r)
 			for _, w := range ix.deps {
-				if slices.Contains(r.seq, w.id) && !slices.Contains(r.seq, w.trigger) {
+				if slices.Contains(seq, w.id) && !slices.Contains(seq, w.trigger) {
 					ix.violations = append(ix.violations, Violation{
 						Anomaly:   WritesFollowsReads,
 						Agent:     av.id,

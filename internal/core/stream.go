@@ -145,23 +145,28 @@ func (s *Stream) ObserveRead(r trace.Read) []Violation {
 	}
 
 	// Divergence against every other agent's latest read,
-	// edge-triggered.
+	// edge-triggered. As in the batch checkers, the pair's first agent
+	// is S1 and ReadIndex its latest read, whichever agent just read.
 	me.latest = append(me.latest[:0], r.Observed...)
 	for _, other := range s.agents {
 		if other == me || other.reads == 0 {
 			continue
 		}
-		p := MakePair(r.Agent, other.id)
-		v, x, y := diverged(r.Observed, other.latest)
+		a, b := me, other
+		if b.id < a.id {
+			a, b = b, a
+		}
+		p := Pair{A: a.id, B: b.id}
+		v, x, y := diverged(a.latest, b.latest)
 		if v.content && !s.contentDiv[p] {
 			out = append(out, Violation{
-				Anomaly: ContentDivergence, Agent: p.A, Other: p.B, ReadIndex: idx,
+				Anomaly: ContentDivergence, Agent: p.A, Other: p.B, ReadIndex: a.reads - 1,
 			})
 		}
 		s.contentDiv[p] = v.content
 		if v.order && !s.orderDiv[p] {
 			out = append(out, Violation{
-				Anomaly: OrderDivergence, Agent: p.A, Other: p.B, ReadIndex: idx,
+				Anomaly: OrderDivergence, Agent: p.A, Other: p.B, ReadIndex: a.reads - 1,
 				Write: x, Write2: y,
 			})
 		}

@@ -118,6 +118,31 @@ func TestStreamOrderDivergence(t *testing.T) {
 	}
 }
 
+// TestStreamOrientsDivergenceAsCheckTest: whichever agent of a pair reads
+// last, the stream reports the divergence as CheckTest does — the pair's
+// first agent's sequence as S1, its witness in that order, and ReadIndex
+// that agent's latest read.
+func TestStreamOrientsDivergenceAsCheckTest(t *testing.T) {
+	reads := []trace.Read{
+		rd(1, 0, 40, "m1"),
+		rd(1, 100, 140, "m1", "m2", "m4"),
+		rd(2, 200, 240, "m2", "m1", "m3"),
+	}
+	want := CheckTest(newTrace(2, nil, reads))
+	s := NewStream()
+	s.ObserveRead(reads[0])
+	s.ObserveRead(reads[1])
+	got := s.ObserveRead(reads[2])
+	if len(got) != 2 || len(want) != 2 {
+		t.Fatalf("stream reports %v, CheckTest %v; want one content and one order divergence each", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("stream reports %q (read #%d), CheckTest %q (read #%d)", got[i], got[i].ReadIndex, want[i], want[i].ReadIndex)
+		}
+	}
+}
+
 func TestStreamReset(t *testing.T) {
 	s := NewStream()
 	s.ObserveWrite(wr("m1", 1, 1, 0, 50))
