@@ -143,12 +143,15 @@ func BenchmarkExtensionRotation(b *testing.B) {
 		b.Run(map[int]string{0: "identity", 1: "shift1", 2: "shift2"}[rotate], func(b *testing.B) {
 			var prevalence float64
 			for i := 0; i < b.N; i++ {
-				res, err := probe.Simulate(probe.SimulateOptions{
-					Service:    service.NameFBGroup,
-					Test1Count: 10,
-					Seed:       benchSeed,
-					Rotate:     rotate,
-				})
+				res, err := probe.SimulateConcurrent(context.Background(), probe.Options{
+					Workload: probe.Workload{
+						Service:    service.NameFBGroup,
+						Test1Count: 10,
+						Seed:       benchSeed,
+						Rotate:     rotate,
+					},
+					Engine: probe.Engine{Lanes: 1},
+				}, nil, nil)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -170,12 +173,15 @@ func BenchmarkExtensionClockSyncQuality(b *testing.B) {
 		b.Run(fmt.Sprintf("samples%d", samples), func(b *testing.B) {
 			var spread []time.Duration
 			for i := 0; i < b.N; i++ {
-				res, err := probe.Simulate(probe.SimulateOptions{
-					Service:     service.NameBlogger,
-					Test2Count:  12,
-					Seed:        benchSeed,
-					SyncSamples: samples,
-				})
+				res, err := probe.SimulateConcurrent(context.Background(), probe.Options{
+					Workload: probe.Workload{
+						Service:     service.NameBlogger,
+						Test2Count:  12,
+						Seed:        benchSeed,
+						SyncSamples: samples,
+					},
+					Engine: probe.Engine{Lanes: 1},
+				}, nil, nil)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -64,12 +64,15 @@ func benchCampaign(b *testing.B, svc string) (*analysis.Report, []*trace.TestTra
 	if rep, ok := campaignCache[svc]; ok {
 		return rep, traceCache[svc]
 	}
-	res, err := probe.Simulate(probe.SimulateOptions{
-		Service:    svc,
-		Test1Count: benchTests,
-		Test2Count: benchTests,
-		Seed:       benchSeed,
-	})
+	res, err := probe.SimulateConcurrent(context.Background(), probe.Options{
+		Workload: probe.Workload{
+			Service:    svc,
+			Test1Count: benchTests,
+			Test2Count: benchTests,
+			Seed:       benchSeed,
+		},
+		Engine: probe.Engine{Lanes: 1},
+	}, nil, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -328,13 +331,16 @@ func BenchmarkClockSync(b *testing.B) {
 // ablationCampaign runs a small campaign over a custom profile.
 func ablationCampaign(b *testing.B, name string, prof service.Profile, t1, t2 int) *analysis.Report {
 	b.Helper()
-	res, err := probe.Simulate(probe.SimulateOptions{
-		Service:    name,
-		Test1Count: t1,
-		Test2Count: t2,
-		Seed:       benchSeed,
-		Profile:    &prof,
-	})
+	res, err := probe.SimulateConcurrent(context.Background(), probe.Options{
+		Workload: probe.Workload{
+			Service:    name,
+			Test1Count: t1,
+			Test2Count: t2,
+			Seed:       benchSeed,
+			Profile:    &prof,
+		},
+		Engine: probe.Engine{Lanes: 1},
+	}, nil, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -425,12 +431,15 @@ func BenchmarkAblationSessionMasking(b *testing.B) {
 			}
 			var violations int
 			for i := 0; i < b.N; i++ {
-				res, err := probe.Simulate(probe.SimulateOptions{
-					Service:    service.NameFBFeed,
-					Test1Count: 10,
-					Seed:       benchSeed,
-					Wrap:       wrap,
-				})
+				res, err := probe.SimulateConcurrent(context.Background(), probe.Options{
+					Workload: probe.Workload{
+						Service:    service.NameFBFeed,
+						Test1Count: 10,
+						Seed:       benchSeed,
+						Wrap:       wrap,
+					},
+					Engine: probe.Engine{Lanes: 1},
+				}, nil, nil)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -451,9 +460,14 @@ func BenchmarkAblationSessionMasking(b *testing.B) {
 // googleplus instance, three agents reading 45 times each.
 func benchTest2Trace(b *testing.B) *trace.TestTrace {
 	b.Helper()
-	res, err := probe.Simulate(probe.SimulateOptions{
-		Service: service.NameGooglePlus, Test2Count: 1, Seed: benchSeed,
-	})
+	res, err := probe.SimulateConcurrent(context.Background(), probe.Options{
+		Workload: probe.Workload{
+			Service:    service.NameGooglePlus,
+			Test2Count: 1,
+			Seed:       benchSeed,
+		},
+		Engine: probe.Engine{Lanes: 1},
+	}, nil, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -699,11 +713,14 @@ func BenchmarkCampaign(b *testing.B) {
 	for _, svc := range []string{service.NameBlogger, service.NameFBGroup} {
 		svc := svc
 		b.Run(svc, func(b *testing.B) {
-			res, err := probe.Simulate(probe.SimulateOptions{
-				Service:    svc,
-				Test1Count: b.N,
-				Seed:       benchSeed,
-			})
+			res, err := probe.SimulateConcurrent(context.Background(), probe.Options{
+				Workload: probe.Workload{
+					Service:    svc,
+					Test1Count: b.N,
+					Seed:       benchSeed,
+				},
+				Engine: probe.Engine{Lanes: 1},
+			}, nil, nil)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -727,19 +744,22 @@ func BenchmarkCampaignParallel(b *testing.B) {
 	for _, par := range []int{1, 2, 4, 8} {
 		par := par
 		b.Run(fmt.Sprintf("parallel=%d", par), func(b *testing.B) {
-			opts := probe.SimulateOptions{
-				Service:       service.NameFBGroup,
-				Test1Count:    campaignTests / 2,
-				Test2Count:    campaignTests / 2,
-				Seed:          benchSeed,
-				DiscardTraces: true,
+			opts := probe.Options{
+				Workload: probe.Workload{
+					Service:    service.NameFBGroup,
+					Test1Count: campaignTests / 2,
+					Test2Count: campaignTests / 2,
+					Seed:       benchSeed,
+				},
+				Engine: probe.Engine{
+					DiscardTraces: true,
+					Lanes:         probe.DefaultLanes,
+					Parallelism:   par,
+				},
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := probe.SimulateConcurrent(context.Background(), opts, probe.EngineOptions{
-					Lanes:       probe.DefaultLanes,
-					Parallelism: par,
-				}); err != nil {
+				if _, err := probe.SimulateConcurrent(context.Background(), opts, nil, nil); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -161,6 +161,9 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	if *resumeRun && *ckptPath == "" {
 		return fmt.Errorf("-resume requires -checkpoint")
 	}
+	if *resumeRun && *tracePath != "" {
+		return fmt.Errorf("-resume cannot be combined with -trace: the journal holds no traces, so a resumed run would truncate the pre-crash archive, and appending would repeat the test traced just before the crash")
+	}
 
 	// A chaos diskfault event needs a real file to fault: in the
 	// simulated campaign the only disk surface is the checkpoint

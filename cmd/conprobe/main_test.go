@@ -244,6 +244,35 @@ func TestRunResumeWithoutEngineFlags(t *testing.T) {
 	}
 }
 
+// A resume cannot rebuild the -trace archive (the CLI's journal holds no
+// traces), so -resume with -trace is refused before the archive the
+// crashed run left is touched.
+func TestRunResumeRefusesTrace(t *testing.T) {
+	dir := t.TempDir()
+	ckpt, archive := filepath.Join(dir, "c.ckpt"), filepath.Join(dir, "t.jsonl")
+	common := []string{"-service", "fbfeed", "-test1", "4", "-test2", "4", "-seed", "5", "-checkpoint", ckpt, "-trace", archive}
+	var out bytes.Buffer
+	err := run(context.Background(), append(slices.Clip(common), "-abort-after", "3"), &out)
+	if err == nil || !strings.Contains(err.Error(), "aborted after 3 completed tests") {
+		t.Fatalf("crash drill: err = %v, want the abort-after error", err)
+	}
+	before, err := os.ReadFile(archive)
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = run(context.Background(), append(slices.Clip(common), "-resume"), &out)
+	if err == nil || !strings.Contains(err.Error(), "-resume cannot be combined with -trace") {
+		t.Fatalf("-resume -trace: err = %v, want it refused", err)
+	}
+	after, err := os.ReadFile(archive)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(before) == 0 || !bytes.Equal(after, before) {
+		t.Fatalf("the refused resume changed the pre-crash archive (%d bytes, now %d)", len(before), len(after))
+	}
+}
+
 // An interrupt on the default (sequential) path must reach the campaign:
 // run returns context.Canceled well before the campaign could finish,
 // and the -trace file holds every test completed so far, readable.

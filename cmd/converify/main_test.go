@@ -28,9 +28,15 @@ func traceFileN(t *testing.T, n int, svcs ...string) string {
 	defer f.Close()
 	w := trace.NewWriter(f)
 	for _, svc := range svcs {
-		res, err := probe.SimulateConcurrent(context.Background(), probe.SimulateOptions{
-			Service: svc, Test1Count: n, Test2Count: n, Seed: 5,
-		}, probe.EngineOptions{Lanes: 4})
+		res, err := probe.SimulateConcurrent(context.Background(), probe.Options{
+			Workload: probe.Workload{
+				Service:    svc,
+				Test1Count: n,
+				Test2Count: n,
+				Seed:       5,
+			},
+			Engine: probe.Engine{Lanes: 4},
+		}, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

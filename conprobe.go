@@ -42,7 +42,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"path/filepath"
 	"sort"
 	"strconv"
 	"sync"
@@ -190,6 +189,19 @@ type (
 	Runner = probe.Runner
 	// ClientWrapper interposes on an agent's service handle.
 	ClientWrapper = probe.ClientWrapper
+	// Options parameterize Run, grouped by concern: Workload, Engine,
+	// Resilience, Durability, Telemetry and the Faults/Chaos drills.
+	Options = probe.Options
+	// Workload is what campaign to run, its deterministic identity.
+	Workload = probe.Workload
+	// Engine tunes the lane engine and where completed traces flow.
+	Engine = probe.Engine
+	// Resilience hardens each agent's probing path.
+	Resilience = probe.Resilience
+	// Durability journals the campaign for crash-safe resume.
+	Durability = probe.Durability
+	// Telemetry observes the campaign without perturbing it.
+	Telemetry = probe.Telemetry
 )
 
 // DefaultLanes is the default number of lanes Run partitions a campaign
@@ -211,156 +223,8 @@ type (
 )
 
 // NewMetricsRegistry returns an empty metrics registry; derive a scope
-// with its Scope method and pass it to Options.Metrics.
+// with its Scope method and pass it to Telemetry.Metrics.
 func NewMetricsRegistry() *MetricsRegistry { return obs.NewRegistry() }
-
-// Options parameterize Run, grouped by concern: Workload is the
-// campaign itself (what to measure), Engine is how it executes,
-// Resilience hardens the probing path, Durability journals it,
-// Telemetry observes it, and Faults/Chaos script adverse conditions.
-type Options struct {
-	// Workload is the campaign definition: service, test mix, seed,
-	// schedule shape. Service is the only required field.
-	Workload Workload
-	// Engine tunes the concurrent lane engine and its output plumbing.
-	Engine Engine
-	// Resilience wraps each agent's client in retry/breaker/deadline
-	// middleware. The zero value leaves clients bare.
-	Resilience Resilience
-	// Durability checkpoints the campaign for crash-safe resume.
-	Durability Durability
-	// Telemetry observes the campaign without perturbing it.
-	Telemetry Telemetry
-	// Faults, when non-nil and enabled, wraps the simulated service in
-	// the deterministic fault injector — a fault drill. A zero
-	// Faults.Seed inherits the campaign Seed.
-	Faults *FaultConfig
-	// Chaos, when non-nil and non-empty, scripts partitions, outages,
-	// clock steps and overload windows on the campaign timeline
-	// (offsets relative to Workload.Start).
-	Chaos *ChaosSchedule
-	// Disks maps disk site names ("wal", "term", "snapshot", "store",
-	// "checkpoint") to the storage-fault injectors Chaos diskfault
-	// events arm. When Durability.Checkpoint is set and Disks has no
-	// "checkpoint" entry but Durability.FS is an injector's FS, wire the
-	// injector here yourself — Run does not infer it. Run does aim the
-	// "checkpoint" site's faults at the journal's actual file name, so
-	// any -checkpoint path works.
-	Disks map[string]*DiskInjector
-}
-
-// Workload describes what campaign to run: the service under test, the
-// test mix and every knob that is part of the campaign's deterministic
-// identity. Two equal Workloads (with equal Engine.Lanes) produce
-// byte-identical traces.
-type Workload struct {
-	// Service is the built-in profile name (ServiceBlogger, ...).
-	Service string
-	// Test1Count and Test2Count are how many instances of each test
-	// protocol to run.
-	Test1Count, Test2Count int
-	// Seed drives every random choice (network jitter, clock skews,
-	// service behavior); a fixed seed reproduces a campaign exactly.
-	Seed int64
-	// Start is the virtual start time (default 2026-01-01T00:00Z). It
-	// anchors the campaign epoch: chaos-schedule and fault-injection
-	// window offsets are relative to it.
-	Start time.Time
-	// AlternateBlocks interleaves Test 1 and Test 2 blocks as the paper
-	// did (0/1 = sequential).
-	AlternateBlocks int
-	// Rotate shifts the agents' locations cyclically by this many
-	// positions (the paper's location-rotation control experiment).
-	Rotate int
-	// SyncSamples overrides the number of Cristian clock-sync probes
-	// per agent per test (default 5).
-	SyncSamples int
-	// Profile, when non-nil, overrides the built-in profile looked up
-	// by Service name (used by ablation studies).
-	Profile *Profile
-	// ConfigureNetwork, when set, mutates the default topology before
-	// use (extra links, injected asymmetries).
-	ConfigureNetwork func(*Network)
-	// Wrap optionally interposes on each agent's service handle.
-	Wrap ClientWrapper
-}
-
-// Engine tunes how the campaign executes: its lane partitioning, the
-// worker parallelism, and where completed traces flow.
-type Engine struct {
-	// Lanes is the number of independent virtual worlds the campaign is
-	// partitioned into (default DefaultLanes). The lane count is part of
-	// the campaign's identity: changing it re-partitions the schedule and
-	// yields different (equally valid) traces for the same Seed.
-	Lanes int
-	// Parallelism bounds how many lanes run concurrently (default
-	// GOMAXPROCS). It is purely a throughput knob — any value produces
-	// identical results for a fixed Seed and Lanes.
-	Parallelism int
-	// OnTrace, when set, receives every trace as its test completes,
-	// serialized across lanes. A non-nil error cancels the campaign;
-	// traces collected so far are still returned. Under DiscardTraces the
-	// trace is valid only until OnTrace returns; encode or copy to keep it.
-	OnTrace func(*TestTrace) error
-	// Progress, when set, receives (completed, total) after every test,
-	// serialized across lanes.
-	Progress func(done, total int)
-	// DiscardTraces stops the engine from retaining traces in the
-	// returned Result; traces then flow only through OnTrace and the
-	// streaming aggregation, bounding a long campaign's memory by the
-	// lane, not the campaign, size: each lane refills one trace per test.
-	DiscardTraces bool
-}
-
-// Resilience hardens each agent's probing path.
-type Resilience struct {
-	// Retry, when non-nil, wraps each agent's client in the resilience
-	// middleware with this policy. A zero Retry.Seed inherits the
-	// campaign Seed.
-	Retry *RetryPolicy
-	// Breaker adds a per-agent circuit breaker to the resilience
-	// middleware (implies Retry; a nil Retry uses the default policy).
-	Breaker *BreakerConfig
-}
-
-// Durability journals the campaign for crash-safe resume.
-type Durability struct {
-	// Checkpoint, when non-empty, journals the campaign to this file:
-	// each completed test's trace (unless Engine.DiscardTraces), the
-	// lane's progress and the test's streaming-analysis snapshot, one
-	// checksummed, fsynced frame per test. A campaign killed at any
-	// point resumes from the journal with Resume and produces output
-	// byte-identical to an uninterrupted run.
-	Checkpoint string
-	// Resume continues the campaign journaled in Checkpoint instead of
-	// starting fresh. The journal's campaign identity (service, seed,
-	// lanes, counts, blocks, start) and Engine.DiscardTraces must match
-	// these Options. Resilience state (retry counters, breaker position)
-	// is journaled per lane and rewound on resume, so campaigns with
-	// Breaker set reproduce the uninterrupted run byte-identically too.
-	Resume bool
-	// FS, when non-nil, is the filesystem the checkpoint journal lives
-	// on. Storage-fault drills pass a diskfault injector's FS; nil means
-	// the real filesystem.
-	FS diskfault.FS
-}
-
-// Telemetry observes the campaign. Metrics are write-only for the
-// engine — nothing reads them back — so enabling them cannot perturb
-// the byte-identical-output-at-any-parallelism guarantee.
-type Telemetry struct {
-	// Metrics, when non-nil, receives the campaign's telemetry — per-lane
-	// engine counters, queue waits, resilience and fault-injection
-	// activity — and makes RunResult.EngineStats a snapshot of the
-	// scope's registry. Typically reg.Scope("conprobe") on a registry
-	// from NewMetricsRegistry.
-	Metrics *MetricsScope
-	// EngineClock, when non-nil, replaces the wall clock the engine's
-	// telemetry (queue waits, merge latency) is read from. Injecting a
-	// virtual clock makes EngineStats byte-identical across runs and
-	// parallelism levels; campaign traces are deterministic either way.
-	EngineClock EngineClock
-}
 
 // ChaosSchedule scripts deterministic adverse conditions (partitions,
 // outages, clock steps, overload windows) on the campaign timeline.
@@ -374,18 +238,6 @@ type DiskInjector = diskfault.Injector
 // NewDiskInjector returns a storage-fault injector reporting to sc
 // (nil disables its metrics).
 func NewDiskInjector(sc *MetricsScope) *DiskInjector { return diskfault.New(sc) }
-
-// diskPaths points the "checkpoint" disk site at the journal's actual
-// file name: the site table's generic "checkpoint" substring only
-// matches operator paths that happen to contain the word, and a chaos
-// diskfault(checkpoint, ...) that silently matches nothing is exactly
-// the misdirected fault World.Disks exists to prevent.
-func diskPaths(opts Options) map[string]string {
-	if opts.Durability.Checkpoint == "" || opts.Disks["checkpoint"] == nil {
-		return nil
-	}
-	return map[string]string{"checkpoint": filepath.Base(opts.Durability.Checkpoint)}
-}
 
 // EngineClock is the time source interface the engine reads telemetry
 // from; vtime.Sim and vtime.Real both satisfy it.
@@ -403,10 +255,10 @@ func NewVirtualClock(start time.Time) EngineClock { return vtime.NewSim(start) }
 type RunResult struct {
 	*CampaignResult
 	// Report is the streaming analysis of every collected trace. It is
-	// available even with Options.DiscardTraces set, which is how an
+	// available even with Engine.DiscardTraces set, which is how an
 	// arbitrarily long campaign runs in bounded memory.
 	Report *Report
-	// EngineStats is the final snapshot of Options.Metrics' registry:
+	// EngineStats is the final snapshot of Telemetry.Metrics' registry:
 	// every engine, resilience, fault-injection and aggregation series
 	// the campaign produced, in deterministic order. Nil when no Metrics
 	// scope was supplied.
@@ -424,7 +276,7 @@ type RunResult struct {
 // the traces collected so far alongside the error), scales with cores
 // via Parallelism, and aggregates anomaly statistics incrementally so
 // the full trace set never has to be held in memory (set
-// Options.DiscardTraces to drop it).
+// Engine.DiscardTraces to drop it).
 //
 // Determinism: for a fixed Workload and Engine.Lanes, Run's output is
 // identical at any Engine.Parallelism. The lanes' worlds draw from
@@ -435,33 +287,9 @@ func Run(ctx context.Context, opts Options) (*RunResult, error) {
 		ctx = context.Background()
 	}
 	w := opts.Workload
-	lanes := opts.Engine.Lanes
-	if lanes <= 0 {
-		lanes = DefaultLanes
-	}
+	lanes := opts.Engine.LaneCount()
 	if opts.Durability.Resume && opts.Durability.Checkpoint == "" {
 		return nil, errors.New("conprobe: Durability.Resume requires a Checkpoint path")
-	}
-	sim := probe.SimulateOptions{
-		Service:          w.Service,
-		Test1Count:       w.Test1Count,
-		Test2Count:       w.Test2Count,
-		Seed:             w.Seed,
-		Start:            w.Start,
-		AlternateBlocks:  w.AlternateBlocks,
-		Rotate:           w.Rotate,
-		SyncSamples:      w.SyncSamples,
-		Profile:          w.Profile,
-		ConfigureNetwork: w.ConfigureNetwork,
-		Wrap:             w.Wrap,
-		Faults:           opts.Faults,
-		Chaos:            opts.Chaos,
-		Disks:            opts.Disks,
-		DiskPaths:        diskPaths(opts),
-		Retry:            opts.Resilience.Retry,
-		Breaker:          opts.Resilience.Breaker,
-		DiscardTraces:    opts.Engine.DiscardTraces,
-		Metrics:          opts.Telemetry.Metrics,
 	}
 	// One aggregator per lane: the engine's sink is sequential within a
 	// lane, so no aggregator is ever touched concurrently and no lock is
@@ -470,24 +298,16 @@ func Run(ctx context.Context, opts Options) (*RunResult, error) {
 	for i := range aggs {
 		aggs[i] = analysis.NewAggregator(w.Service)
 	}
-	eng := probe.EngineOptions{
-		Lanes:       lanes,
-		Parallelism: opts.Engine.Parallelism,
-		Clock:       opts.Telemetry.EngineClock,
-	}
 	// Traces completed before a resume, recovered from the journal; the
 	// resumed lanes re-run nothing, so these are merged into the final
 	// Result as-is. done counts completed tests, journaled ones included.
 	var (
 		journaled []*TestTrace
+		resume    []probe.LaneResume
 		ckw       *checkpoint.Writer
 		done      int
 	)
 	if opts.Durability.Checkpoint != "" {
-		start := w.Start
-		if start.IsZero() {
-			start = probe.DefaultStart
-		}
 		meta := checkpoint.Meta{
 			Service:         w.Service,
 			Seed:            w.Seed,
@@ -495,7 +315,9 @@ func Run(ctx context.Context, opts Options) (*RunResult, error) {
 			Test1Count:      w.Test1Count,
 			Test2Count:      w.Test2Count,
 			AlternateBlocks: w.AlternateBlocks,
-			Start:           start,
+			Start:           w.Epoch(),
+			Rotate:          w.Rotate,
+			SyncSamples:     w.SyncSamples,
 		}
 		ccfg := checkpoint.Config{
 			KeepTraces: !opts.Engine.DiscardTraces,
@@ -511,7 +333,7 @@ func Run(ctx context.Context, opts Options) (*RunResult, error) {
 				return nil, fmt.Errorf("conprobe: checkpoint %s was written by a different campaign (journal %+v, options %+v)",
 					opts.Durability.Checkpoint, st.Meta, meta)
 			}
-			resume := make([]probe.LaneResume, lanes)
+			resume = make([]probe.LaneResume, lanes)
 			for l := 0; l < lanes; l++ {
 				resume[l] = probe.LaneResume{Done: st.Done(l)}
 				if lr := st.Lanes[l]; lr != nil {
@@ -531,7 +353,6 @@ func Run(ctx context.Context, opts Options) (*RunResult, error) {
 				return nil, fmt.Errorf("conprobe: checkpoint %s journals %d traces of %d completed tests; resume it with the Engine.DiscardTraces it was written with",
 					opts.Durability.Checkpoint, len(journaled), done)
 			}
-			eng.Resume = resume
 			ckw, err = checkpoint.Continue(opts.Durability.Checkpoint, st, ccfg)
 		} else {
 			ckw, err = checkpoint.Create(opts.Durability.Checkpoint, meta, ccfg)
@@ -548,7 +369,7 @@ func Run(ctx context.Context, opts Options) (*RunResult, error) {
 	// fsyncs still group-commit.
 	var mu sync.Mutex
 	total := max(w.Test1Count, 0) + max(w.Test2Count, 0)
-	eng.Sink = func(lane int, tr *trace.TestTrace, next time.Time, res map[string]resilience.Snapshot) error {
+	sink := func(lane int, tr *trace.TestTrace, next time.Time, res map[string]resilience.Snapshot) error {
 		aggs[lane].Add(tr)
 		mu.Lock()
 		var err error
@@ -568,9 +389,9 @@ func Run(ctx context.Context, opts Options) (*RunResult, error) {
 		return ckw.Append(lane, tr, next, res)
 	}
 	for i := range aggs {
-		aggs[i].Instrument(sim.Metrics.Sub("aggregator").With("lane", strconv.Itoa(i)))
+		aggs[i].Instrument(opts.Telemetry.Metrics.Sub("aggregator").With("lane", strconv.Itoa(i)))
 	}
-	res, err := probe.SimulateConcurrent(ctx, sim, eng)
+	res, err := probe.SimulateConcurrent(ctx, opts, resume, sink)
 	out := &RunResult{CampaignResult: res}
 	if ckw != nil {
 		if derr := ckw.Degraded(); derr != nil {
@@ -588,7 +409,7 @@ func Run(ctx context.Context, opts Options) (*RunResult, error) {
 		}
 		out.Report = analysis.MergeAggregators(res.Service, aggs)
 	}
-	out.EngineStats = sim.Metrics.Registry().Snapshot()
+	out.EngineStats = opts.Telemetry.Metrics.Registry().Snapshot()
 	return out, err
 }
 

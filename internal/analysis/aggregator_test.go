@@ -2,6 +2,7 @@ package analysis_test
 
 import (
 	"bytes"
+	"context"
 	"reflect"
 	"strings"
 	"testing"
@@ -17,12 +18,15 @@ import (
 // aggregatorCampaign runs one small mixed campaign for aggregator tests.
 func aggregatorCampaign(t *testing.T) []*trace.TestTrace {
 	t.Helper()
-	res, err := probe.Simulate(probe.SimulateOptions{
-		Service:    "fbfeed",
-		Test1Count: 8,
-		Test2Count: 8,
-		Seed:       11,
-	})
+	res, err := probe.SimulateConcurrent(context.Background(), probe.Options{
+		Workload: probe.Workload{
+			Service:    "fbfeed",
+			Test1Count: 8,
+			Test2Count: 8,
+			Seed:       11,
+		},
+		Engine: probe.Engine{Lanes: 1},
+	}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"context"
 	"testing"
 
 	"conprobe/internal/core"
@@ -11,12 +12,15 @@ import (
 
 func campaign(t *testing.T, svc string, seed int64, tests int) *Report {
 	t.Helper()
-	res, err := probe.Simulate(probe.SimulateOptions{
-		Service:    svc,
-		Test1Count: tests,
-		Test2Count: tests,
-		Seed:       seed,
-	})
+	res, err := probe.SimulateConcurrent(context.Background(), probe.Options{
+		Workload: probe.Workload{
+			Service:    svc,
+			Test1Count: tests,
+			Test2Count: tests,
+			Seed:       seed,
+		},
+		Engine: probe.Engine{Lanes: 1},
+	}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

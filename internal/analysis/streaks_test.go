@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"context"
 	"testing"
 
 	"conprobe/internal/core"
@@ -84,11 +85,14 @@ func TestDetectStreaksEmpty(t *testing.T) {
 // content divergences form one contiguous streak involving the Tokyo
 // agent.
 func TestDetectStreaksFindsInjectedTokyoFault(t *testing.T) {
-	res, err := probe.Simulate(probe.SimulateOptions{
-		Service:    service.NameFBGroup,
-		Test2Count: 30, // fault window covers tests 15..23
-		Seed:       5,
-	})
+	res, err := probe.SimulateConcurrent(context.Background(), probe.Options{
+		Workload: probe.Workload{
+			Service:    service.NameFBGroup,
+			Test2Count: 30, // fault window covers tests 15..23
+			Seed:       5,
+		},
+		Engine: probe.Engine{Lanes: 1},
+	}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,11 +181,14 @@ func TestTimeSeriesBlocks(t *testing.T) {
 }
 
 func TestTimeSeriesSpotsFaultWindow(t *testing.T) {
-	res, err := probe.Simulate(probe.SimulateOptions{
-		Service:    service.NameFBGroup,
-		Test2Count: 30,
-		Seed:       5,
-	})
+	res, err := probe.SimulateConcurrent(context.Background(), probe.Options{
+		Workload: probe.Workload{
+			Service:    service.NameFBGroup,
+			Test2Count: 30,
+			Seed:       5,
+		},
+		Engine: probe.Engine{Lanes: 1},
+	}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

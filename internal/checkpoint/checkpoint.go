@@ -56,19 +56,16 @@ type Meta struct {
 	Test2Count      int       `json:"test2_count"`
 	AlternateBlocks int       `json:"alternate_blocks"`
 	Start           time.Time `json:"start"`
+	Rotate          int       `json:"rotate,omitempty"`
+	SyncSamples     int       `json:"sync_samples,omitempty"`
 }
 
-// Matches reports whether two campaign identities agree. Start is
-// compared as an instant (a JSON round trip may change its internal
-// representation without changing the time it names).
+// Matches reports whether two campaign identities agree in every
+// field. Start is compared as an instant (a JSON round trip may change
+// its internal representation without changing the time it names).
 func (m Meta) Matches(other Meta) bool {
-	return m.Service == other.Service &&
-		m.Seed == other.Seed &&
-		m.Lanes == other.Lanes &&
-		m.Test1Count == other.Test1Count &&
-		m.Test2Count == other.Test2Count &&
-		m.AlternateBlocks == other.AlternateBlocks &&
-		m.Start.Equal(other.Start)
+	m.Start, other.Start = m.Start.UTC(), other.Start.UTC()
+	return m == other
 }
 
 // LaneRecord is one lane's journaled progress, folded from its frames.

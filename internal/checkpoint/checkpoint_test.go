@@ -2,6 +2,7 @@ package checkpoint
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"errors"
 	"os"
@@ -31,12 +32,15 @@ var testMeta = Meta{
 // campaignTraces runs one small campaign for journal tests.
 func campaignTraces(t *testing.T) []*trace.TestTrace {
 	t.Helper()
-	res, err := probe.Simulate(probe.SimulateOptions{
-		Service:    "fbfeed",
-		Test1Count: 4,
-		Test2Count: 4,
-		Seed:       11,
-	})
+	res, err := probe.SimulateConcurrent(context.Background(), probe.Options{
+		Workload: probe.Workload{
+			Service:    "fbfeed",
+			Test1Count: 4,
+			Test2Count: 4,
+			Seed:       11,
+		},
+		Engine: probe.Engine{Lanes: 1},
+	}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,6 +128,25 @@ func frameEnds(t *testing.T, data []byte) []int {
 		t.Fatalf("journal of %d bytes does not end on a frame boundary (%v)", len(data), ends)
 	}
 	return ends
+}
+
+// TestMetaMatchesInstants: Start is one instant whatever zone or
+// monotonic reading carries it, and every other field must agree.
+func TestMetaMatchesInstants(t *testing.T) {
+	zoned := testMeta
+	zoned.Start = testMeta.Start.In(time.FixedZone("UTC+9", 9*3600))
+	now := testMeta
+	now.Start = time.Now()
+	stripped := now
+	stripped.Start = now.Start.Round(0)
+	if !testMeta.Matches(zoned) || !now.Matches(stripped) {
+		t.Fatal("the same Start instant in another representation did not match")
+	}
+	rotated := testMeta
+	rotated.Rotate = 1
+	if testMeta.Matches(rotated) {
+		t.Fatal("metas differing in Rotate matched")
+	}
 }
 
 func TestJournalRoundTrip(t *testing.T) {
@@ -380,7 +403,15 @@ func TestLoadRejectsNonJournal(t *testing.T) {
 // fold. Run under -race.
 func TestAppendConcurrentLanes(t *testing.T) {
 	const lanes = 8
-	res, err := probe.Simulate(probe.SimulateOptions{Service: "fbfeed", Test1Count: 16, Test2Count: 16, Seed: 11})
+	res, err := probe.SimulateConcurrent(context.Background(), probe.Options{
+		Workload: probe.Workload{
+			Service:    "fbfeed",
+			Test1Count: 16,
+			Test2Count: 16,
+			Seed:       11,
+		},
+		Engine: probe.Engine{Lanes: 1},
+	}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -436,9 +437,15 @@ func journalFile() durableFile {
 	return durableFile{
 		name: name,
 		write: func(t *testing.T, dir string) (string, []sweepStep) {
-			res, err := probe.Simulate(probe.SimulateOptions{
-				Service: meta.Service, Test1Count: meta.Test1Count, Test2Count: meta.Test2Count, Seed: meta.Seed,
-			})
+			res, err := probe.SimulateConcurrent(context.Background(), probe.Options{
+				Workload: probe.Workload{
+					Service:    meta.Service,
+					Test1Count: meta.Test1Count,
+					Test2Count: meta.Test2Count,
+					Seed:       meta.Seed,
+				},
+				Engine: probe.Engine{Lanes: 1},
+			}, nil, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"bytes"
+	"context"
 	"sort"
 	"strconv"
 	"strings"
@@ -100,9 +101,15 @@ func referenceReport(name string, traces []*trace.TestTrace) *analysis.Report {
 // reference oracle.
 func TestAnalyzeRendersAsTheReferenceOracle(t *testing.T) {
 	for _, name := range service.ProfileNames() {
-		res, err := probe.Simulate(probe.SimulateOptions{
-			Service: name, Test1Count: 12, Test2Count: 12, Seed: 18,
-		})
+		res, err := probe.SimulateConcurrent(context.Background(), probe.Options{
+			Workload: probe.Workload{
+				Service:    name,
+				Test1Count: 12,
+				Test2Count: 12,
+				Seed:       18,
+			},
+			Engine: probe.Engine{Lanes: 1},
+		}, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -152,7 +153,14 @@ func requireIndexMatchesReference(t *testing.T, ix *Index, tr *trace.TestTrace, 
 // 45 reads each, the largest trace a campaign hands an index.
 func googlePlusTest2(t testing.TB) *trace.TestTrace {
 	t.Helper()
-	res, err := probe.Simulate(probe.SimulateOptions{Service: "googleplus", Test2Count: 1, Seed: 3})
+	res, err := probe.SimulateConcurrent(context.Background(), probe.Options{
+		Workload: probe.Workload{
+			Service:    "googleplus",
+			Test2Count: 1,
+			Seed:       3,
+		},
+		Engine: probe.Engine{Lanes: 1},
+	}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

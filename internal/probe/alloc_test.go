@@ -150,16 +150,13 @@ func TestDiscardedTest2AllocationBudget(t *testing.T) {
 // test's ID.
 func TestDiscardingLaneHandsEverySinkOneTrace(t *testing.T) {
 	opts := engineOpts(3, 3)
-	opts.DiscardTraces = true
+	opts.Engine.DiscardTraces = true
 	var seen []*trace.TestTrace
 	ids := map[int]bool{}
-	_, err := SimulateConcurrent(context.Background(), opts, EngineOptions{
-		Lanes: 1,
-		Sink: func(_ int, tr *trace.TestTrace, _ time.Time, _ map[string]resilience.Snapshot) error {
-			seen = append(seen, tr)
-			ids[tr.TestID] = true
-			return nil
-		},
+	_, err := SimulateConcurrent(context.Background(), onLanes(opts, 1, 0), nil, func(_ int, tr *trace.TestTrace, _ time.Time, _ map[string]resilience.Snapshot) error {
+		seen = append(seen, tr)
+		ids[tr.TestID] = true
+		return nil
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -1,6 +1,7 @@
 package probe
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -41,13 +42,16 @@ func TestChaosPartitionElevatesDivergence(t *testing.T) {
 	// leaves clean instances on both sides. Keeping the count below 20
 	// avoids the built-in fbgroup Tokyo fault, which would contaminate
 	// the clean group.
-	res, err := Simulate(SimulateOptions{
-		Service:    service.NameFBGroup,
-		Test2Count: 12,
-		Seed:       7,
-		Start:      start,
-		Chaos:      sched,
-	})
+	res, err := SimulateConcurrent(context.Background(), Options{
+		Workload: Workload{
+			Service:    service.NameFBGroup,
+			Test2Count: 12,
+			Seed:       7,
+			Start:      start,
+		},
+		Engine: Engine{Lanes: 1},
+		Chaos:  sched,
+	}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,54 +12,17 @@ import (
 
 	"conprobe/internal/detrand"
 	"conprobe/internal/resilience"
-	"conprobe/internal/trace"
 	"conprobe/internal/vtime"
 )
 
-// DefaultLanes is the number of lanes a concurrent campaign is
-// partitioned into when EngineOptions.Lanes is zero. The lane count —
-// not the worker count — is the determinism anchor: changing it
-// re-partitions the campaign and produces different (equally valid)
-// traces, while changing Parallelism never does.
+// DefaultLanes is the number of lanes a campaign is partitioned into
+// when Engine.Lanes is zero. The lane count — not the worker count — is
+// the determinism anchor: changing it re-partitions the campaign and
+// produces different (equally valid) traces, while changing Parallelism
+// never does.
 const DefaultLanes = 8
 
-// EngineOptions configure the concurrent campaign engine.
-type EngineOptions struct {
-	// Lanes is the number of independent partitions the campaign
-	// schedule is split into (default DefaultLanes). Each lane owns a
-	// full virtual world — simulator, network, store cluster, agents —
-	// seeded from (Seed, lane), so lanes share no mutable state and the
-	// partition alone fixes the campaign's outcome. A campaign of one lane
-	// is one world seeded with Seed itself.
-	Lanes int
-	// Parallelism bounds how many lanes are simulated concurrently
-	// (default GOMAXPROCS). It is purely a throughput knob: any value
-	// produces identical traces for a fixed Seed and Lanes.
-	Parallelism int
-	// Sink, when set, receives each completed trace inside its lane,
-	// with the virtual instant the lane's next schedule step begins and
-	// the lane's resilience-middleware state by agent label (nil without
-	// the middleware). Calls for one lane are sequential; calls for
-	// different lanes are concurrent, so a per-lane consumer needs no
-	// lock and a campaign-wide one brings its own. A non-nil error aborts
-	// the lane and cancels the campaign; already-collected traces are
-	// still returned. Under DiscardTraces the trace is valid only until
-	// the call returns.
-	Sink func(lane int, tr *trace.TestTrace, next time.Time, res map[string]resilience.Snapshot) error
-	// Resume, when non-nil, restarts a checkpointed campaign: entry l
-	// describes lane l's journaled progress. Its length must equal the
-	// lane count, and each lane's Done set must be a prefix of that
-	// lane's schedule share — anything else means the journal belongs to
-	// a different campaign and is rejected.
-	Resume []LaneResume
-	// Clock is the time source for engine telemetry (queue waits, merge
-	// latency). It defaults to the wall clock; campaigns that need
-	// deterministic metrics snapshots inject a virtual clock so no real
-	// time leaks into the simulated world's observability output.
-	Clock vtime.Clock
-}
-
-// LaneResume is one lane's journaled progress for EngineOptions.Resume.
+// LaneResume is one lane's journaled progress for SimulateConcurrent.
 type LaneResume struct {
 	// Done holds the TestIDs the lane completed before the crash.
 	Done map[int]bool
@@ -106,11 +69,17 @@ type laneResult struct {
 }
 
 // SimulateConcurrent runs the campaign described by opts partitioned
-// across eng.Lanes independent virtual worlds, simulating up to
-// eng.Parallelism of them at a time. The campaign schedule (globally
-// unique TestIDs, campaign-relative fault windows) is dealt round-robin
-// to lanes; each lane executes its share in its own world, and the
-// per-lane results are merged in TestID order at the end.
+// across opts.Engine.Lanes independent virtual worlds, simulating up to
+// opts.Engine.Parallelism of them at a time. The campaign schedule
+// (globally unique TestIDs, campaign-relative fault windows) is dealt
+// round-robin to lanes; each lane executes its share in its own world,
+// and the per-lane results are merged in TestID order at the end.
+//
+// sink, when non-nil, receives each completed trace; conprobe.Run
+// builds it from Engine.OnTrace, Progress and the journal, which the
+// engine never touches. resume, when non-nil, holds each lane's
+// journaled progress; a lane whose Done set is not a prefix of its share
+// of the schedule means the journal belongs to a different campaign.
 //
 // Determinism: for a fixed Seed and lane count, the returned traces are
 // identical whatever Parallelism is — worker scheduling decides only
@@ -124,15 +93,11 @@ type laneResult struct {
 //
 // TrueSkews are per-world ground truth; as lanes have distinct worlds,
 // the merged result exposes lane 0's skews as a representative sample.
-func SimulateConcurrent(ctx context.Context, opts SimulateOptions, eng EngineOptions) (*Result, error) {
-	if opts.Start.IsZero() {
-		opts.Start = DefaultStart
-	}
-	lanes := eng.Lanes
-	if lanes <= 0 {
-		lanes = DefaultLanes
-	}
-	par := eng.Parallelism
+func SimulateConcurrent(ctx context.Context, opts Options, resume []LaneResume, sink laneSink) (*Result, error) {
+	opts.Workload.Start = opts.Workload.Epoch()
+	w := opts.Workload
+	lanes := opts.Engine.LaneCount()
+	par := opts.Engine.Parallelism
 	if par <= 0 {
 		par = runtime.GOMAXPROCS(0)
 	}
@@ -141,32 +106,32 @@ func SimulateConcurrent(ctx context.Context, opts SimulateOptions, eng EngineOpt
 	}
 
 	perLane := make([][]scheduleStep, lanes)
-	for i, s := range scheduleOf(opts.Test1Count, opts.Test2Count, opts.AlternateBlocks) {
+	for i, s := range scheduleOf(w.Test1Count, w.Test2Count, w.AlternateBlocks) {
 		perLane[i%lanes] = append(perLane[i%lanes], s)
 	}
-	if eng.Resume != nil {
-		if len(eng.Resume) != lanes {
-			return nil, fmt.Errorf("campaign %s: resume state describes %d lanes, campaign has %d", opts.Service, len(eng.Resume), lanes)
+	if resume != nil {
+		if len(resume) != lanes {
+			return nil, fmt.Errorf("campaign %s: resume state describes %d lanes, campaign has %d", w.Service, len(resume), lanes)
 		}
 		for l := range perLane {
-			filtered, err := resumeFilter(perLane[l], eng.Resume[l].Done)
+			filtered, err := resumeFilter(perLane[l], resume[l].Done)
 			if err != nil {
-				return nil, fmt.Errorf("campaign %s: lane %d: %w", opts.Service, l, err)
+				return nil, fmt.Errorf("campaign %s: lane %d: %w", w.Service, l, err)
 			}
 			perLane[l] = filtered
 		}
 	}
 
 	// Engine telemetry. Values here (queue wait, merge latency) describe
-	// the host's execution and are read from eng.Clock — by default the
+	// the host's execution and are read from EngineClock — by default the
 	// wall clock, which legitimately varies run to run. Injecting a
 	// virtual clock makes the whole metrics snapshot deterministic; the
 	// trace/report determinism guarantee holds either way.
-	clk := eng.Clock
+	clk := opts.Telemetry.EngineClock
 	if clk == nil {
 		clk = vtime.Real{}
 	}
-	esc := opts.Metrics.Sub("engine")
+	esc := opts.Telemetry.Metrics.Sub("engine")
 	esc.Gauge("lanes", "Number of lanes the campaign is partitioned into.").Set(float64(lanes))
 	esc.Gauge("parallelism", "Worker-pool size simulating lanes concurrently.").Set(float64(par))
 	queueWait := esc.Histogram("lane_queue_wait_seconds",
@@ -181,27 +146,26 @@ func SimulateConcurrent(ctx context.Context, opts SimulateOptions, eng EngineOpt
 	results := make([]laneResult, lanes)
 	jobs := make(chan int)
 	var wg sync.WaitGroup
-	for w := 0; w < par; w++ {
+	for range par {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for lane := range jobs {
+			for l := range jobs {
 				queueWait.Observe(clk.Since(campStart).Seconds())
-				laneOpts := opts
 				// A one-lane campaign is a single world and keeps the
 				// campaign seed.
+				ln := lane{index: l, seed: w.Seed, metrics: opts.Telemetry.Metrics.With("lane", strconv.Itoa(l))}
 				if lanes > 1 {
-					laneOpts.Seed = laneSeed(opts.Seed, lane)
+					ln.seed = laneSeed(w.Seed, l)
 				}
-				laneOpts.Metrics = opts.Metrics.With("lane", strconv.Itoa(lane))
-				if eng.Resume != nil {
+				if resume != nil {
 					// A zero At (the lane never completed a test) leaves
-					// WorldStart unset: the world starts at the epoch.
-					laneOpts.WorldStart = eng.Resume[lane].At
-					laneOpts.ResilienceRestore = eng.Resume[lane].Resilience
+					// worldStart unset: the world starts at the epoch.
+					ln.worldStart = resume[l].At
+					ln.restore = resume[l].Resilience
 				}
-				results[lane] = runLane(runCtx, laneOpts, lane, perLane[lane], eng.Sink)
-				if results[lane].err != nil {
+				results[l] = runLane(runCtx, opts, ln, perLane[l], sink)
+				if results[l].err != nil {
 					// Stop the other lanes at their next boundary; their
 					// partial traces are still merged below.
 					cancel()
@@ -238,32 +202,31 @@ func SimulateConcurrent(ctx context.Context, opts SimulateOptions, eng EngineOpt
 		merged.Traces = append(merged.Traces, lr.res.Traces...)
 	}
 	if merged.Service == "" {
-		merged.Service = opts.Service
+		merged.Service = w.Service
 	}
 	sort.Slice(merged.Traces, func(i, j int) bool {
 		return merged.Traces[i].TestID < merged.Traces[j].TestID
 	})
 	if firstErr != nil {
-		return merged, fmt.Errorf("campaign %s: %w", opts.Service, firstErr)
+		return merged, fmt.Errorf("campaign %s: %w", w.Service, firstErr)
 	}
 	if err := ctx.Err(); err != nil {
-		return merged, fmt.Errorf("campaign %s: %w", opts.Service, err)
+		return merged, fmt.Errorf("campaign %s: %w", w.Service, err)
 	}
 	return merged, nil
 }
 
-// runLane builds lane's private world from opts (already carrying the
-// lane's seed) and executes its share of the schedule. sink receives
-// each completed trace; a sink error aborts the lane with the traces
-// collected so far.
-func runLane(ctx context.Context, opts SimulateOptions, lane int, steps []scheduleStep, sink laneSink) laneResult {
+// runLane builds ln's private world from opts and executes its share of
+// the schedule. sink receives each completed trace; a sink error aborts
+// the lane with the traces collected so far.
+func runLane(ctx context.Context, opts Options, ln lane, steps []scheduleStep, sink laneSink) laneResult {
 	if len(steps) == 0 {
-		return laneResult{res: &Result{Service: opts.Service}}
+		return laneResult{res: &Result{Service: opts.Workload.Service}}
 	}
 	// Test counts stay campaign-global: CampaignFor derives fault
 	// windows from them, and those windows index the global schedule the
 	// steps were cut from.
-	w, err := buildWorld(opts, lane, sink)
+	w, err := buildWorld(opts, ln, sink)
 	if err != nil {
 		return laneResult{err: err}
 	}

@@ -13,13 +13,20 @@ import (
 	"conprobe/internal/trace"
 )
 
-func engineOpts(t1, t2 int) SimulateOptions {
-	return SimulateOptions{
+func engineOpts(t1, t2 int) Options {
+	return Options{Workload: Workload{
 		Service:    service.NameGooglePlus,
 		Test1Count: t1,
 		Test2Count: t2,
 		Seed:       7,
-	}
+	}}
+}
+
+// onLanes returns opts partitioned into lanes lanes, par of them
+// simulated at a time.
+func onLanes(opts Options, lanes, par int) Options {
+	opts.Engine.Lanes, opts.Engine.Parallelism = lanes, par
+	return opts
 }
 
 // tracesJSONL renders traces (already in TestID order) as the canonical
@@ -57,7 +64,7 @@ func (l *laneLog) sink(lane int, tr *trace.TestTrace, _ time.Time, _ map[string]
 	return nil
 }
 
-// serialSink adapts a campaign-wide consumer to EngineOptions.Sink,
+// serialSink adapts a campaign-wide consumer to the engine's sink,
 // serializing its calls across lanes.
 func serialSink(f func(*trace.TestTrace) error) func(int, *trace.TestTrace, time.Time, map[string]resilience.Snapshot) error {
 	var mu sync.Mutex
@@ -72,11 +79,7 @@ func TestSimulateConcurrentDeterministicAcrossParallelism(t *testing.T) {
 	const lanes = 4
 	run := func(par int) ([]byte, map[int][]int) {
 		var log laneLog
-		res, err := SimulateConcurrent(context.Background(), engineOpts(4, 4), EngineOptions{
-			Lanes:       lanes,
-			Parallelism: par,
-			Sink:        log.sink,
-		})
+		res, err := SimulateConcurrent(context.Background(), onLanes(engineOpts(4, 4), lanes, par), nil, log.sink)
 		if err != nil {
 			t.Fatalf("parallelism %d: %v", par, err)
 		}
@@ -107,10 +110,7 @@ func TestSimulateConcurrentDeterministicAcrossParallelism(t *testing.T) {
 func TestSimulateConcurrentLanePartition(t *testing.T) {
 	const lanes = 3
 	var log laneLog
-	res, err := SimulateConcurrent(context.Background(), engineOpts(3, 3), EngineOptions{
-		Lanes: lanes,
-		Sink:  log.sink,
-	})
+	res, err := SimulateConcurrent(context.Background(), onLanes(engineOpts(3, 3), lanes, 0), nil, log.sink)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,17 +142,13 @@ func TestSimulateConcurrentLanePartition(t *testing.T) {
 func TestSimulateConcurrentCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	delivered := 0
-	res, err := SimulateConcurrent(ctx, engineOpts(6, 6), EngineOptions{
-		Lanes:       4,
-		Parallelism: 2,
-		Sink: serialSink(func(tr *trace.TestTrace) error {
-			delivered++
-			if delivered == 2 {
-				cancel()
-			}
-			return nil
-		}),
-	})
+	res, err := SimulateConcurrent(ctx, onLanes(engineOpts(6, 6), 4, 2), nil, serialSink(func(tr *trace.TestTrace) error {
+		delivered++
+		if delivered == 2 {
+			cancel()
+		}
+		return nil
+	}))
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -166,16 +162,12 @@ func TestSimulateConcurrentCancellation(t *testing.T) {
 
 func TestSimulateConcurrentSinkErrorKeepsPartialTraces(t *testing.T) {
 	sinkErr := errors.New("disk full")
-	res, err := SimulateConcurrent(context.Background(), engineOpts(4, 4), EngineOptions{
-		Lanes:       4,
-		Parallelism: 2,
-		Sink: serialSink(func(tr *trace.TestTrace) error {
-			if tr.TestID%2 == 0 {
-				return sinkErr
-			}
-			return nil
-		}),
-	})
+	res, err := SimulateConcurrent(context.Background(), onLanes(engineOpts(4, 4), 4, 2), nil, serialSink(func(tr *trace.TestTrace) error {
+		if tr.TestID%2 == 0 {
+			return sinkErr
+		}
+		return nil
+	}))
 	if !errors.Is(err, sinkErr) {
 		t.Fatalf("err = %v, want the sink error", err)
 	}
@@ -189,12 +181,9 @@ func TestSimulateConcurrentSinkErrorKeepsPartialTraces(t *testing.T) {
 
 func TestSimulateConcurrentDiscardTraces(t *testing.T) {
 	opts := engineOpts(2, 2)
-	opts.DiscardTraces = true
+	opts.Engine.DiscardTraces = true
 	streamed := 0
-	res, err := SimulateConcurrent(context.Background(), opts, EngineOptions{
-		Lanes: 2,
-		Sink:  serialSink(func(tr *trace.TestTrace) error { streamed++; return nil }),
-	})
+	res, err := SimulateConcurrent(context.Background(), onLanes(opts, 2, 0), nil, serialSink(func(tr *trace.TestTrace) error { streamed++; return nil }))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +196,7 @@ func TestSimulateConcurrentDiscardTraces(t *testing.T) {
 }
 
 func TestSimulateConcurrentEmptyCampaign(t *testing.T) {
-	res, err := SimulateConcurrent(context.Background(), engineOpts(0, 0), EngineOptions{Lanes: 4})
+	res, err := SimulateConcurrent(context.Background(), onLanes(engineOpts(0, 0), 4, 0), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,10 +206,7 @@ func TestSimulateConcurrentEmptyCampaign(t *testing.T) {
 }
 
 func TestSimulateConcurrentMoreLanesThanTests(t *testing.T) {
-	res, err := SimulateConcurrent(context.Background(), engineOpts(1, 1), EngineOptions{
-		Lanes:       8,
-		Parallelism: 8,
-	})
+	res, err := SimulateConcurrent(context.Background(), onLanes(engineOpts(1, 1), 8, 8), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,9 +235,9 @@ func TestLaneSeedDistinct(t *testing.T) {
 func TestOneLaneKeepsCampaignSeed(t *testing.T) {
 	ctx := context.Background()
 	opts := engineOpts(3, 3)
-	opts.Start = DefaultStart
+	opts.Workload.Start = DefaultStart
 	direct := func(steps []scheduleStep) []byte {
-		w, err := buildWorld(opts, 0, nil)
+		w, err := buildWorld(opts, lane{seed: opts.Workload.Seed}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -261,9 +247,9 @@ func TestOneLaneKeepsCampaignSeed(t *testing.T) {
 		}
 		return tracesJSONL(t, res.Traces)
 	}
-	steps := scheduleOf(opts.Test1Count, opts.Test2Count, opts.AlternateBlocks)
+	steps := scheduleOf(opts.Workload.Test1Count, opts.Workload.Test2Count, opts.Workload.AlternateBlocks)
 
-	one, err := SimulateConcurrent(ctx, opts, EngineOptions{Lanes: 1})
+	one, err := SimulateConcurrent(ctx, onLanes(opts, 1, 0), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,12 +262,12 @@ func TestOneLaneKeepsCampaignSeed(t *testing.T) {
 		lane0Steps = append(lane0Steps, steps[i])
 	}
 	var lane0 []*trace.TestTrace
-	_, err = SimulateConcurrent(ctx, opts, EngineOptions{Lanes: 2, Sink: func(lane int, tr *trace.TestTrace, _ time.Time, _ map[string]resilience.Snapshot) error {
+	_, err = SimulateConcurrent(ctx, onLanes(opts, 2, 0), nil, func(lane int, tr *trace.TestTrace, _ time.Time, _ map[string]resilience.Snapshot) error {
 		if lane == 0 {
 			lane0 = append(lane0, tr)
 		}
 		return nil
-	}})
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

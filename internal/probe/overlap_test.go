@@ -21,32 +21,34 @@ import (
 // it at exactly 1.
 func TestLaneWorkersOverlapAtParallelism8(t *testing.T) {
 	var active, high int64
-	opts := SimulateOptions{
-		Service:    "fbgroup",
-		Test1Count: 8,
-		Test2Count: 8,
-		Seed:       9,
-	}
-	eng := EngineOptions{
-		Lanes:       8,
-		Parallelism: 8,
-		Sink: func(int, *trace.TestTrace, time.Time, map[string]resilience.Snapshot) error {
-			n := atomic.AddInt64(&active, 1)
-			for {
-				h := atomic.LoadInt64(&high)
-				if n <= h || atomic.CompareAndSwapInt64(&high, h, n) {
-					break
-				}
-			}
-			// Hold the worker so overlapping lanes are observable even
-			// on a single-core host (sleep parks the goroutine and lets
-			// the others run).
-			time.Sleep(2 * time.Millisecond)
-			atomic.AddInt64(&active, -1)
-			return nil
+	opts := Options{
+		Workload: Workload{
+			Service:    "fbgroup",
+			Test1Count: 8,
+			Test2Count: 8,
+			Seed:       9,
+		},
+		Engine: Engine{
+			Lanes:       8,
+			Parallelism: 8,
 		},
 	}
-	res, err := SimulateConcurrent(context.Background(), opts, eng)
+	sink := func(int, *trace.TestTrace, time.Time, map[string]resilience.Snapshot) error {
+		n := atomic.AddInt64(&active, 1)
+		for {
+			h := atomic.LoadInt64(&high)
+			if n <= h || atomic.CompareAndSwapInt64(&high, h, n) {
+				break
+			}
+		}
+		// Hold the worker so overlapping lanes are observable even
+		// on a single-core host (sleep parks the goroutine and lets
+		// the others run).
+		time.Sleep(2 * time.Millisecond)
+		atomic.AddInt64(&active, -1)
+		return nil
+	}
+	res, err := SimulateConcurrent(context.Background(), opts, nil, sink)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +63,7 @@ func TestLaneWorkersOverlapAtParallelism8(t *testing.T) {
 
 	// The instrumentation (and its wall-clock sleeps) must not have
 	// perturbed the campaign: a bare run produces the same traces.
-	bare, err := SimulateConcurrent(context.Background(), opts, EngineOptions{Lanes: 8, Parallelism: 8})
+	bare, err := SimulateConcurrent(context.Background(), opts, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

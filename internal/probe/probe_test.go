@@ -1,6 +1,7 @@
 package probe
 
 import (
+	"context"
 	"strings"
 	"testing"
 	"time"
@@ -24,9 +25,15 @@ func runOne(t *testing.T, svcName string, kind trace.TestKind, seed int64) *trac
 	} else {
 		t2 = 1
 	}
-	res, err := Simulate(SimulateOptions{
-		Service: svcName, Test1Count: t1, Test2Count: t2, Seed: seed,
-	})
+	res, err := SimulateConcurrent(context.Background(), Options{
+		Workload: Workload{
+			Service:    svcName,
+			Test1Count: t1,
+			Test2Count: t2,
+			Seed:       seed,
+		},
+		Engine: Engine{Lanes: 1},
+	}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,9 +162,15 @@ func TestTest2WritesRoughlySimultaneous(t *testing.T) {
 }
 
 func TestCampaignCountsAndGaps(t *testing.T) {
-	res, err := Simulate(SimulateOptions{
-		Service: service.NameBlogger, Test1Count: 3, Test2Count: 2, Seed: 5,
-	})
+	res, err := SimulateConcurrent(context.Background(), Options{
+		Workload: Workload{
+			Service:    service.NameBlogger,
+			Test1Count: 3,
+			Test2Count: 2,
+			Seed:       5,
+		},
+		Engine: Engine{Lanes: 1},
+	}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,9 +200,15 @@ func TestCampaignCountsAndGaps(t *testing.T) {
 
 func TestCampaignDeterministicForSeed(t *testing.T) {
 	run := func() *Result {
-		res, err := Simulate(SimulateOptions{
-			Service: service.NameFBGroup, Test1Count: 2, Test2Count: 1, Seed: 77,
-		})
+		res, err := SimulateConcurrent(context.Background(), Options{
+			Workload: Workload{
+				Service:    service.NameFBGroup,
+				Test1Count: 2,
+				Test2Count: 1,
+				Seed:       77,
+			},
+			Engine: Engine{Lanes: 1},
+		}, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -275,9 +294,14 @@ func TestGooglePlusShowsContentDivergence(t *testing.T) {
 func TestFaultWindowPartitionsTokyo(t *testing.T) {
 	// FBGroup with >=20 Test 2 instances gets the Tokyo fault window;
 	// during it, the Tokyo agent must diverge from the others.
-	res, err := Simulate(SimulateOptions{
-		Service: service.NameFBGroup, Test2Count: 24, Seed: 9,
-	})
+	res, err := SimulateConcurrent(context.Background(), Options{
+		Workload: Workload{
+			Service:    service.NameFBGroup,
+			Test2Count: 24,
+			Seed:       9,
+		},
+		Engine: Engine{Lanes: 1},
+	}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -377,7 +401,13 @@ func TestDefaultAgentsSkewBounded(t *testing.T) {
 }
 
 func TestSimulateUnknownService(t *testing.T) {
-	if _, err := Simulate(SimulateOptions{Service: "nope", Test1Count: 1}); err == nil {
+	if _, err := SimulateConcurrent(context.Background(), Options{
+		Workload: Workload{
+			Service:    "nope",
+			Test1Count: 1,
+		},
+		Engine: Engine{Lanes: 1},
+	}, nil, nil); err == nil {
 		t.Fatal("unknown service accepted")
 	}
 }

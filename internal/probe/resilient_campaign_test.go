@@ -2,6 +2,7 @@ package probe
 
 import (
 	"bytes"
+	"context"
 	"testing"
 	"time"
 
@@ -16,23 +17,28 @@ import (
 // resilientOpts is the acceptance drill from the issue: a Blogger
 // campaign against an endpoint injecting 20% read and 10% write
 // failures, collected through the retry/breaker middleware.
-func resilientOpts(seed int64) SimulateOptions {
-	return SimulateOptions{
-		Service:    service.NameBlogger,
-		Test1Count: 6,
-		Test2Count: 4,
-		Seed:       seed,
+func resilientOpts(seed int64) Options {
+	return Options{
+		Workload: Workload{
+			Service:    service.NameBlogger,
+			Test1Count: 6,
+			Test2Count: 4,
+			Seed:       seed,
+		},
+		Engine: Engine{Lanes: 1},
+		Resilience: Resilience{
+			Retry: &resilience.RetryPolicy{
+				MaxAttempts: 4,
+				BaseDelay:   200 * time.Millisecond,
+			},
+			Breaker: &resilience.BreakerConfig{
+				FailureThreshold: 10,
+				OpenFor:          5 * time.Second,
+			},
+		},
 		Faults: &faultinject.Config{
 			ReadFailRate:  0.2,
 			WriteFailRate: 0.1,
-		},
-		Retry: &resilience.RetryPolicy{
-			MaxAttempts: 4,
-			BaseDelay:   200 * time.Millisecond,
-		},
-		Breaker: &resilience.BreakerConfig{
-			FailureThreshold: 10,
-			OpenFor:          5 * time.Second,
 		},
 	}
 }
@@ -53,7 +59,7 @@ func marshalTraces(t *testing.T, res *Result) []byte {
 }
 
 func TestResilientCampaignCompletesWithoutManufacturedAnomalies(t *testing.T) {
-	res, err := Simulate(resilientOpts(61))
+	res, err := SimulateConcurrent(context.Background(), resilientOpts(61), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,11 +124,11 @@ func TestResilientCampaignCompletesWithoutManufacturedAnomalies(t *testing.T) {
 }
 
 func TestResilientCampaignBitReproducible(t *testing.T) {
-	r1, err := Simulate(resilientOpts(62))
+	r1, err := SimulateConcurrent(context.Background(), resilientOpts(62), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := Simulate(resilientOpts(62))
+	r2, err := SimulateConcurrent(context.Background(), resilientOpts(62), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +139,7 @@ func TestResilientCampaignBitReproducible(t *testing.T) {
 
 	// A different seed draws a different fault schedule (sanity check
 	// that determinism is keyed, not constant).
-	r3, err := Simulate(resilientOpts(63))
+	r3, err := SimulateConcurrent(context.Background(), resilientOpts(63), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,13 +157,13 @@ func TestResilientCampaignSurvivesOutage(t *testing.T) {
 	// inter-test gap is minutes. This window blankets the first test's
 	// operations and heals with plenty of its 90s timeout left.
 	opts := resilientOpts(64)
-	opts.Test1Count = 2
-	opts.Test2Count = 0
+	opts.Workload.Test1Count = 2
+	opts.Workload.Test2Count = 0
 	opts.Faults = &faultinject.Config{
 		Outages: []faultinject.Outage{{Start: time.Second, End: 20 * time.Second}},
 	}
-	opts.Breaker = &resilience.BreakerConfig{FailureThreshold: 2, OpenFor: 5 * time.Second}
-	res, err := Simulate(opts)
+	opts.Resilience.Breaker = &resilience.BreakerConfig{FailureThreshold: 2, OpenFor: 5 * time.Second}
+	res, err := SimulateConcurrent(context.Background(), opts, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

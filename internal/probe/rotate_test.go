@@ -1,6 +1,7 @@
 package probe
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -54,12 +55,15 @@ func TestRotateSites(t *testing.T) {
 // not the site.
 func TestRotationMovesLastWriterArtifact(t *testing.T) {
 	countMW := func(rotate int) map[trace.AgentID]int {
-		res, err := Simulate(SimulateOptions{
-			Service:    service.NameFBGroup,
-			Test1Count: 6,
-			Seed:       31,
-			Rotate:     rotate,
-		})
+		res, err := SimulateConcurrent(context.Background(), Options{
+			Workload: Workload{
+				Service:    service.NameFBGroup,
+				Test1Count: 6,
+				Seed:       31,
+				Rotate:     rotate,
+			},
+			Engine: Engine{Lanes: 1},
+		}, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

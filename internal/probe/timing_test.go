@@ -186,13 +186,16 @@ func TestBlockShare(t *testing.T) {
 }
 
 func TestCampaignAlternation(t *testing.T) {
-	res, err := Simulate(SimulateOptions{
-		Service:         service.NameBlogger,
-		Test1Count:      4,
-		Test2Count:      4,
-		Seed:            3,
-		AlternateBlocks: 2,
-	})
+	res, err := SimulateConcurrent(context.Background(), Options{
+		Workload: Workload{
+			Service:         service.NameBlogger,
+			Test1Count:      4,
+			Test2Count:      4,
+			Seed:            3,
+			AlternateBlocks: 2,
+		},
+		Engine: Engine{Lanes: 1},
+	}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,12 +227,15 @@ func TestCampaignAlternation(t *testing.T) {
 func TestAlternationFaultWindowStillByKindIndex(t *testing.T) {
 	// FBGroup's fault window covers Test 2 indexes [11,20) at count 22;
 	// alternation must not change which instances see the partition.
-	res, err := Simulate(SimulateOptions{
-		Service:         service.NameFBGroup,
-		Test2Count:      22,
-		Seed:            9,
-		AlternateBlocks: 3,
-	})
+	res, err := SimulateConcurrent(context.Background(), Options{
+		Workload: Workload{
+			Service:         service.NameFBGroup,
+			Test2Count:      22,
+			Seed:            9,
+			AlternateBlocks: 3,
+		},
+		Engine: Engine{Lanes: 1},
+	}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package profilecfg
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 	"time"
@@ -128,7 +129,7 @@ func TestDurationNumericNanoseconds(t *testing.T) {
 }
 
 // TestLoadedProfileRunsCampaign loads a JSON profile and runs a small
-// campaign with it through SimulateOptions.Profile.
+// campaign with it through Workload.Profile.
 func TestLoadedProfileRunsCampaign(t *testing.T) {
 	var buf bytes.Buffer
 	if err := Save(&buf, service.Blogger()); err != nil {
@@ -138,12 +139,15 @@ func TestLoadedProfileRunsCampaign(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := probe.Simulate(probe.SimulateOptions{
-		Service:    service.NameBlogger,
-		Test1Count: 1,
-		Seed:       1,
-		Profile:    &p,
-	})
+	res, err := probe.SimulateConcurrent(context.Background(), probe.Options{
+		Workload: probe.Workload{
+			Service:    service.NameBlogger,
+			Test1Count: 1,
+			Seed:       1,
+			Profile:    &p,
+		},
+		Engine: probe.Engine{Lanes: 1},
+	}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,17 +181,20 @@ func TestLoadAllWithTopology(t *testing.T) {
 	}
 
 	// End to end: the custom profile runs once the links are applied.
-	res, err := probe.Simulate(probe.SimulateOptions{
-		Service:    service.NameBlogger, // campaign parameters only
-		Test2Count: 1,
-		Seed:       3,
-		Profile:    &p,
-		ConfigureNetwork: func(n *simnet.Network) {
-			for _, l := range links {
-				n.SetRTT(l.A, l.B, l.RTT)
-			}
+	res, err := probe.SimulateConcurrent(context.Background(), probe.Options{
+		Workload: probe.Workload{
+			Service:    service.NameBlogger, // campaign parameters only
+			Test2Count: 1,
+			Seed:       3,
+			Profile:    &p,
+			ConfigureNetwork: func(n *simnet.Network) {
+				for _, l := range links {
+					n.SetRTT(l.A, l.B, l.RTT)
+				}
+			},
 		},
-	})
+		Engine: probe.Engine{Lanes: 1},
+	}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

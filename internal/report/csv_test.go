@@ -2,6 +2,7 @@ package report
 
 import (
 	"bytes"
+	"context"
 	"encoding/csv"
 	"strings"
 	"testing"
@@ -12,12 +13,15 @@ import (
 )
 
 func TestWriteCSVWellFormedAndComplete(t *testing.T) {
-	res, err := probe.Simulate(probe.SimulateOptions{
-		Service:    service.NameGooglePlus,
-		Test1Count: 4,
-		Test2Count: 4,
-		Seed:       5,
-	})
+	res, err := probe.SimulateConcurrent(context.Background(), probe.Options{
+		Workload: probe.Workload{
+			Service:    service.NameGooglePlus,
+			Test1Count: 4,
+			Test2Count: 4,
+			Seed:       5,
+		},
+		Engine: probe.Engine{Lanes: 1},
+	}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

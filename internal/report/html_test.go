@@ -2,6 +2,7 @@ package report
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 	"time"
@@ -14,9 +15,15 @@ import (
 func TestWriteHTMLPage(t *testing.T) {
 	var reps []*analysis.Report
 	for _, svc := range []string{service.NameBlogger, service.NameFBGroup} {
-		res, err := probe.Simulate(probe.SimulateOptions{
-			Service: svc, Test1Count: 3, Test2Count: 3, Seed: 4,
-		})
+		res, err := probe.SimulateConcurrent(context.Background(), probe.Options{
+			Workload: probe.Workload{
+				Service:    svc,
+				Test1Count: 3,
+				Test2Count: 3,
+				Seed:       4,
+			},
+			Engine: probe.Engine{Lanes: 1},
+		}, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -48,9 +55,14 @@ func TestWriteHTMLPage(t *testing.T) {
 }
 
 func TestWriteHTMLIncludesSVGWhenWindowsExist(t *testing.T) {
-	res, err := probe.Simulate(probe.SimulateOptions{
-		Service: service.NameGooglePlus, Test2Count: 15, Seed: 2,
-	})
+	res, err := probe.SimulateConcurrent(context.Background(), probe.Options{
+		Workload: probe.Workload{
+			Service:    service.NameGooglePlus,
+			Test2Count: 15,
+			Seed:       2,
+		},
+		Engine: probe.Engine{Lanes: 1},
+	}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

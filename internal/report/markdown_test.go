@@ -2,6 +2,7 @@ package report
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 
@@ -11,12 +12,15 @@ import (
 )
 
 func TestWriteMarkdown(t *testing.T) {
-	res, err := probe.Simulate(probe.SimulateOptions{
-		Service:    service.NameFBGroup,
-		Test1Count: 3,
-		Test2Count: 2,
-		Seed:       6,
-	})
+	res, err := probe.SimulateConcurrent(context.Background(), probe.Options{
+		Workload: probe.Workload{
+			Service:    service.NameFBGroup,
+			Test1Count: 3,
+			Test2Count: 2,
+			Seed:       6,
+		},
+		Engine: probe.Engine{Lanes: 1},
+	}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package report
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 	"time"
@@ -47,12 +48,15 @@ func TestHelperFunctions(t *testing.T) {
 }
 
 func TestWriteReportCleanServiceOmitsAnomalySections(t *testing.T) {
-	res, err := probe.Simulate(probe.SimulateOptions{
-		Service:    service.NameBlogger,
-		Test1Count: 2,
-		Test2Count: 2,
-		Seed:       3,
-	})
+	res, err := probe.SimulateConcurrent(context.Background(), probe.Options{
+		Workload: probe.Workload{
+			Service:    service.NameBlogger,
+			Test1Count: 2,
+			Test2Count: 2,
+			Seed:       3,
+		},
+		Engine: probe.Engine{Lanes: 1},
+	}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,11 +103,14 @@ func TestSparkline(t *testing.T) {
 }
 
 func TestWriteStability(t *testing.T) {
-	res, err := probe.Simulate(probe.SimulateOptions{
-		Service:    service.NameFBGroup,
-		Test2Count: 25,
-		Seed:       5,
-	})
+	res, err := probe.SimulateConcurrent(context.Background(), probe.Options{
+		Workload: probe.Workload{
+			Service:    service.NameFBGroup,
+			Test2Count: 25,
+			Seed:       5,
+		},
+		Engine: probe.Engine{Lanes: 1},
+	}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package report
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -127,12 +128,15 @@ func TestBarBounds(t *testing.T) {
 }
 
 func TestWriteReportEndToEnd(t *testing.T) {
-	res, err := probe.Simulate(probe.SimulateOptions{
-		Service:    service.NameFBGroup,
-		Test1Count: 3,
-		Test2Count: 3,
-		Seed:       21,
-	})
+	res, err := probe.SimulateConcurrent(context.Background(), probe.Options{
+		Workload: probe.Workload{
+			Service:    service.NameFBGroup,
+			Test1Count: 3,
+			Test2Count: 3,
+			Seed:       21,
+		},
+		Engine: probe.Engine{Lanes: 1},
+	}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

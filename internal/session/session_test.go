@@ -1,6 +1,7 @@
 package session
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"slices"
@@ -261,12 +262,15 @@ func TestMaskingEndToEnd(t *testing.T) {
 		wrap := func(ag probe.Agent, svc service.Service) service.Service {
 			return Wrap(svc, ag.Label(), All)
 		}
-		res, err := probe.Simulate(probe.SimulateOptions{
-			Service:    service.NameFBFeed,
-			Test1Count: 2,
-			Seed:       900 + seed,
-			Wrap:       wrap,
-		})
+		res, err := probe.SimulateConcurrent(context.Background(), probe.Options{
+			Workload: probe.Workload{
+				Service:    service.NameFBFeed,
+				Test1Count: 2,
+				Seed:       900 + seed,
+				Wrap:       wrap,
+			},
+			Engine: probe.Engine{Lanes: 1},
+		}, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -299,12 +303,15 @@ func TestMaskingReducesAnomalies(t *testing.T) {
 				return Wrap(svc, ag.Label(), All)
 			}
 		}
-		res, err := probe.Simulate(probe.SimulateOptions{
-			Service:    service.NameFBFeed,
-			Test1Count: 4,
-			Seed:       42,
-			Wrap:       w,
-		})
+		res, err := probe.SimulateConcurrent(context.Background(), probe.Options{
+			Workload: probe.Workload{
+				Service:    service.NameFBFeed,
+				Test1Count: 4,
+				Seed:       42,
+				Wrap:       w,
+			},
+			Engine: probe.Engine{Lanes: 1},
+		}, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -405,12 +412,15 @@ func TestWFRMaskingEndToEnd(t *testing.T) {
 		return Wrap(svc, ag.Label(), All)
 	}
 	for seed := int64(0); seed < 3; seed++ {
-		res, err := probe.Simulate(probe.SimulateOptions{
-			Service:    service.NameFBFeed,
-			Test1Count: 3,
-			Seed:       700 + seed,
-			Wrap:       wrap,
-		})
+		res, err := probe.SimulateConcurrent(context.Background(), probe.Options{
+			Workload: probe.Workload{
+				Service:    service.NameFBFeed,
+				Test1Count: 3,
+				Seed:       700 + seed,
+				Wrap:       wrap,
+			},
+			Engine: probe.Engine{Lanes: 1},
+		}, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

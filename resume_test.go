@@ -11,6 +11,7 @@ import (
 
 	"conprobe"
 	"conprobe/internal/faultinject"
+	"conprobe/internal/probe"
 	"conprobe/internal/resilience"
 )
 
@@ -253,19 +254,35 @@ func TestResumeGuards(t *testing.T) {
 		t.Errorf("Resume without Checkpoint: %v", err)
 	}
 
-	// A journal from different campaign options must be refused.
+	// A journal must be refused by a campaign differing in any one field
+	// of its identity.
 	path := filepath.Join(t.TempDir(), "campaign.ckpt")
 	first := base
 	first.Durability.Checkpoint = path
 	if _, err := conprobe.Run(context.Background(), first); err != nil {
 		t.Fatal(err)
 	}
-	other := base
-	other.Workload.Seed++
-	other.Durability.Checkpoint = path
-	other.Durability.Resume = true
-	if _, err := conprobe.Run(context.Background(), other); err == nil ||
-		!strings.Contains(err.Error(), "different campaign") {
-		t.Errorf("mismatched journal accepted: %v", err)
+	for _, tc := range []struct {
+		field  string
+		change func(*conprobe.Options)
+	}{
+		{"Service", func(o *conprobe.Options) { o.Workload.Service = conprobe.ServiceGooglePlus }},
+		{"Seed", func(o *conprobe.Options) { o.Workload.Seed++ }},
+		{"Lanes", func(o *conprobe.Options) { o.Engine.Lanes = 2 }},
+		{"Test1Count", func(o *conprobe.Options) { o.Workload.Test1Count++ }},
+		{"Test2Count", func(o *conprobe.Options) { o.Workload.Test2Count-- }},
+		{"AlternateBlocks", func(o *conprobe.Options) { o.Workload.AlternateBlocks = 2 }},
+		{"Start", func(o *conprobe.Options) { o.Workload.Start = probe.DefaultStart.Add(time.Hour) }},
+		{"Rotate", func(o *conprobe.Options) { o.Workload.Rotate = 1 }},
+		{"SyncSamples", func(o *conprobe.Options) { o.Workload.SyncSamples = 3 }},
+	} {
+		other := base
+		tc.change(&other)
+		other.Durability.Checkpoint = path
+		other.Durability.Resume = true
+		if _, err := conprobe.Run(context.Background(), other); err == nil ||
+			!strings.Contains(err.Error(), "different campaign") {
+			t.Errorf("journal resumed with a different %s: %v", tc.field, err)
+		}
 	}
 }

@@ -2,17 +2,36 @@
 # Crash-and-resume determinism smoke: run a campaign to completion, run
 # the identical campaign with -checkpoint but abort it partway through,
 # resume from the journal, and require the resumed report to be
-# byte-identical to the uninterrupted one. Then write a two-test trace
-# archive and require it to equal, byte for byte, the copy committed
-# under internal/trace/testdata/: a drift in the JSONL format fails here
-# and not in whoever reads an archive later. Run from the repository
-# root or anywhere inside it.
+# byte-identical to the uninterrupted one. Before that resume, two must
+# be refused: one under a different -rotate (another campaign) and one
+# with -trace (it would truncate the pre-crash archive). Then write a
+# two-test trace archive and require it to equal, byte for byte, the
+# copy committed under internal/trace/testdata/: a drift in the JSONL
+# format fails here and not in whoever reads an archive later. Run from
+# the repository root or anywhere inside it.
 set -eu
 
 cd "$(dirname "$0")/.."
 
 dir=$(mktemp -d)
 trap 'rm -rf "$dir"' EXIT
+
+# must_refuse resumes the aborted campaign with extra flags and requires
+# the resume to fail, for the reason grepped.
+must_refuse() {
+  reason=$1
+  shift
+  if go run ./cmd/conprobe $common -checkpoint "$dir/campaign.ckpt" -resume "$@" \
+      > /dev/null 2> "$dir/refused.log"; then
+    echo "resume_smoke: resume with $* was accepted" >&2
+    exit 1
+  fi
+  grep -q -- "$reason" "$dir/refused.log" || {
+    echo "resume_smoke: resume with $* failed for the wrong reason:" >&2
+    cat "$dir/refused.log" >&2
+    exit 1
+  }
+}
 
 # Two passes: a multi-lane campaign, then the default one with no engine
 # flag — there is one campaign path, so both must journal and resume.
@@ -35,6 +54,12 @@ for engine in "-lanes 4 -parallelism 2" ""; do
     cat "$dir/abort.log" >&2
     exit 1
   }
+
+  echo "== resume under a different campaign (-rotate 1) is refused"
+  must_refuse "different campaign" -rotate 1
+
+  echo "== resume with -trace is refused"
+  must_refuse "cannot be combined with -trace" -trace "$dir/traces.jsonl"
 
   echo "== resumed run"
   go run ./cmd/conprobe $common -checkpoint "$dir/campaign.ckpt" -resume \
