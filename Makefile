@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race verify-race bench scaling loc load fuzz golden resume-smoke paper-check cluster-smoke disk-chaos verify clean
+.PHONY: build test vet race verify-race bench scaling cpu-layers loc load fuzz golden resume-smoke paper-check cluster-smoke disk-chaos verify clean
 
 build:
 	$(GO) build ./...
@@ -30,6 +30,12 @@ bench:
 # hosts — a hard >= 1.5x check of parallel=8 over parallel=1 tests/sec.
 scaling:
 	./scripts/scaling_ci.sh
+
+# cpu-layers prints where a simulated campaign's CPU goes by layer
+# (DESIGN §11's table): campaign_sim's shape profiled thirty times over,
+# each sample charged to its leaf-most conprobe frame (scripts/cpu_layers.sh).
+cpu-layers:
+	./scripts/cpu_layers.sh
 
 # loc prints the size every simplicity change is judged by: non-test Go
 # lines per internal/ package and for the whole module, bench/ excluded.

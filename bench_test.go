@@ -771,6 +771,24 @@ func BenchmarkCampaignParallel(b *testing.B) {
 	}
 }
 
+// BenchmarkCPULayers runs the benchmark's campaign_sim workload once per
+// iteration: every service profile, 160 Test 1 and 160 Test 2 instances,
+// at parallelism 2 with traces discarded. scripts/cpu_layers.sh profiles
+// thirty iterations of it and charges the CPU to layers.
+func BenchmarkCPULayers(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		for _, name := range conprobe.ProfileNames() {
+			_, err := conprobe.Run(context.Background(), conprobe.Options{
+				Workload: conprobe.Workload{Service: name, Test1Count: 160, Test2Count: 160, Seed: 1},
+				Engine:   conprobe.Engine{Parallelism: 2, DiscardTraces: true},
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
 // BenchmarkSessionMiddleware measures the masking layer's per-read
 // overhead on realistic read sizes.
 func BenchmarkSessionMiddleware(b *testing.B) {

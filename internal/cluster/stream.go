@@ -212,10 +212,13 @@ func (s *appendStream) fail(err error) {
 	s.watchdog.Stop()
 	calls, conn := s.pending, s.conn
 	s.pending = nil
+	if conn != nil {
+		// Counted closed before a call can see s.err and fail.
+		s.t.streamsOpen.Add(-1)
+	}
 	s.mu.Unlock()
 	if conn != nil {
 		conn.Close()
-		s.t.streamsOpen.Add(-1)
 	}
 	refused := errors.Is(err, errUpgradeRefused)
 	s.t.mu.Lock()

@@ -92,6 +92,47 @@ func TestTest2AllocationBudget(t *testing.T) {
 	}
 }
 
+// groupCounter is a Runtime that counts the Groups it makes.
+type groupCounter struct {
+	*vtime.Sim
+	groups int
+}
+
+func (c *groupCounter) NewGroup() vtime.Group {
+	c.groups++
+	return c.Sim.NewGroup()
+}
+
+// TestWarmRunnerTestMakesNoGroup: a runner joins every test's agents on
+// the one Group it made when it was built, so a test allocates none.
+func TestWarmRunnerTestMakesNoGroup(t *testing.T) {
+	sim := vtime.NewSim(epoch)
+	rt := &groupCounter{Sim: sim}
+	net := simnet.DefaultTopology(1)
+	svc, err := service.NewSimulated(sim, net, service.FBGroup(), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg, err := CampaignFor("fbgroup", DefaultAgents(sim, maxSkew, 3), 2, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runner, err := NewRunner(rt, net, svc, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	built := rt.groups
+	sim.Go(func() {
+		if _, err := runner.runSteps(context.Background(), scheduleOf(2, 2, 1)); err != nil {
+			t.Error(err)
+		}
+	})
+	sim.Wait()
+	if got := rt.groups - built; got != 0 {
+		t.Errorf("four tests made %d Groups, want 0 (the runner made %d when built)", got, built)
+	}
+}
+
 // discardedTest2Allocs runs three Test 2 instances of readsPerAgent reads
 // per agent as one discarding lane and returns the heap objects and bytes
 // allocated from the second trace's sink to the third's: the gap, and a

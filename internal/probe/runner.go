@@ -69,6 +69,9 @@ type Runner struct {
 	simProbes []*clocksync.SimProbe
 	// spare is, under DiscardTraces, a trace the sink is done with.
 	spare *trace.TestTrace
+	// group joins a test's agents; one for the runner's life, since tests
+	// run one at a time.
+	group vtime.Group
 
 	// Engine telemetry (observed, never read back). The handles are
 	// registered once in NewRunner; a nil cfg.Metrics yields live
@@ -97,7 +100,7 @@ func NewRunner(rt vtime.Runtime, net *simnet.Network, svc service.Service, cfg C
 	if cfg.StartDelay <= 0 {
 		cfg.StartDelay = time.Second
 	}
-	r := &Runner{rt: rt, net: net, svc: svc, cfg: cfg}
+	r := &Runner{rt: rt, net: net, svc: svc, cfg: cfg, group: rt.NewGroup()}
 	for _, o := range opts {
 		o(r)
 	}
@@ -401,7 +404,7 @@ func (r *Runner) runTest(ctx context.Context, testID int, kind trace.TestKind) (
 	if kind == trace.Test1 {
 		finalWrite = writeID(testID, 2*len(r.cfg.Agents))
 	}
-	g := r.rt.NewGroup()
+	g := r.group
 	for i, ag := range r.cfg.Agents {
 		client, rec, finalWrite := r.clients[i], r.recs[i], finalWrite // copied: captured by value
 		rec.mark = len(rec.block) - len(rec.ids)

@@ -1,8 +1,16 @@
+// iter.Pull needs Go 1.23. The constraint raises this file's language
+// version above the module's go line, which stays at 1.22 because
+// bench/go.mod pins it; go.mod's toolchain line makes an older go
+// command switch to a 1.23 toolchain.
+
+//go:build go1.23
+
 package vtime
 
 import (
 	"fmt"
-	"sync"
+	"iter"
+	"math"
 	"time"
 
 	"conprobe/internal/minheap"
@@ -10,36 +18,42 @@ import (
 
 // Sim is a discrete-event scheduler implementing Clock with virtual time.
 //
-// Logical processes are started with Go (or via a Group). Each runs on its
-// own goroutine. Whenever every live actor is parked — sleeping, joined on
-// a Group, or waiting at a Gate — the scheduler advances the virtual clock
-// to the earliest pending event and wakes its owner. A Sim therefore
-// executes arbitrarily long simulated timelines in wall-clock time
-// proportional only to the work performed.
+// Logical processes ("actors") are started with Go, through a Group, or by
+// a timer's fire. Each runs as a coroutine, and one loop — run by Wait's
+// caller — resumes them one at a time. Whenever no actor is runnable, the
+// loop advances the virtual clock to the earliest pending event and
+// resumes its owner. A Sim therefore executes arbitrarily long simulated
+// timelines in wall-clock time proportional only to the work performed,
+// and one program interleaves its actors the same way on every run.
 //
-// Actors must not block on ordinary channels or locks held across waits;
-// all inter-actor waiting must go through Sleep, AfterFunc, Group.Join or
-// Gate.Wait. Violating this stalls virtual time and is reported as a
-// deadlock.
+// The contract:
+//   - One actor runs at a time, until it parks in Sleep or Group.Join or
+//     returns. Actors made runnable at an instant (started, or released
+//     by a Join) run in that order, before any event queued for it.
+//   - A Sim's methods are called only from its own actors, or from
+//     outside Wait. Sleep and Group.Join panic outside an actor, and Wait
+//     inside one.
+//   - An actor's panic surfaces from Wait.
+//
+// Actors must not block on ordinary channels or on locks held across
+// waits; all inter-actor waiting goes through Sleep, AfterFunc and
+// Group.Join. Violating this stalls the loop.
 type Sim struct {
-	mu       sync.Mutex
-	waitCond *sync.Cond // signalled when alive reaches zero
-
-	now      time.Time
-	seq      uint64
-	queue    []queued   // min-heap by (at, seq)
-	runnable int        // actors currently executing
-	alive    int        // actors started and not yet finished
-	idle     []chan job // parked workers, the latest to park last
+	epoch time.Time // the virtual clock's start
+	at    int64     // now, in nanoseconds since epoch: the queue's key
+	seq   uint64
+	queue []queued // min-heap by (at, seq)
+	ready []*actor // runnable at now, in the order they became so
+	alive int      // actors started and not yet finished
+	cur   *actor   // the running actor; nil outside one
+	idle  []*actor // finished workers, the latest to finish last
 }
 
 var _ Runtime = (*Sim)(nil)
 
 // NewSim returns a Sim whose virtual clock starts at start.
 func NewSim(start time.Time) *Sim {
-	s := &Sim{now: start}
-	s.waitCond = sync.NewCond(&s.mu)
-	return s
+	return &Sim{epoch: start}
 }
 
 // Runtime is the execution environment shared by simulated and live runs:
@@ -61,53 +75,37 @@ type Group interface {
 	Go(f func())
 
 	// Join blocks the caller until every actor started via Go has
-	// returned. Join may be called once actors have been started.
+	// returned. Join may be called once actors have been started, and
+	// again once they have returned.
 	Join()
 }
 
 // Now returns the current virtual time.
-func (s *Sim) Now() time.Time {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.now
-}
+func (s *Sim) Now() time.Time { return s.epoch.Add(time.Duration(s.at)) }
 
 // Since returns the virtual time elapsed since t.
-func (s *Sim) Since(t time.Time) time.Duration {
-	return s.Now().Sub(t)
-}
+func (s *Sim) Since(t time.Time) time.Duration { return s.Now().Sub(t) }
 
-// sleepEventPool recycles the event (and its embedded wake channel) a
-// Sleep call parks on. Sleep events cannot be cancelled and their only
-// reference after firing is the sleeping goroutine itself, so it alone
-// returns them to the pool.
-var sleepEventPool = sync.Pool{
-	New: func() any { return &event{wake: make(chan struct{}, 1)} },
-}
+// Elapsed returns the virtual time elapsed since t0.
+func (s *Sim) Elapsed(t0 time.Time) time.Duration { return s.Now().Sub(t0) }
 
 // Sleep parks the calling actor for d of virtual time.
 func (s *Sim) Sleep(d time.Duration) {
+	a := s.running("Sleep")
 	if d <= 0 {
 		return
 	}
-	s.mu.Lock()
-	at := s.now.Add(d)
-	// Fast path: the caller is the only runnable actor and no pending
-	// event is due before its wake-up, so advancing the clock here is
-	// exactly what parking and re-waking would do — minus the event
-	// allocation, the heap traffic, and two goroutine context switches.
-	// A strict Before keeps same-instant events firing in FIFO order.
-	if s.runnable == 1 && (len(s.queue) == 0 || at.Before(s.queue[0].at)) {
-		s.now = at
-		s.mu.Unlock()
+	at := s.after(d)
+	// Fast path: no other actor is runnable and no pending event is due
+	// at or before the wake-up, so advancing the clock here is exactly
+	// what parking and being resumed would do, minus two switches. A
+	// strict < keeps same-instant events firing in FIFO order.
+	if len(s.ready) == 0 && (len(s.queue) == 0 || at < s.queue[0].at) {
+		s.at = at
 		return
 	}
-	ev := sleepEventPool.Get().(*event)
-	s.push(at, ev)
-	s.parkLocked()
-	s.mu.Unlock()
-	<-ev.wake
-	sleepEventPool.Put(ev)
+	s.push(at, &a.wake)
+	a.yield(struct{}{})
 }
 
 // AfterFunc schedules f to run as a new actor after d of virtual time.
@@ -117,207 +115,202 @@ func (s *Sim) AfterFunc(d time.Duration, f func()) Timer {
 	return ev
 }
 
-// Go starts f as a new actor. It may be called before Run as well as from
-// inside running actors.
-func (s *Sim) Go(f func()) {
-	s.mu.Lock()
-	s.startLocked(f, nil)
-	s.mu.Unlock()
-}
+// Go starts f as a new actor. It may be called before Wait as well as
+// from inside running actors; f runs once the caller parks or returns.
+func (s *Sim) Go(f func()) { s.start(f, nil) }
 
 // NewGroup returns a scheduler-aware Group.
 func (s *Sim) NewGroup() Group { return &simGroup{s: s} }
 
-// Wait blocks the caller (which must not be an actor) until every actor
-// has finished.
+// Wait runs the actors until every one has finished. Its caller is the
+// loop that resumes them, so it must not be an actor of s.
 func (s *Sim) Wait() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	if s.cur != nil {
+		panic("vtime: Wait inside an actor")
+	}
+	defer s.release()
 	for s.alive > 0 {
-		s.waitCond.Wait()
+		var a *actor
+		if len(s.ready) > 0 {
+			a = s.ready[0]
+			s.ready = s.ready[:copy(s.ready, s.ready[1:])]
+		} else if ev := s.head(); ev == nil {
+			panic(fmt.Sprintf(
+				"vtime: deadlock at %s: %d actor(s) parked with no pending events",
+				s.Now().Format(time.RFC3339Nano), s.alive))
+		} else if a = s.pop(); a == nil {
+			a = s.worker(ev.fn, nil) // a timer callback: a transient actor
+		}
+		s.cur = a
+		a.next()
 	}
 }
 
-// Elapsed returns the virtual time elapsed since t0.
-func (s *Sim) Elapsed(t0 time.Time) time.Duration {
-	return s.Now().Sub(t0)
+// release ends a Wait: nothing is left that could start an actor, so the
+// idle workers are stopped and Wait leaves no goroutine behind.
+func (s *Sim) release() {
+	s.cur = nil
+	for _, a := range s.idle {
+		a.stop()
+	}
+	s.idle = nil
+}
+
+// running returns the actor running now, or panics naming call.
+func (s *Sim) running(call string) *actor {
+	if s.cur == nil {
+		panic("vtime: " + call + " outside an actor")
+	}
+	return s.cur
+}
+
+// after returns the queue key d ≥ 0 from now, clamped at MaxInt64
+// nanoseconds since the epoch (about 292 years).
+func (s *Sim) after(d time.Duration) int64 {
+	if at := s.at + int64(d); at >= s.at {
+		return at
+	}
+	return math.MaxInt64
 }
 
 // push queues ev's current generation to fire at `at`, stamping the FIFO
-// sequence number. Caller holds mu.
-func (s *Sim) push(at time.Time, ev *event) {
+// sequence number.
+func (s *Sim) push(at int64, ev *event) {
 	s.queue = minheap.Push(s.queue, queued{at: at, seq: s.seq, ev: ev, gen: ev.gen}, (*queued).before)
 	s.seq++
 }
 
-// parkLocked marks the calling actor as no longer runnable, advancing
-// virtual time if it was the last one. Caller holds mu.
-func (s *Sim) parkLocked() {
-	s.runnable--
-	if s.runnable == 0 {
-		s.advanceLocked()
-	}
-}
-
-// advanceLocked jumps virtual time to the earliest pending event and wakes
-// or starts its owner. Caller holds mu, runnable is zero.
-func (s *Sim) advanceLocked() {
+// head drops the stale slots at the front of the queue and returns the
+// live event there, nil when none is queued.
+func (s *Sim) head() *event {
 	for len(s.queue) > 0 {
-		var q queued
-		s.queue, q = minheap.Pop(s.queue, (*queued).before)
-		ev := q.ev
-		if q.gen != ev.gen {
-			continue // stopped or re-armed since it was queued
+		if q := s.queue[0]; q.gen == q.ev.gen {
+			return q.ev
 		}
-		s.now = q.at
-		if ev.wake != nil {
-			s.runnable++
-			// Sleep events carry a reusable buffered channel; a send (not a
-			// close) wakes the sleeper so the event can go back to its pool.
-			ev.wake <- struct{}{}
-			return
-		}
-		// Timer callback: a transient actor, never run inline (it may Sleep).
-		ev.pending = false
-		s.startLocked(ev.fn, nil)
-		return
+		s.queue, _ = minheap.Pop(s.queue, (*queued).before)
 	}
-	if s.alive > 0 {
-		panic(fmt.Sprintf(
-			"vtime: deadlock at %s: %d actor(s) parked with no pending events",
-			s.now.Format(time.RFC3339Nano), s.alive))
-	}
+	return nil
 }
 
-// job is one actor handed to a worker: f, a member of g unless g is nil.
-type job struct {
-	f func()
-	g *simGroup
+// pop fires the live head head returned: it advances the clock to it and
+// returns the sleeper to resume, or nil for a timer callback, which it
+// counts as started.
+func (s *Sim) pop() *actor {
+	var q queued
+	s.queue, q = minheap.Pop(s.queue, (*queued).before)
+	s.at = q.at
+	if q.ev.a == nil {
+		q.ev.pending = false
+		s.alive++
+	}
+	return q.ev.a
 }
 
-// startLocked starts f as a new actor — from Go, a Group or a timer fire
-// alike — on a parked worker goroutine, or a new one when none is parked.
-// A worker is the 1-buffered channel it receives on: the hand-off never
-// blocks. Caller holds mu.
-func (s *Sim) startLocked(f func(), g *simGroup) {
+// start makes f a runnable actor, a member of g unless g is nil.
+func (s *Sim) start(f func(), g *simGroup) {
 	s.alive++
-	s.runnable++
 	if g != nil {
 		g.count++
 	}
-	var w chan job
+	s.ready = append(s.ready, s.worker(f, g))
+}
+
+// worker loads f, a member of g unless g is nil, on the worker idled
+// last, or on a new one when none is idle.
+func (s *Sim) worker(f func(), g *simGroup) *actor {
+	var a *actor
 	if n := len(s.idle); n > 0 {
-		w, s.idle = s.idle[n-1], s.idle[:n-1]
+		a, s.idle = s.idle[n-1], s.idle[:n-1]
 	} else {
-		w = make(chan job, 1)
-		go s.work(w)
+		a = &actor{s: s}
+		a.wake.a = a
+		a.next, a.stop = iter.Pull(a.run)
 	}
-	w <- job{f, g}
+	a.f, a.g = f, g
+	return a
 }
 
-// work runs the actors handed to one worker until finishLocked releases it.
-func (s *Sim) work(jobs chan job) {
-	for j := range jobs {
-		j.f()
-		s.mu.Lock()
-		// Parked before the finish step, so the actor that step may start
-		// (a due timer's callback) runs on this goroutine.
-		s.idle = append(s.idle, jobs)
-		s.finishLocked(j.g)
-		s.mu.Unlock()
-	}
+// actor is a worker coroutine: it runs the function it is loaded with,
+// parks in the idle list, and is loaded again by Go, a Group or a fire.
+type actor struct {
+	s     *Sim
+	f     func()
+	g     *simGroup
+	wake  event // what Sleep queues; wake.a is the actor itself
+	yield func(struct{}) bool
+	next  func() (struct{}, bool)
+	stop  func()
 }
 
-// finishLocked records the termination of an actor, a member of g unless g
-// is nil, in one lock acquisition with the group bookkeeping, so waiters
-// wake before time advances past their wake-up. Caller holds mu.
-func (s *Sim) finishLocked(g *simGroup) {
-	if g != nil {
-		g.count--
-		if g.count == 0 {
-			for _, ch := range g.waiters {
-				s.runnable++
-				close(ch)
+// run is the worker's coroutine body: one actor per turn of the loop,
+// until release stops it.
+func (a *actor) run(yield func(struct{}) bool) {
+	a.yield = yield
+	s := a.s
+	for {
+		a.f()
+		if g := a.g; g != nil {
+			if g.count--; g.count == 0 {
+				s.ready = append(s.ready, g.waiters...)
+				g.waiters = g.waiters[:0]
 			}
-			g.waiters = nil
 		}
-	}
-	s.runnable--
-	s.alive--
-	if s.alive == 0 {
-		// Nothing is left that could start an actor: release the parked
-		// workers, so Wait leaves no goroutine behind.
-		for _, w := range s.idle {
-			close(w)
+		a.f, a.g = nil, nil
+		s.alive--
+		s.idle = append(s.idle, a)
+		if !yield(struct{}{}) {
+			return
 		}
-		s.idle = nil
-		s.waitCond.Broadcast()
-		return
-	}
-	if s.runnable == 0 {
-		s.advanceLocked()
 	}
 }
 
 // simGroup is the scheduler-aware Group implementation.
 type simGroup struct {
 	s       *Sim
-	count   int // live members; guarded by s.mu
-	waiters []chan struct{}
+	count   int      // live members
+	waiters []*actor // joined, in Join order
 }
 
-func (g *simGroup) Go(f func()) {
-	g.s.mu.Lock()
-	g.s.startLocked(f, g)
-	g.s.mu.Unlock()
-}
+func (g *simGroup) Go(f func()) { g.s.start(f, g) }
 
 func (g *simGroup) Join() {
-	s := g.s
-	s.mu.Lock()
+	a := g.s.running("Group.Join")
 	if g.count == 0 {
-		s.mu.Unlock()
 		return
 	}
-	ch := make(chan struct{})
-	g.waiters = append(g.waiters, ch)
-	s.parkLocked()
-	s.mu.Unlock()
-	<-ch
+	g.waiters = append(g.waiters, a)
+	a.yield(struct{}{})
 }
 
-// event is what a queue slot fires: a parked Sleep (wake != nil, pooled)
-// or a timer callback (fn != nil). A timer event is the Timer AfterFunc
-// returns, one object for the timer's life: every arm queues a slot
-// stamped with gen, and Stop and Reset kill it where it lies by moving on.
+// event is what a queue slot fires: a parked Sleep (a != nil, embedded in
+// its actor) or a timer callback (fn != nil). A timer event is the Timer
+// AfterFunc returns, one object for the timer's life: every arm queues a
+// slot stamped with gen, and Stop and Reset kill it where it lies by
+// moving on.
 type event struct {
-	s       *Sim // set on timer events only; Stop and Reset lock through it
-	wake    chan struct{}
+	s       *Sim // set on timer events only; Reset pushes through it
+	a       *actor
 	fn      func()
 	gen     uint64
 	pending bool // a slot of this generation is queued and has not fired
 }
 
-// queued is one slot of the event heap: ev is due at `at`, after every
-// slot of the same instant queued before it, while ev.gen is still gen.
+// queued is one slot of the event heap: ev is due at `at` (nanoseconds
+// since the Sim's epoch), after every slot of the same instant queued
+// before it, while ev.gen is still gen.
 type queued struct {
-	at  time.Time
+	at  int64
 	seq uint64
 	ev  *event
 	gen uint64
 }
 
 func (q *queued) before(o *queued) bool {
-	if !q.at.Equal(o.at) {
-		return q.at.Before(o.at)
-	}
-	return q.seq < o.seq
+	return q.at < o.at || q.at == o.at && q.seq < o.seq
 }
 
 // Stop cancels a timer event that has not fired.
 func (ev *event) Stop() bool {
-	ev.s.mu.Lock()
-	defer ev.s.mu.Unlock()
 	was := ev.pending
 	ev.pending = false
 	ev.gen++
@@ -329,15 +322,9 @@ func (ev *event) Stop() bool {
 // an instant it fires where a timer made by this call would. A negative d
 // is zero, as for time.AfterFunc: virtual time never steps back.
 func (ev *event) Reset(d time.Duration) bool {
-	if d < 0 {
-		d = 0
-	}
-	s := ev.s
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	was := ev.pending
 	ev.pending = true
 	ev.gen++
-	s.push(s.now.Add(d), ev)
+	ev.s.push(ev.s.after(max(d, 0)), ev)
 	return was
 }

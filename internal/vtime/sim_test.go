@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -195,19 +196,124 @@ func TestSimNestedSpawn(t *testing.T) {
 	}
 }
 
-func TestSimDeadlockPanics(t *testing.T) {
-	// White-box: advancing with live actors but an empty event queue is
-	// the deadlock condition; it must panic rather than hang.
-	s := NewSim(simEpoch)
-	s.alive = 1
+// mustPanic runs f and requires it to panic with a message containing want.
+func mustPanic(t *testing.T, want string, f func()) {
+	t.Helper()
 	defer func() {
-		if recover() == nil {
-			t.Fatal("expected deadlock panic, got none")
+		t.Helper()
+		if msg, _ := recover().(string); !strings.Contains(msg, want) {
+			t.Fatalf("panic %q, want one containing %q", msg, want)
 		}
 	}()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.advanceLocked()
+	f()
+}
+
+// A member that joins its own group waits for itself: nothing is left to
+// run or fire, and Wait panics instead of hanging.
+func TestSimDeadlockPanics(t *testing.T) {
+	s := NewSim(simEpoch)
+	s.Go(func() {
+		g := s.NewGroup()
+		g.Go(func() {
+			s.Sleep(time.Second)
+			g.Join()
+		})
+		g.Join()
+	})
+	mustPanic(t, "vtime: deadlock at 2026-01-01T00:00:01Z: 2 actor(s) parked", s.Wait)
+}
+
+func TestSimSleepOutsideAnActorPanics(t *testing.T) {
+	s := NewSim(simEpoch)
+	mustPanic(t, "vtime: Sleep outside an actor", func() { s.Sleep(time.Second) })
+}
+
+func TestSimJoinOutsideAnActorPanics(t *testing.T) {
+	s := NewSim(simEpoch)
+	g := s.NewGroup()
+	g.Go(func() { s.Sleep(time.Second) })
+	mustPanic(t, "vtime: Group.Join outside an actor", g.Join)
+}
+
+func TestSimWaitInsideAnActorPanics(t *testing.T) {
+	s := NewSim(simEpoch)
+	s.Go(func() { s.Wait() })
+	mustPanic(t, "vtime: Wait inside an actor", s.Wait)
+}
+
+// TestSimRunsOneActorAtATime pins the loop's order. Nothing here locks
+// or is atomic: under the race detector, two actors running at once fail
+// it too.
+func TestSimRunsOneActorAtATime(t *testing.T) {
+	t.Run("a started actor runs once its starter parks", func(t *testing.T) {
+		s := NewSim(simEpoch)
+		var log []string
+		s.Go(func() {
+			s.Go(func() { log = append(log, "started") })
+			for i := 0; i < 100; i++ {
+				runtime.Gosched()
+			}
+			log = append(log, "starter")
+			s.Sleep(time.Second)
+			log = append(log, "starter woke")
+		})
+		s.Wait()
+		if want := []string{"starter", "started", "starter woke"}; !slices.Equal(log, want) {
+			t.Fatalf("order %v, want %v", log, want)
+		}
+	})
+	t.Run("same-instant starts run in Go order", func(t *testing.T) {
+		s := NewSim(simEpoch)
+		var order []int
+		for i := 0; i < 4; i++ {
+			s.Go(func() { order = append(order, i) })
+		}
+		s.Go(func() {
+			g := s.NewGroup()
+			for i := 4; i < 8; i++ {
+				g.Go(func() { order = append(order, i) })
+				s.Go(func() { order = append(order, 10+i) })
+			}
+			g.Join()
+		})
+		s.Wait()
+		if want := []int{0, 1, 2, 3, 4, 14, 5, 15, 6, 16, 7, 17}; !slices.Equal(order, want) {
+			t.Fatalf("order %v, want %v", order, want)
+		}
+	})
+	t.Run("released joiners run before an event queued for the instant", func(t *testing.T) {
+		s := NewSim(simEpoch)
+		var log []string
+		s.Go(func() {
+			g := s.NewGroup()
+			g.Go(func() {
+				s.Sleep(time.Second)
+				s.AfterFunc(0, func() { log = append(log, "timer") })
+				log = append(log, "member")
+			})
+			for _, who := range []string{"joiner 1", "joiner 2"} {
+				s.Go(func() {
+					g.Join()
+					log = append(log, who)
+				})
+			}
+			g.Join()
+			log = append(log, "parent")
+			s.Sleep(time.Second) // alive while the timer fires
+		})
+		s.Wait()
+		if want := []string{"member", "parent", "joiner 1", "joiner 2", "timer"}; !slices.Equal(log, want) {
+			t.Fatalf("order %v, want %v", log, want)
+		}
+	})
+	t.Run("a panic in an actor surfaces from Wait", func(t *testing.T) {
+		s := NewSim(simEpoch)
+		s.Go(func() {
+			s.Sleep(time.Second)
+			panic("boom in an actor")
+		})
+		mustPanic(t, "boom in an actor", s.Wait)
+	})
 }
 
 func TestSimElapsedAndSince(t *testing.T) {
@@ -389,8 +495,8 @@ func TestTimerRearmFireAllocatesNothing(t *testing.T) {
 }
 
 // TestGroupMemberStartAllocs pins a fan-out: three members started and
-// joined cost the group, the joiner's channel and the waiter list — none
-// per member.
+// joined cost the group and its waiter list — none per member, and none
+// for the joiner, which parks as itself.
 func TestGroupMemberStartAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -409,7 +515,7 @@ func TestGroupMemberStartAllocs(t *testing.T) {
 	})
 	s.Wait()
 	t.Logf("Group.Go × 3 + Join: %v allocs", allocs)
-	if allocs != 3 {
-		t.Errorf("Group.Go × 3 + Join allocates %v objects, want 3", allocs)
+	if allocs != 2 {
+		t.Errorf("Group.Go × 3 + Join allocates %v objects, want 2", allocs)
 	}
 }

@@ -9,12 +9,12 @@
 //     measurement campaigns and the benchmark harness so that a month-long
 //     experiment executes in seconds of wall-clock time.
 //
-// The Sim scheduler runs each logical process ("actor") on its own
-// goroutine. Virtual time only advances when every actor is parked in
-// Sleep (or in a Gate); the scheduler then jumps to the earliest pending
-// wake-up. Cross-actor blocking must therefore go through the primitives
-// offered here (Sleep, AfterFunc timers, Gate); blocking on an ordinary
-// channel from inside an actor would stall virtual time.
+// The Sim scheduler runs each logical process ("actor") as a coroutine,
+// one at a time, resumed by one loop. Virtual time only advances when
+// every actor is parked in Sleep or Group.Join; the loop then jumps to
+// the earliest pending wake-up. Cross-actor blocking must therefore go
+// through the primitives offered here (Sleep, AfterFunc timers, Group);
+// blocking on an ordinary channel from inside an actor stalls the loop.
 //
 // A caller whose callback runs again and again keeps one Timer and
 // re-arms it with Reset, which under Sim allocates nothing.
