@@ -1,3 +1,17 @@
+// Package clustertest is a deterministic harness for the replicated
+// cluster: real cluster.Nodes wired over an in-process transport on a
+// virtual clock, with scriptable partitions, delays, kills and
+// restarts. Elections are timing protocols, so testing them against
+// wall time is testing the scheduler's mood; here every timer firing
+// and message delivery happens at a virtual instant derived only from
+// the seed, which makes election-safety and log-matching property runs
+// reproducible byte for byte — the failing seed IS the repro.
+//
+// Timers and message deliveries are events on one vtime.Sim, fired one
+// callback at a time in (time, sequence) order while Clock.RunFor steps
+// it. Node code never blocks inside the harness (writes go through
+// ProposeWrite, not the quorum-waiting Write), so every callback runs to
+// completion and the step never stalls.
 package clustertest
 
 import (
@@ -8,10 +22,22 @@ import (
 	"testing"
 	"time"
 
+	"conprobe/internal/clocksync"
 	"conprobe/internal/cluster"
 	"conprobe/internal/service"
 	"conprobe/internal/simnet"
+	"conprobe/internal/vtime"
 )
+
+// epoch is the fixed virtual start instant; transcripts reference
+// offsets from it, never the host clock.
+var epoch = time.Unix(0, 0).UTC()
+
+// Clock is the harness's virtual clock, stepped by RunFor.
+type Clock = vtime.Sim
+
+// NewClock starts a virtual clock at the fixed epoch.
+func NewClock() *Clock { return vtime.NewSim(epoch) }
 
 // Tuning for harness nodes. Everything is virtual time, so the values
 // only fix the ratios: pulls and heartbeats well under the election
@@ -91,9 +117,12 @@ type Cluster struct {
 	// yet): they stay in that mode across restarts until a committed
 	// configuration admits them.
 	joiner map[string]bool
-	// skews holds each node's mutable clock offset; the node's skewClock
-	// reads it live, so SetSkew is a wall-clock jump.
-	skews map[string]*skew
+	// clocks holds each node's skewed view of Clock, kept across
+	// restarts; SetSkew on it is a wall-clock jump. Timers still fire on
+	// Clock: interval timers are monotonic, and a Since that spans a jump
+	// comes out wrong by it — the hazard the 2·ClockSkew lease margin
+	// must absorb.
+	clocks map[string]*clocksync.SkewedClock
 
 	writeSeq int
 	// reads tracks in-flight linearizable reads: each remembers the
@@ -129,7 +158,7 @@ func New(t *testing.T, seed int64, size int) *Cluster {
 		nodes:         make(map[string]*cluster.Node),
 		live:          make(map[string]bool),
 		joiner:        make(map[string]bool),
-		skews:         make(map[string]*skew),
+		clocks:        make(map[string]*clocksync.SkewedClock),
 		Acked:         make(map[string]bool),
 		LeadersByTerm: make(map[uint64]map[string]bool),
 	}
@@ -187,7 +216,7 @@ func (c *Cluster) startNode(id string) {
 		SnapshotChunkBytes: snapChunk,
 		NoSync:             true,
 		Seed:               c.Seed,
-		Clock:              skewClock{base: c.Clock, s: c.skewOf(id)},
+		Clock:              c.clockOf(id),
 		Transport:          c.Net.TransportFor(c.urls[id]),
 		OnEvent:            c.observe,
 	}
@@ -204,14 +233,14 @@ func (c *Cluster) startNode(id string) {
 	c.Net.SetNode(c.urls[id], n)
 }
 
-// skewOf returns id's mutable clock offset, creating it at zero.
-func (c *Cluster) skewOf(id string) *skew {
-	s := c.skews[id]
-	if s == nil {
-		s = &skew{}
-		c.skews[id] = s
+// clockOf returns id's skewed clock, creating it at zero skew.
+func (c *Cluster) clockOf(id string) *clocksync.SkewedClock {
+	sc := c.clocks[id]
+	if sc == nil {
+		sc = clocksync.NewSkewedClock(c.Clock, 0)
+		c.clocks[id] = sc
 	}
-	return s
+	return sc
 }
 
 // SetSkew jumps id's wall clock to off behind true time (off is clamped
@@ -223,7 +252,7 @@ func (c *Cluster) SetSkew(id string, off time.Duration) {
 	if off < -clockSkew {
 		off = -clockSkew
 	}
-	c.skewOf(id).off = off
+	c.clockOf(id).SetSkew(off)
 }
 
 // joinHint picks the pull target for a joiner: the current leader when

@@ -21,7 +21,8 @@ var errUnreachable = errors.New("clustertest: peer unreachable")
 // not send time, so a partition dropped mid-flight behaves like a real
 // one.
 //
-// Net is not thread-safe: it lives entirely on the harness goroutine.
+// Net is not thread-safe: the harness calls it between steps, and the
+// Clock fires its events one callback at a time.
 type Net struct {
 	clock  *Clock
 	delays detrand.Key

@@ -192,10 +192,12 @@ func checkAgainstModel(log []schedRec) error {
 // the timer's own callback, with a negative delay), Stop and Sleep over 1–4
 // actors — each a timer callback that sleeps — and requires every fire and
 // wake-up to happen in the model's order, at the model's instant, and
-// every Stop and Reset to return what the model says.
+// every Stop and Reset to return what the model says. Each program runs
+// twice: driven by Wait, and stepped by RunFor in random 0–3 ms slices.
 func TestSimTimersMatchReferenceModel(t *testing.T) {
 	delays := []time.Duration{-5, 0, 0, 1, 1, 2, 3, 5, 8, 13}
-	for seed := int64(1); seed <= 300; seed++ {
+	for run := int64(1); run <= 600; run++ {
+		seed, stepped := (run+1)/2, run%2 == 0
 		rng := rand.New(rand.NewSource(seed))
 		s := NewSim(simEpoch)
 		var (
@@ -262,9 +264,16 @@ func TestSimTimersMatchReferenceModel(t *testing.T) {
 			}
 			sleep(-1, time.Second) // past every delay: all that is armed fires
 		})
-		s.Wait()
+		if stepped {
+			steps := rand.New(rand.NewSource(-seed))
+			for s.alive > 0 {
+				s.RunFor(time.Duration(steps.Intn(4)) * time.Millisecond)
+			}
+		} else {
+			s.Wait()
+		}
 		if err := checkAgainstModel(log); err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
+			t.Fatalf("seed %d (stepped %t): %v", seed, stepped, err)
 		}
 	}
 }

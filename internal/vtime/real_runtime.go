@@ -1,31 +1,14 @@
 package vtime
 
-import (
-	"sync"
-	"time"
-)
+import "sync"
 
 // RealRuntime is a Runtime backed by the Go runtime and wall-clock time.
 // It is used when probing live services. Its zero value is ready to use.
 type RealRuntime struct {
-	clock Real
+	Real
 }
 
 var _ Runtime = RealRuntime{}
-
-// Now returns time.Now().
-func (r RealRuntime) Now() time.Time { return r.clock.Now() }
-
-// Sleep calls time.Sleep.
-func (r RealRuntime) Sleep(d time.Duration) { r.clock.Sleep(d) }
-
-// AfterFunc calls time.AfterFunc.
-func (r RealRuntime) AfterFunc(d time.Duration, f func()) Timer {
-	return r.clock.AfterFunc(d, f)
-}
-
-// Since returns time.Since(t).
-func (r RealRuntime) Since(t time.Time) time.Duration { return r.clock.Since(t) }
 
 // Go starts f on a new goroutine.
 func (RealRuntime) Go(f func()) { go f() }

@@ -19,21 +19,22 @@ import (
 // Sim is a discrete-event scheduler implementing Clock with virtual time.
 //
 // Logical processes ("actors") are started with Go, through a Group, or by
-// a timer's fire. Each runs as a coroutine, and one loop — run by Wait's
-// caller — resumes them one at a time. Whenever no actor is runnable, the
-// loop advances the virtual clock to the earliest pending event and
-// resumes its owner. A Sim therefore executes arbitrarily long simulated
-// timelines in wall-clock time proportional only to the work performed,
-// and one program interleaves its actors the same way on every run.
+// a timer's fire. Each runs as a coroutine, and one loop — run by the
+// caller of Wait or RunUntil — resumes them one at a time. Whenever no
+// actor is runnable, the loop advances the virtual clock to the earliest
+// pending event and resumes its owner. A Sim therefore executes
+// arbitrarily long simulated timelines in wall-clock time proportional
+// only to the work performed, and one program interleaves its actors the
+// same way on every run.
 //
 // The contract:
 //   - One actor runs at a time, until it parks in Sleep or Group.Join or
 //     returns. Actors made runnable at an instant (started, or released
 //     by a Join) run in that order, before any event queued for it.
 //   - A Sim's methods are called only from its own actors, or from
-//     outside Wait. Sleep and Group.Join panic outside an actor, and Wait
-//     inside one.
-//   - An actor's panic surfaces from Wait.
+//     outside the loop. Sleep and Group.Join panic outside an actor, and
+//     Wait and RunUntil inside one.
+//   - An actor's panic surfaces from the loop's caller.
 //
 // Actors must not block on ordinary channels or on locks held across
 // waits; all inter-actor waiting goes through Sleep, AfterFunc and
@@ -41,6 +42,7 @@ import (
 type Sim struct {
 	epoch time.Time // the virtual clock's start
 	at    int64     // now, in nanoseconds since epoch: the queue's key
+	until int64     // the key the running loop stops after
 	seq   uint64
 	queue []queued // min-heap by (at, seq)
 	ready []*actor // runnable at now, in the order they became so
@@ -86,9 +88,6 @@ func (s *Sim) Now() time.Time { return s.epoch.Add(time.Duration(s.at)) }
 // Since returns the virtual time elapsed since t.
 func (s *Sim) Since(t time.Time) time.Duration { return s.Now().Sub(t) }
 
-// Elapsed returns the virtual time elapsed since t0.
-func (s *Sim) Elapsed(t0 time.Time) time.Duration { return s.Now().Sub(t0) }
-
 // Sleep parks the calling actor for d of virtual time.
 func (s *Sim) Sleep(d time.Duration) {
 	a := s.running("Sleep")
@@ -96,11 +95,12 @@ func (s *Sim) Sleep(d time.Duration) {
 		return
 	}
 	at := s.after(d)
-	// Fast path: no other actor is runnable and no pending event is due
-	// at or before the wake-up, so advancing the clock here is exactly
-	// what parking and being resumed would do, minus two switches. A
-	// strict < keeps same-instant events firing in FIFO order.
-	if len(s.ready) == 0 && (len(s.queue) == 0 || at < s.queue[0].at) {
+	// Fast path: no other actor is runnable, no pending event is due at
+	// or before the wake-up and the loop runs that far, so advancing the
+	// clock here is exactly what parking and being resumed would do,
+	// minus two switches. A strict < keeps same-instant events firing in
+	// FIFO order.
+	if len(s.ready) == 0 && (len(s.queue) == 0 || at < s.queue[0].at) && at <= s.until {
 		s.at = at
 		return
 	}
@@ -115,8 +115,9 @@ func (s *Sim) AfterFunc(d time.Duration, f func()) Timer {
 	return ev
 }
 
-// Go starts f as a new actor. It may be called before Wait as well as
-// from inside running actors; f runs once the caller parks or returns.
+// Go starts f as a new actor. It may be called before Wait or RunUntil
+// as well as from inside running actors; f runs once the caller parks or
+// returns.
 func (s *Sim) Go(f func()) { s.start(f, nil) }
 
 // NewGroup returns a scheduler-aware Group.
@@ -124,17 +125,40 @@ func (s *Sim) NewGroup() Group { return &simGroup{s: s} }
 
 // Wait runs the actors until every one has finished. Its caller is the
 // loop that resumes them, so it must not be an actor of s.
-func (s *Sim) Wait() {
+func (s *Sim) Wait() { s.loop("Wait", math.MaxInt64, true) }
+
+// RunUntil steps the Sim to t: it resumes every ready actor and fires
+// every event due at or before t, those armed meanwhile included, then
+// sets the clock to t unless it is already later. Actors parked past t
+// resume in a later call. Like Wait, its caller is the loop.
+func (s *Sim) RunUntil(t time.Time) {
+	until := int64(t.Sub(s.epoch))
+	s.loop("RunUntil", until, false)
+	s.at = max(s.at, until)
+}
+
+// RunFor steps the Sim d of virtual time past now.
+func (s *Sim) RunFor(d time.Duration) { s.RunUntil(s.Now().Add(d)) }
+
+// loop runs actors one at a time: the ready ones first, then the owners
+// of the queue's events due at or before until. Under Wait it runs until
+// no actor is left, and a parked actor with nothing queued to wake it is
+// a deadlock; stepping, it returns once nothing more is due.
+func (s *Sim) loop(call string, until int64, wait bool) {
 	if s.cur != nil {
-		panic("vtime: Wait inside an actor")
+		panic("vtime: " + call + " inside an actor")
 	}
 	defer s.release()
-	for s.alive > 0 {
+	s.until = until
+	for s.alive > 0 || !wait {
 		var a *actor
 		if len(s.ready) > 0 {
 			a = s.ready[0]
 			s.ready = s.ready[:copy(s.ready, s.ready[1:])]
-		} else if ev := s.head(); ev == nil {
+		} else if ev := s.head(); ev == nil || s.queue[0].at > until {
+			if !wait {
+				return
+			}
 			panic(fmt.Sprintf(
 				"vtime: deadlock at %s: %d actor(s) parked with no pending events",
 				s.Now().Format(time.RFC3339Nano), s.alive))
@@ -146,8 +170,8 @@ func (s *Sim) Wait() {
 	}
 }
 
-// release ends a Wait: nothing is left that could start an actor, so the
-// idle workers are stopped and Wait leaves no goroutine behind.
+// release ends the loop: no actor runs until it is entered again, so the
+// idle workers are stopped and the loop leaves no goroutine behind.
 func (s *Sim) release() {
 	s.cur = nil
 	for _, a := range s.idle {

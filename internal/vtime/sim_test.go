@@ -241,6 +241,51 @@ func TestSimWaitInsideAnActorPanics(t *testing.T) {
 	mustPanic(t, "vtime: Wait inside an actor", s.Wait)
 }
 
+// TestSimRunUntil pins the stepping contract: every event due at or
+// before t fires, those armed during the step included; the clock lands
+// on t and an earlier t leaves it; an actor parked past t, even one no
+// event stands before, resumes in a later step.
+func TestSimRunUntil(t *testing.T) {
+	s := NewSim(simEpoch)
+	var log []string
+	note := func(tag string) { log = append(log, tag+"@"+s.Since(simEpoch).String()) }
+	at := func(d time.Duration) time.Time { return simEpoch.Add(d) }
+	s.AfterFunc(time.Second, func() {
+		note("due")
+		s.AfterFunc(0, func() { note("armed") })
+		s.AfterFunc(time.Second, func() { note("next") })
+	})
+	s.Go(func() {
+		s.Sleep(1500 * time.Millisecond)
+		note("woke")
+	})
+	s.RunUntil(at(time.Second))
+	if want := []string{"due@1s", "armed@1s"}; !slices.Equal(log, want) {
+		t.Fatalf("first step fired %v, want %v", log, want)
+	}
+	s.RunUntil(at(0))
+	if got := s.Since(simEpoch); got != time.Second {
+		t.Fatalf("a step to an earlier instant moved the clock to %v", got)
+	}
+	s.RunFor(time.Second)
+	s.Go(func() {
+		s.Sleep(time.Hour)
+		note("hour")
+	})
+	s.RunFor(time.Second)
+	if got := s.Since(simEpoch); got != 3*time.Second {
+		t.Fatalf("clock at %v after stepping to 3s", got)
+	}
+	s.Wait()
+	if want := []string{"due@1s", "armed@1s", "woke@1.5s", "next@2s", "hour@1h0m2s"}; !slices.Equal(log, want) {
+		t.Fatalf("fired %v, want %v", log, want)
+	}
+
+	inside := NewSim(simEpoch)
+	inside.Go(func() { inside.RunFor(time.Second) })
+	mustPanic(t, "vtime: RunUntil inside an actor", func() { inside.RunFor(0) })
+}
+
 // TestSimRunsOneActorAtATime pins the loop's order. Nothing here locks
 // or is atomic: under the race detector, two actors running at once fail
 // it too.
@@ -323,9 +368,6 @@ func TestSimElapsedAndSince(t *testing.T) {
 		s.Sleep(90 * time.Millisecond)
 		if got := s.Since(t0); got != 90*time.Millisecond {
 			t.Errorf("Since = %v, want 90ms", got)
-		}
-		if got := s.Elapsed(t0); got != 90*time.Millisecond {
-			t.Errorf("Elapsed = %v, want 90ms", got)
 		}
 	})
 	s.Wait()
@@ -423,10 +465,17 @@ func TestSimAfterFuncNegativeDelayFiresNow(t *testing.T) {
 }
 
 // TestSimWaitLeavesNoGoroutines: the workers actors run on are released
-// when the last actor finishes, whatever is still queued.
+// when the loop returns, whatever is still queued: when Wait's last actor
+// finishes, and when a RunUntil step ends.
 func TestSimWaitLeavesNoGoroutines(t *testing.T) {
 	before := runtime.NumGoroutine()
 	for i := 0; i < 100; i++ {
+		stepped := NewSim(simEpoch)
+		stepped.AfterFunc(time.Hour, func() { t.Error("a timer fired past the step") })
+		stepped.AfterFunc(time.Second, func() { stepped.Sleep(time.Second) })
+		stepped.Go(func() { stepped.Sleep(time.Second) })
+		stepped.RunUntil(simEpoch.Add(2 * time.Second))
+
 		s := NewSim(simEpoch)
 		s.AfterFunc(time.Hour, func() { t.Error("a timer fired after the last actor finished") })
 		s.Go(func() {

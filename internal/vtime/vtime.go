@@ -16,6 +16,10 @@
 // through the primitives offered here (Sleep, AfterFunc timers, Group);
 // blocking on an ordinary channel from inside an actor stalls the loop.
 //
+// A Sim is either driven to completion by Wait, which returns once every
+// actor has finished, or stepped by RunUntil, which returns once nothing
+// more is due by a given instant.
+//
 // A caller whose callback runs again and again keeps one Timer and
 // re-arms it with Reset, which under Sim allocates nothing.
 package vtime
