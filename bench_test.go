@@ -22,8 +22,10 @@ import (
 	"context"
 	"fmt"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -32,6 +34,7 @@ import (
 	"conprobe/internal/checkpoint"
 	"conprobe/internal/clocksync"
 	"conprobe/internal/core"
+	"conprobe/internal/diskfault"
 	"conprobe/internal/httpapi"
 	"conprobe/internal/probe"
 	"conprobe/internal/service"
@@ -675,7 +678,9 @@ func BenchmarkTraceJSONLDecode(b *testing.B) {
 }
 
 // BenchmarkCheckpointAppend journals one kept trace per iteration to a
-// real file, fsync included: its ns/op is the disk's, its allocs/op what
+// real file: its ns/op is encoding and writing the frame, with the fsync
+// the syncer issues behind it amortised over up to 64 frames (an Append
+// waits for the disk only at that bound); its allocs/op is what
 // Aggregator.Add allocates — assembling the frame adds none.
 func BenchmarkCheckpointAppend(b *testing.B) {
 	_, traces := benchCampaign(b, service.NameGooglePlus)
@@ -698,6 +703,60 @@ func BenchmarkCheckpointAppend(b *testing.B) {
 	if err := w.Degraded(); err != nil {
 		b.Fatal(err)
 	}
+}
+
+// BenchmarkCampaignJournal runs the benchmark's campaign_journal shape
+// once per iteration: fbgroup, 200 Test 1 and 200 Test 2 instances at
+// parallelism 2, every trace kept and journaled to a checkpoint. It
+// reports ms and journal fsyncs per campaign; a lane waits for none of
+// them, so fewer fsyncs than tests is the syncer covering several
+// frames with one.
+func BenchmarkCampaignJournal(b *testing.B) {
+	var syncs atomic.Int64
+	path := filepath.Join(b.TempDir(), "campaign.ckpt")
+	opts := conprobe.Options{
+		Workload:   conprobe.Workload{Service: conprobe.ServiceFBGroup, Test1Count: 200, Test2Count: 200, Seed: 1},
+		Engine:     conprobe.Engine{Parallelism: 2},
+		Durability: conprobe.Durability{Checkpoint: path, FS: syncCountFS{FS: diskfault.OS, syncs: &syncs}},
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := conprobe.Run(context.Background(), opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(res.Warnings) > 0 {
+			b.Fatal(res.Warnings)
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(b.Elapsed().Seconds()*1000/float64(b.N), "ms/op")
+	b.ReportMetric(float64(syncs.Load())/float64(b.N), "fsyncs/op")
+}
+
+// syncCountFS counts the fsyncs of files opened through it.
+type syncCountFS struct {
+	diskfault.FS
+	syncs *atomic.Int64
+}
+
+type syncCountFile struct {
+	diskfault.File
+	syncs *atomic.Int64
+}
+
+func (fs syncCountFS) OpenFile(name string, flag int, perm os.FileMode) (diskfault.File, error) {
+	f, err := fs.FS.OpenFile(name, flag, perm)
+	if err != nil {
+		return nil, err
+	}
+	return syncCountFile{File: f, syncs: fs.syncs}, nil
+}
+
+func (f syncCountFile) Sync() error {
+	f.syncs.Add(1)
+	return f.File.Sync()
 }
 
 type writerCounter struct{ n int }

@@ -365,8 +365,9 @@ func Run(ctx context.Context, opts Options) (*RunResult, error) {
 	// The one lane sink keeps the order a resume relies on: the lane's
 	// aggregator, then OnTrace and Progress (serialized across lanes),
 	// then the journal, so a test is journaled only once every consumer
-	// has accepted it. The journal append stays outside mu, so lanes'
-	// fsyncs still group-commit.
+	// has accepted it. The journal append stays outside mu: it writes the
+	// frame in the lane, in sink order, and the journal's syncer fsyncs
+	// it behind the lanes (a lane waits only at 64 unsynced frames).
 	var mu sync.Mutex
 	total := max(w.Test1Count, 0) + max(w.Test2Count, 0)
 	sink := func(lane int, tr *trace.TestTrace, next time.Time, res map[string]resilience.Snapshot) error {

@@ -16,8 +16,12 @@
 //
 // Crash safety: a test's trace and its lane progress share one frame,
 // so a torn write loses the whole test (it re-runs on resume;
-// deterministic worlds make the re-run identical) or nothing. Only the
-// final frame of a journal may be damaged — Load drops it with a note
+// deterministic worlds make the re-run identical) or nothing. Append
+// writes the frame in the calling lane and a syncer fsyncs it behind:
+// a process kill loses nothing Append wrote, and a power cut (the file
+// cut back to any byte past its last fsync) loses at most the
+// maxUnsynced = 64 tests not yet fsynced, which re-run on resume the
+// same way. Only the final frame of a journal may be damaged — Load drops it with a note
 // and Continue truncates it away; damage anywhere else is reported as
 // corruption, not tolerated. Nothing is ever rewritten: Load folds each
 // lane's per-test snapshots in file order with Aggregator.Merge, which
@@ -231,9 +235,18 @@ type Config struct {
 	FS diskfault.FS
 }
 
+// maxUnsynced bounds the frames a Writer holds written but not yet
+// fsynced: an Append that finds this many waits for the syncer. It is
+// what a power cut can cost (the tests re-run on resume), and it is
+// generous because a tight bound puts the disk back on the lanes' path.
+const maxUnsynced = 64
+
 // Writer journals a running campaign. Append is safe for concurrent use
-// across lanes: each call builds its frame in a buffer of its own, and
-// the wal.Log orders the writes and group-commits the fsyncs.
+// across lanes: each call builds its frame in a buffer of its own and
+// writes it, in the calling lane, through the wal.Log, which orders the
+// writes. A syncer goroutine makes the frames durable behind the lanes:
+// one fsync covers every frame written before it starts, and a lane
+// waits for the disk only when maxUnsynced frames are unsynced.
 //
 // A storage failure mid-campaign (ENOSPC, failed fsync) DEGRADES the
 // journal instead of aborting the run: Append starts returning nil
@@ -244,9 +257,26 @@ type Config struct {
 // frame is tolerated on load.
 type Writer struct {
 	keepTraces bool
+	service    string
 	log        *wal.Log
-	frames     sync.Pool             // of *frame, one per Append in flight
 	degraded   atomic.Pointer[error] // first storage failure; journaling is off once set
+
+	// mu guards the fields below. written and synced count records as
+	// the wal.Log does (the meta and any resumed frames included).
+	// behind wakes the syncer when written passes synced; advanced wakes
+	// whoever waits on the syncer's progress.
+	mu         sync.Mutex
+	behind     sync.Cond
+	advanced   sync.Cond
+	written    uint64 // records written to the file
+	synced     uint64 // records an fsync has made durable
+	syncFailed bool   // an fsync failed: synced will not move again
+	closing    bool
+	stopped    chan struct{} // closed when the syncer returns
+	// free holds the frames no Append is working in: as many as Appends
+	// ever ran at once, kept for the Writer's life, so a lane never
+	// rebuilds one.
+	free []*frame
 }
 
 // frame is what an Append works in, kept from one call to the next: the
@@ -278,25 +308,60 @@ func Continue(path string, st *State, cfg Config) (*Writer, error) {
 }
 
 func open(path, service string, cfg Config) (*Writer, error) {
-	log, _, err := wal.Open(path, wal.Options{FS: cfg.FS})
+	log, rep, err := wal.Open(path, wal.Options{FS: cfg.FS})
 	if err != nil {
 		return nil, fmt.Errorf("checkpoint: opening journal: %w", err)
 	}
-	w := &Writer{keepTraces: cfg.KeepTraces, log: log}
-	w.frames.New = func() any { return &frame{delta: analysis.NewAggregator(service)} }
+	w := &Writer{keepTraces: cfg.KeepTraces, service: service, log: log, stopped: make(chan struct{})}
+	w.behind.L, w.advanced.L = &w.mu, &w.mu
+	w.written = uint64(len(rep.Records))
+	w.synced = w.written
+	go w.syncLoop()
 	return w, nil
+}
+
+// syncLoop is the syncer: whenever frames are written and not yet
+// durable it fsyncs them all at once, until Close has it sync the last.
+func (w *Writer) syncLoop() {
+	defer close(w.stopped)
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	for {
+		for (w.synced == w.written || w.syncFailed) && !w.closing {
+			w.behind.Wait()
+		}
+		if w.synced == w.written || w.syncFailed {
+			return // closing, with nothing left that an fsync could save
+		}
+		n := w.written
+		w.mu.Unlock()
+		err := w.log.Sync(n)
+		w.mu.Lock()
+		if err != nil {
+			// The log is poisoned (a failed fsync may have dropped the
+			// dirty pages): nothing written since the last good fsync will
+			// ever be durable, so stop journaling and release every waiter.
+			w.degrade(fmt.Errorf("checkpoint: %w", err))
+			w.syncFailed = true
+		} else {
+			w.synced = n
+		}
+		w.advanced.Broadcast()
+	}
 }
 
 // Append journals one completed test: lane ran tr, its next step begins
 // at next, and res is the lane's resilience-middleware state by agent
 // label (nil when the campaign runs without the middleware). It returns
-// once the frame is fsynced, or the journal has degraded.
+// once the frame is written to the file, which is what a process kill
+// cannot take back; the syncer fsyncs it later. It waits first while
+// maxUnsynced frames are not yet durable.
 func (w *Writer) Append(lane int, tr *trace.TestTrace, next time.Time, res map[string]resilience.Snapshot) error {
 	if w.degraded.Load() != nil {
 		return nil // journaling is off; the campaign carries on
 	}
-	f := w.frames.Get().(*frame)
-	defer w.frames.Put(f)
+	f := w.frame()
+	defer w.release(f)
 	f.delta.Reset()
 	f.delta.Add(tr)
 	b, err := w.appendRecord(f.buf[:0], lane, tr, next, res, f.delta)
@@ -304,14 +369,42 @@ func (w *Writer) Append(lane int, tr *trace.TestTrace, next time.Time, res map[s
 		return fmt.Errorf("checkpoint: encoding test %d: %w", tr.TestID, err)
 	}
 	f.buf = b
-	if err := w.log.Append(f.buf); err != nil {
-		// A failed write was repaired or poisoned the log, and a failed
-		// fsync always poisons it (it may have dropped the dirty pages, so
-		// nothing later on this handle can be trusted durable); either
-		// way no further writes happen at all.
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	for w.written-w.synced >= maxUnsynced && !w.syncFailed {
+		w.advanced.Wait()
+	}
+	if w.syncFailed {
+		return nil // degraded while this lane waited
+	}
+	n, err := w.log.Write(f.buf)
+	if err != nil {
+		// A failed write was repaired or poisoned the log; either way no
+		// further writes happen at all.
 		return w.degrade(fmt.Errorf("checkpoint: %w", err))
 	}
+	w.written = n
+	w.behind.Signal()
 	return nil
+}
+
+// frame takes a free frame, or makes one when every frame is in use.
+func (w *Writer) frame() *frame {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if n := len(w.free); n > 0 {
+		f := w.free[n-1]
+		w.free = w.free[:n-1]
+		return f
+	}
+	return &frame{delta: analysis.NewAggregator(w.service)}
+}
+
+// release returns f to the free frames.
+func (w *Writer) release(f *frame) {
+	w.mu.Lock()
+	w.free = append(w.free, f)
+	w.mu.Unlock()
 }
 
 // appendRecord appends the frame of one completed test: byte for byte
@@ -347,16 +440,32 @@ func (w *Writer) degrade(err error) error {
 	return nil
 }
 
-// Degraded reports the storage failure that disabled journaling, or
-// nil while the journal is healthy. Callers surface it as a campaign
-// warning.
+// Degraded waits until every frame appended so far is fsynced, or an
+// fsync has failed, then reports the storage failure that disabled
+// journaling, or nil while the journal is healthy. Callers surface it as
+// a campaign warning; a nil return means the journal is durable through
+// the last Append that returned.
 func (w *Writer) Degraded() error {
+	w.mu.Lock()
+	for target := w.written; w.synced < target && !w.syncFailed; {
+		w.advanced.Wait()
+	}
+	w.mu.Unlock()
 	if p := w.degraded.Load(); p != nil {
 		return *p
 	}
 	return nil
 }
 
-// Close releases the journal file. The journal stays on disk: a
-// completed campaign's journal is simply a resume no-op.
-func (w *Writer) Close() error { return w.log.Close() }
+// Close fsyncs what is still unsynced, stops the syncer and releases the
+// journal file. The journal stays on disk: a completed campaign's
+// journal is simply a resume no-op. A failed final fsync degrades the
+// journal like any other.
+func (w *Writer) Close() error {
+	w.mu.Lock()
+	w.closing = true
+	w.behind.Signal()
+	w.mu.Unlock()
+	<-w.stopped
+	return w.log.Close()
+}

@@ -153,7 +153,7 @@ func TestCheckpointAppendEncodingDoesNotAllocatePerRead(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		appendIt() // grows the pooled frame and the log's own buffer to this trace's size
+		appendIt() // grows the free frame and the log's own buffer to this trace's size
 		return add, testing.AllocsPerRun(10, appendIt)
 	}
 	addSmall, journalSmall := measure(small)

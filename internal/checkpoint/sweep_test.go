@@ -27,10 +27,12 @@ func sweepSeeds(t *testing.T) []uint64 {
 // TestJournalFaultSweep is the checkpoint-journal leg of the seeded
 // disk-fault sweep (the cluster sites run in internal/cluster's
 // TestDiskFaultSweep): every fault kind lands mid-campaign at a
-// seed-chosen offset, and two invariants must hold no matter where:
+// seed-chosen offset, and these invariants must hold no matter where:
 //
 //   - the campaign never aborts — every Append after the fault returns
 //     nil, with the failure surfaced through Degraded();
+//   - a torn write, ENOSPC or failed fsync degrades the journal: the
+//     fault cannot go unnoticed;
 //   - whatever journal is left on disk is either unreadable-with-error
 //     or a valid prefix — never a silently wrong resume state.
 func TestJournalFaultSweep(t *testing.T) {
@@ -72,14 +74,23 @@ func sweepJournalWriteFault(t *testing.T, seed uint64, kind diskfault.Kind) {
 		if err := w.Append(i%2, tr, base.Add(time.Duration(i+1)*time.Minute), nil); err != nil {
 			t.Fatalf("append %d aborted the campaign: %v", i, err)
 		}
+		// The syncer coalesces the fsyncs of frames written while it is
+		// busy, so without this barrier how many fsyncs a campaign makes
+		// depends on timing, and a fault After k of them might never
+		// fire. Degraded waits for every frame so far: one fsync each.
+		w.Degraded()
+	}
+	// Write and fsync faults land on an operation every campaign makes;
+	// they must degrade the journal, not go unnoticed.
+	if mustFire(kind) && w.Degraded() == nil {
+		t.Fatalf("%s fault never degraded the journal", kind)
 	}
 	if err := w.Close(); err != nil {
 		t.Fatalf("close after fault: %v", err)
 	}
 	// dir-sync omission is silent by design and may leave the journal
-	// fully healthy; every other kind either fired (degraded) or never
-	// matched an operation this campaign performs — both fine. What is
-	// NOT fine is an unreadable journal.
+	// fully healthy, and the campaign renames nothing for a crash-rename
+	// to hit. What is NOT fine is an unreadable journal.
 	st, err := Load(path)
 	if err != nil {
 		t.Fatalf("journal after %s fault does not load: %v", kind, err)
@@ -110,6 +121,12 @@ func sweepJournalBitFlip(t *testing.T, seed uint64) {
 	if !st.Meta.Matches(testMeta) {
 		t.Fatalf("bit-flipped journal loaded with wrong meta: %+v", st.Meta)
 	}
+}
+
+// mustFire reports whether a fault kind hits an operation every
+// journaled campaign performs: a frame write or its fsync.
+func mustFire(kind diskfault.Kind) bool {
+	return kind == diskfault.KindTorn || kind == diskfault.KindENOSPC || kind == diskfault.KindFsyncGate
 }
 
 // faultTarget picks the Path filter per kind: directory syncs see the

@@ -296,11 +296,18 @@ type faultFile struct {
 	File
 	in *Injector
 
-	mu     sync.Mutex
-	synced int64 // bytes known durable (see OpenFile)
+	mu     sync.Mutex // serializes Write and Sync
+	synced int64      // bytes known durable (see OpenFile)
 }
 
 func (f *faultFile) Write(p []byte) (int, error) {
+	// A write waits out a Sync in progress on the handle. A gated fsync
+	// drops the unsynced bytes and moves the offset back in two steps, so
+	// a write landing between them would leave a hole of zeros mid-file;
+	// and one landing between an fsync and its size read would count as
+	// synced.
+	f.mu.Lock()
+	defer f.mu.Unlock()
 	// A torn write persists a strict non-empty prefix, which needs at
 	// least 2 bytes to exist. On smaller writes a torn fault holds its
 	// fire — it stays armed for the next write that can actually tear —

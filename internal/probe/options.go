@@ -128,9 +128,10 @@ type Durability struct {
 	// Checkpoint, when non-empty, journals the campaign to this file:
 	// each completed test's trace (unless Engine.DiscardTraces), the
 	// lane's progress and the test's streaming-analysis snapshot, one
-	// checksummed, fsynced frame per test. A campaign killed at any
-	// point resumes from the journal with Resume and produces output
-	// byte-identical to an uninterrupted run.
+	// checksummed frame per test, fsynced behind the lanes. A campaign
+	// killed at any point resumes from the journal with Resume and
+	// produces output byte-identical to an uninterrupted run; after a
+	// power cut the last tests, at most 64, re-run.
 	Checkpoint string
 	// Resume continues the campaign journaled in Checkpoint instead of
 	// starting fresh. The journal's campaign identity (service, seed,

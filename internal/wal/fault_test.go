@@ -634,3 +634,118 @@ func TestAppendBatch(t *testing.T) {
 		t.Fatalf("replayed %q, want %q", got, want)
 	}
 }
+
+// TestWriteThenSync: Write returns the record count through its record,
+// and Write followed by Sync of that count leaves what Append leaves.
+func TestWriteThenSync(t *testing.T) {
+	dir := t.TempDir()
+	payloads := []string{"one", "", "three"}
+	openAppend(t, filepath.Join(dir, "append.log"), payloads...)
+
+	syncs := 0
+	path := filepath.Join(dir, "write.log")
+	l, _, err := Open(path, Options{FS: countSyncFS{FS: diskfault.OS, syncs: &syncs}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var last uint64
+	for i, p := range payloads {
+		n, err := l.Write([]byte(p))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n != uint64(i+1) {
+			t.Fatalf("Write %d returned count %d, want %d", i, n, i+1)
+		}
+		last = n
+	}
+	if syncs != 0 {
+		t.Fatalf("Write issued %d fsyncs, want none", syncs)
+	}
+	if err := l.Sync(last); err != nil {
+		t.Fatal(err)
+	}
+	if syncs != 1 {
+		t.Fatalf("Sync of three written records cost %d fsyncs, want 1", syncs)
+	}
+	l.Close()
+	if got, want := replayed(t, path), replayed(t, filepath.Join(dir, "append.log")); !slices.Equal(got, want) {
+		t.Fatalf("Write+Sync replays %q, Append %q", got, want)
+	}
+}
+
+// TestSyncOfDurableRecordsIssuesNoFsync: a Sync for records an earlier
+// fsync already covered returns without one, and so does every Sync
+// under NoSync.
+func TestSyncOfDurableRecordsIssuesNoFsync(t *testing.T) {
+	for _, nosync := range []bool{false, true} {
+		syncs := 0
+		l, _, err := Open(filepath.Join(t.TempDir(), "wal.log"),
+			Options{NoSync: nosync, FS: countSyncFS{FS: diskfault.OS, syncs: &syncs}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		first, err := l.Write([]byte("a"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		second, err := l.Write([]byte("b"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := l.Sync(second); err != nil {
+			t.Fatal(err)
+		}
+		want := 1
+		if nosync {
+			want = 0
+		}
+		for _, n := range []uint64{0, first, second} {
+			if err := l.Sync(n); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if syncs != want {
+			t.Fatalf("NoSync %t: %d fsyncs, want %d", nosync, syncs, want)
+		}
+		l.Close()
+	}
+}
+
+// TestSyncAfterFailedFsyncReturnsPoison: once an fsync fails, a Sync for
+// any record it did not make durable returns the poison, and the log
+// refuses every later Write.
+func TestSyncAfterFailedFsyncReturnsPoison(t *testing.T) {
+	in := diskfault.New(nil)
+	l, _, err := Open(filepath.Join(t.TempDir(), "wal.log"), Options{FS: in.FS()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	durable, err := l.Write([]byte("durable"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Sync(durable); err != nil {
+		t.Fatal(err)
+	}
+	if err := in.Arm(diskfault.Fault{Kind: diskfault.KindFsyncGate}); err != nil {
+		t.Fatal(err)
+	}
+	lost, err := l.Write([]byte("lost"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Sync(lost); err == nil {
+		t.Fatal("Sync through a failed fsync reported durability")
+	}
+	if err := l.Sync(lost); !errors.Is(err, ErrPoisoned) {
+		t.Fatalf("Sync on a poisoned log: %v, want ErrPoisoned", err)
+	}
+	if err := l.Sync(durable); err != nil {
+		t.Fatalf("Sync of a record durable before the failure: %v", err)
+	}
+	if _, err := l.Write([]byte("after")); !errors.Is(err, ErrPoisoned) {
+		t.Fatalf("Write on a poisoned log: %v, want ErrPoisoned", err)
+	}
+}

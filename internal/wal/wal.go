@@ -25,6 +25,8 @@
 // return without issuing their own. Under write bursts the fsync cost
 // is amortized across the batch — the classic group-commit pattern —
 // while every Append still returns only after its record is durable.
+// Append is Write then Sync; a caller that may return before its record
+// is durable calls the two itself, with Sync issued behind it.
 //
 // Fault model: every file operation goes through a diskfault.FS, so
 // tests and chaos drills inject torn writes, failed fsyncs, bit flips
@@ -273,8 +275,8 @@ func scan(r io.Reader, path string) (Replay, int64, error) {
 }
 
 // Append writes one record and returns once it is durable (unless the
-// log was opened with NoSync). Safe for concurrent use; concurrent
-// appends share fsyncs through the group-commit gate.
+// log was opened with NoSync): Write, then Sync. Safe for concurrent
+// use; concurrent appends share fsyncs through the group-commit gate.
 func (l *Log) Append(payload []byte) error {
 	return l.AppendBatch([][]byte{payload})
 }
@@ -289,18 +291,35 @@ func (l *Log) AppendBatch(payloads [][]byte) error {
 	if len(payloads) == 0 {
 		return nil
 	}
-	if err := l.checkSizes(payloads); err != nil {
+	n, err := l.write(payloads)
+	if err != nil {
 		return err
+	}
+	return l.Sync(n)
+}
+
+// Write writes one record without waiting for it to be durable and
+// returns n, the number of records the log holds through this one:
+// Sync(n) makes it durable. Until then a process kill loses nothing
+// (the frame is in the file), but a power cut may. Safe for concurrent
+// use; frames land in the file in the order their Writes take the lock.
+func (l *Log) Write(payload []byte) (n uint64, err error) {
+	return l.write([][]byte{payload})
+}
+
+// write appends one frame per payload with a single file write and
+// returns the record count through the last of them.
+func (l *Log) write(payloads [][]byte) (uint64, error) {
+	if err := l.checkSizes(payloads); err != nil {
+		return 0, err
 	}
 	l.mu.Lock()
+	defer l.mu.Unlock()
 	if l.f == nil {
-		l.mu.Unlock()
-		return fmt.Errorf("wal: %s: append on closed log", l.path)
+		return 0, fmt.Errorf("wal: %s: append on closed log", l.path)
 	}
 	if l.failed != nil {
-		err := l.failed
-		l.mu.Unlock()
-		return err
+		return 0, l.failed
 	}
 	// Frames are assembled in a buffer the log keeps, so an append
 	// allocates nothing once the buffer has grown to the working size.
@@ -321,14 +340,11 @@ func (l *Log) AppendBatch(payloads [][]byte) error {
 		} else if _, serr := l.f.Seek(l.size, io.SeekStart); serr != nil {
 			l.poisonLocked(fmt.Errorf("wal: %s: seek after write repair (%v): %w", l.path, serr, ErrPoisoned))
 		}
-		l.mu.Unlock()
-		return fmt.Errorf("wal: appending to %s: %w", l.path, err)
+		return 0, fmt.Errorf("wal: appending to %s: %w", l.path, err)
 	}
 	l.size += int64(len(buf))
 	l.appended += uint64(len(payloads))
-	mine := l.appended
-	l.mu.Unlock()
-	return l.syncThrough(mine)
+	return l.appended, nil
 }
 
 // checkSizes refuses a payload no replay would accept back.
@@ -358,16 +374,20 @@ func (l *Log) Poisoned() error {
 	return l.failed
 }
 
-// syncThrough blocks until an fsync covering the mine-th append has
-// completed. The appender that wins the gate syncs for the whole batch
-// written so far; laggards see syncedTo has passed them and return.
-func (l *Log) syncThrough(mine uint64) error {
+// Sync returns once the first n records are durable (at once under
+// NoSync). The caller that wins the gate fsyncs once for every frame
+// written so far; laggards see an fsync has already covered them and
+// return without issuing their own, as does a Sync for records an
+// earlier fsync covered. A failed fsync poisons the log: that Sync
+// returns the fsync's error, and every later Sync for a record it did
+// not make durable returns the poison.
+func (l *Log) Sync(n uint64) error {
 	if l.nosync {
 		return nil
 	}
 	l.syncMu.Lock()
 	defer l.syncMu.Unlock()
-	if l.syncedTo >= mine {
+	if l.syncedTo >= n {
 		return nil // a group fsync while we waited already covered us
 	}
 	// Capture the batch bound before syncing: frames written after this

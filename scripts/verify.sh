@@ -28,11 +28,18 @@ go test -race ./...
 # us/op while every pair of reads was decided, not every pair of
 # timelines); BenchmarkCheckTestReusedIndex resets one index, as every
 # aggregator does: about 25 us/op, and it allocates nothing.
-echo "== hot-path cost (ns/op, allocs/op: checkers on a paper-shaped Test 2, scheduler, timer re-arm, store delivery, a whole test, trace codec, journal append, cached store read)"
+# BenchmarkCheckpointAppend is encoding and writing one journal frame; the
+# fsync runs behind it on the journal's syncer, one per up to 64 frames
+# (about 45-50 us/op and 0 allocs/op on a 2-core VM; 160-320 while each
+# Append waited for its fsync). BenchmarkCampaignJournal is a whole
+# campaign_journal-shaped campaign (400 tests, journaled): about 75-100
+# ms/op and 35-65 fsyncs/op (125-180 ms and about 375 fsyncs before).
+echo "== hot-path cost (ns/op, allocs/op: checkers on a paper-shaped Test 2, scheduler, timer re-arm, store delivery, a whole test, trace codec, journal append, journaled campaign, cached store read)"
 go test -run '^$' -bench 'CheckTest|DivergenceWindows' -benchtime 20x -benchmem .
 go test -run '^$' -bench 'SimScheduler|SimTimerRearm|StoreDeliver' -benchtime 2000x -benchmem .
 go test -run '^$' -bench 'Campaign/(blogger|fbgroup)$' -benchtime 200x -benchmem .
 go test -run '^$' -bench 'TraceJSONL|CheckpointAppend' -benchtime 200x -benchmem .
+go test -run '^$' -bench 'CampaignJournal$' -benchtime 3x -benchmem .
 go test -run '^$' -bench 'StoreReadCached' -benchtime 2000x -benchmem ./internal/store
 
 # What one simulated read costs: a 30-post Facebook Feed timeline. It
