@@ -6,7 +6,10 @@
 //
 // The -inject-* flags wrap the service in the deterministic fault
 // injector, turning consvc into a drill target for the resilient
-// probing path (conwatch -retries, conprobe live campaigns). The
+// probing path (conwatch -retries, conprobe live campaigns). They are
+// refused with -role, -peers or -join, as -durable is: a write failure
+// injected inside one cluster node's replica would make that node skip
+// a committed op the other nodes apply. The
 // -disk-fault flag does the same one layer down: it arms deterministic
 // storage faults (torn writes, failed fsyncs, read bit flips, ENOSPC,
 // omitted directory syncs, failed renames) beneath the node's WAL,
@@ -142,6 +145,10 @@ func build(args []string) (*http.Server, string, error) {
 		diskFS = inj.FS()
 		log.Printf("consvc: disk-fault drills armed: %s", diskFaults.String())
 	}
+	faults, injecting := inject.Config()
+	if injecting && (*role != "" || *peers != "" || *join != "") {
+		return nil, "", fmt.Errorf("-inject-* is for standalone mode: a failure injected inside one cluster node's replica would make it skip a committed op the other nodes apply")
+	}
 	if *durable {
 		if *role != "" {
 			return nil, "", fmt.Errorf("-durable is for standalone mode; cluster nodes persist their oplog via -data-dir")
@@ -163,7 +170,6 @@ func build(args []string) (*http.Server, string, error) {
 	if err != nil {
 		return nil, "", err
 	}
-	faults, _ := inject.Config()
 	faults.Seed = *seed
 	if faults.Enabled() {
 		if err := faults.Validate(); err != nil {

@@ -22,6 +22,25 @@ func TestBuildRejectsUnknownServiceAndBadFlags(t *testing.T) {
 	}
 }
 
+// TestBuildRejectsInjectionInClusterMode: a cluster applies every
+// committed op on every replica, so a failure injected inside one node's
+// replica would make that replica skip what the others apply.
+func TestBuildRejectsInjectionInClusterMode(t *testing.T) {
+	for _, cluster := range [][]string{
+		{"-role", "leader", "-node-id", "n1"},
+		{"-node-id", "n1", "-self-url", "http://localhost:1", "-peers", "http://localhost:2"},
+		{"-node-id", "n1", "-self-url", "http://localhost:1", "-join", "http://localhost:2"},
+	} {
+		args := append([]string{"-inject-write-fail", "0.1"}, cluster...)
+		if _, _, err := build(args); err == nil || !strings.Contains(err.Error(), "-inject-*") {
+			t.Errorf("build(%q) = %v, want the -inject-* refusal", args, err)
+		}
+	}
+	if _, _, err := build([]string{"-inject-write-fail", "0.1", "-jitter", "0"}); err != nil {
+		t.Fatalf("standalone injection refused: %v", err)
+	}
+}
+
 func TestBuildServesProfileEndToEnd(t *testing.T) {
 	srv, name, err := build([]string{"-service", "blogger", "-addr", "127.0.0.1:0", "-rate", "0", "-jitter", "0"})
 	if err != nil {

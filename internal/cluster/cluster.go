@@ -56,19 +56,23 @@
 // verified against the leader's log. A kill -9 of any node — leader
 // included — therefore loses no acked write: the survivors elect a new
 // leader whose log contains every committed op.
+// A node applies an op to its replica only once the op has committed
+// (journal, commit, apply: Raft's order), so no replica holds a write
+// that can still be lost and nothing applied is ever undone. An op the
+// service refuses is skipped on every replica; its proposer gets the
+// service's error.
 //
 // Durability and catch-up share one mechanism: the oplog is its own
 // snapshot. The node periodically compacts it by atomically rewriting
 // the file (wal.Log.Rewrite) as one record holding the state at the
-// head; ops journaled afterwards follow that record. A restarting node
-// recovers from the one file; a follower that has fallen behind the
-// leader's in-memory tail — or whose log conflicts with the leader's at
-// its pull position — installs the leader's snapshot the same way, as
-// the first record of a rewritten log, and resumes from its index.
-// Compaction leaves only the snapshot record on disk, but keeps in
-// memory the entries a voting member may still lack, at most
-// SnapshotEvery of them, so a follower one RPC behind a compaction is
-// not sent the whole state.
+// applied index, followed by the ops journaled after it. A restarting
+// node recovers from the one file; a follower that has fallen behind
+// the leader's in-memory tail — or whose log conflicts with the
+// leader's at its pull position — installs the leader's snapshot the
+// same way, as the first record of a rewritten log, and resumes from
+// its index. Compaction keeps in memory the entries a voting member may
+// still lack, at most SnapshotEvery of them, so a follower one RPC
+// behind a compaction is not sent the whole state.
 package cluster
 
 import (
@@ -337,8 +341,8 @@ type Node struct {
 	// log can no longer veto — through HandleVote's up-to-dateness gate —
 	// candidates missing entries this node once acked toward a commit, so
 	// every vote grant and the node's own candidacy are withheld until
-	// the log has been re-sourced from a current leader (pull caught up
-	// to the leader's advertised head, or a completed snapshot install).
+	// the log has been re-sourced from a current leader (caught up, by
+	// pulls after any snapshot install, to the head it advertises).
 	// Backed by a marker file in DataDir so the restriction survives any
 	// number of restarts; it is retired only once the re-sourced state is
 	// itself durable.
@@ -377,11 +381,18 @@ type Node struct {
 	floor       uint64
 	floorTerm   uint64
 	commitIndex uint64
+	applied     uint64 // highest op applied to the service; = commitIndex whenever n.mu is free
 	ops         []Op
-	state       []Op // effective write set: ops since the last reset
-	sinceSnap   int
-	followers   map[string]*follower
-	appendSeq   uint64 // entry-carrying requests sent so far
+	// state and appliedConfig are the snapshot at applied: the writes
+	// since the last reset, and the config entry in force (nil: static).
+	state              []Op
+	appliedConfig      *Membership
+	appliedConfigIndex uint64
+	barrier            uint64           // the leader's election no-op; no lease or quorum read before it commits
+	refused            map[uint64]error // leader: errors of refused committed ops, until WaitCommitted takes them
+	sinceSnap          int
+	followers          map[string]*follower
+	appendSeq          uint64 // entry-carrying requests sent so far
 
 	// Encoding scratch, reused under mu: the journal records of the batch
 	// being staged, carved from recBuf, and the snapshot record a
@@ -426,10 +437,11 @@ func (e *NotLeaderError) Error() string {
 // LeaderHint returns the leader URL for client redirection.
 func (e *NotLeaderError) LeaderHint() string { return e.Leader }
 
-// nodeSnapshot is the state at a log head: the effective write set and
-// the voting configuration. It is the first record of a compacted oplog
-// — every op record after it has a higher index — and what the leader
-// streams to a follower that must jump to the present.
+// nodeSnapshot is the state at an applied index: the effective write
+// set and the voting configuration in force there. It is the first
+// record of a compacted oplog — every op record after it has a higher
+// index — and what the leader streams to a follower that must jump to
+// the committed present.
 type nodeSnapshot struct {
 	LastIndex uint64 `json:"last_index"`
 	LastTerm  uint64 `json:"last_term,omitempty"`
@@ -653,8 +665,9 @@ func (n *Node) Rebuilding() bool {
 }
 
 // recover replays the oplog and the term record from DataDir and
-// compacts. The replayed write set is re-applied to the (fresh,
-// in-memory) service so reads resume where the crashed process left off.
+// compacts. The snapshot record's write set is re-applied to the (fresh,
+// in-memory) service; the ops journaled after it are applied once a
+// commit index covers them again.
 //
 // Storage faults are survived, not just detected. Mid-log oplog damage
 // quarantines the file to a .corrupt sidecar and the node boots empty;
@@ -717,16 +730,9 @@ func (n *Node) recover() error {
 		}
 		rep.Records = rep.Records[1:]
 	}
-	n.lastIndex = snap.LastIndex
-	n.lastTerm = snap.LastTerm
-	n.floor = snap.LastIndex
-	n.floorTerm = snap.LastTerm
-	n.state = snap.State
-	if snap.Config != nil {
-		// The log is the configuration's source of truth: a persisted
-		// config always beats the static -peers flags.
-		n.setConfigLocked(*snap.Config, snap.ConfigIndex)
-	}
+	// What of the ops after the snapshot committed is unknowable locally:
+	// the leader's heartbeats (or our own election) re-establish it.
+	n.adoptSnapshotLocked(&snap)
 	for _, raw := range rep.Records {
 		var op Op
 		if err := json.Unmarshal(raw, &op); err != nil {
@@ -737,41 +743,21 @@ func (n *Node) recover() error {
 			continue
 		}
 		n.lastIndex = op.Index
-		if op.Term > n.lastTerm {
-			n.lastTerm = op.Term
-		}
+		n.lastTerm = max(n.lastTerm, op.Term)
 		n.ops = append(n.ops, op)
-		switch op.Kind {
-		case opReset:
-			n.state = nil
-		case opNoop:
-		case opConfig:
+		if op.Kind == opConfig && op.Config != nil {
 			// Adopt the latest durable configuration — joint or final —
 			// so a node recovering mid-reconfigure rejoins under exactly
 			// the member set its log prescribes, never an older one.
-			if op.Config != nil {
-				n.setConfigLocked(*op.Config, op.Index)
-			}
-		default:
-			n.state = append(n.state, op)
+			n.setConfigLocked(*op.Config, op.Index)
 		}
 	}
-	// Rebuild the service replica from the effective write set.
-	if err := n.replayState(n.state); err != nil {
-		log.Close()
-		return err
-	}
-	// Compact on open: the replayed state becomes the log's one record
-	// (and a temp file a killed compaction left behind goes).
+	// Compact on open: the snapshot and the ops after it are rewritten as
+	// the log (and a temp file a killed compaction left behind goes).
 	if err := n.compactLocked(); err != nil {
 		log.Close()
 		return fmt.Errorf("cluster: compacting on open: %w", err)
 	}
-	// Everything recovered was locally durable; what of it was
-	// quorum-committed is unknowable locally, so start conservative at
-	// the compaction floor and let the leader's heartbeats (or our own
-	// election) re-establish the rest.
-	n.commitIndex = n.floor
 
 	terms, rec, termQuarantined, err := openTermStore(n.termPath(), walOpts)
 	if err != nil {
@@ -809,15 +795,25 @@ func (n *Node) recover() error {
 	return nil
 }
 
-// replayState applies the write set to the local service.
-func (n *Node) replayState(state []Op) error {
-	for _, op := range state {
-		p := service.Post{ID: op.ID, Author: op.Author, Body: op.Body, DependsOn: op.DependsOn}
-		if err := n.svc.Write(simnet.Site(op.Site), p); err != nil {
-			return fmt.Errorf("cluster: replaying op %d: %w", op.Index, err)
-		}
+// adoptSnapshotLocked makes snap the node's whole state: log head and
+// floor, commit and applied index — a snapshot is cut at an applied, so
+// committed, index — the replica, rebuilt from the write set, and the
+// configuration, which beats the static -peers flags. As at commit, a
+// write the service refuses is skipped; Reset never fails for the
+// services a cluster wraps.
+func (n *Node) adoptSnapshotLocked(snap *nodeSnapshot) {
+	n.lastIndex, n.lastTerm = snap.LastIndex, snap.LastTerm
+	n.floor, n.floorTerm = snap.LastIndex, snap.LastTerm
+	n.commitIndex, n.applied = snap.LastIndex, snap.LastIndex
+	n.ops, n.state, n.sinceSnap = nil, nil, 0
+	_ = n.svc.Reset()
+	for _, op := range snap.State {
+		_ = n.applyLocked(op)
 	}
-	return nil
+	n.appliedConfig, n.appliedConfigIndex = snap.Config, snap.ConfigIndex
+	if snap.Config != nil {
+		n.setConfigLocked(*snap.Config, snap.ConfigIndex)
+	}
 }
 
 // Name returns the wrapped service's name.
@@ -846,7 +842,8 @@ func (n *Node) Term() uint64 {
 	return n.currentTerm
 }
 
-// LastIndex returns the highest applied op index.
+// LastIndex returns the index of the node's log head, the highest op
+// it has journaled.
 func (n *Node) LastIndex() uint64 {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -900,9 +897,9 @@ func (n *Node) clusteredLocked() bool {
 	return len(n.peerURLsLocked()) > 0 && n.config.Contains(n.cfg.SelfURL)
 }
 
-// Write accepts a post on the leader: the op is indexed, term-stamped,
-// journaled (fsynced) and applied, then the call blocks until a write
-// quorum of replicas has fsynced it. Non-leaders refuse with
+// Write accepts a post on the leader: the op is indexed, term-stamped
+// and journaled (fsynced), then the call blocks until a write quorum of
+// replicas has fsynced it and it is applied. Non-leaders refuse with
 // *NotLeaderError.
 func (n *Node) Write(from simnet.Site, p service.Post) error {
 	idx, err := n.ProposeWrite(from, p)
@@ -912,8 +909,8 @@ func (n *Node) Write(from simnet.Site, p service.Post) error {
 	return n.WaitCommitted(idx)
 }
 
-// ProposeWrite appends a write to the leader's log (applied and locally
-// fsynced) without waiting for the quorum, returning its index. Pair
+// ProposeWrite appends a write to the leader's log (locally fsynced)
+// without waiting for the quorum, returning its index. Pair
 // with WaitCommitted for the full acked-write path; the deterministic
 // harness calls the halves separately so its single-threaded event loop
 // never blocks.
@@ -935,15 +932,15 @@ func (n *Node) Reset() error {
 	return n.WaitCommitted(idx)
 }
 
-// accept indexes, journals and applies one op on the leader. The whole
-// sequence runs under n.mu: the op is applied and fsynced BEFORE it is
-// published into n.ops/n.lastIndex, so HandlePull can never serve an op
-// the leader could still lose to a crash (a follower durably applying
-// an un-fsynced index would diverge forever once the restarted leader
-// reassigned that index), and ops reach the wrapped service strictly in
-// index order (a write racing a reset can never apply reset-then-write).
-// Holding the lock across the fsync serializes accepts — the same price
-// compactLocked already pays for a consistent cut.
+// accept indexes and journals one op on the leader. The whole sequence
+// runs under n.mu: the op is fsynced BEFORE it is published into
+// n.ops/n.lastIndex, so HandlePull can never serve an op the leader
+// could still lose to a crash (a follower durably holding an un-fsynced
+// index would diverge forever once the restarted leader reassigned that
+// index). The op reaches the wrapped service only at commit, in index
+// order with every other op (applyCommittedLocked). Holding the lock
+// across the fsync serializes accepts — the same price compactLocked
+// already pays for a consistent cut.
 func (n *Node) accept(op Op) (uint64, error) {
 	n.mu.Lock()
 	defer n.unlockAndReplicate()
@@ -960,9 +957,9 @@ func (n *Node) acceptLocked(op Op) (uint64, error) {
 	if n.role != RoleLeader {
 		return 0, &NotLeaderError{Leader: n.leaderURL}
 	}
-	// Stage at the next index. Nothing is published until journal and
-	// apply both succeed, so a NACKed op neither replicates to followers
-	// nor lands in a snapshot, and its index is not consumed.
+	// Stage at the next index. Nothing is published until the journal
+	// write succeeds, so an op the disk refused neither replicates to
+	// followers nor consumes its index.
 	op.Index = n.lastIndex + 1
 	op.Term = n.currentTerm
 	if err := n.stageLocked(op); err != nil {
@@ -970,17 +967,15 @@ func (n *Node) acceptLocked(op Op) (uint64, error) {
 	}
 	n.publishLocked(op)
 	n.recomputeCommitLocked()
-	if err := n.maybeCompactLocked(); err != nil {
-		return 0, fmt.Errorf("cluster: compacting: %w", err)
-	}
 	return op.Index, nil
 }
 
-// WaitCommitted blocks until the op at idx is quorum-committed,
-// returning an error if leadership (in the proposing term) is lost or
-// QuorumTimeout passes first. A timeout does not remove the op: it may
-// still commit later, so the client-visible outcome is "unknown", the
-// honest answer for a write whose quorum did not assemble in time.
+// WaitCommitted blocks until the op at idx is quorum-committed and
+// applied, returning the service's error if it refused the op, and an
+// error if leadership (in the proposing term) is lost or QuorumTimeout
+// passes first. A timeout does not remove the op: it may still commit
+// later, so the client-visible outcome is "unknown", the honest answer
+// for a write whose quorum did not assemble in time.
 func (n *Node) WaitCommitted(idx uint64) error {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -989,7 +984,9 @@ func (n *Node) WaitCommitted(idx uint64) error {
 	return n.waitLocked(deadline, func() (bool, error) {
 		switch {
 		case n.commitIndex >= idx:
-			return true, nil
+			err := n.refused[idx]
+			delete(n.refused, idx)
+			return true, err
 		case n.closed:
 			return false, fmt.Errorf("cluster: node closed before op %d committed", idx)
 		case n.role != RoleLeader || n.currentTerm != term:
@@ -1025,141 +1022,135 @@ func (n *Node) waitLocked(deadline time.Time, check func() (bool, error)) error 
 	return err
 }
 
-// stageLocked applies ops — contiguous from n.lastIndex+1 — to the
-// local replica and journals them, one WAL write and one fsync for the
-// lot, without publishing them. Caller holds n.mu. On error the
-// published state (n.ops, n.state, n.lastIndex, the WAL) is unchanged:
-// a service rejection happens before the journal write, and a journal
-// failure rolls the replica back to the published write set.
+// stageLocked journals ops — contiguous from n.lastIndex+1 — with one
+// WAL write and one fsync for the lot, without publishing them. Nothing
+// reaches the service here: an op is applied only once it commits
+// (applyCommittedLocked). Caller holds n.mu. On error the WAL is
+// unchanged.
 func (n *Node) stageLocked(ops ...Op) error {
-	if n.log != nil {
-		// A record carved before recBuf outgrew its array stays valid: the
-		// old array is no longer written to.
-		n.recBuf, n.recs = n.recBuf[:0], n.recs[:0]
-		for i := range ops {
-			start := len(n.recBuf)
-			var err error
-			if n.recBuf, err = appendOp(n.recBuf, &ops[i]); err != nil {
-				return err
-			}
-			n.recs = append(n.recs, n.recBuf[start:])
-		}
+	if n.log == nil {
+		return nil
 	}
+	n.recBuf, n.recs = n.recBuf[:0], n.recs[:0]
+	if err := n.encodeLocked(ops); err != nil {
+		return err
+	}
+	if err := n.log.AppendBatch(n.recs); err != nil {
+		return fmt.Errorf("cluster: journaling op %d: %w", ops[0].Index, err)
+	}
+	return nil
+}
+
+// encodeLocked appends the journal records of ops to n.recs, carved from
+// recBuf. A record carved before recBuf outgrew its array stays valid:
+// the old array is no longer written to.
+func (n *Node) encodeLocked(ops []Op) error {
 	for i := range ops {
-		if err := n.applyToService(ops[i]); err != nil {
-			if i > 0 {
-				n.rollbackServiceLocked()
-			}
+		start := len(n.recBuf)
+		var err error
+		if n.recBuf, err = appendOp(n.recBuf, &ops[i]); err != nil {
 			return err
 		}
-	}
-	if n.log != nil {
-		if err := n.log.AppendBatch(n.recs); err != nil {
-			n.rollbackServiceLocked()
-			return fmt.Errorf("cluster: journaling op %d: %w", ops[0].Index, err)
-		}
+		n.recs = append(n.recs, n.recBuf[start:])
 	}
 	return nil
 }
 
 // publishLocked installs a staged op into the pullable stream. Caller
-// holds n.mu; the op is already applied and durable. A config op takes
+// holds n.mu; the op is durable but not yet applied. A config op takes
 // effect here — on append, not commit, the joint-consensus rule.
 func (n *Node) publishLocked(op Op) {
 	n.lastIndex = op.Index
-	if op.Term > n.lastTerm {
-		n.lastTerm = op.Term
-	}
+	n.lastTerm = max(n.lastTerm, op.Term)
 	n.ops = append(n.ops, op)
-	switch op.Kind {
-	case opReset:
-		n.state = nil
-	case opNoop:
-	case opConfig:
-		if op.Config != nil {
-			n.setConfigLocked(*op.Config, op.Index)
-			n.emitLocked(Event{
-				Type: EventReconfigure, Term: n.currentTerm, Index: op.Index,
-				Detail: op.Config.describe(),
-			})
-			if n.role == RoleLeader {
-				// The change may have given a standalone bootstrap leader its
-				// first peers — without heartbeats the joiner's election timer
-				// would depose it within one timeout — or removed the last one.
-				if len(n.peerURLsLocked()) == 0 {
-					if n.heartbeatTimer != nil {
-						n.heartbeatTimer.Stop()
-						n.heartbeatTimer = nil
-					}
-				} else if n.heartbeatTimer == nil && !n.closed {
-					n.heartbeatTimer = n.cfg.Clock.AfterFunc(0, n.heartbeatTick)
+	if op.Kind == opConfig && op.Config != nil {
+		n.setConfigLocked(*op.Config, op.Index)
+		n.emitLocked(Event{
+			Type: EventReconfigure, Term: n.currentTerm, Index: op.Index,
+			Detail: op.Config.describe(),
+		})
+		if n.role == RoleLeader {
+			// The change may have given a standalone bootstrap leader its
+			// first peers — without heartbeats the joiner's election timer
+			// would depose it within one timeout — or removed the last one.
+			if len(n.peerURLsLocked()) == 0 {
+				if n.heartbeatTimer != nil {
+					n.heartbeatTimer.Stop()
+					n.heartbeatTimer = nil
 				}
-			} else {
-				// Membership may have just granted (or revoked) this node's
-				// right to campaign and to be replicated to.
-				n.membershipChangedLocked()
+			} else if n.heartbeatTimer == nil && !n.closed {
+				n.heartbeatTimer = n.cfg.Clock.AfterFunc(0, n.heartbeatTick)
 			}
+		} else {
+			// Membership may have just granted (or revoked) this node's
+			// right to campaign and to be replicated to.
+			n.membershipChangedLocked()
 		}
-	default:
-		n.state = append(n.state, op)
 	}
 	n.sinceSnap++
 }
 
-// rollbackServiceLocked restores the local replica to the published
-// write set after a staged op was applied but could not be journaled.
-// Best effort: if the rollback itself fails the replica reads ahead of
-// the stream until restart, but the stream, the WAL and every follower
-// remain correct, so no replica can diverge durably.
-func (n *Node) rollbackServiceLocked() {
-	if n.svc.Reset() != nil {
+// applyCommittedLocked moves the commit index up to commit, when that
+// raises it, and applies the ops it newly covers to the service in index
+// order; then it compacts once SnapshotEvery ops were appended since the
+// last compaction, the same rule for every role. It is the only place an
+// op reaches the service and n.state, so neither ever holds an op that
+// can still be lost. An op the service refuses is skipped — on every
+// replica alike, the service being deterministic — and on the leader its
+// error is kept for the proposer. Caller holds n.mu.
+func (n *Node) applyCommittedLocked(commit uint64) {
+	if commit <= n.commitIndex {
 		return
 	}
-	_ = n.replayState(n.state)
+	n.commitIndex = commit
+	for n.applied < commit {
+		op := n.ops[n.applied-n.floor]
+		n.applied++
+		if err := n.applyLocked(op); err != nil && n.role == RoleLeader {
+			n.refused[op.Index] = err
+		}
+	}
+	if n.sinceSnap >= n.cfg.SnapshotEvery {
+		// Best effort: a failure leaves the log long, and the next commit
+		// advance retries.
+		_ = n.compactLocked()
+	}
 }
 
-// applyToService installs one op into the local replica.
-func (n *Node) applyToService(op Op) error {
+// applyLocked applies one op to the service and folds it into the state
+// at applied; an op the service refuses changes neither.
+func (n *Node) applyLocked(op Op) error {
 	switch op.Kind {
 	case opReset:
-		return n.svc.Reset()
-	case opNoop, opConfig:
-		// Config ops change the voting membership, not the service state;
-		// publishLocked/adoption installs them.
-		return nil
+		if err := n.svc.Reset(); err != nil {
+			return err
+		}
+		n.state = nil
+	case opNoop:
+	case opConfig:
+		n.appliedConfig, n.appliedConfigIndex = op.Config, op.Index
+	default:
+		p := service.Post{ID: op.ID, Author: op.Author, Body: op.Body, DependsOn: op.DependsOn}
+		if err := n.svc.Write(simnet.Site(op.Site), p); err != nil {
+			return err
+		}
+		n.state = append(n.state, op)
 	}
-	p := service.Post{ID: op.ID, Author: op.Author, Body: op.Body, DependsOn: op.DependsOn}
-	return n.svc.Write(simnet.Site(op.Site), p)
+	return nil
 }
 
-// maybeCompactLocked compacts when the oplog has grown past
-// SnapshotEvery — on the leader only once everything is committed, so
-// the snapshot never bakes in an entry whose term info a commit scan
-// still needs. The quorum wait on every ack keeps that condition
-// current in practice.
-func (n *Node) maybeCompactLocked() error {
-	if n.sinceSnap < n.cfg.SnapshotEvery {
-		return nil
-	}
-	if n.role == RoleLeader && n.commitIndex != n.lastIndex {
-		return nil
-	}
-	return n.compactLocked()
-}
-
-// compactLocked rewrites the oplog as one snapshot record of the current
-// state; memory-only nodes just trim the in-memory tail. Caller holds
-// n.mu — the fsync stalls concurrent accepts, which is the price of a
-// consistent cut.
+// compactLocked rewrites the oplog as the snapshot at the applied index
+// followed by the records of the ops after it; memory-only nodes just
+// trim the in-memory tail. Caller holds n.mu — the fsync stalls
+// concurrent accepts, which is the price of a consistent cut.
 //
-// On disk nothing of the log survives a compaction. In memory the floor
-// moves only to retainFromLocked: dropping the whole tail would put a
-// voting member that is one RPC behind onto a full snapshot install,
-// O(state) bytes to replace a handful of entries.
+// In memory the floor moves only to retainFromLocked: dropping the whole
+// tail would put a voting member that is one RPC behind onto a full
+// snapshot install, O(state) bytes to replace a handful of entries.
 func (n *Node) compactLocked() error {
 	if n.log != nil {
 		snap := n.snapshotLocked()
-		if err := n.rewriteLogLocked(&snap); err != nil {
+		if err := n.rewriteLogLocked(&snap, n.ops[n.applied-n.floor:]); err != nil {
 			return err
 		}
 	}
@@ -1175,17 +1166,20 @@ func (n *Node) compactLocked() error {
 	return nil
 }
 
-// rewriteLogLocked atomically replaces the oplog with snap as its only
-// record: a crash leaves the old log or this one. The record is encoded
-// into a buffer the node keeps — what a compaction allocates does not
-// grow with the state.
-func (n *Node) rewriteLogLocked(snap *nodeSnapshot) error {
+// rewriteLogLocked atomically replaces the oplog with snap followed by
+// the records of tail: a crash leaves the old log or this one. The
+// records are encoded into buffers the node keeps — what a compaction
+// allocates does not grow with the state.
+func (n *Node) rewriteLogLocked(snap *nodeSnapshot, tail []Op) error {
 	rec, err := appendSnapshot(n.snapRec[:0], snap)
 	if err != nil {
 		return err
 	}
 	n.snapRec = rec
-	n.recs = append(n.recs[:0], rec)
+	n.recBuf, n.recs = n.recBuf[:0], append(n.recs[:0], rec)
+	if err := n.encodeLocked(tail); err != nil {
+		return err
+	}
 	return n.log.Rewrite(n.recs)
 }
 
@@ -1193,8 +1187,9 @@ func (n *Node) rewriteLogLocked(snap *nodeSnapshot) error {
 // position a voting member is known to hold (0 for one this node has no
 // verified position for — every peer, on a node that is not leading),
 // but never more than SnapshotEvery entries below the head, which bounds
-// the tail however long a member stays away. A node without peers keeps
-// nothing.
+// the tail however long a member stays away, and never past the applied
+// index, where the snapshot is cut. A node without peers keeps only what
+// it has not applied.
 func (n *Node) retainFromLocked() uint64 {
 	keep := n.lastIndex
 	for _, url := range n.peers {
@@ -1207,19 +1202,17 @@ func (n *Node) retainFromLocked() uint64 {
 	if every := uint64(n.cfg.SnapshotEvery); n.lastIndex > every {
 		keep = max(keep, n.lastIndex-every)
 	}
-	return max(keep, n.floor)
+	return max(min(keep, n.applied), n.floor)
 }
 
-// snapshotLocked assembles the snapshot of the current head. It shares
+// snapshotLocked assembles the snapshot at the applied index. It shares
 // n.state: encode it before releasing n.mu. Caller holds n.mu.
 func (n *Node) snapshotLocked() nodeSnapshot {
-	snap := nodeSnapshot{LastIndex: n.lastIndex, LastTerm: n.lastTerm, State: n.state}
-	if n.configIndex > 0 {
-		cfg := n.config
-		snap.Config = &cfg
-		snap.ConfigIndex = n.configIndex
+	term, _ := n.termAtLocked(n.applied)
+	return nodeSnapshot{
+		LastIndex: n.applied, LastTerm: term, State: n.state,
+		Config: n.appliedConfig, ConfigIndex: n.appliedConfigIndex,
 	}
-	return snap
 }
 
 // termAtLocked returns the term of the op at idx, when known: index 0

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -101,14 +102,19 @@ func ids(t *testing.T, n *Node) []string {
 // waitIndex polls until n has applied index want (or the deadline).
 func waitIndex(t *testing.T, n *Node, want uint64) {
 	t.Helper()
+	applied := func() uint64 {
+		n.mu.Lock()
+		defer n.mu.Unlock()
+		return n.applied
+	}
 	deadline := time.Now().Add(10 * time.Second)
 	for time.Now().Before(deadline) {
-		if n.LastIndex() >= want {
+		if applied() >= want {
 			return
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	t.Fatalf("node %s stuck at index %d, want %d", n.cfg.NodeID, n.LastIndex(), want)
+	t.Fatalf("node %s stuck at applied index %d, want %d", n.cfg.NodeID, applied(), want)
 }
 
 func TestFollowerReplicatesAndReportsLag(t *testing.T) {
@@ -373,8 +379,17 @@ func TestElectionOverHTTP(t *testing.T) {
 		t.Fatalf("dead node %d still leads", li)
 	}
 	// The new leader must hold every quorum-acked write (its election
-	// required a log at least as up to date as a quorum member's).
-	got := ids(t, nodes[li2])
+	// required a log at least as up to date as a quorum member's), and a
+	// quorum read there returns them: it waits for the leader's barrier
+	// to commit, which applies everything inherited.
+	posts, _, err := nodes[li2].ReadLinearizable(simnet.DCWest, "r", ReadQuorum)
+	if err != nil {
+		t.Fatalf("quorum read at the new leader: %v", err)
+	}
+	got := make([]string, len(posts))
+	for i, p := range posts {
+		got[i] = p.ID
+	}
 	if fmt.Sprint(got) != fmt.Sprint(acked) {
 		t.Fatalf("acked writes lost in failover: new leader has %v, acked %v", got, acked)
 	}
@@ -439,9 +454,11 @@ func (f *failSvc) Write(from simnet.Site, p service.Post) error {
 	return f.memSvc.Write(from, p)
 }
 
-// TestNackedOpNotPublishedOrReplicated: an op the service rejects must
-// not consume an index, enter the pullable stream, reach a follower, or
-// survive a restart.
+// TestNackedOpNotPublishedOrReplicated: an op the service rejects is
+// not acked, and it is on no replica — the leader's, a follower's, or
+// the one a restart rebuilds. The op itself is journaled and committed
+// before the service sees it, so it holds its index in the log; every
+// replica skips it alike.
 func TestNackedOpNotPublishedOrReplicated(t *testing.T) {
 	dir := t.TempDir()
 	leader, err := NewNode(&failSvc{failID: "poison"}, Config{
@@ -454,17 +471,25 @@ func TestNackedOpNotPublishedOrReplicated(t *testing.T) {
 	defer ts.Close()
 
 	writeOps(t, leader, 0, 1) // m0 @ index 1
-	if err := leader.Write(simnet.DCWest, service.Post{ID: "poison"}); err == nil {
-		t.Fatal("service-rejected write was acked")
+	if err := leader.Write(simnet.DCWest, service.Post{ID: "poison"}); err == nil || !strings.Contains(err.Error(), "injected service failure") {
+		t.Fatalf("service-rejected write returned %v, want the service's error", err)
 	}
-	if leader.LastIndex() != 1 {
-		t.Fatalf("rejected op consumed index: lastIndex = %d, want 1", leader.LastIndex())
+	if got := ids(t, leader); fmt.Sprint(got) != fmt.Sprint([]string{"m0"}) {
+		t.Fatalf("leader's replica holds %v after the rejection, want [m0]", got)
 	}
-	writeOps(t, leader, 1, 1) // m1 @ index 2
+	writeOps(t, leader, 1, 1) // m1 @ index 3
 
-	f := newFollower(t, "n2", t.TempDir(), ts.URL, 5*time.Millisecond)
+	// The follower's service refuses the op too, as a replica of the
+	// same deterministic service does.
+	f, err := NewNode(&failSvc{failID: "poison"}, Config{
+		NodeID: "n2", Role: RoleFollower, LeaderURL: ts.URL,
+		DataDir: t.TempDir(), PullInterval: 5 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	defer f.Close()
-	waitIndex(t, f, 2)
+	waitIndex(t, f, 3)
 	if got := ids(t, f); fmt.Sprint(got) != fmt.Sprint([]string{"m0", "m1"}) {
 		t.Fatalf("follower replicated %v, want [m0 m1]", got)
 	}
@@ -480,14 +505,15 @@ func TestNackedOpNotPublishedOrReplicated(t *testing.T) {
 	if got := ids(t, restarted); fmt.Sprint(got) != fmt.Sprint([]string{"m0", "m1"}) {
 		t.Fatalf("restart resurrected rejected op: %v", got)
 	}
-	if restarted.LastIndex() != 2 {
-		t.Fatalf("restarted index = %d, want 2", restarted.LastIndex())
+	if restarted.LastIndex() != 3 {
+		t.Fatalf("restarted index = %d, want 3", restarted.LastIndex())
 	}
 }
 
 // TestJournalFailureRollsBackReplica: when the WAL append fails, the
-// write is NACKed and the local replica is rolled back to the published
-// write set — nothing is published, no index is consumed.
+// write is NACKed and the local replica ends where it was — nothing is
+// published, no index is consumed. Ops reach the replica only once
+// committed, so there is nothing to roll back.
 func TestJournalFailureRollsBackReplica(t *testing.T) {
 	leader, _ := newLeader(t, t.TempDir(), 1<<20)
 	writeOps(t, leader, 0, 2)
@@ -501,7 +527,7 @@ func TestJournalFailureRollsBackReplica(t *testing.T) {
 		t.Fatalf("failed op consumed index: lastIndex = %d, want 2", leader.LastIndex())
 	}
 	if got := ids(t, leader); fmt.Sprint(got) != fmt.Sprint(want) {
-		t.Fatalf("replica after failed journal = %v, want %v (rollback missing)", got, want)
+		t.Fatalf("replica after failed journal = %v, want %v", got, want)
 	}
 	leader.mu.Lock()
 	stateLen, opsLen := len(leader.state), len(leader.ops)

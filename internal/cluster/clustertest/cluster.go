@@ -129,6 +129,11 @@ type Cluster struct {
 	// acked-write ledger as of its start, the floor its eventual result
 	// must cover.
 	reads []*pendingRead
+	// served holds every write ID a lease or quorum read returned, and
+	// LinServed counts those reads: AssertConverged requires each ID on
+	// every node, the ceiling of a linearizable read.
+	served    map[string]bool
+	LinServed int
 
 	// Transcript is the ordered protocol event log; the determinism test
 	// compares it line by line across same-seed runs.
@@ -160,6 +165,7 @@ func New(t *testing.T, seed int64, size int) *Cluster {
 		joiner:        make(map[string]bool),
 		clocks:        make(map[string]*clocksync.SkewedClock),
 		Acked:         make(map[string]bool),
+		served:        make(map[string]bool),
 		LeadersByTerm: make(map[uint64]map[string]bool),
 	}
 	c.Net.EnableDeliveryChaos(dupPer10k, reorderPer10k)
@@ -423,9 +429,10 @@ func (c *Cluster) StartLinRead(mode cluster.ReadMode) {
 	})
 }
 
-// settleReads polls every in-flight read: completed ones are served and
-// checked against their acked-at-start floor, failed ones (leadership
-// lost, node killed, deadline) are dropped as legitimate refusals.
+// settleReads polls every in-flight read: completed ones are served,
+// checked against their acked-at-start floor and recorded for the
+// ceiling check in AssertConverged; failed ones (leadership lost, node
+// killed, deadline) are dropped as legitimate refusals.
 func (c *Cluster) settleReads() {
 	c.t.Helper()
 	rest := c.reads[:0]
@@ -448,7 +455,9 @@ func (c *Cluster) settleReads() {
 		have := make(map[string]bool, len(posts))
 		for _, p := range posts {
 			have[p.ID] = true
+			c.served[p.ID] = true
 		}
+		c.LinServed++
 		for _, wid := range r.acked {
 			if !have[wid] {
 				c.fatalf("stale %s read on %s: write %s was quorum-acked before the read began but is missing from the result",
@@ -587,9 +596,12 @@ func (c *Cluster) AssertLogMatching() {
 }
 
 // AssertConverged heals every partition, restarts every dead node, and
-// runs until the whole cluster agrees on one log head — then verifies
-// that every quorum-acked write is readable on every node. This is the
-// no-acked-write-lost property the failover drill exists to check.
+// runs until the whole cluster agrees on one committed log head — then
+// verifies that every quorum-acked write, and every write a lease or
+// quorum read returned, is readable on every node. The first is the
+// no-acked-write-lost property the failover drill exists to check; the
+// second is the ceiling of a linearizable read: it never returns a write
+// that is later lost.
 func (c *Cluster) AssertConverged() {
 	c.t.Helper()
 	c.Heal()
@@ -621,24 +633,27 @@ func (c *Cluster) AssertConverged() {
 					id, wid, len(posts), len(c.AckedOrder))
 			}
 		}
+		for wid := range c.served {
+			if !have[wid] {
+				c.fatalf("linearizable read served a lost write: %s is missing %s, which a lease or quorum read returned",
+					id, wid)
+			}
+		}
 	}
 	c.AssertElectionSafety()
 	c.AssertLogMatching()
 }
 
 // convergedNow reports whether one leader exists and every node sits at
-// its (fully committed) log head.
+// its log head with all of it committed, and so applied.
 func (c *Cluster) convergedNow() bool {
 	leader := c.Leader()
 	if leader == "" {
 		return false
 	}
 	head := c.nodes[leader].LastIndex()
-	if c.nodes[leader].CommitIndex() != head {
-		return false
-	}
 	for _, id := range c.IDs {
-		if c.nodes[id].LastIndex() != head {
+		if n := c.nodes[id]; n.LastIndex() != head || n.CommitIndex() != head {
 			return false
 		}
 	}

@@ -170,10 +170,18 @@ func fileSize(t *testing.T, path string) int64 {
 }
 
 // oplogState is what a node shows of its oplog: the voting
-// configuration and the write set.
+// configuration and the writes it holds, applied or journaled past its
+// commit index — a recovered node applies only its snapshot until a
+// leader re-establishes what committed.
 func oplogState(t *testing.T, n *Node) string {
 	m := n.Membership()
-	return fmt.Sprintf("%s n3=%t %v", m.describe(), m.InNew("http://n3"), ids(t, n))
+	held := ids(t, n)
+	for _, op := range n.TailOps() {
+		if op.Index > n.CommitIndex() && op.Kind == opWrite {
+			held = append(held, op.ID)
+		}
+	}
+	return fmt.Sprintf("%s n3=%t %v", m.describe(), m.InNew("http://n3"), held)
 }
 
 // writeOplogHistory: two writes, then a reconfiguration whose joint

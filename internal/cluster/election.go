@@ -212,6 +212,7 @@ func (n *Node) becomeLeaderLocked() {
 	n.confirmedRound, n.prunedRound = n.roundSeq, n.roundSeq
 	n.leaseUntil = time.Time{}
 	n.snapCache = nil
+	n.refused = make(map[uint64]error)
 	if len(n.peerURLsLocked()) > 0 {
 		// Commit barrier: commitIndex only ever advances across
 		// current-term entries (counting replicas of an old-term entry is
@@ -224,6 +225,7 @@ func (n *Node) becomeLeaderLocked() {
 		}
 		n.heartbeatTimer = n.cfg.Clock.AfterFunc(0, n.heartbeatTick)
 	}
+	n.barrier = n.lastIndex
 	n.recomputeCommitLocked()
 	n.emitLocked(Event{Type: EventBecomeLeader, Term: n.currentTerm, Index: n.lastIndex})
 	n.commitCond.Broadcast()
@@ -542,9 +544,7 @@ func (n *Node) HandleHeartbeat(req HeartbeatRequest) HeartbeatResponse {
 		verified, continues := n.appendLocked(req)
 		// Only the verified prefix is known to be the leader's log; a
 		// divergent tail past it must never be reported committed.
-		if c := min(req.Commit, verified); c > n.commitIndex {
-			n.commitIndex = c
-		}
+		n.applyCommittedLocked(min(req.Commit, verified))
 		if !continues {
 			// The request cannot continue our log: catch up by pulling (and,
 			// if the position is gone or conflicts, by snapshot install).
@@ -655,9 +655,9 @@ func (n *Node) noteProgressLocked(url, id string, idx, idxTerm uint64) {
 // recomputeCommitLocked advances commitIndex to the highest
 // current-term entry replicated on a write quorum — a quorum of the
 // active configuration, and of BOTH configurations while a joint entry
-// is in flight — then wakes waiting writers. Newly committed write IDs
-// ride the commit event so the harness can maintain its acked ledger
-// without re-entering the node.
+// is in flight — applies what it newly covers, then wakes waiting
+// writers. Newly committed write IDs ride the commit event so the
+// harness can maintain its acked ledger without re-entering the node.
 func (n *Node) recomputeCommitLocked() {
 	if n.role != RoleLeader {
 		return
@@ -693,17 +693,12 @@ func (n *Node) recomputeCommitLocked() {
 			ids = append(ids, op.ID)
 		}
 	}
-	n.commitIndex = newCommit
+	n.applyCommittedLocked(newCommit)
 	n.emitLocked(Event{Type: EventCommit, Term: n.currentTerm, Index: newCommit, IDs: ids})
 	n.commitCond.Broadcast()
 	// A joint entry that just committed hands off to its final C(new)
 	// entry; a committed C(new) that excludes this leader demotes it.
 	n.maybeFinishReconfigureLocked()
-	// Pipelined proposals (ProposeWrite without the blocking wait) only
-	// reach commit==head here, never inside accept — compact now or the
-	// oplog grows without bound under that traffic. Best effort: a
-	// failure leaves the log long, and the next accept retries.
-	_ = n.maybeCompactLocked()
 }
 
 // schedulePullLocked (re)arms the pull timer to fire after d. pullTimer
@@ -793,8 +788,8 @@ func (n *Node) onPullResponse(leader string, req PullRequest, resp PullResponse,
 	if aerr := n.applyReplicatedLocked(resp.Ops); aerr != nil {
 		return
 	}
-	if c := min(resp.Commit, req.From+uint64(len(resp.Ops))); verified && c > n.commitIndex {
-		n.commitIndex = c
+	if verified {
+		n.applyCommittedLocked(min(resp.Commit, req.From+uint64(len(resp.Ops))))
 	}
 	if n.rebuilding && n.lastIndex >= resp.LastIndex {
 		// Caught up to the head the current leader advertised: the log —
@@ -810,14 +805,15 @@ func (n *Node) onPullResponse(leader string, req PullRequest, resp PullResponse,
 	}
 }
 
-// applyReplicatedLocked journals and applies ops received from the
-// leader, monotonically: an op at or below lastIndex was already applied
-// (a retried delivery) and is skipped, never double-applied. The batch
-// goes through the same stage-then-publish sequence as the leader's
-// accept — applied and fsynced, once for the whole batch, before any of
+// applyReplicatedLocked journals ops received from the leader and
+// appends them to the log, monotonically: an op at or below lastIndex is
+// already held (a retried delivery) and is skipped, never appended
+// twice. The batch goes through the same stage-then-publish sequence as
+// the leader's accept — fsynced, once for the whole batch, before any of
 // it becomes visible in n.ops/n.lastIndex — so if this node later wins
 // an election it never serves an op it could still lose, and a failed
-// batch is simply sent again.
+// batch is simply sent again. The ops reach the service when a commit
+// index covers them (applyCommittedLocked).
 func (n *Node) applyReplicatedLocked(ops []Op) error {
 	for len(ops) > 0 && ops[0].Index <= n.lastIndex {
 		ops = ops[1:]
@@ -835,9 +831,6 @@ func (n *Node) applyReplicatedLocked(ops []Op) error {
 	}
 	for _, op := range ops {
 		n.publishLocked(op)
-	}
-	if n.sinceSnap >= n.cfg.SnapshotEvery {
-		return n.compactLocked()
 	}
 	return nil
 }
@@ -909,20 +902,21 @@ func (n *Node) HandleSnapshotChunk(req SnapshotChunkRequest) SnapshotChunkRespon
 	// Serve the cached stream when the request names it (a resume) or
 	// the cache is still current; otherwise freeze a fresh one.
 	cache := n.snapCache
-	if cache == nil || (req.ID != cache.id && cache.lastIndex != n.lastIndex) {
-		// The stream is the node's snapshot at its current head (not the
-		// compaction floor): installers jump straight to the present and
-		// resume pulling from there, which covers both catch-up past the
-		// floor and conflict resolution with one mechanism.
-		data, err := json.Marshal(n.snapshotLocked())
+	if cache == nil || (req.ID != cache.id && cache.lastIndex != n.applied) {
+		// The stream is the node's snapshot at its applied index (not the
+		// compaction floor): installers jump straight to the committed
+		// present and resume pulling from there, which covers both catch-up
+		// past the floor and conflict resolution with one mechanism.
+		snap := n.snapshotLocked()
+		data, err := json.Marshal(snap)
 		if err != nil {
 			resp.NotLeader = true // unservable; the puller will retry
 			return resp
 		}
 		cache = &snapStream{
-			id:        fmt.Sprintf("%d.%d.%08x", n.lastTerm, n.lastIndex, crc32.ChecksumIEEE(data)),
+			id:        fmt.Sprintf("%d.%d.%08x", snap.LastTerm, snap.LastIndex, crc32.ChecksumIEEE(data)),
 			data:      data,
-			lastIndex: n.lastIndex,
+			lastIndex: snap.LastIndex,
 		}
 		n.snapCache = cache
 	}
@@ -1027,44 +1021,27 @@ func (n *Node) onSnapshotChunk(leader string, resp SnapshotChunkResponse, err er
 
 // installSnapshotLocked installs a fully transferred leader snapshot,
 // replacing whatever divergent or stale history this node held. The
-// oplog is rewritten to the snapshot BEFORE any of it is adopted in
-// memory: a rewrite is atomic, so a crash recovers the old consistent
-// state or the new one, and a rewrite that fails leaves the node on the
-// old one, disk and memory alike, to try again on its next pull (it
+// oplog is rewritten to the snapshot BEFORE anything else changes: a
+// rewrite is atomic, so a crash recovers the old consistent state or
+// the new one, and a rewrite that fails leaves the node on the old one,
+// disk, memory and replica alike, to try again on its next pull (it
 // reports false, and the caller does not pull at once: a full disk must
-// not turn into a stream of snapshot transfers).
+// not turn into a stream of snapshot transfers). The replica is rebuilt
+// after, from committed state only, so there is nothing to undo.
 func (n *Node) installSnapshotLocked(pay nodeSnapshot) bool {
-	if err := n.svc.Reset(); err != nil {
-		return false
-	}
-	if err := n.replayState(pay.State); err != nil {
-		n.rollbackServiceLocked()
-		return false
-	}
 	if n.log != nil {
-		if err := n.rewriteLogLocked(&pay); err != nil {
-			n.rollbackServiceLocked()
+		if err := n.rewriteLogLocked(&pay, nil); err != nil {
 			return false
 		}
 	}
-	n.lastIndex = pay.LastIndex
-	n.lastTerm = pay.LastTerm
-	n.floor = pay.LastIndex
-	n.floorTerm = pay.LastTerm
-	n.ops = nil
-	n.state = append([]Op(nil), pay.State...)
+	n.adoptSnapshotLocked(&pay)
 	if pay.Config != nil {
-		n.setConfigLocked(*pay.Config, pay.ConfigIndex)
 		n.membershipChangedLocked()
 	}
-	if n.commitIndex > n.lastIndex {
-		n.commitIndex = n.lastIndex
-	}
-	n.sinceSnap = 0
-	// The installed state covers the leader's whole log at freeze time —
-	// every committed entry included — and is on disk, so a quarantined
-	// node is rebuilt.
-	n.rebuiltLocked()
+	// A quarantined node is not rebuilt yet: the snapshot holds only what
+	// the leader had committed, not every entry this node may have acked.
+	// The pull that follows retires the restriction once it reaches the
+	// leader's head.
 	n.emitLocked(Event{Type: EventInstallSnapshot, Term: n.currentTerm, Index: n.lastIndex})
 	return true
 }

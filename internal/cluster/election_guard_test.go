@@ -380,10 +380,14 @@ func TestQuorumReadNeedsPostArrivalRound(t *testing.T) {
 	}
 	kicked := tr.waitHBs(t, 4) // the round StartRead kicked
 
+	// Both rounds' replies hold the election barrier, so it commits with
+	// the first: what keeps the ticket waiting after that is the round.
+	barrier := n.LastIndex()
 	answer := func(hbs []capturedHB) {
 		for _, hb := range hbs[:2] {
 			hb.done(HeartbeatResponse{
 				Term: term, Node: peerID(hb.peer), URL: hb.peer, Round: hb.req.Round,
+				LastIndex: barrier, LastTerm: term,
 			}, nil)
 		}
 	}

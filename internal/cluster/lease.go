@@ -32,9 +32,13 @@ import (
 //     an immediate round is kicked so the wait is the network's, not
 //     the tick period's.
 //
-// Under partition both non-local modes block and then fail rather than
-// serve stale data: reads choose C over A, exactly the trade the
-// DESIGN doc documents.
+// Both non-local modes serve the leader's replica, which holds only
+// committed ops, once its election barrier has committed (before that,
+// its commit index may lag writes an earlier leader acked): a read
+// returns every write acked before it began and none that can be lost.
+// Under partition both block and then fail rather than serve stale
+// data: reads choose C over A, exactly the trade the DESIGN doc
+// documents.
 
 // ReadMode selects the consistency level of a cluster read.
 type ReadMode string
@@ -146,9 +150,10 @@ type ReadTicket struct {
 
 // StartRead begins a read at the requested consistency mode. Local
 // reads are ready immediately on any node; lease reads are ready
-// immediately on a leader with a live lease; anything else requires
-// leadership and returns a ticket that ripens when a heartbeat round
-// started after this call is confirmed by a vote quorum. Non-leaders
+// immediately on a leader with a live lease whose election barrier has
+// committed; anything else requires leadership and returns a ticket
+// that ripens when a heartbeat round started after this call is
+// confirmed by a vote quorum and the barrier has committed. Non-leaders
 // get *NotLeaderError (except in local mode) so clients can follow the
 // leader hint.
 func (n *Node) StartRead(mode ReadMode) (*ReadTicket, error) {
@@ -163,7 +168,7 @@ func (n *Node) StartRead(mode ReadMode) (*ReadTicket, error) {
 	if n.role != RoleLeader {
 		return nil, &NotLeaderError{Leader: n.leaderURL}
 	}
-	if mode == ReadLease && n.leaseValidLocked() {
+	if mode == ReadLease && n.leaseValidLocked() && n.commitIndex >= n.barrier {
 		return &ReadTicket{n: n, Used: ReadLease}, nil
 	}
 	// Quorum path (including lease fallback): prove leadership with a
@@ -205,7 +210,7 @@ func (t *ReadTicket) readyLocked() (bool, error) {
 	if n.role != RoleLeader || n.currentTerm != t.term || n.campaignGen != t.gen {
 		return false, &NotLeaderError{Leader: n.leaderURL}
 	}
-	if n.confirmedRound >= t.need {
+	if n.confirmedRound >= t.need && n.commitIndex >= n.barrier {
 		return true, nil
 	}
 	if !n.cfg.Clock.Now().Before(t.deadline) {
@@ -228,9 +233,10 @@ func (t *ReadTicket) Wait() error {
 // ReadLinearizable performs a full read at the requested mode,
 // reporting the mode that actually vouched for it; GET /posts?mode=
 // reaches it through the HTTP facade. The linearization point is the
-// leadership proof (lease check or round confirmation):
-// the replica only grows, so serving after the proof can never return
-// less than everything committed before the read began.
+// leadership proof (lease check or round confirmation) with the
+// election barrier committed: the replica then holds every op committed
+// before the read began, and it only ever holds committed ops, so the
+// read returns nothing that can still be lost.
 func (n *Node) ReadLinearizable(from simnet.Site, reader string, mode ReadMode) ([]service.Post, ReadMode, error) {
 	t, err := n.StartRead(mode)
 	if err != nil {

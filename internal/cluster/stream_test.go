@@ -153,6 +153,20 @@ func TestAppendDoneFiresOnce(t *testing.T) {
 		b, srvB := serveNode(t, "b", svc, plain, "http://l", "http://a")
 		l, tr := streamLeader(t, srvB.URL, 0)
 		propose(t, l, "w1")
+		// Once the leader has folded b's ack of w1, its next tick names
+		// w1's position, so b may apply w1 when the tick brings the commit.
+		ackedByB := func() bool {
+			l.mu.Lock()
+			defer l.mu.Unlock()
+			f := l.followers[srvB.URL]
+			return f != nil && f.match == l.lastIndex && l.commitIndex == l.lastIndex
+		}
+		for deadline := time.Now().Add(10 * time.Second); !ackedByB(); time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatal("w1 never committed with b's ack")
+			}
+		}
+		l.heartbeatTick()
 		select {
 		case <-svc.entered: // b applies w1 under its lock
 		case <-time.After(10 * time.Second):
@@ -189,7 +203,11 @@ func TestAppendDoneFiresOnce(t *testing.T) {
 		b, srv := serveNode(t, "b", &memSvc{}, noHijack, "http://l", "http://a")
 		l, tr := streamLeader(t, srv.URL, 0)
 		propose(t, l, "w1")
-		waitIndex(t, b, 2)
+		for deadline := time.Now().Add(10 * time.Second); b.LastIndex() < 2; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatal("w1 never reached the follower")
+			}
+		}
 		tr.settle(l, srv.URL, 5*time.Second)
 		if tr.fallbacks.Value() == 0 || tr.streamsOpen.Value() != 1 {
 			t.Fatalf("%d fallbacks, %v streams open: the refused follower went by stream", tr.fallbacks.Value(), tr.streamsOpen.Value())
