@@ -18,8 +18,9 @@
 //	heal(a, b, at)              restore the a<->b link
 //	outage(site, at..until)     sever site from every other site
 //	skew-clock(agent, at, ±d)   step one agent's clock by d, permanently
-//	overload(site, at..until)   shed a fraction of requests routed to
-//	                            site (compiled into faultinject windows)
+//	overload(site, at..until)   shed a fraction of the requests from
+//	                            client sites routed to site, through the
+//	                            lane's faultinject middleware
 //	kill(site, at[..until])     crash the node at site: sever it from
 //	                            every peer; until omitted means "until
 //	                            an explicit restart"
@@ -31,6 +32,10 @@
 //	                            ("torn", "fsync-gate", "bit-flip",
 //	                            "enospc", "dirsync-omit", "crash-rename")
 //
+// A consvc -disk-fault spec, site:kind[:afterN], is the diskfault event
+// in flag form: ParseDiskFault reads it, and Event.DiskFault builds the
+// fault both front ends arm.
+//
 // kill/restart are the sim-level half of the cluster crash story: on
 // the virtual clock a killed node is one no peer can reach (replication
 // stalls, its replica goes stale) and a restarted node rejoins and
@@ -40,8 +45,12 @@
 package chaos
 
 import (
+	"errors"
 	"fmt"
+	"slices"
 	"sort"
+	"strconv"
+	"strings"
 	"time"
 
 	"conprobe/internal/diskfault"
@@ -92,6 +101,10 @@ type Event struct {
 	// the disk site it targets (a diskfault.Sites key: "wal", "term",
 	// "snapshot" for a log compaction's temp file, "store", "checkpoint").
 	Fault string
+	// After is how many matching operations the armed fault lets pass
+	// before it fires — the afterN of a -disk-fault spec; profiles have
+	// no key for it.
+	After int
 }
 
 // Schedule is an ordered chaos timeline.
@@ -108,136 +121,79 @@ func (s *Schedule) Validate() error {
 		return nil
 	}
 	for i, e := range s.Events {
-		if e.At < 0 {
-			return fmt.Errorf("chaos: event %d (%s): negative offset %v", i, e.Kind, e.At)
-		}
-		windowed := func() error {
-			if e.Until != 0 && e.Until <= e.At {
-				return fmt.Errorf("chaos: event %d (%s): window [%v, %v) is empty or inverted", i, e.Kind, e.At, e.Until)
-			}
-			return nil
-		}
-		switch e.Kind {
-		case KindPartition:
-			if e.A == "" || e.B == "" || e.A == e.B {
-				return fmt.Errorf("chaos: event %d (partition): needs two distinct sites, got %q and %q", i, e.A, e.B)
-			}
-			if err := windowed(); err != nil {
-				return err
-			}
-		case KindHeal:
-			if e.A == "" || e.B == "" || e.A == e.B {
-				return fmt.Errorf("chaos: event %d (heal): needs two distinct sites, got %q and %q", i, e.A, e.B)
-			}
-			if e.Until != 0 {
-				return fmt.Errorf("chaos: event %d (heal): heal is instantaneous, drop until", i)
-			}
-		case KindOutage:
-			if e.Site == "" {
-				return fmt.Errorf("chaos: event %d (outage): needs a site", i)
-			}
-			if e.Until == 0 {
-				return fmt.Errorf("chaos: event %d (outage): needs an end (until)", i)
-			}
-			if err := windowed(); err != nil {
-				return err
-			}
-		case KindSkew:
-			if e.Agent == "" {
-				return fmt.Errorf("chaos: event %d (skew-clock): needs an agent label", i)
-			}
-			if e.Delta == 0 {
-				return fmt.Errorf("chaos: event %d (skew-clock): zero delta is a no-op", i)
-			}
-		case KindKill:
-			if e.Site == "" {
-				return fmt.Errorf("chaos: event %d (kill): needs a site", i)
-			}
-			if err := windowed(); err != nil {
-				return err
-			}
-		case KindRestart:
-			if e.Site == "" {
-				return fmt.Errorf("chaos: event %d (restart): needs a site", i)
-			}
-			if e.Until != 0 {
-				return fmt.Errorf("chaos: event %d (restart): restart is instantaneous, drop until", i)
-			}
-		case KindDiskFault:
-			if _, ok := diskfault.Sites[string(e.Site)]; !ok {
-				return fmt.Errorf("chaos: event %d (diskfault): unknown disk site %q (want one of %v)", i, e.Site, diskfault.SiteNames())
-			}
-			if !diskfault.Kind(e.Fault).Valid() {
-				return fmt.Errorf("chaos: event %d (diskfault): unknown fault kind %q (want one of %v)", i, e.Fault, diskfault.Kinds())
-			}
-			if e.Until != 0 {
-				return fmt.Errorf("chaos: event %d (diskfault): arming is instantaneous, drop until", i)
-			}
-		case KindOverload:
-			if e.Site == "" {
-				return fmt.Errorf("chaos: event %d (overload): needs a site", i)
-			}
-			if e.Until == 0 {
-				return fmt.Errorf("chaos: event %d (overload): needs an end (until)", i)
-			}
-			if e.Rate <= 0 || e.Rate > 1 {
-				return fmt.Errorf("chaos: event %d (overload): rate %v outside (0, 1]", i, e.Rate)
-			}
-			if err := windowed(); err != nil {
-				return err
-			}
-		default:
+		if !slices.Contains(kinds, e.Kind) {
 			return fmt.Errorf("chaos: event %d: unknown kind %q", i, e.Kind)
+		}
+		if err := e.validate(); err != nil {
+			return fmt.Errorf("chaos: event %d (%s): %w", i, e.Kind, err)
 		}
 	}
 	return nil
 }
 
-// linkLabel renders a canonical a<b pair label.
-func linkLabel(a, b simnet.Site) string {
-	if b < a {
-		a, b = b, a
+// kinds lists every event kind.
+var kinds = []Kind{KindPartition, KindHeal, KindSkew, KindOutage, KindOverload, KindKill, KindRestart, KindDiskFault}
+
+// validate checks the fields and window of an event of a known kind.
+func (e Event) validate() error {
+	if e.At < 0 {
+		return fmt.Errorf("negative offset %v", e.At)
 	}
-	return fmt.Sprintf("partition(%s,%s)", a, b)
+	switch e.Kind {
+	case KindPartition, KindHeal:
+		if e.A == "" || e.B == "" || e.A == e.B {
+			return fmt.Errorf("needs two distinct sites, got %q and %q", e.A, e.B)
+		}
+	case KindSkew:
+		if e.Agent == "" {
+			return errors.New("needs an agent label")
+		}
+		if e.Delta == 0 {
+			return errors.New("zero delta is a no-op")
+		}
+	case KindDiskFault:
+		if _, ok := diskfault.Sites[string(e.Site)]; !ok {
+			return fmt.Errorf("unknown disk site %q (want one of %v)", e.Site, diskfault.SiteNames())
+		}
+		if !diskfault.Kind(e.Fault).Valid() {
+			return fmt.Errorf("unknown fault kind %q (want one of %v)", e.Fault, diskfault.Kinds())
+		}
+	default:
+		if e.Site == "" {
+			return errors.New("needs a site")
+		}
+	}
+	switch {
+	case e.Until != 0 && (e.Kind == KindHeal || e.Kind == KindRestart):
+		return fmt.Errorf("%s is instantaneous, drop until", e.Kind)
+	case e.Until != 0 && e.Kind == KindDiskFault:
+		return errors.New("arming is instantaneous, drop until")
+	case e.Until == 0 && (e.Kind == KindOutage || e.Kind == KindOverload):
+		return errors.New("needs an end (until)")
+	case e.Kind == KindOverload && (e.Rate <= 0 || e.Rate > 1):
+		return fmt.Errorf("rate %v outside (0, 1]", e.Rate)
+	case e.Until != 0 && e.Until <= e.At && e.Kind != KindSkew:
+		return fmt.Errorf("window [%v, %v) is empty or inverted", e.At, e.Until)
+	}
+	return nil
 }
 
-// partitionEnd resolves when the partition starting at event i ends: its
-// own Until if set, else the earliest later heal of the same link, else
-// forever (-1).
-func (s *Schedule) partitionEnd(i int) time.Duration {
+// end resolves when the window event i opens ends: its own Until if
+// set, else the earliest later event closing it — a heal of the same
+// link for a partition, a restart of the same site for a kill — else
+// never (-1).
+func (s *Schedule) end(i int) time.Duration {
 	e := s.Events[i]
 	if e.Until != 0 {
 		return e.Until
 	}
 	end := time.Duration(-1)
-	for _, h := range s.Events {
-		if h.Kind != KindHeal || h.At < e.At {
-			continue
-		}
-		if (h.A == e.A && h.B == e.B) || (h.A == e.B && h.B == e.A) {
-			if end < 0 || h.At < end {
-				end = h.At
-			}
-		}
-	}
-	return end
-}
-
-// killEnd resolves when the kill starting at event i ends: its own
-// Until if set, else the earliest later restart of the same site, else
-// forever (-1).
-func (s *Schedule) killEnd(i int) time.Duration {
-	e := s.Events[i]
-	if e.Until != 0 {
-		return e.Until
-	}
-	end := time.Duration(-1)
-	for _, r := range s.Events {
-		if r.Kind != KindRestart || r.At < e.At || r.Site != e.Site {
-			continue
-		}
-		if end < 0 || r.At < end {
-			end = r.At
+	for _, c := range s.Events {
+		closes := e.Kind == KindPartition && c.Kind == KindHeal &&
+			(c.A == e.A && c.B == e.B || c.A == e.B && c.B == e.A) ||
+			e.Kind == KindKill && c.Kind == KindRestart && c.Site == e.Site
+		if closes && c.At >= e.At && (end < 0 || c.At < end) {
+			end = c.At
 		}
 	}
 	return end
@@ -246,7 +202,7 @@ func (s *Schedule) killEnd(i int) time.Duration {
 // ActiveAt returns sorted labels of the chaos windows in force at the
 // given campaign offset — a pure function of the schedule, so lived and
 // resumed worlds annotate traces identically. Instantaneous events
-// (heal, skew-clock) produce no window.
+// (heal, skew-clock, restart, diskfault) produce no window.
 func (s *Schedule) ActiveAt(offset time.Duration) []string {
 	if s.Empty() {
 		return nil
@@ -254,54 +210,61 @@ func (s *Schedule) ActiveAt(offset time.Duration) []string {
 	var out []string
 	for i, e := range s.Events {
 		switch e.Kind {
-		case KindPartition:
-			end := s.partitionEnd(i)
-			if offset >= e.At && (end < 0 || offset < end) {
-				out = append(out, linkLabel(e.A, e.B))
-			}
-		case KindOutage:
-			if offset >= e.At && offset < e.Until {
-				out = append(out, fmt.Sprintf("outage(%s)", e.Site))
-			}
-		case KindOverload:
-			if offset >= e.At && offset < e.Until {
-				out = append(out, fmt.Sprintf("overload(%s)", e.Site))
-			}
-		case KindKill:
-			end := s.killEnd(i)
-			if offset >= e.At && (end < 0 || offset < end) {
-				out = append(out, fmt.Sprintf("kill(%s)", e.Site))
-			}
+		case KindPartition, KindOutage, KindOverload, KindKill:
+		default:
+			continue
+		}
+		if end := s.end(i); offset < e.At || end >= 0 && offset >= end {
+			continue
+		}
+		if e.Kind == KindPartition {
+			out = append(out, fmt.Sprintf("partition(%s,%s)", min(e.A, e.B), max(e.A, e.B)))
+		} else {
+			out = append(out, fmt.Sprintf("%s(%s)", e.Kind, e.Site))
 		}
 	}
 	sort.Strings(out)
 	return out
 }
 
-// Overloads compiles the schedule's overload events into faultinject
-// shed windows scoped to the client sites the routing table sends to
-// the overloaded data center.
-func (s *Schedule) Overloads(routing map[simnet.Site]simnet.Site) []faultinject.Overload {
-	if s.Empty() {
-		return nil
+// ParseDiskFault parses a drill spec of the form "site:kind[:afterN]" —
+// e.g. "term:fsync-gate" or "wal:torn:3", the consvc -disk-fault form —
+// into the diskfault event it describes.
+func ParseDiskFault(spec string) (Event, error) {
+	parts := strings.Split(spec, ":")
+	if len(parts) < 2 || len(parts) > 3 {
+		return Event{}, fmt.Errorf("diskfault: spec %q: want site:kind[:afterN]", spec)
 	}
-	var out []faultinject.Overload
-	for _, e := range s.Events {
-		if e.Kind != KindOverload {
-			continue
-		}
-		var sites []simnet.Site
-		for from, dc := range routing {
-			if dc == e.Site {
-				sites = append(sites, from)
-			}
-		}
-		sort.Slice(sites, func(i, j int) bool { return sites[i] < sites[j] })
-		out = append(out, faultinject.Overload{
-			Start: e.At, End: e.Until, Sites: sites, Rate: e.Rate,
-		})
+	if _, ok := diskfault.Sites[parts[0]]; !ok {
+		return Event{}, fmt.Errorf("diskfault: spec %q: unknown site %q (known: %s)",
+			spec, parts[0], strings.Join(diskfault.SiteNames(), ", "))
 	}
-	return out
+	if !diskfault.Kind(parts[1]).Valid() {
+		return Event{}, fmt.Errorf("diskfault: spec %q: unknown fault kind %q", spec, parts[1])
+	}
+	e := Event{Kind: KindDiskFault, Site: simnet.Site(parts[0]), Fault: parts[1]}
+	if len(parts) == 3 {
+		after, err := strconv.Atoi(parts[2])
+		if err != nil || after < 0 {
+			return Event{}, fmt.Errorf("diskfault: spec %q: after must be a non-negative integer", spec)
+		}
+		e.After = after
+	}
+	return e, nil
+}
+
+// DiskFault is the storage fault a diskfault event arms: aimed at its
+// site's path, or at paths' override for the site, skipping After
+// matching operations, sticky for ENOSPC — a full disk stays full — and
+// seeded by seed, which picks where a torn write cuts and which bit a
+// flip inverts.
+func (e Event) DiskFault(paths map[string]string, seed uint64) diskfault.Fault {
+	path, ok := paths[string(e.Site)]
+	if !ok {
+		path = diskfault.Sites[string(e.Site)]
+	}
+	kind := diskfault.Kind(e.Fault)
+	return diskfault.Fault{Kind: kind, Path: path, After: e.After, Sticky: kind == diskfault.KindENOSPC, Seed: seed}
 }
 
 // AdjustableClock is the per-agent clock surface skew-clock events
@@ -317,6 +280,13 @@ type World struct {
 	Net *simnet.Network
 	// Clocks maps agent author labels to their adjustable clocks.
 	Clocks map[string]AdjustableClock
+	// Service is the lane's fault-injecting service middleware, which
+	// overload events shed through; a schedule with an overload event
+	// and no Service is a Drive-time error.
+	Service *faultinject.Injector
+	// Routing maps each client site to the data center serving it: an
+	// overload of a data center sheds the client sites routed there.
+	Routing map[simnet.Site]simnet.Site
 	// Disks maps disk site names (diskfault.Sites keys) to the fault
 	// injectors diskfault events arm. Absent sites make a schedule with
 	// diskfault events a Drive-time error — mirroring skew-clock's
@@ -334,131 +304,106 @@ type World struct {
 // action is one compiled intervention at a fixed offset.
 type action struct {
 	at    time.Duration
-	kind  Kind
 	apply func()
 }
 
-// Drive installs the schedule on a freshly built world: interventions
-// whose offset has already passed (a world rebuilt mid-campaign on
-// resume) are applied synchronously, in offset order, before Drive
-// returns; future ones are scheduled as virtual-clock timers. start is
-// the campaign epoch the event offsets are relative to; clock.Now() may
-// be later on resume. Call Drive before spawning the runner actor so
-// same-instant timers fire in a deterministic order relative to it.
-// Overload events are not driven here — they are compiled into
-// faultinject windows via Overloads.
+// Drive installs the schedule on a freshly built world — it is the one
+// place a campaign offset becomes a fault: interventions whose offset
+// has already passed (a world rebuilt mid-campaign on resume) are
+// applied synchronously, in offset order, before Drive returns; future
+// ones are scheduled as virtual-clock timers. start is the campaign
+// epoch the event offsets are relative to; clock.Now() may be later on
+// resume. Call Drive before spawning the runner actor so same-instant
+// timers fire in a deterministic order relative to it: an operation
+// issued at the instant a window opens sees it open, one issued at the
+// instant it ends sees it closed.
 func (s *Schedule) Drive(clock vtime.Clock, start time.Time, w World, sc *obs.Scope) error {
 	if s.Empty() {
 		return nil
 	}
-	applied := func(k Kind) *obs.Counter {
-		return sc.With("kind", string(k)).Counter("events_applied_total", "Chaos events applied, by kind.")
-	}
-	counters := map[Kind]*obs.Counter{
-		KindPartition: applied(KindPartition),
-		KindHeal:      applied(KindHeal),
-		KindSkew:      applied(KindSkew),
-		KindOutage:    applied(KindOutage),
-		KindKill:      applied(KindKill),
-		KindRestart:   applied(KindRestart),
-		KindDiskFault: applied(KindDiskFault),
+	counters := make(map[Kind]*obs.Counter, len(kinds))
+	for _, k := range kinds {
+		counters[k] = sc.With("kind", string(k)).Counter("events_applied_total", "Chaos events applied, by kind.")
 	}
 	var acts []action
+	// add schedules f at offset at, counted as an applied event of kind
+	// (uncounted when kind is empty).
 	add := func(at time.Duration, kind Kind, f func()) {
-		acts = append(acts, action{at: at, kind: kind, apply: func() {
+		c := counters[kind]
+		acts = append(acts, action{at: at, apply: func() {
 			f()
-			counters[kind].Inc()
+			if c != nil {
+				c.Inc()
+			}
 		}})
 	}
-	others := func(site simnet.Site) []simnet.Site {
-		var out []simnet.Site
-		for _, o := range w.Net.Sites() {
-			if o != site {
-				out = append(out, o)
+	// isolate and rejoin sever and restore every link of one site.
+	eachLink := func(site simnet.Site, f func(a, b simnet.Site)) func() {
+		return func() {
+			for _, o := range w.Net.Sites() {
+				if o != site {
+					f(site, o)
+				}
 			}
 		}
-		return out
 	}
-	for i, e := range s.Events {
+	isolate := func(site simnet.Site) func() { return eachLink(site, w.Net.Partition) }
+	rejoin := func(site simnet.Site) func() { return eachLink(site, w.Net.Heal) }
+	for _, e := range s.Events {
 		switch e.Kind {
 		case KindPartition:
-			a, b := e.A, e.B
-			add(e.At, KindPartition, func() { w.Net.Partition(a, b) })
-			if end := s.partitionEnd(i); end >= 0 && e.Until != 0 {
+			add(e.At, KindPartition, func() { w.Net.Partition(e.A, e.B) })
+			if e.Until != 0 {
 				// Explicit window: the end is ours to heal. Open-ended
 				// partitions are healed by their own heal events.
-				add(end, KindHeal, func() { w.Net.Heal(a, b) })
+				add(e.Until, KindHeal, func() { w.Net.Heal(e.A, e.B) })
 			}
 		case KindHeal:
-			a, b := e.A, e.B
-			add(e.At, KindHeal, func() { w.Net.Heal(a, b) })
+			add(e.At, KindHeal, func() { w.Net.Heal(e.A, e.B) })
 		case KindOutage:
-			site := e.Site
-			add(e.At, KindOutage, func() {
-				for _, o := range others(site) {
-					w.Net.Partition(site, o)
-				}
-			})
-			add(e.Until, KindHeal, func() {
-				for _, o := range others(site) {
-					w.Net.Heal(site, o)
-				}
-			})
+			add(e.At, KindOutage, isolate(e.Site))
+			add(e.Until, KindHeal, rejoin(e.Site))
 		case KindSkew:
 			c, ok := w.Clocks[e.Agent]
 			if !ok {
 				return fmt.Errorf("chaos: skew-clock names unknown agent %q", e.Agent)
 			}
-			delta := e.Delta
-			add(e.At, KindSkew, func() { c.SetSkew(c.Skew() + delta) })
+			add(e.At, KindSkew, func() { c.SetSkew(c.Skew() + e.Delta) })
 		case KindKill:
-			site := e.Site
-			add(e.At, KindKill, func() {
-				for _, o := range others(site) {
-					w.Net.Partition(site, o)
-				}
-			})
+			add(e.At, KindKill, isolate(e.Site))
 			if e.Until != 0 {
 				// Explicit window: the end is ours. Open-ended kills are
 				// healed by their own restart events.
-				add(e.Until, KindRestart, func() {
-					for _, o := range others(site) {
-						w.Net.Heal(site, o)
-					}
-				})
+				add(e.Until, KindRestart, rejoin(e.Site))
 			}
 		case KindRestart:
-			site := e.Site
-			add(e.At, KindRestart, func() {
-				for _, o := range others(site) {
-					w.Net.Heal(site, o)
+			add(e.At, KindRestart, rejoin(e.Site))
+		case KindOverload:
+			if w.Service == nil {
+				return fmt.Errorf("chaos: overload(%s) needs a fault-injecting service", e.Site)
+			}
+			var sites []simnet.Site
+			for from, dc := range w.Routing {
+				if dc == e.Site {
+					sites = append(sites, from)
 				}
-			})
+			}
+			// The shed lasts the window; its end is no event of its own.
+			var stop func()
+			add(e.At, KindOverload, func() { stop = w.Service.Shed(sites, e.Rate) })
+			add(e.Until, "", func() { stop() })
 		case KindDiskFault:
 			inj, ok := w.Disks[string(e.Site)]
 			if !ok {
 				return fmt.Errorf("chaos: diskfault names unknown disk site %q", e.Site)
 			}
-			// The fault's Seed (which byte a torn write cuts at, which bit
-			// a flip targets) derives from the event's offset, so the same
-			// schedule replays the identical fault.
-			path := diskfault.Sites[string(e.Site)]
-			if p, ok := w.DiskPaths[string(e.Site)]; ok {
-				path = p
-			}
-			f := diskfault.Fault{
-				Kind:   diskfault.Kind(e.Fault),
-				Path:   path,
-				Sticky: diskfault.Kind(e.Fault) == diskfault.KindENOSPC,
-				Seed:   uint64(e.At),
-			}
-			add(e.At, KindDiskFault, func() {
-				// Arm dedups an identical unspent fault, so a lane world
-				// rebuilt mid-campaign (resume) does not double-arm.
-				_ = inj.Arm(f)
-			})
-		case KindOverload:
-			// Compiled into faultinject windows; nothing to drive.
+			// The event's offset seeds the fault (which byte a torn write
+			// cuts at, which bit a flip targets), so the same schedule
+			// replays the identical fault. Arm dedups an identical unspent
+			// fault, so a lane world rebuilt mid-campaign (resume) does not
+			// double-arm.
+			f := e.DiskFault(w.DiskPaths, uint64(e.At))
+			add(e.At, KindDiskFault, func() { _ = inj.Arm(f) })
 		}
 	}
 	// Apply in offset order (stable for ties: schedule order) so a
@@ -471,7 +416,6 @@ func (s *Schedule) Drive(clock vtime.Clock, start time.Time, w World, sc *obs.Sc
 			a.apply()
 			continue
 		}
-		a := a
 		clock.AfterFunc(a.at-elapsed, a.apply)
 	}
 	return nil

@@ -10,6 +10,8 @@ import (
 	"time"
 
 	"conprobe/internal/diskfault"
+	"conprobe/internal/faultinject"
+	"conprobe/internal/service"
 	"conprobe/internal/simnet"
 	"conprobe/internal/vtime"
 )
@@ -81,9 +83,24 @@ func TestActiveAtWindows(t *testing.T) {
 	}
 }
 
-func TestOverloadsCompileToRoutedSites(t *testing.T) {
+// nopService accepts every operation.
+type nopService struct{}
+
+func (nopService) Name() string                                     { return "nop" }
+func (nopService) Write(simnet.Site, service.Post) error            { return nil }
+func (nopService) Read(simnet.Site, string) ([]service.Post, error) { return nil, nil }
+func (nopService) Reset() error                                     { return nil }
+
+// TestDriveOverloadShedsRoutedSites checks an overload event sheds
+// exactly the operations from the client sites routed to the overloaded
+// data center while its window is open — an operation at the instant it
+// opens included, one at the instant it ends excluded — both in a world
+// that lives through the window and in one rebuilt at the operation's
+// instant (resume), and that an overload needs a service to shed
+// through.
+func TestDriveOverloadShedsRoutedSites(t *testing.T) {
 	s := &Schedule{Events: []Event{
-		{Kind: KindOverload, Site: simnet.DCEast, At: time.Minute, Until: 2 * time.Minute, Rate: 0.8},
+		{Kind: KindOverload, Site: simnet.DCEast, At: time.Minute, Until: 2 * time.Minute, Rate: 1},
 	}}
 	mustValidate(t, s)
 	routing := map[simnet.Site]simnet.Site{
@@ -91,17 +108,43 @@ func TestOverloadsCompileToRoutedSites(t *testing.T) {
 		simnet.Ireland: simnet.DCEast,
 		simnet.Tokyo:   simnet.DCAsia,
 	}
-	got := s.Overloads(routing)
-	if len(got) != 1 {
-		t.Fatalf("got %d overloads", len(got))
+	start := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
+	for _, c := range []struct {
+		at   time.Duration
+		shed bool
+	}{
+		{30 * time.Second, false},
+		{time.Minute, true},
+		{90 * time.Second, true},
+		{2 * time.Minute, false},
+		{3 * time.Minute, false},
+	} {
+		for _, built := range []time.Duration{0, c.at} {
+			sim := vtime.NewSim(start.Add(built))
+			inj := faultinject.New(nopService{}, sim, faultinject.Config{Seed: 1})
+			w := World{Net: simnet.DefaultTopology(1), Service: inj, Routing: routing}
+			if err := s.Drive(sim, start, w, nil); err != nil {
+				t.Fatal(err)
+			}
+			errs := make(map[simnet.Site]error)
+			sim.Go(func() {
+				sim.Sleep(c.at - built)
+				for site := range routing {
+					errs[site] = inj.Write(site, service.Post{ID: "p-" + string(site)})
+				}
+			})
+			sim.Wait()
+			for site, dc := range routing {
+				if want := c.shed && dc == simnet.DCEast; (errs[site] != nil) != want {
+					t.Errorf("built at %v, write from %s at %v: err %v, want shed %v", built, site, c.at, errs[site], want)
+				}
+			}
+		}
 	}
-	o := got[0]
-	if o.Start != time.Minute || o.End != 2*time.Minute || o.Rate != 0.8 {
-		t.Fatalf("window mangled: %+v", o)
-	}
-	want := []simnet.Site{simnet.Ireland, simnet.Oregon}
-	if !reflect.DeepEqual(o.Sites, want) {
-		t.Fatalf("sites = %v, want %v", o.Sites, want)
+
+	sim := vtime.NewSim(start)
+	if err := s.Drive(sim, start, World{Net: simnet.DefaultTopology(1), Routing: routing}, nil); err == nil {
+		t.Fatal("overload driven without a service to shed through")
 	}
 }
 

@@ -22,6 +22,7 @@ import (
 	"strings"
 	"time"
 
+	"conprobe/internal/chaos"
 	"conprobe/internal/diskfault"
 	"conprobe/internal/faultinject"
 	"conprobe/internal/obs"
@@ -119,9 +120,10 @@ func InjectFlags(fs *flag.FlagSet) Inject {
 	}
 }
 
-// DiskFaultSpecs collects -disk-fault drill specs. The flag is
+// DiskFaultSpecs collects -disk-fault drill specs, each a chaos
+// diskfault event in flag form (chaos.ParseDiskFault). The flag is
 // repeatable and each value may also carry several comma-separated
-// specs; every spec is validated at parse time so a typo fails the
+// specs; every spec is parsed at flag-parse time so a typo fails the
 // flag, not the first write an hour later.
 type DiskFaultSpecs []string
 
@@ -134,7 +136,7 @@ func (d *DiskFaultSpecs) Set(v string) error {
 		if spec == "" {
 			continue
 		}
-		if _, _, err := diskfault.ParseSpec(spec); err != nil {
+		if _, err := chaos.ParseDiskFault(spec); err != nil {
 			return err
 		}
 		*d = append(*d, spec)
@@ -151,22 +153,21 @@ func DiskFaults(fs *flag.FlagSet) *DiskFaultSpecs {
 	return &d
 }
 
-// Injector builds a diskfault.Injector with every spec armed, seeding
-// the deterministic damage from seed. Returns nil when no specs were
-// given, so callers can pass the result's FS straight through (a nil
-// injector means the OS filesystem).
+// Injector builds a diskfault.Injector with every spec armed as its
+// chaos event arms it, seeding the deterministic damage from seed.
+// Returns nil when no specs were given, so callers can pass the
+// result's FS straight through (a nil injector means the OS filesystem).
 func (d DiskFaultSpecs) Injector(sc *obs.Scope, seed int64) (*diskfault.Injector, error) {
 	if len(d) == 0 {
 		return nil, nil
 	}
 	inj := diskfault.New(sc)
 	for _, spec := range d {
-		_, f, err := diskfault.ParseSpec(spec)
+		e, err := chaos.ParseDiskFault(spec)
 		if err != nil {
 			return nil, err
 		}
-		f.Seed = uint64(seed)
-		if err := inj.Arm(f); err != nil {
+		if err := inj.Arm(e.DiskFault(nil, uint64(seed))); err != nil {
 			return nil, err
 		}
 	}

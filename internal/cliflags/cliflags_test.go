@@ -3,7 +3,14 @@ package cliflags
 import (
 	"flag"
 	"io"
+	"strconv"
 	"testing"
+	"time"
+
+	"conprobe/internal/chaos"
+	"conprobe/internal/diskfault"
+	"conprobe/internal/simnet"
+	"conprobe/internal/vtime"
 )
 
 // TestCanonicalFlagTable pins the shared flags' names, defaults and
@@ -110,7 +117,74 @@ func TestInjectConfigDisabledWhenZero(t *testing.T) {
 	}
 }
 
+// TestDiskFaultsParseAndArm pins -disk-fault over every site x kind,
+// with and without :afterN: each spec arms exactly one fault — the
+// site's path, After, Sticky for ENOSPC and Seed = -seed — the same
+// drill as a chaos diskfault event at offset t arms that fault seeded by
+// t, and every malformed spec fails at flag parse with its message.
 func TestDiskFaultsParseAndArm(t *testing.T) {
+	sites := []string{"wal", "term", "snapshot", "store", "checkpoint"}
+	for _, site := range sites {
+		for _, kind := range diskfault.Kinds() {
+			for _, after := range []int{-1, 0, 3} {
+				spec := site + ":" + string(kind)
+				if after >= 0 {
+					spec += ":" + strconv.Itoa(after)
+				}
+				fs := flag.NewFlagSet("d", flag.ContinueOnError)
+				fs.SetOutput(io.Discard)
+				d := DiskFaults(fs)
+				if err := fs.Parse([]string{"-disk-fault", spec}); err != nil {
+					t.Fatalf("%s: %v", spec, err)
+				}
+				inj, err := d.Injector(nil, 7)
+				if err != nil {
+					t.Fatalf("%s: %v", spec, err)
+				}
+				want := diskfault.Fault{
+					Kind:   kind,
+					Path:   diskfault.Sites[site],
+					After:  max(after, 0),
+					Sticky: kind == diskfault.KindENOSPC,
+					Seed:   7,
+				}
+				// Arm is a no-op for a fault identical to an unspent armed
+				// one, so the count stays 1 only if the spec armed want.
+				if err := inj.Arm(want); err != nil {
+					t.Fatal(err)
+				}
+				if n := inj.Armed(); n != 1 {
+					t.Errorf("%s: armed a fault other than %v", spec, want)
+				}
+
+				// The same drill as a chaos event at offset t arms the same
+				// fault, seeded by t.
+				e, err := chaos.ParseDiskFault(spec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				e.At = time.Minute
+				sched := &chaos.Schedule{Events: []chaos.Event{e}}
+				if err := sched.Validate(); err != nil {
+					t.Fatalf("%s: %v", spec, err)
+				}
+				epoch := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
+				ev := diskfault.New(nil)
+				w := chaos.World{Net: simnet.DefaultTopology(1), Disks: map[string]*diskfault.Injector{site: ev}}
+				if err := sched.Drive(vtime.NewSim(epoch.Add(e.At)), epoch, w, nil); err != nil {
+					t.Fatal(err)
+				}
+				want.Seed = uint64(e.At)
+				if err := ev.Arm(want); err != nil {
+					t.Fatal(err)
+				}
+				if n := ev.Armed(); n != 1 {
+					t.Errorf("%s as a chaos event: armed a fault other than %v", spec, want)
+				}
+			}
+		}
+	}
+
 	fs := flag.NewFlagSet("d", flag.ContinueOnError)
 	fs.SetOutput(io.Discard)
 	d := DiskFaults(fs)
@@ -133,16 +207,20 @@ func TestDiskFaultsParseAndArm(t *testing.T) {
 		t.Fatalf("empty specs should yield a nil injector, got %v %v", inj, err)
 	}
 
-	bad := flag.NewFlagSet("bad", flag.ContinueOnError)
-	bad.SetOutput(io.Discard)
-	DiskFaults(bad)
-	if err := bad.Parse([]string{"-disk-fault", "nosite:torn"}); err == nil {
-		t.Fatal("unknown site accepted at parse time")
-	}
-	bad2 := flag.NewFlagSet("bad2", flag.ContinueOnError)
-	bad2.SetOutput(io.Discard)
-	DiskFaults(bad2)
-	if err := bad2.Parse([]string{"-disk-fault", "wal:melt"}); err == nil {
-		t.Fatal("unknown fault kind accepted at parse time")
+	for spec, msg := range map[string]string{
+		"wal":          `diskfault: spec "wal": want site:kind[:afterN]`,
+		"wal:torn:1:2": `diskfault: spec "wal:torn:1:2": want site:kind[:afterN]`,
+		"nosite:torn":  `diskfault: spec "nosite:torn": unknown site "nosite" (known: wal, term, snapshot, store, checkpoint)`,
+		"wal:melt":     `diskfault: spec "wal:melt": unknown fault kind "melt"`,
+		"wal:torn:-1":  `diskfault: spec "wal:torn:-1": after must be a non-negative integer`,
+		"wal:torn:x":   `diskfault: spec "wal:torn:x": after must be a non-negative integer`,
+	} {
+		bad := flag.NewFlagSet("bad", flag.ContinueOnError)
+		bad.SetOutput(io.Discard)
+		DiskFaults(bad)
+		err := bad.Parse([]string{"-disk-fault", spec})
+		if want := `invalid value "` + spec + `" for flag -disk-fault: ` + msg; err == nil || err.Error() != want {
+			t.Errorf("-disk-fault %s: error %v, want %s", spec, err, want)
+		}
 	}
 }

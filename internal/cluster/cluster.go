@@ -391,6 +391,7 @@ type Node struct {
 	barrier            uint64           // the leader's election no-op; no lease or quorum read before it commits
 	refused            map[uint64]error // leader: errors of refused committed ops, until WaitCommitted takes them
 	sinceSnap          int
+	snapWrites         int // writes in the oplog's snapshot record
 	followers          map[string]*follower
 	appendSeq          uint64 // entry-carrying requests sent so far
 
@@ -1093,9 +1094,11 @@ func (n *Node) publishLocked(op Op) {
 // applyCommittedLocked moves the commit index up to commit, when that
 // raises it, and applies the ops it newly covers to the service in index
 // order; then it compacts once SnapshotEvery ops were appended since the
-// last compaction, the same rule for every role. It is the only place an
-// op reaches the service and n.state, so neither ever holds an op that
-// can still be lost. An op the service refuses is skipped — on every
+// last compaction, or once it applied a reset while the oplog's snapshot
+// record holds SnapshotEvery writes or more (else a restart rebuilds the
+// whole pre-reset state), the same rule for every role. It is the only
+// place an op reaches the service and n.state, so neither ever holds an
+// op that can still be lost. An op the service refuses is skipped — on every
 // replica alike, the service being deterministic — and on the leader its
 // error is kept for the proposer. Caller holds n.mu.
 func (n *Node) applyCommittedLocked(commit uint64) {
@@ -1103,14 +1106,16 @@ func (n *Node) applyCommittedLocked(commit uint64) {
 		return
 	}
 	n.commitIndex = commit
+	reset := false
 	for n.applied < commit {
 		op := n.ops[n.applied-n.floor]
 		n.applied++
+		reset = reset || op.Kind == opReset
 		if err := n.applyLocked(op); err != nil && n.role == RoleLeader {
 			n.refused[op.Index] = err
 		}
 	}
-	if n.sinceSnap >= n.cfg.SnapshotEvery {
+	if n.sinceSnap >= n.cfg.SnapshotEvery || (reset && n.snapWrites >= n.cfg.SnapshotEvery) {
 		// Best effort: a failure leaves the log long, and the next commit
 		// advance retries.
 		_ = n.compactLocked()
@@ -1180,7 +1185,11 @@ func (n *Node) rewriteLogLocked(snap *nodeSnapshot, tail []Op) error {
 	if err := n.encodeLocked(tail); err != nil {
 		return err
 	}
-	return n.log.Rewrite(n.recs)
+	if err := n.log.Rewrite(n.recs); err != nil {
+		return err
+	}
+	n.snapWrites = len(snap.State)
+	return nil
 }
 
 // retainFromLocked is the floor a compaction may move to: the lowest

@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -193,6 +194,51 @@ func TestLeaderRestartRecoversAckedWrites(t *testing.T) {
 	writeOps(t, leader2, 200, 1)
 	if leader2.LastIndex() != 15 {
 		t.Fatalf("post-recovery index = %d, want 15", leader2.LastIndex())
+	}
+}
+
+// countSvc is a memSvc that counts the writes reaching it.
+type countSvc struct {
+	memSvc
+	writes atomic.Int64
+}
+
+func (c *countSvc) Write(from simnet.Site, p service.Post) error {
+	c.writes.Add(1)
+	return c.memSvc.Write(from, p)
+}
+
+// TestRestartAfterResetReplaysOnlyPostResetWrites checks that a reset
+// bounds what a restart rebuilds: applying the reset compacts away a
+// snapshot record holding SnapshotEvery writes or more, so a node that
+// ends up holding one post does not re-apply the hundred the reset
+// cleared.
+func TestRestartAfterResetReplaysOnlyPostResetWrites(t *testing.T) {
+	cfg := Config{NodeID: "n1", Role: RoleLeader, DataDir: t.TempDir(), SnapshotEvery: 8}
+	n, err := NewNode(&memSvc{}, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	writeOps(t, n, 0, 100)
+	if err := n.Reset(); err != nil {
+		t.Fatal(err)
+	}
+	writeOps(t, n, 100, 1)
+	last := n.LastIndex()
+	n.Kill()
+
+	svc := &countSvc{}
+	n2, err := NewNode(svc, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n2.Close()
+	waitIndex(t, n2, last)
+	if got := ids(t, n2); fmt.Sprint(got) != "[m100]" {
+		t.Fatalf("recovered replica = %v, want [m100]", got)
+	}
+	if w := svc.writes.Load(); w > int64(cfg.SnapshotEvery) {
+		t.Fatalf("recovery applied %d writes for a replica holding one post, want at most %d", w, cfg.SnapshotEvery)
 	}
 }
 

@@ -72,6 +72,23 @@ func Kinds() []Kind {
 // Valid reports whether k names a known fault kind.
 func (k Kind) Valid() bool { return slices.Contains(Kinds(), k) }
 
+// Sites maps drill-site names — the storage surfaces a consvc node
+// persists through — to the path substring that identifies that site's
+// files. Chaos diskfault events — a consvc -disk-fault spec is one —
+// name their site by these keys.
+var Sites = map[string]string{
+	"wal":        "oplog.log",  // the cluster op WAL
+	"term":       "term.log",   // the election term log
+	"snapshot":   ".log.tmp",   // a compaction's temp file: a log being rewritten around its snapshot
+	"store":      "wal-",       // the durable store's WAL (wal-0.log)
+	"checkpoint": "checkpoint", // campaign checkpoint journals
+}
+
+// SiteNames lists the known sites in a stable order.
+func SiteNames() []string {
+	return []string{"wal", "term", "snapshot", "store", "checkpoint"}
+}
+
 // File is the handle surface the durable layers need. *os.File
 // implements it; faulty implementations wrap one.
 type File interface {

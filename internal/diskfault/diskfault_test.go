@@ -299,44 +299,3 @@ func TestInjectedCounterObservable(t *testing.T) {
 		t.Fatalf("Injected() = %d, want 1", in.Injected())
 	}
 }
-
-func TestParseSpec(t *testing.T) {
-	cases := []struct {
-		spec    string
-		site    string
-		kind    Kind
-		after   int
-		sticky  bool
-		wantErr bool
-	}{
-		{spec: "term:fsync-gate", site: "term", kind: KindFsyncGate},
-		{spec: "wal:torn:3", site: "wal", kind: KindTorn, after: 3},
-		{spec: "checkpoint:enospc", site: "checkpoint", kind: KindENOSPC, sticky: true},
-		{spec: "snapshot:crash-rename", site: "snapshot", kind: KindCrashRename},
-		{spec: "store:bit-flip:1", site: "store", kind: KindBitFlip, after: 1},
-		{spec: "bogus:torn", wantErr: true},
-		{spec: "wal:melt", wantErr: true},
-		{spec: "wal", wantErr: true},
-		{spec: "wal:torn:-1", wantErr: true},
-		{spec: "wal:torn:x", wantErr: true},
-	}
-	for _, tc := range cases {
-		site, f, err := ParseSpec(tc.spec)
-		if tc.wantErr {
-			if err == nil {
-				t.Errorf("ParseSpec(%q): want error, got %v", tc.spec, f)
-			}
-			continue
-		}
-		if err != nil {
-			t.Errorf("ParseSpec(%q): %v", tc.spec, err)
-			continue
-		}
-		if site != tc.site || f.Kind != tc.kind || f.After != tc.after || f.Sticky != tc.sticky {
-			t.Errorf("ParseSpec(%q) = %s, %+v", tc.spec, site, f)
-		}
-		if f.Path != Sites[tc.site] {
-			t.Errorf("ParseSpec(%q) path filter %q, want %q", tc.spec, f.Path, Sites[tc.site])
-		}
-	}
-}

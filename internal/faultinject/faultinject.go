@@ -7,8 +7,8 @@
 // faultinject lets a campaign rehearse those conditions on demand:
 // configurable per-operation error rates, injected latency spikes,
 // timeout simulation (the operation stalls, then fails), truncated read
-// responses, and scheduled outage windows during which every operation
-// fails.
+// responses, scheduled outage windows during which every operation
+// fails, and overload sheds a chaos schedule starts and stops.
 //
 // Every fault decision is keyed deterministic randomness (detrand): a
 // write's draws key off its client-supplied post ID and per-ID attempt
@@ -21,6 +21,7 @@ package faultinject
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -44,39 +45,9 @@ type Outage struct {
 	Start, End time.Duration
 }
 
-// Overload is a scheduled window during which a data center sheds a
-// fraction of the requests routed to it — the server-side shape of an
-// admission queue overflowing. Chaos schedules compile overload(dc,
-// rate) events into these windows.
-type Overload struct {
-	// Start and End bound the window, relative to the injector's start.
-	Start, End time.Duration
-	// Sites restricts the overload to operations issued from these
-	// client sites (the sites routed to the overloaded DC). Empty means
-	// every site.
-	Sites []simnet.Site
-	// Rate is the per-operation shed probability in [0, 1].
-	Rate float64
-}
-
-// covers reports whether the overload applies to ops from the site at
-// offset t.
-func (o Overload) covers(from simnet.Site, t time.Duration) bool {
-	if t < o.Start || t >= o.End {
-		return false
-	}
-	if len(o.Sites) == 0 {
-		return true
-	}
-	for _, s := range o.Sites {
-		if s == from {
-			return true
-		}
-	}
-	return false
-}
-
 // Config declares the fault mix. The zero value injects nothing.
+// Overloads are not part of it: a chaos schedule's overload events
+// start and stop them through Injector.Shed.
 type Config struct {
 	// Seed keys every fault decision; campaigns reuse their simulation
 	// seed so one number reproduces the whole run.
@@ -104,22 +75,17 @@ type Config struct {
 	TruncateReadRate float64
 	// Outages are scheduled full-failure windows.
 	Outages []Outage
-	// Overloads are scheduled partial-shed windows, usually compiled
-	// from a chaos schedule's overload events.
-	Overloads []Overload
-	// StartAt anchors the outage/overload window offsets. The zero
-	// value falls back to the clock's Now at construction, which is
-	// right for live services; campaigns pin it to the campaign epoch so
-	// a world rebuilt mid-campaign (resume) keeps the same absolute
-	// windows.
+	// StartAt anchors the outage window offsets. The zero value falls
+	// back to the clock's Now at construction, which is right for live
+	// services; campaigns pin it to the campaign epoch so a world rebuilt
+	// mid-campaign (resume) keeps the same absolute windows.
 	StartAt time.Time
 }
 
 // Enabled reports whether the config injects any fault at all.
 func (c Config) Enabled() bool {
 	return c.WriteFailRate > 0 || c.ReadFailRate > 0 || c.LatencyRate > 0 ||
-		c.TimeoutRate > 0 || c.TruncateReadRate > 0 || len(c.Outages) > 0 ||
-		len(c.Overloads) > 0
+		c.TimeoutRate > 0 || c.TruncateReadRate > 0 || len(c.Outages) > 0
 }
 
 // Validate checks rates and outage windows.
@@ -144,14 +110,6 @@ func (c Config) Validate() error {
 	for _, o := range c.Outages {
 		if o.Start < 0 || o.End <= o.Start {
 			return fmt.Errorf("faultinject: outage window [%v, %v) is empty or negative", o.Start, o.End)
-		}
-	}
-	for _, o := range c.Overloads {
-		if o.Start < 0 || o.End <= o.Start {
-			return fmt.Errorf("faultinject: overload window [%v, %v) is empty or negative", o.Start, o.End)
-		}
-		if o.Rate < 0 || o.Rate > 1 {
-			return fmt.Errorf("faultinject: overload rate %v outside [0, 1]", o.Rate)
 		}
 	}
 	return nil
@@ -179,7 +137,14 @@ type Injector struct {
 	round    uint64            // current test ID (0 outside campaigns)
 	readSeq  map[string]uint64 // per-(round, reader) read counter
 	writeSeq map[string]uint64 // per-(round, post-ID) attempt counter
+	sheds    []*shed           // overloads in force
 	metrics  injectorMetrics
+}
+
+// shed is one overload in force: operations from its sites fail at rate.
+type shed struct {
+	sites []simnet.Site
+	rate  float64
 }
 
 // injectorMetrics are the injected-fault counters, labeled by kind;
@@ -263,17 +228,6 @@ func (in *Injector) Stats() Stats {
 	}
 }
 
-// inOutage reports whether the current offset falls in an outage window.
-func (in *Injector) inOutage() bool {
-	t := in.clock.Since(in.start)
-	for _, o := range in.cfg.Outages {
-		if t >= o.Start && t < o.End {
-			return true
-		}
-	}
-	return false
-}
-
 // Outage reports whether an outage window is active now and, if so, how
 // long until it ends. Servers use the remaining duration as a
 // Retry-After hint on 503 responses.
@@ -287,17 +241,32 @@ func (in *Injector) Outage() (active bool, remaining time.Duration) {
 	return false, 0
 }
 
-// overloadRoll returns the shed probability applying to an operation
-// from the site right now (0 when no overload window covers it).
-func (in *Injector) overloadRoll(from simnet.Site) float64 {
-	if len(in.cfg.Overloads) == 0 {
-		return 0
+// Shed makes the injector shed rate of the operations issued from sites
+// (from every site when sites is empty) until the returned stop is
+// called — the server-side shape of an overloaded data center's
+// admission queue overflowing. Where several sheds cover a site, the
+// highest rate applies. Chaos overload events drive it.
+func (in *Injector) Shed(sites []simnet.Site, rate float64) (stop func()) {
+	s := &shed{sites: sites, rate: rate}
+	in.mu.Lock()
+	in.sheds = append(in.sheds, s)
+	in.mu.Unlock()
+	return func() {
+		in.mu.Lock()
+		in.sheds = slices.DeleteFunc(in.sheds, func(o *shed) bool { return o == s })
+		in.mu.Unlock()
 	}
-	t := in.clock.Since(in.start)
+}
+
+// shedRate returns the shed probability applying to an operation from
+// the site now (0 when no shed covers it).
+func (in *Injector) shedRate(from simnet.Site) float64 {
+	in.mu.Lock()
+	defer in.mu.Unlock()
 	rate := 0.0
-	for _, o := range in.cfg.Overloads {
-		if o.covers(from, t) && o.Rate > rate {
-			rate = o.Rate
+	for _, s := range in.sheds {
+		if s.rate > rate && (len(s.sites) == 0 || slices.Contains(s.sites, from)) {
+			rate = s.rate
 		}
 	}
 	return rate
@@ -344,11 +313,11 @@ func (in *Injector) nextReadSeq(reader string) uint64 {
 // roll. It returns a non-nil error when the operation must fail without
 // reaching the inner service.
 func (in *Injector) preamble(k detrand.Key, from simnet.Site, op string, failRate float64, failMetric *obs.Counter) error {
-	if in.inOutage() {
+	if active, _ := in.Outage(); active {
 		in.metrics.outageFailures.Inc()
 		return fmt.Errorf("%w: %s during outage window", ErrInjected, op)
 	}
-	if rate := in.overloadRoll(from); rate > 0 && k.Str("overload").Float64() < rate {
+	if rate := in.shedRate(from); rate > 0 && k.Str("overload").Float64() < rate {
 		in.metrics.overloadFailures.Inc()
 		return fmt.Errorf("%w: %s shed by overloaded service", ErrInjected, op)
 	}

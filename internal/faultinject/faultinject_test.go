@@ -275,6 +275,38 @@ func TestOutageWindow(t *testing.T) {
 	}
 }
 
+// TestShedCoversItsSitesUntilStopped checks an overload shed fails
+// operations only from its sites (every site when it names none), that
+// the highest rate among the sheds in force applies, and that stop
+// ends it.
+func TestShedCoversItsSitesUntilStopped(t *testing.T) {
+	in := New(&memService{}, newFakeClock(), Config{Seed: 1})
+	shed := func(site simnet.Site) bool {
+		err := in.Write(site, service.Post{ID: "p"})
+		if err != nil && !errors.Is(err, ErrInjected) {
+			t.Fatalf("write from %s: %v", site, err)
+		}
+		return err != nil
+	}
+	stopAll := in.Shed(nil, 1e-9)
+	stopOregon := in.Shed([]simnet.Site{simnet.Oregon}, 1)
+	if !shed(simnet.Oregon) || shed(simnet.Tokyo) {
+		t.Fatal("rate-1 shed of oregon: want oregon shed and tokyo not")
+	}
+	stopOregon()
+	if shed(simnet.Oregon) {
+		t.Fatal("oregon still shed at rate 1 after its shed stopped")
+	}
+	stopAll()
+	if got := in.Stats().OverloadFailures; got != 1 {
+		t.Fatalf("OverloadFailures = %d, want 1", got)
+	}
+	in.Shed(nil, 1)
+	if !shed(simnet.Tokyo) {
+		t.Fatal("a shed naming no site spared tokyo")
+	}
+}
+
 func TestTimeoutStallsThenFails(t *testing.T) {
 	clock := newFakeClock()
 	in := New(&memService{}, clock, Config{Seed: 5, TimeoutRate: 1, Timeout: 3 * time.Second})

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"path/filepath"
+	"slices"
 	"time"
 
 	"conprobe/internal/chaos"
@@ -82,20 +83,20 @@ func buildWorld(opts Options, ln lane, sink laneSink) (*simWorld, error) {
 	if opts.Faults != nil {
 		fcfg = *opts.Faults
 	}
-	if !opts.Chaos.Empty() {
-		fcfg.Overloads = append(fcfg.Overloads, opts.Chaos.Overloads(prof.Routing)...)
-	}
-	if fcfg.Enabled() {
+	// The chaos schedule's overload events shed through the injector.
+	var inj *faultinject.Injector
+	if fcfg.Enabled() || opts.Chaos != nil && slices.ContainsFunc(opts.Chaos.Events,
+		func(e chaos.Event) bool { return e.Kind == chaos.KindOverload }) {
 		if fcfg.Seed == 0 {
 			fcfg.Seed = ln.seed
 		}
-		// Windows are campaign-relative: anchored at the campaign epoch,
-		// not the world's (possibly resumed) build time.
+		// Outage windows are campaign-relative: anchored at the campaign
+		// epoch, not the world's (possibly resumed) build time.
 		fcfg.StartAt = w.Start
 		if err := fcfg.Validate(); err != nil {
 			return nil, err
 		}
-		inj := faultinject.New(base, sim, fcfg)
+		inj = faultinject.New(base, sim, fcfg)
 		inj.Instrument(ln.metrics.Sub("faultinject"))
 		base = inj
 	}
@@ -179,7 +180,10 @@ func buildWorld(opts Options, ln lane, sink laneSink) (*simWorld, error) {
 		cfg.ChaosActive = func(now time.Time) []string {
 			return sched.ActiveAt(now.Sub(start))
 		}
-		world := chaos.World{Net: net, Clocks: make(map[string]chaos.AdjustableClock, len(agents)), Disks: opts.Disks}
+		world := chaos.World{
+			Net: net, Clocks: make(map[string]chaos.AdjustableClock, len(agents)),
+			Service: inj, Routing: prof.Routing, Disks: opts.Disks,
+		}
 		for _, ag := range agents {
 			world.Clocks[ag.Label()] = ag.Clock
 		}

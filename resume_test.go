@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"conprobe"
+	"conprobe/internal/checkpoint"
 	"conprobe/internal/faultinject"
 	"conprobe/internal/probe"
 	"conprobe/internal/resilience"
@@ -41,44 +42,71 @@ func renderOutput(t *testing.T, out *conprobe.RunResult) string {
 // TestResumeByteIdentical is the kill-and-resume sweep: a campaign
 // killed after k completed tests and resumed from its journal must
 // produce byte-identical output to an uninterrupted run, at any
-// parallelism.
+// parallelism. The overload campaign's kill point resumes every
+// journaled lane inside its overload window, so the rebuilt world must
+// shed exactly as the lived one did.
 func TestResumeByteIdentical(t *testing.T) {
-	base := resumeBaseOptions()
-	ref, err := conprobe.Run(context.Background(), base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := renderOutput(t, ref)
+	for _, c := range []struct {
+		name         string
+		base         conprobe.Options
+		kills        []int
+		insideWindow bool
+	}{
+		{"base", resumeBaseOptions(), []int{1, 3, 5, 8, 10}, false},
+		{"overload", overloadOptions(), []int{2}, true},
+	} {
+		base := c.base
+		ref, err := conprobe.Run(context.Background(), base)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := renderOutput(t, ref)
 
-	for _, par := range []int{1, 8} {
-		for _, kill := range []int{1, 3, 5, 8, 10} {
-			path := filepath.Join(t.TempDir(), "campaign.ckpt")
+		for _, par := range []int{1, 8} {
+			for _, kill := range c.kills {
+				path := filepath.Join(t.TempDir(), "campaign.ckpt")
 
-			crashed := base
-			crashed.Engine.Parallelism = par
-			crashed.Durability.Checkpoint = path
-			seen := 0
-			crashed.Engine.OnTrace = func(tr *conprobe.TestTrace) error {
-				seen++
-				if seen >= kill {
-					return errInjectedCrash
+				crashed := base
+				crashed.Engine.Parallelism = par
+				crashed.Durability.Checkpoint = path
+				seen := 0
+				crashed.Engine.OnTrace = func(tr *conprobe.TestTrace) error {
+					seen++
+					if seen >= kill {
+						return errInjectedCrash
+					}
+					return nil
 				}
-				return nil
-			}
-			if _, err := conprobe.Run(context.Background(), crashed); !errors.Is(err, errInjectedCrash) {
-				t.Fatalf("par %d kill %d: crash run returned %v, want injected crash", par, kill, err)
-			}
+				if _, err := conprobe.Run(context.Background(), crashed); !errors.Is(err, errInjectedCrash) {
+					t.Fatalf("%s par %d kill %d: crash run returned %v, want injected crash", c.name, par, kill, err)
+				}
+				if c.insideWindow {
+					st, err := checkpoint.Load(path)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if len(st.Lanes) == 0 {
+						t.Fatalf("%s par %d kill %d: no lane journaled a test", c.name, par, kill)
+					}
+					epoch := base.Workload.Epoch()
+					for l, lr := range st.Lanes {
+						if at := lr.Next.Sub(epoch); at < overloadAt || at >= overloadUntil {
+							t.Fatalf("%s par %d kill %d: lane %d resumes at %v, outside the window", c.name, par, kill, l, at)
+						}
+					}
+				}
 
-			resumed := base
-			resumed.Engine.Parallelism = par
-			resumed.Durability.Checkpoint = path
-			resumed.Durability.Resume = true
-			out, err := conprobe.Run(context.Background(), resumed)
-			if err != nil {
-				t.Fatalf("par %d kill %d: resume: %v", par, kill, err)
-			}
-			if got := renderOutput(t, out); got != want {
-				t.Errorf("par %d kill %d: resumed output differs from uninterrupted run", par, kill)
+				resumed := base
+				resumed.Engine.Parallelism = par
+				resumed.Durability.Checkpoint = path
+				resumed.Durability.Resume = true
+				out, err := conprobe.Run(context.Background(), resumed)
+				if err != nil {
+					t.Fatalf("%s par %d kill %d: resume: %v", c.name, par, kill, err)
+				}
+				if got := renderOutput(t, out); got != want {
+					t.Errorf("%s par %d kill %d: resumed output differs from uninterrupted run", c.name, par, kill)
+				}
 			}
 		}
 	}
