@@ -305,6 +305,7 @@ func Run(ctx context.Context, opts Options) (*RunResult, error) {
 		journaled []*TestTrace
 		resume    []probe.LaneResume
 		ckw       *checkpoint.Writer
+		deltas    []*analysis.Aggregator // a journaled lane's latest test alone
 		done      int
 	)
 	if opts.Durability.Checkpoint != "" {
@@ -339,10 +340,8 @@ func Run(ctx context.Context, opts Options) (*RunResult, error) {
 				if lr := st.Lanes[l]; lr != nil {
 					resume[l].At = lr.Next
 					resume[l].Resilience = lr.Resilience
+					aggs[l] = lr.Agg
 					done += len(lr.Done)
-				}
-				if aggs[l], err = st.Aggregator(l); err != nil {
-					return nil, err
 				}
 			}
 			// A journal keeps every test's trace or none: resuming it with
@@ -361,17 +360,27 @@ func Run(ctx context.Context, opts Options) (*RunResult, error) {
 			return nil, err
 		}
 		defer ckw.Close()
+		deltas = make([]*analysis.Aggregator, lanes)
+		for i := range deltas {
+			deltas[i] = analysis.NewAggregator(w.Service)
+		}
 	}
 	// The one lane sink keeps the order a resume relies on: the lane's
 	// aggregator, then OnTrace and Progress (serialized across lanes),
 	// then the journal, so a test is journaled only once every consumer
-	// has accepted it. The journal append stays outside mu: it writes the
-	// frame in the lane, in sink order, and the journal's syncer fsyncs
-	// it behind the lanes (a lane waits only at 64 unsynced frames).
+	// has accepted it. A journaled test's checkers run once, for the
+	// lane's delta, which the aggregator merges and the journal records.
+	// The journal append stays outside mu: it writes the frame in the
+	// lane, in sink order, and the journal's syncer fsyncs it behind the
+	// lanes (a lane waits only at 64 unsynced frames).
 	var mu sync.Mutex
 	total := max(w.Test1Count, 0) + max(w.Test2Count, 0)
 	sink := func(lane int, tr *trace.TestTrace, next time.Time, res map[string]resilience.Snapshot) error {
-		aggs[lane].Add(tr)
+		if ckw != nil {
+			aggs[lane].AddDelta(tr, deltas[lane])
+		} else {
+			aggs[lane].Add(tr)
+		}
 		mu.Lock()
 		var err error
 		if opts.Engine.OnTrace != nil {
@@ -387,7 +396,7 @@ func Run(ctx context.Context, opts Options) (*RunResult, error) {
 		if err != nil || ckw == nil {
 			return err
 		}
-		return ckw.Append(lane, tr, next, res)
+		return ckw.AppendDelta(lane, tr, next, res, deltas[lane])
 	}
 	for i := range aggs {
 		aggs[i].Instrument(opts.Telemetry.Metrics.Sub("aggregator").With("lane", strconv.Itoa(i)))

@@ -93,6 +93,17 @@ func (a *Aggregator) Add(tr *trace.TestTrace) {
 	}
 }
 
+// AddDelta folds one trace into the aggregate as Add does and leaves in
+// delta the aggregate of that trace alone, running the checkers once: delta
+// is reset, fed the trace and merged in. The checkpoint journal records
+// delta.
+func (a *Aggregator) AddDelta(tr *trace.TestTrace, delta *Aggregator) {
+	delta.Reset()
+	delta.Add(tr)
+	a.mTraces.Inc()
+	a.Merge(delta)
+}
+
 // Reset empties the aggregate, keeping its service, its counter binding
 // and its maps: a caller that snapshots one test at a time reuses one
 // aggregator instead of building the ten maps of a new one per test.
@@ -114,7 +125,7 @@ func (a *Aggregator) Reset() {
 // distributions (per-agent count samples, per-pair window samples) are
 // appended in call order, so merging lane aggregators in lane order
 // yields a deterministic Report regardless of execution interleaving.
-// other must not be used afterwards.
+// Merge copies what it takes: other may be reset and used again.
 func (a *Aggregator) Merge(other *Aggregator) {
 	r, o := a.rep, other.rep
 	if r.Service == "" {

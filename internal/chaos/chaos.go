@@ -285,7 +285,9 @@ type World struct {
 	// and no Service is a Drive-time error.
 	Service *faultinject.Injector
 	// Routing maps each client site to the data center serving it: an
-	// overload of a data center sheds the client sites routed there.
+	// overload of a data center sheds the client sites routed there, and
+	// one of a data center no client site is routed to is a Drive-time
+	// error.
 	Routing map[simnet.Site]simnet.Site
 	// Disks maps disk site names (diskfault.Sites keys) to the fault
 	// injectors diskfault events arm. Absent sites make a schedule with
@@ -387,6 +389,9 @@ func (s *Schedule) Drive(clock vtime.Clock, start time.Time, w World, sc *obs.Sc
 				if dc == e.Site {
 					sites = append(sites, from)
 				}
+			}
+			if len(sites) == 0 {
+				return fmt.Errorf("chaos: overload(%s) names a data center no client site is routed to", e.Site)
 			}
 			// The shed lasts the window; its end is no event of its own.
 			var stop func()

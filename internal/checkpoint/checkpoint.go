@@ -12,22 +12,24 @@
 // one record: the lane, the test's ID, the virtual instant the lane's
 // next step begins, the lane's resilience-middleware state, the
 // analysis.Snapshot of an aggregator fed that one test, and the trace
-// unless the campaign discards traces.
+// unless the campaign discards traces. The journal runs no checker: the
+// lane hands AppendDelta the one-test aggregate that
+// analysis.Aggregator.AddDelta left from the lane's own checker run.
 //
 // Crash safety: a test's trace and its lane progress share one frame,
 // so a torn write loses the whole test (it re-runs on resume;
-// deterministic worlds make the re-run identical) or nothing. Append
-// writes the frame in the calling lane and a syncer fsyncs it behind:
-// a process kill loses nothing Append wrote, and a power cut (the file
-// cut back to any byte past its last fsync) loses at most the
+// deterministic worlds make the re-run identical) or nothing.
+// AppendDelta writes the frame in the calling lane and a syncer fsyncs it
+// behind: a process kill loses nothing AppendDelta wrote, and a power cut
+// (the file cut back to any byte past its last fsync) loses at most the
 // maxUnsynced = 64 tests not yet fsynced, which re-run on resume the
-// same way. Only the final frame of a journal may be damaged — Load drops it with a note
-// and Continue truncates it away; damage anywhere else is reported as
-// corruption, not tolerated. Nothing is ever rewritten: Load folds each
-// lane's per-test snapshots in file order with Aggregator.Merge, which
-// appends the same samples in the same order as feeding the lane's
-// tests to one aggregator, so the restored state is byte-identical to
-// the state the lane held when it wrote the frame.
+// same way. Only the final frame of a journal may be damaged — Load drops
+// it with a note and Continue truncates it away; damage anywhere else is
+// reported as corruption, not tolerated. Nothing is ever rewritten: Load
+// merges each lane's per-test snapshots in file order into the lane's
+// aggregator, which appends the same samples in the same order as feeding
+// the lane's tests to one aggregator, so the state it hands a resumed lane
+// is the state the lane held when it wrote the frame.
 package checkpoint
 
 import (
@@ -82,9 +84,10 @@ type LaneRecord struct {
 	// (the completed test's gap included); a resumed lane rebuilds its
 	// world there.
 	Next time.Time
-	// Agg is the lane's aggregator snapshot after folding every Done
-	// test, in analysis.Snapshot encoding.
-	Agg json.RawMessage
+	// Agg is the lane's aggregator after folding every Done test: the
+	// journal's per-test snapshots merged in file order. A resumed lane
+	// carries on with it.
+	Agg *analysis.Aggregator
 	// Resilience maps agent labels to the lane's resilience-middleware
 	// state (retry counters, breaker position) after the last Done test.
 	// Breaker health legitimately spans tests, so a resumed lane must
@@ -139,21 +142,6 @@ func (s *State) Done(lane int) map[int]bool {
 // done, so every journaled trace is a completed one.
 func (s *State) CompletedTraces() []*trace.TestTrace { return s.Traces }
 
-// Aggregator restores a fresh aggregator from lane's journaled
-// snapshot; a lane with no record yields a new empty aggregator for the
-// journal's service.
-func (s *State) Aggregator(lane int) (*analysis.Aggregator, error) {
-	lr := s.Lanes[lane]
-	if lr == nil {
-		return analysis.NewAggregator(s.Meta.Service), nil
-	}
-	agg, err := analysis.RestoreAggregator(lr.Agg)
-	if err != nil {
-		return nil, fmt.Errorf("checkpoint: lane %d: %w", lane, err)
-	}
-	return agg, nil
-}
-
 // Load reads and verifies a journal from the real filesystem. See
 // LoadFS.
 func Load(path string) (*State, error) { return LoadFS(nil, path) }
@@ -175,7 +163,6 @@ func LoadFS(fsys diskfault.FS, path string) (*State, error) {
 	if len(rep.Records) == 0 || json.Unmarshal(rep.Records[0], &st.Meta) != nil || st.Meta.Service == "" {
 		return nil, fmt.Errorf("checkpoint %s: no meta record; not a campaign journal", path)
 	}
-	aggs := make(map[int]*analysis.Aggregator)
 	for i, raw := range rep.Records[1:] {
 		var rec record
 		if err := json.Unmarshal(raw, &rec); err != nil {
@@ -187,21 +174,15 @@ func LoadFS(fsys diskfault.FS, path string) (*State, error) {
 		}
 		lr := st.Lanes[rec.Lane]
 		if lr == nil {
-			lr = &LaneRecord{Lane: rec.Lane}
+			lr = &LaneRecord{Lane: rec.Lane, Agg: analysis.NewAggregator(st.Meta.Service)}
 			st.Lanes[rec.Lane] = lr
-			aggs[rec.Lane] = analysis.NewAggregator(st.Meta.Service)
 		}
-		aggs[rec.Lane].Merge(delta)
+		lr.Agg.Merge(delta)
 		lr.Done = append(lr.Done, rec.Test)
 		lr.Next = rec.Next
 		lr.Resilience = rec.Resilience
 		if rec.Trace != nil {
 			st.Traces = append(st.Traces, rec.Trace)
-		}
-	}
-	for lane, agg := range aggs {
-		if st.Lanes[lane].Agg, err = agg.Snapshot(); err != nil {
-			return nil, fmt.Errorf("checkpoint %s: lane %d snapshot: %w", path, lane, err)
 		}
 	}
 	sort.Slice(st.Traces, func(i, j int) bool { return st.Traces[i].TestID < st.Traces[j].TestID })
@@ -236,20 +217,20 @@ type Config struct {
 }
 
 // maxUnsynced bounds the frames a Writer holds written but not yet
-// fsynced: an Append that finds this many waits for the syncer. It is
-// what a power cut can cost (the tests re-run on resume), and it is
+// fsynced: an AppendDelta that finds this many waits for the syncer. It
+// is what a power cut can cost (the tests re-run on resume), and it is
 // generous because a tight bound puts the disk back on the lanes' path.
 const maxUnsynced = 64
 
-// Writer journals a running campaign. Append is safe for concurrent use
-// across lanes: each call builds its frame in a buffer of its own and
+// Writer journals a running campaign. AppendDelta is safe for concurrent
+// use across lanes: each call builds its frame in a buffer of its own and
 // writes it, in the calling lane, through the wal.Log, which orders the
 // writes. A syncer goroutine makes the frames durable behind the lanes:
 // one fsync covers every frame written before it starts, and a lane
 // waits for the disk only when maxUnsynced frames are unsynced.
 //
 // A storage failure mid-campaign (ENOSPC, failed fsync) DEGRADES the
-// journal instead of aborting the run: Append starts returning nil
+// journal instead of aborting the run: AppendDelta starts returning nil
 // without touching the disk, and Degraded reports the failure so the
 // caller can surface a warning. The campaign finishes on its own; only
 // crash-resumability is lost — the journal on disk stays a valid (if
@@ -273,18 +254,17 @@ type Writer struct {
 	syncFailed bool   // an fsync failed: synced will not move again
 	closing    bool
 	stopped    chan struct{} // closed when the syncer returns
-	// free holds the frames no Append is working in: as many as Appends
+	// free holds the frames no AppendDelta is working in: as many as
 	// ever ran at once, kept for the Writer's life, so a lane never
-	// rebuilds one.
+	// regrows one.
 	free []*frame
 }
 
-// frame is what an Append works in, kept from one call to the next: the
-// aggregator it feeds the one test and the buffer it encodes into (the
-// wal.Log copies the payload and does not retain it).
+// frame is what an AppendDelta works in, kept from one call to the next:
+// the buffer it encodes into (the wal.Log copies the payload and does not
+// retain it).
 type frame struct {
-	delta *analysis.Aggregator
-	buf   []byte
+	buf []byte
 }
 
 // Create starts a fresh journal at path, atomically replacing any
@@ -350,21 +330,28 @@ func (w *Writer) syncLoop() {
 	}
 }
 
-// Append journals one completed test: lane ran tr, its next step begins
-// at next, and res is the lane's resilience-middleware state by agent
-// label (nil when the campaign runs without the middleware). It returns
-// once the frame is written to the file, which is what a process kill
-// cannot take back; the syncer fsyncs it later. It waits first while
-// maxUnsynced frames are not yet durable.
+// Append journals tr as AppendDelta does, with a delta it analyzes tr
+// into itself: for callers that keep no aggregator of their own.
 func (w *Writer) Append(lane int, tr *trace.TestTrace, next time.Time, res map[string]resilience.Snapshot) error {
+	delta := analysis.NewAggregator(w.service)
+	delta.Add(tr)
+	return w.AppendDelta(lane, tr, next, res, delta)
+}
+
+// AppendDelta journals one completed test: lane ran tr, its next step
+// begins at next, res is the lane's resilience-middleware state by agent
+// label (nil when the campaign runs without the middleware), and delta is
+// the aggregate of tr alone, as analysis.Aggregator.AddDelta leaves it.
+// It returns once the frame is written to the file, which is what a
+// process kill cannot take back; the syncer fsyncs it later. It waits
+// first while maxUnsynced frames are not yet durable.
+func (w *Writer) AppendDelta(lane int, tr *trace.TestTrace, next time.Time, res map[string]resilience.Snapshot, delta *analysis.Aggregator) error {
 	if w.degraded.Load() != nil {
 		return nil // journaling is off; the campaign carries on
 	}
 	f := w.frame()
 	defer w.release(f)
-	f.delta.Reset()
-	f.delta.Add(tr)
-	b, err := w.appendRecord(f.buf[:0], lane, tr, next, res, f.delta)
+	b, err := w.appendRecord(f.buf[:0], lane, tr, next, res, delta)
 	if err != nil {
 		return fmt.Errorf("checkpoint: encoding test %d: %w", tr.TestID, err)
 	}
@@ -397,7 +384,7 @@ func (w *Writer) frame() *frame {
 		w.free = w.free[:n-1]
 		return f
 	}
-	return &frame{delta: analysis.NewAggregator(w.service)}
+	return &frame{}
 }
 
 // release returns f to the free frames.
@@ -444,7 +431,7 @@ func (w *Writer) degrade(err error) error {
 // fsync has failed, then reports the storage failure that disabled
 // journaling, or nil while the journal is healthy. Callers surface it as
 // a campaign warning; a nil return means the journal is durable through
-// the last Append that returned.
+// the last AppendDelta that returned.
 func (w *Writer) Degraded() error {
 	w.mu.Lock()
 	for target := w.written; w.synced < target && !w.syncFailed; {

@@ -107,14 +107,8 @@ func CheckTest(tr *trace.TestTrace) []Violation {
 func (ix *Index) Check(a Anomaly) []Violation {
 	start := len(ix.violations)
 	switch a {
-	case ReadYourWrites:
-		ix.readYourWrites()
-	case MonotonicWrites:
-		ix.monotonicWrites()
-	case MonotonicReads:
-		ix.monotonicReads()
-	case WritesFollowsReads:
-		ix.writesFollowsReads()
+	case ReadYourWrites, MonotonicWrites, MonotonicReads, WritesFollowsReads:
+		ix.session(a)
 	case ContentDivergence, OrderDivergence:
 		ix.divergence(a)
 	}

@@ -30,12 +30,12 @@ type Index struct {
 	k            kernel
 
 	// pairs and events (of which each agent's byReturn is a stretch) are filled
-	// by the trace's first window scan; seen and order are monotonicReads'
-	// scratch; what Check and Windows return is appended to the last two.
+	// by the trace's first window scan; hw is each reader's Monotonic Reads
+	// high water in turn; what Check and Windows return is appended to the
+	// last two.
 	pairs      []Pair
 	events     []event
-	seen       []bool
-	order      []int32
+	hw         highWater
 	violations []Violation
 	windows    []WindowResult
 }
@@ -57,8 +57,10 @@ type readView struct {
 	off, end, run int32
 }
 
+// writeView is a write with its ID and trigger interned (trigger -1 for
+// none).
 type writeView struct {
-	w           *trace.Write
+	*trace.Write
 	id, trigger int32
 }
 
@@ -115,7 +117,7 @@ func (ix *Index) Reset(tr *trace.TestTrace) *Index {
 	ix.writes, ix.deps = slices.Grow(ix.writes[:0], len(tr.Writes)), slices.Grow(ix.deps[:0], len(tr.Writes))
 	for i := range tr.Writes {
 		w := &tr.Writes[i]
-		wv := writeView{w: w, id: ix.ids.intern(w.ID), trigger: -1}
+		wv := writeView{Write: w, id: ix.ids.intern(w.ID), trigger: -1}
 		if w.Trigger != "" {
 			wv.trigger = ix.ids.intern(w.Trigger)
 			ix.deps = append(ix.deps, wv)
@@ -123,10 +125,10 @@ func (ix *Index) Reset(tr *trace.TestTrace) *Index {
 		ix.writes = append(ix.writes, wv)
 	}
 	slices.SortStableFunc(ix.writes, func(a, b writeView) int {
-		if c := cmp.Compare(a.w.Agent, b.w.Agent); c != 0 {
+		if c := cmp.Compare(a.Agent, b.Agent); c != 0 {
 			return c
 		}
-		return trace.CompareWrites(a.w, b.w)
+		return trace.CompareWrites(a.Write, b.Write)
 	})
 	ix.k.grow(len(ix.ids.list))
 
@@ -202,10 +204,11 @@ type cell struct {
 	stamp uint32
 }
 
-// grow makes room for ids below n.
+// grow makes room for ids below n, doubling so that a Stream, whose IDs
+// arrive one at a time, does not reallocate for each.
 func (k *kernel) grow(n int) {
 	if len(k.cells) < n {
-		k.cells, k.epoch = make([]cell, n), 0
+		k.cells, k.epoch = make([]cell, max(n, 2*len(k.cells))), 0
 	}
 }
 

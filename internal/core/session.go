@@ -2,13 +2,32 @@ package core
 
 import (
 	"slices"
+	"time"
 
 	"conprobe/internal/trace"
 )
 
-// The session checkers report in a fixed order: agents ascending, each
-// agent's reads in invocation order, and per read the order each checker
-// documents.
+// Each session guarantee is defined once below, as a check of one read
+// against the state that guarantee needs; Index runs the checks over a
+// whole trace and Stream over each read as it completes. They report in a
+// fixed order: agents ascending, each agent's reads in invocation order,
+// and per read the order each check documents.
+
+// readCheck is one read as the session checks take it — the reader, the
+// read's index among the reader's reads, when it was invoked and its
+// interned Observed — and out, which each check appends the read's
+// violations to.
+type readCheck struct {
+	agent   trace.AgentID
+	index   int
+	invoked time.Time
+	seq     []int32
+	out     []Violation
+}
+
+func (c *readCheck) report(a Anomaly, w, w2 trace.WriteID) {
+	c.out = append(c.out, Violation{Anomaly: a, Agent: c.agent, ReadIndex: c.index, Write: w, Write2: w2})
+}
 
 // CheckReadYourWrites detects Read Your Writes violations:
 //
@@ -21,25 +40,14 @@ func CheckReadYourWrites(tr *trace.TestTrace) []Violation {
 	return NewIndex(tr).Check(ReadYourWrites)
 }
 
-func (ix *Index) readYourWrites() {
-	for _, av := range ix.agents {
-		for ri, r := range av.reads {
-			seq := ix.seq(r)
-			for _, w := range ix.writes {
-				// Only the agent's own writes, acknowledged before the
-				// read was issued, are required to be visible.
-				if w.w.Agent != av.id || w.w.Returned.After(r.r.Invoked) {
-					continue
-				}
-				if !slices.Contains(seq, w.id) {
-					ix.violations = append(ix.violations, Violation{
-						Anomaly:   ReadYourWrites,
-						Agent:     av.id,
-						ReadIndex: ri,
-						Write:     w.w.ID,
-					})
-				}
-			}
+// readYourWrites reports the read's Read Your Writes violations; writes
+// are in (agent, issue) order.
+func (c *readCheck) readYourWrites(writes []writeView) {
+	for _, w := range writes {
+		// Only the reader's own writes, acknowledged before the read was
+		// issued, are required to be visible.
+		if w.Agent == c.agent && !w.Returned.After(c.invoked) && !slices.Contains(c.seq, w.id) {
+			c.report(ReadYourWrites, w.ID, "")
 		}
 	}
 }
@@ -55,29 +63,19 @@ func CheckMonotonicWrites(tr *trace.TestTrace) []Violation {
 	return NewIndex(tr).Check(MonotonicWrites)
 }
 
-func (ix *Index) monotonicWrites() {
-	ws := ix.writes
-	for _, av := range ix.agents {
-		for ri, r := range av.reads {
-			seq := ix.seq(r)
-			for i := range ws {
-				// Every later write of the same writer.
-				for j := i + 1; j < len(ws) && ws[j].w.Agent == ws[i].w.Agent; j++ {
-					py := slices.Index(seq, ws[j].id)
-					if py < 0 {
-						continue // y not visible: no constraint
-					}
-					px := slices.Index(seq, ws[i].id)
-					if px < 0 || py < px {
-						ix.violations = append(ix.violations, Violation{
-							Anomaly:   MonotonicWrites,
-							Agent:     av.id,
-							ReadIndex: ri,
-							Write:     ws[i].w.ID,
-							Write2:    ws[j].w.ID,
-						})
-					}
-				}
+// monotonicWrites reports the read's Monotonic Writes violations; writes
+// are in (agent, issue) order.
+func (c *readCheck) monotonicWrites(writes []writeView) {
+	for i, x := range writes {
+		// Every later write of the same writer.
+		for j := i + 1; j < len(writes) && writes[j].Agent == x.Agent; j++ {
+			y := writes[j]
+			py := slices.Index(c.seq, y.id)
+			if py < 0 {
+				continue // y not visible: no constraint
+			}
+			if px := slices.Index(c.seq, x.id); px < 0 || py < px {
+				c.report(MonotonicWrites, x.ID, y.ID)
 			}
 		}
 	}
@@ -97,29 +95,34 @@ func CheckMonotonicReads(tr *trace.TestTrace) []Violation {
 	return NewIndex(tr).Check(MonotonicReads)
 }
 
-func (ix *Index) monotonicReads() {
-	ix.seen = slices.Grow(ix.seen[:0], len(ix.ids.list))[:len(ix.ids.list)]
-	for _, av := range ix.agents {
-		clear(ix.seen)
-		ix.order = ix.order[:0] // seen, by first observation
-		for ri, r := range av.reads {
-			seq := ix.seq(r)
-			for _, id := range ix.order {
-				if !slices.Contains(seq, id) {
-					ix.violations = append(ix.violations, Violation{
-						Anomaly:   MonotonicReads,
-						Agent:     av.id,
-						ReadIndex: ri,
-						Write:     ix.ids.list[id],
-					})
-				}
-			}
-			for _, id := range seq {
-				if !ix.seen[id] {
-					ix.seen[id] = true
-					ix.order = append(ix.order, id)
-				}
-			}
+// highWater is a reader's Monotonic Reads state: every write its earlier
+// reads observed, as a set over interned IDs and in first-observed order.
+type highWater struct {
+	seen  []bool
+	order []int32
+}
+
+// reset empties hw for interned IDs below n.
+func (hw *highWater) reset(n int) {
+	hw.seen, hw.order = slices.Grow(hw.seen[:0], n)[:n], hw.order[:0]
+	clear(hw.seen)
+}
+
+// monotonicReads reports the read's Monotonic Reads violations and raises
+// the reader's high water hw by the read; ids names the interned IDs.
+func (c *readCheck) monotonicReads(hw *highWater, ids []trace.WriteID) {
+	for _, id := range hw.order {
+		if !slices.Contains(c.seq, id) {
+			c.report(MonotonicReads, ids[id], "")
+		}
+	}
+	for _, id := range c.seq {
+		if n := int(id) + 1 - len(hw.seen); n > 0 { // a Stream interns as reads arrive
+			hw.seen = append(hw.seen, make([]bool, n)...)
+		}
+		if !hw.seen[id] {
+			hw.seen[id] = true
+			hw.order = append(hw.order, id)
 		}
 	}
 }
@@ -138,21 +141,36 @@ func CheckWritesFollowsReads(tr *trace.TestTrace) []Violation {
 	return NewIndex(tr).Check(WritesFollowsReads)
 }
 
-func (ix *Index) writesFollowsReads() {
+// writesFollowsReads reports the read's Writes Follows Reads violations;
+// deps are the writes carrying a trigger, in trace order.
+func (c *readCheck) writesFollowsReads(deps []writeView) {
+	for _, w := range deps {
+		if slices.Contains(c.seq, w.id) && !slices.Contains(c.seq, w.trigger) {
+			c.report(WritesFollowsReads, w.Trigger, w.ID)
+		}
+	}
+}
+
+// session appends the violations of session guarantee a over every read
+// of the trace.
+func (ix *Index) session(a Anomaly) {
+	c := readCheck{out: ix.violations}
 	for _, av := range ix.agents {
+		ix.hw.reset(len(ix.ids.list))
 		for ri, r := range av.reads {
-			seq := ix.seq(r)
-			for _, w := range ix.deps {
-				if slices.Contains(seq, w.id) && !slices.Contains(seq, w.trigger) {
-					ix.violations = append(ix.violations, Violation{
-						Anomaly:   WritesFollowsReads,
-						Agent:     av.id,
-						ReadIndex: ri,
-						Write:     w.w.Trigger,
-						Write2:    w.w.ID,
-					})
-				}
+			c.agent, c.index, c.seq = av.id, ri, ix.seq(r)
+			switch a {
+			case ReadYourWrites:
+				c.invoked = r.r.Invoked
+				c.readYourWrites(ix.writes)
+			case MonotonicWrites:
+				c.monotonicWrites(ix.writes)
+			case MonotonicReads:
+				c.monotonicReads(&ix.hw, ix.ids.list)
+			case WritesFollowsReads:
+				c.writesFollowsReads(ix.deps)
 			}
 		}
 	}
+	ix.violations = c.out
 }

@@ -1,6 +1,10 @@
 package core
 
 import (
+	"cmp"
+	"fmt"
+	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -212,5 +216,59 @@ func TestStreamMatchesBatchCheckers(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// sessionByRead returns vs's session violations ordered by (agent, read,
+// anomaly), each read's violations of one anomaly in the order reported.
+func sessionByRead(vs []Violation) []Violation {
+	var out []Violation
+	for _, v := range vs {
+		if v.Anomaly <= WritesFollowsReads {
+			out = append(out, v)
+		}
+	}
+	slices.SortStableFunc(out, func(a, b Violation) int {
+		return cmp.Or(cmp.Compare(a.Agent, b.Agent), cmp.Compare(a.ReadIndex, b.ReadIndex), cmp.Compare(a.Anomaly, b.Anomaly))
+	})
+	return out
+}
+
+// replayByInvocation feeds tr to a fresh Stream: every write, then the
+// reads in invocation order (ties in trace order), as the batch checkers
+// number them.
+func replayByInvocation(tr *trace.TestTrace) []Violation {
+	reads := slices.Clone(tr.Reads)
+	slices.SortStableFunc(reads, func(a, b trace.Read) int { return trace.CompareReads(&a, &b) })
+	return replayStream(&trace.TestTrace{Writes: tr.Writes, Reads: reads})
+}
+
+// TestStreamMatchesCheckTestReadByRead: replayed through a Stream, a
+// trace yields the session violations CheckTest finds, violation for
+// violation — anomaly, agent, read index and both writes — and in the same
+// order for every read.
+func TestStreamMatchesCheckTestReadByRead(t *testing.T) {
+	dependent := func(id, trigger string, agent, seq int) trace.Write {
+		w := wr(id, agent, seq, 10*seq, 10*seq+5)
+		w.Trigger = trace.WriteID(trigger)
+		return w
+	}
+	check := func(name string, tr *trace.TestTrace) {
+		t.Helper()
+		want, got := sessionByRead(CheckTest(tr)), sessionByRead(replayByInvocation(tr))
+		if !slices.Equal(got, want) {
+			t.Fatalf("%s: stream reports\n%v\nCheckTest\n%v", name, got, want)
+		}
+	}
+	check("two dependent writes read in reverse", newTrace(2, []trace.Write{
+		wr("m1", 1, 1, 0, 5), wr("m2", 1, 2, 10, 15),
+		dependent("m3", "m1", 2, 1), dependent("m4", "m2", 2, 2),
+	}, []trace.Read{rd(1, 100, 140, "m4", "m3")}))
+	check("duplicate IDs in a read", newTrace(2, []trace.Write{
+		wr("m1", 1, 1, 0, 5), dependent("m2", "m9", 2, 1), wr("m3", 1, 2, 10, 15),
+	}, []trace.Read{rd(1, 100, 140, "m2", "m3", "m2"), rd(2, 100, 140, "m3", "m1", "m3"), rd(1, 200, 240)}))
+	r := rand.New(rand.NewSource(7))
+	for i := 0; i < 2000; i++ {
+		check(fmt.Sprintf("random trace %d", i), randomTrace(r))
 	}
 }

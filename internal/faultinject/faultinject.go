@@ -242,10 +242,10 @@ func (in *Injector) Outage() (active bool, remaining time.Duration) {
 }
 
 // Shed makes the injector shed rate of the operations issued from sites
-// (from every site when sites is empty) until the returned stop is
-// called — the server-side shape of an overloaded data center's
-// admission queue overflowing. Where several sheds cover a site, the
-// highest rate applies. Chaos overload events drive it.
+// until the returned stop is called — the server-side shape of an
+// overloaded data center's admission queue overflowing. Where several
+// sheds cover a site, the highest rate applies. Chaos overload events
+// drive it.
 func (in *Injector) Shed(sites []simnet.Site, rate float64) (stop func()) {
 	s := &shed{sites: sites, rate: rate}
 	in.mu.Lock()
@@ -265,7 +265,7 @@ func (in *Injector) shedRate(from simnet.Site) float64 {
 	defer in.mu.Unlock()
 	rate := 0.0
 	for _, s := range in.sheds {
-		if s.rate > rate && (len(s.sites) == 0 || slices.Contains(s.sites, from)) {
+		if s.rate > rate && slices.Contains(s.sites, from) {
 			rate = s.rate
 		}
 	}

@@ -276,9 +276,8 @@ func TestOutageWindow(t *testing.T) {
 }
 
 // TestShedCoversItsSitesUntilStopped checks an overload shed fails
-// operations only from its sites (every site when it names none), that
-// the highest rate among the sheds in force applies, and that stop
-// ends it.
+// operations only from its sites, that the highest rate among the sheds
+// in force applies, and that stop ends it.
 func TestShedCoversItsSitesUntilStopped(t *testing.T) {
 	in := New(&memService{}, newFakeClock(), Config{Seed: 1})
 	shed := func(site simnet.Site) bool {
@@ -288,7 +287,7 @@ func TestShedCoversItsSitesUntilStopped(t *testing.T) {
 		}
 		return err != nil
 	}
-	stopAll := in.Shed(nil, 1e-9)
+	stopBoth := in.Shed([]simnet.Site{simnet.Oregon, simnet.Tokyo}, 1e-9)
 	stopOregon := in.Shed([]simnet.Site{simnet.Oregon}, 1)
 	if !shed(simnet.Oregon) || shed(simnet.Tokyo) {
 		t.Fatal("rate-1 shed of oregon: want oregon shed and tokyo not")
@@ -297,13 +296,9 @@ func TestShedCoversItsSitesUntilStopped(t *testing.T) {
 	if shed(simnet.Oregon) {
 		t.Fatal("oregon still shed at rate 1 after its shed stopped")
 	}
-	stopAll()
+	stopBoth()
 	if got := in.Stats().OverloadFailures; got != 1 {
 		t.Fatalf("OverloadFailures = %d, want 1", got)
-	}
-	in.Shed(nil, 1)
-	if !shed(simnet.Tokyo) {
-		t.Fatal("a shed naming no site spared tokyo")
 	}
 }
 

@@ -105,3 +105,24 @@ func TestOverloadShedsRoutedSitesInsideWindow(t *testing.T) {
 		t.Errorf("overload campaign output differs from %s:\n%s", path, b.String())
 	}
 }
+
+// TestOverloadOfUnroutedSiteIsRefused: fbgroup routes no client site to
+// dc-west, so an overload of it has nobody to shed; the campaign refuses
+// the schedule, naming the site, instead of shedding every client.
+func TestOverloadOfUnroutedSiteIsRefused(t *testing.T) {
+	opts := overloadOptions()
+	opts.Chaos.Events[0].Site = simnet.DCWest
+	res, err := conprobe.Run(context.Background(), opts)
+	if err == nil {
+		shed := 0
+		for _, tr := range res.Traces {
+			for _, n := range tr.FailedOps {
+				shed += n
+			}
+		}
+		t.Fatalf("the campaign ran, and shed %d operations", shed)
+	}
+	if !strings.Contains(err.Error(), "overload(dc-west)") {
+		t.Fatalf("error %q does not name the overloaded site", err)
+	}
+}

@@ -40,9 +40,12 @@ func renderOutput(t *testing.T, out *conprobe.RunResult) string {
 }
 
 // TestResumeByteIdentical is the kill-and-resume sweep: a campaign
-// killed after k completed tests and resumed from its journal must
+// killed at its k-th completed test and resumed from its journal must
 // produce byte-identical output to an uninterrupted run, at any
-// parallelism. The overload campaign's kill point resumes every
+// parallelism. Kill 1 is the fresh-start case: the crash stops the run
+// before its first test is journaled, so the resume starts from an empty
+// journal. Every later kill resumes at least one lane from what the
+// journal folded. The overload campaign's kill point resumes every
 // journaled lane inside its overload window, so the rebuilt world must
 // shed exactly as the lived one did.
 func TestResumeByteIdentical(t *testing.T) {
@@ -80,14 +83,17 @@ func TestResumeByteIdentical(t *testing.T) {
 				if _, err := conprobe.Run(context.Background(), crashed); !errors.Is(err, errInjectedCrash) {
 					t.Fatalf("%s par %d kill %d: crash run returned %v, want injected crash", c.name, par, kill, err)
 				}
+				st, err := checkpoint.Load(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				switch {
+				case kill == 1 && len(st.Lanes) != 0:
+					t.Fatalf("%s par %d kill 1: %d lanes journaled a test, want a fresh start", c.name, par, len(st.Lanes))
+				case kill > 1 && len(st.Lanes) == 0:
+					t.Fatalf("%s par %d kill %d: no lane journaled a test", c.name, par, kill)
+				}
 				if c.insideWindow {
-					st, err := checkpoint.Load(path)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if len(st.Lanes) == 0 {
-						t.Fatalf("%s par %d kill %d: no lane journaled a test", c.name, par, kill)
-					}
 					epoch := base.Workload.Epoch()
 					for l, lr := range st.Lanes {
 						if at := lr.Next.Sub(epoch); at < overloadAt || at >= overloadUntil {

@@ -28,7 +28,8 @@ go test -race ./...
 # us/op while every pair of reads was decided, not every pair of
 # timelines); BenchmarkCheckTestReusedIndex resets one index, as every
 # aggregator does: about 25 us/op, and it allocates nothing.
-# BenchmarkCheckpointAppend is encoding and writing one journal frame; the
+# BenchmarkCheckpointAppend is encoding and writing the journal frame of a
+# test its lane has already analyzed (no checker runs); the
 # fsync runs behind it on the journal's syncer, one per up to 64 frames
 # (about 45-50 us/op and 0 allocs/op on a 2-core VM; 160-320 while each
 # Append waited for its fsync). BenchmarkCampaignJournal is a whole
