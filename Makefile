@@ -69,7 +69,9 @@ paper-check:
 # op log from its WAL and keep replicating. The second act grows the
 # cluster 3->5 with consvc -join (kill -9 mid-joint-phase), checks
 # lease/quorum reads, and shrinks back to 3; the last requires a data
-# dir holding an older build's node.snap to be refused.
+# dir holding an older build's node.snap to be refused. A one-node
+# -role leader then keeps acked writes across kill -9 and refuses a
+# flipped oplog byte and a consvc -durable directory.
 cluster-smoke:
 	./scripts/cluster_smoke.sh
 

@@ -7,15 +7,19 @@
 // The -inject-* flags wrap the service in the deterministic fault
 // injector, turning consvc into a drill target for the resilient
 // probing path (conwatch -retries, conprobe live campaigns). They are
-// refused with -role, -peers or -join, as -durable is: a write failure
-// injected inside one cluster node's replica would make that node skip
-// a committed op the other nodes apply. The
-// -disk-fault flag does the same one layer down: it arms deterministic
+// refused with -role, -peers or -join: a write failure injected inside
+// one cluster node's replica would make that node skip a committed op
+// the other nodes apply, and a restart replays committed ops through
+// the injector. So an injecting consvc is always memory-only. The
+// -disk-fault flag does the same one layer down, on a cluster node (a
+// memory-only consvc writes no file and refuses it): it arms deterministic
 // storage faults (torn writes, failed fsyncs, read bit flips, ENOSPC,
 // omitted directory syncs, failed renames) beneath the node's WAL,
-// term log, log compactions and durable store — e.g. -disk-fault
-// term:fsync-gate — and recovery quarantines damaged files to .corrupt
-// sidecars rather than dying or serving silently wrong state.
+// term log and log compactions — e.g. -disk-fault term:fsync-gate —
+// and recovery quarantines damaged files to .corrupt sidecars rather
+// than dying or serving silently wrong state. A leader without peers
+// has nobody to re-source a damaged oplog from, so it refuses to boot
+// on one instead, naming the file.
 //
 // Cluster mode replicates the write stream across nodes: the elected
 // leader journals every accepted write to a WAL (fsync before ack),
@@ -26,8 +30,8 @@
 // cluster elects its own leader: kill -9 the leader and the survivors
 // vote in a new one within an election timeout, losing no acked write.
 // A killed node recovers from its WAL in -data-dir and rejoins as
-// a follower. Standalone -durable gives the single-node store the same
-// crash safety.
+// a follower. The durable standalone store is a one-node cluster:
+// -role leader -node-id <id> -data-dir <dir>, with no -peers.
 //
 // The membership is dynamic: a new node started with -join <member-url>
 // asks the cluster to vote it in (joint consensus; no peer-list edits
@@ -41,6 +45,7 @@
 //
 //	consvc -service fbgroup -addr :8080 -rate 10 -seed 1
 //	consvc -service blogger -inject-read-fail 0.2 -inject-write-fail 0.1
+//	consvc -role leader -node-id n1 -data-dir /var/lib/consvc
 //	consvc -node-id n1 -addr :8081 -data-dir /var/lib/consvc1 \
 //	       -self-url http://localhost:8081 \
 //	       -peers http://localhost:8082,http://localhost:8083 \
@@ -73,7 +78,6 @@ import (
 	"conprobe/internal/obs"
 	"conprobe/internal/service"
 	"conprobe/internal/simnet"
-	"conprobe/internal/store"
 	"conprobe/internal/vtime"
 )
 
@@ -114,10 +118,9 @@ func build(args []string) (*http.Server, string, error) {
 		leaderURL    = fs.String("leader-url", "", "leader base URL for a legacy pull-only follower (no -peers); with -peers it is just a starting hint")
 		selfURL      = fs.String("self-url", "", "this node's own base URL, announced to peers in votes and heartbeats (required with -peers)")
 		peers        = fs.String("peers", "", "comma-separated base URLs of the other cluster members; enables leader election")
-		dataDir      = fs.String("data-dir", "", "persistence directory for the WAL (cluster oplog and term log, or -durable store)")
+		dataDir      = fs.String("data-dir", "", "cluster node's persistence directory (oplog and term log); needs -role, -peers or -join — a durable standalone store is -role leader -node-id <id> -data-dir <dir>")
 		pullInterval = fs.Duration("pull-interval", 250*time.Millisecond, "catch-up poll period of a joining or pure-pull follower")
-		snapEvery    = fs.Int("snapshot-every", 256, "compact the WAL after this many ops (cluster) or journaled records (-durable)")
-		durable      = fs.Bool("durable", false, "standalone mode: persist the store to -data-dir (fsync per write)")
+		snapEvery    = fs.Int("snapshot-every", 256, "compact the cluster oplog after this many ops")
 		election     = cliflags.ElectionFlags(fs)
 		diskFaults   = cliflags.DiskFaults(fs)
 		join         = fs.String("join", "", "existing cluster member base URL: boot as a non-voting puller and keep asking the leader to add this node to the membership (requires -node-id and -self-url; excludes -peers)")
@@ -135,6 +138,23 @@ func build(args []string) (*http.Server, string, error) {
 	// form (JSON with ?format=json) alongside the API.
 	reg := obs.NewRegistry()
 	sc := reg.Scope("consvc")
+	var peerList []string
+	for _, p := range strings.Split(*peers, ",") {
+		if p = strings.TrimSpace(p); p != "" {
+			peerList = append(peerList, p)
+		}
+	}
+	clustered := *role != "" || len(peerList) > 0 || *join != ""
+	faults, injecting := inject.Config()
+	if injecting && clustered {
+		return nil, "", fmt.Errorf("-inject-* is for the memory-only standalone server: a failure injected inside one cluster node's replica would make it skip a committed op the other nodes apply")
+	}
+	if *dataDir != "" && !clustered {
+		return nil, "", fmt.Errorf("-data-dir persists a cluster node and needs -role, -peers or -join; a durable standalone store is -role leader -node-id <id> -data-dir %s", *dataDir)
+	}
+	if len(*diskFaults) > 0 && !clustered {
+		return nil, "", fmt.Errorf("-disk-fault arms faults beneath a cluster node's files and needs -role, -peers or -join; without them consvc writes no file")
+	}
 	// -disk-fault drills run every durable layer through the fault
 	// injector's filesystem; without the flag, diskFS stays nil and the
 	// layers use the real OS filesystem.
@@ -144,22 +164,6 @@ func build(args []string) (*http.Server, string, error) {
 	} else if inj != nil {
 		diskFS = inj.FS()
 		log.Printf("consvc: disk-fault drills armed: %s", diskFaults.String())
-	}
-	faults, injecting := inject.Config()
-	if injecting && (*role != "" || *peers != "" || *join != "") {
-		return nil, "", fmt.Errorf("-inject-* is for standalone mode: a failure injected inside one cluster node's replica would make it skip a committed op the other nodes apply")
-	}
-	if *durable {
-		if *role != "" {
-			return nil, "", fmt.Errorf("-durable is for standalone mode; cluster nodes persist their oplog via -data-dir")
-		}
-		if *dataDir == "" {
-			return nil, "", fmt.Errorf("-durable requires -data-dir")
-		}
-		prof.Store.Durable = &store.Durable{
-			Dir: *dataDir, SnapshotEvery: *snapEvery,
-			FS: diskFS, Metrics: sc.Sub("store"),
-		}
 	}
 	// Real clock: the profile's replication delays and latencies play
 	// out in wall-clock time.
@@ -180,12 +184,6 @@ func build(args []string) (*http.Server, string, error) {
 		svc = inj
 		log.Printf("consvc: fault injection active: %+v", faults)
 	}
-	var peerList []string
-	for _, p := range strings.Split(*peers, ",") {
-		if p = strings.TrimSpace(p); p != "" {
-			peerList = append(peerList, p)
-		}
-	}
 	if *join != "" {
 		if *nodeID == "" || *selfURL == "" {
 			return nil, "", fmt.Errorf("-join requires -node-id and -self-url")
@@ -198,7 +196,7 @@ func build(args []string) (*http.Server, string, error) {
 		}
 	}
 	var node *cluster.Node
-	if *role != "" || len(peerList) > 0 || *join != "" {
+	if clustered {
 		node, err = cluster.NewNode(svc, cluster.Config{
 			NodeID:            *nodeID,
 			Role:              *role,

@@ -41,6 +41,27 @@ func TestBuildRejectsInjectionInClusterMode(t *testing.T) {
 	}
 }
 
+// TestBuildRefusesDataDirWithoutCluster: only a cluster node persists,
+// so -data-dir on the memory-only standalone server would keep nothing
+// and -disk-fault would fault nothing. -data-dir is refused with the
+// durable standalone command line, and the removed -durable flag is an
+// undefined flag.
+func TestBuildRefusesDataDirWithoutCluster(t *testing.T) {
+	dir := t.TempDir()
+	_, _, err := build([]string{"-data-dir", dir})
+	if err == nil || !strings.Contains(err.Error(), "-role leader -node-id") {
+		t.Fatalf("build(-data-dir) = %v, want a refusal pointing to -role leader -node-id", err)
+	}
+	_, _, err = build([]string{"-disk-fault", "wal:torn"})
+	if err == nil || !strings.Contains(err.Error(), "-disk-fault") {
+		t.Fatalf("build(-disk-fault) = %v, want a refusal: a memory-only server has no file to fault", err)
+	}
+	_, _, err = build([]string{"-durable", "-data-dir", dir})
+	if err == nil || !strings.Contains(err.Error(), "flag provided but not defined: -durable") {
+		t.Fatalf("build(-durable) = %v, want an undefined flag", err)
+	}
+}
+
 func TestBuildServesProfileEndToEnd(t *testing.T) {
 	srv, name, err := build([]string{"-service", "blogger", "-addr", "127.0.0.1:0", "-rate", "0", "-jitter", "0"})
 	if err != nil {

@@ -231,7 +231,7 @@ func NewMetricsRegistry() *MetricsRegistry { return obs.NewRegistry() }
 type ChaosSchedule = chaos.Schedule
 
 // DiskInjector is a deterministic storage-fault injector; its FS()
-// threads beneath a WAL, checkpoint journal or durable store, and
+// threads beneath a WAL or a checkpoint journal, and
 // chaos diskfault events arm faults on it.
 type DiskInjector = diskfault.Injector
 

@@ -27,7 +27,7 @@
 //	restart(site, at)           bring the node at site back: restore
 //	                            all its links
 //	diskfault(site, fault, at)  arm one storage fault at a disk site
-//	                            ("wal", "term", "snapshot", "store",
+//	                            ("wal", "term", "snapshot",
 //	                            "checkpoint"); fault is a diskfault kind
 //	                            ("torn", "fsync-gate", "bit-flip",
 //	                            "enospc", "dirsync-omit", "crash-rename")
@@ -99,7 +99,7 @@ type Event struct {
 	Rate float64
 	// Fault is the diskfault kind armed by a diskfault event; Site names
 	// the disk site it targets (a diskfault.Sites key: "wal", "term",
-	// "snapshot" for a log compaction's temp file, "store", "checkpoint").
+	// "snapshot" for a log compaction's temp file, "checkpoint").
 	Fault string
 	// After is how many matching operations the armed fault lets pass
 	// before it fires — the afterN of a -disk-fault spec; profiles have

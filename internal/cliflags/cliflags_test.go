@@ -123,7 +123,7 @@ func TestInjectConfigDisabledWhenZero(t *testing.T) {
 // drill as a chaos diskfault event at offset t arms that fault seeded by
 // t, and every malformed spec fails at flag parse with its message.
 func TestDiskFaultsParseAndArm(t *testing.T) {
-	sites := []string{"wal", "term", "snapshot", "store", "checkpoint"}
+	sites := []string{"wal", "term", "snapshot", "checkpoint"}
 	for _, site := range sites {
 		for _, kind := range diskfault.Kinds() {
 			for _, after := range []int{-1, 0, 3} {
@@ -210,7 +210,8 @@ func TestDiskFaultsParseAndArm(t *testing.T) {
 	for spec, msg := range map[string]string{
 		"wal":          `diskfault: spec "wal": want site:kind[:afterN]`,
 		"wal:torn:1:2": `diskfault: spec "wal:torn:1:2": want site:kind[:afterN]`,
-		"nosite:torn":  `diskfault: spec "nosite:torn": unknown site "nosite" (known: wal, term, snapshot, store, checkpoint)`,
+		"nosite:torn":  `diskfault: spec "nosite:torn": unknown site "nosite" (known: wal, term, snapshot, checkpoint)`,
+		"store:torn":   `diskfault: spec "store:torn": unknown site "store" (known: wal, term, snapshot, checkpoint)`,
 		"wal:melt":     `diskfault: spec "wal:melt": unknown fault kind "melt"`,
 		"wal:torn:-1":  `diskfault: spec "wal:torn:-1": after must be a non-negative integer`,
 		"wal:torn:x":   `diskfault: spec "wal:torn:x": after must be a non-negative integer`,

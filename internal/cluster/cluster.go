@@ -553,9 +553,9 @@ func NewNode(svc service.Service, cfg Config) (*Node, error) {
 func (n *Node) logPath() string  { return filepath.Join(n.cfg.DataDir, "oplog.log") }
 func (n *Node) termPath() string { return filepath.Join(n.cfg.DataDir, "term.log") }
 
-// legacySnapName is the snapshot file builds before the oplog became its
-// own snapshot kept beside it.
-const legacySnapName = "node.snap"
+// legacyNames are files this build cannot read: the snapshot a node
+// once kept beside its oplog, and consvc -durable's log and snapshot.
+var legacyNames = []string{"node.snap", "wal-0.log", "state.snap"}
 
 // rebuildingMarkerPath and voteHoldMarkerPath locate the persisted
 // voting restrictions in DataDir. The marker IS the restriction: as
@@ -680,7 +680,9 @@ func (n *Node) Rebuilding() bool {
 // missing entries this node once acked toward a commit. A corrupt term
 // log likewise quarantines, and the node withholds grants for a
 // persisted vote-hold window so a forgotten vote can never be re-granted
-// while it could still decide the same election.
+// while it could still decide the same election. A leader with no peers
+// and no leader URL has nobody to re-source from, so it refuses to boot
+// on a damaged oplog instead, naming the file.
 func (n *Node) recover() error {
 	walOpts := wal.Options{
 		NoSync:     n.cfg.NoSync,
@@ -688,10 +690,25 @@ func (n *Node) recover() error {
 		Quarantine: true,
 		Metrics:    n.cfg.Metrics,
 	}
-	// Skipping a snapshot would resurrect compacted-away history as loss,
-	// so a directory from a build that kept one is refused outright.
-	if legacy := filepath.Join(n.cfg.DataDir, legacySnapName); n.markerPresent(legacy) {
-		return fmt.Errorf("cluster: %s was written by an older build that kept a snapshot beside its oplog; this build cannot read it", legacy)
+	// Skipping a legacy file would resurrect its history as loss, so a
+	// directory holding one is refused outright.
+	for _, name := range legacyNames {
+		if legacy := filepath.Join(n.cfg.DataDir, name); n.markerPresent(legacy) {
+			return fmt.Errorf("cluster: %s was written by an older build (a node's snapshot beside its oplog, or consvc -durable); this build cannot read it", legacy)
+		}
+	}
+	// A peerless leader checks its log before opening it, which would
+	// truncate a lone snapshot record read as torn (see below).
+	alone := n.cfg.Role == RoleLeader && len(n.cfg.Peers) == 0 && n.cfg.LeaderURL == ""
+	refuse := func(damage string) error {
+		return fmt.Errorf("cluster: refusing %s, which a node without peers cannot re-source: %s", n.logPath(), damage)
+	}
+	if alone {
+		if rep, err := wal.ReadFS(n.cfg.FS, n.logPath()); err != nil && !os.IsNotExist(err) {
+			return refuse(err.Error())
+		} else if len(rep.Records) == 0 && rep.Note != "" {
+			return refuse(rep.Note)
+		}
 	}
 	// Voting restrictions persisted by an earlier incarnation gate this
 	// boot too: a crash inside a restriction must never wash it away.
@@ -706,7 +723,9 @@ func (n *Node) recover() error {
 		n.storageNotes = append(n.storageNotes,
 			"re-armed the vote-hold window from its persisted marker")
 	}
-	log, rep, err := wal.Open(n.logPath(), walOpts)
+	logOpts := walOpts
+	logOpts.Quarantine = !alone
+	log, rep, err := wal.Open(n.logPath(), logOpts)
 	if err != nil {
 		return fmt.Errorf("cluster: replaying oplog: %w", err)
 	}
@@ -715,6 +734,10 @@ func (n *Node) recover() error {
 	// it did not tear in a crash: it rotted, what reads as a torn tail at
 	// offset 0 was the node's state, and it is as lost as in a quarantine.
 	if rep.Quarantined || (len(rep.Records) == 0 && rep.Note != "") {
+		if alone { // the log changed under the check above
+			log.Close()
+			return refuse(rep.Note)
+		}
 		n.storageNotes = append(n.storageNotes, "oplog: "+rep.Note)
 		if err := n.beginRebuilding(); err != nil {
 			log.Close()

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -35,8 +36,10 @@ func diskChaosSeeds(t *testing.T) []uint64 {
 // operation offset, and asserts the recovery invariants that hold
 // regardless of where the damage lands:
 //
-//   - boot never fails: every corruption outcome is quarantine, torn
-//     repair, or clean recovery, never a dead node;
+//   - boot never fails on damage it can survive: every corruption
+//     outcome is quarantine, torn repair, or clean recovery — except on
+//     a peerless leader, which has nobody to re-source a damaged oplog
+//     from and refuses to boot on it, naming the file;
 //   - no acked write is lost when the disk was healthy at read time
 //     (write-side faults are NACKed before any ack escapes);
 //   - read-side damage (bit flips) either leaves all acked writes
@@ -75,7 +78,7 @@ func faultPath(kind diskfault.Kind, file string) string {
 // sweepOpWAL: the fault fires while a standalone leader streams writes
 // through its op WAL; write-side faults must NACK, and a restart (for
 // bit flips, a restart reading through the rotten disk) must boot and
-// keep every acked write or declare the loss.
+// keep every acked write or declare the loss by refusing to boot.
 func sweepOpWAL(t *testing.T, seed uint64, kind diskfault.Kind) {
 	dir := t.TempDir()
 	inj := diskfault.New(nil)
@@ -107,8 +110,8 @@ func sweepOpWAL(t *testing.T, seed uint64, kind diskfault.Kind) {
 	n.Kill()
 
 	r, err := NewNode(&memSvc{}, Config{NodeID: "n1", Role: RoleLeader, DataDir: dir, FS: restartFS})
-	if err != nil {
-		t.Fatalf("recovery failed the boot: %v", err)
+	if refusedRottenOplog(t, kind, dir, r, err) {
+		return // declared damage: a peerless leader cannot re-source it
 	}
 	defer r.Kill()
 	have := make(map[string]bool)
@@ -118,14 +121,30 @@ func sweepOpWAL(t *testing.T, seed uint64, kind diskfault.Kind) {
 		}
 		have[id] = true
 	}
-	if kind == diskfault.KindBitFlip && len(r.StorageNotes()) > 0 {
-		return // declared damage: the rejoin-from-leader path owns recovery
-	}
 	for _, id := range acked {
 		if !have[id] {
 			t.Fatalf("acked write %s lost across recovery (notes=%v)", id, r.StorageNotes())
 		}
 	}
+}
+
+// refusedRottenOplog reports whether a peerless leader's restart (r,
+// err) refused a damaged oplog, which it may only do for read-side
+// damage and only naming the file. A restart that did boot must not be
+// rebuilding: there is no leader to rebuild from.
+func refusedRottenOplog(t *testing.T, kind diskfault.Kind, dir string, r *Node, err error) bool {
+	t.Helper()
+	if err != nil {
+		if kind != diskfault.KindBitFlip || !strings.Contains(err.Error(), filepath.Join(dir, "oplog.log")) {
+			t.Fatalf("recovery failed the boot: %v", err)
+		}
+		return true
+	}
+	if r.Rebuilding() {
+		r.Kill()
+		t.Fatalf("a peerless leader booted rebuilding (notes %v), with nobody to rebuild from", r.StorageNotes())
+	}
+	return false
 }
 
 // sweepTermWAL: the fault fires while a voter persists grants; a grant
@@ -215,8 +234,8 @@ func sweepTermWAL(t *testing.T, seed uint64, kind diskfault.Kind) {
 // the oplog's snapshot record to (or, for bit flips, on that record
 // while recovery reads it back — the first bytes of the file). A failed
 // compaction write must leave the old log in place — so nothing acked is
-// lost — and a rotten snapshot record must quarantine, not boot a
-// silently wrong replica.
+// lost — and a rotten snapshot record must stop the peerless leader, not
+// boot a silently wrong replica.
 func sweepSnapshot(t *testing.T, seed uint64, kind diskfault.Kind) {
 	dir := t.TempDir()
 	inj := diskfault.New(nil)
@@ -254,16 +273,10 @@ func sweepSnapshot(t *testing.T, seed uint64, kind diskfault.Kind) {
 	r, err := NewNode(&memSvc{}, Config{
 		NodeID: "n1", Role: RoleLeader, DataDir: dir, SnapshotEvery: 4, FS: restartFS,
 	})
-	if err != nil {
-		t.Fatalf("snapshot recovery failed the boot: %v", err)
+	if refusedRottenOplog(t, kind, dir, r, err) {
+		return // declared damage: a peerless leader cannot re-source it
 	}
 	defer r.Kill()
-	if kind == diskfault.KindBitFlip && len(r.StorageNotes()) > 0 {
-		if !r.Rebuilding() {
-			t.Fatalf("declared damage (%v) left the node voting", r.StorageNotes())
-		}
-		return // declared damage: quarantine + rejoin owns it
-	}
 	have := make(map[string]bool)
 	for _, id := range ids(t, r) {
 		have[id] = true
@@ -283,9 +296,11 @@ func sweepSnapshot(t *testing.T, seed uint64, kind diskfault.Kind) {
 // as its one snapshot record, so any damage to it is damage to the final
 // frame, which a scan reads as a torn tail. A node's log never tears
 // there — the record arrived by an atomic rename — so recovery must call
-// it what it is: the state is lost, say so, and withhold votes until the
-// leader has re-sourced it. Booting empty and silent would let the node
-// vote for candidates that lack what it once acked.
+// it what it is. A node with peers says the state is lost and withholds
+// votes until the leader has re-sourced it: booting empty and silent
+// would let it vote for candidates that lack what it once acked. A
+// peerless leader has nobody to re-source from, so it refuses to boot,
+// naming the file and leaving it as it was.
 func TestRottenSnapshotRecordIsDeclared(t *testing.T) {
 	dir := t.TempDir()
 	cfg := Config{NodeID: "n1", Role: RoleLeader, DataDir: dir, NoSync: true}
@@ -310,10 +325,15 @@ func TestRottenSnapshotRecordIsDeclared(t *testing.T) {
 	if err := os.WriteFile(path, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	r, err := NewNode(&memSvc{}, cfg)
-	if err != nil {
-		t.Fatalf("a rotten snapshot record failed the boot: %v", err)
+
+	if _, err := NewNode(&memSvc{}, cfg); err == nil || !strings.Contains(err.Error(), path) {
+		t.Fatalf("peerless leader over a rotten snapshot record: %v, want a refusal naming %s", err, path)
 	}
+	if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, raw) {
+		t.Fatalf("the refused boot changed %s (read error %v)", path, err)
+	}
+
+	r := bootVoter(t, dir)
 	defer r.Kill()
 	if !r.Rebuilding() || len(r.StorageNotes()) == 0 {
 		t.Fatalf("rebuilding %t, notes %v: the lost state went undeclared", r.Rebuilding(), r.StorageNotes())
@@ -323,33 +343,142 @@ func TestRottenSnapshotRecordIsDeclared(t *testing.T) {
 	}
 }
 
-// TestNewNodeRefusesLegacySnapshot: a data directory from a build that
-// kept node.snap beside the oplog holds compacted history this build
-// would never see — skipping it would resurrect that history as loss.
-// The boot must fail naming the file and leave every byte in place.
-func TestNewNodeRefusesLegacySnapshot(t *testing.T) {
-	dir := t.TempDir()
-	files := map[string]string{
-		legacySnapName: "a snapshot this build cannot read",
-		"oplog.log":    "not even a log",
-		"term.log":     "nor this",
+// TestPeerlessLeaderRefusesRottenOplog cuts a peerless leader's oplog
+// at every byte offset and flips every one of its bytes; the log holds
+// two writes, a reset and two more writes. A cut is a crash: the leader
+// boots showing exactly what the surviving bytes acked — except inside
+// the snapshot record, which arrived whole by rename and so cannot tear.
+// A flip is rot, and the leader has nobody to re-source a lost record
+// from: it refuses the boot, naming oplog.log and leaving the file as it
+// was, unless the scan reads the flip as a torn tail, and then it boots
+// showing what the intact prefix acked. It never boots rebuilding from a
+// leader that does not exist, empty and accepting writes.
+func TestPeerlessLeaderRefusesRottenOplog(t *testing.T) {
+	cfg := func(dir string) Config {
+		return Config{NodeID: "n1", Role: RoleLeader, DataDir: dir, NoSync: true}
 	}
-	for name, data := range files {
-		if err := os.WriteFile(filepath.Join(dir, name), []byte(data), 0o644); err != nil {
+	seed := t.TempDir()
+	path := filepath.Join(seed, "oplog.log")
+	n, err := NewNode(&memSvc{}, cfg(seed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	state := func(n *Node) string { return fmt.Sprint(ids(t, n)) }
+	steps := []sweepStep{{fileSize(t, path), state(n)}}
+	for _, id := range []string{"a", "b", "reset", "c", "d"} {
+		if id == "reset" {
+			err = n.Reset()
+		} else {
+			err = n.Write(simnet.DCWest, service.Post{ID: id, Author: "a1", Body: "x"})
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", id, err)
+		}
+		if size := fileSize(t, path); size <= steps[len(steps)-1].size {
+			t.Fatalf("%s left the oplog at %d bytes: it was compacted, and the history is the uncompacted log", id, size)
+		}
+		steps = append(steps, sweepStep{fileSize(t, path), state(n)})
+	}
+	n.Kill()
+	if got := steps[len(steps)-1].state; got != "[c d]" {
+		t.Fatalf("history ends at %s, want [c d]", got)
+	}
+	full, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// owed is what a log whose first valid bytes are whole acked: nothing
+	// once not even the snapshot record is, an empty log aside.
+	owed := func(valid int64) string {
+		if valid > 0 && valid < steps[0].size {
+			return declared
+		}
+		state := steps[0].state
+		for _, s := range steps {
+			if s.size <= valid {
+				state = s.state
+			}
+		}
+		return state
+	}
+	// boot starts the leader on raw, the oplog after damage what, and
+	// says what it shows.
+	boot := func(what string, raw []byte) string {
+		dir := t.TempDir()
+		name := filepath.Join(dir, "oplog.log")
+		if err := os.WriteFile(name, raw, 0o644); err != nil {
 			t.Fatal(err)
 		}
-	}
-	_, err := NewNode(&memSvc{}, Config{NodeID: "n1", Role: RoleLeader, DataDir: dir})
-	if err == nil || !strings.Contains(err.Error(), filepath.Join(dir, legacySnapName)) {
-		t.Fatalf("NewNode over a legacy directory: %v, want an error naming %s", err, legacySnapName)
-	}
-	entries, err := os.ReadDir(dir)
-	if err != nil || len(entries) != len(files) {
-		t.Fatalf("refused boot left %d entries (%v), want the %d it found", len(entries), err, len(files))
-	}
-	for name, want := range files {
-		if got, err := os.ReadFile(filepath.Join(dir, name)); err != nil || string(got) != want {
-			t.Fatalf("%s after the refused boot: %q, %v", name, got, err)
+		r, err := NewNode(&memSvc{}, cfg(dir))
+		if err != nil {
+			if !strings.Contains(err.Error(), name) {
+				t.Fatalf("%s: boot refused without naming %s: %v", what, name, err)
+			}
+			if after, rerr := os.ReadFile(name); rerr != nil || !bytes.Equal(after, raw) {
+				t.Fatalf("%s: the refused boot changed the oplog (read error %v)", what, rerr)
+			}
+			return declared
 		}
+		defer r.Kill()
+		if r.Rebuilding() {
+			t.Fatalf("%s: booted rebuilding with %s, with no leader to rebuild from", what, state(r))
+		}
+		return state(r)
+	}
+	for cut := range len(full) + 1 {
+		what := fmt.Sprintf("cut at %d", cut)
+		if got, want := boot(what, full[:cut]), owed(int64(cut)); got != want {
+			t.Fatalf("%s: recovered %s, want %s", what, got, want)
+		}
+	}
+	for off := range full {
+		raw := bytes.Clone(full)
+		raw[off] ^= 0xff
+		want := declared
+		if valid, ok := intactPrefix(t, raw); ok && valid > 0 {
+			want = owed(valid)
+		}
+		what := fmt.Sprintf("flip at %d", off)
+		if got := boot(what, raw); got != want {
+			t.Fatalf("%s: recovered %s, want %s", what, got, want)
+		}
+	}
+}
+
+// TestNewNodeRefusesLegacySnapshot: a data directory holding a file of a
+// layout this build cannot read would boot empty — skipping node.snap,
+// the snapshot a node once kept beside its oplog, would resurrect the
+// history it compacted as loss, and a consvc -durable directory
+// (wal-0.log, and state.snap in older builds) holds every write of the
+// store a one-node leader replaced. The boot must fail naming the file
+// and leave every byte in place.
+func TestNewNodeRefusesLegacySnapshot(t *testing.T) {
+	for _, legacy := range []string{"node.snap", "state.snap", "wal-0.log"} {
+		t.Run(legacy, func(t *testing.T) {
+			dir := t.TempDir()
+			files := map[string]string{
+				legacy:      "a file this build cannot read",
+				"oplog.log": "not even a log",
+				"term.log":  "nor this",
+			}
+			for name, data := range files {
+				if err := os.WriteFile(filepath.Join(dir, name), []byte(data), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			_, err := NewNode(&memSvc{}, Config{NodeID: "n1", Role: RoleLeader, DataDir: dir})
+			if err == nil || !strings.Contains(err.Error(), filepath.Join(dir, legacy)) {
+				t.Fatalf("NewNode over a legacy directory: %v, want an error naming %s", err, legacy)
+			}
+			entries, err := os.ReadDir(dir)
+			if err != nil || len(entries) != len(files) {
+				t.Fatalf("refused boot left %d entries (%v), want the %d it found", len(entries), err, len(files))
+			}
+			for name, want := range files {
+				if got, err := os.ReadFile(filepath.Join(dir, name)); err != nil || string(got) != want {
+					t.Fatalf("%s after the refused boot: %q, %v", name, got, err)
+				}
+			}
+		})
 	}
 }

@@ -3,7 +3,6 @@ package cluster
 import (
 	"bytes"
 	"context"
-	"errors"
 	"fmt"
 	"hash/crc32"
 	"os"
@@ -17,9 +16,7 @@ import (
 	"conprobe/internal/probe"
 	"conprobe/internal/service"
 	"conprobe/internal/simnet"
-	"conprobe/internal/store"
 	"conprobe/internal/trace"
-	"conprobe/internal/vtime"
 	"conprobe/internal/wal"
 )
 
@@ -49,13 +46,12 @@ type sweepStep struct {
 // declared is the state of a file whose damage the layer reported.
 const declared = "declared"
 
-// durableFiles are the four files of the repository that hold
+// durableFiles are the three files of the repository that hold
 // acknowledged state, each a wal.Log: what differs between them is what
 // "acknowledged" means, never how a damaged file is read.
 var durableFiles = []durableFile{
 	{name: "oplog.log", write: writeOplogHistory, recover: recoverOplog},
 	{name: "term.log", write: writeTermHistory, recover: recoverTerm},
-	{name: "wal-0.log", write: writeStoreHistory, recover: recoverStore},
 	journalFile(),
 }
 
@@ -321,71 +317,6 @@ func recoverTerm(t *testing.T, dir string) string {
 		t.Fatal("quarantined term log granted a vote after ageBoot (window lost)")
 	}
 	return declared
-}
-
-// openSweepStore opens a one-site durable store over dir.
-func openSweepStore(dir string) (*store.Cluster, error) {
-	net := simnet.DefaultTopology(1, simnet.WithJitter(0))
-	return store.NewCluster(vtime.Real{}, net, store.Config{
-		Mode:    store.Strong,
-		Sites:   []simnet.Site{simnet.DCWest},
-		Durable: &store.Durable{Dir: dir, NoSync: true},
-	}, 1)
-}
-
-// storeState is the store's timeline at its one site.
-func storeState(t *testing.T, c *store.Cluster) string {
-	entries, err := c.Read(simnet.DCWest)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := make([]string, len(entries))
-	for i, e := range entries {
-		got[i] = e.ID
-	}
-	return fmt.Sprint(got)
-}
-
-// writeStoreHistory: writes, a reset that discards them, more writes —
-// every one acknowledged, the reset included.
-func writeStoreHistory(t *testing.T, dir string) (string, []sweepStep) {
-	c, err := openSweepStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	initial := storeState(t, c)
-	var steps []sweepStep
-	step := func() {
-		steps = append(steps, sweepStep{fileSize(t, filepath.Join(dir, "wal-0.log")), storeState(t, c)})
-	}
-	for _, id := range []string{"a", "b", "reset", "c", "d"} {
-		if id == "reset" {
-			c.Reset()
-		} else if _, err := c.Write(simnet.DCWest, id, "a1", "x"); err != nil {
-			t.Fatalf("write %s: %v", id, err)
-		}
-		step()
-	}
-	if want := "[c d]"; steps[4].state != want || steps[1].state != "[a b]" {
-		t.Fatalf("history reads %q then %q, want [a b] then %s", steps[1].state, steps[4].state, want)
-	}
-	// No Close: it would compact, and the history is the uncompacted log.
-	return initial, steps
-}
-
-// recoverStore opens the store on a damaged log. It has nowhere to
-// re-source a record from, so damage it can see must stop it.
-func recoverStore(t *testing.T, dir string) string {
-	c, err := openSweepStore(dir)
-	var ce *wal.CorruptError
-	if errors.As(err, &ce) {
-		return declared
-	}
-	if err != nil {
-		t.Fatalf("store refused to open without naming corruption: %v", err)
-	}
-	defer c.Close()
-	return storeState(t, c)
 }
 
 // journalFile is the checkpoint journal's row: a small campaign

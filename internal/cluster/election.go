@@ -908,7 +908,7 @@ func (n *Node) HandleSnapshotChunk(req SnapshotChunkRequest) SnapshotChunkRespon
 		// present and resume pulling from there, which covers both catch-up
 		// past the floor and conflict resolution with one mechanism.
 		snap := n.snapshotLocked()
-		data, err := json.Marshal(snap)
+		data, err := appendSnapshot(nil, &snap)
 		if err != nil {
 			resp.NotLeader = true // unservable; the puller will retry
 			return resp

@@ -1,6 +1,6 @@
 // Package diskfault is a deterministic, seeded filesystem abstraction
 // for storage-fault drills. The durable layers (internal/wal, the
-// cluster term log, the durable store, internal/checkpoint) perform
+// cluster oplog and term log, internal/checkpoint) perform
 // every file operation through the FS interface; production code uses
 // the passthrough OS implementation, while tests and chaos drills wrap
 // it in an Injector that arms precise, reproducible faults:
@@ -80,13 +80,12 @@ var Sites = map[string]string{
 	"wal":        "oplog.log",  // the cluster op WAL
 	"term":       "term.log",   // the election term log
 	"snapshot":   ".log.tmp",   // a compaction's temp file: a log being rewritten around its snapshot
-	"store":      "wal-",       // the durable store's WAL (wal-0.log)
 	"checkpoint": "checkpoint", // campaign checkpoint journals
 }
 
 // SiteNames lists the known sites in a stable order.
 func SiteNames() []string {
-	return []string{"wal", "term", "snapshot", "store", "checkpoint"}
+	return []string{"wal", "term", "snapshot", "checkpoint"}
 }
 
 // File is the handle surface the durable layers need. *os.File

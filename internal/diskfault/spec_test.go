@@ -24,7 +24,7 @@ func TestParseSpec(t *testing.T) {
 		{spec: "wal:torn:3", site: "wal", kind: diskfault.KindTorn, after: 3},
 		{spec: "checkpoint:enospc", site: "checkpoint", kind: diskfault.KindENOSPC, sticky: true},
 		{spec: "snapshot:crash-rename", site: "snapshot", kind: diskfault.KindCrashRename},
-		{spec: "store:bit-flip:1", site: "store", kind: diskfault.KindBitFlip, after: 1},
+		{spec: "store:bit-flip:1", wantErr: true},
 		{spec: "bogus:torn", wantErr: true},
 		{spec: "wal:melt", wantErr: true},
 		{spec: "wal", wantErr: true},

@@ -39,7 +39,7 @@ type Options struct {
 	// clock steps and overload windows on the campaign timeline
 	// (offsets relative to Workload.Start).
 	Chaos *chaos.Schedule
-	// Disks maps disk site names ("wal", "term", "snapshot", "store",
+	// Disks maps disk site names ("wal", "term", "snapshot",
 	// "checkpoint") to the storage-fault injectors Chaos diskfault
 	// events arm. When Durability.Checkpoint is set and Disks has no
 	// "checkpoint" entry but Durability.FS is an injector's FS, wire the

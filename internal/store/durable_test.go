@@ -5,9 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"slices"
 	"strings"
-	"sync"
 	"testing"
 
 	"conprobe/internal/simnet"
@@ -15,16 +13,16 @@ import (
 	"conprobe/internal/wal"
 )
 
-// durableCfg returns a strong-mode config persisting into dir.
-func durableCfg(dir string, snapEvery int) Config {
+// durableCfg returns a strong-mode config logging into dir.
+func durableCfg(dir string) Config {
 	return Config{
 		Mode:    Strong,
 		Sites:   []simnet.Site{simnet.DCWest, simnet.DCAsia},
-		Durable: &Durable{Dir: dir, SnapshotEvery: snapEvery},
+		Durable: &Durable{Dir: dir},
 	}
 }
 
-func openDurableCluster(t *testing.T, cfg Config) (*vtime.Sim, *Cluster) {
+func newDurableCluster(t *testing.T, cfg Config) (*vtime.Sim, *Cluster) {
 	t.Helper()
 	s := vtime.NewSim(epoch0)
 	net := simnet.DefaultTopology(42, simnet.WithJitter(0))
@@ -64,122 +62,41 @@ func readIDs(t *testing.T, s *vtime.Sim, c *Cluster, dc simnet.Site) []string {
 	return ids
 }
 
-func TestDurableReopenRoundtrip(t *testing.T) {
+// TestDurableLogsEveryAckedWriteAndRefusesToReopen: each acked write is
+// a record of the log, and since nothing reads the log back, a cluster
+// over a Dir whose log holds records is refused — naming the Dir and
+// leaving the log as it was — rather than started empty.
+func TestDurableLogsEveryAckedWriteAndRefusesToReopen(t *testing.T) {
 	dir := t.TempDir()
-	cfg := durableCfg(dir, 0)
-	s, c := openDurableCluster(t, cfg)
-	writeN(t, s, c, 0, 10)
-	want := readIDs(t, s, c, simnet.DCWest)
-	if len(want) != 10 {
-		t.Fatalf("pre-crash read has %d entries", len(want))
-	}
-	// No Close: simulate a crash by abandoning the cluster.
-
-	s2, c2 := openDurableCluster(t, cfg)
-	defer c2.Close()
-	if note := c2.RecoveryNote(); note != "" {
-		t.Errorf("clean recovery produced note %q", note)
-	}
-	for _, dc := range cfg.Sites {
-		got := readIDs(t, s2, c2, dc)
-		if !eq(got, want) {
-			t.Fatalf("recovered read at %s = %v, want %v", dc, got, want)
-		}
-	}
-	// ArrivalSeq must continue past recovered entries, not collide.
-	writeN(t, s2, c2, 10, 1)
-	r := c2.replicas[simnet.DCWest]
-	r.mu.Lock()
-	log := slices.Clone(r.log)
-	r.mu.Unlock()
-	seqs := map[uint64]bool{}
-	for _, rec := range log {
-		if seqs[rec.e.ArrivalSeq] {
-			t.Fatalf("duplicate ArrivalSeq %d after recovery", rec.e.ArrivalSeq)
-		}
-		seqs[rec.e.ArrivalSeq] = true
-	}
-	if len(log) != 11 {
-		t.Fatalf("post-recovery log has %d entries, want 11", len(log))
-	}
-}
-
-func TestDurableResetSurvivesCrash(t *testing.T) {
-	dir := t.TempDir()
-	cfg := durableCfg(dir, 0)
-	s, c := openDurableCluster(t, cfg)
+	s, c := newDurableCluster(t, durableCfg(dir))
 	writeN(t, s, c, 0, 5)
 	c.Reset()
-	writeN(t, s, c, 100, 3)
-	want := readIDs(t, s, c, simnet.DCWest)
-	if len(want) != 3 {
-		t.Fatalf("post-reset read has %d entries, want 3", len(want))
+	writeN(t, s, c, 5, 2)
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
 	}
-
-	s2, c2 := openDurableCluster(t, cfg)
-	defer c2.Close()
-	got := readIDs(t, s2, c2, simnet.DCWest)
-	if !eq(got, want) {
-		t.Fatalf("recovered read = %v, want %v (pre-reset entries resurrected?)", got, want)
-	}
-}
-
-func TestDurableSnapshotCompaction(t *testing.T) {
-	dir := t.TempDir()
-	cfg := durableCfg(dir, 4) // snapshot every 4 writes
-	s, c := openDurableCluster(t, cfg)
-	writeN(t, s, c, 0, 9)
-	// Two compactions (at 4 and 8 records) and one write since: the log
-	// is the head record, eight live entries and the ninth write.
-	rep, err := wal.ReadFS(nil, filepath.Join(dir, walName))
-	if err != nil || len(rep.Records) != 10 {
-		t.Fatalf("log holds %d records (%v), want 10", len(rep.Records), err)
-	}
-	want := readIDs(t, s, c, simnet.DCWest)
-
-	s2, c2 := openDurableCluster(t, cfg)
-	defer c2.Close()
-	got := readIDs(t, s2, c2, simnet.DCWest)
-	if !eq(got, want) {
-		t.Fatalf("recovered after compaction = %v, want %v", got, want)
-	}
-}
-
-func TestDurableTornTailTolerated(t *testing.T) {
-	dir := t.TempDir()
-	cfg := durableCfg(dir, 0)
-	s, c := openDurableCluster(t, cfg)
-	writeN(t, s, c, 0, 6)
-
-	// Tear the tail of the WAL: chop the final byte.
-	p := filepath.Join(dir, walName)
-	data, err := os.ReadFile(p)
+	path := filepath.Join(dir, "wal-0.log")
+	before, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(data) == 0 {
-		t.Fatal("WAL had no content to tear")
+	rep, err := wal.ReadFS(nil, path)
+	if err != nil || len(rep.Records) != 7 || rep.Note != "" {
+		t.Fatalf("log holds %d records (note %q, %v), want the 7 acked writes", len(rep.Records), rep.Note, err)
 	}
-	if err := os.WriteFile(p, data[:len(data)-1], 0o644); err != nil {
-		t.Fatal(err)
+	net := simnet.DefaultTopology(42, simnet.WithJitter(0))
+	if _, err := NewCluster(vtime.NewSim(epoch0), net, durableCfg(dir), 42); err == nil || !strings.Contains(err.Error(), dir) {
+		t.Fatalf("NewCluster over a log of acked writes: %v, want a refusal naming %s", err, dir)
 	}
-
-	s2, c2 := openDurableCluster(t, cfg)
-	defer c2.Close()
-	note := c2.RecoveryNote()
-	if note == "" || !strings.Contains(note, "torn") {
-		t.Errorf("recovery note = %q, want torn-tail mention", note)
-	}
-	// Exactly the torn record was lost.
-	if got := readIDs(t, s2, c2, simnet.DCWest); len(got) != 5 {
-		t.Fatalf("recovered %d entries, want 5 (one torn)", len(got))
+	if after, err := os.ReadFile(path); err != nil || string(after) != string(before) {
+		t.Fatalf("the refused open changed the log (read error %v)", err)
 	}
 }
 
 func TestDurableMidFileCorruptionRefusesStart(t *testing.T) {
 	dir := t.TempDir()
-	cfg := durableCfg(dir, 0)
-	s, c := openDurableCluster(t, cfg)
+	cfg := durableCfg(dir)
+	s, c := newDurableCluster(t, cfg)
 	writeN(t, s, c, 0, 5)
 
 	p := filepath.Join(dir, "wal-0.log")
@@ -211,222 +128,31 @@ func TestDurableRequiresDir(t *testing.T) {
 	}
 }
 
-func TestDurableEventualModeAckedWritesSurvive(t *testing.T) {
-	dir := t.TempDir()
-	cfg := Config{
-		Mode:    Eventual,
-		Sites:   []simnet.Site{simnet.DCWest, simnet.DCAsia},
-		Durable: &Durable{Dir: dir},
-	}
-	s, c := openDurableCluster(t, cfg)
-	// Write, then crash with propagation to DCAsia still in flight: the
-	// write was acked, so it must survive everywhere after recovery.
-	s.Go(func() {
-		if _, err := c.Write(simnet.DCWest, "m1", "a1", "x"); err != nil {
-			t.Errorf("write: %v", err)
-		}
-	})
-	s.Wait()
-
-	s2, c2 := openDurableCluster(t, cfg)
-	defer c2.Close()
-	for _, dc := range cfg.Sites {
-		got := readIDs(t, s2, c2, dc)
-		if !eq(got, []string{"m1"}) {
-			t.Fatalf("recovered read at %s = %v, want [m1]", dc, got)
-		}
-	}
-}
-
-// TestDurableAppendFailureDoesNotResurrectRejectedWrite forces a WAL
-// append failure and requires the NACKed write to be scrubbed
-// everywhere: out of the live set, out of the rewritten snapshot, and
-// absent after recovery — while the log is poisoned for later writes
-// (the disk is suspect, so acking against it would be a lie).
+// TestDurableAppendFailureDoesNotResurrectRejectedWrite forces a log
+// append failure: the write is refused and shows at no replica, so no
+// read can see a write that was never acknowledged.
 func TestDurableAppendFailureDoesNotResurrectRejectedWrite(t *testing.T) {
-	dir := t.TempDir()
-	cfg := durableCfg(dir, 0)
-	s, c := openDurableCluster(t, cfg)
+	cfg := durableCfg(t.TempDir())
+	s, c := newDurableCluster(t, cfg)
 	writeN(t, s, c, 0, 3)
 	want := readIDs(t, s, c, simnet.DCWest)
 	if len(want) != 3 {
 		t.Fatalf("pre-failure read has %d entries", len(want))
 	}
 
-	// Kill the WAL, so the next append fails.
-	c.durable.log.Close()
+	// Close the log, so the next append fails.
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
 	s.Go(func() {
 		if _, err := c.Write(simnet.DCWest, "bad", "a1", "x"); err == nil {
-			t.Errorf("write on a dead WAL was acked")
+			t.Errorf("write on a closed log was acked")
 		}
 	})
 	s.Wait()
-	c.durable.mu.Lock()
-	for _, e := range c.durable.live {
-		if e.ID == "bad" {
-			t.Errorf("rejected write still in live set")
+	for _, dc := range cfg.Sites {
+		if got := readIDs(t, s, c, dc); !eq(got, want) {
+			t.Fatalf("read at %s after the refused write = %v, want %v", dc, got, want)
 		}
-	}
-	poisoned := c.durable.err != nil
-	c.durable.mu.Unlock()
-	if !poisoned {
-		t.Errorf("log not poisoned after failed scrub snapshot (a dead WAL cannot truncate)")
-	}
-	s.Go(func() {
-		if _, err := c.Write(simnet.DCWest, "after", "a1", "x"); err == nil ||
-			!strings.Contains(err.Error(), "poisoned") {
-			t.Errorf("write after poison = %v, want poisoned error", err)
-		}
-	})
-	s.Wait()
-	// No Close: the process "crashes" with the failure state on disk.
-
-	s2, c2 := openDurableCluster(t, cfg)
-	defer c2.Close()
-	got := readIDs(t, s2, c2, simnet.DCWest)
-	if !eq(got, want) {
-		t.Fatalf("recovered read = %v, want %v (rejected write resurrected?)", got, want)
-	}
-}
-
-// dirNames lists what a durable directory holds.
-func dirNames(t *testing.T, dir string) []string {
-	t.Helper()
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	names := make([]string, len(entries))
-	for i, e := range entries {
-		names[i] = e.Name()
-	}
-	return names
-}
-
-// TestDurableLogBoundedUnderResets is the probe's own traffic shape: a
-// reset, a handful of writes, again. The compaction threshold is never
-// reached within one generation, so the count that triggers it must run
-// across resets — when a reset zeroed it, the log kept every discarded
-// generation and grew by 600 bytes a round without bound. The directory
-// holds the one log throughout.
-func TestDurableLogBoundedUnderResets(t *testing.T) {
-	dir := t.TempDir()
-	cfg := durableCfg(dir, 8)
-	s, c := openDurableCluster(t, cfg)
-	defer c.Close()
-	// Eight records of at most ~170 bytes between compactions, and the
-	// compacted log holds at most one generation's five entries.
-	const bound = 4 << 10
-	for round := 0; round < 200; round++ {
-		writeN(t, s, c, round*5, 5)
-		c.Reset()
-		st, err := os.Stat(filepath.Join(dir, walName))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st.Size() > bound {
-			t.Fatalf("after %d rounds of 5 writes + reset the log is %d bytes, want at most %d", round+1, st.Size(), bound)
-		}
-	}
-	if got := dirNames(t, dir); !eq(got, []string{walName}) {
-		t.Fatalf("durable directory holds %v, want only %s", got, walName)
-	}
-	writeN(t, s, c, 1000, 3)
-	want := readIDs(t, s, c, simnet.DCWest)
-	s2, c2 := openDurableCluster(t, cfg)
-	defer c2.Close()
-	if got := readIDs(t, s2, c2, simnet.DCWest); !eq(got, want) || len(got) != 3 {
-		t.Fatalf("recovered %v, want %v", got, want)
-	}
-}
-
-// TestDurableRefusesLegacySnapshot: a directory written by a build that
-// kept state.snap beside its log holds compacted writes this build would
-// never see. Opening it must fail naming the file, and must not touch a
-// byte of what is there.
-func TestDurableRefusesLegacySnapshot(t *testing.T) {
-	dir := t.TempDir()
-	files := map[string][]byte{
-		legacySnapName: []byte("a snapshot this build cannot read"),
-		walName:        []byte("not even a log"),
-	}
-	for name, data := range files {
-		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	net := simnet.DefaultTopology(42, simnet.WithJitter(0))
-	_, err := NewCluster(vtime.NewSim(epoch0), net, durableCfg(dir, 0), 42)
-	if err == nil || !strings.Contains(err.Error(), filepath.Join(dir, legacySnapName)) {
-		t.Fatalf("NewCluster over a legacy directory: %v, want an error naming %s", err, legacySnapName)
-	}
-	if got := dirNames(t, dir); len(got) != len(files) {
-		t.Fatalf("refused open left %v", got)
-	}
-	for name, want := range files {
-		if got, err := os.ReadFile(filepath.Join(dir, name)); err != nil || string(got) != string(want) {
-			t.Fatalf("%s after the refused open: %q, %v", name, got, err)
-		}
-	}
-}
-
-// TestDurableConcurrentWritesSurviveCompaction races real writers
-// against SnapshotNow: a write's log record can land in the file a
-// compaction is replacing or in the new one, and in either case an acked
-// write must be recovered exactly once.
-func TestDurableConcurrentWritesSurviveCompaction(t *testing.T) {
-	dir := t.TempDir()
-	cfg := durableCfg(dir, 0)
-	net := simnet.DefaultTopology(42, simnet.WithJitter(0))
-	c, err := NewCluster(vtime.Real{}, net, cfg, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const writers, perWriter = 4, 25
-	var wg sync.WaitGroup
-	for w := 0; w < writers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < perWriter; i++ {
-				if _, err := c.Write(simnet.DCWest, fmt.Sprintf("w%d-%d", w, i), "a1", "x"); err != nil {
-					t.Errorf("write: %v", err)
-				}
-			}
-		}(w)
-	}
-	stop := make(chan struct{})
-	compacted := make(chan struct{})
-	go func() {
-		defer close(compacted)
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			if err := c.SnapshotNow(); err != nil {
-				t.Errorf("SnapshotNow: %v", err)
-				return
-			}
-		}
-	}()
-	wg.Wait()
-	close(stop)
-	<-compacted
-	// No Close: the process dies with whatever the race left on disk.
-
-	s2, c2 := openDurableCluster(t, cfg)
-	defer c2.Close()
-	got := readIDs(t, s2, c2, simnet.DCWest)
-	if len(got) != writers*perWriter {
-		t.Fatalf("recovered %d entries, want %d acked writes exactly once", len(got), writers*perWriter)
-	}
-	seen := make(map[string]bool)
-	for _, id := range got {
-		if seen[id] {
-			t.Fatalf("write %s recovered twice", id)
-		}
-		seen[id] = true
 	}
 }

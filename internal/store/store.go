@@ -31,7 +31,10 @@
 package store
 
 import (
+	"encoding/json"
 	"fmt"
+	"os"
+	"path/filepath"
 	"slices"
 	"sort"
 	"sync"
@@ -41,6 +44,7 @@ import (
 	"conprobe/internal/detrand"
 	"conprobe/internal/simnet"
 	"conprobe/internal/vtime"
+	"conprobe/internal/wal"
 )
 
 // Post is one message as a read renders it: what a service API shows of
@@ -227,10 +231,8 @@ type Config struct {
 	// RetryInterval is how long a propagation blocked by a partition
 	// waits before retrying (default 1s).
 	RetryInterval time.Duration
-	// Durable, when non-nil, makes the cluster crash-safe: accepted
-	// writes are fsynced to a WAL before WriteEntry returns,
-	// resets are journaled, and NewCluster replays snapshot+WAL from
-	// Durable.Dir. See Durable for the recovery semantics.
+	// Durable, when non-nil, fsyncs each accepted write to a log before
+	// WriteEntry returns. See Durable.
 	Durable *Durable
 }
 
@@ -256,8 +258,8 @@ type Cluster struct {
 	// pending holds every delivery still in flight (see wheel.go).
 	pending deliveries
 
-	// durable is non-nil when Config.Durable requested persistence.
-	durable *durableState
+	// log is Config.Durable's write log; nil without one.
+	log *wal.Log
 }
 
 // replica is the per-DC log and the renderings reads are served from.
@@ -345,10 +347,19 @@ func NewCluster(clock vtime.Clock, net *simnet.Network, cfg Config, seed int64) 
 	}
 	c.epochLag.Store(int64(c.sampleEpochLag(0)))
 	c.hybridOn.Store(c.sampleEpochHybrid(0))
-	if cfg.Durable != nil {
-		if err := c.openDurable(*cfg.Durable); err != nil {
+	if d := cfg.Durable; d != nil {
+		if err := os.MkdirAll(d.Dir, 0o755); err != nil {
+			return nil, fmt.Errorf("store: durable dir: %w", err)
+		}
+		log, rep, err := wal.Open(filepath.Join(d.Dir, "wal-0.log"), wal.Options{})
+		if err == nil && len(rep.Records) > 0 {
+			log.Close()
+			err = fmt.Errorf("store: %s holds writes no Cluster reads back; serve a durable store from a one-node cluster leader", d.Dir)
+		}
+		if err != nil {
 			return nil, err
 		}
+		c.log = log
 	}
 	return c, nil
 }
@@ -414,11 +425,10 @@ func (c *Cluster) WriteEntry(dc simnet.Site, in Entry) (Entry, error) {
 		ArrivalSeq: c.seq.Add(1),
 		epoch:      c.epoch.Load(),
 	}
-	if c.durable != nil {
-		// Ack-after-fsync: the write is journaled (and synced) before it
-		// becomes visible or is acknowledged, so a crash at any later
-		// point cannot lose it.
-		if err := c.durable.logWrite(e); err != nil {
+	if c.log != nil {
+		// Ack after fsync: the write is on disk before it is visible.
+		raw, _ := json.Marshal(e) // an Entry always encodes
+		if err := c.log.Append(raw); err != nil {
 			return Entry{}, err
 		}
 	}
@@ -609,9 +619,6 @@ func (c *Cluster) BeginEpoch(base uint64) {
 
 // resetTo clears every replica and installs epoch. Caller holds resetMu.
 func (c *Cluster) resetTo(epoch uint64) {
-	if c.durable != nil {
-		c.durable.logReset(epoch)
-	}
 	// Empty the delivery heap before the epoch moves: a racing old-epoch
 	// write that queues after this is dropped by the epoch checks, while
 	// emptying afterwards could discard a new-epoch delivery.
@@ -629,4 +636,20 @@ func (c *Cluster) resetTo(epoch uint64) {
 		r.view = nil
 		r.mu.Unlock()
 	}
+}
+
+// Durable appends each write a Cluster accepts to Dir/wal-0.log (Dir is
+// created if absent) and acknowledges it only after the fsync. Nothing
+// reads the log back, so a Dir whose log already holds records is
+// refused rather than silently dropped. The durable standalone store is
+// a one-node cluster leader (consvc -role leader -data-dir); this type
+// remains for the store layer's benchmark row in bench/layers.go.
+type Durable struct{ Dir string }
+
+// Close releases a Durable cluster's log. No-op on any other cluster.
+func (c *Cluster) Close() error {
+	if c.log == nil {
+		return nil
+	}
+	return c.log.Close()
 }

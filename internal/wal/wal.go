@@ -1,5 +1,5 @@
 // Package wal implements the crash-safe binary persistence primitives
-// shared by the durable store and the replicated consvc cluster: an
+// of the replicated consvc cluster: an
 // append-only log of CRC32-framed records with group-committed fsync,
 // compacted by atomically rewriting the whole file (tmp+rename), so a
 // compacted log is its own snapshot. The internal/checkpoint campaign
@@ -115,9 +115,9 @@ type Options struct {
 	// open: the damaged file is renamed to a .corrupt sidecar, the log
 	// reopens empty, and Replay.Quarantined reports it. Only callers
 	// that can re-source the lost records (cluster nodes, which rejoin
-	// via the leader's snapshot-install stream) should set it; the
-	// standalone durable store must not, because for it detection is the
-	// last line of defense.
+	// via the leader's snapshot-install stream) should set it; a leader
+	// without peers must not, because for it detection is the last line
+	// of defense.
 	Quarantine bool
 	// Metrics, when non-nil, counts fsync poisonings
 	// (fsync_poisoned_total) and quarantined segments

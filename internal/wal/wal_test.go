@@ -318,8 +318,8 @@ func TestRewrite(t *testing.T) {
 	}
 }
 
-// TestRewriteRacingAppends runs appenders against a compactor the way
-// the durable store does — a record joins the live set before it is
+// TestRewriteRacingAppends runs appenders against a compactor that
+// keeps a live set — a record joins the live set before it is
 // appended, and every Rewrite writes the live set — and requires every
 // acked record to be in the log afterwards, whichever side of a rewrite
 // its append landed on. A record on both sides appears twice; none

@@ -16,6 +16,11 @@
 # The last act checks the storage layout: a stopped node's data dir
 # holds one log per state machine and nothing else, and a node.snap left
 # there by an older build makes consvc refuse to boot, naming the file.
+# Then a one-node -role leader, the durable standalone store, keeps
+# every acked write across kill -9, refuses to boot over a byte flipped
+# mid-oplog (it has nobody to re-source the log from), and refuses a
+# directory holding a consvc -durable wal-0.log, naming the file each
+# time.
 # Run from the repository root or anywhere inside it.
 set -eu
 
@@ -382,8 +387,8 @@ done
 echo "left by an older build" >"$dir/$stale/node.snap"
 start_node "$stale"
 stale_pid=$(cat "$dir/$stale.pid")
-exited() { ! kill -0 "$stale_pid" 2>/dev/null; }
-poll_until 20 "$stale to refuse its data dir" exited
+exited() { ! kill -0 "$1" 2>/dev/null; }
+poll_until 20 "$stale to refuse its data dir" exited "$stale_pid"
 : >"$dir/$stale.pid"
 if wait "$stale_pid"; then
   die "consvc exited 0 over a stale node.snap"
@@ -391,4 +396,59 @@ fi
 grep -q "node.snap" "$dir/$stale.log" || die "the refusal does not name node.snap"
 [ "$(cat "$dir/$stale/node.snap")" = "left by an older build" ] || die "the refused boot touched node.snap"
 
-echo "cluster_smoke: OK (automatic election, quorum writes, kill -9 failover, rejoin, 3-5-3 reconfigure with mid-joint kill, lease/quorum reads, legacy data dir refused)"
+echo "== a one-node -role leader keeps acked writes across kill -9"
+# The solo node reuses n4's port, pid file and log: n4 left the cluster.
+start_solo() { # data-dir
+  "$dir/consvc" -service blogger -rate 0 -jitter 0 -role leader -node-id solo \
+    -addr "${U4#http://}" -data-dir "$1" >>"$dir/n4.log" 2>&1 &
+  echo $! >"$dir/n4.pid"
+}
+kill_solo() {
+  kill -9 "$(cat "$dir/n4.pid")"
+  wait "$(cat "$dir/n4.pid")" 2>/dev/null || true
+  : >"$dir/n4.pid"
+}
+# refused_boot data-dir file: the solo leader must exit nonzero over
+# data-dir, name data-dir/file, and leave the file as it was.
+refused_boot() {
+  _sum=$(cksum <"$1/$2")
+  start_solo "$1"
+  _pid=$(cat "$dir/n4.pid")
+  poll_until 20 "the solo leader to refuse $1" exited "$_pid"
+  : >"$dir/n4.pid"
+  if wait "$_pid"; then
+    die "consvc exited 0 over $1/$2"
+  fi
+  grep -q "$1/$2" "$dir/n4.log" || die "the refusal does not name $1/$2"
+  [ "$(cksum <"$1/$2")" = "$_sum" ] || die "the refused boot changed $1/$2"
+}
+: >"$dir/n4.log"
+live="$U4"
+start_solo "$dir/solo"
+poll_until 20 "the solo leader to come up" healthy "$U4"
+for i in 1 2 3; do
+  write_acked "s$i"
+done
+kill_solo
+start_solo "$dir/solo"
+poll_until 20 "the solo leader to restart" healthy "$U4"
+for i in 1 2 3; do
+  has_post "$U4" "s$i" || die "acked write s$i lost across the solo leader's kill -9"
+done
+write_acked s4
+kill_solo
+
+echo "== the solo leader refuses a byte flipped mid-oplog, by name"
+# Byte 8 opens the first frame's payload, the snapshot record's '{'; the
+# op frames after it make the damage mid-file, not a torn tail.
+[ "$(dd if="$dir/solo/oplog.log" bs=1 skip=8 count=1 2>/dev/null)" = "{" ] ||
+  die "the solo oplog's first record does not start at byte 8"
+printf 'X' | dd of="$dir/solo/oplog.log" bs=1 seek=8 count=1 conv=notrunc 2>/dev/null
+refused_boot "$dir/solo" oplog.log
+
+echo "== the solo leader refuses a consvc -durable directory, by name"
+mkdir "$dir/durable"
+echo "written by consvc -durable" >"$dir/durable/wal-0.log"
+refused_boot "$dir/durable" wal-0.log
+
+echo "cluster_smoke: OK (automatic election, quorum writes, kill -9 failover, rejoin, 3-5-3 reconfigure with mid-joint kill, lease/quorum reads, legacy data dir refused, durable one-node leader)"

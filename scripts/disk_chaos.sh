@@ -3,9 +3,10 @@
 # kind (torn write, fsync-gate, read bit flip, ENOSPC, dir-sync
 # omission, crash-before-rename) against every durable site (op WAL,
 # term WAL, log compaction, checkpoint journal) plus the cut-at-every-
-# offset and flip-every-byte sweep of all four durable files (oplog,
-# term log, the durable store's WAL, checkpoint journal) — under the race
-# detector, one seed at a time so a red run names the exact losing seed.
+# offset and flip-every-byte sweep of all three durable files (oplog,
+# term log, checkpoint journal) and the flip-every-byte refusal sweep of
+# a peerless leader's oplog — under the race detector, one seed at a
+# time so a red run names the exact losing seed.
 #
 #   DISKCHAOS_SEEDS="1 2 3 4 5"   seeds to sweep (default 1..5)
 #   DISKCHAOS_SEED_OUT=path       losing seed written here (CI uploads
@@ -18,13 +19,13 @@ set -eu
 cd "$(dirname "$0")/.."
 
 seeds=${DISKCHAOS_SEEDS:-"1 2 3 4 5"}
-pkgs="./internal/cluster ./internal/checkpoint ./internal/wal ./internal/diskfault ./internal/store"
+pkgs="./internal/cluster ./internal/checkpoint ./internal/wal ./internal/diskfault"
 sweep='TestDiskFaultSweep|TestJournalFaultSweep'
 
 # The every-offset corruption and truncation sweeps and the single-shot
 # recovery-path tests are seed-independent; run them once, alongside the
 # first seed.
-once='TestDurableFileSweep|TestFsyncPoisonNeverAcks|TestQuarantinedFollowerRejoinsViaSnapshot|TestCorruptTermLogBootsNonGranting'
+once='TestDurableFileSweep|TestPeerlessLeaderRefusesRottenOplog|TestFsyncPoisonNeverAcks|TestQuarantinedFollowerRejoinsViaSnapshot|TestCorruptTermLogBootsNonGranting'
 
 first=1
 for seed in $seeds; do
