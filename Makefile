@@ -99,6 +99,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzAppendOp -fuzztime 20s ./internal/cluster
 	$(GO) test -run '^$$' -fuzz FuzzAppendHeartbeat -fuzztime 20s ./internal/cluster
 	$(GO) test -run '^$$' -fuzz FuzzDecodeHeartbeat -fuzztime 30s ./internal/cluster
+	$(GO) test -run '^$$' -fuzz FuzzDecodeOp -fuzztime 20s ./internal/cluster
 	$(GO) test -run '^$$' -fuzz FuzzAppendPost -fuzztime 10s ./internal/httpapi
 	$(GO) test -run '^$$' -fuzz 'FuzzDecodePost$$' -fuzztime 20s ./internal/httpapi
 	$(GO) test -run '^$$' -fuzz FuzzDecodePosts -fuzztime 20s ./internal/httpapi

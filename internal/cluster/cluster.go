@@ -133,6 +133,9 @@ type Op struct {
 	DependsOn string `json:"d,omitempty"`
 	// Config is the membership a "config" op installs (nil otherwise).
 	Config *Membership `json:"c,omitempty"`
+	// rec is the op's record, its JSON: made once where the op was
+	// created and carried verbatim from there (encode.go). Read only.
+	rec []byte
 }
 
 // Event types reported through Config.OnEvent.
@@ -383,9 +386,9 @@ type Node struct {
 	commitIndex uint64
 	applied     uint64 // highest op applied to the service; = commitIndex whenever n.mu is free
 	ops         []Op
-	// state and appliedConfig are the snapshot at applied: the writes
-	// since the last reset, and the config entry in force (nil: static).
-	state              []Op
+	// state and appliedConfig are the snapshot at applied: the writes since
+	// the last reset, as records, and the config entry in force (nil: static).
+	state              [][]byte
 	appliedConfig      *Membership
 	appliedConfigIndex uint64
 	barrier            uint64           // the leader's election no-op; no lease or quorum read before it commits
@@ -395,11 +398,9 @@ type Node struct {
 	followers          map[string]*follower
 	appendSeq          uint64 // entry-carrying requests sent so far
 
-	// Encoding scratch, reused under mu: the journal records of the batch
-	// being staged, carved from recBuf, and the snapshot record a
-	// compaction writes.
-	recBuf  []byte
-	recs    [][]byte
+	// block is what kept op records are carved from (keepLocked); snapRec
+	// the buffer a compaction writes its snapshot record into, reused.
+	block   []byte
 	snapRec []byte
 
 	// Timers and in-flight guards; all driven by cfg.Clock.
@@ -981,11 +982,17 @@ func (n *Node) acceptLocked(op Op) (uint64, error) {
 	if n.role != RoleLeader {
 		return 0, &NotLeaderError{Leader: n.leaderURL}
 	}
-	// Stage at the next index. Nothing is published until the journal
-	// write succeeds, so an op the disk refused neither replicates to
-	// followers nor consumes its index.
+	return n.appendNewLocked(op)
+}
+
+// appendNewLocked creates op at the next index in the current term with
+// its record, the one time an op is encoded, then journals, publishes and
+// counts it toward the commit index. Nothing is published before the
+// journal write succeeds: a refused op neither replicates nor takes an index.
+func (n *Node) appendNewLocked(op Op) (uint64, error) {
 	op.Index = n.lastIndex + 1
 	op.Term = n.currentTerm
+	op.rec = n.keepLocked(func(b []byte) []byte { return appendOp(b, &op) })
 	if err := n.stageLocked(op); err != nil {
 		return 0, err
 	}
@@ -1055,29 +1062,30 @@ func (n *Node) stageLocked(ops ...Op) error {
 	if n.log == nil {
 		return nil
 	}
-	n.recBuf, n.recs = n.recBuf[:0], n.recs[:0]
-	if err := n.encodeLocked(ops); err != nil {
-		return err
+	var small [4][]byte // a batch this short lists its records on the stack
+	recs := small[:0]
+	for i := range ops {
+		recs = append(recs, ops[i].rec)
 	}
-	if err := n.log.AppendBatch(n.recs); err != nil {
+	if err := n.log.AppendBatch(recs); err != nil {
 		return fmt.Errorf("cluster: journaling op %d: %w", ops[0].Index, err)
 	}
 	return nil
 }
 
-// encodeLocked appends the journal records of ops to n.recs, carved from
-// recBuf. A record carved before recBuf outgrew its array stays valid:
-// the old array is no longer written to.
-func (n *Node) encodeLocked(ops []Op) error {
-	for i := range ops {
-		start := len(n.recBuf)
-		var err error
-		if n.recBuf, err = appendOp(n.recBuf, &ops[i]); err != nil {
-			return err
-		}
-		n.recs = append(n.recs, n.recBuf[start:])
+// keepLocked returns what add appends, carved from n.block, 32 KiB at a
+// time: a kept record allocates once per block, not per op, and is never
+// moved or written. A record the rest of the block cannot hold keeps the
+// array add grew for it. Caller holds n.mu.
+func (n *Node) keepLocked(add func([]byte) []byte) []byte {
+	spare := n.block[len(n.block):]
+	rec := add(spare)
+	if len(rec) <= cap(spare) {
+		n.block = n.block[:len(n.block)+len(rec)]
+	} else {
+		n.block = make([]byte, 0, 32<<10)
 	}
-	return nil
+	return rec[:len(rec):len(rec)]
 }
 
 // publishLocked installs a staged op into the pullable stream. Caller
@@ -1162,7 +1170,7 @@ func (n *Node) applyLocked(op Op) error {
 		if err := n.svc.Write(simnet.Site(op.Site), p); err != nil {
 			return err
 		}
-		n.state = append(n.state, op)
+		n.state = append(n.state, op.rec)
 	}
 	return nil
 }
@@ -1177,8 +1185,8 @@ func (n *Node) applyLocked(op Op) error {
 // snapshot install, O(state) bytes to replace a handful of entries.
 func (n *Node) compactLocked() error {
 	if n.log != nil {
-		snap := n.snapshotLocked()
-		if err := n.rewriteLogLocked(&snap, n.ops[n.applied-n.floor:]); err != nil {
+		n.snapRec = n.appendSnapshotLocked(n.snapRec[:0])
+		if err := n.rewriteLogLocked(n.snapRec, len(n.state), n.ops[n.applied-n.floor:]); err != nil {
 			return err
 		}
 	}
@@ -1194,24 +1202,18 @@ func (n *Node) compactLocked() error {
 	return nil
 }
 
-// rewriteLogLocked atomically replaces the oplog with snap followed by
-// the records of tail: a crash leaves the old log or this one. The
-// records are encoded into buffers the node keeps — what a compaction
-// allocates does not grow with the state.
-func (n *Node) rewriteLogLocked(snap *nodeSnapshot, tail []Op) error {
-	rec, err := appendSnapshot(n.snapRec[:0], snap)
-	if err != nil {
+// rewriteLogLocked atomically replaces the oplog with the snapshot
+// record snap, whose state holds writes writes, followed by the records
+// of tail: a crash leaves the old log or this one.
+func (n *Node) rewriteLogLocked(snap []byte, writes int, tail []Op) error {
+	recs := append(make([][]byte, 0, 1+len(tail)), snap)
+	for i := range tail {
+		recs = append(recs, tail[i].rec)
+	}
+	if err := n.log.Rewrite(recs); err != nil {
 		return err
 	}
-	n.snapRec = rec
-	n.recBuf, n.recs = n.recBuf[:0], append(n.recs[:0], rec)
-	if err := n.encodeLocked(tail); err != nil {
-		return err
-	}
-	if err := n.log.Rewrite(n.recs); err != nil {
-		return err
-	}
-	n.snapWrites = len(snap.State)
+	n.snapWrites = writes
 	return nil
 }
 
@@ -1237,14 +1239,14 @@ func (n *Node) retainFromLocked() uint64 {
 	return max(min(keep, n.applied), n.floor)
 }
 
-// snapshotLocked assembles the snapshot at the applied index. It shares
-// n.state: encode it before releasing n.mu. Caller holds n.mu.
-func (n *Node) snapshotLocked() nodeSnapshot {
+// appendSnapshotLocked appends the record of the snapshot at the applied
+// index to b. Caller holds n.mu.
+func (n *Node) appendSnapshotLocked(b []byte) []byte {
 	term, _ := n.termAtLocked(n.applied)
-	return nodeSnapshot{
-		LastIndex: n.applied, LastTerm: term, State: n.state,
+	return appendSnapshot(b, &nodeSnapshot{
+		LastIndex: n.applied, LastTerm: term,
 		Config: n.appliedConfig, ConfigIndex: n.appliedConfigIndex,
-	}
+	}, n.state)
 }
 
 // termAtLocked returns the term of the op at idx, when known: index 0

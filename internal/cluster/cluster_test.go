@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -620,7 +621,11 @@ func TestConcurrentWritesResetsReplicaMatchesStream(t *testing.T) {
 	got := ids(t, leader)
 	leader.mu.Lock()
 	want := make([]string, len(leader.state))
-	for i, op := range leader.state {
+	for i, rec := range leader.state {
+		var op Op
+		if err := json.Unmarshal(rec, &op); err != nil {
+			t.Fatal(err)
+		}
 		want[i] = op.ID
 	}
 	leader.mu.Unlock()

@@ -1,6 +1,7 @@
 package clustertest
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"path/filepath"
@@ -303,4 +304,154 @@ func postIDs(c *Cluster, id string) []string {
 		ids[i] = p.ID
 	}
 	return ids
+}
+
+// oplogRecords reads id's oplog as records by index: the op records and
+// the elements of the snapshot record's state; snap is the snapshot
+// record itself and snapIndex its head.
+func (c *Cluster) oplogRecords(id string) (recs map[uint64][]byte, snap []byte, snapIndex uint64) {
+	c.t.Helper()
+	rep, err := wal.ReadFS(nil, filepath.Join(c.dir, id, "oplog.log"))
+	if err != nil || len(rep.Records) == 0 {
+		c.fatalf("reading %s's oplog: %d records, %v", id, len(rep.Records), err)
+	}
+	var head struct {
+		LastIndex uint64            `json:"last_index"`
+		State     []json.RawMessage `json:"state"`
+	}
+	if err := json.Unmarshal(rep.Records[0], &head); err != nil {
+		c.fatalf("decoding %s's snapshot record: %v", id, err)
+	}
+	recs = make(map[uint64][]byte)
+	for _, rec := range append(head.State, toRaw(rep.Records[1:])...) {
+		var op cluster.Op
+		if err := json.Unmarshal(rec, &op); err != nil {
+			c.fatalf("decoding a record of %s's oplog: %v", id, err)
+		}
+		recs[op.Index] = rec
+	}
+	return recs, rep.Records[0], head.LastIndex
+}
+
+func toRaw(recs [][]byte) []json.RawMessage {
+	raw := make([]json.RawMessage, len(recs))
+	for i, rec := range recs {
+		raw[i] = rec
+	}
+	return raw
+}
+
+// TestFollowersJournalTheLeadersBytes drives a cluster through each way
+// an op reaches a node's oplog — appends carrying a write whose body
+// needs escaping, the two entries of a reconfiguration, a new leader's
+// election barrier, a restart, a snapshot install to a follower cut off
+// for longer than the leader retains, and compactions throughout — and
+// after each requires every two live nodes' oplogs to hold the same
+// bytes at every index both hold, in op records and in the snapshot
+// record's state, and the same snapshot record where their heads agree.
+// An op is encoded once, by the leader that creates it; every other
+// node journals the bytes it was sent.
+func TestFollowersJournalTheLeadersBytes(t *testing.T) {
+	c := New(t, 5, 3)
+	c.RunFor(2 * electionTimeout)
+	compared := make(map[string]bool) // kinds of records found equal on two nodes
+	check := func(phase string) {
+		c.t.Helper()
+		c.RunFor(time.Second)
+		for i, a := range c.IDs {
+			if !c.live[a] {
+				continue
+			}
+			recsA, snapA, headA := c.oplogRecords(a)
+			for _, b := range c.IDs[i+1:] {
+				if !c.live[b] {
+					continue
+				}
+				recsB, snapB, headB := c.oplogRecords(b)
+				for idx, rec := range recsA {
+					other, ok := recsB[idx]
+					if !ok {
+						continue
+					}
+					if !bytes.Equal(rec, other) {
+						c.fatalf("%s: index %d is\n%s on %s and\n%s on %s", phase, idx, rec, a, other, b)
+					}
+					var op cluster.Op
+					_ = json.Unmarshal(rec, &op)
+					compared[op.Kind] = true
+					compared["escaped"] = compared["escaped"] || bytes.Contains(rec, []byte(`café \u003cb\u003e\"x\"`))
+				}
+				if headA == headB {
+					if !bytes.Equal(snapA, snapB) {
+						c.fatalf("%s: the snapshot records at %d differ:\n%s on %s\n%s on %s", phase, headA, snapA, a, snapB, b)
+					}
+					compared["snapshot"] = true
+				}
+			}
+		}
+	}
+	gap := 50 * time.Millisecond
+	write := func(body string) {
+		c.t.Helper()
+		c.writeSeq++
+		id := fmt.Sprintf("w%d", c.writeSeq)
+		if _, err := c.nodes[c.Leader()].ProposeWrite("harness", service.Post{ID: id, Author: "a", Body: body}); err != nil {
+			c.fatalf("write %s: %v", id, err)
+		}
+		c.RunFor(gap)
+	}
+
+	for i := 0; i < 5; i++ {
+		write(fmt.Sprintf("plain %d", i))
+	}
+	write("café <b>\"x\"")
+	write("tab\tand\\backslash")
+	check("appends")
+
+	leader := c.Leader()
+	for at := c.snapIndex(leader); c.snapIndex(leader) == at; {
+		write("until the leader compacts")
+	}
+	c.AddJoiner("n4")
+	c.RunFor(time.Second)
+	settleReconfigure(c, []cluster.Member{{ID: "n4", URL: "node://n4"}}, nil, 4)
+	c.MarkAdmitted("n4")
+	check("reconfigure")
+
+	c.Kill(leader)
+	c.RunFor(2 * time.Second)
+	if c.Leader() == "" || c.Leader() == leader {
+		c.fatalf("no new leader after %s was killed", leader)
+	}
+	write("after the election")
+	check("barrier")
+
+	c.Restart(leader)
+	write("after the restart")
+	check("restart")
+
+	var lagger string
+	for _, id := range c.IDs {
+		if id != c.Leader() && c.live[id] {
+			lagger = id
+			break
+		}
+	}
+	installs := c.installs(lagger)
+	c.Isolate(lagger)
+	gap = 10 * time.Millisecond // back before its election timeout
+	for i := 0; i < 3*snapshotEvery; i++ {
+		write(fmt.Sprintf("while %s is away <%d>", lagger, i))
+	}
+	c.Heal()
+	check("install")
+	if c.installs(lagger) == installs {
+		c.fatalf("%s caught up without a snapshot install", lagger)
+	}
+	for _, kind := range []string{"write", "config", "noop", "escaped", "snapshot"} {
+		if !compared[kind] {
+			c.fatalf("no %s record was held by two nodes to compare", kind)
+		}
+	}
+	c.AssertConverged()
 }

@@ -350,9 +350,11 @@ func TestRottenSnapshotRecordIsDeclared(t *testing.T) {
 // the snapshot record, which arrived whole by rename and so cannot tear.
 // A flip is rot, and the leader has nobody to re-source a lost record
 // from: it refuses the boot, naming oplog.log and leaving the file as it
-// was, unless the scan reads the flip as a torn tail, and then it boots
-// showing what the intact prefix acked. It never boots rebuilding from a
-// leader that does not exist, empty and accepting writes.
+// was. Only a flip inside the final frame may read as a torn tail, and
+// then it boots showing what the intact prefix acked; a flip anywhere
+// before it — a length made to run past the end of the file included —
+// must refuse. It never boots rebuilding from a leader that does not
+// exist, empty and accepting writes.
 func TestPeerlessLeaderRefusesRottenOplog(t *testing.T) {
 	cfg := func(dir string) Config {
 		return Config{NodeID: "n1", Role: RoleLeader, DataDir: dir, NoSync: true}
@@ -435,7 +437,7 @@ func TestPeerlessLeaderRefusesRottenOplog(t *testing.T) {
 		raw := bytes.Clone(full)
 		raw[off] ^= 0xff
 		want := declared
-		if valid, ok := intactPrefix(t, raw); ok && valid > 0 {
+		if valid, ok := intactPrefix(t, raw); ok && valid > 0 && int64(off) >= steps[len(steps)-2].size {
 			want = owed(valid)
 		}
 		what := fmt.Sprintf("flip at %d", off)

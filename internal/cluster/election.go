@@ -19,8 +19,8 @@ import (
 // releasing it.
 
 // Bounds on the entries one heartbeat carries. The byte bound counts op
-// payload before encoding and always admits one op, so a single large
-// write still replicates (maxRPCBody leaves room for it).
+// records and always admits one op, so a single large write still
+// replicates (maxRPCBody leaves room for it).
 const (
 	maxAppendOps   = 512
 	maxAppendBytes = 1 << 20
@@ -219,10 +219,7 @@ func (n *Node) becomeLeaderLocked() {
 		// the classic Raft figure-8 unsafety), so append a no-op of this
 		// term; when it reaches quorum, everything inherited beneath it
 		// commits with it.
-		noop := Op{Index: n.lastIndex + 1, Term: n.currentTerm, Kind: opNoop}
-		if err := n.stageLocked(noop); err == nil {
-			n.publishLocked(noop)
-		}
+		_, _ = n.appendNewLocked(Op{Kind: opNoop})
 		n.heartbeatTimer = n.cfg.Clock.AfterFunc(0, n.heartbeatTick)
 	}
 	n.barrier = n.lastIndex
@@ -386,7 +383,7 @@ func (n *Node) outboundLocked(peer string, f *follower, round uint64, withOps bo
 		}
 		size := 0
 		for i := range ops {
-			size += len(ops[i].Body) + len(ops[i].ID) + len(ops[i].Author) + len(ops[i].DependsOn)
+			size += len(ops[i].rec)
 			if size > maxAppendBytes && i > 0 {
 				ops = ops[:i]
 				break
@@ -830,6 +827,8 @@ func (n *Node) applyReplicatedLocked(ops []Op) error {
 		return err
 	}
 	for _, op := range ops {
+		// Journaled as it arrived, in a buffer the transport reuses: keep a copy.
+		op.rec = n.keepLocked(func(b []byte) []byte { return append(b, op.rec...) })
 		n.publishLocked(op)
 	}
 	return nil
@@ -907,16 +906,12 @@ func (n *Node) HandleSnapshotChunk(req SnapshotChunkRequest) SnapshotChunkRespon
 		// compaction floor): installers jump straight to the committed
 		// present and resume pulling from there, which covers both catch-up
 		// past the floor and conflict resolution with one mechanism.
-		snap := n.snapshotLocked()
-		data, err := appendSnapshot(nil, &snap)
-		if err != nil {
-			resp.NotLeader = true // unservable; the puller will retry
-			return resp
-		}
+		data := n.appendSnapshotLocked(nil)
+		term, _ := n.termAtLocked(n.applied)
 		cache = &snapStream{
-			id:        fmt.Sprintf("%d.%d.%08x", snap.LastTerm, snap.LastIndex, crc32.ChecksumIEEE(data)),
+			id:        fmt.Sprintf("%d.%d.%08x", term, n.applied, crc32.ChecksumIEEE(data)),
 			data:      data,
-			lastIndex: snap.LastIndex,
+			lastIndex: n.applied,
 		}
 		n.snapCache = cache
 	}
@@ -1008,29 +1003,30 @@ func (n *Node) onSnapshotChunk(leader string, resp SnapshotChunkResponse, err er
 		n.fetchNextSnapshotChunkLocked(leader)
 		return
 	}
+	rec := n.snapBuf // the snapshot record, which becomes the oplog's first
+	n.snapID, n.snapBuf, n.snapRetries = "", nil, 0
 	var pay nodeSnapshot
-	if uerr := json.Unmarshal(n.snapBuf, &pay); uerr != nil {
-		n.snapID, n.snapBuf, n.snapRetries = "", nil, 0
+	if json.Unmarshal(rec, &pay) != nil {
 		return
 	}
-	n.snapID, n.snapBuf, n.snapRetries = "", nil, 0
-	if n.installSnapshotLocked(pay) {
+	if n.installSnapshotLocked(rec, pay) {
 		n.schedulePullLocked(0)
 	}
 }
 
 // installSnapshotLocked installs a fully transferred leader snapshot,
-// replacing whatever divergent or stale history this node held. The
-// oplog is rewritten to the snapshot BEFORE anything else changes: a
+// the record rec read as pay, replacing whatever divergent or stale
+// history this node held. The oplog is rewritten to rec BEFORE anything
+// else changes: a
 // rewrite is atomic, so a crash recovers the old consistent state or
 // the new one, and a rewrite that fails leaves the node on the old one,
 // disk, memory and replica alike, to try again on its next pull (it
 // reports false, and the caller does not pull at once: a full disk must
 // not turn into a stream of snapshot transfers). The replica is rebuilt
 // after, from committed state only, so there is nothing to undo.
-func (n *Node) installSnapshotLocked(pay nodeSnapshot) bool {
+func (n *Node) installSnapshotLocked(rec []byte, pay nodeSnapshot) bool {
 	if n.log != nil {
-		if err := n.rewriteLogLocked(&pay, nil); err != nil {
+		if err := n.rewriteLogLocked(rec, len(pay.State), nil); err != nil {
 			return false
 		}
 	}

@@ -1,26 +1,27 @@
 package cluster
 
 import (
+	"bytes"
+	"encoding/json"
 	"strconv"
 
 	"conprobe/internal/jsonappend"
 )
 
-// The journal's op and snapshot records are JSON, and stay decodable by
-// encoding/json; what writes them is an append-style encoder, because
-// json.Marshal reflects over every op and returns a fresh buffer the
-// size of its output — once per write for the journal record, and once
-// per compaction for the whole state. The encoder below produces, byte
-// for byte, what json.Marshal produces for Op and nodeSnapshot (field
-// order, omitempty, HTML-safe escaping), into a buffer the caller
-// keeps. Strings and a Membership go through internal/jsonappend, which
-// copies plain printable ASCII and hands anything else to json.Marshal
-// itself, so there is no second definition of escaping to keep in step.
-// FuzzAppendOp holds the two encoders equal; FuzzAppendHeartbeat and
-// FuzzDecodeHeartbeat do the same for the append RPC's codec.
+// An op's record is JSON that encoding/json reads back. appendOp writes
+// it once, where the op is created, and every copy of the op carries it
+// from there — the journal, each append, a follower's journal, the pull
+// reply, a snapshot's state — so what writes a message that holds ops
+// copies their records, and what reads one keeps the bytes each op was
+// read from (Op.UnmarshalJSON, scanOp). The encoders produce, byte for
+// byte, what json.Marshal produces for Op, nodeSnapshot and the append
+// RPC, into a buffer the caller keeps; strings go through
+// internal/jsonappend, so there is no second definition of escaping to
+// keep in step. FuzzAppendOp, FuzzDecodeOp, FuzzAppendHeartbeat and
+// FuzzDecodeHeartbeat hold each to encoding/json.
 
 // appendOp appends op as json.Marshal(op) would.
-func appendOp(b []byte, op *Op) ([]byte, error) {
+func appendOp(b []byte, op *Op) []byte {
 	b = strconv.AppendUint(append(b, `{"i":`...), op.Index, 10)
 	if op.Term != 0 {
 		b = strconv.AppendUint(append(b, `,"t":`...), op.Term, 10)
@@ -34,58 +35,47 @@ func appendOp(b []byte, op *Op) ([]byte, error) {
 		}
 	}
 	if op.Config != nil {
-		var err error
-		if b, err = jsonappend.Marshal(append(b, `,"c":`...), op.Config); err != nil {
-			return nil, err
-		}
+		b, _ = jsonappend.Marshal(append(b, `,"c":`...), op.Config) // strings and slices: cannot fail
 	}
-	return append(b, '}'), nil
+	return append(b, '}')
 }
 
-// appendSnapshot appends snap as json.Marshal(snap) would.
-func appendSnapshot(b []byte, snap *nodeSnapshot) ([]byte, error) {
+// appendSnapshot appends json.Marshal(snap) for a snap whose State is the
+// ops whose records state lists; snap.State itself is not read.
+func appendSnapshot(b []byte, snap *nodeSnapshot, state [][]byte) []byte {
 	b = strconv.AppendUint(append(b, `{"last_index":`...), snap.LastIndex, 10)
 	if snap.LastTerm != 0 {
 		b = strconv.AppendUint(append(b, `,"last_term":`...), snap.LastTerm, 10)
 	}
 	b = append(b, `,"state":`...)
-	if snap.State == nil {
+	if state == nil {
 		b = append(b, "null"...)
 	} else {
-		var err error
-		if b, err = appendOps(b, snap.State); err != nil {
-			return nil, err
-		}
+		b = appendRecords(b, len(state), func(i int) []byte { return state[i] })
 	}
 	if snap.Config != nil {
-		var err error
-		if b, err = jsonappend.Marshal(append(b, `,"config":`...), snap.Config); err != nil {
-			return nil, err
-		}
+		b, _ = jsonappend.Marshal(append(b, `,"config":`...), snap.Config)
 	}
 	if snap.ConfigIndex != 0 {
 		b = strconv.AppendUint(append(b, `,"config_index":`...), snap.ConfigIndex, 10)
 	}
-	return append(b, '}'), nil
+	return append(b, '}')
 }
 
-// appendOps appends ops as a JSON array.
-func appendOps(b []byte, ops []Op) ([]byte, error) {
+// appendRecords appends the n records rec returns as a JSON array.
+func appendRecords(b []byte, n int, rec func(i int) []byte) []byte {
 	b = append(b, '[')
-	for i := range ops {
+	for i := range n {
 		if i > 0 {
 			b = append(b, ',')
 		}
-		var err error
-		if b, err = appendOp(b, &ops[i]); err != nil {
-			return nil, err
-		}
+		b = append(b, rec(i)...)
 	}
-	return append(b, ']'), nil
+	return append(b, ']')
 }
 
 // appendHeartbeatRequest appends req as json.Marshal(req) would.
-func appendHeartbeatRequest(b []byte, req *HeartbeatRequest) ([]byte, error) {
+func appendHeartbeatRequest(b []byte, req *HeartbeatRequest) []byte {
 	b = strconv.AppendUint(append(b, `{"term":`...), req.Term, 10)
 	b = jsonappend.String(append(b, `,"leader":`...), req.Leader)
 	b = jsonappend.String(append(b, `,"leader_url":`...), req.LeaderURL)
@@ -98,15 +88,12 @@ func appendHeartbeatRequest(b []byte, req *HeartbeatRequest) ([]byte, error) {
 		b = strconv.AppendUint(append(b, `,"prev_term":`...), req.PrevTerm, 10)
 	}
 	if len(req.Ops) > 0 {
-		var err error
-		if b, err = appendOps(append(b, `,"ops":`...), req.Ops); err != nil {
-			return nil, err
-		}
+		b = appendRecords(append(b, `,"ops":`...), len(req.Ops), func(i int) []byte { return req.Ops[i].rec })
 	}
 	if req.Round != 0 {
 		b = strconv.AppendUint(append(b, `,"round":`...), req.Round, 10)
 	}
-	return append(b, '}'), nil
+	return append(b, '}')
 }
 
 // appendHeartbeatResponse appends what json.Encoder writes for resp,
@@ -125,24 +112,50 @@ func appendHeartbeatResponse(b []byte, resp *HeartbeatResponse) []byte {
 	return append(b, "}\n"...)
 }
 
+// plainOp is Op without its method: what encoding/json reads an op
+// record into where scanOp cannot.
+type plainOp Op
+
+// UnmarshalJSON reads rec, one op record, as encoding/json reads it into
+// a plainOp, and keeps a copy as the op's record: the one reading of an op
+// record, which recovery, a snapshot's state, the pull reply and the
+// append RPC reach through json.Unmarshal, or through scanOp itself.
+func (op *Op) UnmarshalJSON(rec []byte) error {
+	sc := jsonappend.NewScanner(rec)
+	if scanOp(&sc, op); !sc.Done() {
+		if err := json.Unmarshal(rec, (*plainOp)(op)); err != nil {
+			return err
+		}
+	}
+	op.rec = bytes.Clone(rec)
+	return nil
+}
+
+// scanOp reads what appendOp writes, but for a configuration op.
+func scanOp(sc *jsonappend.Scanner, op *Op) {
+	sc.Object("i", &op.Index, "t", &op.Term, "k", &op.Kind, "s", &op.Site,
+		"id", &op.ID, "a", &op.Author, "b", &op.Body, "d", &op.DependsOn)
+}
+
 // decodeHeartbeatRequest sets *req, zero, to json.Unmarshal's reading
 // of body.
 func decodeHeartbeatRequest(body []byte, req *HeartbeatRequest) error {
 	sc := jsonappend.NewScanner(body)
-	scanHeartbeatRequest(&sc, req)
+	scanHeartbeatRequest(&sc, body, req)
 	return jsonappend.Fallback(&sc, body, req)
 }
 
 // scanHeartbeatRequest reads what appendHeartbeatRequest writes, but for
-// a configuration op.
-func scanHeartbeatRequest(sc *jsonappend.Scanner, req *HeartbeatRequest) {
+// a configuration op, from body, which each op's record aliases.
+func scanHeartbeatRequest(sc *jsonappend.Scanner, body []byte, req *HeartbeatRequest) {
 	sc.Object("term", &req.Term, "leader", &req.Leader, "leader_url", &req.LeaderURL,
 		"last_index", &req.LastIndex, "commit", &req.Commit, "prev", &req.Prev, "prev_term", &req.PrevTerm,
 		"ops", func() {
 			sc.Array(func() {
 				var op Op
-				sc.Object("i", &op.Index, "t", &op.Term, "k", &op.Kind, "s", &op.Site,
-					"id", &op.ID, "a", &op.Author, "b", &op.Body, "d", &op.DependsOn)
+				start := sc.Offset()
+				scanOp(sc, &op)
+				op.rec = body[start:sc.Offset():sc.Offset()]
 				req.Ops = append(req.Ops, op)
 			})
 		},

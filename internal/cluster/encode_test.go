@@ -14,6 +14,25 @@ import (
 	"conprobe/internal/wal"
 )
 
+// recorded is op with the record appendOp makes for it, as a node that
+// creates an op gives it one.
+func recorded(op Op) Op {
+	op.rec = appendOp(nil, &op)
+	return op
+}
+
+// records lists the records of ops, nil for none.
+func records(ops []Op) [][]byte {
+	if ops == nil {
+		return nil
+	}
+	recs := make([][]byte, len(ops))
+	for i := range ops {
+		recs[i] = ops[i].rec
+	}
+	return recs
+}
+
 // checkOpEncoding holds the append encoder to encoding/json for one op,
 // which is both a snapshot element and a journal record.
 func checkOpEncoding(t *testing.T, op Op) {
@@ -22,11 +41,7 @@ func checkOpEncoding(t *testing.T, op Op) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := appendOp([]byte("x"), &op)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got[1:], want) {
+	if got := appendOp([]byte("x"), &op); !bytes.Equal(got[1:], want) {
 		t.Fatalf("appendOp:\n got %s\nwant %s", got[1:], want)
 	}
 }
@@ -63,16 +78,13 @@ func FuzzAppendOp(f *testing.F) {
 		dir := t.TempDir()
 		base := nodeSnapshot{LastIndex: index - 1, LastTerm: term, State: []Op{}}
 		if index > 1 {
-			base.State = append(base.State, Op{Index: index - 1, Term: term, Kind: opWrite, ID: id, Author: author, Body: body})
+			base.State = append(base.State, recorded(Op{Index: index - 1, Term: term, Kind: opWrite, ID: id, Author: author, Body: body}))
 		}
 		wantSnap, err := json.Marshal(base)
 		if err != nil {
 			t.Fatal(err)
 		}
-		head, err := appendSnapshot(nil, &base)
-		if err != nil {
-			t.Fatal(err)
-		}
+		head := appendSnapshot(nil, &base, records(base.State))
 		if !bytes.Equal(head, wantSnap) {
 			t.Fatalf("appendSnapshot:\n got %s\nwant %s", head, wantSnap)
 		}
@@ -84,11 +96,7 @@ func FuzzAppendOp(f *testing.F) {
 		recs := [][]byte{head}
 		for i := range ops {
 			ops[i].Index = index + uint64(i)
-			rec, err := appendOp(nil, &ops[i])
-			if err != nil {
-				t.Fatal(err)
-			}
-			recs = append(recs, rec)
+			recs = append(recs, appendOp(nil, &ops[i]))
 		}
 		if err := log.AppendBatch(recs); err != nil {
 			t.Fatal(err)
@@ -123,13 +131,52 @@ func FuzzAppendOp(f *testing.F) {
 			// What encoding/json would have read back from its own output:
 			// invalid UTF-8 comes back as U+FFFD either way.
 			raw, _ := json.Marshal(want)
-			var back Op
+			var back plainOp
 			if err := json.Unmarshal(raw, &back); err != nil {
 				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(got[i], back) {
+			if !bytes.Equal(got[i].rec, recs[i+1]) {
+				t.Fatalf("op %d recovered with the record %q, journaled %q", i, got[i].rec, recs[i+1])
+			}
+			if got[i].rec = nil; !reflect.DeepEqual(got[i], Op(back)) {
 				t.Fatalf("op %d recovered as %+v, want %+v", i, got[i], back)
 			}
+		}
+	})
+}
+
+// FuzzDecodeOp feeds arbitrary bytes to the op-record decoder: it must
+// read what json.Unmarshal reads into a plainOp — Op without the method —
+// keep the bytes it read as the op's record, and fail exactly when
+// json.Unmarshal fails, with its error.
+func FuzzDecodeOp(f *testing.F) {
+	for _, s := range []string{
+		`{"i":9,"t":3,"k":"write","s":"oregon","id":"p-1","a":"alice","b":"hi","d":"p-0"}`,
+		`{"i":1,"k":"reset"}`, `{"i":2,"t":1,"k":"noop"}`,
+		`{"i":4,"t":2,"k":"config","c":{"new":[{"id":"n1","url":"http://n1"}],"old":[{"url":"http://n0"}]}}`,
+		`{"i":5,"k":"write","b":"caf\u00e9 \u003cb\u003e\"x\""}`, "{\"i\":5,\"b\":\"caf\xc3\xa9\"}", "{\"b\":\"\xff\"}",
+		`{"k":"write","i":1}`, `{"i":1,"i":2}`, `{"I":1,"K":"write"}`, `{"i":1,"x":[1,{"y":2}]}`,
+		`{"i":"1"}`, `{"i":-1}`, `{"i":1.0}`, `{"i":18446744073709551616}`, `{"i":01}`, `{"t":null}`,
+		`{"c":5}`, `{"c":null}`, `null`, `{}`, ``, `[]`, ` {"i":1}`, `{"i":1} `, "{\"i\":1}\n", `{"i":1}x`, `{"i":1`,
+	} {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		var got Op
+		err := got.UnmarshalJSON(b)
+		var want plainOp
+		wantErr := json.Unmarshal(b, &want)
+		if (err == nil) != (wantErr == nil) || (err != nil && err.Error() != wantErr.Error()) {
+			t.Fatalf("%q: error %v, json.Unmarshal's %v", b, err, wantErr)
+		}
+		if err != nil {
+			return
+		}
+		if !bytes.Equal(got.rec, b) {
+			t.Fatalf("%q: kept the record %q", b, got.rec)
+		}
+		if got.rec = nil; !reflect.DeepEqual(got, Op(want)) {
+			t.Fatalf("%q:\n got %+v\nwant %+v", b, got, want)
 		}
 	})
 }
@@ -143,17 +190,13 @@ func TestAppendSnapshotMatchesMarshal(t *testing.T) {
 		{},
 		{LastIndex: 7, State: []Op{}},
 		{LastIndex: 9, LastTerm: 3, State: writeOpsAt(8, 2, 3), Config: cfg, ConfigIndex: 4},
-		{LastIndex: 1, State: []Op{{Index: 1, Kind: opConfig, Config: cfg}, {Index: 2, Kind: opReset}}},
+		{LastIndex: 1, State: []Op{recorded(Op{Index: 1, Kind: opConfig, Config: cfg}), recorded(Op{Index: 2, Kind: opReset})}},
 	} {
 		want, err := json.Marshal(snap)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := appendSnapshot(nil, &snap)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, want) {
+		if got := appendSnapshot(nil, &snap, records(snap.State)); !bytes.Equal(got, want) {
 			t.Errorf("appendSnapshot:\n got %s\nwant %s", got, want)
 		}
 	}
@@ -272,4 +315,36 @@ func TestCompactionAllocsDoNotGrowWithState(t *testing.T) {
 		t.Fatalf("compacting 4,096 ops allocates %v objects, 256 ops %v: the count grows with the state", large, small)
 	}
 	t.Logf("a compaction allocates %v objects at either size", small)
+}
+
+// BenchmarkCompactLargeState is one compaction of a standalone leader
+// holding 20,000 applied writes: the oplog rewritten, and fsynced, as
+// the snapshot record of the whole state.
+func BenchmarkCompactLargeState(b *testing.B) {
+	n, err := NewNode(dropSvc{}, Config{
+		NodeID: "n1", Role: RoleLeader, DataDir: b.TempDir(), NoSync: true, SnapshotEvery: 1 << 20,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer n.Kill()
+	for i := 0; i < 20000; i++ {
+		p := service.Post{ID: fmt.Sprintf("p-%d", i), Author: "alice", Body: "a post body of ordinary length"}
+		if _, err := n.ProposeWrite(simnet.DCWest, p); err != nil {
+			b.Fatal(err)
+		}
+	}
+	compact := func() {
+		n.mu.Lock()
+		defer n.mu.Unlock()
+		if err := n.compactLocked(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	compact() // grows the kept record buffer to the state's size
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		compact()
+	}
 }

@@ -204,11 +204,17 @@ func (n *Node) Handler() http.Handler {
 		writeJSON(w, http.StatusOK, n.HandleVote(req))
 	})
 	mux.HandleFunc("/cluster/heartbeat", func(w http.ResponseWriter, r *http.Request) {
-		var req HeartbeatRequest
-		if !decodeRPC(w, r, func(body []byte) error { return decodeHeartbeatRequest(body, &req) }) {
+		// The ops' records alias the pooled body: handle it before it goes back.
+		var resp HeartbeatResponse
+		if !decodeRPC(w, r, func(body []byte) (err error) {
+			var req HeartbeatRequest
+			if err = decodeHeartbeatRequest(body, &req); err == nil {
+				resp = n.HandleHeartbeat(req)
+			}
+			return err
+		}) {
 			return
 		}
-		resp := n.HandleHeartbeat(req)
 		w.Header()["Content-Type"] = jsonContentType
 		w.WriteHeader(http.StatusOK)
 		buf := jsonappend.Get()
@@ -221,8 +227,8 @@ func (n *Node) Handler() http.Handler {
 }
 
 // maxRPCBody caps a POSTed RPC body: room for the largest heartbeat —
-// maxAppendBytes of op payload plus one op that alone exceeds it, every
-// byte of both escaped sixfold.
+// maxAppendBytes of op records plus one op whose record, its body escaped
+// sixfold, alone exceeds it.
 const maxRPCBody = 16 << 20
 
 // decodeRPC hands a POSTed RPC body to decode, writing the error response

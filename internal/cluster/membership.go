@@ -277,14 +277,9 @@ func (n *Node) maybeFinishReconfigureLocked() {
 	}
 	if n.config.Joint() {
 		final := Membership{New: append([]Member(nil), n.config.New...)}
-		op := Op{Index: n.lastIndex + 1, Term: n.currentTerm, Kind: opConfig, Config: &final}
 		// A staging failure (WAL error) leaves the config joint; the next
 		// commit advance retries.
-		if err := n.stageLocked(op); err != nil {
-			return
-		}
-		n.publishLocked(op)
-		n.recomputeCommitLocked()
+		_, _ = n.appendNewLocked(Op{Kind: opConfig, Config: &final})
 		return
 	}
 	if !n.config.Contains(n.cfg.SelfURL) {

@@ -77,8 +77,8 @@ func writeOpsAt(from uint64, count int, term uint64) []Op {
 	ops := make([]Op, count)
 	for i := range ops {
 		idx := from + uint64(i)
-		ops[i] = Op{Index: idx, Term: term, Kind: opWrite, Site: string(simnet.DCWest),
-			ID: fmt.Sprintf("t%d-%d", term, idx), Author: "a1", Body: "x"}
+		ops[i] = recorded(Op{Index: idx, Term: term, Kind: opWrite, Site: string(simnet.DCWest),
+			ID: fmt.Sprintf("t%d-%d", term, idx), Author: "a1", Body: "x"})
 	}
 	return ops
 }
@@ -135,7 +135,8 @@ func TestFollowerCommitBoundedByVerifiedPrefix(t *testing.T) {
 	// Re-sourced — here by the snapshot install the leader's refusal of
 	// that pull position leads to — the follower may adopt the commit.
 	f.mu.Lock()
-	f.installSnapshotLocked(nodeSnapshot{LastIndex: 6, LastTerm: 2, State: writeOpsAt(1, 6, 2)})
+	snap := nodeSnapshot{LastIndex: 6, LastTerm: 2, State: writeOpsAt(1, 6, 2)}
+	f.installSnapshotLocked(appendSnapshot(nil, &snap, records(snap.State)), snap)
 	f.mu.Unlock()
 	f.HandleHeartbeat(appendReq(2, 6, 2, nil, 6, 6))
 	if got := f.CommitIndex(); got != 6 {

@@ -2,23 +2,24 @@ package cluster
 
 import (
 	"bufio"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"net"
 	"net/http"
-	"slices"
 	"strings"
 	"sync"
 	"time"
+
+	"conprobe/internal/wal"
 )
 
 // appendProtocol names the append stream: GET /cluster/append with
 // Connection: Upgrade and Upgrade: appendProtocol, answered 101, after
-// which each side writes frames — a 4-byte big-endian length and exactly
-// the body POST /cluster/heartbeat carries — answered in order.
-const appendProtocol = "consvc-append/1"
+// which each side writes frames — a WAL frame (length, CRC32) of exactly
+// the body POST /cluster/heartbeat carries — answered in order. The
+// checksum guards the op records a follower journals as they arrive.
+const appendProtocol = "consvc-append/2"
 
 var upgradeHeader = http.Header{"Connection": {"Upgrade"}, "Upgrade": {appendProtocol}} // read only
 
@@ -147,13 +148,11 @@ func (s *appendStream) run() {
 	s.t.streamsOpen.Add(1)
 	s.mu.Unlock()
 	go s.read(bufio.NewReader(conn))
-	var frame []byte
+	var body, frame []byte
 	for req := range s.queue {
-		if frame, err = appendHeartbeatRequest(append(frame[:0], 0, 0, 0, 0), &req); err == nil {
-			binary.BigEndian.PutUint32(frame, uint32(len(frame)-4))
-			_, err = conn.Write(frame)
-		}
-		if err != nil {
+		body = appendHeartbeatRequest(body[:0], &req)
+		frame = wal.AppendFrame(frame[:0], body)
+		if _, err = conn.Write(frame); err != nil {
 			s.fail(err)
 			return
 		}
@@ -166,7 +165,7 @@ func (s *appendStream) read(r *bufio.Reader) {
 	for {
 		var resp HeartbeatResponse
 		var err error
-		if body, err = readFrame(r, body); err == nil {
+		if body, err = wal.ReadFrame(r, body, maxRPCBody); err == nil {
 			err = decodeHeartbeatResponse(body, &resp)
 		}
 		s.mu.Lock()
@@ -237,25 +236,10 @@ func (s *appendStream) fail(err error) {
 	}
 }
 
-// readFrame reads one frame's body into buf's storage. A frame longer
-// than maxRPCBody is an error, as a POSTed body that long is a 413.
-func readFrame(r *bufio.Reader, buf []byte) ([]byte, error) {
-	buf = append(buf[:0], 0, 0, 0, 0)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return buf, err
-	}
-	n := binary.BigEndian.Uint32(buf)
-	if n > maxRPCBody {
-		return buf, fmt.Errorf("cluster: append frame of %d bytes exceeds %d", n, maxRPCBody)
-	}
-	buf = slices.Grow(buf[:0], int(n))[:n]
-	_, err := io.ReadFull(r, buf)
-	return buf, err
-}
-
 // serveAppend takes an append stream over from net/http and answers its
-// frames in order until it breaks or the node stops. A connection it
-// cannot take over is answered 501: the leader then POSTs.
+// frames in order until a frame over maxRPCBody (a 413 by POST) or failing
+// its checksum breaks it, or the node stops. A connection it cannot take
+// over is answered 501: the leader then POSTs.
 func (n *Node) serveAppend(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet || !strings.EqualFold(r.Header.Get("Upgrade"), appendProtocol) {
 		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "expected an Upgrade: " + appendProtocol + " GET"})
@@ -274,18 +258,19 @@ func (n *Node) serveAppend(w http.ResponseWriter, r *http.Request) {
 	}
 	defer n.trackStream(conn, false)
 	out := []byte("HTTP/1.1 101 Switching Protocols\r\nConnection: Upgrade\r\nUpgrade: " + appendProtocol + "\r\n\r\n")
-	var in []byte
+	var in, body []byte
 	for { // answer, then read the next frame
 		var req HeartbeatRequest
 		if _, err = conn.Write(out); err != nil {
 			return
 		}
-		if in, err = readFrame(rw.Reader, in); err != nil || decodeHeartbeatRequest(in, &req) != nil {
+		// The ops' records alias in until HandleHeartbeat has kept them.
+		if in, err = wal.ReadFrame(rw.Reader, in, maxRPCBody); err != nil || decodeHeartbeatRequest(in, &req) != nil {
 			return
 		}
 		resp := n.HandleHeartbeat(req)
-		out = appendHeartbeatResponse(append(out[:0], 0, 0, 0, 0), &resp)
-		binary.BigEndian.PutUint32(out, uint32(len(out)-4))
+		body = appendHeartbeatResponse(body[:0], &resp)
+		out = wal.AppendFrame(out[:0], body)
 	}
 }
 

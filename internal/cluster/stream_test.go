@@ -3,7 +3,6 @@ package cluster
 import (
 	"bufio"
 	"bytes"
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -18,6 +17,7 @@ import (
 
 	"conprobe/internal/service"
 	"conprobe/internal/simnet"
+	"conprobe/internal/wal"
 )
 
 // onceTransport is the production transport with a check on every
@@ -345,7 +345,7 @@ func TestOverCapFrameClosesStream(t *testing.T) {
 	body, _ := json.Marshal(appendReq(1, 0, 0, writeOpsAt(1, 1, 1), 1, 0))
 	body = append(body, bytes.Repeat([]byte{' '}, maxRPCBody+1-len(body))...)
 	go func() { // fails once the follower hangs up
-		if _, err := conn.Write(binary.BigEndian.AppendUint32(nil, uint32(len(body)))); err == nil {
+		if _, err := conn.Write(wal.AppendFrame(nil, body)[:wal.FrameHeader]); err == nil {
 			_, _ = conn.Write(body)
 		}
 	}()
@@ -356,5 +356,56 @@ func TestOverCapFrameClosesStream(t *testing.T) {
 	}
 	if got := f.LastIndex(); got != 0 {
 		t.Fatalf("an over-cap frame appended through %d", got)
+	}
+}
+
+// TestFlippedFrameIsRefused records one request frame and feeds it to a
+// follower's append stream with each of its bytes flipped in turn: the
+// follower journals the op records a frame carries as they arrived, so
+// every flip — in the length, the checksum or the body — must break the
+// stream unanswered and append nothing. The frame as recorded appends.
+func TestFlippedFrameIsRefused(t *testing.T) {
+	f := pushFollower(t, &pullCapture{}, nil)
+	srv := httptest.NewServer(f.Handler())
+	defer srv.Close()
+	op := recorded(Op{Index: 1, Term: 1, Kind: opWrite, Site: string(simnet.DCWest), ID: "p-1", Author: "alice",
+		Body: "a body no flipped byte may reach the journal"})
+	req := appendReq(1, 0, 0, []Op{op}, 1, 0)
+	good := wal.AppendFrame(nil, appendHeartbeatRequest(nil, &req))
+	// send writes frame on a fresh stream, ends its side of the
+	// connection and returns how many bytes the follower answered.
+	send := func(frame []byte) int64 {
+		t.Helper()
+		conn, err := net.Dial("tcp", srv.Listener.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		br := bufio.NewReader(conn)
+		fmt.Fprintf(conn, "GET /cluster/append HTTP/1.1\r\nHost: f\r\nConnection: Upgrade\r\nUpgrade: %s\r\n\r\n", appendProtocol)
+		if r, err := http.ReadResponse(br, nil); err != nil || r.StatusCode != http.StatusSwitchingProtocols {
+			t.Fatalf("upgrade answered %+v, %v", r, err)
+		}
+		if _, err := conn.Write(frame); err != nil {
+			t.Fatal(err)
+		}
+		_ = conn.(*net.TCPConn).CloseWrite() // a length flipped upward then reads to the end
+		_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+		n, err := io.Copy(io.Discard, br)
+		if errors.Is(err, os.ErrDeadlineExceeded) {
+			t.Fatal("the follower neither answered nor hung up")
+		}
+		return n
+	}
+	for off := range good {
+		frame := bytes.Clone(good)
+		frame[off] ^= 0xff
+		if n := send(frame); n != 0 || f.LastIndex() != 0 {
+			t.Fatalf("byte %d of %d flipped: the follower answered %d bytes and holds %d ops, want a hang-up and none",
+				off, len(good), n, f.LastIndex())
+		}
+	}
+	if n := send(good); n == 0 || f.LastIndex() != 1 {
+		t.Fatalf("the recorded frame: answered %d bytes, holds %d ops; want an answer and the op", n, f.LastIndex())
 	}
 }

@@ -246,7 +246,7 @@ func (t *httpTransport) Heartbeat(peer string, req HeartbeatRequest, done func(H
 func (t *httpTransport) heartbeat(peer string, req HeartbeatRequest, done func(HeartbeatResponse, error)) {
 	var resp HeartbeatResponse
 	err := t.post(peer, "/cluster/heartbeat",
-		func(b []byte) ([]byte, error) { return appendHeartbeatRequest(b, &req) },
+		func(b []byte) ([]byte, error) { return appendHeartbeatRequest(b, &req), nil },
 		func(body []byte) error { return decodeHeartbeatResponse(body, &resp) })
 	done(resp, err)
 }

@@ -3,7 +3,6 @@ package cluster
 import (
 	"bufio"
 	"bytes"
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -17,6 +16,7 @@ import (
 
 	"conprobe/internal/jsonappend"
 	"conprobe/internal/simnet"
+	"conprobe/internal/wal"
 )
 
 // heartbeatPair builds a request and a response from fuzz arguments: up
@@ -28,10 +28,10 @@ func heartbeatPair(term, last, commit, prev, prevTerm, round uint64, leader, url
 		Prev: prev, PrevTerm: prevTerm, Round: round,
 	}
 	for i := uint64(0); i < uint64(nops%4); i++ {
-		req.Ops = append(req.Ops, Op{Index: prev + i + 1, Term: prevTerm + i, Kind: kind, Site: site, ID: id, Author: author, Body: body, DependsOn: dep})
+		req.Ops = append(req.Ops, recorded(Op{Index: prev + i + 1, Term: prevTerm + i, Kind: kind, Site: site, ID: id, Author: author, Body: body, DependsOn: dep}))
 	}
 	if config {
-		req.Ops = append(req.Ops, Op{Index: last, Kind: opConfig, Config: &Membership{New: []Member{{ID: id, URL: url}}}})
+		req.Ops = append(req.Ops, recorded(Op{Index: last, Kind: opConfig, Config: &Membership{New: []Member{{ID: id, URL: url}}}}))
 	}
 	resp := HeartbeatResponse{Term: term, Node: leader, URL: url, LastIndex: last, LastTerm: prevTerm, Round: round}
 	return req, resp
@@ -56,11 +56,7 @@ func FuzzAppendHeartbeat(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := appendHeartbeatRequest([]byte("x"), &req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got[1:], want) {
+		if got := appendHeartbeatRequest([]byte("x"), &req); !bytes.Equal(got[1:], want) {
 			t.Fatalf("appendHeartbeatRequest:\n got %s\nwant %s", got[1:], want)
 		}
 		var sent bytes.Buffer
@@ -74,7 +70,7 @@ func FuzzAppendHeartbeat(f *testing.F) {
 		checkHeartbeatDecoders(t, want)
 		checkHeartbeatDecoders(t, sent.Bytes())
 		if sc := jsonappend.NewScanner(want); !bytes.Contains(want, []byte(`\`)) && !config {
-			if scanHeartbeatRequest(&sc, new(HeartbeatRequest)); !sc.Done() {
+			if scanHeartbeatRequest(&sc, want, new(HeartbeatRequest)); !sc.Done() {
 				t.Fatalf("the fast path refused the encoder's own request %s", want)
 			}
 		}
@@ -87,11 +83,36 @@ func FuzzAppendHeartbeat(f *testing.F) {
 }
 
 // checkHeartbeatDecoders requires both decoders to read b as
-// json.Unmarshal does: the same value, or the same error.
+// json.Unmarshal does: the same value, or the same error. encoding/json
+// hands each op to Op.UnmarshalJSON, so a request's ops must keep as
+// their records the bytes of b they were read from on the fast path too;
+// and their exported fields must be what encoding/json reads with no Op
+// method anywhere, into plainOps.
 func checkHeartbeatDecoders(t *testing.T, b []byte) {
 	t.Helper()
 	var req, wantReq HeartbeatRequest
-	sameDecode(t, b, decodeHeartbeatRequest(b, &req), json.Unmarshal(b, &wantReq), req, wantReq)
+	err := decodeHeartbeatRequest(b, &req)
+	sameDecode(t, b, err, json.Unmarshal(b, &wantReq), req, wantReq)
+	var plain struct {
+		HeartbeatRequest
+		Ops []plainOp `json:"ops,omitempty"`
+	}
+	if perr := json.Unmarshal(b, &plain); (perr == nil) != (err == nil) {
+		t.Fatalf("%q: error %v, encoding/json's own reading %v", b, err, perr)
+	} else if err == nil {
+		if plain.Ops != nil {
+			plain.HeartbeatRequest.Ops = make([]Op, len(plain.Ops))
+		}
+		for i, op := range plain.Ops {
+			plain.HeartbeatRequest.Ops[i] = Op(op)
+		}
+		for i := range req.Ops {
+			req.Ops[i].rec = nil
+		}
+		if !reflect.DeepEqual(req, plain.HeartbeatRequest) {
+			t.Fatalf("%q:\n got %+v\nencoding/json's own reading %+v", b, req, plain.HeartbeatRequest)
+		}
+	}
 	var resp, wantResp HeartbeatResponse
 	sameDecode(t, b, decodeHeartbeatResponse(b, &resp), json.Unmarshal(b, &wantResp), resp, wantResp)
 }
@@ -195,7 +216,7 @@ func streamPeer(t *testing.T, reply string) (string, <-chan []byte) {
 		}
 		_, _ = io.WriteString(conn, "HTTP/1.1 101 Switching Protocols\r\nConnection: Upgrade\r\nUpgrade: "+appendProtocol+"\r\n\r\n")
 		for {
-			body, err := readFrame(br, nil)
+			body, err := wal.ReadFrame(br, nil, maxRPCBody)
 			if err != nil {
 				return
 			}
@@ -210,7 +231,7 @@ func streamPeer(t *testing.T, reply string) (string, <-chan []byte) {
 
 // frame is body as an append-stream frame.
 func frame[B string | []byte](body B) []byte {
-	return append(binary.BigEndian.AppendUint32(nil, uint32(len(body))), body...)
+	return wal.AppendFrame(nil, []byte(body))
 }
 
 // heartbeatVia sends req to peer over tr and waits for the reply.
@@ -266,7 +287,7 @@ func TestAppendRPCWireUnchanged(t *testing.T) {
 	if _, err := conn.Write(frame(body)); err != nil {
 		t.Fatal(err)
 	}
-	gotReply, err := readFrame(br, nil)
+	gotReply, err := wal.ReadFrame(br, nil, maxRPCBody)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -388,6 +409,7 @@ func appendLoopback(tb testing.TB, refuse bool) (send func()) {
 	op := Op{Term: 1, Kind: opWrite, Site: string(simnet.DCWest), ID: "p-1", Author: "alice",
 		Body: "a post body of ordinary length, nothing to escape"}
 	ops := make([]Op, 1)
+	var rec []byte
 	acked := make(chan uint64, 1)
 	done := func(resp HeartbeatResponse, err error) {
 		if err != nil {
@@ -399,6 +421,8 @@ func appendLoopback(tb testing.TB, refuse bool) (send func()) {
 	return func() {
 		ops[0] = op
 		ops[0].Index = head + 1
+		rec = appendOp(rec[:0], &ops[0]) // the follower copies what it keeps
+		ops[0].rec = rec
 		tr.Heartbeat(srv.URL, HeartbeatRequest{
 			Term: 1, Leader: "l", LeaderURL: "http://l", LastIndex: head + 1, Commit: head,
 			Prev: head, PrevTerm: min(head, 1), Ops: ops, Round: head + 1,

@@ -93,6 +93,10 @@ func (sc *Scanner) Done() bool {
 	return !sc.bad && (sc.i == len(sc.s) || sc.s[sc.i:] == "\n")
 }
 
+// Offset is how many bytes of the input the scan has read: the input
+// between two offsets is the text of what was read between them.
+func (sc *Scanner) Offset() int { return sc.i }
+
 // Object reads an object. fields alternates each key the encoders may
 // write, in their order, with where its value goes: a *string, *uint64 or
 // *time.Time, or a func() reading the value itself. A key not among those

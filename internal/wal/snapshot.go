@@ -21,7 +21,7 @@ func WriteSnapshot(path string, payload []byte) error {
 // means the real filesystem; mode zero means DefaultFileMode.
 func WriteSnapshotFS(fsys diskfault.FS, path string, payload []byte, mode os.FileMode) error {
 	err := ReplaceFileFS(fsys, path, mode, func(w io.Writer) error {
-		_, err := w.Write(appendFrame(make([]byte, 0, FrameHeader+len(payload)), payload))
+		_, err := w.Write(AppendFrame(make([]byte, 0, FrameHeader+len(payload)), payload))
 		return err
 	})
 	if err != nil {

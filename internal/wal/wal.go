@@ -6,14 +6,15 @@
 // journal is one such log.
 //
 // Record framing: every record is [4-byte little-endian payload length]
-// [4-byte little-endian IEEE CRC32 of the payload][payload]. Replay
-// walks the frames sequentially; a record cut short by a crash — the
-// frame extends past the end of the file, or its checksum fails on the
-// very last frame — is the classic torn tail: it is dropped, noted, and
-// physically truncated away so subsequent appends start from a clean
-// offset. Damage anywhere before the final frame cannot be
-// distinguished from data loss and is reported as a *CorruptError
-// positioned by byte offset — or, when the caller opted into
+// [4-byte little-endian IEEE CRC32 of the payload][payload]; the cluster's
+// append stream frames its messages the same way (AppendFrame,
+// ReadFrame). Replay walks the frames sequentially; a record cut short by
+// a crash — the frame extends past the end of the file with no intact
+// frame after it, or its checksum fails on the very last frame — is the
+// classic torn tail: it is dropped, noted, and physically truncated away
+// so subsequent appends start from a clean offset. Damage anywhere before
+// the final frame cannot be distinguished from data loss and is reported
+// as a *CorruptError positioned by byte offset — or, when the caller opted into
 // Quarantine, the whole damaged file is set aside as a .corrupt sidecar
 // and the log reopens empty, for callers that can re-source the data
 // (a cluster follower rejoins via the leader's snapshot stream).
@@ -47,6 +48,7 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
+	"slices"
 	"sync"
 
 	"conprobe/internal/diskfault"
@@ -62,11 +64,34 @@ func putFrameHeader(frame, payload []byte) {
 	binary.LittleEndian.PutUint32(frame[4:], crc32.ChecksumIEEE(payload))
 }
 
-// appendFrame appends payload, framed as one record, to dst.
-func appendFrame(dst, payload []byte) []byte {
+// AppendFrame appends payload, framed as one record, to dst.
+func AppendFrame(dst, payload []byte) []byte {
 	var hdr [FrameHeader]byte
 	putFrameHeader(hdr[:], payload)
 	return append(append(dst, hdr[:]...), payload...)
+}
+
+// ReadFrame reads one frame from r into buf's storage and returns its
+// payload. A frame that claims more than limit bytes, or whose payload
+// fails its checksum, is an error: on a stream there is no torn tail to
+// forgive.
+func ReadFrame(r io.Reader, buf []byte, limit int) ([]byte, error) {
+	buf = slices.Grow(buf[:0], FrameHeader)[:FrameHeader]
+	if _, err := io.ReadFull(r, buf); err != nil {
+		return buf, err
+	}
+	n, sum := binary.LittleEndian.Uint32(buf), binary.LittleEndian.Uint32(buf[4:])
+	if int64(n) > int64(limit) {
+		return buf, fmt.Errorf("wal: frame of %d bytes exceeds %d", n, limit)
+	}
+	buf = slices.Grow(buf[:0], int(n))[:n]
+	if _, err := io.ReadFull(r, buf); err != nil {
+		return buf, err
+	}
+	if got := crc32.ChecksumIEEE(buf); got != sum {
+		return buf, fmt.Errorf("wal: frame checksum mismatch (stored %08x, computed %08x)", sum, got)
+	}
+	return buf, nil
 }
 
 // MaxRecordBytes bounds a single record's payload. A mid-file length
@@ -253,6 +278,12 @@ func scan(r io.Reader, path string) (Replay, int64, error) {
 		}
 		end := off + FrameHeader + length
 		if end > size {
+			if at, ok := intactFrameAfter(data, off+FrameHeader); ok {
+				// A short write leaves nothing whole behind it: this length
+				// was damaged in place.
+				return Replay{}, 0, &CorruptError{Path: path, Offset: off,
+					Reason: fmt.Sprintf("record length %d runs past the end of the file, over an intact frame at byte offset %d", length, at)}
+			}
 			torn("frame extends past end of file")
 			return rep, off, nil
 		}
@@ -272,6 +303,21 @@ func scan(r io.Reader, path string) (Replay, int64, error) {
 		off = end
 	}
 	return rep, off, nil
+}
+
+// intactFrameAfter reports the first offset at or past from where a whole,
+// non-empty frame with a matching checksum starts in data. An empty one
+// is not looked for: eight zero bytes read as one, and a crash can leave
+// a file's tail zero-filled.
+func intactFrameAfter(data []byte, from int64) (int64, bool) {
+	for at := from; at+FrameHeader <= int64(len(data)); at++ {
+		length := int64(binary.LittleEndian.Uint32(data[at:]))
+		end := at + FrameHeader + length
+		if length > 0 && end <= int64(len(data)) && crc32.ChecksumIEEE(data[at+FrameHeader:end]) == binary.LittleEndian.Uint32(data[at+4:]) {
+			return at, true
+		}
+	}
+	return 0, false
 }
 
 // Append writes one record and returns once it is durable (unless the
@@ -325,7 +371,7 @@ func (l *Log) write(payloads [][]byte) (uint64, error) {
 	// allocates nothing once the buffer has grown to the working size.
 	buf := l.frames[:0]
 	for _, p := range payloads {
-		buf = appendFrame(buf, p)
+		buf = AppendFrame(buf, p)
 	}
 	if l.frames = buf; cap(buf) > maxKeptFrames {
 		l.frames = nil // one outsized record must not pin its size for good

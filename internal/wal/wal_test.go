@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -184,6 +185,66 @@ func TestCorruptLastFrameIsTorn(t *testing.T) {
 	}
 	if rep.Note == "" {
 		t.Error("expected a torn-tail note")
+	}
+}
+
+// TestMidFileLengthFlipIsCorrupt: a length byte flipped upward in a frame
+// that is not the last makes the frame run past the end of the file, as a
+// torn tail does; but intact frames follow it, which a short write never
+// leaves, so it is corruption. A batch whose last frame really was cut
+// short is still a torn tail, whatever its length field claims.
+func TestMidFileLengthFlipIsCorrupt(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "a.log")
+	openAppend(t, path, "first", "second", "third")
+	full, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	second := int64(FrameHeader + len("first"))
+	for _, at := range []int64{0, second} {
+		for _, b := range []int64{1, 2} { // a length past EOF, still under MaxRecordBytes
+			damaged := bytes.Clone(full)
+			damaged[at+b] ^= 0x01
+			p := filepath.Join(dir, fmt.Sprintf("flip-%d-%d.log", at, b))
+			if err := os.WriteFile(p, damaged, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			var ce *CorruptError
+			if _, err := ReadFS(nil, p); !errors.As(err, &ce) || ce.Offset != at {
+				t.Fatalf("length byte %d of the frame at %d flipped: ReadFS %v, want *CorruptError at %d", b, at, err, at)
+			}
+			if _, _, err := Open(p, Options{}); !errors.As(err, &ce) || ce.Offset != at {
+				t.Fatalf("length byte %d of the frame at %d flipped: Open %v, want *CorruptError at %d", b, at, err, at)
+			}
+			if got, _ := os.ReadFile(p); !bytes.Equal(got, damaged) {
+				t.Fatalf("the refused Open changed %s", p)
+			}
+		}
+	}
+
+	// One batch, cut inside its last frame, then zero-filled past the cut
+	// as a crash can leave a file: the whole frames before it survive.
+	torn := filepath.Join(dir, "torn.log")
+	l, _, err := Open(torn, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.AppendBatch([][]byte{[]byte("one"), []byte("two"), []byte("a longer third record")}); err != nil {
+		t.Fatal(err)
+	}
+	l.Close()
+	raw, err := os.ReadFile(torn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cut := append(raw[:len(raw)-10:len(raw)-10], make([]byte, 9)...)
+	if err := os.WriteFile(torn, cut, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, rep, err := Open(torn, Options{})
+	if err != nil || rep.Note == "" || len(rep.Records) != 2 || string(rep.Records[1]) != "two" {
+		t.Fatalf("torn batch tail: records %q, note %q, error %v; want [one two] and a note", rep.Records, rep.Note, err)
 	}
 }
 
