@@ -120,7 +120,7 @@ func build(args []string) (*http.Server, string, error) {
 		peers        = fs.String("peers", "", "comma-separated base URLs of the other cluster members; enables leader election")
 		dataDir      = fs.String("data-dir", "", "cluster node's persistence directory (oplog and term log); needs -role, -peers or -join — a durable standalone store is -role leader -node-id <id> -data-dir <dir>")
 		pullInterval = fs.Duration("pull-interval", 250*time.Millisecond, "catch-up poll period of a joining or pure-pull follower")
-		snapEvery    = fs.Int("snapshot-every", 256, "compact the cluster oplog after this many ops")
+		snapEvery    = fs.Int("snapshot-every", 256, "checkpoint the cluster oplog after this many ops: a commit record, and a rewrite once dead records outnumber live ones")
 		election     = cliflags.ElectionFlags(fs)
 		diskFaults   = cliflags.DiskFaults(fs)
 		join         = fs.String("join", "", "existing cluster member base URL: boot as a non-voting puller and keep asking the leader to add this node to the membership (requires -node-id and -self-url; excludes -peers)")

@@ -63,16 +63,21 @@
 // service's error.
 //
 // Durability and catch-up share one mechanism: the oplog is its own
-// snapshot. The node periodically compacts it by atomically rewriting
-// the file (wal.Log.Rewrite) as one record holding the state at the
-// applied index, followed by the ops journaled after it. A restarting
-// node recovers from the one file; a follower that has fallen behind
-// the leader's in-memory tail — or whose log conflicts with the
-// leader's at its pull position — installs the leader's snapshot the
-// same way, as the first record of a rewritten log, and resumes from
-// its index. Compaction keeps in memory the entries a voting member may
-// still lack, at most SnapshotEvery of them, so a follower one RPC
-// behind a compaction is not sent the whole state.
+// snapshot. Its first record holds the state at some applied index; the
+// op records journaled after it follow, with a commit record every
+// SnapshotEvery ops naming the index the node had then applied. A
+// checkpoint therefore costs one small record, not the state: the file
+// is rewritten atomically (wal.Log.Rewrite) as the snapshot at the
+// applied index plus the unapplied tail only once its dead records —
+// writes a reset cleared, no-ops, configs, commit records — outnumber
+// its live ones, and on open and close. A restarting node recovers from
+// the one file, applying every op through the last commit record; a
+// follower that has fallen behind the leader's in-memory tail — or
+// whose log conflicts with the leader's at its pull position — installs
+// the leader's snapshot as the first record of a rewritten log, and
+// resumes from its index. A checkpoint keeps in memory the entries a
+// voting member may still lack, at most SnapshotEvery of them, so a
+// follower one RPC behind it is not sent the whole state.
 package cluster
 
 import (
@@ -202,7 +207,11 @@ type Config struct {
 	// by the leader and pull only when a heartbeat cannot continue their
 	// log.
 	PullInterval time.Duration
-	// SnapshotEvery compacts the oplog after this many ops (default 256).
+	// SnapshotEvery is the checkpoint period in ops (default 256): a
+	// commit record is journaled, the in-memory tail trimmed, and the
+	// oplog rewritten as a snapshot when its dead records outnumber its
+	// live ones and number at least this many. It bounds how many
+	// committed ops a restarted node waits for a leader to re-commit.
 	SnapshotEvery int
 	// ElectionTimeout is the base heartbeat-silence span after which a
 	// follower campaigns; each arming draws a uniform jitter in
@@ -393,15 +402,16 @@ type Node struct {
 	appliedConfigIndex uint64
 	barrier            uint64           // the leader's election no-op; no lease or quorum read before it commits
 	refused            map[uint64]error // leader: errors of refused committed ops, until WaitCommitted takes them
-	sinceSnap          int
-	snapWrites         int // writes in the oplog's snapshot record
-	followers          map[string]*follower
-	appendSeq          uint64 // entry-carrying requests sent so far
+	sinceSnap          int              // ops published since the last checkpoint
+	// logRecs counts the oplog's records — each write in its snapshot
+	// record's state, then every op and commit record after it — for
+	// checkpointLocked to weigh against the live ones.
+	logRecs   int
+	followers map[string]*follower
+	appendSeq uint64 // entry-carrying requests sent so far
 
-	// block is what kept op records are carved from (keepLocked); snapRec
-	// the buffer a compaction writes its snapshot record into, reused.
-	block   []byte
-	snapRec []byte
+	// block is what kept op records are carved from (keepLocked).
+	block []byte
 
 	// Timers and in-flight guards; all driven by cfg.Clock.
 	electionTimer  vtime.Timer
@@ -667,8 +677,9 @@ func (n *Node) Rebuilding() bool {
 }
 
 // recover replays the oplog and the term record from DataDir and
-// compacts. The snapshot record's write set is re-applied to the (fresh,
-// in-memory) service; the ops journaled after it are applied once a
+// compacts. The snapshot record's write set, and the ops through the
+// last commit record folded into it, are applied to the (fresh,
+// in-memory) service; the ops journaled after that are applied once a
 // commit index covers them again.
 //
 // Storage faults are survived, not just detected. Mid-log oplog damage
@@ -755,18 +766,53 @@ func (n *Node) recover() error {
 		}
 		rep.Records = rep.Records[1:]
 	}
-	// What of the ops after the snapshot committed is unknowable locally:
-	// the leader's heartbeats (or our own election) re-establish it.
-	n.adoptSnapshotLocked(&snap)
+	// The ops through the last commit record had committed and been
+	// applied: they fold straight into the snapshot as they are decoded, a
+	// reset clearing its state, so each surviving write reaches the
+	// service once. What of the ops after it committed is unknowable
+	// locally: the leader's heartbeats (or our own election) re-establish
+	// it.
+	commit, head := snap.LastIndex, snap.LastIndex
 	for _, raw := range rep.Records {
+		applied, is, err := decodeCommit(raw)
+		if err != nil {
+			log.Close()
+			return err
+		}
+		if is {
+			commit = max(commit, applied)
+		}
+	}
+	var tail []Op
+	for _, raw := range rep.Records {
+		if _, is, _ := decodeCommit(raw); is {
+			continue
+		}
 		var op Op
-		if err := json.Unmarshal(raw, &op); err != nil {
+		if err := op.decode(raw); err != nil {
 			log.Close()
 			return fmt.Errorf("cluster: decoding oplog record: %w", err)
 		}
-		if op.Index <= n.lastIndex {
+		if op.Index <= head {
 			continue
 		}
+		head = op.Index
+		if op.Index > commit {
+			tail = append(tail, op)
+			continue
+		}
+		switch op.Kind {
+		case opReset:
+			snap.State = snap.State[:0]
+		case opWrite:
+			snap.State = append(snap.State, op)
+		case opConfig:
+			snap.Config, snap.ConfigIndex = op.Config, op.Index
+		}
+		snap.LastIndex, snap.LastTerm = op.Index, op.Term
+	}
+	n.adoptSnapshotLocked(&snap)
+	for _, op := range tail {
 		n.lastIndex = op.Index
 		n.lastTerm = max(n.lastTerm, op.Term)
 		n.ops = append(n.ops, op)
@@ -1070,6 +1116,7 @@ func (n *Node) stageLocked(ops ...Op) error {
 	if err := n.log.AppendBatch(recs); err != nil {
 		return fmt.Errorf("cluster: journaling op %d: %w", ops[0].Index, err)
 	}
+	n.logRecs += len(ops)
 	return nil
 }
 
@@ -1124,10 +1171,9 @@ func (n *Node) publishLocked(op Op) {
 
 // applyCommittedLocked moves the commit index up to commit, when that
 // raises it, and applies the ops it newly covers to the service in index
-// order; then it compacts once SnapshotEvery ops were appended since the
-// last compaction, or once it applied a reset while the oplog's snapshot
-// record holds SnapshotEvery writes or more (else a restart rebuilds the
-// whole pre-reset state), the same rule for every role. It is the only
+// order; then it checkpoints once SnapshotEvery ops were appended since
+// the last checkpoint, and checks whether the oplog is due a rewrite
+// once it applied a reset, the same rule for every role. It is the only
 // place an op reaches the service and n.state, so neither ever holds an
 // op that can still be lost. An op the service refuses is skipped — on every
 // replica alike, the service being deterministic — and on the leader its
@@ -1146,10 +1192,8 @@ func (n *Node) applyCommittedLocked(commit uint64) {
 			n.refused[op.Index] = err
 		}
 	}
-	if n.sinceSnap >= n.cfg.SnapshotEvery || (reset && n.snapWrites >= n.cfg.SnapshotEvery) {
-		// Best effort: a failure leaves the log long, and the next commit
-		// advance retries.
-		_ = n.compactLocked()
+	if beat := n.sinceSnap >= n.cfg.SnapshotEvery; beat || reset {
+		n.checkpointLocked(beat)
 	}
 }
 
@@ -1175,21 +1219,56 @@ func (n *Node) applyLocked(op Op) error {
 	return nil
 }
 
+// checkpointLocked rewrites the oplog once its dead records — writes a
+// reset cleared, no-ops, configs, commit records — outnumber its live
+// ones, the state's writes and the unapplied tail, and number at least
+// SnapshotEvery: a rewrite costs O(state), so it waits until it halves
+// the file at least. Otherwise, on the SnapshotEvery beat, it journals a
+// commit record naming the applied index, O(1), and trims the in-memory
+// tail. The record is not fsynced: the next op's group fsync covers it,
+// and losing it only leaves a restart more ops to wait on a leader for.
+// Best effort: a failure leaves the log as it was, and the next commit
+// advance retries. Caller holds n.mu.
+func (n *Node) checkpointLocked(beat bool) {
+	if n.log != nil {
+		live := len(n.state) + int(n.lastIndex-n.applied)
+		if dead := n.logRecs - live; dead > live && dead >= n.cfg.SnapshotEvery {
+			_ = n.compactLocked()
+			return
+		}
+	}
+	if !beat {
+		return
+	}
+	if n.log != nil {
+		var rec [32]byte
+		if _, err := n.log.Write(appendCommit(rec[:0], n.applied)); err != nil {
+			return
+		}
+		n.logRecs++
+	}
+	n.trimLocked()
+}
+
 // compactLocked rewrites the oplog as the snapshot at the applied index
-// followed by the records of the ops after it; memory-only nodes just
-// trim the in-memory tail. Caller holds n.mu — the fsync stalls
-// concurrent accepts, which is the price of a consistent cut.
-//
-// In memory the floor moves only to retainFromLocked: dropping the whole
-// tail would put a voting member that is one RPC behind onto a full
-// snapshot install, O(state) bytes to replace a handful of entries.
+// followed by the records of the ops after it, and trims the in-memory
+// tail; memory-only nodes just trim. Caller holds n.mu — the fsync
+// stalls concurrent accepts, which is the price of a consistent cut.
 func (n *Node) compactLocked() error {
 	if n.log != nil {
-		n.snapRec = n.appendSnapshotLocked(n.snapRec[:0])
-		if err := n.rewriteLogLocked(n.snapRec, len(n.state), n.ops[n.applied-n.floor:]); err != nil {
+		if err := n.rewriteLogLocked(n.appendSnapshotLocked(nil), len(n.state), n.ops[n.applied-n.floor:]); err != nil {
 			return err
 		}
 	}
+	n.trimLocked()
+	return nil
+}
+
+// trimLocked moves the in-memory floor up to retainFromLocked, never
+// further: dropping the whole tail would put a voting member that is one
+// RPC behind onto a full snapshot install, O(state) bytes to replace a
+// handful of entries.
+func (n *Node) trimLocked() {
 	if keep := n.retainFromLocked(); keep > n.floor {
 		n.floorTerm, _ = n.termAtLocked(keep)
 		// Re-slice, never copy down: requests in flight share the backing
@@ -1199,7 +1278,6 @@ func (n *Node) compactLocked() error {
 		n.floor = keep
 	}
 	n.sinceSnap = 0
-	return nil
 }
 
 // rewriteLogLocked atomically replaces the oplog with the snapshot
@@ -1213,7 +1291,7 @@ func (n *Node) rewriteLogLocked(snap []byte, writes int, tail []Op) error {
 	if err := n.log.Rewrite(recs); err != nil {
 		return err
 	}
-	n.snapWrites = writes
+	n.logRecs = writes + len(tail)
 	return nil
 }
 
@@ -1311,7 +1389,8 @@ func (n *Node) closeStorageLocked() error {
 }
 
 // Close stops the node's timers and streams and releases the WAL. The
-// final state is compacted so a restart recovers from one record.
+// oplog is rewritten as the final state, so a restart recovers from one
+// record.
 func (n *Node) Close() error {
 	defer n.wire.close() // after n.mu is released: failing a call re-enters the node
 	n.mu.Lock()

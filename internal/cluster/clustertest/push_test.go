@@ -147,25 +147,37 @@ func TestCommitCostExact(t *testing.T) {
 	}
 }
 
-// snapIndex reads the head of the snapshot record id's oplog starts
-// with: it moves exactly when the node compacts.
-func (c *Cluster) snapIndex(id string) uint64 {
+// checkpointIndex reads the index id's oplog was last checkpointed at:
+// its last commit record, or the head of the snapshot record it starts
+// with when no commit record follows (a rewrite drops them). It moves
+// exactly when the node checkpoints, every SnapshotEvery ops — a
+// rewrite of the file is rare, so its head no longer tells.
+func (c *Cluster) checkpointIndex(id string) uint64 {
 	c.t.Helper()
 	rep, err := wal.ReadFS(nil, filepath.Join(c.dir, id, "oplog.log"))
 	if err != nil {
 		c.fatalf("reading %s's oplog: %v", id, err)
 	}
-	if len(rep.Records) == 0 {
-		return 0
+	at := uint64(0)
+	for i, rec := range rep.Records {
+		var head struct {
+			LastIndex uint64 `json:"last_index"`
+			Commit    uint64 `json:"commit"`
+		}
+		if i > 0 && !isCommitRecord(rec) {
+			continue
+		}
+		if err := json.Unmarshal(rec, &head); err != nil {
+			c.fatalf("decoding %s's record %d: %v", id, i, err)
+		}
+		at = max(at, head.LastIndex, head.Commit)
 	}
-	var snap struct {
-		LastIndex uint64 `json:"last_index"`
-	}
-	if err := json.Unmarshal(rep.Records[0], &snap); err != nil {
-		c.fatalf("decoding %s's snapshot record: %v", id, err)
-	}
-	return snap.LastIndex
+	return at
 }
+
+// isCommitRecord reports whether rec, an oplog record after the
+// snapshot record, is a commit record rather than an op.
+func isCommitRecord(rec []byte) bool { return bytes.HasPrefix(rec, []byte(`{"commit":`)) }
 
 // installs counts the snapshot installs id has reported.
 func (c *Cluster) installs(id string) int {
@@ -191,7 +203,7 @@ func (c *Cluster) writeBurst(n int, gap time.Duration) {
 
 // TestCompactionKeepsLaggingFollowerOffSnapshot pins the retained tail.
 // A follower cut off for fewer than SnapshotEvery ops, while the leader
-// compacts, finds the entries it lacks still in the leader's memory and
+// checkpoints, finds the entries it lacks still in the leader's memory and
 // catches up by appends alone; cut off for longer than the bound, it
 // installs a snapshot as it always did. Both partitions are shorter
 // than the election timeout, so leadership never moves.
@@ -219,20 +231,20 @@ func TestCompactionKeepsLaggingFollowerOffSnapshot(t *testing.T) {
 			c.fatalf("%s: %s at %d, leader at %d", what, lagger, got, want)
 		}
 	}
-	// Write until the leader has just compacted, so where the next
-	// compaction falls is known: snapshotEvery ops from here.
-	for at := c.snapIndex(leader); c.snapIndex(leader) == at; {
+	// Write until the leader has just checkpointed, so where the next
+	// checkpoint falls is known: snapshotEvery ops from here.
+	for at := c.checkpointIndex(leader); c.checkpointIndex(leader) == at; {
 		c.writeBurst(1, 100*time.Millisecond)
 	}
 	c.writeBurst(3, 100*time.Millisecond)
 	caughtUp("before the partition")
 
-	// Six ops behind, the leader compacting at the fifth of them.
-	installs, compactedAt := c.installs(lagger), c.snapIndex(leader)
+	// Six ops behind, the leader checkpointing at the fifth of them.
+	installs, checkpointedAt := c.installs(lagger), c.checkpointIndex(leader)
 	c.Isolate(lagger)
 	c.writeBurst(snapshotEvery-2, 30*time.Millisecond)
-	if c.snapIndex(leader) == compactedAt {
-		c.fatalf("the leader did not compact while %s was cut off", lagger)
+	if c.checkpointIndex(leader) == checkpointedAt {
+		c.fatalf("the leader did not checkpoint while %s was cut off", lagger)
 	}
 	c.Heal()
 	caughtUp("after a short partition")
@@ -241,7 +253,7 @@ func TestCompactionKeepsLaggingFollowerOffSnapshot(t *testing.T) {
 			lagger, got-installs, snapshotEvery-2)
 	}
 
-	// Well past the bound: two compactions' worth of ops.
+	// Well past the bound: two checkpoints' worth of ops.
 	c.Isolate(lagger)
 	c.writeBurst(3*snapshotEvery, 10*time.Millisecond)
 	c.Heal()
@@ -324,6 +336,9 @@ func (c *Cluster) oplogRecords(id string) (recs map[uint64][]byte, snap []byte, 
 	}
 	recs = make(map[uint64][]byte)
 	for _, rec := range append(head.State, toRaw(rep.Records[1:])...) {
+		if isCommitRecord(rec) {
+			continue // the node's own, never sent: nothing to compare
+		}
 		var op cluster.Op
 		if err := json.Unmarshal(rec, &op); err != nil {
 			c.fatalf("decoding a record of %s's oplog: %v", id, err)
@@ -345,10 +360,11 @@ func toRaw(recs [][]byte) []json.RawMessage {
 // an op reaches a node's oplog — appends carrying a write whose body
 // needs escaping, the two entries of a reconfiguration, a new leader's
 // election barrier, a restart, a snapshot install to a follower cut off
-// for longer than the leader retains, and compactions throughout — and
+// for longer than the leader retains, and checkpoints throughout — and
 // after each requires every two live nodes' oplogs to hold the same
 // bytes at every index both hold, in op records and in the snapshot
 // record's state, and the same snapshot record where their heads agree.
+// Commit records are each node's own and are not compared.
 // An op is encoded once, by the leader that creates it; every other
 // node journals the bytes it was sent.
 func TestFollowersJournalTheLeadersBytes(t *testing.T) {
@@ -409,8 +425,8 @@ func TestFollowersJournalTheLeadersBytes(t *testing.T) {
 	check("appends")
 
 	leader := c.Leader()
-	for at := c.snapIndex(leader); c.snapIndex(leader) == at; {
-		write("until the leader compacts")
+	for at := c.checkpointIndex(leader); c.checkpointIndex(leader) == at; {
+		write("until the leader checkpoints")
 	}
 	c.AddJoiner("n4")
 	c.RunFor(time.Second)

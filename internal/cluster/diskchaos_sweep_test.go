@@ -13,6 +13,7 @@ import (
 	"conprobe/internal/diskfault"
 	"conprobe/internal/service"
 	"conprobe/internal/simnet"
+	"conprobe/internal/wal"
 )
 
 // diskChaosSeeds returns the seeds the fault sweep runs. A single seed
@@ -235,7 +236,10 @@ func sweepTermWAL(t *testing.T, seed uint64, kind diskfault.Kind) {
 // while recovery reads it back — the first bytes of the file). A failed
 // compaction write must leave the old log in place — so nothing acked is
 // lost — and a rotten snapshot record must stop the peerless leader, not
-// boot a silently wrong replica.
+// boot a silently wrong replica. Writes alone never make the log due a
+// rewrite, so the workload resets twice: each reset leaves every record
+// before it dead, and the rewrite it makes due is where the fault lands.
+// Acked, after that, means the writes after the last reset.
 func sweepSnapshot(t *testing.T, seed uint64, kind diskfault.Kind) {
 	dir := t.TempDir()
 	inj := diskfault.New(nil)
@@ -259,7 +263,13 @@ func sweepSnapshot(t *testing.T, seed uint64, kind diskfault.Kind) {
 		t.Fatal(err)
 	}
 	var acked []string
-	for i := 0; i < 10; i++ {
+	for i := 0; i < 16; i++ {
+		if i == 6 || i == 12 {
+			if err := n.Reset(); err != nil {
+				t.Fatalf("reset: %v", err)
+			}
+			acked = nil
+		}
 		id := fmt.Sprintf("w%d", i)
 		if err := n.Write(simnet.DCWest, service.Post{ID: id, Author: "a1", Body: "x"}); err == nil {
 			acked = append(acked, id)
@@ -345,7 +355,8 @@ func TestRottenSnapshotRecordIsDeclared(t *testing.T) {
 
 // TestPeerlessLeaderRefusesRottenOplog cuts a peerless leader's oplog
 // at every byte offset and flips every one of its bytes; the log holds
-// two writes, a reset and two more writes. A cut is a crash: the leader
+// two writes, a reset and two more writes, or five writes with a commit
+// record after every second one. A cut is a crash: the leader
 // boots showing exactly what the surviving bytes acked — except inside
 // the snapshot record, which arrived whole by rename and so cannot tear.
 // A flip is rot, and the leader has nobody to re-source a lost record
@@ -356,8 +367,22 @@ func TestRottenSnapshotRecordIsDeclared(t *testing.T) {
 // must refuse. It never boots rebuilding from a leader that does not
 // exist, empty and accepting writes.
 func TestPeerlessLeaderRefusesRottenOplog(t *testing.T) {
+	t.Run("reset", func(t *testing.T) {
+		sweepPeerlessOplog(t, 0, []string{"a", "b", "reset", "c", "d"}, "[c d]")
+	})
+	t.Run("commit-records", func(t *testing.T) {
+		sweepPeerlessOplog(t, 2, []string{"a", "b", "c", "d", "e"}, "[a b c d e]")
+	})
+}
+
+// sweepPeerlessOplog runs TestPeerlessLeaderRefusesRottenOplog over the
+// oplog a leader checkpointing every snapshotEvery ops writes for
+// history, whose state ends as final. A step's size is where its op's
+// frame ends: a commit record journaled after it is the checkpoint's,
+// and a cut through it spares the op.
+func sweepPeerlessOplog(t *testing.T, snapshotEvery int, history []string, final string) {
 	cfg := func(dir string) Config {
-		return Config{NodeID: "n1", Role: RoleLeader, DataDir: dir, NoSync: true}
+		return Config{NodeID: "n1", Role: RoleLeader, DataDir: dir, NoSync: true, SnapshotEvery: snapshotEvery}
 	}
 	seed := t.TempDir()
 	path := filepath.Join(seed, "oplog.log")
@@ -367,7 +392,8 @@ func TestPeerlessLeaderRefusesRottenOplog(t *testing.T) {
 	}
 	state := func(n *Node) string { return fmt.Sprint(ids(t, n)) }
 	steps := []sweepStep{{fileSize(t, path), state(n)}}
-	for _, id := range []string{"a", "b", "reset", "c", "d"} {
+	commits := 0
+	for _, id := range history {
 		if id == "reset" {
 			err = n.Reset()
 		} else {
@@ -376,14 +402,26 @@ func TestPeerlessLeaderRefusesRottenOplog(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", id, err)
 		}
-		if size := fileSize(t, path); size <= steps[len(steps)-1].size {
+		size := fileSize(t, path)
+		if size <= steps[len(steps)-1].size {
 			t.Fatalf("%s left the oplog at %d bytes: it was compacted, and the history is the uncompacted log", id, size)
 		}
-		steps = append(steps, sweepStep{fileSize(t, path), state(n)})
+		rep, err := wal.ReadFS(nil, path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if last := rep.Records[len(rep.Records)-1]; bytes.HasPrefix(last, []byte(commitKey)) {
+			size -= int64(wal.FrameHeader + len(last))
+			commits++
+		}
+		steps = append(steps, sweepStep{size, state(n)})
 	}
 	n.Kill()
-	if got := steps[len(steps)-1].state; got != "[c d]" {
-		t.Fatalf("history ends at %s, want [c d]", got)
+	if got := steps[len(steps)-1].state; got != final {
+		t.Fatalf("history ends at %s, want %s", got, final)
+	}
+	if snapshotEvery > 0 && commits != len(history)/snapshotEvery {
+		t.Fatalf("%d commit records journaled, want %d", commits, len(history)/snapshotEvery)
 	}
 	full, err := os.ReadFile(path)
 	if err != nil {

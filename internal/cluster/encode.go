@@ -3,6 +3,7 @@ package cluster
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"strconv"
 
 	"conprobe/internal/jsonappend"
@@ -41,25 +42,65 @@ func appendOp(b []byte, op *Op) []byte {
 }
 
 // appendSnapshot appends json.Marshal(snap) for a snap whose State is the
-// ops whose records state lists; snap.State itself is not read.
+// ops whose records state lists; snap.State itself is not read. A
+// snapshot is as large as the state it captures, so the record is sized
+// from its parts first and b grows once, to exactly its length.
 func appendSnapshot(b []byte, snap *nodeSnapshot, state [][]byte) []byte {
-	b = strconv.AppendUint(append(b, `{"last_index":`...), snap.LastIndex, 10)
+	var headBuf, tailBuf [64]byte
+	head := strconv.AppendUint(append(headBuf[:0], `{"last_index":`...), snap.LastIndex, 10)
 	if snap.LastTerm != 0 {
-		b = strconv.AppendUint(append(b, `,"last_term":`...), snap.LastTerm, 10)
+		head = strconv.AppendUint(append(head, `,"last_term":`...), snap.LastTerm, 10)
 	}
-	b = append(b, `,"state":`...)
+	head = append(head, `,"state":`...)
+	tail := tailBuf[:0]
+	if snap.Config != nil {
+		tail, _ = jsonappend.Marshal(append(tail, `,"config":`...), snap.Config) // strings and slices: cannot fail
+	}
+	if snap.ConfigIndex != 0 {
+		tail = strconv.AppendUint(append(tail, `,"config_index":`...), snap.ConfigIndex, 10)
+	}
+	tail = append(tail, '}')
+	size := len(head) + len("null") + len(tail)
+	if state != nil {
+		size = len(head) + len("[]") + max(len(state)-1, 0) + len(tail)
+		for _, rec := range state {
+			size += len(rec)
+		}
+	}
+	if cap(b)-len(b) < size {
+		b = append(make([]byte, 0, len(b)+size), b...)
+	}
+	b = append(b, head...)
 	if state == nil {
 		b = append(b, "null"...)
 	} else {
 		b = appendRecords(b, len(state), func(i int) []byte { return state[i] })
 	}
-	if snap.Config != nil {
-		b, _ = jsonappend.Marshal(append(b, `,"config":`...), snap.Config)
+	return append(b, tail...)
+}
+
+// commitKey opens a commit record, {"commit":<applied>}: the oplog's one
+// local record, naming an index its node had committed and applied. An
+// Op reads one without error, as index 0, so what reads the oplog tells
+// the two apart by this first key before decoding.
+const commitKey = `{"commit":`
+
+// appendCommit appends the commit record for applied.
+func appendCommit(b []byte, applied uint64) []byte {
+	return append(strconv.AppendUint(append(b, commitKey...), applied, 10), '}')
+}
+
+// decodeCommit reads rec when it is a commit record; is reports whether
+// it is one.
+func decodeCommit(rec []byte) (applied uint64, is bool, err error) {
+	if !bytes.HasPrefix(rec, []byte(commitKey)) {
+		return 0, false, nil
 	}
-	if snap.ConfigIndex != 0 {
-		b = strconv.AppendUint(append(b, `,"config_index":`...), snap.ConfigIndex, 10)
+	sc := jsonappend.NewScanner(rec)
+	if sc.Object("commit", &applied); !sc.Done() {
+		return 0, true, fmt.Errorf("cluster: malformed commit record %q", rec)
 	}
-	return append(b, '}')
+	return applied, true, nil
 }
 
 // appendRecords appends the n records rec returns as a JSON array.
@@ -118,16 +159,27 @@ type plainOp Op
 
 // UnmarshalJSON reads rec, one op record, as encoding/json reads it into
 // a plainOp, and keeps a copy as the op's record: the one reading of an op
-// record, which recovery, a snapshot's state, the pull reply and the
-// append RPC reach through json.Unmarshal, or through scanOp itself.
+// record, which a snapshot's state, the pull reply and the append RPC
+// reach through json.Unmarshal, recovery through decode, or through
+// scanOp itself.
 func (op *Op) UnmarshalJSON(rec []byte) error {
+	if err := op.decode(rec); err != nil {
+		return err
+	}
+	op.rec = bytes.Clone(rec)
+	return nil
+}
+
+// decode is UnmarshalJSON keeping rec itself as the op's record, for a
+// record nothing else holds: what recovery read from the oplog.
+func (op *Op) decode(rec []byte) error {
 	sc := jsonappend.NewScanner(rec)
 	if scanOp(&sc, op); !sc.Done() {
 		if err := json.Unmarshal(rec, (*plainOp)(op)); err != nil {
 			return err
 		}
 	}
-	op.rec = bytes.Clone(rec)
+	op.rec = rec
 	return nil
 }
 

@@ -64,6 +64,14 @@ func TestSnapshotChunkStreamAndResume(t *testing.T) {
 	if pay.LastIndex != n.LastIndex() || len(pay.State) != 10 {
 		t.Fatalf("payload head %d with %d state ops, want %d and 10", pay.LastIndex, len(pay.State), n.LastIndex())
 	}
+	// The frozen stream was sized before it was written: one allocation of
+	// exactly its length, not append's growth steps.
+	n.mu.Lock()
+	frozen := n.snapCache.data
+	n.mu.Unlock()
+	if len(frozen) != cap(frozen) {
+		t.Fatalf("the frozen stream is %d bytes in a buffer of %d", len(frozen), cap(frozen))
+	}
 
 	// Resume mid-stream: the same bytes come back.
 	off := uint64(len(buf) / 2)
