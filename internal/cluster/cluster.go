@@ -1010,8 +1010,8 @@ func (n *Node) Reset() error {
 // index would diverge forever once the restarted leader reassigned that
 // index). The op reaches the wrapped service only at commit, in index
 // order with every other op (applyCommittedLocked). Holding the lock
-// across the fsync serializes accepts — the same price compactLocked
-// already pays for a consistent cut.
+// across the fsync serializes accepts; a checkpoint's commit record adds
+// no fsync of its own (checkpointLocked).
 func (n *Node) accept(op Op) (uint64, error) {
 	n.mu.Lock()
 	defer n.unlockAndReplicate()
@@ -1038,7 +1038,7 @@ func (n *Node) acceptLocked(op Op) (uint64, error) {
 func (n *Node) appendNewLocked(op Op) (uint64, error) {
 	op.Index = n.lastIndex + 1
 	op.Term = n.currentTerm
-	op.rec = n.keepLocked(func(b []byte) []byte { return appendOp(b, &op) })
+	op = n.keepLocked(func(b []byte) []byte { return appendOp(b, &op) })
 	if err := n.stageLocked(op); err != nil {
 		return 0, err
 	}
@@ -1120,11 +1120,13 @@ func (n *Node) stageLocked(ops ...Op) error {
 	return nil
 }
 
-// keepLocked returns what add appends, carved from n.block, 32 KiB at a
-// time: a kept record allocates once per block, not per op, and is never
-// moved or written. A record the rest of the block cannot hold keeps the
-// array add grew for it. Caller holds n.mu.
-func (n *Node) keepLocked(add func([]byte) []byte) []byte {
+// keepLocked returns the op whose record add appends, read back from
+// that record, which is carved from n.block, 32 KiB at a time: a kept
+// record allocates once per block, not per op, and is never moved or
+// written, so the op's strings view it and the record is the one copy of
+// the op's bytes the node holds. A record the rest of the block cannot
+// hold keeps the array add grew for it. Caller holds n.mu.
+func (n *Node) keepLocked(add func([]byte) []byte) (op Op) {
 	spare := n.block[len(n.block):]
 	rec := add(spare)
 	if len(rec) <= cap(spare) {
@@ -1132,7 +1134,8 @@ func (n *Node) keepLocked(add func([]byte) []byte) []byte {
 	} else {
 		n.block = make([]byte, 0, 32<<10)
 	}
-	return rec[:len(rec):len(rec)]
+	_ = op.decode(rec[:len(rec):len(rec)]) // appendOp's output, or a record already read once
+	return op
 }
 
 // publishLocked installs a staged op into the pullable stream. Caller
@@ -1267,15 +1270,20 @@ func (n *Node) compactLocked() error {
 // trimLocked moves the in-memory floor up to retainFromLocked, never
 // further: dropping the whole tail would put a voting member that is one
 // RPC behind onto a full snapshot install, O(state) bytes to replace a
-// handful of entries.
+// handful of entries. A tail with room for fewer than SnapshotEvery ops
+// (≤ 1,024) moves to a fresh array with room for twice that, so appends
+// between two checkpoints never regrow it.
 func (n *Node) trimLocked() {
 	if keep := n.retainFromLocked(); keep > n.floor {
 		n.floorTerm, _ = n.termAtLocked(keep)
 		// Re-slice, never copy down: requests in flight share the backing
-		// array. The dropped entries stay reachable only until the next
-		// append outgrows it.
+		// array. The dropped entries stay reachable only until the tail
+		// moves to a fresh one.
 		n.ops = n.ops[keep-n.floor:]
 		n.floor = keep
+	}
+	if room := min(n.cfg.SnapshotEvery, 1<<10); cap(n.ops)-len(n.ops) < room {
+		n.ops = append(make([]Op, 0, len(n.ops)+2*room), n.ops...)
 	}
 	n.sinceSnap = 0
 }

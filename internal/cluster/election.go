@@ -437,22 +437,17 @@ func (n *Node) heartbeatTick() {
 // r started proves leadership at r's start exactly as a reply to r's
 // own broadcast does. A round opened later is never named.
 func (n *Node) unlockAndReplicate() {
-	var out []outbound
+	var small [4]outbound // a cluster this size sends from the stack
+	out := small[:0]
 	if n.role == RoleLeader && !n.closed {
-		peers := n.peerURLsLocked()
-		for _, p := range peers {
+		for _, p := range n.peerURLsLocked() {
 			f := n.followerLocked(p, "")
 			if f.inflight != 0 || f.paused || f.next >= n.lastIndex {
 				continue
 			}
-			o := n.outboundLocked(p, f, n.roundSeq, true)
-			if o.id == 0 {
-				continue // f.next is compacted away: the next tick sends it pulling
-			}
-			if out == nil {
-				out = make([]outbound, 0, len(peers))
-			}
-			out = append(out, o)
+			if o := n.outboundLocked(p, f, n.roundSeq, true); o.id != 0 {
+				out = append(out, o)
+			} // else f.next is compacted away: the next tick sends it pulling
 		}
 	}
 	n.unlockAndSend(out)
@@ -463,8 +458,9 @@ func (n *Node) unlockAndSend(out []outbound) {
 	term, gen, tr := n.currentTerm, n.campaignGen, n.cfg.Transport
 	n.mu.Unlock()
 	for _, o := range out {
-		tr.Heartbeat(o.peer, o.req, func(resp HeartbeatResponse, err error) {
-			n.onAppendResponse(o, term, gen, resp, err)
+		peer, id, prev := o.peer, o.id, o.req.Prev
+		tr.Heartbeat(peer, o.req, func(resp HeartbeatResponse, err error) {
+			n.onAppendResponse(peer, id, prev, term, gen, resp, err)
 		})
 	}
 }
@@ -472,16 +468,16 @@ func (n *Node) unlockAndSend(out []outbound) {
 // onHeartbeatResponse folds a reply that belongs to no outstanding
 // append.
 func (n *Node) onHeartbeatResponse(term, gen uint64, resp HeartbeatResponse, err error) {
-	n.onAppendResponse(outbound{peer: resp.URL}, term, gen, resp, err)
+	n.onAppendResponse(resp.URL, 0, 0, term, gen, resp, err)
 }
 
 // onAppendResponse folds a follower's reported position into the
 // leader's progress tracking and its echoed round into lease/read
-// confirmation, then sends whatever the reply made due. Like vote
-// tallies, responses are guarded by both term and campaign generation
-// so an answer delayed across a step-down can never be counted under
-// resurrected authority.
-func (n *Node) onAppendResponse(sent outbound, term, gen uint64, resp HeartbeatResponse, err error) {
+// confirmation, then sends whatever the reply made due (to the request
+// sent to peer from prev, numbered id). Like vote tallies, responses are
+// guarded by both term and campaign generation so an answer delayed
+// across a step-down can never be counted under resurrected authority.
+func (n *Node) onAppendResponse(peer string, id, prev, term, gen uint64, resp HeartbeatResponse, err error) {
 	n.mu.Lock()
 	defer n.unlockAndReplicate()
 	if n.closed {
@@ -494,8 +490,8 @@ func (n *Node) onAppendResponse(sent outbound, term, gen uint64, resp HeartbeatR
 	if n.role != RoleLeader || n.currentTerm != term || n.campaignGen != gen {
 		return
 	}
-	if f := n.followers[sent.peer]; f != nil {
-		if f.inflight == sent.id {
+	if f := n.followers[peer]; f != nil {
+		if f.inflight == id {
 			f.inflight = 0
 		}
 		// A failed request, or an append the follower answered without
@@ -503,7 +499,7 @@ func (n *Node) onAppendResponse(sent outbound, term, gen uint64, resp HeartbeatR
 		// cannot write), leaves the member to the timer heartbeats until
 		// it next answers one: retrying at once would spin at network
 		// speed against a peer that cannot move.
-		f.paused = err != nil || (sent.id != 0 && resp.LastIndex <= sent.req.Prev)
+		f.paused = err != nil || (id != 0 && resp.LastIndex <= prev)
 	}
 	if err != nil {
 		return
@@ -526,6 +522,8 @@ func (n *Node) HandleHeartbeat(req HeartbeatRequest) HeartbeatResponse {
 	if n.closed {
 		return HeartbeatResponse{Term: n.currentTerm, Node: n.cfg.NodeID, URL: n.cfg.SelfURL}
 	}
+	// req may view a reused buffer: keep what this node holds, or clones.
+	req.Leader, req.LeaderURL = own(req.Leader, n.leaderID), own(req.LeaderURL, n.leaderURL)
 	if req.Term > n.currentTerm || (req.Term == n.currentTerm && n.role != RoleFollower) {
 		// Higher term: plain step-down. Same term from another leader or
 		// while we campaign: that leader won (or a double bootstrap is
@@ -810,7 +808,8 @@ func (n *Node) onPullResponse(leader string, req PullRequest, resp PullResponse,
 // it becomes visible in n.ops/n.lastIndex — so if this node later wins
 // an election it never serves an op it could still lose, and a failed
 // batch is simply sent again. The ops reach the service when a commit
-// index covers them (applyCommittedLocked).
+// index covers them (applyCommittedLocked). ops may view a reused buffer:
+// an op is kept as a copy of its record, and read back from it.
 func (n *Node) applyReplicatedLocked(ops []Op) error {
 	for len(ops) > 0 && ops[0].Index <= n.lastIndex {
 		ops = ops[1:]
@@ -826,10 +825,8 @@ func (n *Node) applyReplicatedLocked(ops []Op) error {
 	if err := n.stageLocked(ops...); err != nil {
 		return err
 	}
-	for _, op := range ops {
-		// Journaled as it arrived, in a buffer the transport reuses: keep a copy.
-		op.rec = n.keepLocked(func(b []byte) []byte { return append(b, op.rec...) })
-		n.publishLocked(op)
+	for i := range ops {
+		n.publishLocked(n.keepLocked(func(b []byte) []byte { return append(b, ops[i].rec...) }))
 	}
 	return nil
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"strconv"
+	"strings"
 
 	"conprobe/internal/jsonappend"
 )
@@ -13,13 +14,14 @@ import (
 // it once, where the op is created, and every copy of the op carries it
 // from there — the journal, each append, a follower's journal, the pull
 // reply, a snapshot's state — so what writes a message that holds ops
-// copies their records, and what reads one keeps the bytes each op was
-// read from (Op.UnmarshalJSON, scanOp). The encoders produce, byte for
-// byte, what json.Marshal produces for Op, nodeSnapshot and the append
-// RPC, into a buffer the caller keeps; strings go through
-// internal/jsonappend, so there is no second definition of escaping to
-// keep in step. FuzzAppendOp, FuzzDecodeOp, FuzzAppendHeartbeat and
-// FuzzDecodeHeartbeat hold each to encoding/json.
+// copies their records. A node holds each op's bytes once, as its record,
+// which the op's strings view (keepLocked); what reads a message reads it
+// in place and keeps nothing of it (applyReplicatedLocked, own). The
+// encoders produce, byte for byte, what json.Marshal produces for Op,
+// nodeSnapshot and the append RPC, into a buffer the caller keeps;
+// strings go through internal/jsonappend, so there is no second
+// definition of escaping to keep in step. FuzzAppendOp, FuzzDecodeOp,
+// FuzzAppendHeartbeat and FuzzDecodeHeartbeat hold each to encoding/json.
 
 // appendOp appends op as json.Marshal(op) would.
 func appendOp(b []byte, op *Op) []byte {
@@ -158,26 +160,24 @@ func appendHeartbeatResponse(b []byte, resp *HeartbeatResponse) []byte {
 type plainOp Op
 
 // UnmarshalJSON reads rec, one op record, as encoding/json reads it into
-// a plainOp, and keeps a copy as the op's record: the one reading of an op
-// record, which a snapshot's state, the pull reply and the append RPC
-// reach through json.Unmarshal, recovery through decode, or through
-// scanOp itself.
+// a plainOp, from a copy it keeps as the op's record: the one reading of
+// an op record, which a snapshot's state and the pull reply reach through
+// json.Unmarshal, recovery and a follower's append through decode.
 func (op *Op) UnmarshalJSON(rec []byte) error {
-	if err := op.decode(rec); err != nil {
-		return err
-	}
-	op.rec = bytes.Clone(rec)
-	return nil
+	return op.decode(bytes.Clone(rec))
 }
 
-// decode is UnmarshalJSON keeping rec itself as the op's record, for a
-// record nothing else holds: what recovery read from the oplog.
+// decode is UnmarshalJSON keeping rec itself as the op's record, and its
+// strings as views of rec, for a record nothing writes again: a copy, a
+// record recovery read from the oplog, or one in a node's block.
 func (op *Op) decode(rec []byte) error {
-	sc := jsonappend.NewScanner(rec)
+	sc := jsonappend.ScanInPlace(rec)
 	if scanOp(&sc, op); !sc.Done() {
-		if err := json.Unmarshal(rec, (*plainOp)(op)); err != nil {
+		p := plainOp(*op) // not op itself, which would then escape on the fast path too
+		if err := json.Unmarshal(rec, &p); err != nil {
 			return err
 		}
+		*op = Op(p)
 	}
 	op.rec = rec
 	return nil
@@ -189,10 +189,11 @@ func scanOp(sc *jsonappend.Scanner, op *Op) {
 		"id", &op.ID, "a", &op.Author, "b", &op.Body, "d", &op.DependsOn)
 }
 
-// decodeHeartbeatRequest sets *req, zero, to json.Unmarshal's reading
-// of body.
+// decodeHeartbeatRequest sets *req, zero but for the ops it may append
+// to, to json.Unmarshal's reading of body, in place: its strings and its
+// ops' records and strings may view body.
 func decodeHeartbeatRequest(body []byte, req *HeartbeatRequest) error {
-	sc := jsonappend.NewScanner(body)
+	sc := jsonappend.ScanInPlace(body)
 	scanHeartbeatRequest(&sc, body, req)
 	return jsonappend.Fallback(&sc, body, req)
 }
@@ -215,9 +216,9 @@ func scanHeartbeatRequest(sc *jsonappend.Scanner, body []byte, req *HeartbeatReq
 }
 
 // decodeHeartbeatResponse sets *resp, zero, to json.Unmarshal's reading
-// of body.
+// of body, in place: its strings may view body.
 func decodeHeartbeatResponse(body []byte, resp *HeartbeatResponse) error {
-	sc := jsonappend.NewScanner(body)
+	sc := jsonappend.ScanInPlace(body)
 	scanHeartbeatResponse(&sc, resp)
 	return jsonappend.Fallback(&sc, body, resp)
 }
@@ -226,4 +227,13 @@ func decodeHeartbeatResponse(body []byte, resp *HeartbeatResponse) error {
 func scanHeartbeatResponse(sc *jsonappend.Scanner, resp *HeartbeatResponse) {
 	sc.Object("term", &resp.Term, "node", &resp.Node, "url", &resp.URL,
 		"last_index", &resp.LastIndex, "last_term", &resp.LastTerm, "round", &resp.Round)
+}
+
+// own returns s, which may view a reused buffer, as held when the two are
+// equal, else as a clone: what a node keeps of a message read in place.
+func own(s, held string) string {
+	if s == held {
+		return held
+	}
+	return strings.Clone(s)
 }

@@ -147,8 +147,9 @@ func FuzzAppendOp(f *testing.F) {
 
 // FuzzDecodeOp feeds arbitrary bytes to the op-record decoder: it must
 // read what json.Unmarshal reads into a plainOp — Op without the method —
-// keep the bytes it read as the op's record, and fail exactly when
-// json.Unmarshal fails, with its error.
+// keep a copy of the bytes it read as the op's record, nothing of the
+// bytes themselves, and fail exactly when json.Unmarshal fails, with its
+// error.
 func FuzzDecodeOp(f *testing.F) {
 	for _, s := range []string{
 		`{"i":9,"t":3,"k":"write","s":"oregon","id":"p-1","a":"alice","b":"hi","d":"p-0"}`,
@@ -163,7 +164,9 @@ func FuzzDecodeOp(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, b []byte) {
 		var got Op
-		err := got.UnmarshalJSON(b)
+		buf := bytes.Clone(b)
+		err := got.UnmarshalJSON(buf)
+		scribble(buf)
 		var want plainOp
 		wantErr := json.Unmarshal(b, &want)
 		if (err == nil) != (wantErr == nil) || (err != nil && err.Error() != wantErr.Error()) {

@@ -204,13 +204,10 @@ func (n *Node) Handler() http.Handler {
 		writeJSON(w, http.StatusOK, n.HandleVote(req))
 	})
 	mux.HandleFunc("/cluster/heartbeat", func(w http.ResponseWriter, r *http.Request) {
-		// The ops' records alias the pooled body: handle it before it goes back.
+		// The request views the pooled body: answer it before it goes back.
 		var resp HeartbeatResponse
 		if !decodeRPC(w, r, func(body []byte) (err error) {
-			var req HeartbeatRequest
-			if err = decodeHeartbeatRequest(body, &req); err == nil {
-				resp = n.HandleHeartbeat(req)
-			}
+			resp, _, err = n.answerHeartbeat(body, nil)
 			return err
 		}) {
 			return

@@ -162,11 +162,12 @@ func (s *appendStream) run() {
 // read hands each reply to the oldest unanswered call, on this goroutine.
 func (s *appendStream) read(r *bufio.Reader) {
 	var body []byte
+	url, node := s.peer, ""
 	for {
 		var resp HeartbeatResponse
 		var err error
 		if body, err = wal.ReadFrame(r, body, maxRPCBody); err == nil {
-			err = decodeHeartbeatResponse(body, &resp)
+			err = decodeReply(body, &resp, &url, &node)
 		}
 		s.mu.Lock()
 		if err == nil && len(s.pending) == 0 {
@@ -182,6 +183,17 @@ func (s *appendStream) read(r *bufio.Reader) {
 		s.mu.Unlock()
 		c.done(resp, nil)
 	}
+}
+
+// decodeReply reads a reply from body, a reused buffer, in place, then gives
+// it *url and *node, its sender's last URL and node ID, cloned on a change.
+func decodeReply(body []byte, resp *HeartbeatResponse, url, node *string) error {
+	if err := decodeHeartbeatResponse(body, resp); err != nil {
+		return err
+	}
+	*url, *node = own(resp.URL, *url), own(resp.Node, *node)
+	resp.URL, resp.Node = *url, *node
+	return nil
 }
 
 // expire breaks the stream when its oldest call is overdue, and otherwise
@@ -259,19 +271,31 @@ func (n *Node) serveAppend(w http.ResponseWriter, r *http.Request) {
 	defer n.trackStream(conn, false)
 	out := []byte("HTTP/1.1 101 Switching Protocols\r\nConnection: Upgrade\r\nUpgrade: " + appendProtocol + "\r\n\r\n")
 	var in, body []byte
+	var ops []Op
 	for { // answer, then read the next frame
-		var req HeartbeatRequest
 		if _, err = conn.Write(out); err != nil {
 			return
 		}
-		// The ops' records alias in until HandleHeartbeat has kept them.
-		if in, err = wal.ReadFrame(rw.Reader, in, maxRPCBody); err != nil || decodeHeartbeatRequest(in, &req) != nil {
+		var resp HeartbeatResponse
+		if in, err = wal.ReadFrame(rw.Reader, in, maxRPCBody); err == nil {
+			resp, ops, err = n.answerHeartbeat(in, ops)
+		}
+		if err != nil {
 			return
 		}
-		resp := n.HandleHeartbeat(req)
 		body = appendHeartbeatResponse(body[:0], &resp)
 		out = wal.AppendFrame(out[:0], body)
 	}
+}
+
+// answerHeartbeat reads a request from body in place and answers it,
+// keeping nothing of body; it returns ops, reused for the request's ops.
+func (n *Node) answerHeartbeat(body []byte, ops []Op) (HeartbeatResponse, []Op, error) {
+	req := HeartbeatRequest{Ops: ops[:0]}
+	if err := decodeHeartbeatRequest(body, &req); err != nil {
+		return HeartbeatResponse{}, ops, err
+	}
+	return n.HandleHeartbeat(req), req.Ops, nil
 }
 
 // trackStream registers an open inbound stream for Kill and Close to break

@@ -245,9 +245,10 @@ func (t *httpTransport) Heartbeat(peer string, req HeartbeatRequest, done func(H
 
 func (t *httpTransport) heartbeat(peer string, req HeartbeatRequest, done func(HeartbeatResponse, error)) {
 	var resp HeartbeatResponse
+	url, node := peer, ""
 	err := t.post(peer, "/cluster/heartbeat",
 		func(b []byte) ([]byte, error) { return appendHeartbeatRequest(b, &req), nil },
-		func(body []byte) error { return decodeHeartbeatResponse(body, &resp) })
+		func(body []byte) error { return decodeReply(body, &resp, &url, &node) })
 	done(resp, err)
 }
 

@@ -127,9 +127,50 @@ func sameDecode(t *testing.T, b []byte, err, wantErr error, got, want any) {
 	}
 }
 
+// checkNothingKept decodes a copy of b in place, keeps what a node keeps
+// of it — a request's leader names (HandleHeartbeat) and each op read
+// back from a copy of its record (applyReplicatedLocked), a reply's URL
+// and node ID (decodeReply) — and overwrites the copy: what was kept
+// must still read as json.Unmarshal reads b, each op as its record reads.
+// (An op decoded into twice, as json.Unmarshal decodes a repeated "ops",
+// can hold a field its record lacks; a node keeps what the record says.)
+func checkNothingKept(t *testing.T, b []byte) {
+	t.Helper()
+	keep := func(ops []Op) {
+		for i := range ops {
+			var op Op
+			if err := op.decode(bytes.Clone(ops[i].rec)); err != nil {
+				t.Fatalf("%q: op %d's record %q does not read back: %v", b, i, ops[i].rec, err)
+			}
+			ops[i] = op
+		}
+	}
+	buf := bytes.Clone(b)
+	var req, wantReq HeartbeatRequest
+	if decodeHeartbeatRequest(buf, &req) == nil {
+		req.Leader, req.LeaderURL = own(req.Leader, ""), own(req.LeaderURL, "")
+		keep(req.Ops)
+		scribble(buf)
+		err := json.Unmarshal(b, &wantReq)
+		if keep(wantReq.Ops); err != nil || !reflect.DeepEqual(req, wantReq) {
+			t.Fatalf("%q: kept\n %+v\nonce the buffer was overwritten; json.Unmarshal reads %+v, %v", b, req, wantReq, err)
+		}
+	}
+	buf = bytes.Clone(b)
+	var resp, wantResp HeartbeatResponse
+	url, node := "", ""
+	if decodeReply(buf, &resp, &url, &node) == nil {
+		scribble(buf)
+		if err := json.Unmarshal(b, &wantResp); err != nil || !reflect.DeepEqual(resp, wantResp) {
+			t.Fatalf("%q: kept\n %+v\nonce the buffer was overwritten; json.Unmarshal reads %+v, %v", b, resp, wantResp, err)
+		}
+	}
+}
+
 // FuzzDecodeHeartbeat feeds arbitrary bytes to both append RPC decoders:
 // each must return json.Unmarshal's value, and fail exactly when it
-// fails, with its error. The seeds are the shapes the fast path must
+// fails, with its error, and what a node keeps of what they read must
+// not change when the buffer they read in place is overwritten. The seeds are the shapes the fast path must
 // hand over: case-folded, repeated and out-of-order keys, null, an empty
 // op list, a configuration op, over-long and non-plain numbers, escapes,
 // invalid UTF-8 and whitespace.
@@ -147,10 +188,14 @@ func FuzzDecodeHeartbeat(f *testing.F) {
 		`{"leader":"a\u0062"}`, `{"leader":"\ufffd"}`, "{\"leader\":\"\xff\"}", "{\"leader\":\"caf\xc3\xa9\"}",
 		"{\"leader\":\"tab\there\"}", ` {"term":1}`, `{"term": 1}`, "{\"term\":1}\n", "{\"term\":1}\n\n", `{"term":1} `,
 		`{"term":1}x`, `{"term":1,}`, `{"term":1`, `[{"term":1}]`, `{"term":1,"unknown":[1,{"a":2}]}`,
+		`{"ops":[`, `{"term":1,"ops":[{"i":1`, // cut inside an op: the scan steps past the end of the body
 	} {
 		f.Add([]byte(s))
 	}
-	f.Fuzz(checkHeartbeatDecoders)
+	f.Fuzz(func(t *testing.T, b []byte) {
+		checkHeartbeatDecoders(t, b)
+		checkNothingKept(t, b)
+	})
 }
 
 // captureRequests runs send against a loopback listener that accepts
@@ -448,15 +493,20 @@ func noHijack(h http.Handler) http.Handler {
 }
 
 // What one append RPC carrying one op allocates, leader and follower
-// together, in one process on loopback. On the stream it is one string
-// per decoded message and the follower's op slice. By POST it was 128
-// while both ends went through encoding/json, http.NewRequest and a
-// Stop + AfterFunc of the follower's election timer; what is left is
-// net/http's, but for the request's deadline context (≈ 6 objects with
-// what net/http derives from it), the go statement, the body's bytes,
-// reader and GetBody, and the same strings.
+// together, in one process on loopback. On the stream it is nothing per
+// op: both ends read their frames in place, the follower reuses its op
+// slice and keeps the op's one copy in its record block (one allocation
+// per 32 KiB), and its tail grows by append's steps. It was 3 while each
+// end copied each message into a string and the follower made a new op
+// slice per frame. By POST it was 128 while both ends went through
+// encoding/json, http.NewRequest and a Stop + AfterFunc of the
+// follower's election timer; what is left is net/http's, but for the
+// request's deadline context (≈ 6 objects with what net/http derives
+// from it), the go statement, the body's bytes, reader and GetBody, the
+// follower's op slice, and a clone each of the reply's URL (the follower
+// here names itself otherwise than by its address) and node ID.
 const (
-	appendStreamAllocs = 3
+	appendStreamAllocs = 0
 	appendPostAllocs   = 93
 )
 

@@ -81,6 +81,16 @@ func (c *readCheck) monotonicWrites(writes []writeView) {
 	}
 }
 
+// wroteTwice reports whether an agent issued two writes.
+func (ix *Index) wroteTwice() bool {
+	for i := 1; i < len(ix.writes); i++ {
+		if ix.writes[i].Agent == ix.writes[i-1].Agent { // sorted by agent
+			return true
+		}
+	}
+	return false
+}
+
 // CheckMonotonicReads detects Monotonic Reads violations:
 //
 //	∃ x ∈ S1 : x ∉ S2
@@ -152,8 +162,12 @@ func (c *readCheck) writesFollowsReads(deps []writeView) {
 }
 
 // session appends the violations of session guarantee a over every read
-// of the trace.
+// of the trace; none can break Monotonic Writes or Writes Follows Reads
+// without a writer that wrote twice or a write with a trigger.
 func (ix *Index) session(a Anomaly) {
+	if (a == MonotonicWrites && !ix.wroteTwice()) || (a == WritesFollowsReads && len(ix.deps) == 0) {
+		return
+	}
 	c := readCheck{out: ix.violations}
 	for _, av := range ix.agents {
 		ix.hw.reset(len(ix.ids.list))

@@ -5,8 +5,9 @@
 // calling encoding/json itself. The Scanner reads back only what the
 // encoders write (no whitespace, known keys in order, plain-digit
 // numbers, strings without escapes in valid UTF-8), carving every string
-// from one copy of its input; a decoder hands anything else to
-// json.Unmarshal, so its values and errors are always encoding/json's.
+// from one copy of its input, or its input (ScanInPlace); a decoder hands
+// anything else to json.Unmarshal, so its values and errors are always
+// encoding/json's.
 package jsonappend
 
 import (
@@ -18,6 +19,7 @@ import (
 	"sync"
 	"time"
 	"unicode/utf8"
+	"unsafe"
 )
 
 // String appends s as a JSON string. Printable ASCII without the five
@@ -87,6 +89,12 @@ type Scanner struct {
 // NewScanner scans b.
 func NewScanner(b []byte) Scanner { return Scanner{s: string(b)} }
 
+// ScanInPlace scans b without copying it: each string read is a read-only
+// view of b, kept only where b is never written again (a record carved
+// from a block only ever appended to); of a reused buffer, a caller keeps
+// clones, or equal strings it owns.
+func ScanInPlace(b []byte) Scanner { return Scanner{s: unsafe.String(unsafe.SliceData(b), len(b))} }
+
 // Done reports whether the input was one value of the encoders' shape,
 // alone or followed by the newline json.Encoder adds.
 func (sc *Scanner) Done() bool {
@@ -95,7 +103,7 @@ func (sc *Scanner) Done() bool {
 
 // Offset is how many bytes of the input the scan has read: the input
 // between two offsets is the text of what was read between them.
-func (sc *Scanner) Offset() int { return sc.i }
+func (sc *Scanner) Offset() int { return min(sc.i, len(sc.s)) } // a failed scan steps past the end
 
 // Object reads an object. fields alternates each key the encoders may
 // write, in their order, with where its value goes: a *string, *uint64 or

@@ -83,9 +83,10 @@ go test -run '^$' -bench 'TraceJSONL$' -benchtime 200x -benchmem . |
 
 # What one leader→follower append costs on the wire: a loopback
 # httpTransport against a follower's Handler on the append stream, both
-# ends counted (3 objects: a string per decoded message and the ops; 93
-# as one POST /cluster/heartbeat each, the fallback TestAppendRPCAllocs
-# also pins).
+# ends counted (0 objects: each end reads its frames in place, and what
+# the follower keeps grows in blocks; 3 while each message was copied
+# into a string; 93 as one POST /cluster/heartbeat each, the fallback
+# TestAppendRPCAllocs also pins).
 echo "== append rpc (one 1-op append on the loopback append stream, leader and follower)"
 go test -run '^$' -bench 'AppendRPC$' -benchtime 2000x -benchmem ./internal/cluster |
   awk '/^BenchmarkAppendRPC/ { print "append rpc (stream): " $3 " ns/op, " $(NF-1) " allocs/op" }'
