@@ -24,8 +24,10 @@
 // Cluster mode replicates the write stream across nodes: the elected
 // leader journals every accepted write to a WAL (fsync before ack),
 // acks it only once a write quorum of replicas has fsynced it, and
-// serves the indexed op stream under /cluster/; followers pull it,
-// apply it monotonically, and answer reads from their own replica.
+// appends the indexed op stream to every member over /cluster/ (a node
+// it does not address — a -leader-url replica, a joiner — pulls the same
+// appends); followers apply it monotonically and answer reads from
+// their own replica.
 // Give every node the full member list via -self-url/-peers and the
 // cluster elects its own leader: kill -9 the leader and the survivors
 // vote in a new one within an election timeout, losing no acked write.

@@ -26,11 +26,13 @@
 // one long-lived stream per follower (GET /cluster/append, upgraded;
 // stream.go), with a POST per call where the follower refuses the
 // upgrade; a silently dead connection is found by the reply deadline.
-// Pulling (/cluster/pull, then the chunked snapshot install) is
-// catch-up only: a follower pulls once when a heartbeat cannot continue
-// its log — a gap, or a term conflict at an index both hold — and
-// pure-pull followers and joining nodes, which the leader does not
-// address, poll at PullInterval.
+// The append is the one message that moves a follower's log: a member
+// that cannot continue one replies with its head, and the leader sends
+// the entries from there at once, or — where its log no longer holds
+// that head — flags the append, and the member fetches the chunked
+// snapshot. A voting member never pulls; a node the leader does not
+// address (a pure-pull follower, a joiner, a removed member) polls
+// /cluster/pull at PullInterval and is answered with that same append.
 //
 // Election (Raft-style): every node persists (currentTerm, votedFor) to
 // its own WAL and fsyncs the record BEFORE granting a vote or
@@ -40,20 +42,20 @@
 // a voter grants only when the candidate's log head
 // (lastTerm, lastIndex) is at least as up to date as its own, which
 // keeps any elected leader's log a superset of every quorum-acked
-// write. A leader seeing a higher term anywhere — vote, heartbeat or
+// write. A leader seeing a higher term anywhere — vote, append or
 // pull — steps down immediately.
 //
 // "Acked" means quorum-durable: the leader journals the op locally
 // (fsync, group-committed) and then acks the client only once a write
 // quorum of replicas (itself included) has fsynced the op, as reported
-// through term-verified heartbeat replies (and pull positions).
+// through term-verified append replies (and a joiner's pull positions).
 // Followers fsync before publishing their position, so a counted
 // replica can never silently lose the op; commitIndex advances only
 // over entries of the current term (with a no-op barrier appended on
 // election) so a deposed leader's uncommitted tail can never be counted
 // committed, and a follower advances its own commit index only over the
-// prefix a heartbeat's position check (or a served pull) has just
-// verified against the leader's log. A kill -9 of any node — leader
+// prefix an append's position check has just verified against the
+// leader's log. A kill -9 of any node — leader
 // included — therefore loses no acked write: the survivors elect a new
 // leader whose log contains every committed op.
 // A node applies an op to its replica only once the op has committed
@@ -73,10 +75,10 @@
 // its live ones, and on open and close. A restarting node recovers from
 // the one file, applying every op through the last commit record; a
 // follower that has fallen behind the leader's in-memory tail — or
-// whose log conflicts with the leader's at its pull position — installs
-// the leader's snapshot as the first record of a rewritten log, and
-// resumes from its index. A checkpoint keeps in memory the entries a
-// voting member may still lack, at most SnapshotEvery of them, so a
+// whose log conflicts with the leader's at the head it reports —
+// installs the leader's snapshot as the first record of a rewritten log,
+// and is appended to from its index. A checkpoint keeps in memory the
+// entries a voting member may still lack, at most SnapshotEvery of them, so a
 // follower one RPC behind it is not sent the whole state.
 package cluster
 
@@ -177,7 +179,7 @@ type Event struct {
 
 // Config parameterizes a Node.
 type Config struct {
-	// NodeID names this node in votes, status and pull requests.
+	// NodeID names this node in votes, replies, status and pull requests.
 	NodeID string
 	// Role seeds the initial role. Empty or RoleFollower: start as a
 	// follower (with Peers set, elections take it from there).
@@ -187,9 +189,8 @@ type Config struct {
 	// what makes `-role leader` safe to leave in a supervisor's restart
 	// command line.
 	Role string
-	// LeaderURL statically names the leader for a legacy pure-pull
-	// follower (no Peers). With Peers set it is only a starting hint;
-	// heartbeats overwrite it.
+	// LeaderURL names the leader a pure-pull follower (no Peers) pulls
+	// from. With Peers set it is only a starting hint; appends overwrite it.
 	LeaderURL string
 	// SelfURL is this node's own base URL, announced to peers in votes
 	// and heartbeats. Required when Peers is non-empty.
@@ -202,10 +203,10 @@ type Config struct {
 	// DataDir persists the oplog and the term record; empty runs
 	// memory-only (a restarted node then recovers nothing locally).
 	DataDir string
-	// PullInterval is the catch-up poll period of a pure-pull follower or
-	// a joining node (default 250ms). Voting members are replicated to
-	// by the leader and pull only when a heartbeat cannot continue their
-	// log.
+	// PullInterval is the poll period of a node the leader does not
+	// address: a pure-pull follower, a joiner before a configuration
+	// admits it, a removed member (default 250ms). A voting member never
+	// pulls: the leader's appends alone catch it up.
 	PullInterval time.Duration
 	// SnapshotEvery is the checkpoint period in ops (default 256): a
 	// commit record is journaled, the in-memory tail trimmed, and the
@@ -276,22 +277,20 @@ type follower struct {
 	// replicate this leader's own log; only match counts toward write
 	// quorums.
 	match uint64
-	// reported is the raw last index the node last announced.
-	reported uint64
+	// reported/reportedTerm are the head the node last announced — or,
+	// before it has, the leader's own head when the record was created,
+	// the Raft nextIndex guess. The next request starts there.
+	reported, reportedTerm uint64
 	// lastSeen is when the node last pulled or answered a heartbeat; zero
 	// until it has.
 	lastSeen time.Time
-	// next is the position the next append continues from, the request's
-	// Prev: the replica's head as last reported, or — before it has
-	// reported — the leader's own head when the record was created.
-	next uint64
-	// inflight is the sequence number of the entry-carrying request
-	// outstanding to the replica, 0 when there is none. One at a time:
+	// inflight numbers the outstanding request that moves the replica —
+	// entries, or the snapshot flag — 0 when there is none. One at a time:
 	// what is proposed meanwhile rides the next request as a batch.
 	inflight uint64
-	// paused is set when a request to the replica failed or an append
-	// did not move it, and cleared by its next reply; until then only
-	// timer heartbeats address it.
+	// paused is set when a request to the replica failed or did not move
+	// it, and cleared by its next reply; until then only timer heartbeats
+	// address it.
 	paused bool
 }
 
@@ -354,7 +353,7 @@ type Node struct {
 	// candidates missing entries this node once acked toward a commit, so
 	// every vote grant and the node's own candidacy are withheld until
 	// the log has been re-sourced from a current leader (caught up, by
-	// pulls after any snapshot install, to the head it advertises).
+	// appends after any snapshot install, to the head it advertises).
 	// Backed by a marker file in DataDir so the restriction survives any
 	// number of restarts; it is retired only once the re-sourced state is
 	// itself durable.
@@ -408,7 +407,7 @@ type Node struct {
 	// checkpointLocked to weigh against the live ones.
 	logRecs   int
 	followers map[string]*follower
-	appendSeq uint64 // entry-carrying requests sent so far
+	appendSeq uint64 // requests sent that move a replica, so far
 
 	// block is what kept op records are carved from (keepLocked).
 	block []byte
@@ -684,7 +683,7 @@ func (n *Node) Rebuilding() bool {
 //
 // Storage faults are survived, not just detected. Mid-log oplog damage
 // quarantines the file to a .corrupt sidecar and the node boots empty;
-// the leader's pull/snapshot-install stream re-sources everything —
+// the leader's snapshot install and appends re-source everything —
 // serving a hole is never possible because commitIndex restarts at the
 // recovered floor. Until that re-sourcing completes the node is also a
 // non-voter (the persisted rebuilding marker): its emptied log would
@@ -951,8 +950,8 @@ func (n *Node) peerURLsLocked() []string { return n.peers }
 // membershipChangedLocked re-evaluates what the node's place in the
 // configuration entitles it to: a voting member of a multi-node
 // configuration runs an election timer and is replicated to by the
-// leader; anyone else — a pure-pull follower, a joiner not yet voted
-// in, a removed member — polls the leader at PullInterval.
+// leader alone; anyone else — a pure-pull follower, a joiner not yet
+// voted in, a removed member — polls the leader at PullInterval.
 func (n *Node) membershipChangedLocked() {
 	if !n.clusteredLocked() && n.pullTimer == nil {
 		n.schedulePullLocked(n.cfg.PullInterval)
@@ -1005,8 +1004,8 @@ func (n *Node) Reset() error {
 
 // accept indexes and journals one op on the leader. The whole sequence
 // runs under n.mu: the op is fsynced BEFORE it is published into
-// n.ops/n.lastIndex, so HandlePull can never serve an op the leader
-// could still lose to a crash (a follower durably holding an un-fsynced
+// n.ops/n.lastIndex, so no append can carry an op the leader could
+// still lose to a crash (a follower durably holding an un-fsynced
 // index would diverge forever once the restarted leader reassigned that
 // index). The op reaches the wrapped service only at commit, in index
 // order with every other op (applyCommittedLocked). Holding the lock
@@ -1138,7 +1137,7 @@ func (n *Node) keepLocked(add func([]byte) []byte) (op Op) {
 	return op
 }
 
-// publishLocked installs a staged op into the pullable stream. Caller
+// publishLocked installs a staged op into the log appends carry. Caller
 // holds n.mu; the op is durable but not yet applied. A config op takes
 // effect here — on append, not commit, the joint-consensus rule.
 func (n *Node) publishLocked(op Op) {

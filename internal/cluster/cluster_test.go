@@ -264,6 +264,28 @@ func TestFollowerCatchUpFromSnapshot(t *testing.T) {
 	}
 }
 
+// TestPullAnswerIsBounded: a pull is answered with the append the leader
+// would push, bounded as every append is, never the whole tail in one
+// reply. A fresh pure-pull follower of a leader holding 20 writes of
+// 900 KiB — 18 MiB in all, past the 16 MiB an RPC body may hold — reaches
+// the leader's head an append at a time.
+func TestPullAnswerIsBounded(t *testing.T) {
+	leader, ts := newLeader(t, t.TempDir(), 1<<20)
+	defer leader.Close()
+	body := strings.Repeat("x", 900<<10)
+	for i := 0; i < 20; i++ {
+		if err := leader.Write(simnet.DCWest, service.Post{ID: fmt.Sprintf("big%d", i), Author: "a1", Body: body}); err != nil {
+			t.Fatalf("write %d: %v", i, err)
+		}
+	}
+	f := newFollower(t, "n2", t.TempDir(), ts.URL, 5*time.Millisecond)
+	defer f.Close()
+	waitIndex(t, f, 20)
+	if got, want := ids(t, f), ids(t, leader); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("follower replica = %v, want %v", got, want)
+	}
+}
+
 // TestLeaderKillSurvivorRebootConvergence is the legacy (static, no
 // peers) failover drill: kill the leader, reboot the surviving follower
 // from its data dir as a standalone leader — the config-level admin

@@ -126,6 +126,16 @@ func runSchedule(c *Cluster) {
 	c.drainReads()
 	c.AssertConverged()
 	assertOneFilePerStateMachine(c)
+	assertMembersNeverPulled(c)
+}
+
+// assertMembersNeverPulled fails if a node sent a pull while it was a
+// voting member: the leader's appends alone move a member's log.
+func assertMembersNeverPulled(c *Cluster) {
+	c.t.Helper()
+	for url, pulls := range c.Net.memberPulls {
+		c.fatalf("%s sent %d pulls while a voting member", url, pulls)
+	}
 }
 
 // assertOneFilePerStateMachine lists every node's data directory after
@@ -312,14 +322,19 @@ func TestReconfigurationChaos(t *testing.T) {
 			c.Retire("n5")
 			c.AssertConverged()
 			assertOneFilePerStateMachine(c)
+			assertMembersNeverPulled(c)
 
 			// The run must have actually drilled what it claims to: a joint
-			// configuration phase and a chunked snapshot install.
+			// configuration phase, a chunked snapshot install, and joiners
+			// catching up by pulls before admission.
 			if !transcriptContains(c, "joint(") {
 				c.fatalf("no joint configuration phase appeared in the transcript")
 			}
 			if !transcriptContains(c, cluster.EventInstallSnapshot) {
 				c.fatalf("no snapshot install appeared in the transcript (joiner catch-up skipped the chunked path)")
+			}
+			if c.Net.pulls["node://n4"] == 0 || c.Net.pulls["node://n5"] == 0 {
+				c.fatalf("the joiners sent %d and %d pulls, want some each", c.Net.pulls["node://n4"], c.Net.pulls["node://n5"])
 			}
 		})
 	}

@@ -40,6 +40,10 @@ type Net struct {
 	down  map[string]bool             // URL -> process is dead
 	cut   map[[2]string]bool          // unordered pair -> link severed
 	lag   map[[2]string]time.Duration // unordered pair -> extra per-hop delay
+
+	// pulls counts the pulls each node sent, by URL; memberPulls those
+	// sent as a voting member, which only appends are to catch up.
+	pulls, memberPulls map[string]int
 }
 
 // NewNet creates a fabric on clock with per-hop delays in
@@ -57,6 +61,7 @@ func NewNet(clock *Clock, seed int64, minDelay, maxDelay time.Duration) *Net {
 		down:     make(map[string]bool),
 		cut:      make(map[[2]string]bool),
 		lag:      make(map[[2]string]time.Duration),
+		pulls:    make(map[string]int), memberPulls: make(map[string]int),
 	}
 }
 
@@ -191,6 +196,10 @@ func (t *transport) Heartbeat(peer string, req cluster.HeartbeatRequest, done fu
 }
 
 func (t *transport) Pull(peer string, req cluster.PullRequest, done func(cluster.PullResponse, error)) {
+	t.net.pulls[t.src]++
+	if m := t.net.nodes[t.src].Membership(); m.Contains(t.src) && len(m.PeerURLs(t.src)) > 0 {
+		t.net.memberPulls[t.src]++
+	}
 	var resp cluster.PullResponse
 	t.roundTrip(peer,
 		func(n *cluster.Node) { resp = n.HandlePull(req) },

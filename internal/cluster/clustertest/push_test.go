@@ -471,3 +471,112 @@ func TestFollowersJournalTheLeadersBytes(t *testing.T) {
 	}
 	c.AssertConverged()
 }
+
+// TestMemberPastTheFloorInstallsOnce: a member kept away while the leader
+// compacts past its head is sent a snapshot-flagged append on its
+// return, installs the leader's snapshot exactly once — the flagged
+// appends sent while it fetched, duplicated and reordered by the
+// fabric, start no second transfer — and then continues by appends
+// alone. It never pulls.
+func TestMemberPastTheFloorInstallsOnce(t *testing.T) {
+	c := New(t, 13, 3)
+	c.RunFor(2 * electionTimeout)
+	leader := c.Leader()
+	if leader == "" {
+		c.fatalf("no leader")
+	}
+	var lagger string
+	for _, id := range c.IDs {
+		if id != leader {
+			lagger = id
+			break
+		}
+	}
+	c.writeBurst(3, 50*time.Millisecond)
+	c.RunFor(time.Second)
+	installs := c.installs(lagger)
+	c.Isolate(lagger)
+	c.writeBurst(3*snapshotEvery, 10*time.Millisecond) // back before its election timeout
+	c.Heal()
+	c.RunFor(time.Second)
+	if c.Leader() != leader {
+		c.fatalf("leadership moved from %s to %q", leader, c.Leader())
+	}
+	if got, want := c.nodes[lagger].LastIndex(), c.nodes[leader].LastIndex(); got != want {
+		c.fatalf("%s at %d, leader at %d", lagger, got, want)
+	}
+	if got := c.installs(lagger) - installs; got != 1 {
+		c.fatalf("%s installed %d snapshots to come back past the leader's floor, want exactly 1", lagger, got)
+	}
+	c.writeBurst(snapshotEvery, 50*time.Millisecond)
+	c.RunFor(time.Second)
+	if got, want := c.nodes[lagger].LastIndex(), c.nodes[leader].LastIndex(); got != want {
+		c.fatalf("after the install, %s at %d, leader at %d", lagger, got, want)
+	}
+	if got := c.installs(lagger) - installs; got != 1 {
+		c.fatalf("%s installed %d snapshots, want the one: it is level and continues by appends", lagger, got)
+	}
+	c.AssertConverged()
+	assertMembersNeverPulled(c)
+}
+
+// TestRestartedMemberCaughtUpWithinAHop: a member restarted behind the
+// head its leader was elected on — the position the leader's first
+// append to it starts from — answers that append with its own head, and
+// the leader sends the entries from there the moment the reply lands.
+// On fixed 1 ms hops the member is level two hops after it first hears
+// from the leader: its reply out, the entries back. Not at the next
+// HeartbeatInterval tick, and not by a pull.
+func TestRestartedMemberCaughtUpWithinAHop(t *testing.T) {
+	const hop = time.Millisecond
+	c := New(t, 17, 5)
+	c.Net.EnableDeliveryChaos(0, 0)
+	c.Net.minDelay, c.Net.maxDelay = hop, hop
+	c.RunFor(2 * electionTimeout)
+	first := c.Leader()
+	if first == "" {
+		c.fatalf("no leader")
+	}
+	var lagger string
+	for _, id := range c.IDs {
+		if id != first {
+			lagger = id
+			break
+		}
+	}
+	c.Kill(lagger)
+	c.writeBurst(3, 20*time.Millisecond)
+	// A new leader, elected on a head past the lagger's: its first guess
+	// at where the lagger stands is its own head.
+	c.Kill(first)
+	deadline := c.Clock.Now().Add(10 * time.Second)
+	for c.Leader() == "" || c.nodes[c.Leader()].CommitIndex() != c.nodes[c.Leader()].LastIndex() {
+		if c.Clock.Now().After(deadline) {
+			c.fatalf("no leader with a committed barrier after %s was killed", first)
+		}
+		c.RunFor(10 * time.Millisecond)
+	}
+	leader := c.Leader()
+	behind := c.nodes[leader].LastIndex()
+	c.Restart(lagger)
+	lag := c.nodes[lagger]
+	if got := lag.LastIndex(); got >= behind {
+		c.fatalf("%s restarted at %d, not behind the leader's %d", lagger, got, behind)
+	}
+	for lag.Status().LeaderID == "" {
+		if c.Clock.Now().After(deadline) {
+			c.fatalf("%s never heard from %s", lagger, leader)
+		}
+		c.RunFor(hop / 10)
+	}
+	heard := c.Clock.Now()
+	for lag.LastIndex() < behind {
+		if c.Clock.Now().Sub(heard) > 2*hop {
+			c.fatalf("%s at %d, leader at %d, %v after its first append: the catch-up waited for a timer",
+				lagger, lag.LastIndex(), behind, c.Clock.Now().Sub(heard))
+		}
+		c.RunFor(hop / 10)
+	}
+	assertMembersNeverPulled(c)
+	c.AssertConverged()
+}

@@ -359,8 +359,19 @@ func TestQuarantinedNodeWithholdsVotesUntilRebuilt(t *testing.T) {
 	if _, err := os.Stat(filepath.Join(fdir, "rebuilding")); !os.IsNotExist(err) {
 		t.Fatalf("rebuilding marker not retired: %v", err)
 	}
+	// Each pulled append was contact with a live leader, and leader
+	// stickiness refuses other candidates for an ElectionTimeout after
+	// one: silence the leader, let the pull in flight land, and age that
+	// contact out as ageBoot ages the boot.
+	ts.Close()
 	ageBoot(f4)
 	f4.mu.Lock()
+	for f4.pullInFlight {
+		f4.mu.Unlock()
+		time.Sleep(time.Millisecond)
+		f4.mu.Lock()
+	}
+	f4.lastLeaderContact = f4.lastLeaderContact.Add(-f4.cfg.ElectionTimeout)
 	head, headTerm := f4.lastIndex, f4.lastTerm
 	f4.mu.Unlock()
 	if resp := f4.HandleVote(VoteRequest{

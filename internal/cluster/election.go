@@ -11,8 +11,9 @@ import (
 
 // This file is the event-driven election and replication engine. There
 // are no long-lived goroutine loops: everything happens in timer
-// callbacks (election timeout, heartbeat tick, catch-up pull), transport
-// done-callbacks, and the Handle* RPC methods, all serialized on n.mu.
+// callbacks (election timeout, heartbeat tick, a non-member's pull),
+// transport done-callbacks, and the Handle* RPC methods, all serialized
+// on n.mu.
 // One rule keeps it deadlock-free across both the HTTP transport and
 // the deterministic in-process harness: n.mu is NEVER held across a
 // transport call — requests are built under the lock, sent after
@@ -357,26 +358,36 @@ type outbound struct {
 	peer string
 	req  HeartbeatRequest
 	// id is the request's append sequence number when it is the peer's
-	// one outstanding entry-carrying request, 0 otherwise.
+	// one outstanding request that moves it, 0 otherwise.
 	id uint64
 }
 
-// outboundLocked builds the request that continues the log of f, the
-// member at peer: Prev is f.next when this node's log still holds that
-// position, else its own head — a position the follower can only answer
-// by pulling. Entries ride along when withOps is set and there are any
-// past Prev, bounded and shared with the log (published ops are never
-// mutated); the request then becomes f's one outstanding append.
-func (n *Node) outboundLocked(peer string, f *follower, round uint64, withOps bool) outbound {
+// outboundLocked builds the request that moves f, the member at peer, on
+// from the head it last reported — or, before it has, the head this node
+// was elected on. Where this node's log holds that head the request
+// continues from it, carrying the entries after it when move is set,
+// bounded and shared with the log (published ops are never mutated).
+// Where it does not — compacted away, conflicting, or past this log's
+// head — a moving request names that head and sets Snapshot, and any
+// other names this node's head, which a member that is behind answers
+// with its own. A request that moves the member becomes f's one
+// outstanding append.
+func (n *Node) outboundLocked(peer string, f *follower, round uint64, move bool) outbound {
 	req := HeartbeatRequest{
 		Term: n.currentTerm, Leader: n.cfg.NodeID, LeaderURL: n.cfg.SelfURL,
 		LastIndex: n.lastIndex, Commit: n.commitIndex, Round: round,
 		Prev: n.lastIndex, PrevTerm: n.lastTerm,
 	}
-	if t, ok := n.termAtLocked(f.next); ok {
-		req.Prev, req.PrevTerm = f.next, t
+	switch t, ok := n.termAtLocked(f.reported); {
+	case ok && t == f.reportedTerm:
+		req.Prev, req.PrevTerm = f.reported, t
+	case move:
+		req.Prev, req.PrevTerm, req.Snapshot = f.reported, f.reportedTerm, true
 	}
-	if withOps && req.Prev < n.lastIndex {
+	if !move || (!req.Snapshot && req.Prev == n.lastIndex) {
+		return outbound{peer: peer, req: req}
+	}
+	if !req.Snapshot {
 		ops := n.ops[req.Prev-n.floor:]
 		if len(ops) > maxAppendOps {
 			ops = ops[:maxAppendOps]
@@ -390,11 +401,10 @@ func (n *Node) outboundLocked(peer string, f *follower, round uint64, withOps bo
 			}
 		}
 		req.Ops = ops
-		n.appendSeq++
-		f.inflight = n.appendSeq
-		return outbound{peer: peer, req: req, id: f.inflight}
 	}
-	return outbound{peer: peer, req: req}
+	n.appendSeq++
+	f.inflight = n.appendSeq
+	return outbound{peer: peer, req: req, id: f.inflight}
 }
 
 // heartbeatTick broadcasts the leader's liveness and log head. Each
@@ -402,9 +412,9 @@ func (n *Node) outboundLocked(peer string, f *follower, round uint64, withOps bo
 // echoing the round proves this node still led when the round started,
 // which extends the leader lease and confirms pending quorum reads. The
 // tick addresses every member whatever is outstanding to it — a hung
-// append must never silence the liveness signal — and carries entries
-// to those with nothing outstanding, so it is also what retries a
-// member whose last request failed.
+// append must never silence the liveness signal — and moves those with
+// nothing outstanding, so it is also what retries a member whose last
+// request failed or did not move it.
 func (n *Node) heartbeatTick() {
 	n.mu.Lock()
 	peers := n.peerURLsLocked()
@@ -429,25 +439,24 @@ func (n *Node) heartbeatTick() {
 }
 
 // unlockAndReplicate releases n.mu and, on a leader, sends every member
-// that lacks published entries and has nothing outstanding the entries
-// it lacks. It ends every critical section that may have published an
-// op or folded a reply, which is what makes replication run at the
-// pace of proposals and acks rather than of a timer. The requests echo
-// the newest round already open: a reply to a request sent after round
-// r started proves leadership at r's start exactly as a reply to r's
-// own broadcast does. A round opened later is never named.
+// that is not level with its head and has nothing outstanding the
+// request that moves it: the entries it lacks, or the snapshot flag. It
+// ends every critical section that may have published an op or folded a
+// reply, which is what makes replication run at the pace of proposals
+// and acks rather than of a timer. The requests echo the newest round
+// already open: a reply to a request sent after round r started proves
+// leadership at r's start exactly as a reply to r's own broadcast does.
+// A round opened later is never named.
 func (n *Node) unlockAndReplicate() {
 	var small [4]outbound // a cluster this size sends from the stack
 	out := small[:0]
 	if n.role == RoleLeader && !n.closed {
 		for _, p := range n.peerURLsLocked() {
 			f := n.followerLocked(p, "")
-			if f.inflight != 0 || f.paused || f.next >= n.lastIndex {
+			if f.inflight != 0 || f.paused || (f.reported == n.lastIndex && f.reportedTerm == n.lastTerm) {
 				continue
 			}
-			if o := n.outboundLocked(p, f, n.roundSeq, true); o.id != 0 {
-				out = append(out, o)
-			} // else f.next is compacted away: the next tick sends it pulling
+			out = append(out, n.outboundLocked(p, f, n.roundSeq, true))
 		}
 	}
 	n.unlockAndSend(out)
@@ -463,12 +472,6 @@ func (n *Node) unlockAndSend(out []outbound) {
 			n.onAppendResponse(peer, id, prev, term, gen, resp, err)
 		})
 	}
-}
-
-// onHeartbeatResponse folds a reply that belongs to no outstanding
-// append.
-func (n *Node) onHeartbeatResponse(term, gen uint64, resp HeartbeatResponse, err error) {
-	n.onAppendResponse(resp.URL, 0, 0, term, gen, resp, err)
 }
 
 // onAppendResponse folds a follower's reported position into the
@@ -494,12 +497,14 @@ func (n *Node) onAppendResponse(peer string, id, prev, term, gen uint64, resp He
 		if f.inflight == id {
 			f.inflight = 0
 		}
-		// A failed request, or an append the follower answered without
-		// getting past Prev (a gap it is pulling over, a conflict, a log it
-		// cannot write), leaves the member to the timer heartbeats until
-		// it next answers one: retrying at once would spin at network
-		// speed against a peer that cannot move.
-		f.paused = err != nil || (id != 0 && resp.LastIndex <= prev)
+		// A failed request, or one the member answered from the head it
+		// was sent to (a batch it cannot write, a conflict at that index, a
+		// snapshot it is still fetching), leaves the member to the timer
+		// heartbeats until it next answers one: sending again at once would
+		// spin at network speed against a peer that cannot move. A reply
+		// from any other head — past Prev, or behind the head the leader
+		// guessed — is where the next request starts, at once.
+		f.paused = err != nil || (id != 0 && resp.LastIndex == prev)
 	}
 	if err != nil {
 		return
@@ -513,12 +518,19 @@ func (n *Node) onAppendResponse(peer string, id, prev, term, gen uint64, resp He
 }
 
 // HandleHeartbeat answers the leader's request: adopt its authority,
-// append the entries it carries when they continue our log, learn its
-// commit index as far as the request verified our log, and report our
-// own durable log head back — the append's acknowledgement.
+// append the entries it carries when they continue our log (or fetch its
+// snapshot when it says it cannot continue it), learn its commit index
+// as far as the request verified our log, and report our own durable log
+// head back — the append's acknowledgement.
 func (n *Node) HandleHeartbeat(req HeartbeatRequest) HeartbeatResponse {
 	n.mu.Lock()
 	defer n.mu.Unlock()
+	return n.handleHeartbeatLocked(req)
+}
+
+// handleHeartbeatLocked is HandleHeartbeat with n.mu held: the one place
+// a follower's log moves, for an append pushed to it or pulled.
+func (n *Node) handleHeartbeatLocked(req HeartbeatRequest) HeartbeatResponse {
 	if n.closed {
 		return HeartbeatResponse{Term: n.currentTerm, Node: n.cfg.NodeID, URL: n.cfg.SelfURL}
 	}
@@ -536,20 +548,25 @@ func (n *Node) HandleHeartbeat(req HeartbeatRequest) HeartbeatResponse {
 		// ElectionTimeout — starts from the heartbeat we just accepted.
 		n.lastLeaderContact = n.cfg.Clock.Now()
 		n.resetElectionTimerLocked()
-		verified, continues := n.appendLocked(req)
-		// Only the verified prefix is known to be the leader's log; a
-		// divergent tail past it must never be reported committed.
-		n.applyCommittedLocked(min(req.Commit, verified))
-		if !continues {
-			// The request cannot continue our log: catch up by pulling (and,
-			// if the position is gone or conflicts, by snapshot install).
-			n.schedulePullLocked(0)
-		} else if n.rebuilding && verified == n.lastIndex && n.lastIndex >= req.LastIndex {
-			// Verified through our head and level with the head the current
-			// leader advertises: the log — every entry fsynced before
-			// publish — again holds everything this node could ever have
-			// acked toward a commit, so the quarantine restriction retires.
-			n.rebuiltLocked()
+		if req.Snapshot {
+			// The leader cannot continue our log from the head it names.
+			// Still there: fetch its snapshot, or resume the fetch. Moved
+			// since — the flag was sent before the leader heard of the move,
+			// an install among them — the reply tells it where we are.
+			if req.Prev == n.lastIndex && req.PrevTerm == n.lastTerm {
+				n.fetchNextSnapshotChunkLocked(req.LeaderURL)
+			}
+		} else {
+			verified := n.appendLocked(req)
+			// Only the verified prefix is known to be the leader's log; a
+			// divergent tail past it must never be reported committed.
+			n.applyCommittedLocked(min(req.Commit, verified))
+			if n.rebuilding && verified == n.lastIndex && n.lastIndex >= req.LastIndex {
+				// Verified through our head, level with the leader's: the log
+				// again holds everything this node could ever have acked
+				// toward a commit, so the quarantine restriction retires.
+				n.rebuiltLocked()
+			}
 		}
 	}
 	return HeartbeatResponse{
@@ -559,22 +576,22 @@ func (n *Node) HandleHeartbeat(req HeartbeatRequest) HeartbeatResponse {
 }
 
 // appendLocked checks req's position against our log and appends the
-// entries that continue it. verified is the highest index at which our
+// entries that continue it, returning the highest index at which our
 // log is now known to equal the leader's — an entry of ours with the
 // leader's term at the same index, which by log matching vouches for
-// the whole prefix; 0 when the request proved nothing. continues is
-// false when the request can never extend this log as it stands: Prev
-// lies beyond our head, or an index both logs hold has different terms.
+// the whole prefix; 0 when the request proved nothing. A Prev beyond
+// our head, or different terms at an index both logs hold, append
+// nothing: the reply's head is where the leader continues from.
 // Entries we already hold are skipped, so a duplicated, reordered or
 // delayed delivery changes nothing; a failed journal write appends
 // nothing and the reply carries the old head.
-func (n *Node) appendLocked(req HeartbeatRequest) (verified uint64, continues bool) {
+func (n *Node) appendLocked(req HeartbeatRequest) (verified uint64) {
 	if req.Prev > n.lastIndex {
-		return 0, false
+		return 0
 	}
 	if t, ok := n.termAtLocked(req.Prev); ok {
 		if t != req.PrevTerm {
-			return 0, false
+			return 0
 		}
 		verified = req.Prev
 	}
@@ -582,7 +599,7 @@ func (n *Node) appendLocked(req HeartbeatRequest) (verified uint64, continues bo
 	for len(ops) > 0 && ops[0].Index <= n.lastIndex {
 		if t, ok := n.termAtLocked(ops[0].Index); ok {
 			if t != ops[0].Term {
-				return verified, false
+				return verified
 			}
 			verified = ops[0].Index
 		}
@@ -591,12 +608,12 @@ func (n *Node) appendLocked(req HeartbeatRequest) (verified uint64, continues bo
 	if len(ops) == 0 || verified != n.lastIndex || ops[0].Index != n.lastIndex+1 {
 		// Nothing new, or (malformed) entries that do not start at a head
 		// this request verified.
-		return verified, true
+		return verified
 	}
 	if n.applyReplicatedLocked(ops) == nil {
 		verified = n.lastIndex
 	}
-	return verified, true
+	return verified
 }
 
 // legacyFollowerKey tracks a peer that did not announce a URL. Such a
@@ -609,7 +626,7 @@ func legacyFollowerKey(node string) string { return "node:" + node }
 func (n *Node) followerLocked(url, id string) *follower {
 	f := n.followers[url]
 	if f == nil {
-		f = &follower{next: n.lastIndex}
+		f = &follower{reported: n.lastIndex, reportedTerm: n.lastTerm}
 		n.followers[url] = f
 	}
 	if id != "" {
@@ -618,30 +635,22 @@ func (n *Node) followerLocked(url, id string) *follower {
 	return f
 }
 
-// noteProgressLocked records a peer's announced durable position and,
-// when the position term-verifies against our own log (or is already
-// below the commit index), counts it toward pending write quorums and
-// makes it the position the next append continues from. The
-// verification is what makes quorum counting sound: a divergent
-// follower's raw index must never ack a write it does not actually
-// hold.
+// noteProgressLocked records a peer's announced durable head, which the
+// next request to it starts from, and, when the head term-verifies
+// against our own log (or is already below the commit index), counts it
+// toward pending write quorums. The verification is what makes quorum
+// counting sound: a divergent follower's raw index must never ack a
+// write it does not actually hold.
 func (n *Node) noteProgressLocked(url, id string, idx, idxTerm uint64) {
 	f := n.followerLocked(url, id)
 	f.lastSeen = n.cfg.Clock.Now()
-	f.reported = idx
+	f.reported, f.reportedTerm = idx, idxTerm
 	verified := idx <= n.commitIndex
 	if !verified {
 		t, ok := n.termAtLocked(idx)
 		verified = ok && t == idxTerm
 	}
-	if !verified {
-		// Divergent, or ahead of us: nothing can be appended to that log.
-		// Name our own head until the peer has re-sourced itself.
-		f.next = n.lastIndex
-		return
-	}
-	f.next = idx
-	if idx > f.match {
+	if verified && idx > f.match {
 		f.match = idx
 		n.recomputeCommitLocked()
 	}
@@ -696,10 +705,11 @@ func (n *Node) recomputeCommitLocked() {
 	n.maybeFinishReconfigureLocked()
 }
 
-// schedulePullLocked (re)arms the pull timer to fire after d. pullTimer
-// is non-nil exactly while a pull is scheduled.
+// schedulePullLocked (re)arms the pull timer to fire after d, on a node
+// the leader does not address. pullTimer is non-nil exactly while a pull
+// is scheduled.
 func (n *Node) schedulePullLocked(d time.Duration) {
-	if n.closed || n.role == RoleLeader {
+	if n.closed || n.role == RoleLeader || n.clusteredLocked() {
 		return
 	}
 	if n.pullTimer != nil {
@@ -708,22 +718,20 @@ func (n *Node) schedulePullLocked(d time.Duration) {
 	n.pullTimer = n.cfg.Clock.AfterFunc(d, n.pullTick)
 }
 
-// pullTick asks the current leader for the op tail after our head. One
-// pull in flight at a time. A voting member pulls once per trigger — a
-// heartbeat that could not continue its log asks again if this one is
-// lost. A node the leader does not address (pure-pull follower, joiner,
-// removed member) has nothing else to trigger it, so its timer re-arms
-// at PullInterval regardless of the outcome.
+// pullTick asks the current leader for the append that moves this node
+// on from its head — if the leader does not address it: a pure-pull
+// follower, a joiner, a removed member. Nothing else moves such a node,
+// so its timer re-arms at PullInterval whatever the outcome. A voting
+// member never pulls: the leader's appends alone catch it up. One pull
+// in flight at a time.
 func (n *Node) pullTick() {
 	n.mu.Lock()
 	n.pullTimer = nil
-	if n.closed || n.role == RoleLeader {
+	if n.closed || n.role == RoleLeader || n.clusteredLocked() {
 		n.mu.Unlock()
 		return
 	}
-	if !n.clusteredLocked() {
-		n.schedulePullLocked(n.cfg.PullInterval)
-	}
+	n.schedulePullLocked(n.cfg.PullInterval)
 	leader := n.leaderURL
 	if n.pullInFlight || leader == "" || leader == n.cfg.SelfURL {
 		n.mu.Unlock()
@@ -738,22 +746,21 @@ func (n *Node) pullTick() {
 	n.mu.Unlock()
 
 	tr.Pull(leader, req, func(resp PullResponse, err error) {
-		n.onPullResponse(leader, req, resp, err)
+		n.onPullResponse(leader, resp, err)
 	})
 }
 
-// onPullResponse applies a pulled tail, or reacts to the refusal: chase
-// a new leader, or fetch the leader's snapshot when our position was
-// compacted away or conflicts.
-func (n *Node) onPullResponse(leader string, req PullRequest, resp PullResponse, err error) {
+// onPullResponse follows a NotLeader answer to the leader it names, or
+// takes the append the leader answered with as one it pushed
+// (handleHeartbeatLocked) — whose term and position checks drop an
+// answer a newer leader's appends have overtaken — and pulls again at
+// once while that moved this node but left it behind the leader's head.
+func (n *Node) onPullResponse(leader string, resp PullResponse, err error) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	n.pullInFlight = false
 	if err != nil || n.closed || n.role == RoleLeader {
 		return
-	}
-	if resp.Term > n.currentTerm {
-		n.stepDownLocked(resp.Term, "", resp.LeaderURL)
 	}
 	if resp.NotLeader {
 		if resp.LeaderURL != "" && resp.LeaderURL != n.cfg.SelfURL && resp.LeaderURL != leader {
@@ -762,40 +769,13 @@ func (n *Node) onPullResponse(leader string, req PullRequest, resp PullResponse,
 		}
 		return
 	}
-	if resp.Term < n.currentTerm {
-		// Served by a leader deposed since we asked. While the pull flew, a
-		// newer leader's appends may have moved our head, and entries of the
-		// old log laid on top of them would break log matching.
-		return
+	a := resp.Append
+	if a.LeaderURL == "" {
+		a.LeaderURL = leader // a standalone leader announces no URL of its own
 	}
-	if resp.SnapshotNeeded {
-		// Resume (or start) the chunked snapshot install: the request
-		// names the stream and offset already buffered, so a transfer
-		// interrupted by a dropped link continues where it stopped.
-		n.fetchNextSnapshotChunkLocked(leader)
-		return
-	}
-	// A served pull means the leader found (From, FromTerm) in its log,
-	// so ours equals it through From plus the ops it sent — as long as
-	// that position is still ours.
-	t, ok := n.termAtLocked(req.From)
-	verified := ok && t == req.FromTerm
-	if aerr := n.applyReplicatedLocked(resp.Ops); aerr != nil {
-		return
-	}
-	if verified {
-		n.applyCommittedLocked(min(resp.Commit, req.From+uint64(len(resp.Ops))))
-	}
-	if n.rebuilding && n.lastIndex >= resp.LastIndex {
-		// Caught up to the head the current leader advertised: the log —
-		// every pulled op fsynced before publish — again contains every
-		// entry this node could ever have acked toward a commit (the
-		// leader's log is complete with respect to committed entries), so
-		// the quarantine restriction can retire.
-		n.rebuiltLocked()
-	}
-	if n.lastIndex < resp.LastIndex {
-		// Still behind (bounded batch or races): keep draining.
+	head := n.lastIndex
+	n.handleHeartbeatLocked(a)
+	if head < n.lastIndex && n.lastIndex < a.LastIndex {
 		n.schedulePullLocked(0)
 	}
 }
@@ -831,44 +811,27 @@ func (n *Node) applyReplicatedLocked(ops []Op) error {
 	return nil
 }
 
-// HandlePull serves the op tail after the puller's position — but only
-// when the position term-verifies against our log (log matching by
-// induction: if the puller's head matches ours, its whole prefix does).
-// A compacted-away or conflicting position gets SnapshotNeeded, forcing
-// the puller onto our history wholesale.
+// HandlePull answers a node the leader does not address with the append
+// it would push to it from the head the puller reports: the same entries,
+// bounds and snapshot flag (outboundLocked), which the puller takes as a
+// pushed one. The head is noted as the puller's progress.
 func (n *Node) HandlePull(req PullRequest) PullResponse {
 	n.mu.Lock()
 	defer n.unlockAndReplicate() // the position may have committed a joint entry
 	if req.Term > n.currentTerm {
 		n.stepDownLocked(req.Term, "", "")
 	}
-	resp := PullResponse{Term: n.currentTerm, LastIndex: n.lastIndex, Commit: n.commitIndex}
 	if n.closed || n.role != RoleLeader {
-		resp.NotLeader = true
-		resp.LeaderURL = n.leaderURL
-		return resp
+		return PullResponse{NotLeader: true, LeaderURL: n.leaderURL}
 	}
-	pullerKey := req.URL
-	if pullerKey == "" && req.Node != "" {
-		pullerKey = legacyFollowerKey(req.Node)
+	key := req.URL
+	if key == "" {
+		key = legacyFollowerKey(req.Node)
 	}
-	if pullerKey != "" {
-		f := n.followerLocked(pullerKey, req.Node)
-		f.lastSeen = n.cfg.Clock.Now()
-		f.reported = req.From
-	}
-	t, ok := n.termAtLocked(req.From)
-	if !ok || (req.From > 0 && t != req.FromTerm) {
-		resp.SnapshotNeeded = true
-		return resp
-	}
-	if req.From < n.lastIndex {
-		resp.Ops = n.ops[req.From-n.floor:] // shared: published ops are never mutated
-	}
-	if pullerKey != "" {
-		// The puller's durable head matches our log through From.
-		n.noteProgressLocked(pullerKey, req.Node, req.From, req.FromTerm)
-	}
+	// Built for a record of its own: the answer is not the puller's
+	// outstanding append, which a joiner the leader pushes to may have.
+	resp := PullResponse{Append: n.outboundLocked(key, &follower{reported: req.From, reportedTerm: req.FromTerm}, 0, true).req}
+	n.noteProgressLocked(key, req.Node, req.From, req.FromTerm)
 	return resp
 }
 
@@ -884,8 +847,8 @@ type snapStream struct {
 
 // HandleSnapshotChunk serves one chunk of the leader's frozen snapshot
 // stream. A request naming the cached stream reads from it even if the
-// log has since moved (resumability beats freshness — the installer
-// pulls the rest after); any other request freezes a fresh stream.
+// log has since moved (resumability beats freshness — the installer is
+// sent the rest after); any other request freezes a fresh stream.
 func (n *Node) HandleSnapshotChunk(req SnapshotChunkRequest) SnapshotChunkResponse {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -901,7 +864,7 @@ func (n *Node) HandleSnapshotChunk(req SnapshotChunkRequest) SnapshotChunkRespon
 	if cache == nil || (req.ID != cache.id && cache.lastIndex != n.applied) {
 		// The stream is the node's snapshot at its applied index (not the
 		// compaction floor): installers jump straight to the committed
-		// present and resume pulling from there, which covers both catch-up
+		// present and are appended to from there, which covers both catch-up
 		// past the floor and conflict resolution with one mechanism.
 		data := n.appendSnapshotLocked(nil)
 		term, _ := n.termAtLocked(n.applied)
@@ -949,14 +912,14 @@ func (n *Node) fetchNextSnapshotChunkLocked(leader string) {
 }
 
 // snapRetryLimit bounds CRC-mismatch/gap re-requests per transfer so a
-// persistently corrupting link degrades to retry-via-pull instead of a
-// tight request loop.
+// persistently corrupting link degrades to a fresh transfer at the
+// leader's next snapshot-flagged append instead of a tight request loop.
 const snapRetryLimit = 32
 
 // onSnapshotChunk verifies and buffers one snapshot chunk, requesting
 // the next until the stream is complete, then installs it wholesale. A
 // failed or interrupted transfer keeps the buffer: the next
-// SnapshotNeeded pull resumes from the buffered offset with the same
+// snapshot-flagged append resumes from the buffered offset with the same
 // stream ID.
 func (n *Node) onSnapshotChunk(leader string, resp SnapshotChunkResponse, err error) {
 	n.mu.Lock()
@@ -994,7 +957,7 @@ func (n *Node) onSnapshotChunk(leader string, resp SnapshotChunkResponse, err er
 	}
 	if n.snapRetries > snapRetryLimit {
 		n.snapID, n.snapBuf, n.snapRetries = "", nil, 0
-		return // give up this transfer; the next pull starts a fresh one
+		return // give up this transfer; the next flagged append starts a fresh one
 	}
 	if uint64(len(n.snapBuf)) < resp.Total || resp.Total == 0 {
 		n.fetchNextSnapshotChunkLocked(leader)
@@ -1007,7 +970,7 @@ func (n *Node) onSnapshotChunk(leader string, resp SnapshotChunkResponse, err er
 		return
 	}
 	if n.installSnapshotLocked(rec, pay) {
-		n.schedulePullLocked(0)
+		n.schedulePullLocked(0) // a node the leader does not address pulls on at once
 	}
 }
 
@@ -1017,10 +980,11 @@ func (n *Node) onSnapshotChunk(leader string, resp SnapshotChunkResponse, err er
 // else changes: a
 // rewrite is atomic, so a crash recovers the old consistent state or
 // the new one, and a rewrite that fails leaves the node on the old one,
-// disk, memory and replica alike, to try again on its next pull (it
-// reports false, and the caller does not pull at once: a full disk must
-// not turn into a stream of snapshot transfers). The replica is rebuilt
-// after, from committed state only, so there is nothing to undo.
+// disk, memory and replica alike, to try again at the leader's next
+// flagged append (it reports false, and a puller does not pull at once: a
+// full disk must not turn into a stream of snapshot transfers). The
+// replica is rebuilt after, from committed state only, so there is
+// nothing to undo.
 func (n *Node) installSnapshotLocked(rec []byte, pay nodeSnapshot) bool {
 	if n.log != nil {
 		if err := n.rewriteLogLocked(rec, len(pay.State), nil); err != nil {
@@ -1033,7 +997,7 @@ func (n *Node) installSnapshotLocked(rec []byte, pay nodeSnapshot) bool {
 	}
 	// A quarantined node is not rebuilt yet: the snapshot holds only what
 	// the leader had committed, not every entry this node may have acked.
-	// The pull that follows retires the restriction once it reaches the
+	// The appends that follow retire the restriction once they reach the
 	// leader's head.
 	n.emitLocked(Event{Type: EventInstallSnapshot, Term: n.currentTerm, Index: n.lastIndex})
 	return true

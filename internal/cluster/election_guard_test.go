@@ -107,6 +107,12 @@ func (c *captureTransport) waitHBs(t *testing.T, want int) []capturedHB {
 
 func peerID(url string) string { return strings.TrimPrefix(url, "http://") }
 
+// onHeartbeatResponse folds a reply that belongs to no outstanding
+// append, as a test plays a member's answer by hand.
+func (n *Node) onHeartbeatResponse(term, gen uint64, resp HeartbeatResponse, err error) {
+	n.onAppendResponse(resp.URL, 0, 0, term, gen, resp, err)
+}
+
 // ageBoot backdates n's boot instant a full ElectionTimeout, expiring
 // the boot-stickiness vote refusal so hand-driven tests exercise the
 // steady-state grant rules. Tests pinning the boot guard itself skip it.

@@ -12,8 +12,8 @@ import (
 
 // An op's record is JSON that encoding/json reads back. appendOp writes
 // it once, where the op is created, and every copy of the op carries it
-// from there — the journal, each append, a follower's journal, the pull
-// reply, a snapshot's state — so what writes a message that holds ops
+// from there — the journal, each append, pushed or pulled, a follower's
+// journal, a snapshot's state — so what writes a message that holds ops
 // copies their records. A node holds each op's bytes once, as its record,
 // which the op's strings view (keepLocked); what reads a message reads it
 // in place and keeps nothing of it (applyReplicatedLocked, own). The
@@ -136,6 +136,9 @@ func appendHeartbeatRequest(b []byte, req *HeartbeatRequest) []byte {
 	if req.Round != 0 {
 		b = strconv.AppendUint(append(b, `,"round":`...), req.Round, 10)
 	}
+	if req.Snapshot {
+		b = append(b, `,"snapshot":true`...)
+	}
 	return append(b, '}')
 }
 
@@ -161,8 +164,8 @@ type plainOp Op
 
 // UnmarshalJSON reads rec, one op record, as encoding/json reads it into
 // a plainOp, from a copy it keeps as the op's record: the one reading of
-// an op record, which a snapshot's state and the pull reply reach through
-// json.Unmarshal, recovery and a follower's append through decode.
+// an op record, which a snapshot's state and a pulled append reach through
+// json.Unmarshal, recovery and a pushed append through decode.
 func (op *Op) UnmarshalJSON(rec []byte) error {
 	return op.decode(bytes.Clone(rec))
 }
@@ -212,7 +215,7 @@ func scanHeartbeatRequest(sc *jsonappend.Scanner, body []byte, req *HeartbeatReq
 				req.Ops = append(req.Ops, op)
 			})
 		},
-		"round", &req.Round)
+		"round", &req.Round, "snapshot", &req.Snapshot)
 }
 
 // decodeHeartbeatResponse sets *resp, zero, to json.Unmarshal's reading

@@ -57,8 +57,9 @@ type FollowerJSON struct {
 	Match uint64 `json:"match"`
 	// Lag is how many ops the follower is behind the leader.
 	Lag uint64 `json:"lag"`
-	// SincePull is how long ago the follower last pulled or answered a
-	// heartbeat.
+	// SincePull is how long ago the follower last answered an append or,
+	// one the leader does not address, pulled. The JSON key keeps its
+	// older name.
 	SincePull time.Duration `json:"since_pull_ns"`
 }
 
@@ -124,10 +125,10 @@ const clusterLeaderHeader = "X-Cluster-Leader"
 // through ReadLinearizable):
 //
 //	GET  /cluster/status       role, term, commit index, config, follower progress
-//	GET  /cluster/pull         catch-up: op tail after ?from=N&from_term=T (term-verified)
+//	GET  /cluster/pull         a non-member's catch-up: the append from ?from=N&from_term=T
 //	GET  /cluster/snapshot     one CRC-guarded snapshot chunk (?id=S&offset=N)
 //	POST /cluster/vote         RequestVote RPC
-//	GET  /cluster/append       the append stream (Upgrade: consvc-append/1): heartbeat frames, answered in order
+//	GET  /cluster/append       the append stream (Upgrade: consvc-append/2): heartbeat frames, answered in order
 //	POST /cluster/heartbeat    leader liveness + log append; the reply is the ack
 //	POST /cluster/reconfigure  joint-consensus membership change
 //

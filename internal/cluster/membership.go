@@ -285,7 +285,8 @@ func (n *Node) maybeFinishReconfigureLocked() {
 	if !n.config.Contains(n.cfg.SelfURL) {
 		// The settled configuration excludes this leader: its last duty —
 		// committing C(new) — is done, so demote. The successor is elected
-		// by the remaining members; we keep answering pulls until then.
+		// by the remaining members, and this node, a member no longer, pulls
+		// from it.
 		n.stepDownLocked(n.currentTerm, "", "")
 	}
 }

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"hash/crc32"
 	"sync"
 	"testing"
 	"time"
@@ -95,8 +96,9 @@ func appendReq(term, prev, prevTerm uint64, ops []Op, lastIndex, commit uint64) 
 // divergent uncommitted tail at 5–6 must not report it committed just
 // because the new leader's commit index has reached 6. Its commit index
 // may cover only what a request's position check verified against the
-// leader's log — nothing, for a bare heartbeat or a conflicting Prev —
-// until the log has been re-sourced.
+// leader's log — nothing, for a bare heartbeat, a conflicting Prev or a
+// snapshot-flagged append — until the log has been re-sourced, by the
+// snapshot install the flag starts.
 func TestFollowerCommitBoundedByVerifiedPrefix(t *testing.T) {
 	tr := &pullCapture{}
 	f := pushFollower(t, tr, nil)
@@ -119,7 +121,8 @@ func TestFollowerCommitBoundedByVerifiedPrefix(t *testing.T) {
 		t.Fatalf("a heartbeat with no position check raised the commit index to %d over a divergent tail", got)
 	}
 	// Its real heartbeat names (6, term 2): a conflict at an index both
-	// logs hold. Still nothing verified — and the follower goes pulling.
+	// logs hold. Still nothing verified, and the reply names the divergent
+	// head for the leader to act on; a voting member sends no pull.
 	resp = f.HandleHeartbeat(appendReq(2, 6, 2, nil, 6, 6))
 	if got := f.CommitIndex(); got >= 5 {
 		t.Fatalf("a conflicting heartbeat raised the commit index to %d over a divergent tail", got)
@@ -127,72 +130,161 @@ func TestFollowerCommitBoundedByVerifiedPrefix(t *testing.T) {
 	if resp.LastIndex != 6 || resp.LastTerm != 1 {
 		t.Fatalf("reply reports head (%d, term %d), want the divergent (6, term 1)", resp.LastIndex, resp.LastTerm)
 	}
-	pulls := tr.waitPulls(t, 1) // the legacy form proved nothing but conflicted with nothing
-	if p := pulls[0].req; p.From != 6 || p.FromTerm != 1 {
-		t.Fatalf("pull from (%d, term %d), want (6, term 1)", p.From, p.FromTerm)
-	}
+	tr.waitPulls(t, 0)
 
-	// Re-sourced — here by the snapshot install the leader's refusal of
-	// that pull position leads to — the follower may adopt the commit.
-	f.mu.Lock()
+	// The leader cannot continue (6, term 1) and flags its append, which
+	// names that head. The flag verifies nothing; it starts a snapshot
+	// fetch.
+	flagged := appendReq(2, 6, 1, nil, 6, 6)
+	flagged.Snapshot = true
+	f.HandleHeartbeat(flagged)
+	if got := f.CommitIndex(); got >= 5 {
+		t.Fatalf("a snapshot-flagged append raised the commit index to %d over a divergent tail", got)
+	}
+	fetches := tr.takeSnaps()
+	if len(fetches) != 1 || fetches[0].peer != "http://l" || fetches[0].req != (SnapshotChunkRequest{}) {
+		t.Fatalf("a flagged append started fetches %+v, want one fresh transfer from the leader", fetches)
+	}
+	f.HandleHeartbeat(flagged) // redelivered while the fetch flies
+	if got := tr.takeSnaps(); len(got) != 0 {
+		t.Fatalf("a second flagged append started %d more fetches during the first", len(got))
+	}
 	snap := nodeSnapshot{LastIndex: 6, LastTerm: 2, State: writeOpsAt(1, 6, 2)}
-	f.installSnapshotLocked(appendSnapshot(nil, &snap, records(snap.State)), snap)
-	f.mu.Unlock()
+	data := appendSnapshot(nil, &snap, records(snap.State))
+	fetches[0].done(SnapshotChunkResponse{
+		Term: 2, ID: "s", Total: uint64(len(data)), Data: data, CRC: crc32.ChecksumIEEE(data),
+	}, nil)
+	if ops := f.TailOps(); f.LastIndex() != 6 || len(ops) != 0 {
+		t.Fatalf("after the install: head %d, tail %+v; want the snapshot at 6", f.LastIndex(), ops)
+	}
+	// A flag sent before the leader heard of the install names a head the
+	// follower has left: it must not start a second transfer.
+	if resp = f.HandleHeartbeat(flagged); resp.LastIndex != 6 || resp.LastTerm != 2 {
+		t.Fatalf("reply to a stale flag reports (%d, term %d), want the installed (6, term 2)", resp.LastIndex, resp.LastTerm)
+	}
+	if got := tr.takeSnaps(); len(got) != 0 {
+		t.Fatalf("a stale flag started %d fetches after the install", len(got))
+	}
+	// Re-sourced, the follower may adopt the commit.
 	f.HandleHeartbeat(appendReq(2, 6, 2, nil, 6, 6))
 	if got := f.CommitIndex(); got != 6 {
 		t.Fatalf("commit index %d after the log was re-sourced and verified through 6", got)
 	}
+	tr.waitPulls(t, 0)
 }
 
-// TestAppendPrevMismatchPullsOnce: a request whose Prev lies beyond the
+// TestAppendPrevMismatchRepliesHead: a request whose Prev lies beyond the
 // follower's head applies nothing — not even entries that would fit
-// elsewhere — and triggers exactly one catch-up pull; the pull's answer
-// and the appends that follow converge the follower, and deliveries it
-// has already applied change nothing.
-func TestAppendPrevMismatchPullsOnce(t *testing.T) {
+// elsewhere — and is answered with the follower's head, not with a pull;
+// the append the leader sends from that head converges the follower, and
+// deliveries it has already applied change nothing.
+func TestAppendPrevMismatchRepliesHead(t *testing.T) {
 	tr := &pullCapture{}
 	f := pushFollower(t, tr, nil)
 	f.HandleHeartbeat(appendReq(1, 0, 0, writeOpsAt(1, 3, 1), 3, 3))
 
 	gap := appendReq(1, 5, 1, writeOpsAt(6, 2, 1), 7, 5)
 	resp := f.HandleHeartbeat(gap)
-	if resp.LastIndex != 3 {
-		t.Fatalf("a request continuing from 5 moved a follower at 3 to %d", resp.LastIndex)
+	if resp.LastIndex != 3 || resp.LastTerm != 1 {
+		t.Fatalf("a request continuing from 5 left a follower at 3 reporting (%d, term %d)", resp.LastIndex, resp.LastTerm)
 	}
 	if got := f.CommitIndex(); got != 3 {
 		t.Fatalf("commit index %d after an unverifiable request, want 3", got)
 	}
-	pull := tr.waitPulls(t, 1)[0]
-	if pull.peer != "http://l" || pull.req.From != 3 || pull.req.FromTerm != 1 {
-		t.Fatalf("pull %+v to %s, want from (3, term 1) to the leader", pull.req, pull.peer)
-	}
-	pull.done(PullResponse{Term: 1, Ops: writeOpsAt(4, 2, 1), LastIndex: 7, Commit: 5}, nil)
-	if got := f.LastIndex(); got != 5 {
-		t.Fatalf("head %d after the pull delivered 4–5", got)
+	tr.waitPulls(t, 0)
+	if resp = f.HandleHeartbeat(appendReq(1, 3, 1, writeOpsAt(4, 4, 1), 7, 5)); resp.LastIndex != 7 {
+		t.Fatalf("head %d after the append from the reported head", resp.LastIndex)
 	}
 	if got := f.CommitIndex(); got != 5 {
-		t.Fatalf("commit index %d after a served pull through 5 with Commit 5", got)
-	}
-	// The pull said the leader is at 7, so the follower keeps draining;
-	// the leader's own append gets there first.
-	drain := tr.waitPulls(t, 1)[0]
-	resp = f.HandleHeartbeat(gap)
-	if resp.LastIndex != 7 {
-		t.Fatalf("head %d after the append that now continues the log", resp.LastIndex)
+		t.Fatalf("commit index %d after an append verified through 7 with Commit 5", got)
 	}
 	for _, again := range []HeartbeatRequest{gap, appendReq(1, 0, 0, writeOpsAt(1, 3, 1), 3, 3)} {
 		if resp = f.HandleHeartbeat(again); resp.LastIndex != 7 {
 			t.Fatalf("a redelivered append moved the head to %d", resp.LastIndex)
 		}
 	}
-	drain.done(PullResponse{Term: 1, Ops: writeOpsAt(6, 2, 1), LastIndex: 7, Commit: 7}, nil)
-	tr.waitPulls(t, 0)
-	want := "[t1-1 t1-2 t1-3 t1-4 t1-5 t1-6 t1-7]"
+	want := "[t1-1 t1-2 t1-3 t1-4 t1-5]"
 	if got := fmt.Sprint(ids(t, f)); got != want {
-		t.Fatalf("replica holds %s, want %s", got, want)
+		t.Fatalf("replica holds %s, want the committed %s", got, want)
 	}
 	if ops := f.TailOps(); len(ops) != 7 || ops[6].Index != 7 {
 		t.Fatalf("log tail %+v, want 1–7 once each", ops)
+	}
+	tr.waitPulls(t, 0)
+}
+
+// TestLeaderMovesAMemberFromItsReply: the head a member's reply reports
+// is where the leader's next request starts, sent at once — the entries
+// after it when its log holds that head, a snapshot-flagged append
+// naming it when it does not. A reply from the head the request was sent
+// to pauses the member until the next tick instead.
+func TestLeaderMovesAMemberFromItsReply(t *testing.T) {
+	n, tr := guardNode(t)
+	n.HandleHeartbeat(appendReq(1, 0, 0, writeOpsAt(1, 3, 1), 3, 3)) // history to be elected on
+	term := electLeader(t, n, tr)
+	byPeer := func(hbs []capturedHB) map[string]capturedHB {
+		m := make(map[string]capturedHB)
+		for _, hb := range hbs {
+			m[hb.peer] = hb
+		}
+		return m
+	}
+	reply := func(hb capturedHB, last, lastTerm uint64) {
+		hb.done(HeartbeatResponse{Term: term, Node: peerID(hb.peer), URL: hb.peer, LastIndex: last, LastTerm: lastTerm, Round: hb.req.Round}, nil)
+	}
+	first := byPeer(tr.waitHBs(t, 4)) // the barrier, from the head the leader was elected on
+	for _, p := range []string{"http://b", "http://c", "http://d"} {
+		reply(first[p], 4, term)
+	}
+	for i := 0; i < 2; i++ {
+		if _, err := n.ProposeWrite(simnet.DCWest, service.Post{ID: fmt.Sprintf("w%d", i), Author: "a1", Body: "x"}); err != nil {
+			t.Fatal(err)
+		}
+		for _, hb := range tr.waitHBs(t, 3) {
+			reply(hb, hb.req.Prev+uint64(len(hb.req.Ops)), term)
+		}
+	}
+
+	// a answers the barrier from behind the head it was sent from (a
+	// member restarted on an empty log): the entries from its head go out
+	// in the same instant.
+	if hb := first["http://a"]; hb.req.Prev != 3 {
+		t.Fatalf("the barrier went to a from %d, want the head the leader was elected on, 3", hb.req.Prev)
+	}
+	reply(first["http://a"], 0, 0)
+	next := tr.takeHBs()
+	if len(next) != 1 || next[0].peer != "http://a" || next[0].req.Prev != 0 || len(next[0].req.Ops) != 6 || next[0].req.Snapshot {
+		t.Fatalf("after a's reply from 0, sent %+v; want one append of 1–6 from 0 to a", next)
+	}
+	// A reply from the head it was sent to pauses a: a proposal reaches
+	// the others only, and the next tick retries a.
+	reply(next[0], 0, 0)
+	if _, err := n.ProposeWrite(simnet.DCWest, service.Post{ID: "w2", Author: "a1", Body: "x"}); err != nil {
+		t.Fatal(err)
+	}
+	for _, hb := range tr.waitHBs(t, 3) {
+		if hb.peer == "http://a" {
+			t.Fatalf("a paused member was sent %+v", hb.req)
+		}
+		reply(hb, hb.req.Prev+uint64(len(hb.req.Ops)), term)
+	}
+	n.heartbeatTick()
+	tick := byPeer(tr.waitHBs(t, 4))
+	if hb := tick["http://a"]; hb.req.Prev != 0 || len(hb.req.Ops) != 7 {
+		t.Fatalf("the tick sent a %+v; want the entries 1–7 from 0", hb.req)
+	}
+	// a reports a head this log cannot continue — ahead of it, in an old
+	// term: the next request names that head and flags a snapshot, at once.
+	reply(tick["http://a"], 9, term-1)
+	next = tr.takeHBs()
+	if len(next) != 1 || next[0].peer != "http://a" || !next[0].req.Snapshot ||
+		next[0].req.Prev != 9 || next[0].req.PrevTerm != term-1 || len(next[0].req.Ops) != 0 {
+		t.Fatalf("after a's reply from (9, term %d), sent %+v; want one snapshot-flagged append naming it", term-1, next)
+	}
+	// Still there — fetching — it is left to the ticks.
+	reply(next[0], 9, term-1)
+	if got := tr.takeHBs(); len(got) != 0 {
+		t.Fatalf("a member fetching a snapshot was sent %d requests at once", len(got))
 	}
 }
 
@@ -298,28 +390,60 @@ func TestStatusOmitsUnheardPeers(t *testing.T) {
 	}
 }
 
-// TestStalePullAnswerDropped: a catch-up pull and the leader's appends
-// both write the log, so an answer that was in flight across a change
-// of leader must not be applied — entries of the deposed leader's log
-// laid over the new leader's would pair an (index, term) with a prefix
-// it never had, which is exactly what log matching rules out.
-func TestStalePullAnswerDropped(t *testing.T) {
+// pullNode is a node the leader does not address — no peers, a leader
+// URL — whose pull timer is parked an hour out: the test pulls by hand.
+func pullNode(t *testing.T) (*Node, *pullCapture) {
+	t.Helper()
 	tr := &pullCapture{}
-	f := pushFollower(t, tr, nil)
-	f.HandleHeartbeat(appendReq(1, 0, 0, writeOpsAt(1, 5, 1), 5, 5))
-	f.HandleHeartbeat(appendReq(1, 7, 1, nil, 7, 5)) // a gap: the follower asks term 1's leader for 6–7
+	n, err := NewNode(&memSvc{}, Config{
+		NodeID: "j", SelfURL: "http://j", LeaderURL: "http://l", DataDir: t.TempDir(),
+		PullInterval: time.Hour, NoSync: true, Transport: tr,
+	})
+	if err != nil {
+		t.Fatalf("NewNode: %v", err)
+	}
+	t.Cleanup(n.Kill)
+	return n, tr
+}
+
+// TestStalePulledAppendDropped: a pull and the leader's appends both
+// write the log, so an answer that was in flight across a change of
+// leader must not be applied — entries of the deposed leader's log laid
+// over the new leader's would pair an (index, term) with a prefix it
+// never had, which is exactly what log matching rules out. The pulled
+// append goes through the pushed one's term check, which drops it; a
+// current answer is applied, and one that leaves the puller behind is
+// followed by the next pull at once.
+func TestStalePulledAppendDropped(t *testing.T) {
+	j, tr := pullNode(t)
+	j.HandleHeartbeat(appendReq(1, 0, 0, writeOpsAt(1, 5, 1), 5, 5))
+	j.pullTick()
 	pull := tr.waitPulls(t, 1)[0]
+	if pull.peer != "http://l" || pull.req.From != 5 || pull.req.FromTerm != 1 || pull.req.URL != "http://j" {
+		t.Fatalf("pull %+v to %s, want from (5, term 1) to the leader", pull.req, pull.peer)
+	}
 
 	// Term 2's leader, elected on (5, term 1), appends its own entry 6.
 	next := writeOpsAt(6, 1, 2)
-	if resp := f.HandleHeartbeat(appendReq(2, 5, 1, next, 6, 5)); resp.LastIndex != 6 || resp.LastTerm != 2 {
+	if resp := j.HandleHeartbeat(appendReq(2, 5, 1, next, 6, 5)); resp.LastIndex != 6 || resp.LastTerm != 2 {
 		t.Fatalf("term 2's append left the head at (%d, term %d)", resp.LastIndex, resp.LastTerm)
 	}
 	// Term 1's answer arrives: its 6 is not ours, and its 7 must not follow our 6.
-	pull.done(PullResponse{Term: 1, Ops: writeOpsAt(6, 2, 1), LastIndex: 7, Commit: 5}, nil)
-	ops := f.TailOps()
-	if len(ops) != 6 || ops[5].Term != 2 || f.LastIndex() != 6 {
-		t.Fatalf("log after the stale answer: head %d, tail %+v; want term 2's entry 6 last", f.LastIndex(), ops)
+	pull.done(PullResponse{Append: appendReq(1, 5, 1, writeOpsAt(6, 2, 1), 7, 5)}, nil)
+	ops := j.TailOps()
+	if len(ops) != 6 || ops[5].Term != 2 || j.LastIndex() != 6 {
+		t.Fatalf("log after the stale answer: head %d, tail %+v; want term 2's entry 6 last", j.LastIndex(), ops)
 	}
 	tr.waitPulls(t, 0)
+
+	// Term 2's answer moves it, one entry of three: it pulls again at once.
+	j.pullTick()
+	pull = tr.waitPulls(t, 1)[0]
+	pull.done(PullResponse{Append: appendReq(2, 6, 2, writeOpsAt(7, 1, 2), 9, 7)}, nil)
+	if got, commit := j.LastIndex(), j.CommitIndex(); got != 7 || commit != 7 {
+		t.Fatalf("after a current answer: head %d, commit %d; want 7 and 7", got, commit)
+	}
+	if again := tr.waitPulls(t, 1)[0]; again.req.From != 7 || again.req.FromTerm != 2 {
+		t.Fatalf("the next pull asks from (%d, term %d), want (7, term 2)", again.req.From, again.req.FromTerm)
+	}
 }

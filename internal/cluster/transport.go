@@ -49,8 +49,8 @@ type VoteResponse struct {
 	Granted bool `json:"granted"`
 }
 
-// HeartbeatRequest is the leader's append RPC; with no Ops it is the
-// periodic liveness announcement.
+// HeartbeatRequest is the leader's append RPC, pushed to a member or
+// answering a pull; with no Ops it is the periodic liveness announcement.
 type HeartbeatRequest struct {
 	Term      uint64 `json:"term"`
 	Leader    string `json:"leader"`
@@ -65,8 +65,8 @@ type HeartbeatRequest struct {
 	// leader believes the follower's head is. The follower appends only
 	// when its log holds that position with that term (log matching: the
 	// whole prefix then agrees), skipping entries it already has; a Prev
-	// beyond its head, or a term conflict at an index both hold, sends it
-	// to the pull/snapshot path instead.
+	// beyond its head, or a term conflict at an index both hold, appends
+	// nothing: the head its reply reports is where the leader goes on.
 	Prev     uint64 `json:"prev,omitempty"`
 	PrevTerm uint64 `json:"prev_term,omitempty"`
 	// Ops are the entries after Prev, contiguous and bounded. The slice
@@ -77,6 +77,12 @@ type HeartbeatRequest struct {
 	// the round started — the basis for lease extension and read-index
 	// (quorum-read) confirmation.
 	Round uint64 `json:"round,omitempty"`
+	// Snapshot reports that the leader's log cannot continue the
+	// follower's from the head it last reported, which Prev/PrevTerm then
+	// name: compacted away, conflicting, or past the leader's head. A
+	// follower still there installs the leader's snapshot; one that has
+	// moved since answers with its head. It carries no Ops, verifies nothing.
+	Snapshot bool `json:"snapshot,omitempty"`
 }
 
 // HeartbeatResponse reports the follower's durable log position — after
@@ -94,11 +100,12 @@ type HeartbeatResponse struct {
 	Round uint64 `json:"round,omitempty"`
 }
 
-// PullRequest asks the leader for the op-stream tail after From.
+// PullRequest asks the leader for the append that moves the puller on
+// from From: how a node the leader does not address catches up.
 type PullRequest struct {
 	// From is the puller's durable last index; FromTerm the term of the
-	// op at that index. The leader serves the tail only when both match
-	// its own log — the log-matching consistency check.
+	// op at that index. The leader continues from there only when both
+	// match its own log — the log-matching consistency check.
 	From     uint64 `json:"from"`
 	FromTerm uint64 `json:"from_term"`
 	// Node names the puller; URL is its base URL, which is how the
@@ -109,20 +116,16 @@ type PullRequest struct {
 	Term uint64 `json:"term"`
 }
 
-// PullResponse carries the op tail, or one of the refusal modes.
+// PullResponse carries the append the leader would push to the puller,
+// or the redirect of a node that does not lead.
 type PullResponse struct {
-	Term uint64 `json:"term"`
 	// NotLeader reports the contacted node no longer leads; LeaderURL is
 	// its best guess at who does.
 	NotLeader bool   `json:"not_leader,omitempty"`
 	LeaderURL string `json:"leader_url,omitempty"`
-	// SnapshotNeeded reports that the puller's position was compacted
-	// away or conflicts with the leader's log; either way the puller
-	// must install the leader's snapshot.
-	SnapshotNeeded bool   `json:"snapshot_needed,omitempty"`
-	Ops            []Op   `json:"ops,omitempty"`
-	LastIndex      uint64 `json:"last_index"`
-	Commit         uint64 `json:"commit"`
+	// Append is the leader's append from From: bounded entries, or the
+	// snapshot flag. The puller takes it as a pushed one.
+	Append HeartbeatRequest `json:"append"`
 }
 
 // SnapshotChunkRequest asks the leader for one chunk of its snapshot

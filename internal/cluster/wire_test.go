@@ -20,12 +20,12 @@ import (
 )
 
 // heartbeatPair builds a request and a response from fuzz arguments: up
-// to three write ops of the given fields, then a configuration op when
-// config is set.
+// to three write ops of the given fields (nops%4), then a configuration
+// op when config is set; nops&4 sets the snapshot flag.
 func heartbeatPair(term, last, commit, prev, prevTerm, round uint64, leader, url, kind, site, id, author, body, dep string, nops uint8, config bool) (HeartbeatRequest, HeartbeatResponse) {
 	req := HeartbeatRequest{
 		Term: term, Leader: leader, LeaderURL: url, LastIndex: last, Commit: commit,
-		Prev: prev, PrevTerm: prevTerm, Round: round,
+		Prev: prev, PrevTerm: prevTerm, Round: round, Snapshot: nops&4 != 0,
 	}
 	for i := uint64(0); i < uint64(nops%4); i++ {
 		req.Ops = append(req.Ops, recorded(Op{Index: prev + i + 1, Term: prevTerm + i, Kind: kind, Site: site, ID: id, Author: author, Body: body, DependsOn: dep}))
@@ -49,6 +49,7 @@ func FuzzAppendHeartbeat(f *testing.F) {
 	f.Add(uint64(2), uint64(5), uint64(4), uint64(4), uint64(2), uint64(1), "n2", "http://n2", "write", "tokyo", "<id>",
 		"a&b", "quote\" slash\\ tab\t nul\x00 caf\u00e9 \xff", "p-0", uint8(3), true)
 	f.Add(uint64(1<<63), uint64(1<<64-1), uint64(7), uint64(6), uint64(1), uint64(0), "caf\u00e9", "line\u2028sep", "reset", "", "", "", "", "", uint8(2), false)
+	f.Add(uint64(4), uint64(12), uint64(11), uint64(3), uint64(1), uint64(7), "n1", "http://n1", "", "", "", "", "", "", uint8(4), false)
 	f.Fuzz(func(t *testing.T, term, last, commit, prev, prevTerm, round uint64, leader, url, kind, site, id, author, body, dep string, nops uint8, config bool) {
 		req, resp := heartbeatPair(term, last, commit, prev, prevTerm, round, leader, url, kind, site, id, author, body, dep, nops, config)
 
@@ -189,6 +190,9 @@ func FuzzDecodeHeartbeat(f *testing.F) {
 		"{\"leader\":\"tab\there\"}", ` {"term":1}`, `{"term": 1}`, "{\"term\":1}\n", "{\"term\":1}\n\n", `{"term":1} `,
 		`{"term":1}x`, `{"term":1,}`, `{"term":1`, `[{"term":1}]`, `{"term":1,"unknown":[1,{"a":2}]}`,
 		`{"ops":[`, `{"term":1,"ops":[{"i":1`, // cut inside an op: the scan steps past the end of the body
+		`{"term":4,"leader":"n1","leader_url":"http://n1","last_index":12,"commit":11,"prev":3,"prev_term":1,"round":7,"snapshot":true}`,
+		`{"term":1,"snapshot":false}`, `{"term":1,"snapshot":tru}`, `{"term":1,"snapshot":true`, `{"snapshot":true,"term":1}`,
+		`{"term":1,"snapshot":1}`, `{"term":1,"snapshot":null}`, `{"term":1,"snapshot":truex}`,
 	} {
 		f.Add([]byte(s))
 	}

@@ -16,6 +16,7 @@ import (
 	"io"
 	"math"
 	"slices"
+	"strings"
 	"sync"
 	"time"
 	"unicode/utf8"
@@ -106,9 +107,10 @@ func (sc *Scanner) Done() bool {
 func (sc *Scanner) Offset() int { return min(sc.i, len(sc.s)) } // a failed scan steps past the end
 
 // Object reads an object. fields alternates each key the encoders may
-// write, in their order, with where its value goes: a *string, *uint64 or
-// *time.Time, or a func() reading the value itself. A key not among those
-// after the last one read (unknown, out of order, repeated) fails.
+// write, in their order, with where its value goes: a *string, *uint64,
+// *time.Time, *bool — a flag, which the encoders write only when true —
+// or a func() reading the value itself. A key not among those after the
+// last one read (unknown, out of order, repeated) fails.
 func (sc *Scanner) Object(fields ...any) {
 	sc.expect('{')
 	for at, more := 0, false; sc.next('}', &more); at += 2 {
@@ -130,6 +132,10 @@ func (sc *Scanner) Object(fields ...any) {
 			*v = sc.uint()
 		case *time.Time:
 			*v = sc.time()
+		case *bool:
+			*v = strings.HasPrefix(sc.s[sc.i:], "true")
+			sc.bad = !*v
+			sc.i += len("true")
 		case func():
 			v()
 		}

@@ -94,6 +94,8 @@ start_node() { # name
   # -election-timeout must clear the service's worst-case write-apply
   # time: ops apply under the node lock and a blogger write pays ~1s of
   # simulated network delay there, stalling heartbeats behind it.
+  # -pull-interval paces only nodes the leader does not address (the
+  # joiners below, before admission): a voting member never pulls.
   "$dir/consvc" -service blogger -rate 0 -jitter 0 -node-id "$1" \
     -addr "${_u#http://}" -self-url "$_u" -peers "${_peers#,}" \
     -data-dir "$dir/$1" -pull-interval 100ms -election-timeout 2s \
@@ -103,7 +105,8 @@ start_node() { # name
 }
 
 # start_join name target: boot a node with no -peers that asks the
-# cluster at target to vote it into the membership (consvc -join).
+# cluster at target to vote it into the membership (consvc -join). Until
+# a configuration admits it, it pulls every -pull-interval.
 start_join() {
   _u=$(url_of "$1")
   "$dir/consvc" -service blogger -rate 0 -jitter 0 -node-id "$1" \
